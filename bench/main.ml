@@ -1,159 +1,26 @@
-(* Benchmark harness.
+(* Experiment tables.
 
    Usage:
-     bench/main.exe            -- all experiment tables + micro
+     bench/main.exe            -- all experiment tables
      bench/main.exe e4         -- one experiment table
-     bench/main.exe micro      -- bechamel micro-benchmarks only
-     bench/main.exe tables     -- experiment tables only
+     bench/main.exe tables     -- all experiment tables
      bench/main.exe list       -- registered experiment ids
 
    The experiment tables regenerate the paper's figures/claims — the set
    comes from the {!Dgr_harness.Experiments.all} registry, so a new
    experiment shows up here with no change to this file (see
-   EXPERIMENTS.md). The micro-benchmarks measure the marking core itself
-   (host wall-clock, not simulator steps); `dgr bench` is the macro
-   suite (whole-machine throughput, BENCH.json). *)
-
-open Dgr_graph
-open Dgr_util
-open Bechamel
-open Toolkit
-
-(* ------------------------------------------------------------------ *)
-(* Micro-benchmarks: the marking algorithms on static random graphs.   *)
-(* ------------------------------------------------------------------ *)
-
-let graph_of_size n seed =
-  let spec =
-    {
-      Builder.live = n;
-      garbage = n / 4;
-      free_pool = 16;
-      avg_degree = 2.0;
-      cycle_bias = 0.2;
-    }
-  in
-  Builder.random_with_requests (Rng.create seed) spec
-
-let bench_mark variant name g =
-  Test.make ~name
-    (Staged.stage (fun () ->
-         Graph.reset_plane g Plane.MR;
-         Graph.reset_plane g Plane.MT;
-         ignore (Dgr_core.Sync_engine.mark g variant ~seeds:[ Graph.root g ])))
-
-let bench_oracle name g =
-  Test.make ~name
-    (Staged.stage (fun () ->
-         ignore (Dgr_analysis.Reach.compute (Snapshot.take g) ~tasks:[])))
-
-let bench_mutator name g =
-  (* a burst of cooperating mutations under an in-flight M_R *)
-  Test.make ~name
-    (Staged.stage (fun () ->
-         Graph.reset_plane g Plane.MR;
-         Graph.reset_plane g Plane.MT;
-         let engine = Dgr_core.Sync_engine.create g in
-         let run =
-           Dgr_core.Sync_engine.start engine Dgr_core.Run.Priority ~seeds:[ Graph.root g ]
-         in
-         let mut = Dgr_core.Sync_engine.mutator engine in
-         let rng = Rng.create 5 in
-         let live = Graph.live_vids g in
-         let mutate _ =
-           if Rng.int rng 4 = 0 then begin
-             let a = Rng.choose_list rng live in
-             match Graph.children g a with
-             | [] -> ()
-             | bs -> (
-               let b = Rng.choose_list rng bs in
-               match Graph.children g b with
-               | [] -> ()
-               | cs -> Dgr_core.Mutator.add_reference mut ~a ~b ~c:(Rng.choose_list rng cs))
-           end
-         in
-         ignore (Dgr_core.Sync_engine.drain ~interleave:mutate engine);
-         ignore run))
-
-let bench_reduction name source =
-  Test.make ~name
-    (Staged.stage (fun () ->
-         let g, templates = Dgr_lang.Compile.load_string ~num_pes:4 source in
-         let e = Dgr_sim.Engine.create g templates in
-         Dgr_sim.Engine.inject_root_demand e;
-         ignore (Dgr_sim.Engine.run ~max_steps:100_000 e)))
-
-let micro_tests () =
-  let sizes = [ 1_000; 4_000; 16_000 ] in
-  let marking =
-    List.concat_map
-      (fun n ->
-        let g = graph_of_size n 42 in
-        [
-          bench_mark Dgr_core.Run.Basic (Printf.sprintf "mark1/%dk" (n / 1000)) g;
-          bench_mark Dgr_core.Run.Priority (Printf.sprintf "mark2/%dk" (n / 1000)) g;
-          bench_oracle (Printf.sprintf "oracle/%dk" (n / 1000)) g;
-        ])
-      sizes
-  in
-  let extras =
-    [
-      bench_mutator "mutator-coop/4k" (graph_of_size 4_000 7);
-      bench_reduction "engine-fib10" (Dgr_lang.Prelude.fib 10);
-      bench_reduction "engine-sumrange12" (Dgr_lang.Prelude.sum_range 12);
-    ]
-  in
-  Test.make_grouped ~name:"dgr" (marking @ extras)
-
-let run_micro () =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances (micro_tests ()) in
-  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
-  let results = Analyze.merge ols instances results in
-  let table =
-    Table.create ~title:"micro-benchmarks (host wall clock)"
-      ~columns:[ ("benchmark", Table.Left); ("time/run", Table.Right) ]
-  in
-  (match Hashtbl.find_opt results (Measure.label Instance.monotonic_clock) with
-  | None -> ()
-  | Some by_test ->
-    let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) by_test [] in
-    List.iter
-      (fun (name, ols) ->
-        let cell =
-          match Analyze.OLS.estimates ols with
-          | Some (est :: _) ->
-            if est > 1e9 then Printf.sprintf "%.2f s" (est /. 1e9)
-            else if est > 1e6 then Printf.sprintf "%.2f ms" (est /. 1e6)
-            else if est > 1e3 then Printf.sprintf "%.2f us" (est /. 1e3)
-            else Printf.sprintf "%.0f ns" est
-          | Some [] | None -> "-"
-        in
-        Table.add_row table [ name; cell ])
-      (List.sort compare rows));
-  Table.print table
-
-(* ------------------------------------------------------------------ *)
+   EXPERIMENTS.md). `dgr bench` is the macro suite (whole-machine
+   throughput, BENCH.json); perfbench/ is the repository benchmark, whose
+   layer ladder times the marking core, store, pools and transport. *)
 
 let () =
   let arg = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   match arg with
-  | "micro" -> run_micro ()
-  | "tables" -> List.iter (fun (id, _, _) -> Dgr_harness.Experiments.run id)
-                  Dgr_harness.Experiments.all
+  | "all" | "tables" ->
+    List.iter (fun (id, _, _) -> Dgr_harness.Experiments.run id) Dgr_harness.Experiments.all
   | "list" ->
     List.iter
       (fun (id, { Dgr_harness.Experiments.title; paper_ref }, _) ->
         Printf.printf "%-4s %s (%s)\n" id title paper_ref)
       Dgr_harness.Experiments.all
-  | "all" ->
-    List.iter (fun (id, _, _) -> Dgr_harness.Experiments.run id)
-      Dgr_harness.Experiments.all;
-    run_micro ()
   | id -> Dgr_harness.Experiments.run id

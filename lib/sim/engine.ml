@@ -124,21 +124,39 @@ type pe_ctx = {
 }
 
 (* The worker pool: [domains - 1] long-lived domains driven by a
-   generation barrier. The main domain publishes a job and a new
-   generation, runs shard 0 itself, then waits for every worker to check
-   in. Workers are spawned lazily on the first parallel step (the OCaml
+   spin-then-park generation handoff. The main domain writes [job] (or
+   [stop]), sets [pending] to the worker count and bumps [gen]; it runs
+   shard 0 itself, then waits for [pending] to reach 0. Publication is
+   atomic: the plain writes before the [gen] bump happen-before any
+   worker's read of the bumped [gen], and each worker's shard writes
+   happen-before its decrement of [pending], which the main domain reads
+   before the merge — so no lock is taken on the hot path.
+
+   Both sides wait by spinning [spin] relaxes, then parking on [mu]: a
+   worker on [wake] (counted in [sleepers]), the main domain on
+   [finished] (flagged by [main_parked]). Each parker announces itself
+   before re-checking its condition under [mu], and each publisher reads
+   the announcement after its own atomic write — atomics are
+   sequentially consistent, so one of the two sees the other and no
+   wake-up is lost. [spin] is 0 on a host with fewer cores than domains,
+   where a spinning domain would only steal the core its partner needs,
+   and on a machine whose steps take the serial path. Workers are spawned lazily on the first parallel step (the OCaml
    runtime caps total domains) and joined by [dispose]. *)
 type workers = {
   mutable doms : unit Domain.t array;
-  mu : Mutex.t;
-  cv : Condition.t;
-  mutable job : (int -> unit) option;
-  mutable gen : int;
-  mutable done_count : int;
+  mutable job : t -> int -> unit;
   mutable stop : bool;
+  gen : int Atomic.t;  (** bumped once per published job, and by [dispose] *)
+  pending : int Atomic.t;  (** workers still running the current job *)
+  sleepers : int Atomic.t;  (** workers parked (or parking) on [wake] *)
+  main_parked : bool Atomic.t;  (** the main domain is parking on [finished] *)
+  spin : int;  (** relaxes before parking; 0 parks at once *)
+  mu : Mutex.t;
+  wake : Condition.t;
+  finished : Condition.t;
 }
 
-type t = {
+and t = {
   cfg : config;
   (* Hot knobs, denormalized out of [cfg] so the step loop never chases
      three records per field. *)
@@ -996,10 +1014,13 @@ let execute_budgets_buffered t ctx pool =
    worker domains or inline. *)
 let buffered_ok t = t.rc = None && t.flt = None
 
-(* Shard [d] owns the PE range [d*n/domains, (d+1)*n/domains). *)
+(* Shard [d] owns the PE range [shard_lo t d, shard_lo t (d + 1)). A
+   bound, not a pair: the non-flambda compiler would box a pair on every
+   call of the step loop. *)
+let shard_lo t d = d * t.num_pes / t.domains
+
 let run_shard t d =
-  let lo = d * t.num_pes / t.domains and hi = (d + 1) * t.num_pes / t.domains in
-  for pe = lo to hi - 1 do
+  for pe = shard_lo t d to shard_lo t (d + 1) - 1 do
     (* The down check only ever fires after an injected crash on an
        otherwise fault-free machine (any crash {e rate} forces the serial
        path via [flt]); it reads serial state the barrier published. *)
@@ -1010,85 +1031,114 @@ let run_shard t d =
   done;
   Domain.DLS.set dls_pe (-1)
 
+(* Relaxes a waiting domain spins before it parks. 100k took ~2.7 ms on
+   a 2-core Xeon: far longer than the serial part of a step, so a busy
+   engine's workers never park, and short enough that an idle engine
+   stops burning its cores. *)
+let spin_budget = 100_000
+
 let spawn_workers t =
   let w =
     {
       doms = [||];
-      mu = Mutex.create ();
-      cv = Condition.create ();
-      job = None;
-      gen = 0;
-      done_count = 0;
+      job = (fun _ _ -> ());
       stop = false;
+      gen = Atomic.make 0;
+      pending = Atomic.make 0;
+      sleepers = Atomic.make 0;
+      main_parked = Atomic.make false;
+      spin =
+        (* A machine whose steps take the serial path uses the pool only
+           for restructure's sparse passes; spinning out the gaps between
+           them would only take cycles from the main domain. *)
+        (if buffered_ok t && t.domains <= Domain.recommended_domain_count () then spin_budget
+         else 0);
+      mu = Mutex.create ();
+      wake = Condition.create ();
+      finished = Condition.create ();
     }
   in
-  let worker i () =
-    let my_gen = ref 0 in
-    let continue = ref true in
-    while !continue do
+  (* [seen] is the last generation this worker ran; the main domain
+     publishes the next one only after every worker finished it. *)
+  let rec worker d seen =
+    let n = ref w.spin in
+    while Atomic.get w.gen = seen && !n > 0 do
+      Domain.cpu_relax ();
+      decr n
+    done;
+    if Atomic.get w.gen = seen then begin
+      Atomic.incr w.sleepers;
       Mutex.lock w.mu;
-      while (not w.stop) && w.gen = !my_gen do
-        Condition.wait w.cv w.mu
+      while Atomic.get w.gen = seen do
+        Condition.wait w.wake w.mu
       done;
-      if w.stop then begin
-        Mutex.unlock w.mu;
-        continue := false
-      end
-      else begin
-        let g = w.gen and job = w.job in
-        Mutex.unlock w.mu;
-        (match job with Some f -> f (i + 1) | None -> ());
-        my_gen := g;
+      Mutex.unlock w.mu;
+      Atomic.decr w.sleepers
+    end;
+    if not w.stop then begin
+      w.job t d;
+      if Atomic.fetch_and_add w.pending (-1) = 1 && Atomic.get w.main_parked then begin
         Mutex.lock w.mu;
-        w.done_count <- w.done_count + 1;
-        Condition.broadcast w.cv;
+        Condition.signal w.finished;
         Mutex.unlock w.mu
-      end
-    done
+      end;
+      worker d (seen + 1)
+    end
   in
-  w.doms <- Array.init (t.domains - 1) (fun i -> Domain.spawn (worker i));
+  w.doms <- Array.init (t.domains - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1) 0));
   w
 
-(* One parallel phase: publish [job], run shard 0 on the main domain,
-   wait for the workers. The mutex pair on each side doubles as the
-   memory barrier that publishes every shard's writes to the merge.
-   [job d] must touch only shard [d]'s state — the execution budgets and
-   restructure's home passes both qualify. *)
+(* One parallel phase: [job t d] for every shard [d], shard 0 on the
+   calling domain — inline when there is only one shard. [job t d] must
+   touch only shard [d]'s state; the execution budgets, the flush
+   grouping and restructure's home passes all qualify. Jobs take [t] so
+   the per-step ones ([run_shard], [flush_group]) are closed functions
+   and the step loop allocates no closure. *)
 let run_parallel t job =
-  let w =
-    match t.workers with
-    | Some w -> w
-    | None ->
-      let w = spawn_workers t in
-      t.workers <- Some w;
-      w
-  in
-  Mutex.lock w.mu;
-  w.job <- Some job;
-  w.gen <- w.gen + 1;
-  w.done_count <- 0;
-  Condition.broadcast w.cv;
-  Mutex.unlock w.mu;
-  job 0;
-  Mutex.lock w.mu;
-  while w.done_count < Array.length w.doms do
-    Condition.wait w.cv w.mu
-  done;
-  w.job <- None;
-  Mutex.unlock w.mu
+  if t.domains = 1 then job t 0
+  else begin
+    let w =
+      match t.workers with
+      | Some w -> w
+      | None ->
+        let w = spawn_workers t in
+        t.workers <- Some w;
+        w
+    in
+    w.job <- job;
+    Atomic.set w.pending (Array.length w.doms);
+    Atomic.incr w.gen;
+    if Atomic.get w.sleepers > 0 then begin
+      Mutex.lock w.mu;
+      Condition.broadcast w.wake;
+      Mutex.unlock w.mu
+    end;
+    job t 0;
+    let n = ref w.spin in
+    while Atomic.get w.pending > 0 && !n > 0 do
+      Domain.cpu_relax ();
+      decr n
+    done;
+    if Atomic.get w.pending > 0 then begin
+      Atomic.set w.main_parked true;
+      Mutex.lock w.mu;
+      while Atomic.get w.pending > 0 do
+        Condition.wait w.finished w.mu
+      done;
+      Mutex.unlock w.mu;
+      Atomic.set w.main_parked false
+    end
+  end
 
 (* Restructure's sharded passes: run [f] over every home PE, sharded
    across the domains exactly like the execution budgets. The span is
    attributed to the profiler's parallel(izable) restructure bucket. *)
 let each_home_run t f =
   let r0 = Profile.now () in
-  let job d =
-    let lo = d * t.num_pes / t.domains and hi = (d + 1) * t.num_pes / t.domains in
-    for pe = lo to hi - 1 do
-      f pe
-    done
-  in
-  if t.domains > 1 then run_parallel t job else job 0;
+  run_parallel t (fun t d ->
+      for pe = shard_lo t d to shard_lo t (d + 1) - 1 do
+        f pe
+      done);
   t.prof.Profile.restr_ns <- t.prof.Profile.restr_ns +. (Profile.now () -. r0)
 
 let () = each_home_cell := each_home_run
@@ -1108,17 +1158,16 @@ let () = each_home_cell := each_home_run
    profiler ([pflush_ns]); the finalization as serial. *)
 let flush_on_workers = Domain.recommended_domain_count () > 1
 
+let flush_group t d =
+  Network.flush_shard_group t.net t.mboxes ~lo:(shard_lo t d) ~hi:(shard_lo t (d + 1))
+
 let flush_mailboxes t =
   let f0 = Profile.now () in
   if Network.flush_shard_plan t.net t.mboxes then begin
-    let job d =
-      let lo = d * t.num_pes / t.domains and hi = (d + 1) * t.num_pes / t.domains in
-      Network.flush_shard_group t.net t.mboxes ~lo ~hi
-    in
-    if t.domains > 1 && flush_on_workers then run_parallel t job
+    if flush_on_workers then run_parallel t flush_group
     else
       for d = 0 to t.domains - 1 do
-        job d
+        flush_group t d
       done;
     let f1 = Profile.now () in
     t.prof.Profile.pflush_ns <- t.prof.Profile.pflush_ns +. (f1 -. f0);
@@ -1136,9 +1185,12 @@ let dispose t =
   match t.workers with
   | None -> ()
   | Some w ->
-    Mutex.lock w.mu;
+    (* a stop generation: published like a job, always broadcast — a
+       worker checks [gen] under [mu] before it waits *)
     w.stop <- true;
-    Condition.broadcast w.cv;
+    Atomic.incr w.gen;
+    Mutex.lock w.mu;
+    Condition.broadcast w.wake;
     Mutex.unlock w.mu;
     Array.iter Domain.join w.doms;
     t.workers <- None
@@ -1424,7 +1476,7 @@ let step t =
        loop bodies run on the worker pool — same buffers either way.
        Cooperation bodies are deferred for the barrier replay. *)
     Mutator.set_defer t.mut (Some t.coop_sink);
-    if t.domains > 1 then run_parallel t (fun d -> run_shard t d) else run_shard t 0;
+    run_parallel t run_shard;
     let p2 = Profile.now () in
     let w2 = Profile.words () in
     t.prof.Profile.execute_ns <- t.prof.Profile.execute_ns +. (p2 -. p1);

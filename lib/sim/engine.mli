@@ -272,9 +272,11 @@ val step : t -> unit
 
 val dispose : t -> unit
 (** Stop and join the worker domains, if any were spawned. Idempotent;
-    an engine is usable (serially) after disposal, but call this before
-    dropping any engine run with [domains > 1] — the runtime caps the
-    number of live domains. *)
+    an engine stays usable after disposal (its next parallel step spawns
+    a fresh pool), but call this before dropping any engine run with
+    [domains > 1] — the runtime caps the number of live domains. Between
+    steps the workers spin for a few milliseconds, then park, so an
+    engine left idle holds no core. *)
 
 val enable_ownership_checks : t -> unit
 (** Install {!Dgr_core.Invariants.ownership_guard} on the mutator: every

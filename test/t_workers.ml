@@ -1,0 +1,128 @@
+(* The engine's worker pool: the spin-then-park handoff between the main
+   domain and the shard workers. Every test compares end states against
+   the single-domain run of the same machine — whether a job ran on a
+   spinning worker, on a parked-then-woken one or inline may never show
+   in the bytes — and bounds the run's wall time, so a lost wake-up fails
+   as a timeout instead of passing by luck. *)
+open Dgr_sim
+open Dgr_graph
+open Dgr_lang
+
+let fib_engine ?(gc = Engine.Concurrent { deadlock_every = 1; idle_gap = 20 }) ~domains n =
+  let config = Engine.Config.make ~num_pes:8 ~domains ~gc ~jitter:0.1 ~seed:5 () in
+  let g, templates = Compile.load_string ~num_pes:8 (Prelude.fib n) in
+  Engine.create ~config g templates
+
+(* Everything the run's semantics determine: clock, result, live set and
+   every counter and histogram. *)
+let digest e =
+  let result =
+    match Engine.result e with Some v -> Format.asprintf "%a" Label.pp_value v | None -> "-"
+  in
+  Digest.to_hex
+    (Digest.string
+       (Printf.sprintf "%d|%s|%s|%s" (Engine.now e) result
+          (String.concat "," (List.map Vid.to_string (Graph.live_vids (Engine.graph e))))
+          (Metrics.to_json (Engine.metrics e))))
+
+let finish e =
+  let (_ : int) = Engine.run ~max_steps:200_000 e in
+  Alcotest.(check bool) "run finished" true (Engine.finished e);
+  let d = digest e in
+  Engine.dispose e;
+  d
+
+let run_to_end ~domains n =
+  let e = fib_engine ~domains n in
+  Engine.inject_root_demand e;
+  finish e
+
+(* Fails the test if [f] takes longer than [limit] seconds of wall time. *)
+let within ~limit what f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > limit then Alcotest.failf "%s took %.1f s (limit %.0f s)" what dt limit;
+  r
+
+(* Far longer than the pool's spin budget (a few ms of relaxes), so a
+   worker that was spinning has parked by the time the main domain
+   publishes again. *)
+let past_spin_budget () = Unix.sleepf 0.05
+
+let test_park_and_wake () =
+  let expected = run_to_end ~domains:1 12 in
+  let e = fib_engine ~domains:2 12 in
+  Engine.inject_root_demand e;
+  let got =
+    within ~limit:60.0 "park-and-wake run" (fun () ->
+        (* idle gaps early on, while the machine is busy on every PE *)
+        let i = ref 0 in
+        while !i < 2_000 && not (Engine.finished e) do
+          Engine.step e;
+          incr i;
+          if !i mod 400 = 0 then past_spin_budget ()
+        done;
+        finish e)
+  in
+  Alcotest.(check string) "2-domain run with parked workers = 1-domain run" expected got
+
+let test_dispose_states () =
+  (* never stepped: no workers were spawned *)
+  let e = fib_engine ~domains:2 8 in
+  Engine.dispose e;
+  (* a worker still spinning: dispose right after a parallel step *)
+  let e = fib_engine ~domains:2 8 in
+  Engine.inject_root_demand e;
+  Engine.step e;
+  Engine.dispose e;
+  (* a worker parked *)
+  Engine.step e;
+  past_spin_budget ();
+  Engine.dispose e;
+  (* twice; the disposed engine respawns its pool on the next step and
+     still ends in the 1-domain run's state *)
+  Engine.dispose e;
+  let got = finish e in
+  Engine.dispose e;
+  Alcotest.(check string) "disposed and respawned = 1-domain run" (run_to_end ~domains:1 8) got;
+  (* a 1-domain engine has no pool to dispose *)
+  let e = fib_engine ~domains:1 8 in
+  Engine.step e;
+  Engine.dispose e;
+  Engine.dispose e
+
+(* More domains than a 2-core host has takes the park-only path (a
+   larger host spins); either way the bytes match and the run finishes
+   in bounded time. *)
+let test_oversubscribed () =
+  let expected = run_to_end ~domains:1 12 in
+  let got = within ~limit:60.0 "4-domain run" (fun () -> run_to_end ~domains:4 12) in
+  Alcotest.(check string) "4-domain run = 1-domain run" expected got
+
+(* An idle machine publishes one generation per step whose jobs find
+   every pool empty: 20k of them back to back, with a parking gap in the
+   middle, then the program runs and must end as the 1-domain twin. *)
+let test_empty_generations () =
+  let run domains =
+    let e = fib_engine ~gc:Engine.No_gc ~domains 8 in
+    for i = 1 to 20_000 do
+      Engine.step e;
+      if domains > 1 && i = 10_000 then past_spin_budget ()
+    done;
+    Engine.inject_root_demand e;
+    finish e
+  in
+  let expected = run 1 in
+  let got = within ~limit:60.0 "20k empty generations" (fun () -> run 2) in
+  Alcotest.(check string) "idle then busy 2-domain run = 1-domain run" expected got
+
+let suite =
+  [
+    Alcotest.test_case "parked workers wake; bytes = 1 domain" `Quick test_park_and_wake;
+    Alcotest.test_case "dispose: no workers, spinning, parked, twice" `Quick
+      test_dispose_states;
+    Alcotest.test_case "oversubscribed 4-domain run: bytes = 1 domain" `Quick
+      test_oversubscribed;
+    Alcotest.test_case "back-to-back empty generations" `Quick test_empty_generations;
+  ]
