@@ -106,7 +106,7 @@ let flood_cooperate_edge t (fl : Flood.t) ~parent ~child =
     obs_closure t ~from:child ~marked:!marked_here
   end
 
-(* Deferral: in the sharded engine's buffered steps, cooperation may not
+(* Deferral: while the sharded engine's shards run, cooperation may not
    run inline — its closures mark vertices on other PEs' shards. The
    engine installs a sink; the graph edit itself (always owner-local)
    proceeds immediately, and the cooperation body is replayed serially

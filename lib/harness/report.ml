@@ -128,20 +128,17 @@ let render ?(deterministic = false) e =
     Printf.bprintf b "  total=%.1fms over %d steps at domains=%d\n"
       (p.Profile.total_ns /. 1e6) p.Profile.steps domains;
     Printf.bprintf b
-      "  transport=%.1f%% execute=%.1f%% execute_serial=%.1f%% merge=%.1f%% \
-       gc=%.1f%% bookkeeping=%.1f%%\n"
-      (share p.Profile.transport_ns) (share p.Profile.execute_ns)
-      (share p.Profile.sexec_ns) (share p.Profile.merge_ns)
+      "  transport=%.1f%% execute=%.1f%% merge=%.1f%% gc=%.1f%% bookkeeping=%.1f%%\n"
+      (share p.Profile.transport_ns) (share p.Profile.execute_ns) (share p.Profile.merge_ns)
       (share p.Profile.gc_ns) (share p.Profile.book_ns);
     Printf.bprintf b "  within execute: marking=%.1f%% reduction=%.1f%%\n"
       (share p.Profile.mark_ns) (share p.Profile.red_ns);
     let steps = float_of_int (Stdlib.max 1 p.Profile.steps) in
     Printf.bprintf b
-      "  minor words/step: transport=%.0f execute=%.0f execute_serial=%.0f \
-       merge=%.0f gc=%.0f bookkeeping=%.0f\n"
+      "  minor words/step: transport=%.0f execute=%.0f merge=%.0f gc=%.0f \
+       bookkeeping=%.0f\n"
       (p.Profile.transport_mw /. steps)
       (p.Profile.execute_mw /. steps)
-      (p.Profile.sexec_mw /. steps)
       (p.Profile.merge_mw /. steps)
       (p.Profile.gc_mw /. steps)
       (p.Profile.book_mw /. steps);

@@ -95,10 +95,10 @@ end
 
 type config = Config.t
 
-(* Per-PE execution context for buffered steps. Everything a PE's budget
-   touches during a buffered step lives here (or in graph/pool state only
-   its owner mutates), so shards on different domains share no mutable
-   state until the step barrier merges them in ascending PE order. *)
+(* Per-PE execution context. Everything a PE's budget touches during a
+   step lives here (or in graph/pool state only its owner mutates), so
+   shards on different domains share no mutable state until the step
+   barrier merges them in ascending PE order. *)
 type pe_ctx = {
   cpe : int;
   crng : Rng.t;  (** scheduling stream [Rng.stream ~seed cpe] *)
@@ -113,14 +113,18 @@ type pe_ctx = {
   mutable cmark_ns : float;  (** profiler: this shard's marking-budget time *)
   mutable cred_ns : float;  (** profiler: this shard's reduction-budget time *)
   mutable cexec : (Task.t -> int -> unit) option;
-      (** pre-bound [execute_one_buffered] — built on first use, reused by
-          every budget drain so the inner loop allocates no closures *)
+      (** pre-bound [pe_execute] — built on first use, reused by every
+          budget drain so the inner loop allocates no closures *)
   ccoop : Mutator.coop_event Vec.t;
       (** cooperation events this PE's reductions deferred; replayed at
           the barrier in ascending PE order *)
   mutable cemit : (Task.mark -> unit) option;
-      (** pre-bound buffered mark emit ([pe_send] of a [Marking]) — built
-          on first use so the marking inner loop allocates no closures *)
+      (** pre-bound mark emit ([pe_send] of a [Marking]) — built on first
+          use so the marking inner loop allocates no closures *)
+  cinc : int Vec.t;
+  cdec : int Vec.t;
+      (** refcount increments / decrements this PE's mutations logged, as
+          flat (parent, child) pairs; applied at the barrier *)
 }
 
 (* The worker pool: [domains - 1] long-lived domains driven by a
@@ -140,7 +144,8 @@ type pe_ctx = {
    sequentially consistent, so one of the two sees the other and no
    wake-up is lost. [spin] is 0 on a host with fewer cores than domains,
    where a spinning domain would only steal the core its partner needs,
-   and on a machine whose steps take the serial path. Workers are spawned lazily on the first parallel step (the OCaml
+   and on a machine whose shards run inline (see [shards_inline]).
+   Workers are spawned lazily on the first parallel step (the OCaml
    runtime caps total domains) and joined by [dispose]. *)
 type workers = {
   mutable doms : unit Domain.t array;
@@ -193,10 +198,9 @@ and t = {
   stall_until : int array;  (** per PE: first step it executes again *)
   (* Crash plane. [ckpts] is built lazily on the first step that can
      crash (so fault-free machines allocate nothing); [down_since] is -1
-     for a PE that is up. All of it is serial state: any config with
-     [crash > 0] keeps [buffered_ok] false via [flt], and the buffered
-     path only ever {e reads} [down_since] (after an injected crash on an
-     otherwise fault-free machine). *)
+     for a PE that is up. All of it is serial state, written only by the
+     crash tick at the top of a step (or [inject_crash] between steps);
+     the shards only ever {e read} [down_since]. *)
   mutable ckpts : Checkpoint.t array;  (** per-PE segment checkpoints *)
   down_until : int array;  (** per PE: first step it may recover *)
   down_since : int array;  (** per PE: step it crashed; -1 = up *)
@@ -221,17 +225,12 @@ and t = {
   mutable emit_mark : Task.mark -> unit;
       (** [send] wrapped for the marker/flood spawn callbacks — allocated
           once so the marking inner loop builds no closures. *)
-  mutable budget_pe : int;
-      (** the PE whose serial budget is draining — read by [exec_cb] *)
-  mutable exec_cb : (Task.t -> int -> unit) option;
-      (** pre-bound [execute_one] over [budget_pe]; built on first use so
-          the serial budget drains allocate no closures *)
   mutable mark_only : bool;
-      (** buffered budgets drain marking only — set while the machine is
-          paused for restructure but the next wave's marks may flow *)
+      (** budgets drain marking only — set while the machine is paused
+          for restructure but the next wave's marks may flow *)
   mutable coop_sink : Mutator.coop_event -> unit;
       (** routes a deferred cooperation event to the executing PE's
-          context; installed on the mutator around buffered execution *)
+          context; installed on the mutator around the shards *)
 }
 
 (* Forward reference: restructure's sharded home passes ride the worker
@@ -251,7 +250,7 @@ let pe_of t task =
   if v < 0 then -1 else Vertex.pe (Graph.vertex t.g v)
 
 (* The PE a mutation is charged to for the ownership checker: the
-   domain-local executing PE during buffered steps (the engine never
+   domain-local executing PE while the shards run (the engine never
    touches [current_pe] from a worker), else the serial [current_pe]. *)
 let dls_pe : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
 
@@ -304,31 +303,42 @@ let delay_of t ~rng ~src task pe =
     else base
   end
 
-(* Execute controller-addressed tasks immediately: the final response of
-   the computation, and marking returns to the dummy rootpar. A mark
-   whose epoch is not the handler's wave is debris from a superseded
-   wave (a crash restart, or the previous cycle's tail still draining
-   while this one marks): it is dropped here, at dispatch, so stale
-   tasks never touch a plane or credit a counter. *)
-let rec execute_marking t ~pe m =
+(* The mark dispatch, for a PE's shard and for the controller alike: [m]
+   is the metrics sink the drop is counted in, [emit] where the handler's
+   spawned marks go. A mark whose epoch is not the handler's wave is
+   debris from a superseded wave (a crash restart, or the previous
+   cycle's tail still draining while this one marks): it is dropped
+   here, at dispatch, so stale tasks never touch a plane or credit a
+   counter.
+
+   Off the main domain this is safe because everything a mark handler
+   touches is either owned by the executing PE (the target vertex's
+   plane state — marks are delivered to the vertex's home) or a per-PE
+   counter slot (run/flood tallies), so marking shards exactly like
+   reduction. The handler table itself ([Cycle.handler_for_plane]) only
+   changes at serial points, published to workers by the step
+   barrier. *)
+let execute_marking t m ~pe ~emit mark =
   match t.cyc with
   | None -> ()
   | Some c -> (
-    match Cycle.handler_for_plane c (Task.plane_of_mark m) with
+    match Cycle.handler_for_plane c (Task.plane_of_mark mark) with
     | Some (Cycle.Tree_run run) ->
-      if Task.mark_ep m <> run.Run.wave then
-        t.m.Metrics.stale_marks_dropped <- t.m.Metrics.stale_marks_dropped + 1
-      else Marker.execute run ~pe ~emit:t.emit_mark m
+      if Task.mark_ep mark <> run.Run.wave then
+        m.Metrics.stale_marks_dropped <- m.Metrics.stale_marks_dropped + 1
+      else Marker.execute run ~pe ~emit mark
     | Some (Cycle.Flood_run fl) ->
-      if Task.mark_ep m <> fl.Flood.wave then
-        t.m.Metrics.stale_marks_dropped <- t.m.Metrics.stale_marks_dropped + 1
-      else Flood.execute fl ~pe ~emit:t.emit_mark m
+      if Task.mark_ep mark <> fl.Flood.wave then
+        m.Metrics.stale_marks_dropped <- m.Metrics.stale_marks_dropped + 1
+      else Flood.execute fl ~pe ~emit mark
     | None -> () (* stray task from a finished run: drop *))
 
-and execute_at_controller t task =
+(* Execute controller-addressed tasks immediately: the final response of
+   the computation, and marking returns to the dummy rootpar. *)
+let rec execute_at_controller t task =
   match task with
   | Reduction r -> Reducer.execute t.red r
-  | Marking m -> execute_marking t ~pe:0 m
+  | Marking mark -> execute_marking t t.m ~pe:0 ~emit:t.emit_mark mark
 
 and send t task =
   let pe = pe_of t task in
@@ -353,12 +363,12 @@ and send t task =
       ~arrival:(t.now + delay) ~pe task
   end
 
-(* The buffered counterpart of [send], used while PE budgets run inside a
-   buffered step (possibly on a worker domain): controller tasks are
-   deferred to the barrier, network sends are posted to the PE's private
-   mailbox, and all bookkeeping lands in the context — nothing shared is
-   touched. The delay computation and jitter stream are exactly [send]'s,
-   so a PE's arrival schedule is identical whichever path carried it. *)
+(* The per-PE counterpart of [send], used while PE budgets run inside a
+   step (possibly on a worker domain): controller tasks are deferred to
+   the barrier, network sends are posted to the PE's private mailbox, and
+   all bookkeeping lands in the context — nothing shared is touched. The
+   delay computation and jitter stream are exactly [send]'s, so a PE's
+   arrival schedule is identical whichever of the two carried it. *)
 let pe_send t ctx task =
   let pe = pe_of t task in
   if pe < 0 then Vec.push ctx.ctrl task
@@ -400,7 +410,7 @@ let create ?recorder ?(config = Config.default) g templates =
   | None -> Graph.set_capacity g None);
   let num_pes = Config.num_pes config in
   (* Hand the graph to the PEs: per-home free lists and striped fresh
-     vids, so buffered allocation never shares a structure across PEs. *)
+     vids, so a shard's allocation never shares a structure across PEs. *)
   if not (Graph.partitioned g) then Graph.partition g ~pes:num_pes;
   let mut = Mutator.create ?recorder ~spawn:(fun _ -> ()) g in
   let speculate_if = Config.speculate_if config in
@@ -475,8 +485,6 @@ let create ?recorder ?(config = Config.default) g templates =
       wd_retx_last = 0;
       wd_retx_at = 64;
       emit_mark = ignore;
-      budget_pe = -1;
-      exec_cb = None;
       mark_only = false;
       coop_sink = ignore;
     }
@@ -489,13 +497,13 @@ let create ?recorder ?(config = Config.default) g templates =
      if the absorbed twin had executed and immediately returned. The
      surviving twin keeps the wave's progress honest — a subtree is
      never considered marked before a mark actually traverses it.
-     Coalescing happens wherever the physical send does — inline on the
-     serial path, at the barrier mailbox flush on buffered steps — and
-     both are fixed, domain-count-free orders. Two marks can only
-     coalesce when every field matches, epoch included; a stale pair
-     still coalesces in the network, but owes its dead wave nothing the
-     dispatch-time epoch drop won't discard, so only current-wave marks
-     synthesize credit here. *)
+     Coalescing happens where the physical send does — at the barrier's
+     mailbox flush, or inline for a serial send (controller replay,
+     injection) — and both are fixed, domain-count-free orders. Two
+     marks can only coalesce when every field matches, epoch included;
+     a stale pair still coalesces in the network, but owes its dead wave
+     nothing the dispatch-time epoch drop won't discard, so only
+     current-wave marks synthesize credit here. *)
   Network.set_on_coalesce t.net (fun ~pe mark ->
       match t.cyc with
       | None -> ()
@@ -559,6 +567,8 @@ let create ?recorder ?(config = Config.default) g templates =
             cexec = None;
             ccoop = Vec.create ();
             cemit = None;
+            cinc = Vec.create ();
+            cdec = Vec.create ();
           }
         in
         cell := Some ctx;
@@ -570,10 +580,24 @@ let create ?recorder ?(config = Config.default) g templates =
       Vec.push t.ctxs.(if pe >= 0 then pe else 0).ccoop ev);
   (match rc with
   | Some rc ->
-    mut.Mutator.on_connect <- Refcount.on_connect rc;
-    mut.Mutator.on_disconnect <- Refcount.on_disconnect rc;
+    (* A PE's shard logs its count changes in its context; the barrier
+       applies them ([apply_rc]), so counts — and frees — only ever
+       change serially. Serial mutations (controller replay, injection,
+       tests between steps) apply at once. *)
+    let log v a c =
+      Vec.push v a;
+      Vec.push v c
+    in
+    mut.Mutator.on_connect <-
+      (fun a c ->
+        let pe = Domain.DLS.get dls_pe in
+        if pe >= 0 then log t.ctxs.(pe).cinc a c else Refcount.on_connect rc a c);
+    mut.Mutator.on_disconnect <-
+      (fun a c ->
+        let pe = Domain.DLS.get dls_pe in
+        if pe >= 0 then log t.ctxs.(pe).cdec a c else Refcount.on_disconnect rc a c);
     (* A reclaimed slot may be recycled by the free list: tasks still
-       addressing dead vertices are expunged in one batch per step (see
+       addressing dead vertices are expunged in one batch (see
        [flush_rc_purge]) before any slot can be handed out again. *)
     Refcount.set_on_free rc (fun v -> t.rc_freed_batch <- Vid.Set.add v t.rc_freed_batch);
     if Graph.has_root g then Refcount.pin rc (Graph.root g)
@@ -746,49 +770,8 @@ let note_latency m l stamp ~now =
   Dgr_obs.Hist.add m.Metrics.lat_queue (now - delivered);
   Dgr_obs.Hist.add m.Metrics.lat_e2e (now - sent + 1)
 
-let execute_one t pe task stamp =
-  t.current_pe <- pe;
-  (* If the previous task's RC cascade reclaimed vertices, expunge tasks
-     addressing them before this task can allocate (and recycle) a slot. *)
-  flush_rc_purge t;
-  if stamp >= 0 then begin
-    note_latency t.m t.lin stamp ~now:t.now;
-    t.current_lin <- Dgr_obs.Lineage.lin_of t.lin stamp;
-    t.current_depth <- Dgr_obs.Lineage.depth_of t.lin stamp + 1
-  end
-  else begin
-    t.current_lin <- -1;
-    t.current_depth <- 0
-  end;
-  if t.obs_on then
-    obs t
-      (Dgr_obs.Event.Execute
-         {
-           kind = Task.obs_kind task;
-           pe;
-           vid = Task.exec_vid task;
-           lin = t.current_lin;
-         });
-  (match task with
-  | Reduction r ->
-    t.m.Metrics.reduction_executed <- t.m.Metrics.reduction_executed + 1;
-    Reducer.execute t.red r
-  | Marking mark ->
-    t.m.Metrics.marking_executed <- t.m.Metrics.marking_executed + 1;
-    execute_marking t ~pe mark);
-  if stamp >= 0 then Dgr_obs.Lineage.close t.lin stamp ~now:t.now;
-  t.current_pe <- -1;
-  t.current_lin <- -1;
-  t.current_depth <- 0
-
-(* Buffered marking dispatch. Everything a mark handler touches is
-   either owned by the executing PE (the target vertex's plane state —
-   marks are delivered to the vertex's home) or a per-PE counter slot
-   (run/flood tallies), so marking shards exactly like reduction. Emits
-   ride the PE's mailbox; returns to the dummy rootpar are
-   controller-addressed and replay serially at the barrier. The handler
-   table itself ([Cycle.handler_for_plane]) only changes at serial
-   points, published to workers by the step barrier. *)
+(* Emits ride the PE's mailbox; returns to the dummy rootpar are
+   controller-addressed and replay serially at the barrier. *)
 let cemit_for t ctx =
   match ctx.cemit with
   | Some f -> f
@@ -797,29 +780,13 @@ let cemit_for t ctx =
     ctx.cemit <- Some f;
     f
 
-let execute_marking_buffered t ctx m =
-  match t.cyc with
-  | None -> ()
-  | Some c -> (
-    match Cycle.handler_for_plane c (Task.plane_of_mark m) with
-    | Some (Cycle.Tree_run run) ->
-      if Task.mark_ep m <> run.Run.wave then
-        ctx.pm.Metrics.stale_marks_dropped <- ctx.pm.Metrics.stale_marks_dropped + 1
-      else Marker.execute run ~pe:ctx.cpe ~emit:(cemit_for t ctx) m
-    | Some (Cycle.Flood_run fl) ->
-      if Task.mark_ep m <> fl.Flood.wave then
-        ctx.pm.Metrics.stale_marks_dropped <- ctx.pm.Metrics.stale_marks_dropped + 1
-      else Flood.execute fl ~pe:ctx.cpe ~emit:(cemit_for t ctx) m
-    | None -> () (* stray task from a finished run: drop *))
-
-(* The buffered counterpart of [execute_one]: no RC purge (buffered steps
-   require [rc = None]). Latency lands in the context's private sink
-   (histogram absorption is associative, so the merged totals match a
-   serial execution); ticket closes are deferred to the barrier, where
-   they run in ascending PE order — again a fixed, domain-count-free
-   order. Ticket reads are safe off the main domain: between barriers the
-   store is never mutated. *)
-let execute_one_buffered t ctx task stamp =
+(* Execute one task on its PE's shard. Latency lands in the context's
+   private sink (histogram absorption is associative, so the merged
+   totals match any execution order); ticket closes are deferred to the
+   barrier, where they run in ascending PE order — a fixed,
+   domain-count-free order. Ticket reads are safe off the main domain:
+   between barriers the store is never mutated. *)
+let pe_execute t ctx task stamp =
   if stamp >= 0 then begin
     note_latency ctx.pm t.lin stamp ~now:t.now;
     ctx.clin <- Dgr_obs.Lineage.lin_of t.lin stamp;
@@ -844,9 +811,9 @@ let execute_one_buffered t ctx task stamp =
   | Reduction r ->
     ctx.pm.Metrics.reduction_executed <- ctx.pm.Metrics.reduction_executed + 1;
     Reducer.execute ctx.pred r
-  | Marking m ->
+  | Marking mark ->
     ctx.pm.Metrics.marking_executed <- ctx.pm.Metrics.marking_executed + 1;
-    execute_marking_buffered t ctx m);
+    execute_marking t ctx.pm ~pe:ctx.cpe ~emit:(cemit_for t ctx) mark);
   if stamp >= 0 then Vec.push ctx.cdone stamp;
   ctx.clin <- -1;
   ctx.cdepth <- 0
@@ -964,30 +931,13 @@ let gc_control t =
 (* One PE's execution budget for one step: the marking budget first, then
    the reduction budget (which lends idle slots to marking — see
    [Pool.pop]). Plain loops: this is the innermost simulator code. *)
-let execute_budgets t pe pool =
-  let t0 = Profile.now () in
-  let f =
-    match t.exec_cb with
-    | Some f -> f
-    | None ->
-      let f task stamp = execute_one t t.budget_pe task stamp in
-      t.exec_cb <- Some f;
-      f
-  in
-  t.budget_pe <- pe;
-  Pool.drain_marking pool ~budget:t.marking_per_step f;
-  let t1 = Profile.now () in
-  t.prof.Profile.mark_ns <- t.prof.Profile.mark_ns +. (t1 -. t0);
-  Pool.drain pool ~budget:t.tasks_per_step f;
-  t.prof.Profile.red_ns <- t.prof.Profile.red_ns +. (Profile.now () -. t1)
-
-let execute_budgets_buffered t ctx pool =
+let pe_budgets t ctx pool =
   let t0 = Profile.now () in
   let f =
     match ctx.cexec with
     | Some f -> f
     | None ->
-      let f task stamp = execute_one_buffered t ctx task stamp in
+      let f task stamp = pe_execute t ctx task stamp in
       ctx.cexec <- Some f;
       f
   in
@@ -1001,35 +951,57 @@ let execute_budgets_buffered t ctx pool =
     ctx.cred_ns <- ctx.cred_ns +. (Profile.now () -. t1)
   end
 
-(* A step is {e buffered} when nothing serial-only is in play: no
-   refcounting (immediate purges and free-slot recycling) and no fault
-   plane (stalls and the reliable-delivery clock). An active marking
-   cycle no longer forces the serial path: mark handlers shard by the
-   target vertex's home, run/flood tallies are per-PE slots, and the
-   mutator's cooperation bodies are deferred to the barrier
-   ({!Mutator.set_defer}) — so the wave executes buffered alongside
-   reduction. The predicate depends only on machine state — never on
-   [domains] — so whether a step is buffered is identical at every shard
-   count; [domains] only decides whether the buffered budgets run on
-   worker domains or inline. *)
-let buffered_ok t = t.rc = None && t.flt = None
+(* Transient PE stalls (crash-restart with memory preserved): a stalled
+   PE skips its execution budget; its pool, heap and in-flight messages
+   survive. The marking plane must tolerate this — a stalled PE delays
+   but never loses its share of the cycle. The dice roll serially, before
+   the shards run, in ascending PE order on the fault plane's own stall
+   stream, and a down PE rolls none — so the stream, the counters and
+   each [Stall] event (emitted into the PE's own sub-recorder, where the
+   merged trace puts it between its neighbours' executions) are the same
+   at every domain count. *)
+let roll_stalls t f =
+  for pe = 0 to t.num_pes - 1 do
+    if t.down_since.(pe) < 0 then begin
+      if t.now < t.stall_until.(pe) then f.Faults.stall_steps <- f.Faults.stall_steps + 1
+      else if Faults.stall_begins f ~pe then begin
+        let steps = Faults.stall_length f in
+        f.Faults.stalls <- f.Faults.stalls + 1;
+        f.Faults.stall_steps <- f.Faults.stall_steps + 1;
+        t.stall_until.(pe) <- t.now + steps;
+        match t.ctxs.(pe).sub with
+        | Some r -> Dgr_obs.Recorder.emit r (Dgr_obs.Event.Stall { pe; steps })
+        | None -> ()
+      end
+    end
+  done
 
 (* Shard [d] owns the PE range [shard_lo t d, shard_lo t (d + 1)). A
    bound, not a pair: the non-flambda compiler would box a pair on every
    call of the step loop. *)
 let shard_lo t d = d * t.num_pes / t.domains
 
+(* A crashed PE executes nothing until its downtime elapses, a stalled
+   one until its stall ends; both read serial state the crash tick and
+   [roll_stalls] wrote before the shards started. *)
 let run_shard t d =
   for pe = shard_lo t d to shard_lo t (d + 1) - 1 do
-    (* The down check only ever fires after an injected crash on an
-       otherwise fault-free machine (any crash {e rate} forces the serial
-       path via [flt]); it reads serial state the barrier published. *)
-    if t.down_since.(pe) < 0 then begin
+    if t.down_since.(pe) < 0 && t.now >= t.stall_until.(pe) then begin
       Domain.DLS.set dls_pe pe;
-      execute_budgets_buffered t t.ctxs.(pe) t.pools.(pe)
+      pe_budgets t t.ctxs.(pe) t.pools.(pe)
     end
   done;
   Domain.DLS.set dls_pe (-1)
+
+(* Where the shards run. A machine with a fault plane steps them inline
+   on the main domain, and so does its flush grouping: its steps are
+   light (a few PEs, small budgets, serial work on either side of the
+   shards), and handing each one to the worker pool cost fib-lossy a
+   fifth of its 2-domain step rate. Its pool only serves restructure's
+   sparse passes, so it parks at once between them. The shards are
+   data-disjoint either way, so where they run never shows in the
+   bytes. *)
+let shards_inline t = t.flt <> None
 
 (* Relaxes a waiting domain spins before it parks. 100k took ~2.7 ms on
    a 2-core Xeon: far longer than the serial part of a step, so a busy
@@ -1048,10 +1020,11 @@ let spawn_workers t =
       sleepers = Atomic.make 0;
       main_parked = Atomic.make false;
       spin =
-        (* A machine whose steps take the serial path uses the pool only
-           for restructure's sparse passes; spinning out the gaps between
+        (* An inline-stepping machine uses the pool only for
+           restructure's sparse passes; spinning out the gaps between
            them would only take cycles from the main domain. *)
-        (if buffered_ok t && t.domains <= Domain.recommended_domain_count () then spin_budget
+        (if (not (shards_inline t)) && t.domains <= Domain.recommended_domain_count () then
+           spin_budget
          else 0);
       mu = Mutex.create ();
       wake = Condition.create ();
@@ -1143,19 +1116,27 @@ let each_home_run t f =
 
 let () = each_home_cell := each_home_run
 
+(* Run a per-shard step job on the worker pool, or shard after shard on
+   this domain — the same bytes either way. *)
+let run_shards t ~inline job =
+  if inline then
+    for d = 0 to t.domains - 1 do
+      job t d
+    done
+  else run_parallel t job
+
 (* The barrier mailbox flush, destination-sharded (see the
    [flush_shard_*] trio in {!Network}): grouping tasks into frames is
    per-destination work, so it runs on the worker pool sharded by the
    same PE ranges as the execution budgets, and only the globally
    ordered finalization (uids, tickets, coalesce callbacks, counters)
-   stays serial. At [domains = 1] the same two passes run inline — the
-   code path, and therefore the merged network state, is identical at
-   every domain count. Grouping is also kept inline on hosts without a
-   second core ([Domain.recommended_domain_count]): the shard jobs are
-   data-disjoint either way, so where they run never shows in the
-   bytes, and an oversubscribed host skips a worker-pool round-trip
-   per step. The grouping span counts as parallelizable in the
-   profiler ([pflush_ns]); the finalization as serial. *)
+   stays serial. The staged area is always empty here: delivery flushed
+   it at the top of the step and nothing stages a frame before the
+   merge. Grouping is kept inline where the shards are, and on hosts
+   without a second core ([Domain.recommended_domain_count]), where a
+   worker-pool round-trip per step buys nothing. The grouping span
+   counts as parallelizable in the profiler ([pflush_ns]); the
+   finalization as serial. *)
 let flush_on_workers = Domain.recommended_domain_count () > 1
 
 let flush_group t d =
@@ -1163,23 +1144,12 @@ let flush_group t d =
 
 let flush_mailboxes t =
   let f0 = Profile.now () in
-  if Network.flush_shard_plan t.net t.mboxes then begin
-    if flush_on_workers then run_parallel t flush_group
-    else
-      for d = 0 to t.domains - 1 do
-        flush_group t d
-      done;
-    let f1 = Profile.now () in
-    t.prof.Profile.pflush_ns <- t.prof.Profile.pflush_ns +. (f1 -. f0);
-    Network.flush_shard_finalize t.net t.mboxes;
-    t.prof.Profile.flush_ns <- t.prof.Profile.flush_ns +. (Profile.now () -. f1)
-  end
-  else begin
-    (* Staged frames already forming (a send outside the step loop):
-       only the serial flush merges into those correctly. *)
-    Array.iter (fun ctx -> Network.Mailbox.flush ctx.mbox t.net) t.ctxs;
-    t.prof.Profile.flush_ns <- t.prof.Profile.flush_ns +. (Profile.now () -. f0)
-  end
+  Network.flush_shard_plan t.net t.mboxes;
+  run_shards t ~inline:(shards_inline t || not flush_on_workers) flush_group;
+  let f1 = Profile.now () in
+  t.prof.Profile.pflush_ns <- t.prof.Profile.pflush_ns +. (f1 -. f0);
+  Network.flush_shard_finalize t.net t.mboxes;
+  t.prof.Profile.flush_ns <- t.prof.Profile.flush_ns +. (Profile.now () -. f1)
 
 let dispose t =
   match t.workers with
@@ -1195,6 +1165,27 @@ let dispose t =
     Array.iter Domain.join w.doms;
     t.workers <- None
 
+(* Apply a context's logged (parent, child) pairs, in log order. *)
+let drain_pairs v f =
+  let d = Vec.unsafe_data v in
+  let i = ref 0 in
+  while !i < Vec.length v do
+    f d.(!i) d.(!i + 1);
+    i := !i + 2
+  done;
+  Vec.clear v
+
+(* Refcounting at the barrier: every logged increment in ascending PE
+   order, then every decrement, then one purge. Increments go first so a
+   decrement from one PE cannot free a vertex another PE connected in
+   the same step. Frees — and the slots they hand back to the free lists
+   — happen only here, and the purge expunges every task addressing a
+   freed vertex before anything can allocate again. *)
+let apply_rc t rc =
+  Array.iter (fun ctx -> drain_pairs ctx.cinc (Refcount.on_connect rc)) t.ctxs;
+  Array.iter (fun ctx -> drain_pairs ctx.cdec (Refcount.on_disconnect rc)) t.ctxs;
+  flush_rc_purge t
+
 (* The step barrier: merge every context back into the shared machine, in
    ascending PE order throughout, so the merged state is a pure function
    of the per-PE buffers — independent of domain count and scheduling.
@@ -1202,11 +1193,12 @@ let dispose t =
    execute-then-control), then counters, then network sends (the queue is
    FIFO-stable among equal arrivals, so PE-ordered flushing reproduces
    what a serial PE-ordered execution would have enqueued), then the
-   deferred cooperation events (whose mark spawns are charged to the
-   deferring PE and draw its jitter stream), then the deferred controller
-   tasks (whose own sends go straight to the network, after every
-   buffered send — again a fixed order). *)
-let merge_buffered t =
+   logged refcount changes, then the deferred cooperation events (whose
+   mark spawns are charged to the deferring PE and draw its jitter
+   stream), then the deferred controller tasks (whose own sends go
+   straight to the network, after every shard's send — again a fixed
+   order). *)
+let merge_shards t =
   t.current_pe <- -1;
   Mutator.set_defer t.mut None;
   let m0 = Profile.now () in
@@ -1246,6 +1238,7 @@ let merge_buffered t =
   t.prof.Profile.close_ns <- t.prof.Profile.close_ns +. (m3 -. m2);
   flush_mailboxes t;
   let m4 = Profile.now () in
+  (match t.rc with Some rc -> apply_rc t rc | None -> ());
   Array.iter
     (fun ctx ->
       if Vec.length ctx.ccoop > 0 then begin
@@ -1344,8 +1337,9 @@ let health_check t =
    graph byte-for-byte. What is honestly lost is in-flight and pooled
    work ([crash_lost_tasks]); an interrupted marking phase is restarted
    ({!Cycle.restart_phase}) so no partial mark can masquerade as a
-   finished wave. All of this is serial-path state, so verdicts and
-   digests stay bit-identical at every [domains] value. *)
+   finished wave. All of it runs serially at the top of the step, before
+   the shards (which skip down PEs), so verdicts and digests stay
+   bit-identical at every [domains] value. *)
 
 let is_down t pe = t.down_since.(pe) >= 0
 
@@ -1469,72 +1463,28 @@ let step t =
   (* 2. Execute, unless the machine is paused by a collection. Marking
      tasks are lightweight (§6: "bounded amount of time once the required
      vertices are accessed") and get their own per-step budget so GC
-     neither starves nor is starved by the reduction process. *)
-  let buffered_exec () =
-    (* Buffered: every PE runs against its private context; with one
-       shard that is a plain loop on this domain, with more the same
-       loop bodies run on the worker pool — same buffers either way.
+     neither starves nor is starved by the reduction process. Epoch
+     overlap: while the machine is paused for cycle N's restructure,
+     cycle N+1's mark wave may already be open — its tasks carry the new
+     epoch and touch nothing the pause protects, so the marking budgets
+     keep draining while reduction stays stopped. *)
+  let running = t.now >= t.paused_until in
+  if running || match t.cyc with Some c -> Cycle.phase c <> Cycle.Idle | None -> false
+  then begin
+    (* Every PE runs against its private context, shard by shard — on
+       the worker pool or inline, the same buffers either way.
        Cooperation bodies are deferred for the barrier replay. *)
+    t.mark_only <- not running;
+    (match t.flt with Some f -> roll_stalls t f | None -> ());
     Mutator.set_defer t.mut (Some t.coop_sink);
-    run_parallel t run_shard;
+    run_shards t ~inline:(shards_inline t) run_shard;
     let p2 = Profile.now () in
     let w2 = Profile.words () in
     t.prof.Profile.execute_ns <- t.prof.Profile.execute_ns +. (p2 -. p1);
     t.prof.Profile.execute_mw <- t.prof.Profile.execute_mw +. (w2 -. w1);
-    merge_buffered t;
+    merge_shards t;
     t.prof.Profile.merge_ns <- t.prof.Profile.merge_ns +. (Profile.now () -. p2);
     t.prof.Profile.merge_mw <- t.prof.Profile.merge_mw +. (Profile.words () -. w2)
-  in
-  if t.now >= t.paused_until then begin
-    if buffered_ok t then buffered_exec ()
-    else begin
-      for pe = 0 to t.num_pes - 1 do
-        (* A crashed PE executes nothing (and rolls no stall dice) until
-           its downtime elapses. Transient PE stall (crash-restart with
-           memory preserved): the PE skips its execution budget; its
-           pool, heap and in-flight messages survive. The marking plane
-           must tolerate this — a stalled PE delays but never loses its
-           share of the cycle. *)
-        let stalled =
-          t.down_since.(pe) >= 0
-          ||
-          match t.flt with
-          | None -> false
-          | Some f ->
-            if t.now < t.stall_until.(pe) then begin
-              f.Faults.stall_steps <- f.Faults.stall_steps + 1;
-              true
-            end
-            else if Faults.stall_begins f ~pe then begin
-              let steps = Faults.stall_length f in
-              f.Faults.stalls <- f.Faults.stalls + 1;
-              f.Faults.stall_steps <- f.Faults.stall_steps + 1;
-              t.stall_until.(pe) <- t.now + steps;
-              obs t (Dgr_obs.Event.Stall { pe; steps });
-              true
-            end
-            else false
-        in
-        if not stalled then execute_budgets t pe t.pools.(pe)
-      done;
-      (* Serial-only execution (faults / RC): counted apart from the
-         buffered span — this time is serial by construction and
-         sharding cannot touch it. *)
-      t.prof.Profile.sexec_ns <- t.prof.Profile.sexec_ns +. (Profile.now () -. p1);
-      t.prof.Profile.sexec_mw <- t.prof.Profile.sexec_mw +. (Profile.words () -. w1)
-    end
-  end
-  else if
-    buffered_ok t
-    && match t.cyc with Some c -> Cycle.phase c <> Cycle.Idle | None -> false
-  then begin
-    (* Epoch overlap: the machine is paused for cycle N's restructure,
-       but cycle N+1's mark wave has already opened — its tasks carry the
-       new epoch and touch nothing the pause protects, so the marking
-       budgets keep draining while reduction stays stopped. *)
-    t.mark_only <- true;
-    buffered_exec ();
-    t.mark_only <- false
   end;
   (* 3. Memory management. *)
   let p3 = Profile.now () in

@@ -258,17 +258,20 @@ val pe_down : t -> int -> bool
 (** Whether a PE is currently crashed (always false out of range). *)
 
 val step : t -> unit
-(** One discrete step. A step with no serial-only machinery in play (no
-    refcounting, no fault plane, marking controller idle) is {e buffered}:
-    each PE's budget runs against a private context — its own splitmix
-    scheduling stream, outgoing-message mailbox, metrics, reducer
-    counters and event buffer — and the contexts are merged into the
-    shared machine at a step barrier in ascending PE order. When
-    [Config.domains > 1] the buffered budgets run on a pool of OCaml
-    domains (spawned lazily on the first parallel step; see {!dispose});
-    because the merge order is fixed and whether a step buffers never
-    depends on the shard count, results are bit-identical at every
-    [domains] value. *)
+(** One discrete step, always executed the same way: each PE's budget
+    runs against a private context — its own splitmix scheduling stream,
+    outgoing-message mailbox, metrics, reducer counters, event buffer
+    and refcount log — and the contexts are merged into the shared
+    machine at a step barrier in ascending PE order. The serial parts
+    bracket the shards: crashes and recoveries at the top of the step,
+    stall dice just before the shards (a down or stalled PE executes
+    nothing), logged refcount changes at the barrier (increments, then
+    decrements, then one purge of tasks addressing freed vertices).
+    When [Config.domains > 1] the shards run on a pool of OCaml domains
+    (spawned lazily on the first parallel step; see {!dispose}) — except
+    on a machine with a fault plane, which runs them inline. Because the
+    merge order is fixed, results are bit-identical at every [domains]
+    value. *)
 
 val dispose : t -> unit
 (** Stop and join the worker domains, if any were spawned. Idempotent;
@@ -283,7 +286,7 @@ val enable_ownership_checks : t -> unit
     edge-set mutation then verifies that the executing PE owns the vertex
     it mutates (vertices born this step are exempt — a PE wires up its
     own fresh template vertices before publishing them). This is the
-    discipline that makes buffered steps race-free; the guard makes
+    discipline that makes sharded steps race-free; the guard makes
     violations fail loudly in tests instead of corrupting a run. *)
 
 val run : ?max_steps:int -> ?stop:(t -> bool) -> t -> int

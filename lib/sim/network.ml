@@ -975,13 +975,16 @@ end
      sharded flush and [Mailbox.flush] over the same mailboxes leave
      the network in the same state. *)
 
-(* Size the plan for [mbs] and publish the per-src offsets. Returns
-   [false] when the staged area is not empty — then a forming frame
-   could already match a mailbox entry's key, only the serial flush
-   handles that (the engine's barrier always runs on an empty staged
-   area; external callers get the fallback). *)
+(* Size the plan for [mbs] and publish the per-src offsets. The staged
+   area must be empty — a forming frame could already match a mailbox
+   entry's key, and the grouping pass does not look there. The engine's
+   barrier always runs on an empty staged area: delivery flushed it at
+   the top of the step. *)
 let flush_shard_plan t (mbs : Mailbox.mb array) =
-  if Vec.length t.staged > 0 then false
+  let staged = Vec.length t.staged in
+  if staged > 0 then
+    invalid_arg
+      (Printf.sprintf "Network.flush_shard_plan: %d frame(s) already staged" staged)
   else begin
     let n = Array.length mbs in
     ignore (free_list_for t (n - 1));
@@ -1003,8 +1006,7 @@ let flush_shard_plan t (mbs : Mailbox.mb array) =
       let cap = Stdlib.max 64 (2 * !total) in
       t.sf_vidx <- Array.make cap 0;
       t.sf_vbatch <- Array.make cap t.sf_dummy
-    end;
-    true
+    end
   end
 
 (* The forming frame for (src, arrival) bound for [dst], or [sf_dummy].

@@ -219,7 +219,9 @@ module Mailbox : sig
 
   val flush : mb -> t -> unit
   (** Issue every buffered send into the network in post order, then
-      clear the mailbox. *)
+      clear the mailbox. The engine never calls this — its barrier uses
+      the destination-sharded flush below; it remains as the reference
+      semantics that flush is tested against. *)
 
   type t = mb
 end
@@ -237,11 +239,12 @@ end
     draws, counters, events — happens in {!flush_shard_finalize}, which
     replays the per-entry verdicts in the serial flush's exact order. *)
 
-val flush_shard_plan : t -> Mailbox.mb array -> bool
+val flush_shard_plan : t -> Mailbox.mb array -> unit
 (** Size the plan for one barrier ([mbs.(src)] is PE [src]'s mailbox)
-    and publish per-src offsets. Serial. Returns [false] if the staged
-    area is non-empty — a forming frame could match a mailbox entry's
-    key, so the caller must fall back to {!Mailbox.flush}. *)
+    and publish per-src offsets. Serial. Raises [Invalid_argument]
+    naming the staged count if the staged area is non-empty — a forming
+    frame could match a mailbox entry's key. {!deliver_into} empties
+    it. *)
 
 val flush_shard_group : t -> Mailbox.mb array -> lo:int -> hi:int -> unit
 (** Group entries bound for destinations [lo, hi) into forming frames

@@ -21,8 +21,7 @@
 
      serial_fraction = (total - execute - restructure) / total
 
-   is the ceiling on what domain-sharding can ever win — the yardstick
-   for ROADMAP item 1. At [--domains 1] the sharded spans still count
+   is the ceiling on what domain-sharding can ever win. At [--domains 1] the sharded spans still count
    as parallelizable: the figure then reads "what fraction of this run
    a perfectly parallel machine could compress".
 
@@ -37,8 +36,8 @@ type t = {
   mutable steps : int;
   mutable total_ns : float;
   mutable transport_ns : float;
-  mutable execute_ns : float;  (* parallel(izable) buffered execution span *)
-  mutable sexec_ns : float;  (* serial-only execution span (faults/RC/cycle) *)
+  mutable execute_ns : float;  (* parallel(izable) sharded execution span *)
+  mutable sexec_ns : float;  (* always 0: no step executes off the sharded path *)
   mutable merge_ns : float;
   (* Inside merge, where the barrier's time goes — the attack surface of
      the pay-as-you-go merge. [pflush_ns] is the destination-sharded

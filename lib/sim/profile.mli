@@ -10,8 +10,7 @@
     restructure's per-home passes, and the destination-sharded half of
     the mailbox flush — so the measured Amdahl serial fraction is
     [(total - execute - restructure - sharded_flush) / total], the
-    direct yardstick for ROADMAP item 1's "shrink the serial
-    controller".
+    direct yardstick for how much of a step sharding can reach.
 
     The same brackets also accumulate [Gc.minor_words] deltas, so the
     bench's [minor_words_per_step] budget can be attributed to a phase
@@ -29,6 +28,9 @@ type t = {
   mutable transport_ns : float;
   mutable execute_ns : float;
   mutable sexec_ns : float;
+      (** always 0: every step now executes on the sharded path. Kept
+          (with [sexec_mw] and the JSON's [execute_serial]) for readers
+          that still name it. *)
   mutable merge_ns : float;
   mutable drain_ns : float;
   mutable absorb_ns : float;
@@ -44,7 +46,7 @@ type t = {
   mutable total_mw : float;
   mutable transport_mw : float;
   mutable execute_mw : float;
-  mutable sexec_mw : float;
+  mutable sexec_mw : float;  (** always 0, see [sexec_ns] *)
   mutable merge_mw : float;
   mutable gc_mw : float;
   mutable book_mw : float;

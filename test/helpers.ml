@@ -100,6 +100,13 @@ let apply_mutation mut = function
   | Add_ref { a; b; c } -> Dgr_core.Mutator.add_reference mut ~a ~b ~c
   | Del_ref { a; b } -> Dgr_core.Mutator.delete_reference mut ~a ~b
 
+(* MD5 of the sorted live vid list: a compact live-set fingerprint for
+   cross-domain-count comparisons. *)
+let live_digest g =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "," (List.map string_of_int (List.sort compare (Graph.live_vids g)))))
+
 let root_reachable g =
   if not (Graph.has_root g) then Vid.Set.empty
   else begin

@@ -117,6 +117,71 @@ let test_stw_cleans_dangling_requesters () =
   Alcotest.(check int) "dangling requester dropped" 0
     (List.length (Vertex.requested (Graph.vertex g live)))
 
+(* A refcounting machine steps its shards like any other machine: each
+   PE logs its count changes and the barrier applies them — every
+   increment, then every decrement, then one purge of the tasks that
+   address what was freed. After every step no live vertex may point at
+   a free slot, no pending task may address a freed vertex, and the end
+   state must not depend on how many domains the shards ran on. With no
+   fault plane the shards run on the worker pool, so at 2 and 4 domains
+   the logging happens on worker domains. *)
+let rc_machine_digest ~domains source expected =
+  let module Engine = Dgr_sim.Engine in
+  let config =
+    Engine.Config.make ~num_pes:4 ~domains ~gc:Engine.Refcount ~jitter:0.1 ~seed:3 ()
+  in
+  let g, templates = Dgr_lang.Compile.load_string ~num_pes:4 source in
+  let e = Engine.create ~config g templates in
+  Engine.inject_root_demand e;
+  let freed v = Vertex.free (Graph.vertex g v) in
+  while (not (Engine.finished e)) && Engine.now e < 100_000 do
+    Engine.step e;
+    (match Validate.check g with
+    | [] -> ()
+    | errs ->
+      Alcotest.failf "domains %d, step %d: %s" domains (Engine.now e)
+        (String.concat "; " errs));
+    List.iter
+      (function
+        | Dgr_task.Task.Reduction r as task ->
+          if Dgr_task.Task.reduction_endpoint_exists freed r then
+            Alcotest.failf "domains %d, step %d: pending %s addresses a freed vertex"
+              domains (Engine.now e) (Dgr_task.Task.to_string task)
+        | Dgr_task.Task.Marking _ -> ())
+      (Engine.pending_tasks e)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "domains %d: correct result" domains)
+    true
+    (Engine.result e = Some (Label.V_int expected));
+  let rc = Option.get (Engine.refcount e) in
+  Alcotest.(check bool) "rc reclaimed something" true (Refcount.reclaimed rc > 0);
+  let digest =
+    Digest.to_hex
+      (Digest.string
+         (Printf.sprintf "%d|%d|%s|%s" (Engine.now e) (Refcount.reclaimed rc)
+            (String.concat "," (List.map Vid.to_string (Graph.live_vids g)))
+            (Dgr_sim.Metrics.to_json (Engine.metrics e))))
+  in
+  Engine.dispose e;
+  digest
+
+let test_rc_machine_safe_at_every_step () =
+  List.iter
+    (fun (name, source, expected) ->
+      let d1 = rc_machine_digest ~domains:1 source expected in
+      List.iter
+        (fun domains ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: same end state at %d domains" name domains)
+            d1
+            (rc_machine_digest ~domains source expected))
+        [ 2; 4 ])
+    [
+      ("sum_range 16", Dgr_lang.Prelude.sum_range 16, Dgr_lang.Prelude.sum_range_expected 16);
+      ("fib 10", Dgr_lang.Prelude.fib 10, Dgr_lang.Prelude.fib_expected 10);
+    ]
+
 let suite =
   [
     Alcotest.test_case "rc adopts existing edges" `Quick test_rc_adopts_existing_edges;
@@ -129,4 +194,6 @@ let suite =
     Alcotest.test_case "stw collects and purges" `Quick test_stw_collects_and_purges;
     Alcotest.test_case "stw cleans dangling requesters" `Quick
       test_stw_cleans_dangling_requesters;
+    Alcotest.test_case "rc machine: no dangling slot or task, same bytes at 1/2/4 domains"
+      `Quick test_rc_machine_safe_at_every_step;
   ]

@@ -252,9 +252,11 @@ let test_seq_wraparound_guard () =
    seed, same spec → same vids), generate an alloc-free mutation schedule
    against the replica, replay it on the machine while the fault plane
    mauls the channel, settle a few clean cycles, then demand the two
-   worlds agree exactly. *)
-let run_differential seed =
-  let ctx = Printf.sprintf "seed %d" seed in
+   worlds agree exactly. Returns the run's fingerprint — clock, live
+   set, fault and marking counters — which must not depend on how many
+   domains the machine is sharded across. *)
+let run_differential ?(domains = 1) seed =
+  let ctx = Printf.sprintf "seed %d (domains %d)" seed domains in
   let num_pes = 1 + (seed mod 4) in
   let spec = Helpers.fuzz_spec seed in
   let ga = Builder.random ~num_pes (Rng.create seed) spec in
@@ -263,7 +265,7 @@ let run_differential seed =
     if seed land 1 = 0 then Dgr_core.Cycle.Tree else Dgr_core.Cycle.Flood_counters
   in
   let config =
-    Engine.Config.make ~num_pes ~seed ~marking
+    Engine.Config.make ~num_pes ~seed ~marking ~domains
       ~gc:(Engine.Concurrent { deadlock_every = 1; idle_gap = 8 })
       ~faults:(Helpers.heavy_faults ~seed ())
       ()
@@ -317,16 +319,37 @@ let run_differential seed =
   Alcotest.(check bool) (ctx ^ ": frames dropped") true (f.Faults.drops > 0);
   Alcotest.(check bool) (ctx ^ ": losses beyond dup cover were retransmitted") true
     (f.Faults.retransmits > 0 || f.Faults.drops <= 2 * f.Faults.dups);
-  (f.Faults.drops, f.Faults.retransmits, f.Faults.dup_suppressed)
+  let m = Engine.metrics e in
+  let fp =
+    ( Engine.now e, Helpers.live_digest ga, f.Faults.drops, f.Faults.retransmits,
+      f.Faults.dup_suppressed, f.Faults.stall_steps, m.Metrics.marking_executed,
+      m.Metrics.stale_marks_dropped, m.Metrics.cycles_completed )
+  in
+  Engine.dispose e;
+  fp
 
 let test_differential_block () =
   let base = seed_base () in
   let drops = ref 0 and retx = ref 0 and supp = ref 0 in
   for seed = base to base + 49 do
-    let d, r, s = run_differential seed in
+    let (_, _, d, r, s, _, _, _, _) as fp = run_differential seed in
     drops := !drops + d;
     retx := !retx + r;
-    supp := !supp + s
+    supp := !supp + s;
+    (* every 5th seed: the same fault schedule must replay bit-identically
+       when the machine is sharded across 2 and 4 OCaml domains (a
+       faulted machine steps its shards inline, so only restructure's
+       per-home passes reach the worker pool) *)
+    if seed mod 5 = 0 then begin
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: bit-identical at 2 domains" seed)
+        true
+        (run_differential ~domains:2 seed = fp);
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: bit-identical at 4 domains" seed)
+        true
+        (run_differential ~domains:4 seed = fp)
+    end
   done;
   Alcotest.(check bool) "block-wide: drops, retransmits and suppressed dups all nonzero"
     true
@@ -342,9 +365,10 @@ let test_differential_block () =
    converge on exactly the fault-free replica's live set and deadlock
    verdict. Completion-style properties are out of bounds by design:
    reduction tasks lost in a crash are honestly lost, and these
-   workloads carry none. Any crash rate forces the deterministic serial
-   execute path, so the whole fingerprint — clock, live set, crash and
-   marking counters — must be bit-identical at 1, 2 and 4 domains. *)
+   workloads carry none. Crashes land in the serial crash tick at the
+   top of a step and the shards skip down PEs, so the whole fingerprint
+   — clock, live set, crash and marking counters — must be
+   bit-identical at 1, 2 and 4 domains. *)
 let run_crash_differential ?(domains = 1) seed =
   let ctx = Printf.sprintf "crash seed %d (domains %d)" seed domains in
   let num_pes = 2 + (seed mod 3) in
@@ -394,14 +418,8 @@ let run_crash_differential ?(domains = 1) seed =
     oracle.Dgr_analysis.Classify.deadlocked
     (Vid.Set.of_list report.Dgr_core.Restructure.deadlocked);
   let m = Engine.metrics e in
-  let live_digest =
-    Digest.to_hex
-      (Digest.string
-         (String.concat ","
-            (List.map string_of_int (List.sort compare (Graph.live_vids ga)))))
-  in
   let fp =
-    ( Engine.now e, live_digest, m.Metrics.crashes, m.Metrics.recoveries,
+    ( Engine.now e, Helpers.live_digest ga, m.Metrics.crashes, m.Metrics.recoveries,
       m.Metrics.crash_rehomed, m.Metrics.crash_lost_tasks,
       m.Metrics.marking_executed, m.Metrics.stale_marks_dropped,
       m.Metrics.cycles_completed )

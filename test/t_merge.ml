@@ -99,7 +99,7 @@ let flush_pair ~shards schedule pes =
   (match shards with
   | None -> Array.iter (fun mb -> Network.Mailbox.flush mb net) mbs
   | Some k ->
-    Alcotest.(check bool) "plan accepted" true (Network.flush_shard_plan net mbs);
+    Network.flush_shard_plan net mbs;
     for s = 0 to k - 1 do
       Network.flush_shard_group net mbs ~lo:(s * pes / k) ~hi:((s + 1) * pes / k)
     done;
@@ -127,6 +127,22 @@ let test_sharded_flush_equivalence () =
         [ 1; 2; 4 ])
     [ 3; 17; 29 ]
 
+(* A frame staged outside the barrier (a direct [send] after the last
+   delivery) could share a key with a mailbox entry, which the grouping
+   pass never looks for: the plan refuses it loudly, naming the count. *)
+let test_plan_refuses_staged () =
+  let net = Network.create () in
+  let mbs = Array.init 2 (fun _ -> Network.Mailbox.create ()) in
+  Network.send ~src:0 net ~arrival:3 ~pe:1
+    (Task.Marking (Task.Mark1 { v = 1; par = Plane.Rootpar; ep = 0 }));
+  Alcotest.check_raises "staged frame refused"
+    (Invalid_argument "Network.flush_shard_plan: 1 frame(s) already staged") (fun () ->
+      Network.flush_shard_plan net mbs);
+  (* delivery flushes the staged area; the plan then goes through *)
+  ignore (Network.deliver net ~now:1);
+  Network.flush_shard_plan net mbs;
+  Network.flush_shard_finalize net mbs
+
 (* --- empty-step fast path ------------------------------------------- *)
 
 (* An idle step's merge touches nothing: absorbing empty shard sinks and
@@ -141,10 +157,9 @@ let test_empty_merge_alloc_free () =
   let empty_merge () =
     Hist.absorb ~into:main_h sub_h;
     Metrics.absorb main_m sub_m;
-    if Network.flush_shard_plan net mbs then begin
-      Network.flush_shard_group net mbs ~lo:0 ~hi:pes;
-      Network.flush_shard_finalize net mbs
-    end
+    Network.flush_shard_plan net mbs;
+    Network.flush_shard_group net mbs ~lo:0 ~hi:pes;
+    Network.flush_shard_finalize net mbs
   in
   empty_merge ();
   (* warmed up *)
@@ -215,6 +230,8 @@ let suite =
       test_absorb_associativity;
     Alcotest.test_case "sharded flush = serial flush, byte for byte" `Quick
       test_sharded_flush_equivalence;
+    Alcotest.test_case "flush plan refuses a non-empty staged area" `Quick
+      test_plan_refuses_staged;
     Alcotest.test_case "empty-step merge allocates nothing" `Quick
       test_empty_merge_alloc_free;
     Alcotest.test_case "chunk-linked drain = copied drain" `Quick

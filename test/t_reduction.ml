@@ -176,13 +176,13 @@ let test_division_by_zero_deadlocks () =
     | Some c -> not (Vid.Set.is_empty (Dgr_core.Cycle.deadlocked_ever c))
     | None -> false)
 
-(* The ownership guard under the sharded buffered path: with 4 domains
-   stepping 8 PEs, every edge-set mutation a worker performs must target
-   a vertex homed on the PE it is stepping (vertices born this step are
-   exempt — they cannot be visible to anyone else yet). The heavy-fault
-   invariant runs only ever take the direct path, so this is the test
-   that runs the guard inside worker domains; the run must also agree
-   with the sequential engine field-for-field. *)
+(* The ownership guard on the sharded step: with 4 domains stepping 8
+   PEs, every edge-set mutation a worker performs must target a vertex
+   homed on the PE it is stepping (vertices born this step are exempt —
+   they cannot be visible to anyone else yet). The heavy-fault
+   invariant runs step their shards inline on the main domain, so this
+   is the test that runs the guard inside worker domains; the run must
+   also agree with the sequential engine field-for-field. *)
 let test_sharded_ownership () =
   let run domains =
     let config =
