@@ -41,10 +41,11 @@ let entry_count t = Hashtbl.length t.entries
 let step_of t vid =
   match Hashtbl.find_opt t.entries vid with None -> None | Some e -> Some e.e_step
 
-(* Sync runs every step while the crash plane is active, so the quiet
-   path must not allocate: entry lookups use [Hashtbl.find] (no option
-   box), unchanged entries refresh in place via [Cells.recapture], and
-   the free list is re-filled into a retained vector. *)
+(* The engine syncs on every step that crashes, which at high crash
+   rates is most of them, so the quiet path must not allocate: entry
+   lookups use [Hashtbl.find] (no option box), unchanged entries refresh
+   in place via [Cells.recapture], and the free list is re-filled into a
+   retained vector. *)
 let sync t ~now =
   let n = ref 0 in
   Graph.iter_home t.g ~pe:t.home (fun v ->

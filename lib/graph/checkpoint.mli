@@ -11,8 +11,9 @@
     [sync] is incremental and step-tagged: it scans the slice but
     rewrites only entries whose vertex changed since the previous sync,
     stamping each rewritten entry with the capture step. The engine
-    syncs at the top of every step while the crash plane is active, so
-    the copy a PE recovers from is never stale. *)
+    syncs every PE's checkpoint once on a step that crashes, right
+    before its first crash and before anything in the step has written
+    the graph, so the copy a PE recovers from is never stale. *)
 
 type t
 

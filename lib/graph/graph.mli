@@ -128,7 +128,7 @@ val home_free_list : t -> pe:int -> Vid.t list
 
 val iter_home_free : t -> pe:int -> (Vid.t -> unit) -> unit
 (** Visit [pe]'s home free list in the same order as {!home_free_list},
-    without allocating it — the per-step checkpoint-sync form. *)
+    without allocating it — the form checkpoint sync uses. *)
 
 val set_home_free_list : t -> pe:int -> Vid.t list -> unit
 (** Overwrite [pe]'s home free list (crash-recovery restore). Partitioned

@@ -537,7 +537,7 @@ let alloc_regressions ~budgets rows =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* The differential fixture: 20 mixed scenarios whose end states the    *)
+(* The differential fixture: 21 mixed scenarios whose end states the    *)
 (* pre-optimization engine wrote to test/golden_engine.txt. The         *)
 (* differential test regenerates these lines and diffs byte-for-byte:   *)
 (* any drift in scheduling, marking, fault handling or tracing shows    *)
@@ -568,11 +568,23 @@ let golden_pes = [| 1; 2; 4; 8 |]
 let golden_latencies = [| 2; 4; 8 |]
 let golden_policies = [| Pool.Dynamic; Pool.Flat; Pool.By_demand |]
 
+(* Line 20 onwards crash whole PEs: on 4 PEs at this rate some steps
+   crash two or three of them, and each crash after a step's first
+   restores from the checkpoint that step's first crash synced. *)
 let golden_scenario i =
   let wname, source = golden_workloads.(i mod 5) in
   let gname, gc = golden_gc_modes.(3 * i mod 5) in
+  let crash = i >= 20 in
   let faults =
-    if i mod 4 = 1 then
+    if crash then
+      {
+        Faults.none with
+        Faults.drop = 0.05;
+        crash = 0.02;
+        crash_down_max = 12;
+        fault_seed = i;
+      }
+    else if i mod 4 = 1 then
       {
         Faults.none with
         Faults.drop = 0.08;
@@ -597,7 +609,9 @@ let golden_scenario i =
       ~jitter:(if i mod 3 = 0 then 0.25 else 0.0)
       ~seed:(1000 + i) ~faults ()
   in
-  (Printf.sprintf "%02d-%s-%s" i wname gname, config, source)
+  ( Printf.sprintf "%02d-%s-%s%s" i wname gname (if crash then "-crash" else ""),
+    config,
+    source )
 
 let golden_line ?(domains = 1) i =
   let name, config, source = golden_scenario i in
@@ -647,4 +661,4 @@ let golden_line ?(domains = 1) i =
     m.Metrics.retransmits m.Metrics.stalls m.Metrics.frames_sent
     m.Metrics.acks_sent m.Metrics.marks_coalesced trace_md5
 
-let golden_lines ?domains () = List.init 20 (fun i -> golden_line ?domains i)
+let golden_lines ?domains () = List.init 21 (fun i -> golden_line ?domains i)

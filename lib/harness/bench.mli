@@ -150,8 +150,9 @@ val alloc_regressions :
     budget are skipped. *)
 
 val golden_lines : ?domains:int -> unit -> string list
-(** The 20-scenario differential fixture: workloads × collectors ×
-    machine shapes × fault planes, each summarized as one line capturing
+(** The 21-scenario differential fixture: workloads × collectors ×
+    machine shapes × fault planes (line 20 crashes whole PEs, several
+    in some steps), each summarized as one line capturing
     the end state (live-set digest, deadlock verdicts, result, metrics)
     and the MD5 of the full event trace. [test/golden_engine.txt] holds
     the committed lines; the differential test regenerates them — at

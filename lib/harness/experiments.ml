@@ -832,10 +832,11 @@ let e12_serial_fraction () =
 (* ------------------------------------------------------------------ *)
 (* E13: crash sweep — whole-PE crashes with checkpointed re-homing.      *)
 (* The machine survives any crash schedule that leaves a survivor: the   *)
-(* crashed PE's segment is restored from its per-step checkpoint and its *)
-(* vertices re-home, but pooled and in-flight tasks die with the PE, so  *)
-(* completion is not expected at higher rates — the table reads           *)
-(* recovery latency and re-homing volume against the crash rate.          *)
+(* crashed PE's segment is restored from the checkpoint synced in the    *)
+(* crash step and its vertices re-home, but pooled and in-flight tasks   *)
+(* die with the PE, so completion is not expected at higher rates — the  *)
+(* table reads recovery latency and re-homing volume against the crash   *)
+(* rate.                                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let e13_crash_sweep ?(seed = 5) () =

@@ -143,10 +143,10 @@ type pe_ctx = {
    the announcement after its own atomic write — atomics are
    sequentially consistent, so one of the two sees the other and no
    wake-up is lost. [spin] is 0 on a host with fewer cores than domains,
-   where a spinning domain would only steal the core its partner needs,
-   and on a machine whose shards run inline (see [shards_inline]).
+   where a spinning domain would only steal the core its partner needs.
    Workers are spawned lazily on the first parallel step (the OCaml
-   runtime caps total domains) and joined by [dispose]. *)
+   runtime caps total domains), never on a machine whose shards run
+   inline (see [shards_inline]), and joined by [dispose]. *)
 type workers = {
   mutable doms : unit Domain.t array;
   mutable job : t -> int -> unit;
@@ -196,8 +196,8 @@ and t = {
   ctrl_rng : Rng.t;  (** the controller's stream, [Rng.stream ~seed (-1)] *)
   flt : Faults.t option;
   stall_until : int array;  (** per PE: first step it executes again *)
-  (* Crash plane. [ckpts] is built lazily on the first step that can
-     crash (so fault-free machines allocate nothing); [down_since] is -1
+  (* Crash plane. [ckpts] is built lazily at the first crash (so
+     machines that never crash allocate nothing); [down_since] is -1
      for a PE that is up. All of it is serial state, written only by the
      crash tick at the top of a step (or [inject_crash] between steps);
      the shards only ever {e read} [down_since]. *)
@@ -233,9 +233,10 @@ and t = {
           context; installed on the mutator around the shards *)
 }
 
-(* Forward reference: restructure's sharded home passes ride the worker
-   pool, whose machinery lives below [create]; engines bind [each_home]
-   through this cell (assigned once, next to [run_parallel]). *)
+(* Forward reference: restructure's sharded home passes are placed like
+   the shards, whose machinery lives below [create]; engines bind
+   [each_home] through this cell (assigned once, next to
+   [each_home_run]). *)
 let each_home_cell : (t -> (int -> unit) -> unit) ref = ref (fun _ _ -> ())
 
 let throughput t = Int.max 1 (t.num_pes * t.tasks_per_step)
@@ -994,13 +995,12 @@ let run_shard t d =
   Domain.DLS.set dls_pe (-1)
 
 (* Where the shards run. A machine with a fault plane steps them inline
-   on the main domain, and so does its flush grouping: its steps are
-   light (a few PEs, small budgets, serial work on either side of the
-   shards), and handing each one to the worker pool cost fib-lossy a
-   fifth of its 2-domain step rate. Its pool only serves restructure's
-   sparse passes, so it parks at once between them. The shards are
-   data-disjoint either way, so where they run never shows in the
-   bytes. *)
+   on the main domain, and so do its flush grouping and restructure's
+   home passes: its steps are light (a few PEs, small budgets, serial
+   work on either side of the shards), and handing each one to the
+   worker pool cost fib-lossy a fifth of its 2-domain step rate. Such a
+   machine never starts a worker pool. The shards are data-disjoint
+   either way, so where they run never shows in the bytes. *)
 let shards_inline t = t.flt <> None
 
 (* Relaxes a waiting domain spins before it parks. 100k took ~2.7 ms on
@@ -1019,13 +1019,7 @@ let spawn_workers t =
       pending = Atomic.make 0;
       sleepers = Atomic.make 0;
       main_parked = Atomic.make false;
-      spin =
-        (* An inline-stepping machine uses the pool only for
-           restructure's sparse passes; spinning out the gaps between
-           them would only take cycles from the main domain. *)
-        (if (not (shards_inline t)) && t.domains <= Domain.recommended_domain_count () then
-           spin_budget
-         else 0);
+      spin = (if t.domains <= Domain.recommended_domain_count () then spin_budget else 0);
       mu = Mutex.create ();
       wake = Condition.create ();
       finished = Condition.create ();
@@ -1103,27 +1097,28 @@ let run_parallel t job =
     end
   end
 
-(* Restructure's sharded passes: run [f] over every home PE, sharded
-   across the domains exactly like the execution budgets. The span is
-   attributed to the profiler's parallel(izable) restructure bucket. *)
-let each_home_run t f =
-  let r0 = Profile.now () in
-  run_parallel t (fun t d ->
-      for pe = shard_lo t d to shard_lo t (d + 1) - 1 do
-        f pe
-      done);
-  t.prof.Profile.restr_ns <- t.prof.Profile.restr_ns +. (Profile.now () -. r0)
-
-let () = each_home_cell := each_home_run
-
-(* Run a per-shard step job on the worker pool, or shard after shard on
-   this domain — the same bytes either way. *)
+(* Run a per-shard job on the worker pool, or shard after shard on this
+   domain — the same bytes either way. *)
 let run_shards t ~inline job =
   if inline then
     for d = 0 to t.domains - 1 do
       job t d
     done
   else run_parallel t job
+
+(* Restructure's sharded passes: run [f] over every home PE, sharded
+   across the domains exactly like the execution budgets, and placed
+   like them. The span is attributed to the profiler's parallel(izable)
+   restructure bucket. *)
+let each_home_run t f =
+  let r0 = Profile.now () in
+  run_shards t ~inline:(shards_inline t) (fun t d ->
+      for pe = shard_lo t d to shard_lo t (d + 1) - 1 do
+        f pe
+      done);
+  t.prof.Profile.restr_ns <- t.prof.Profile.restr_ns +. (Profile.now () -. r0)
+
+let () = each_home_cell := each_home_run
 
 (* The barrier mailbox flush, destination-sharded (see the
    [flush_shard_*] trio in {!Network}): grouping tasks into frames is
@@ -1330,11 +1325,11 @@ let health_check t =
    A crash loses a PE's volatile state wholesale: its task pool, every
    frame in flight on its links (both directions, including batched
    frames), and whatever its striped graph segment drifted to since the
-   last checkpoint. Because the crash tick syncs every PE's checkpoint at
-   the top of the very step the crash dice roll, the restored segment is
-   exact — no acknowledged state ever rolls back — and re-homing the
-   crashed PE's live vertices onto survivors preserves the reachable
-   graph byte-for-byte. What is honestly lost is in-flight and pooled
+   last checkpoint. The crash tick syncs every PE's checkpoint right
+   before the step's first crash, when nothing in the step has written
+   the graph yet, so the restored segment is exact — no acknowledged
+   state ever rolls back — and re-homing the crashed PE's live vertices
+   onto survivors preserves the reachable graph byte-for-byte. What is honestly lost is in-flight and pooled
    work ([crash_lost_tasks]); an interrupted marking phase is restarted
    ({!Cycle.restart_phase}) so no partial mark can masquerade as a
    finished wave. All of it runs serially at the top of the step, before
@@ -1400,13 +1395,16 @@ let crash_now t ~pe ~down =
   t.m.Metrics.crash_rehomed <- t.m.Metrics.crash_rehomed + !rehomed;
   obs t (Dgr_obs.Event.Pe_crash { pe; lost = lost_pool + lost_net; down })
 
-(* The per-step crash tick: sync checkpoints, recover PEs whose downtime
-   elapsed (they execute again this very step, empty-handed), then roll
-   the crash dice in ascending PE order. A crash that would leave no
-   survivor is suppressed — the fail-stop model assumes a majority of
-   the machine outlives any fault (see {!Faults}). *)
+(* The per-step crash tick: recover PEs whose downtime elapsed (they
+   execute again this very step, empty-handed), then roll the crash dice
+   in ascending PE order. A crash that would leave no survivor is
+   suppressed — the fail-stop model assumes a majority of the machine
+   outlives any fault (see {!Faults}). Checkpoints are synced only on a
+   step that crashes, right before its first crash: recovery writes
+   nothing but counters and events, so that copy equals one taken at the
+   top of the step, and a second or third crash in the same step
+   restores from it too. Steps without a crash pay nothing for it. *)
 let crash_tick t =
-  sync_ckpts t;
   for pe = 0 to t.num_pes - 1 do
     if is_down t pe && t.now >= t.down_until.(pe) then begin
       let downtime = t.now - t.down_since.(pe) in
@@ -1418,9 +1416,14 @@ let crash_tick t =
   done;
   match t.flt with
   | Some f when f.Faults.spec.Faults.crash > 0.0 ->
+    let synced = ref false in
     for pe = 0 to t.num_pes - 1 do
       if (not (is_down t pe)) && Faults.crash_begins f ~pe && up_count t >= 2 then begin
         let down = Faults.down_length f in
+        if not !synced then begin
+          sync_ckpts t;
+          synced := true
+        end;
         crash_now t ~pe ~down
       end
     done
@@ -1446,7 +1449,8 @@ let step t =
      checker exempts same-step births (a PE wires up its own fresh
      template vertices before they are published to anyone). *)
   Graph.bump_epoch t.g;
-  (* 0. The crash plane: checkpoint sync, recoveries, then crash dice —
+  (* 0. The crash plane: recoveries, then crash dice (a crashing step
+     syncs the checkpoints before its first crash) —
      before delivery, so frames arriving at a PE that crashes this step
      die with it. Never entered by a machine that cannot crash, keeping
      fault-free runs byte-identical to builds without the plane. *)

@@ -269,7 +269,8 @@ val step : t -> unit
     decrements, then one purge of tasks addressing freed vertices).
     When [Config.domains > 1] the shards run on a pool of OCaml domains
     (spawned lazily on the first parallel step; see {!dispose}) — except
-    on a machine with a fault plane, which runs them inline. Because the
+    on a machine with a fault plane, which runs them inline and never
+    spawns the pool. Because the
     merge order is fixed, results are bit-identical at every [domains]
     value. *)
 

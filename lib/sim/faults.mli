@@ -22,8 +22,8 @@ open Dgr_util
     least one PE always survives (a crash that would down the last
     standing PE is suppressed), crashed memory is fail-stop (never
     corrupt, simply gone), and the checkpoint a PE recovers from is the
-    one synced at the top of the crash step, so no acknowledged graph
-    state is ever rolled back.
+    one synced in the crash step before anything in it wrote the graph,
+    so no acknowledged graph state is ever rolled back.
 
     All randomness comes from [fault_seed], on streams separate from the
     engine's scheduling seed, so a (config, seed, fault-spec) triple

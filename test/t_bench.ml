@@ -1,8 +1,9 @@
 (* The macro-benchmark harness and the engine differential.
 
-   [golden_engine.txt] holds 20 mixed scenarios — workloads x collectors
-   x machine shapes x fault planes — each summarized as one line of end
-   state plus the MD5 of the full event trace. The fixture was
+   [golden_engine.txt] holds 21 mixed scenarios — workloads x collectors
+   x machine shapes x fault planes, line 20 with whole-PE crashes — each
+   summarized as one line of end state plus the MD5 of the full event
+   trace. The fixture was
    regenerated once when the engine became sharded (per-PE RNG streams,
    striped partitioned allocation, and barrier-deferred controller tasks
    moved every schedule); since then regenerating the lines and diffing

@@ -8,7 +8,8 @@
    - the engine's view ([Engine.inject_crash]): pool and segment lost,
      checkpoint restore, re-homing onto survivors, a marking wave caught
      mid-phase is invalidated and restarted (tree and flood schemes),
-     and the crash/recover pair lands in the typed event stream;
+     the crash/recover pair lands in the typed event stream, and a step
+     that crashes three PEs restores all of them from one sync;
    - the guard rails: a crash may never leave the machine without a
      survivor;
    - the report: a run that crashed still renders byte-identically
@@ -145,6 +146,22 @@ let crash_events r =
       | _ -> None)
     (Dgr_obs.Recorder.events r)
 
+(* The fault-free oracle: collect the replica (the same graph under the
+   same mutations, never crashed) stop-the-world, and demand the
+   machine's live set and its last cycle's deadlock verdict match. *)
+let check_oracle ctx ~machine ~replica c =
+  let (_ : Dgr_baseline.Stw.report) =
+    Dgr_baseline.Stw.collect replica ~purge_tasks:(fun _ -> 0)
+  in
+  Helpers.check_vid_set (ctx ^ ": live set = fault-free STW live set")
+    (Vid.Set.of_list (Graph.live_vids replica))
+    (Vid.Set.of_list (Graph.live_vids machine));
+  let oracle = Dgr_analysis.Classify.compute (Snapshot.take replica) ~tasks:[] in
+  let report = Option.get (Dgr_core.Cycle.last_report c) in
+  Helpers.check_vid_set (ctx ^ ": deadlock verdict = oracle DL'")
+    oracle.Dgr_analysis.Classify.deadlocked
+    (Vid.Set.of_list report.Dgr_core.Restructure.deadlocked)
+
 (* Mutate a replica-backed machine into having garbage, step into the
    middle of a marking phase, crash a PE there, and settle: the partial
    wave is invalidated, the restarted cycles must still converge on
@@ -199,19 +216,9 @@ let run_mid_phase_crash ~marking ~seed =
     (Dgr_core.Cycle.cycles_completed c >= target);
   Alcotest.(check bool) (ctx ^ ": PE 1 recovered") false (Engine.pe_down e 1);
   (* the restarted waves converge on the fault-free oracle *)
-  let (_ : Dgr_baseline.Stw.report) =
-    Dgr_baseline.Stw.collect gb ~purge_tasks:(fun _ -> 0)
-  in
-  Helpers.check_vid_set (ctx ^ ": live set = fault-free STW live set")
-    (Vid.Set.of_list (Graph.live_vids gb))
-    (Vid.Set.of_list (Graph.live_vids ga));
+  check_oracle ctx ~machine:ga ~replica:gb c;
   Alcotest.(check (list string)) (ctx ^ ": machine graph validates") []
     (Validate.check ga);
-  let oracle = Dgr_analysis.Classify.compute (Snapshot.take gb) ~tasks:[] in
-  let report = Option.get (Dgr_core.Cycle.last_report c) in
-  Helpers.check_vid_set (ctx ^ ": deadlock verdict = oracle DL'")
-    oracle.Dgr_analysis.Classify.deadlocked
-    (Vid.Set.of_list report.Dgr_core.Restructure.deadlocked);
   (* the crash and its recovery landed as typed events, downtime exact *)
   let m = Engine.metrics e in
   Alcotest.(check (pair int int)) (ctx ^ ": one crash, one recovery") (1, 1)
@@ -232,6 +239,74 @@ let test_crash_mid_wave_tree () = run_mid_phase_crash ~marking:Dgr_core.Cycle.Tr
    termination detector, which must never be resumed across a crash. *)
 let test_crash_mid_wave_flood () =
   run_mid_phase_crash ~marking:Dgr_core.Cycle.Flood_counters ~seed:5
+
+(* Several crashes in one step: at crash rate 1.0 on 4 PEs the first
+   step crashes PEs 0, 1 and 2 and suppresses PE 3's crash (it is the
+   last survivor). The checkpoints are synced once, before the first of
+   those crashes, and the second and third restore from that same copy;
+   PEs that come back crash again at once while another PE is up (long
+   downtimes leave PE 3 alone long enough for waves to finish). The
+   graph must validate after every step, the restarted waves must
+   converge on the fault-free STW oracle, and the end state must not
+   depend on the domain count. *)
+let run_multi_crash ~domains =
+  let seed = 7 and num_pes = 4 in
+  let ctx = Printf.sprintf "%d domain(s)" domains in
+  let spec = Helpers.fuzz_spec seed in
+  let ga = Builder.random ~num_pes (Rng.create seed) spec in
+  let gb = Builder.random ~num_pes (Rng.create seed) spec in
+  let config =
+    Engine.Config.make ~num_pes ~domains ~seed
+      ~gc:(Engine.Concurrent { deadlock_every = 1; idle_gap = 8 })
+      ~faults:
+        { Faults.none with Faults.drop = 0.05; crash = 1.0; crash_down_max = 400;
+          fault_seed = seed }
+      ()
+  in
+  let e = Engine.create ~config ga (registry ()) in
+  let step () =
+    Engine.step e;
+    match Validate.check ga with
+    | [] -> ()
+    | errs ->
+      Alcotest.failf "%s, step %d: %s" ctx (Engine.now e) (String.concat "; " errs)
+  in
+  step ();
+  Alcotest.(check int) (ctx ^ ": three crashes in the first step") 3
+    (Engine.metrics e).Metrics.crashes;
+  Alcotest.(check (list bool)) (ctx ^ ": PE 3 is the survivor") [ true; true; true; false ]
+    (List.init num_pes (Engine.pe_down e));
+  let rng = Rng.create (seed lxor 0x51ec) in
+  let mut = Engine.mutator e in
+  List.iter
+    (fun op ->
+      Helpers.apply_mutation mut op;
+      for _ = 1 to Rng.int rng 4 do
+        step ()
+      done)
+    (Helpers.gen_schedule rng gb ~ops:12);
+  let c = Option.get (Engine.cycle e) in
+  let target = Dgr_core.Cycle.cycles_completed c + 4 in
+  let guard = ref 0 in
+  while Dgr_core.Cycle.cycles_completed c < target && !guard < 100_000 do
+    incr guard;
+    step ()
+  done;
+  Alcotest.(check bool) (ctx ^ ": cycles keep completing") true
+    (Dgr_core.Cycle.cycles_completed c >= target);
+  let m = Engine.metrics e in
+  Alcotest.(check bool) (ctx ^ ": PEs crashed again after recovering") true
+    (m.Metrics.crashes > 3 && m.Metrics.recoveries > 0);
+  check_oracle ctx ~machine:ga ~replica:gb c;
+  Engine.dispose e;
+  Printf.sprintf "now=%d crashes=%d recoveries=%d rehomed=%d live=%s" (Engine.now e)
+    m.Metrics.crashes m.Metrics.recoveries m.Metrics.crash_rehomed
+    (Helpers.live_digest ga)
+
+let test_multi_crash_step () =
+  let one = run_multi_crash ~domains:1 in
+  Alcotest.(check string) "same end state at 2 domains" one (run_multi_crash ~domains:2);
+  Alcotest.(check string) "same end state at 4 domains" one (run_multi_crash ~domains:4)
 
 let test_inject_crash_guards () =
   let g = Builder.random ~num_pes:2 (Rng.create 1) (Helpers.fuzz_spec 1) in
@@ -304,6 +379,8 @@ let suite =
       test_crash_mid_wave_tree;
     Alcotest.test_case "crash mid-wave: flood quiescence re-derived" `Slow
       test_crash_mid_wave_flood;
+    Alcotest.test_case "multi-crash step restores from one sync" `Slow
+      test_multi_crash_step;
     Alcotest.test_case "inject_crash guard rails" `Quick test_inject_crash_guards;
     Alcotest.test_case "crashed report is byte-identical at 1/2/4 domains" `Slow
       test_crash_report_byte_identical;

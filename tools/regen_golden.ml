@@ -1,4 +1,4 @@
-(* Regenerate the differential fixture: prints the 20 golden lines to
+(* Regenerate the differential fixture: prints the 21 golden lines to
    stdout (redirect into test/golden_engine.txt). With an integer
    argument, runs the fixture at that shard count instead — diffing the
    output at different counts is the quickest cross-domain determinism
