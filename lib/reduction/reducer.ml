@@ -27,6 +27,10 @@ type t = {
   mutable stale_dropped : int;
   mutable alloc_stalls : int;
   mutable stuck : (Vid.t * string) list;
+  mutable stuck_set : (Vid.t, unit) Hashtbl.t option;
+      (* membership index over [stuck], built at the first stuck vertex:
+         the barrier's absorb tests every newly stuck vertex against the
+         whole machine's list *)
   mutable rq_scratch : int array;
       (* reusable snapshot of one vertex's raw request rows (stride 3:
          who|-1, demand code, key) — lets the rewrite hot paths walk
@@ -53,6 +57,7 @@ let create ?(speculate_if = true) ?(speculation_reserve = 0) ?recorder ~graph ~m
     stale_dropped = 0;
     alloc_stalls = 0;
     stuck = [];
+    stuck_set = None;
     rq_scratch = Array.make 24 0;
   }
 
@@ -67,11 +72,25 @@ let finished t = t.result <> None
 
 let stale t = t.stale_dropped <- t.stale_dropped + 1
 
+(* First report wins; [stuck] keeps report order (newest first). *)
+let add_stuck t v reason =
+  let set =
+    match t.stuck_set with
+    | Some set -> set
+    | None ->
+      let set = Hashtbl.create 16 in
+      t.stuck_set <- Some set;
+      set
+  in
+  let fresh = not (Hashtbl.mem set v) in
+  if fresh then begin
+    Hashtbl.replace set v ();
+    t.stuck <- (v, reason) :: t.stuck
+  end;
+  fresh
+
 let mark_stuck t v reason =
-  if not (List.mem_assoc v t.stuck) then begin
-    t.stuck <- (v, reason) :: t.stuck;
-    Log.warn (fun m -> m "v%d stuck: %s (behaves as ⊥)" v reason)
-  end
+  if add_stuck t v reason then Log.warn (fun m -> m "v%d stuck: %s (behaves as ⊥)" v reason)
 
 let distinct vids =
   let rec loop seen = function
@@ -526,11 +545,11 @@ let absorb_dirty t src =
   src.result <- None;
   Dgr_util.Vec.iter (fun task -> Dgr_util.Vec.push t.parked task) src.parked;
   Dgr_util.Vec.clear src.parked;
-  List.iter
-    (fun (v, reason) ->
-      if not (List.mem_assoc v t.stuck) then t.stuck <- (v, reason) :: t.stuck)
-    (List.rev src.stuck);
-  src.stuck <- []
+  if src.stuck <> [] then begin
+    List.iter (fun (v, reason) -> ignore (add_stuck t v reason)) (List.rev src.stuck);
+    src.stuck <- [];
+    Option.iter Hashtbl.clear src.stuck_set
+  end
 
 let absorb t src =
   if

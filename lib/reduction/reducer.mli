@@ -50,7 +50,10 @@ type t = {
   mutable alloc_stalls : int;
       (** expansions deferred because the free list could not supply the
           template (V is finite, §2.2; the task is retried) *)
-  mutable stuck : (Vid.t * string) list;  (** runtime errors turned into ⊥ *)
+  mutable stuck : (Vid.t * string) list;
+      (** runtime errors turned into ⊥, newest first, one per vertex *)
+  mutable stuck_set : (Vid.t, unit) Hashtbl.t option;
+      (** the vertices of [stuck], indexed from the first one on *)
   mutable rq_scratch : int array;
       (** reusable raw snapshot of one vertex's request rows (see
           [Vertex.blit_requests]) — keeps the rewrite paths allocation-free *)

@@ -121,6 +121,8 @@ type pe_ctx = {
   mutable cemit : (Task.mark -> unit) option;
       (** pre-bound mark emit ([pe_send] of a [Marking]) — built on first
           use so the marking inner loop allocates no closures *)
+  ctake : Task.t -> unit;
+      (** pre-bound push into this PE's pool, for {!Network.take_marks} *)
   cinc : int Vec.t;
   cdec : int Vec.t;
       (** refcount increments / decrements this PE's mutations logged, as
@@ -225,6 +227,8 @@ and t = {
   mutable emit_mark : Task.mark -> unit;
       (** [send] wrapped for the marker/flood spawn callbacks — allocated
           once so the marking inner loop builds no closures. *)
+  mutable push_due : int -> int -> Task.t -> unit;
+      (** delivery's push into the destination pool, allocated once *)
   mutable mark_only : bool;
       (** budgets drain marking only — set while the machine is paused
           for restructure but the next wave's marks may flow *)
@@ -486,11 +490,13 @@ let create ?recorder ?(config = Config.default) g templates =
       wd_retx_last = 0;
       wd_retx_at = 64;
       emit_mark = ignore;
+      push_due = (fun _ _ _ -> ());
       mark_only = false;
       coop_sink = ignore;
     }
   in
   t.emit_mark <- (fun mark -> send t (Marking mark));
+  t.push_due <- (fun pe stamp task -> Pool.push_stamped t.pools.(pe) stamp task);
   mut.Mutator.spawn <- t.emit_mark;
   mut.Mutator.coop_pe <- (fun () -> Int.max 0 t.current_pe);
   (* A mark the transport coalesced away still owes its parent a return
@@ -568,6 +574,7 @@ let create ?recorder ?(config = Config.default) g templates =
             cexec = None;
             ccoop = Vec.create ();
             cemit = None;
+            ctake = (let pool = t.pools.(pe) in fun task -> Pool.push_stamped pool (-1) task);
             cinc = Vec.create ();
             cdec = Vec.create ();
           }
@@ -982,11 +989,14 @@ let roll_stalls t f =
    call of the step loop. *)
 let shard_lo t d = d * t.num_pes / t.domains
 
-(* A crashed PE executes nothing until its downtime elapses, a stalled
-   one until its stall ends; both read serial state the crash tick and
+(* Each PE first takes the marks delivery parked for it, down or
+   stalled or not (its pool receives them either way). A crashed PE
+   then executes nothing until its downtime elapses, a stalled one until
+   its stall ends; both read serial state the crash tick and
    [roll_stalls] wrote before the shards started. *)
 let run_shard t d =
   for pe = shard_lo t d to shard_lo t (d + 1) - 1 do
+    Network.take_marks t.net ~pe t.ctxs.(pe).ctake;
     if t.down_since.(pe) < 0 && t.now >= t.stall_until.(pe) then begin
       Domain.DLS.set dls_pe pe;
       pe_budgets t t.ctxs.(pe) t.pools.(pe)
@@ -1455,10 +1465,14 @@ let step t =
      die with it. Never entered by a machine that cannot crash, keeping
      fault-free runs byte-identical to builds without the plane. *)
   if t.crash_used then crash_tick t;
-  (* 1. Deliver the network, straight into the destination pools (the
-     delivered task's lineage ticket rides along as its pool stamp). *)
-  Network.deliver_into t.net ~now:t.now ~push:(fun pe stamp task ->
-      Pool.push ~stamp t.pools.(pe) task);
+  (* 1. Deliver the network: reduction tasks go straight into the
+     destination pools (the lineage ticket rides along as the pool
+     stamp), and each frame holding a mark is parked for its
+     destination's shard, which pushes the marks into its own pool in
+     step 2. A mark push reads no graph state, so the shards can take
+     that work off the serial path; each pool still receives its marks
+     in delivery order. *)
+  Network.deliver_serial t.net ~now:t.now ~push:t.push_due;
   flush_rc_purge t;
   let p1 = Profile.now () in
   let w1 = Profile.words () in
@@ -1489,7 +1503,12 @@ let step t =
     merge_shards t;
     t.prof.Profile.merge_ns <- t.prof.Profile.merge_ns +. (Profile.now () -. p2);
     t.prof.Profile.merge_mw <- t.prof.Profile.merge_mw +. (Profile.words () -. w2)
-  end;
+  end
+  else
+    (* No shard runs: the pools take their parked marks here. *)
+    for pe = 0 to t.num_pes - 1 do
+      Network.take_marks t.net ~pe t.ctxs.(pe).ctake
+    done;
   (* 3. Memory management. *)
   let p3 = Profile.now () in
   let w3 = Profile.words () in

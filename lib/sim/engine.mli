@@ -264,8 +264,11 @@ val step : t -> unit
     and refcount log — and the contexts are merged into the shared
     machine at a step barrier in ascending PE order. The serial parts
     bracket the shards: crashes and recoveries at the top of the step,
-    stall dice just before the shards (a down or stalled PE executes
-    nothing), logged refcount changes at the barrier (increments, then
+    then delivery, which hands reduction tasks to their pools and parks
+    each frame for its destination; stall dice just before the shards,
+    each of which first pushes its PEs' parked marks into their pools (a
+    down or stalled PE receives them too, then executes nothing); logged
+    refcount changes at the barrier (increments, then
     decrements, then one purge of tasks addressing freed vertices).
     When [Config.domains > 1] the shards run on a pool of OCaml domains
     (spawned lazily on the first parallel step; see {!dispose}) — except

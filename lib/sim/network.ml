@@ -112,6 +112,9 @@ type t = {
      flush: each destination shard recycles frames for its own PEs
      without sharing a free list across domains. *)
   mutable sf_free : batch Vec.t array;
+  mutable inbox : batch Vec.t array;
+      (* delivered frames parked per destination until the destination's
+         shard takes their marks (see [take_marks]) *)
   (* Destination-sharded flush plan (see [flush_shard_plan] and
      friends): forming proto-batches and a last-batch cache per
      destination — written by at most one shard each — plus a flat
@@ -176,6 +179,7 @@ let create ?recorder ?lineage ?faults ?(batch = true) () =
     batching = batch;
     staged = Vec.create ();
     sf_free = [||];
+    inbox = [||];
     sf_dummy;
     sf_batches = [||];
     sf_last = [||];
@@ -543,14 +547,16 @@ let send ?(src = -1) ?(lin = -1) ?(depth = 0) t ~arrival ~pe task =
     t.undelivered <- t.undelivered + 1;
     t.tasks_sent <- t.tasks_sent + 1
 
-(* Delivery hands each due task to [push] as its batch pops — the
-   engine's pools consume directly, with no intermediate list. [push]
+(* Delivery hands each due reduction task to [push] as its batch pops —
+   the engine's pools consume directly, with no intermediate list. [push]
    also receives the task's lineage stamp ([-1]: untracked), which the
    pool carries through residence. Pops emit [Deliver] per task in pop
    order and [push] emits nothing, so interleaving push with pop keeps
-   the trace deterministic. *)
+   the trace deterministic. Mark tasks are left in the frame for
+   [take_marks]; the result says whether the frame held any. *)
 let deliver_batch t b ~now ~push =
   t.undelivered <- t.undelivered - Vec.length b.b_tasks;
+  let marked = ref false in
   for i = 0 to Vec.length b.b_tasks - 1 do
     let task = Vec.get b.b_tasks i in
     let stamp = Vec.get b.b_stamps i in
@@ -572,8 +578,11 @@ let deliver_batch t b ~now ~push =
              vid = (match Task.exec_vertex task with Some v -> v | None -> -1);
              lin;
            }));
-    push b.b_dst stamp task
-  done
+    match task with
+    | Task.Reduction _ -> push b.b_dst stamp task
+    | Task.Marking _ -> marked := true
+  done;
+  !marked
 
 (* Return a delivered frame to its destination's free pool. Only the
    idealized channel may call this: after its pop the batch is
@@ -606,7 +615,23 @@ let drain_credits t ~now =
     ()
   done
 
-let deliver_into t ~now ~push =
+(* The parked frames for [dst], grown on demand (serial contexts only,
+   like [free_list_for]). *)
+let inbox_for t dst =
+  let n = Array.length t.inbox in
+  if dst >= n then
+    t.inbox <- Array.init (dst + 1) (fun i -> if i < n then t.inbox.(i) else Vec.create ());
+  t.inbox.(dst)
+
+(* A delivered frame that holds a mark is parked in its destination's
+   inbox for [take_marks]; a mark-free one is settled at once. A settled
+   frame of the idealized channel is recycled; a lossy one stays in
+   [pending] until its cumulative ack lands. *)
+let settle t b ~now ~push =
+  if deliver_batch t b ~now ~push then Vec.push (inbox_for t b.b_dst) b
+  else if t.faults = None then recycle_batch t b
+
+let deliver_serial t ~now ~push =
   t.clock <- now;
   drain_credits t ~now;
   match t.faults with
@@ -619,9 +644,7 @@ let deliver_into t ~now ~push =
        attached. *)
     while
       Pqueue.min_prio t.q ~default:max_int <= now
-      && Pqueue.pop_tagged_with t.q (fun b _stamp ->
-             deliver_batch t b ~now ~push;
-             recycle_batch t b)
+      && Pqueue.pop_tagged_with t.q (fun b _stamp -> settle t b ~now ~push)
     do
       ()
     done
@@ -646,7 +669,7 @@ let deliver_into t ~now ~push =
             (match Hashtbl.find_opt t.pending (src, dst, fseq) with
             | Some p -> p.p_delivered <- true
             | None -> ());
-            deliver_batch t b ~now ~push
+            settle t b ~now ~push
           end;
           (* always owe an ack, even for duplicates: the previous
              cumulative ack may have been lost *)
@@ -687,6 +710,33 @@ let deliver_into t ~now ~push =
       | Some _ | None -> ()
     in
     service_timers ()
+
+(* Runs on [pe]'s shard, possibly on a worker domain: it touches only
+   [pe]'s inbox and free pool, both sized by the serial half. A parked
+   frame is referenced nowhere else on the idealized channel, so it is
+   recycled here; under faults it waits in [pending] for its ack. *)
+let take_marks t ~pe f =
+  if pe < Array.length t.inbox then begin
+    let ib = t.inbox.(pe) in
+    for k = 0 to Vec.length ib - 1 do
+      let b = Vec.get ib k in
+      for i = 0 to Vec.length b.b_tasks - 1 do
+        match Vec.get b.b_tasks i with
+        | Task.Marking _ as task -> f task
+        | Task.Reduction _ -> ()
+      done;
+      if t.faults = None then recycle_batch t b
+    done;
+    Vec.clear ib
+  end
+
+(* The whole tick on one domain: the serial half, then every PE's marks
+   in ascending PE order. *)
+let deliver_into t ~now ~push =
+  deliver_serial t ~now ~push;
+  for pe = 0 to Array.length t.inbox - 1 do
+    take_marks t ~pe (fun task -> push pe (-1) task)
+  done
 
 let deliver t ~now =
   let acc = ref [] in

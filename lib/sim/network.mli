@@ -110,18 +110,37 @@ val post_credit : t -> arrival:int -> pe:int -> epoch:int -> sent:int -> execute
     credit sink at [arrival]. Loss-free even under faults: heartbeats
     are the liveness backstop for PEs with no traffic to piggyback on. *)
 
-val deliver_into : t -> now:int -> push:(int -> int -> Task.t -> unit) -> unit
-(** The network's clock tick: flush the batches staged since the last
-    tick into the channel, then hand every task due by [now] to
-    [push pe stamp task] — [stamp] its lineage ticket, [-1] when
-    untracked — in delivery order, without building a list. Under
+val deliver_serial : t -> now:int -> push:(int -> int -> Task.t -> unit) -> unit
+(** The serial half of the network's clock tick: flush the batches
+    staged since the last tick into the channel, then hand every
+    reduction task due by [now] to [push pe stamp task] — [stamp] its
+    lineage ticket, [-1] when untracked — in delivery order, without
+    building a list, emitting a [Deliver] event for every due task,
+    marks included. A delivered frame that holds a mark is parked in its
+    destination's inbox until {!take_marks} hands its marks over. Under
     faults this also settles owed cumulative acks (piggybacked or
     standalone), suppresses duplicate frames, and fires expired
     retransmission timers. Call once per step. *)
 
+val take_marks : t -> pe:int -> (Task.t -> unit) -> unit
+(** The shard half of the tick: apply [f] to every mark parked for
+    [pe] since the last {!deliver_serial}, in delivery order, and empty
+    the inbox. Marks are never ticketed, so no stamp is passed. Calls
+    for distinct PEs touch disjoint state and may run concurrently on
+    different domains; each PE's inbox must be emptied before the next
+    tick. *)
+
+val deliver_into : t -> now:int -> push:(int -> int -> Task.t -> unit) -> unit
+(** The whole tick on one domain: {!deliver_serial}, then {!take_marks}
+    for every PE in ascending order, with each mark handed to
+    [push pe (-1) task]. Every due task reaches [push]: first the
+    reduction tasks in delivery order, then PE 0's marks in delivery
+    order, then PE 1's, and so on. A pool therefore receives its marks
+    in the same order as under the split tick. *)
+
 val deliver : t -> now:int -> (int * Task.t) list
-(** {!deliver_into} collected into a list, in delivery order (tests and
-    debugging; the engine consumes via [deliver_into]). *)
+(** {!deliver_into} collected into a list, in its order (tests and
+    debugging; the engine runs the two halves). *)
 
 val in_flight : t -> Task.t list
 (** Tasks sent but not yet delivered — staged batches included — ordered

@@ -9,11 +9,83 @@ let policy_to_string = function
   | By_demand -> "by-demand"
   | Dynamic -> "dynamic"
 
+(* The marking queue: a growable FIFO ring. Every marking task has
+   priority 0 and travels without a lineage ticket (marks may coalesce
+   away in transit, so none is ever opened), which makes the priority
+   heap the reduction queue needs a FIFO paid for at O(log n) per push
+   and per pop. The ring pays O(1) and carries no priorities or tags.
+   Its capacity is 0 or a power of two, so positions wrap by masking. *)
+module Ring = struct
+  type t = {
+    mutable buf : Task.t array;
+    mutable head : int;  (* position of the oldest task *)
+    mutable len : int;
+  }
+
+  let create () = { buf = [||]; head = 0; len = 0 }
+
+  let slot r i = (r.head + i) land (Array.length r.buf - 1)
+
+  (* Unwrap into a buffer twice the size, oldest task at position 0.
+     [x] fills the fresh array, keeping its representation right. *)
+  let grow r x =
+    let cap = Array.length r.buf in
+    let buf = Array.make (if cap = 0 then 8 else 2 * cap) x in
+    for i = 0 to r.len - 1 do
+      buf.(i) <- r.buf.(slot r i)
+    done;
+    r.buf <- buf;
+    r.head <- 0
+
+  let push r x =
+    if r.len = Array.length r.buf then grow r x;
+    r.buf.(slot r r.len) <- x;
+    r.len <- r.len + 1
+
+  let take r =
+    let x = r.buf.(r.head) in
+    r.head <- slot r 1;
+    r.len <- r.len - 1;
+    x
+
+  let pop r = if r.len = 0 then None else Some (take r)
+
+  (* Pop the oldest task into [f task (-1)]; false (and no call) when
+     empty. The ring is updated before [f] runs, so [f] may push. *)
+  let pop_with r f =
+    if r.len = 0 then false
+    else begin
+      f (take r) (-1);
+      true
+    end
+
+  let iter f r =
+    for i = 0 to r.len - 1 do
+      f r.buf.(slot r i)
+    done
+
+  let to_list r = List.init r.len (fun i -> r.buf.(slot r i))
+
+  (* Keep the tasks [keep] accepts, oldest first, compacting toward the
+     head: the write position never passes the read position, so no
+     survivor is overwritten before it is read. *)
+  let filter_in_place keep r =
+    let j = ref 0 in
+    for i = 0 to r.len - 1 do
+      let x = r.buf.(slot r i) in
+      if keep x then begin
+        if !j <> i then r.buf.(slot r !j) <- x;
+        incr j
+      end
+    done;
+    r.len <- !j
+end
+
 (* Marking and reduction tasks occupy separate queues: the engine gives
    each its own per-step budget, so GC and computation cannot starve one
    another by queue position alone. *)
 type t = {
-  marking : Task.t Pqueue.t;
+  marking : Ring.t;
   reduction : Task.t Pqueue.t;
   policy : policy;
   g : Graph.t;
@@ -72,7 +144,7 @@ let priority_of policy g task =
 
 let create ?recorder ?lineage ?(pe = 0) policy g =
   {
-    marking = Pqueue.create ();
+    marking = Ring.create ();
     reduction = Pqueue.create ();
     policy;
     g;
@@ -81,24 +153,28 @@ let create ?recorder ?lineage ?(pe = 0) policy g =
     lineage;
   }
 
-let push ?(stamp = -1) t task =
-  let q = match task with Task.Marking _ -> t.marking | Task.Reduction _ -> t.reduction in
-  Pqueue.add_tagged q (priority_of t.policy t.g task) ~tag:stamp task
+let push_stamped t stamp task =
+  match task with
+  | Task.Marking _ ->
+    if stamp >= 0 then
+      invalid_arg
+        (Printf.sprintf "Pool.push: marking task on PE %d carries lineage stamp %d" t.pe
+           stamp);
+    Ring.push t.marking task
+  | Task.Reduction _ ->
+    Pqueue.add_tagged t.reduction (priority_of t.policy t.g task) ~tag:stamp task
+
+let push ?(stamp = -1) t task = push_stamped t stamp task
+
+let pop_marking_stamped t =
+  match Ring.pop t.marking with Some task -> Some (task, -1) | None -> None
 
 let pop_stamped t =
   match Pqueue.pop_tagged t.reduction with
   | Some (_, stamp, task) -> Some (task, stamp)
-  | None -> (
-    match Pqueue.pop_tagged t.marking with
-    | Some (_, stamp, task) -> Some (task, stamp)
-    | None -> None)
+  | None -> pop_marking_stamped t
 
 let pop t = Option.map fst (pop_stamped t)
-
-let pop_marking_stamped t =
-  match Pqueue.pop_tagged t.marking with
-  | Some (_, stamp, task) -> Some (task, stamp)
-  | None -> None
 
 let pop_marking t = Option.map fst (pop_marking_stamped t)
 
@@ -108,7 +184,7 @@ let pop_marking t = Option.map fst (pop_marking_stamped t)
    back to marking, like [pop_stamped]. *)
 let drain_marking t ~budget f =
   let n = ref 0 in
-  while !n < budget && Pqueue.pop_tagged_with t.marking f do
+  while !n < budget && Ring.pop_with t.marking f do
     incr n
   done
 
@@ -117,35 +193,33 @@ let drain t ~budget f =
   let continue = ref true in
   while !n < budget && !continue do
     if Pqueue.pop_tagged_with t.reduction f then incr n
-    else if Pqueue.pop_tagged_with t.marking f then incr n
+    else if Ring.pop_with t.marking f then incr n
     else continue := false
   done
 
-let length t = Pqueue.length t.marking + Pqueue.length t.reduction
+let length t = t.marking.Ring.len + Pqueue.length t.reduction
 
-let is_empty t = Pqueue.is_empty t.marking && Pqueue.is_empty t.reduction
+let is_empty t = t.marking.Ring.len = 0 && Pqueue.is_empty t.reduction
 
-let tasks t =
-  List.map snd (Pqueue.to_sorted_list t.marking)
-  @ List.map snd (Pqueue.to_sorted_list t.reduction)
+let tasks t = Ring.to_list t.marking @ List.map snd (Pqueue.to_sorted_list t.reduction)
 
 let iter_tasks t f =
-  Pqueue.iter (fun _ task -> f task) t.marking;
+  Ring.iter f t.marking;
   Pqueue.iter (fun _ task -> f task) t.reduction
 
 let purge t pred =
   let before = length t in
-  let keep _prio stamp task =
-    if pred task then begin
-      (match t.lineage with
-      | Some l when stamp >= 0 -> Dgr_obs.Lineage.drop l stamp
-      | _ -> ());
-      false
-    end
-    else true
-  in
-  Pqueue.filter_tagged_in_place keep t.marking;
-  Pqueue.filter_tagged_in_place keep t.reduction;
+  Ring.filter_in_place (fun task -> not (pred task)) t.marking;
+  Pqueue.filter_tagged_in_place
+    (fun _prio stamp task ->
+      if pred task then begin
+        (match t.lineage with
+        | Some l when stamp >= 0 -> Dgr_obs.Lineage.drop l stamp
+        | _ -> ());
+        false
+      end
+      else true)
+    t.reduction;
   let n = before - length t in
   (match t.recorder with
   | Some r when n > 0 ->

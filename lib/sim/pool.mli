@@ -3,9 +3,11 @@ open Dgr_task
 
 (** Per-PE task pools (§5.2's [taskpool(i)]) with dynamic prioritization.
 
-    A pool is a priority queue (FIFO among equals, so execution stays
-    deterministic). The policy decides how much of the paper's §3.2 the
-    scheduler uses:
+    A pool holds two queues. Marking tasks wait in a FIFO ring: they all
+    share one priority and carry no lineage ticket, so push and pop are
+    O(1). Reduction tasks wait in a priority queue (FIFO among equals,
+    so execution stays deterministic). The policy decides how much of
+    the paper's §3.2 the reduction scheduler uses:
 
     - [Flat]: no priorities (everything FIFO) — the ablation baseline;
     - [By_demand]: vital requests before eager ones, statically;
@@ -34,7 +36,14 @@ val create :
 
 val push : ?stamp:int -> t -> Task.t -> unit
 (** [stamp] (default [-1]) is the task's lineage ticket; it rides the
-    queue untouched and comes back out of {!pop_stamped}. *)
+    queue untouched and comes back out of {!pop_stamped}. Marking tasks
+    are never ticketed: pushing one with [stamp >= 0] raises
+    [Invalid_argument] naming the PE and the stamp. *)
+
+val push_stamped : t -> int -> Task.t -> unit
+(** [push_stamped t stamp task] is [push ~stamp t task] without the
+    optional argument, which the engine's delivery loop would otherwise
+    box once per task. *)
 
 val pop : t -> Task.t option
 (** Highest-priority reduction task, falling back to marking work when no
@@ -44,11 +53,12 @@ val pop_stamped : t -> (Task.t * int) option
 (** {!pop}, also returning the task's lineage stamp ([-1] untracked). *)
 
 val pop_marking : t -> Task.t option
-(** Highest-priority queued marking task, if any — marking and reduction
+(** Oldest queued marking task, if any — marking and reduction
     live in separate queues so the engine can budget them separately. *)
 
 val pop_marking_stamped : t -> (Task.t * int) option
-(** {!pop_marking} with the task's lineage stamp. *)
+(** {!pop_marking} with its lineage stamp, always [-1]: marks are never
+    ticketed. *)
 
 val drain : t -> budget:int -> (Task.t -> int -> unit) -> unit
 (** Pop and apply [f task stamp] up to [budget] times in {!pop_stamped}
@@ -63,7 +73,8 @@ val length : t -> int
 val is_empty : t -> bool
 
 val tasks : t -> Task.t list
-(** Queue order (ascending priority, FIFO among ties) — deterministic, so
+(** Queued marking tasks in FIFO order, then reduction tasks in queue
+    order (ascending priority, FIFO among ties) — deterministic, so
     external views built from pool contents are stable. *)
 
 val iter_tasks : t -> (Task.t -> unit) -> unit
@@ -72,12 +83,13 @@ val iter_tasks : t -> (Task.t -> unit) -> unit
     structures (e.g. the M_T seed set). *)
 
 val purge : t -> (Task.t -> bool) -> int
-(** Remove all tasks matching the predicate; returns how many. *)
+(** Remove all tasks matching the predicate; returns how many. The
+    survivors keep their pop order. *)
 
 val reprioritize : t -> int
-(** Recompute priorities under the current graph state ([sched_prior] may
-    have changed after a cycle); returns the number of entries whose
-    priority changed. *)
+(** Recompute the reduction tasks' priorities under the current graph
+    state ([sched_prior] may have changed after a cycle); returns the
+    number of entries whose priority changed. Marking tasks have none. *)
 
 val priority_of : policy -> Graph.t -> Task.t -> int
 (** Exposed for tests. Marking = 0; cancels = 1. Under [Dynamic], a

@@ -44,42 +44,77 @@ let grow q x =
   q.tag <- tag';
   q.vals <- vals'
 
-let less q i j =
-  let pi = q.prio.(i) and pj = q.prio.(j) in
-  pi < pj || (pi = pj && q.rank.(i) < q.rank.(j))
-
-let swap q i j =
-  let p = q.prio.(i) in
-  q.prio.(i) <- q.prio.(j);
-  q.prio.(j) <- p;
-  let r = q.rank.(i) in
-  q.rank.(i) <- q.rank.(j);
-  q.rank.(j) <- r;
-  let g = q.tag.(i) in
-  q.tag.(i) <- q.tag.(j);
-  q.tag.(j) <- g;
-  let v = q.vals.(i) in
-  q.vals.(i) <- q.vals.(j);
-  q.vals.(j) <- v
-
-let rec sift_up q i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less q i parent then begin
-      swap q i parent;
-      sift_up q parent
+(* Hole-based sifts: the moving entry is held in locals, each entry it
+   passes shifts one slot toward the hole, and the mover is written once
+   where it lands. Every comparison is the one a swap-based sift would
+   make (the mover's fields are the same either way), so the layout —
+   and [iter] order — is exactly the swap-based one. A mover that stays
+   put is not written back: [heapify] sifts every inner node, and most
+   of them do not move. *)
+let sift_up q i0 =
+  let p = q.prio.(i0) and r = q.rank.(i0) and g = q.tag.(i0) and v = q.vals.(i0) in
+  let i = ref i0 in
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let pp = q.prio.(parent) in
+    if p < pp || (p = pp && r < q.rank.(parent)) then begin
+      q.prio.(!i) <- pp;
+      q.rank.(!i) <- q.rank.(parent);
+      q.tag.(!i) <- q.tag.(parent);
+      q.vals.(!i) <- q.vals.(parent);
+      i := parent
     end
+    else continue := false
+  done;
+  if !i <> i0 then begin
+    q.prio.(!i) <- p;
+    q.rank.(!i) <- r;
+    q.tag.(!i) <- g;
+    q.vals.(!i) <- v
   end
 
-let rec sift_down q i =
+let sift_down q i0 =
   let n = q.len in
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < n && less q l !smallest then smallest := l;
-  if r < n && less q r !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap q i !smallest;
-    sift_down q !smallest
+  let p = q.prio.(i0) and r = q.rank.(i0) and g = q.tag.(i0) and v = q.vals.(i0) in
+  let i = ref i0 in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    (* the smallest of the mover and its children, as (prio, rank, slot) *)
+    let sp = ref p and sr = ref r and s = ref (-1) in
+    if l < n then begin
+      let lp = q.prio.(l) in
+      if lp < !sp || (lp = !sp && q.rank.(l) < !sr) then begin
+        sp := lp;
+        sr := q.rank.(l);
+        s := l
+      end;
+      let rc = l + 1 in
+      if rc < n then begin
+        let rp = q.prio.(rc) in
+        if rp < !sp || (rp = !sp && q.rank.(rc) < !sr) then begin
+          sp := rp;
+          sr := q.rank.(rc);
+          s := rc
+        end
+      end
+    end;
+    if !s < 0 then continue := false
+    else begin
+      let c = !s in
+      q.prio.(!i) <- !sp;
+      q.rank.(!i) <- !sr;
+      q.tag.(!i) <- q.tag.(c);
+      q.vals.(!i) <- q.vals.(c);
+      i := c
+    end
+  done;
+  if !i <> i0 then begin
+    q.prio.(!i) <- p;
+    q.rank.(!i) <- r;
+    q.tag.(!i) <- g;
+    q.vals.(!i) <- v
   end
 
 let add_tagged q prio ~tag value =

@@ -1,7 +1,7 @@
 (** Mutable min-priority queue (binary heap) with integer priorities.
 
-    Used for PE task pools (lower priority value = served first) and the
-    simulator's event ordering. Ties are broken by insertion order (FIFO),
+    Used for PE reduction queues (lower priority value = served first)
+    and the simulator's event ordering. Ties are broken by insertion order (FIFO),
     which keeps simulator runs deterministic. *)
 
 type 'a t

@@ -115,6 +115,83 @@ let test_pool_policy_pop_orders () =
   Alcotest.(check bool) "dynamic applies cycle verdicts" true
     (pop_all Pool.Dynamic = [ v_b; e_a; e_b; m ])
 
+let mark i = Task.Marking (Task.Mark1 { v = i; par = Plane.Rootpar; ep = 0 })
+
+let mark_id = function Task.Marking (Task.Mark1 { v; _ }) -> v | _ -> -1
+
+(* The marking queue is a ring: pop from the head, push at the tail,
+   wrap around the buffer's end, and unwrap when it grows. *)
+let test_pool_marking_ring () =
+  let g, _, _ = mk_graph () in
+  let pool = Pool.create Pool.Flat g in
+  let popped = ref [] in
+  let take n =
+    Pool.drain_marking pool ~budget:n (fun task stamp ->
+        Alcotest.(check int) "marks are unticketed" (-1) stamp;
+        popped := mark_id task :: !popped)
+  in
+  let ids () = List.map mark_id (Pool.tasks pool) in
+  for i = 0 to 5 do
+    Pool.push pool (mark i)
+  done;
+  take 4;
+  (* 8 slots: these wrap past the buffer's end and fill it *)
+  for i = 6 to 11 do
+    Pool.push pool (mark i)
+  done;
+  Alcotest.(check (list int)) "tasks in FIFO order across the wrap"
+    [ 4; 5; 6; 7; 8; 9; 10; 11 ] (ids ());
+  Pool.push pool (mark 12);
+  Alcotest.(check (list int)) "growth while wrapped keeps the order"
+    [ 4; 5; 6; 7; 8; 9; 10; 11; 12 ] (ids ());
+  Alcotest.(check int) "purge counts" 4 (Pool.purge pool (fun t -> mark_id t mod 2 = 1));
+  Alcotest.(check (list int)) "purge keeps the survivors' order" [ 4; 6; 8; 10; 12 ] (ids ());
+  take max_int;
+  Alcotest.(check (list int)) "pop order" [ 0; 1; 2; 3; 4; 6; 8; 10; 12 ] (List.rev !popped);
+  Alcotest.(check bool) "empty" true (Pool.is_empty pool);
+  Alcotest.check_raises "a stamped mark is refused"
+    (Invalid_argument "Pool.push: marking task on PE 0 carries lineage stamp 3") (fun () ->
+      Pool.push ~stamp:3 pool (mark 0))
+
+(* Random push / drain / purge against an all-priority-0 [Pqueue], the
+   marking queue's previous representation. *)
+let test_pool_marking_ring_oracle () =
+  let g, _, _ = mk_graph () in
+  let pool = Pool.create Pool.Flat g in
+  let q = Dgr_util.Pqueue.create () in
+  let rng = Dgr_util.Rng.create 7 in
+  let next = ref 0 in
+  for step = 1 to 3000 do
+    let label what = Printf.sprintf "%s at op %d" what step in
+    (match Dgr_util.Rng.int rng 8 with
+    | 0 | 1 | 2 | 3 ->
+      Pool.push pool (mark !next);
+      Dgr_util.Pqueue.add q 0 !next;
+      incr next
+    | 4 | 5 ->
+      let budget = Dgr_util.Rng.int rng 6 in
+      let got = ref [] in
+      Pool.drain_marking pool ~budget (fun task _ -> got := mark_id task :: !got);
+      let want =
+        List.filter_map
+          (fun _ -> Option.map snd (Dgr_util.Pqueue.pop q))
+          (List.init (Int.min budget (Dgr_util.Pqueue.length q)) Fun.id)
+      in
+      Alcotest.(check (list int)) (label "drain") want (List.rev !got)
+    | 6 ->
+      let m = 2 + Dgr_util.Rng.int rng 4 in
+      let before = Dgr_util.Pqueue.length q in
+      Dgr_util.Pqueue.filter_in_place (fun _ v -> v mod m <> 0) q;
+      Alcotest.(check int) (label "purge")
+        (before - Dgr_util.Pqueue.length q)
+        (Pool.purge pool (fun t -> mark_id t mod m = 0))
+    | _ ->
+      Alcotest.(check (list int)) (label "tasks")
+        (List.map snd (Dgr_util.Pqueue.to_sorted_list q))
+        (List.map mark_id (Pool.tasks pool)));
+    Alcotest.(check int) (label "length") (Dgr_util.Pqueue.length q) (Pool.length pool)
+  done
+
 let test_network_ordering () =
   let net = Network.create () in
   let t1 = Task.request 1 Demand.Vital in
@@ -128,6 +205,95 @@ let test_network_ordering () =
   Alcotest.(check bool) "delivers by arrival then send order" true
     (Network.deliver net ~now:5 = [ (1, t2); (0, t1); (0, t3) ]);
   Alcotest.(check int) "drained" 0 (Network.size net)
+
+(* Marks and reductions interleaved over several links and arrivals,
+   with the (destination, task) pairs in send order. *)
+let mixed_sends net =
+  List.init 24 (fun i ->
+      let dst = i mod 3 in
+      let task = if i mod 4 = 1 then Task.request (100 + i) Demand.Vital else mark (100 + i) in
+      Network.send ~src:(i mod 2) net ~arrival:(2 + (i / 8)) ~pe:dst task;
+      (dst, task))
+
+let channels () =
+  [
+    ("ideal", Network.create ());
+    ("lossy", Network.create ~faults:(Faults.create { Faults.none with Faults.fault_seed = 5 }) ());
+  ]
+
+(* The order both halves promise: fault-free arrival, then frame stage
+   order, then the frame's own order — which [in_flight] lists before the
+   tick — restricted to the reduction tasks, or to one PE's marks. *)
+let due_in_order net sent =
+  let dst_of task = fst (List.find (fun (_, t) -> t == task) sent) in
+  let due = List.map (fun task -> (dst_of task, task)) (Network.in_flight net) in
+  let reds = List.filter (fun (_, t) -> not (Task.is_marking t)) due in
+  let marks_of pe =
+    List.filter_map (fun (p, t) -> if p = pe && Task.is_marking t then Some t else None) due
+  in
+  (reds, marks_of)
+
+(* [deliver_into] hands up every due task, marks included: the
+   reduction tasks in delivery order, then each PE's marks in delivery
+   order, PEs ascending. *)
+let test_deliver_into_hands_marks () =
+  List.iter
+    (fun (name, net) ->
+      let sent = mixed_sends net in
+      let reds, marks_of = due_in_order net sent in
+      let expected =
+        reds @ List.concat_map (fun pe -> List.map (fun t -> (pe, t)) (marks_of pe)) [ 0; 1; 2 ]
+      in
+      let got = Network.deliver net ~now:10 in
+      Alcotest.(check int) (name ^ ": every task handed up") 24 (List.length got);
+      Alcotest.(check int) (name ^ ": marks included") 18
+        (List.length (List.filter (fun (_, t) -> Task.is_marking t) got));
+      Alcotest.(check bool) (name ^ ": reductions, then each PE's marks") true (got = expected);
+      Alcotest.(check int) (name ^ ": drained") 0 (Network.size net))
+    (channels ())
+
+(* The split tick: [deliver_serial] hands up only the reduction tasks,
+   and [take_marks] each PE's marks, both in delivery order; a taken
+   inbox stays empty. *)
+let test_deliver_split_in_order () =
+  List.iter
+    (fun (name, net) ->
+      let sent = mixed_sends net in
+      let want_reds, marks_of = due_in_order net sent in
+      let reds = ref [] in
+      Network.deliver_serial net ~now:10 ~push:(fun pe _ task -> reds := (pe, task) :: !reds);
+      Alcotest.(check bool) (name ^ ": reductions in delivery order") true
+        (List.rev !reds = want_reds);
+      for pe = 0 to 2 do
+        let marks = ref [] in
+        Network.take_marks net ~pe (fun task -> marks := task :: !marks);
+        Alcotest.(check bool) (Printf.sprintf "%s: PE %d's marks in delivery order" name pe) true
+          (List.rev !marks = marks_of pe);
+        let again = ref 0 in
+        Network.take_marks net ~pe (fun _ -> incr again);
+        Alcotest.(check int) (name ^ ": the inbox is emptied") 0 !again
+      done;
+      Alcotest.(check int) (name ^ ": drained") 0 (Network.size net))
+    (channels ())
+
+(* Over a lossy, duplicating, reordering channel every mark still
+   arrives exactly once, like every reduction task. *)
+let test_lossy_channel_delivers_marks () =
+  let f =
+    Faults.create
+      { Faults.none with Faults.drop = 0.3; duplicate = 0.2; delay = 0.3; fault_seed = 9 }
+  in
+  let net = Network.create ~faults:f () in
+  let sent = mixed_sends net in
+  let got = ref [] in
+  let now = ref 0 in
+  while Network.size net > 0 && !now < 100_000 do
+    incr now;
+    got := Network.deliver net ~now:!now @ !got
+  done;
+  let canon l = List.sort compare (List.map (fun (pe, t) -> (pe, Task.to_string t)) l) in
+  Alcotest.(check bool) "channel dropped frames" true (f.Faults.drops > 0);
+  Alcotest.(check (list (pair int string))) "every task exactly once" (canon sent) (canon !got)
 
 let test_network_purge () =
   let net = Network.create () in
@@ -201,6 +367,65 @@ let test_engine_inject_and_locate () =
   Alcotest.(check int) "locatable" 1
     (List.length (Engine.locate_task e (fun _ -> true)))
 
+(* Delivery parks each frame until its destination's shard pushes the
+   marks, so the pools must take them on every step: a PE that executes
+   nothing (stalled) and a step that runs no shard (paused) included.
+   Checked as conservation: every injected mark is in flight, pooled or
+   executed after every step. *)
+let check_marks_conserved ~what config =
+  let g = Graph.create ~num_pes:2 () in
+  let b = Graph.alloc ~pe:1 g (Label.Int 7) in
+  (* a chain of indirections above [b]: enough live vertices that a
+     stop-the-world collection pauses the machine for several steps *)
+  let top =
+    List.fold_left
+      (fun below _ ->
+        let a = Graph.alloc ~pe:0 g Label.Ind in
+        Vertex.connect a (Vertex.id below);
+        a)
+      b (List.init 40 Fun.id)
+  in
+  Graph.set_root g (Vertex.id top);
+  let e = Engine.create ~config g (Dgr_reduction.Template.create_registry ()) in
+  let pooled = ref 0 in
+  for step = 0 to 39 do
+    Engine.inject e
+      (Task.Marking (Task.Mark1 { v = Vertex.id b; par = Plane.Rootpar; ep = step }));
+    Engine.step e;
+    let in_pool =
+      List.length (Engine.locate_task e Task.is_marking)
+      - List.length (List.filter (fun (_, t) -> Task.is_marking t) (Engine.network_entries e))
+    in
+    pooled := Int.max !pooled in_pool;
+    Alcotest.(check int)
+      (Printf.sprintf "%s: step %d conserves marks" what step)
+      (step + 1)
+      (List.length (List.filter (fun (_, t) -> Task.is_marking t) (Engine.network_entries e))
+      + in_pool
+      + (Engine.metrics e).Metrics.marking_executed)
+  done;
+  Engine.dispose e;
+  (e, !pooled)
+
+let test_stalled_pe_receives_marks () =
+  let faults = { Faults.none with Faults.stall = 1.0; stall_max = 3; fault_seed = 1 } in
+  let e, pooled =
+    check_marks_conserved ~what:"stalled"
+      (Engine.Config.make ~num_pes:2 ~gc:Engine.No_gc ~faults ())
+  in
+  Alcotest.(check int) "nothing executed" 0 (Engine.metrics e).Metrics.marking_executed;
+  Alcotest.(check bool) "the stalled PE's pool holds the marks" true (pooled >= 30)
+
+let test_paused_step_receives_marks () =
+  let e, _ =
+    check_marks_conserved ~what:"paused"
+      (Engine.Config.make ~num_pes:2 ~gc_work_factor:1
+         ~gc:(Engine.Stop_the_world { every = 10 })
+         ())
+  in
+  Alcotest.(check bool) "some steps were paused" true
+    ((Engine.metrics e).Metrics.total_pause_steps >= 10)
+
 let test_metrics_pp () =
   let m = Metrics.create () in
   Metrics.record_pause m 5;
@@ -220,13 +445,20 @@ let suite =
     Alcotest.test_case "idle slots lend to marking" `Quick test_pool_pop_lends_slot_to_marking;
     Alcotest.test_case "pool purge / reprioritize" `Quick test_pool_purge_and_reprioritize;
     Alcotest.test_case "policy pop orders" `Quick test_pool_policy_pop_orders;
+    Alcotest.test_case "marking ring wraps, grows, purges" `Quick test_pool_marking_ring;
+    Alcotest.test_case "marking ring = priority-0 pqueue" `Quick test_pool_marking_ring_oracle;
     Alcotest.test_case "network ordering" `Quick test_network_ordering;
+    Alcotest.test_case "deliver_into hands marks in order" `Quick test_deliver_into_hands_marks;
+    Alcotest.test_case "split delivery in order" `Quick test_deliver_split_in_order;
+    Alcotest.test_case "lossy channel delivers marks" `Quick test_lossy_channel_delivers_marks;
     Alcotest.test_case "network purge" `Quick test_network_purge;
     Alcotest.test_case "network purge records destination" `Quick
       test_network_purge_records_destination;
     Alcotest.test_case "remote latency accounting" `Quick test_engine_local_vs_remote_latency;
     Alcotest.test_case "quiescence without gc" `Quick test_engine_quiescence_no_gc;
     Alcotest.test_case "inject and locate" `Quick test_engine_inject_and_locate;
+    Alcotest.test_case "stalled PE receives its marks" `Quick test_stalled_pe_receives_marks;
+    Alcotest.test_case "paused step receives its marks" `Quick test_paused_step_receives_marks;
     Alcotest.test_case "metrics" `Quick test_metrics_pp;
   ]
 

@@ -96,6 +96,107 @@ let test_pqueue_map_priorities_keeps_ranks () =
     [ (1, 0); (1, 1); (1, 2); (1, 3); (1, 4) ]
     popped
 
+(* The swap-based binary heap [Pqueue] used before its sifts moved
+   entries through a hole: the layout oracle for the hole-based sifts.
+   Entries are (prio, rank, value) triples in heap order. *)
+module Swap_heap = struct
+  type t = { mutable a : (int * int * int) array; mutable len : int; mutable next : int }
+
+  let create () = { a = Array.make 1024 (0, 0, 0); len = 0; next = 0 }
+
+  let less h i j =
+    let pi, ri, _ = h.a.(i) and pj, rj, _ = h.a.(j) in
+    pi < pj || (pi = pj && ri < rj)
+
+  let swap h i j =
+    let x = h.a.(i) in
+    h.a.(i) <- h.a.(j);
+    h.a.(j) <- x
+
+  let rec sift_up h i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if less h i parent then begin
+        swap h i parent;
+        sift_up h parent
+      end
+    end
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < h.len && less h l !smallest then smallest := l;
+    if r < h.len && less h r !smallest then smallest := r;
+    if !smallest <> i then begin
+      swap h i !smallest;
+      sift_down h !smallest
+    end
+
+  let add h prio v =
+    h.a.(h.len) <- (prio, h.next, v);
+    h.next <- h.next + 1;
+    h.len <- h.len + 1;
+    sift_up h (h.len - 1)
+
+  let pop h =
+    if h.len = 0 then None
+    else begin
+      let p, _, v = h.a.(0) in
+      h.len <- h.len - 1;
+      if h.len > 0 then begin
+        h.a.(0) <- h.a.(h.len);
+        sift_down h 0
+      end;
+      Some (p, v)
+    end
+
+  let filter keep h =
+    let j = ref 0 in
+    for i = 0 to h.len - 1 do
+      let p, _, v = h.a.(i) in
+      if keep p v then begin
+        h.a.(!j) <- h.a.(i);
+        incr j
+      end
+    done;
+    h.len <- !j;
+    for i = (h.len / 2) - 1 downto 0 do
+      sift_down h i
+    done
+
+  let layout h = List.init h.len (fun i -> let p, _, v = h.a.(i) in (p, v))
+end
+
+let test_pqueue_hole_sifts_match_swap_oracle () =
+  let rng = Rng.create 42 in
+  let q = Pqueue.create () and h = Swap_heap.create () in
+  let layout q =
+    let acc = ref [] in
+    Pqueue.iter (fun p v -> acc := (p, v) :: !acc) q;
+    List.rev !acc
+  in
+  let next = ref 0 in
+  for step = 1 to 4000 do
+    (match Rng.int rng 10 with
+    | 0 | 1 | 2 | 3 | 4 ->
+      (* few priorities, so FIFO ranks break most comparisons *)
+      let prio = Rng.int rng 4 in
+      Pqueue.add q prio !next;
+      Swap_heap.add h prio !next;
+      incr next
+    | 5 | 6 | 7 | 8 ->
+      Alcotest.(check (option (pair int int)))
+        (Printf.sprintf "pop %d" step) (Swap_heap.pop h) (Pqueue.pop q)
+    | _ ->
+      let m = 2 + Rng.int rng 5 in
+      Pqueue.filter_in_place (fun _ v -> v mod m <> 0) q;
+      Swap_heap.filter (fun _ v -> v mod m <> 0) h);
+    if Pqueue.length q > 900 then Pqueue.filter_in_place (fun _ v -> v land 1 = 0) q;
+    if h.Swap_heap.len > 900 then Swap_heap.filter (fun _ v -> v land 1 = 0) h;
+    Alcotest.(check (list (pair int int)))
+      (Printf.sprintf "layout after op %d" step) (Swap_heap.layout h) (layout q)
+  done
+
 let test_stats_basic () =
   let s = Stats.create () in
   List.iter (Stats.add s) [ 1.0; 2.0; 3.0; 4.0 ];
@@ -137,6 +238,8 @@ let suite =
       test_pqueue_sorted_list_stable;
     Alcotest.test_case "pqueue map_priorities keeps ranks" `Quick
       test_pqueue_map_priorities_keeps_ranks;
+    Alcotest.test_case "pqueue hole sifts = swap-based layout" `Quick
+      test_pqueue_hole_sifts_match_swap_oracle;
     Alcotest.test_case "stats accumulation" `Quick test_stats_basic;
     Alcotest.test_case "stats empty" `Quick test_stats_empty;
     Alcotest.test_case "table rendering" `Quick test_table_render;
