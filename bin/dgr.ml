@@ -81,24 +81,26 @@ let config_of_opts o =
     | "flood" -> Ok Dgr_core.Cycle.Flood_counters
     | s -> Error (Printf.sprintf "unknown marking scheme %S (tree|flood)" s)
   in
-  Ok
-    (Engine.Config.make ~num_pes:o.pes ~domains:o.domains ~latency:o.latency
-       ~tasks_per_step:o.tasks_per_step ~heap_size:o.heap ~pool_policy:policy
-       ~speculate_if:(not o.no_speculate) ~gc ~marking
-       ~recover_deadlock:o.recover_deadlock ~jitter:o.jitter ~seed:o.seed
-       ~batch:(not o.no_batch)
-       ~faults:
-         {
-           Faults.none with
-           Faults.drop = o.fault_drop;
-           duplicate = o.fault_dup;
-           delay = o.fault_delay;
-           stall = o.fault_stall;
-           crash = o.fault_crash;
-           crash_down_max = o.fault_crash_down;
-           fault_seed = o.fault_seed;
-         }
-       ())
+  try
+    Ok
+      (Engine.Config.make ~num_pes:o.pes ~domains:o.domains ~latency:o.latency
+         ~tasks_per_step:o.tasks_per_step ~heap_size:o.heap ~pool_policy:policy
+         ~speculate_if:(not o.no_speculate) ~gc ~marking
+         ~recover_deadlock:o.recover_deadlock ~jitter:o.jitter ~seed:o.seed
+         ~batch:(not o.no_batch)
+         ~faults:
+           {
+             Faults.none with
+             Faults.drop = o.fault_drop;
+             duplicate = o.fault_dup;
+             delay = o.fault_delay;
+             stall = o.fault_stall;
+             crash = o.fault_crash;
+             crash_down_max = o.fault_crash_down;
+             fault_seed = o.fault_seed;
+           }
+         ())
+  with Invalid_argument msg -> Error msg
 
 (* What each invocation wants written out. *)
 type outputs = {

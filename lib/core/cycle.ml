@@ -183,7 +183,7 @@ let restart_phase t =
     | Some r -> t.mt_marks <- t.mt_marks + Run.marks_total r
     | None -> ());
     (match t.mt_flood with
-    | Some f -> t.mt_marks <- t.mt_marks + Flood.marks_executed_total f
+    | Some f -> t.mt_marks <- t.mt_marks + Flood.executed_total f
     | None -> ());
     start_mark_tasks t
   | Mark_root ->
@@ -191,7 +191,7 @@ let restart_phase t =
     | Some r -> t.mr_marks <- t.mr_marks + Run.marks_total r
     | None -> ());
     (match t.mr_flood with
-    | Some f -> t.mr_marks <- t.mr_marks + Flood.marks_executed_total f
+    | Some f -> t.mr_marks <- t.mr_marks + Flood.executed_total f
     | None -> ());
     start_mark_root t
 
@@ -207,10 +207,10 @@ let finish_cycle t =
   (match t.mr_run with Some r -> t.mr_marks <- t.mr_marks + Run.marks_total r | None -> ());
   (match t.mt_run with Some r -> t.mt_marks <- t.mt_marks + Run.marks_total r | None -> ());
   (match t.mr_flood with
-  | Some f -> t.mr_marks <- t.mr_marks + Flood.marks_executed_total f
+  | Some f -> t.mr_marks <- t.mr_marks + Flood.executed_total f
   | None -> ());
   (match t.mt_flood with
-  | Some f -> t.mt_marks <- t.mt_marks + Flood.marks_executed_total f
+  | Some f -> t.mt_marks <- t.mt_marks + Flood.executed_total f
   | None -> ());
   phase_obs t Dgr_obs.Event.Restructure;
   let report =

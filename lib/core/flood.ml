@@ -9,7 +9,6 @@ type t = {
   wave : int;
   sent : int array;
   executed : int array;
-  marked : int array;
 }
 
 let create graph variant =
@@ -21,7 +20,6 @@ let create graph variant =
     wave = Graph.wave graph;
     sent = Array.make n 0;
     executed = Array.make n 0;
-    marked = Array.make n 0;
   }
 
 let pe_slot t pe = if pe >= 0 && pe < Array.length t.sent then pe else 0
@@ -32,15 +30,7 @@ let count_coop_spawn t ~pe = count_seed t ~pe
 
 let count_executed t ~pe =
   let s = pe_slot t pe in
-  t.executed.(s) <- t.executed.(s) + 1;
-  t.marked.(s) <- t.marked.(s) + 1
-
-(* A mark coalesced in transit was already counted sent by its spawner;
-   crediting executed here keeps sent − executed = outstanding honest
-   without inflating marks_executed — no marking work actually ran, the
-   surviving twin will do it. *)
-let count_coalesced t ~pe =
-  t.executed.(pe_slot t pe) <- t.executed.(pe_slot t pe) + 1
+  t.executed.(s) <- t.executed.(s) + 1
 
 let credit t ~pe =
   let s = pe_slot t pe in
@@ -99,8 +89,6 @@ let execute t ~pe ~emit task =
 let sent_total t = Array.fold_left ( + ) 0 t.sent
 
 let executed_total t = Array.fold_left ( + ) 0 t.executed
-
-let marks_executed_total t = Array.fold_left ( + ) 0 t.marked
 
 let outstanding t = sent_total t - executed_total t
 

@@ -34,7 +34,6 @@ type t = {
   wave : int;  (** the [Graph.wave] this flood marks under *)
   sent : int array;  (** per-PE: mark tasks spawned from this PE *)
   executed : int array;  (** per-PE: mark tasks executed on this PE *)
-  marked : int array;  (** per-PE: marking work actually run (≤ executed) *)
 }
 
 val create : Graph.t -> Run.variant -> t
@@ -62,12 +61,6 @@ val count_coop_spawn : t -> pe:int -> unit
 (** Account for a mark task spawned by a cooperating mutation executing
     on PE [pe]. *)
 
-val count_coalesced : t -> pe:int -> unit
-(** Account for a mark task bound for PE [pe] that the transport
-    coalesced into an identical staged twin: it counts as executed (its
-    spawner already counted it sent, and it will never arrive) but not
-    as marking work — the surviving twin marks the vertex. *)
-
 val credit : t -> pe:int -> int * int
 (** [pe]'s local [(sent, executed)] counter pair — what the PE reports
     to the distributed termination detector (piggybacked on transport
@@ -76,9 +69,8 @@ val credit : t -> pe:int -> int * int
 val sent_total : t -> int
 
 val executed_total : t -> int
-
-val marks_executed_total : t -> int
-(** Marking work actually run (coalesced tasks excluded). *)
+(** Mark tasks executed, i.e. the marking work actually run: every mark
+    sent arrives and executes. *)
 
 val outstanding : t -> int
 (** [sent_total - executed_total] — mark tasks pooled or in flight. *)

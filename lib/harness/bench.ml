@@ -155,7 +155,7 @@ type row = {
   completed : bool;
   frames_sent : int;  (** data frames flushed by the transport *)
   acks_sent : int;  (** standalone cumulative-ack frames *)
-  marks_coalesced : int;  (** marks absorbed by a staged twin *)
+  marks_coalesced : int;  (** always 0; see [Metrics.marks_coalesced] *)
   crashes : int;  (** whole-PE crashes begun *)
   recoveries : int;  (** crashed PEs that came back up *)
   crash_rehomed : int;  (** live vertices moved off crashed PEs *)
@@ -648,7 +648,7 @@ let golden_line ?(domains = 1) i =
   Printf.sprintf
     "%s now=%d completion=%s result=%s live_md5=%s live_n=%d dl=[%s] red=%d mark=%d \
      remote=%d local=%d purged=%d cycles=%d stw=%d pause=%d peak=%d drops=%d dups=%d \
-     retx=%d stalls=%d frames=%d acks=%d coalesced=%d trace_md5=%s"
+     retx=%d stalls=%d frames=%d acks=%d trace_md5=%s"
     name (Engine.now e)
     (match m.Metrics.completion_step with Some s -> string_of_int s | None -> "-")
     result
@@ -659,6 +659,6 @@ let golden_line ?(domains = 1) i =
     m.Metrics.cycles_completed m.Metrics.stw_collections m.Metrics.total_pause_steps
     m.Metrics.peak_live m.Metrics.msgs_dropped m.Metrics.msgs_duplicated
     m.Metrics.retransmits m.Metrics.stalls m.Metrics.frames_sent
-    m.Metrics.acks_sent m.Metrics.marks_coalesced trace_md5
+    m.Metrics.acks_sent trace_md5
 
 let golden_lines ?domains () = List.init 21 (fun i -> golden_line ?domains i)

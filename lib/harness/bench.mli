@@ -34,7 +34,9 @@ type row = {
   completed : bool;  (** the program delivered its result *)
   frames_sent : int;  (** data frames flushed by the transport *)
   acks_sent : int;  (** standalone cumulative-ack frames *)
-  marks_coalesced : int;  (** marks absorbed by a staged twin *)
+  marks_coalesced : int;
+      (** always 0: copies [Metrics.marks_coalesced], kept for the
+          pinned row schema *)
   crashes : int;  (** whole-PE crashes begun (zero outside crash scenarios) *)
   recoveries : int;  (** crashed PEs that came back up *)
   crash_rehomed : int;  (** live vertices moved off crashed PEs *)

@@ -111,10 +111,10 @@ let render ?(deterministic = false) e =
   if m.Metrics.frames_sent > 0 then begin
     Printf.bprintf b "\n-- transport --\n";
     Printf.bprintf b
-      "  frames=%d tasks=%d tasks/frame=%.2f acks=%d(+%d piggybacked) coalesced=%d\n"
+      "  frames=%d tasks=%d tasks/frame=%.2f acks=%d(+%d piggybacked)\n"
       m.Metrics.frames_sent m.Metrics.tasks_sent
       (float_of_int m.Metrics.tasks_sent /. float_of_int m.Metrics.frames_sent)
-      m.Metrics.acks_sent m.Metrics.acks_piggybacked m.Metrics.marks_coalesced
+      m.Metrics.acks_sent m.Metrics.acks_piggybacked
   end;
   (* Step phases: wall-clock, so omitted from deterministic reports. *)
   if not deterministic then begin

@@ -34,7 +34,6 @@ type kind =
   | Stall of { pe : int; steps : int }
   | Batch of { src : int; dst : int; count : int }
   | Cum_ack of { src : int; dst : int; upto : int; piggyback : bool }
-  | Coalesce of { pe : int; vid : int }
   | Pe_crash of { pe : int; lost : int; down : int }
   | Pe_recover of { pe : int; down : int }
   | Health of { health : health; value : int }
@@ -103,7 +102,6 @@ let pp_kind fmt = function
   | Cum_ack { src; dst; upto; piggyback } ->
     Format.fprintf fmt "cum-ack link=%d->%d upto=%d%s" src dst upto
       (if piggyback then " piggyback" else "")
-  | Coalesce { pe; vid } -> Format.fprintf fmt "coalesce pe=%d vid=%d" pe vid
   | Pe_crash { pe; lost; down } ->
     Format.fprintf fmt "pe-crash pe=%d lost=%d down=%d" pe lost down
   | Pe_recover { pe; down } -> Format.fprintf fmt "pe-recover pe=%d down=%d" pe down

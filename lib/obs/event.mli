@@ -76,9 +76,6 @@ type kind =
       (** the receiver on data link [src]→[dst] acknowledged every frame
           up to sequence [upto], riding a reverse data frame when
           [piggyback] *)
-  | Coalesce of { pe : int; vid : int }
-      (** a mark task bound for [vid] at [pe] was absorbed by an
-          identical mark staged in the same batch *)
   | Pe_crash of { pe : int; lost : int; down : int }
       (** [pe] crashed: its pool, striped segment and in-flight frames
           are gone ([lost] tasks destroyed); it stays down [down] steps *)

@@ -155,9 +155,6 @@ let chrome_trace r =
             (Printf.sprintf "\"src\":%d,\"upto\":%d,\"piggyback\":%d,%s" src upto
                (if piggyback then 1 else 0)
                seq_arg)
-      | Event.Coalesce { pe; vid } ->
-        instant ctx ~name:"coalesce" ~tid:(pe_tid pe) ~ts
-          ~args:(Printf.sprintf "\"vid\":%d,%s" vid seq_arg)
       | Event.Pe_crash { pe; lost; down } ->
         (* the downtime as a span on the PE's own track *)
         span ctx ~name:"pe_crash" ~tid:(pe_tid pe) ~ts ~dur:(Int.max 1 down)
@@ -196,9 +193,9 @@ let chrome_trace r =
            s.Recorder.s_stalls);
       counter "transport" s.Recorder.s_step
         (Printf.sprintf
-           "\"frames\":%d,\"batched_tasks\":%d,\"acks_piggybacked\":%d,\"coalesced\":%d"
+           "\"frames\":%d,\"batched_tasks\":%d,\"acks_piggybacked\":%d"
            s.Recorder.s_frames s.Recorder.s_batched_tasks
-           s.Recorder.s_acks_piggybacked s.Recorder.s_coalesced))
+           s.Recorder.s_acks_piggybacked))
     (Recorder.samples r);
   Buffer.add_string ctx.b "\n]}\n";
   Buffer.contents ctx.b
@@ -206,17 +203,17 @@ let chrome_trace r =
 let timeseries_csv r =
   let b = Buffer.create 4096 in
   Buffer.add_string b
-    "step,pe,pool_depth,marking,reduction,live,in_flight,headroom,drops,dups,retransmits,stalls,frames,batched_tasks,acks_piggybacked,coalesced\n";
+    "step,pe,pool_depth,marking,reduction,live,in_flight,headroom,drops,dups,retransmits,stalls,frames,batched_tasks,acks_piggybacked\n";
   List.iter
     (fun (s : Recorder.sample) ->
       Array.iteri
         (fun pe depth ->
-          bpf b "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n" s.Recorder.s_step
+          bpf b "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n" s.Recorder.s_step
             pe depth s.Recorder.s_marking.(pe) s.Recorder.s_reduction.(pe)
             s.Recorder.s_live s.Recorder.s_in_flight s.Recorder.s_headroom
             s.Recorder.s_drops s.Recorder.s_dups s.Recorder.s_retransmits
             s.Recorder.s_stalls s.Recorder.s_frames s.Recorder.s_batched_tasks
-            s.Recorder.s_acks_piggybacked s.Recorder.s_coalesced)
+            s.Recorder.s_acks_piggybacked)
         s.Recorder.s_pool_depth)
     (Recorder.samples r);
   Buffer.contents b
@@ -233,13 +230,12 @@ let timeseries_json r =
     (fun (s : Recorder.sample) ->
       if !first then first := false else Buffer.add_string b ",\n";
       bpf b
-        "  {\"step\":%d,\"live\":%d,\"in_flight\":%d,\"headroom\":%d,\"pool_depth\":[%s],\"marking\":[%s],\"reduction\":[%s],\"drops\":%d,\"dups\":%d,\"retransmits\":%d,\"stalls\":%d,\"frames\":%d,\"batched_tasks\":%d,\"acks_piggybacked\":%d,\"coalesced\":%d}"
+        "  {\"step\":%d,\"live\":%d,\"in_flight\":%d,\"headroom\":%d,\"pool_depth\":[%s],\"marking\":[%s],\"reduction\":[%s],\"drops\":%d,\"dups\":%d,\"retransmits\":%d,\"stalls\":%d,\"frames\":%d,\"batched_tasks\":%d,\"acks_piggybacked\":%d}"
         s.Recorder.s_step s.Recorder.s_live s.Recorder.s_in_flight s.Recorder.s_headroom
         (ints s.Recorder.s_pool_depth) (ints s.Recorder.s_marking)
         (ints s.Recorder.s_reduction) s.Recorder.s_drops s.Recorder.s_dups
         s.Recorder.s_retransmits s.Recorder.s_stalls s.Recorder.s_frames
-        s.Recorder.s_batched_tasks s.Recorder.s_acks_piggybacked
-        s.Recorder.s_coalesced)
+        s.Recorder.s_batched_tasks s.Recorder.s_acks_piggybacked)
     (Recorder.samples r);
   Buffer.add_string b "\n]}\n";
   Buffer.contents b

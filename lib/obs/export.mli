@@ -11,7 +11,7 @@
     allocation events and watchdog verdicts, and counter tracks for the
     sampled time series (pool depth, live vertices, messages in flight,
     per-PE throughput, fault-plane activity, and transport batching:
-    frames, batched tasks, piggybacked acks, coalesced marks). *)
+    frames, batched tasks, piggybacked acks). *)
 
 val chrome_trace : Recorder.t -> string
 
@@ -19,7 +19,7 @@ val timeseries_csv : Recorder.t -> string
 (** Long-form CSV: one row per (sample, PE), global columns repeated —
     [step,pe,pool_depth,marking,reduction,live,in_flight,headroom,
     drops,dups,retransmits,stalls,frames,batched_tasks,
-    acks_piggybacked,coalesced]. *)
+    acks_piggybacked]. *)
 
 val timeseries_json : Recorder.t -> string
 

@@ -6,8 +6,9 @@
    (hops from the injected root), and the three timestamps the latency
    decomposition needs: when it was sent, when it would arrive on an
    ideal link, and when it was actually delivered into a pool. Marking
-   tasks are never ticketed (they can be coalesced away in the
-   transport, which would leak tickets); they carry stamp -1.
+   tasks are never ticketed: the latency decomposition follows demand
+   propagation, not the mark wave, and a wave's volume would only churn
+   slots. They carry stamp -1.
 
    Slots are recycled LIFO through an explicit stack, so ticket ids
    depend only on the (deterministic) open/close order — never on wall

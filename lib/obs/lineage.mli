@@ -5,8 +5,8 @@
     {!Dgr_sim} — network batches, pools, execution) is a recycled slot
     recording that task's lineage, causal depth, and the send / ideal
     arrival / actual delivery steps. Only reduction tasks are
-    ticketed; marking tasks travel with stamp [-1] (the transport may
-    coalesce them away, which would leak tickets).
+    ticketed; marking tasks travel with stamp [-1] (the latency story
+    is demand propagation, not the mark wave).
 
     Slots recycle LIFO, so ticket ids are a pure function of the
     open/close order — deterministic per (config, seed) and identical

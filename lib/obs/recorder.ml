@@ -13,7 +13,6 @@ type sample = {
   s_frames : int;
   s_batched_tasks : int;
   s_acks_piggybacked : int;
-  s_coalesced : int;
 }
 
 (* A chunk is one sub-recorder's events for one step, linked (not
@@ -54,7 +53,6 @@ type t = {
   mutable frame_delta : int;
   mutable batched_delta : int;
   mutable piggyback_delta : int;
-  mutable coalesce_delta : int;
 }
 
 let dummy = { Event.step = 0; seq = -1; kind = Event.Finished }
@@ -88,7 +86,6 @@ let create ?(capacity = 65536) ?(sample_every = 0) ~num_pes () =
     frame_delta = 0;
     batched_delta = 0;
     piggyback_delta = 0;
-    coalesce_delta = 0;
   }
 
 let set_now t now = t.clock <- now
@@ -162,7 +159,6 @@ let emit t kind =
     t.batched_delta <- t.batched_delta + count
   | Event.Cum_ack { piggyback = true; _ } ->
     t.piggyback_delta <- t.piggyback_delta + 1
-  | Event.Coalesce _ -> t.coalesce_delta <- t.coalesce_delta + 1
   | _ -> ());
   let e = { Event.step = t.clock; seq = t.seq; kind } in
   t.seq <- t.seq + 1;
@@ -231,7 +227,6 @@ let tick t ~live ~in_flight ~headroom ~pool_depth =
         s_frames = t.frame_delta;
         s_batched_tasks = t.batched_delta;
         s_acks_piggybacked = t.piggyback_delta;
-        s_coalesced = t.coalesce_delta;
       }
     in
     t.samples_rev <- s :: t.samples_rev;
@@ -243,8 +238,7 @@ let tick t ~live ~in_flight ~headroom ~pool_depth =
     t.stall_delta <- 0;
     t.frame_delta <- 0;
     t.batched_delta <- 0;
-    t.piggyback_delta <- 0;
-    t.coalesce_delta <- 0
+    t.piggyback_delta <- 0
   end
 
 let samples t = List.rev t.samples_rev
@@ -268,8 +262,7 @@ let reset_src src =
   src.stall_delta <- 0;
   src.frame_delta <- 0;
   src.batched_delta <- 0;
-  src.piggyback_delta <- 0;
-  src.coalesce_delta <- 0
+  src.piggyback_delta <- 0
 
 let drain_into ~src ~dst =
   if src.seq > src.len then
@@ -306,7 +299,6 @@ let absorb_chunks ~src ~dst =
     dst.frame_delta <- dst.frame_delta + src.frame_delta;
     dst.batched_delta <- dst.batched_delta + src.batched_delta;
     dst.piggyback_delta <- dst.piggyback_delta + src.piggyback_delta;
-    dst.coalesce_delta <- dst.coalesce_delta + src.coalesce_delta;
     let steal = n * 4 >= src.cap in
     let cbuf = if steal then src.buf else Array.sub src.buf 0 n in
     if steal then src.buf <- Array.make src.cap dummy;

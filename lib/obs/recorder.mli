@@ -30,7 +30,6 @@ type sample = {
   s_frames : int;  (** data frames flushed onto links since last sample *)
   s_batched_tasks : int;  (** tasks carried by those frames *)
   s_acks_piggybacked : int;  (** cumulative acks that rode a data frame *)
-  s_coalesced : int;  (** mark tasks absorbed in-batch since last sample *)
 }
 
 type t

@@ -41,11 +41,22 @@ module Config = struct
 
   type t = { machine : machine; gc : gc; network : network }
 
+  (* A machine with no PE, or a per-step budget of nothing, would fail
+     deep inside [Graph.create] or idle until the step limit: refuse it
+     here, in [make] and the updaters alike. *)
+  let positive field v =
+    if v < 1 then
+      invalid_arg (Printf.sprintf "Engine.Config: %s must be at least 1, got %d" field v);
+    v
+
   let make ?(num_pes = 4) ?(latency = 4) ?(tasks_per_step = 2) ?(marking_per_step = 8)
       ?(gc_work_factor = 8) ?(heap_size = Some 50_000) ?(pool_policy = Pool.Dynamic)
       ?(speculate_if = true) ?(gc = Concurrent { deadlock_every = 1; idle_gap = 50 })
       ?(marking = Cycle.Tree) ?(recover_deadlock = false) ?(jitter = 0.0) ?(seed = 0)
       ?(faults = Faults.none) ?(domains = 1) ?(batch = true) () =
+    let num_pes = positive "num_pes" num_pes in
+    let tasks_per_step = positive "tasks_per_step" tasks_per_step in
+    let marking_per_step = positive "marking_per_step" marking_per_step in
     {
       machine =
         { num_pes; tasks_per_step; marking_per_step; pool_policy; speculate_if; seed; domains };
@@ -72,12 +83,16 @@ module Config = struct
   let domains t = t.machine.domains
   let batch t = t.network.batch
 
-  let with_num_pes v t = { t with machine = { t.machine with num_pes = v } }
+  let with_num_pes v t =
+    { t with machine = { t.machine with num_pes = positive "num_pes" v } }
+
   let with_latency v t = { t with network = { t.network with latency = v } }
-  let with_tasks_per_step v t = { t with machine = { t.machine with tasks_per_step = v } }
+
+  let with_tasks_per_step v t =
+    { t with machine = { t.machine with tasks_per_step = positive "tasks_per_step" v } }
 
   let with_marking_per_step v t =
-    { t with machine = { t.machine with marking_per_step = v } }
+    { t with machine = { t.machine with marking_per_step = positive "marking_per_step" v } }
 
   let with_gc_work_factor v t = { t with gc = { t.gc with gc_work_factor = v } }
   let with_heap_size v t = { t with gc = { t.gc with heap_size = v } }
@@ -499,35 +514,6 @@ let create ?recorder ?(config = Config.default) g templates =
   t.push_due <- (fun pe stamp task -> Pool.push_stamped t.pools.(pe) stamp task);
   mut.Mutator.spawn <- t.emit_mark;
   mut.Mutator.coop_pe <- (fun () -> Int.max 0 t.current_pe);
-  (* A mark the transport coalesced away still owes its parent a return
-     credit (tree) or an executed count (flood): synthesize it here, as
-     if the absorbed twin had executed and immediately returned. The
-     surviving twin keeps the wave's progress honest — a subtree is
-     never considered marked before a mark actually traverses it.
-     Coalescing happens where the physical send does — at the barrier's
-     mailbox flush, or inline for a serial send (controller replay,
-     injection) — and both are fixed, domain-count-free orders. Two
-     marks can only coalesce when every field matches, epoch included;
-     a stale pair still coalesces in the network, but owes its dead wave
-     nothing the dispatch-time epoch drop won't discard, so only
-     current-wave marks synthesize credit here. *)
-  Network.set_on_coalesce t.net (fun ~pe mark ->
-      match t.cyc with
-      | None -> ()
-      | Some c -> (
-        match Cycle.handler_for_plane c (Task.plane_of_mark mark) with
-        | Some (Cycle.Tree_run run) -> (
-          match mark with
-          | Mark1 { par; _ } | Mark2 { par; _ } | Mark3 { par; _ } ->
-            if Task.mark_ep mark = run.Run.wave then
-              send t
-                (Marking
-                   (Return
-                      { plane = Task.plane_of_mark mark; par; ep = Task.mark_ep mark }))
-          | Return _ -> () (* returns never coalesce *))
-        | Some (Cycle.Flood_run fl) ->
-          if Task.mark_ep mark = fl.Flood.wave then Flood.count_coalesced fl ~pe
-        | None -> () (* stray mark from a finished run: nothing owed *)));
   (* The reserve is per-home now that parking consults the executing
      vertex's partition ({!Graph.headroom_for}): a quarter of the heap
      globally, i.e. a quarter of each home's share. *)
@@ -545,8 +531,8 @@ let create ?recorder ?(config = Config.default) g templates =
           match recorder with
           | None -> None
           | Some _ ->
-            (* Sized for one step's events of one PE; [drain_into] raises
-               if it ever wraps, so overflow is loud, not silent. *)
+            (* Sized for one step's events of one PE; [absorb_chunks]
+               raises if it ever wraps, so overflow is loud, not silent. *)
             Some (Dgr_obs.Recorder.create ~capacity:(1 lsl 14) ~sample_every:0 ~num_pes ())
         in
         let cell = ref None in
@@ -1134,7 +1120,7 @@ let () = each_home_cell := each_home_run
    [flush_shard_*] trio in {!Network}): grouping tasks into frames is
    per-destination work, so it runs on the worker pool sharded by the
    same PE ranges as the execution budgets, and only the globally
-   ordered finalization (uids, tickets, coalesce callbacks, counters)
+   ordered finalization (uids, tickets, counters)
    stays serial. The staged area is always empty here: delivery flushed
    it at the top of the step and nothing stages a frame before the
    merge. Grouping is kept inline where the shards are, and on hosts
@@ -1561,7 +1547,6 @@ let step t =
   t.m.Metrics.acks_sent <- Network.acks_sent t.net;
   t.m.Metrics.acks_piggybacked <- Network.acks_piggybacked t.net;
   t.m.Metrics.tasks_sent <- Network.tasks_sent t.net;
-  t.m.Metrics.marks_coalesced <- Network.marks_coalesced t.net;
   health_check t;
   (match t.recorder with
   | None -> ()

@@ -99,11 +99,10 @@ module Config : sig
     batch : bool;
         (** frame batching (default true): tasks staged on the same
             (src, dst) link for the same arrival step ride one data
-            frame, and identical marks within a batch coalesce (see
-            {!Network}). [false] restores one task per frame — the
-            paper's literal one-task-per-message transport — for A/B
-            measurement; task-level arrival steps and per-link order
-            are identical either way. *)
+            frame (see {!Network}). [false] restores one task per
+            frame — the paper's literal one-task-per-message transport
+            — for A/B measurement; every task is delivered, with the
+            same arrival step and per-link order, either way. *)
   }
 
   type t = { machine : machine; gc : gc; network : network }
@@ -131,7 +130,10 @@ module Config : sig
       4 PEs, latency 4, 2 tasks/step (+8 marking), heap 50k, [Dynamic]
       pools, speculation on, concurrent GC with M_T every cycle and idle
       gap 50, [Tree] marking, no jitter, no faults, seed 0, 1 domain,
-      batching on. *)
+      batching on. Raises [Invalid_argument], naming the field and the
+      value, when [num_pes], [tasks_per_step] or [marking_per_step] is
+      below 1; so do {!with_num_pes}, {!with_tasks_per_step} and
+      {!with_marking_per_step}. *)
 
   val default : t
   (** [make ()]. *)

@@ -201,11 +201,10 @@ let pp_summary fmt t =
       t.stalls t.stall_steps;
   if t.frames_sent > 0 then
     Format.fprintf fmt
-      "@ @[transport: frames=%d tasks=%d tasks/frame=%.2f acks=%d(+%d piggybacked) \
-       coalesced=%d@]"
+      "@ @[transport: frames=%d tasks=%d tasks/frame=%.2f acks=%d(+%d piggybacked)@]"
       t.frames_sent t.tasks_sent
       (float_of_int t.tasks_sent /. float_of_int t.frames_sent)
-      t.acks_sent t.acks_piggybacked t.marks_coalesced;
+      t.acks_sent t.acks_piggybacked;
   if Dgr_obs.Hist.count t.lat_e2e > 0 then
     Format.fprintf fmt
       "@ @[latency(e2e steps): p50=%d p90=%d p99=%d p999=%d max=%d over %d tasks@]"

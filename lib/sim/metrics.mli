@@ -36,7 +36,10 @@ type t = {
   mutable acks_sent : int;  (** standalone cumulative-ack frames *)
   mutable acks_piggybacked : int;  (** cum acks riding reverse data frames *)
   mutable tasks_sent : int;  (** tasks staged for transmission *)
-  mutable marks_coalesced : int;  (** marks absorbed by a staged twin *)
+  mutable marks_coalesced : int;
+      (** always 0: the transport delivers every mark. The field stays
+          because the stats-JSON and BENCH.json schemas pin its key and
+          the repository benchmark reads it; it goes with them. *)
   lat_e2e : Dgr_obs.Hist.t;
       (** send → execute, in steps (reduction tasks with lineage tickets) *)
   lat_queue : Dgr_obs.Hist.t;  (** delivery → execute: pool residence *)

@@ -26,17 +26,15 @@ open Dgr_task
    (src, dst, fseq) give the layer above every task exactly once, in a
    deterministic order for a fixed fault seed.
 
-   On top of batching, the staging step *coalesces* mark waves: an
-   identical mark task (same constructor, vertex, parent, priority)
-   already staged in the batch absorbs the newcomer. The newcomer is
-   never transmitted; instead [on_coalesce] fires so the engine can
-   settle the mark/return accounting (synthesize the [Return] the
-   dropped twin would have produced, or credit the flood counters). *)
+   Batching only groups: every task sent is delivered, marks included.
+   Two identical marks staged on one link for one step ride as two
+   entries of the frame and execute twice at the destination, exactly
+   as the paper's one-task-per-edge model sends them. *)
 
 (* Scalar fields are mutable so delivered frames can be recycled through
    a free list (lossless channel only — see [recycle_batch]): a storm
    step stages tens of frames, and re-initializing a dead record beats
-   allocating record + two vectors + (eventually) an index table. *)
+   allocating record + two vectors. *)
 type batch = {
   mutable b_src : int;
   mutable b_dst : int;
@@ -47,16 +45,8 @@ type batch = {
   b_stamps : int Vec.t;
       (* lineage tickets, parallel to [b_tasks] ([-1]: untracked); pruned
          in lock-step by [purge] so the pairing survives in-flight edits *)
-  mutable b_marks : (Task.mark, unit) Hashtbl.t option;
-      (* membership index over the staged coalescible marks, built only
-         once the batch outgrows [mark_scan_limit]: typical batches stay
-         small and scan linearly with zero extra allocation, while a
-         mark wave piling hundreds of tasks onto one link in one step
-         still gets an O(1) coalescing test instead of O(batch) *)
   mutable b_pack : bool;  (* claimed to carry the reverse link's cum ack *)
 }
-
-let mark_scan_limit = 16
 
 type frame =
   | Data of { fseq : int; pack : int; credit : (int * int * int) option; batch : batch }
@@ -103,7 +93,7 @@ type t = {
          mailbox flush), marked delivered in [deliver_into], dropped by
          [purge] *)
   faults : Faults.t option;
-  batching : bool;  (* false: one task per frame, no coalescing *)
+  batching : bool;  (* false: one task per frame *)
   staged : batch Vec.t;  (* batches forming since the last flush *)
   (* Delivered frames awaiting reuse, segregated by destination
      (idealized channel only: under faults a frame outlives delivery in
@@ -126,7 +116,7 @@ type t = {
   mutable sf_last : batch array;  (* per-dst last-batch cache *)
   mutable sf_offs : int array;  (* per-src entry offset into the plan *)
   mutable sf_vbatch : batch array;  (* per-entry: target proto-batch *)
-  mutable sf_vidx : int array;  (* per-entry: slot in batch; -1 = coalesced *)
+  mutable sf_vidx : int array;  (* per-entry: slot in batch *)
   snd : (int * int, snd_link) Hashtbl.t;  (* (src, dst) -> sender state *)
   rcv : (int * int, rcv_link) Hashtbl.t;  (* (src, dst) -> receiver state *)
   pending : (int * int * int, pending) Hashtbl.t;  (* unacked sends *)
@@ -136,7 +126,6 @@ type t = {
   mutable last_batch : batch option;
       (* the batch the previous send staged into: sends cluster by link,
          so most lookups hit here without scanning [staged] *)
-  mutable on_coalesce : pe:int -> Task.mark -> unit;
   mutable credit_of : int -> (int * int * int) option;
       (* the sending PE's current termination credit, sampled at each
          physical transmission (flush and retransmit alike, so a
@@ -151,7 +140,6 @@ type t = {
   mutable acks_sent : int;  (* standalone cumulative-ack frames *)
   mutable acks_piggybacked : int;  (* cum acks carried on reverse data *)
   mutable tasks_sent : int;  (* tasks staged for transmission *)
-  mutable marks_coalesced : int;  (* mark tasks absorbed before transmit *)
 }
 
 let dummy_batch () =
@@ -163,7 +151,6 @@ let dummy_batch () =
     b_uid = -1;
     b_tasks = Vec.create ();
     b_stamps = Vec.create ();
-    b_marks = None;
     b_pack = false;
   }
 
@@ -193,7 +180,6 @@ let create ?recorder ?lineage ?faults ?(batch = true) () =
     owed = Hashtbl.create 16;
     owed_order = Vec.create ();
     last_batch = None;
-    on_coalesce = (fun ~pe:_ _ -> ());
     credit_of = (fun _ -> None);
     on_credit = (fun ~pe:_ ~epoch:_ ~sent:_ ~executed:_ -> ());
     next_uid = 0;
@@ -203,10 +189,8 @@ let create ?recorder ?lineage ?faults ?(batch = true) () =
     acks_sent = 0;
     acks_piggybacked = 0;
     tasks_sent = 0;
-    marks_coalesced = 0;
   }
 
-let set_on_coalesce t f = t.on_coalesce <- f
 let set_credit_of t f = t.credit_of <- f
 let set_on_credit t f = t.on_credit <- f
 
@@ -222,7 +206,6 @@ let frames_sent t = t.frames_sent
 let acks_sent t = t.acks_sent
 let acks_piggybacked t = t.acks_piggybacked
 let tasks_sent t = t.tasks_sent
-let marks_coalesced t = t.marks_coalesced
 let unacked t = Hashtbl.length t.pending
 
 let emit t kind =
@@ -435,37 +418,6 @@ let find_staged t ~src ~dst ~arrival =
     in
     scan (Vec.length t.staged - 1)
 
-(* Is an identical coalescible mark already staged in this batch? Short
-   batches scan the task vector directly; batches past [mark_scan_limit]
-   are answered by their [b_marks] index. *)
-let mark_staged b m =
-  match b.b_marks with
-  | Some tbl -> Hashtbl.mem tbl m
-  | None ->
-    Vec.exists
-      (fun task ->
-        match task with Task.Marking m' -> m' = m | Task.Reduction _ -> false)
-      b.b_tasks
-
-(* Called just before pushing mark [m]: once the push will take the
-   batch past the scan limit, build the index over everything staged so
-   far (a one-time O(batch) catch-up) and keep it current from then on. *)
-let index_mark b m =
-  match b.b_marks with
-  | Some tbl -> Hashtbl.replace tbl m ()
-  | None ->
-    if Vec.length b.b_tasks >= mark_scan_limit then begin
-      let tbl = Hashtbl.create (2 * mark_scan_limit) in
-      Vec.iter
-        (fun task ->
-          match task with
-          | Task.Marking (Task.Return _) | Task.Reduction _ -> ()
-          | Task.Marking m' -> Hashtbl.replace tbl m' ())
-        b.b_tasks;
-      Hashtbl.replace tbl m ();
-      b.b_marks <- Some tbl
-    end
-
 (* The free pool for frames bound for [dst], grown on demand (serial
    contexts only; the sharded grouping pass never resizes, it relies on
    [flush_shard_plan] having sized the array first). *)
@@ -478,9 +430,7 @@ let free_list_for t dst =
   t.sf_free.(dst)
 
 (* Pop a recycled frame from [fl], or allocate one. The caller fills the
-   scalar header; vectors keep their storage and a retained (emptied)
-   [b_marks] index answers membership exactly like a fresh scan over the
-   empty batch. *)
+   scalar header; the emptied vectors keep their storage. *)
 let batch_for fl =
   let n_free = Vec.length fl in
   if n_free > 0 then begin
@@ -510,42 +460,18 @@ let send ?(src = -1) ?(lin = -1) ?(depth = 0) t ~arrival ~pe task =
      match t.last_batch with
      | Some lb when lb == b -> ()
      | _ -> t.last_batch <- Some b);
-  (* Marks are flat scalar records, so the structural hashing and
-     equality behind [b_marks] are exact; Returns never coalesce (each
-     one carries a distinct mt-cnt credit) and reduction tasks are never
-     compared (closures, and no two are semantically identical). *)
-  match task with
-  | Task.Marking m
-    when (match m with Task.Return _ -> false | _ -> t.batching)
-         && mark_staged b m ->
-    t.marks_coalesced <- t.marks_coalesced + 1;
-    (match t.recorder with
-    | None -> ()
-    | Some r ->
-      Dgr_obs.Recorder.emit r
-        (Dgr_obs.Event.Coalesce
-           { pe; vid = (match Task.exec_vertex task with Some v -> v | None -> -1) }));
-    (* state is consistent here: the callback may re-enter [send] (the
-       engine stages the Return the dropped twin would have produced;
-       Returns never coalesce, so recursion is depth 1) *)
-    t.on_coalesce ~pe m
-  | task ->
-    (match task with
-    | Task.Marking (Task.Return _) | Task.Reduction _ -> ()
-    | Task.Marking m -> if t.batching then index_mark b m);
-    (* Only reduction tasks are ticketed: marks may be coalesced away
-       above (a leaked ticket would never close), and the latency story
-       the histograms tell is about demand propagation, not the wave. *)
-    let stamp =
-      match (t.lineage, task) with
-      | Some l, Task.Reduction _ ->
-        Dgr_obs.Lineage.open_ticket l ~lin ~depth ~sent:t.clock ~arrival
-      | _ -> -1
-    in
-    Vec.push b.b_tasks task;
-    Vec.push b.b_stamps stamp;
-    t.undelivered <- t.undelivered + 1;
-    t.tasks_sent <- t.tasks_sent + 1
+  (* Only reduction tasks are ticketed: the latency story the histograms
+     tell is about demand propagation, not the mark wave. *)
+  let stamp =
+    match (t.lineage, task) with
+    | Some l, Task.Reduction _ ->
+      Dgr_obs.Lineage.open_ticket l ~lin ~depth ~sent:t.clock ~arrival
+    | _ -> -1
+  in
+  Vec.push b.b_tasks task;
+  Vec.push b.b_stamps stamp;
+  t.undelivered <- t.undelivered + 1;
+  t.tasks_sent <- t.tasks_sent + 1
 
 (* Delivery hands each due reduction task to [push] as its batch pops —
    the engine's pools consume directly, with no intermediate list. [push]
@@ -588,10 +514,8 @@ let deliver_batch t b ~now ~push =
    idealized channel may call this: after its pop the batch is
    referenced nowhere (staged was flushed, [last_batch] was reset by
    that flush), whereas the fault path keeps frames in [pending] until
-   cumulatively acked. The mark index is emptied but kept allocated —
-   [mark_staged] on an empty table is exactly the empty-batch scan. Each
-   pool is capped so a burst does not pin its high-water mark of vectors
-   forever. *)
+   cumulatively acked. Each pool is capped so a burst does not pin its
+   high-water mark of vectors forever. *)
 let free_batches_cap = 32
 
 let recycle_batch t b =
@@ -599,7 +523,6 @@ let recycle_batch t b =
   if Vec.length fl < free_batches_cap then begin
     Vec.clear b.b_tasks;
     Vec.clear b.b_stamps;
-    (match b.b_marks with Some tbl -> Hashtbl.reset tbl | None -> ());
     Vec.push fl b
   end
 
@@ -738,11 +661,6 @@ let deliver_into t ~now ~push =
     take_marks t ~pe (fun task -> push pe (-1) task)
   done
 
-let deliver t ~now =
-  let acc = ref [] in
-  deliver_into t ~now ~push:(fun pe _stamp task -> acc := (pe, task) :: !acc);
-  List.rev !acc
-
 (* Undelivered batches in fault-free arrival order, stage order among
    equals — deterministic regardless of hash-table or heap layout.
    Staged batches (sent this step, flushing next tick) are included:
@@ -811,11 +729,6 @@ let purge t pred =
       let stamp = Vec.get b.b_stamps i in
       if pred task then begin
         bump per_pe b.b_dst;
-        (* a still-staged batch may yet coalesce: the purged mark must
-           not absorb a later identical send as a ghost *)
-        (match (task, b.b_marks) with
-        | (Task.Marking (Task.Return _) | Task.Reduction _), _ | _, None -> ()
-        | Task.Marking m, Some tbl -> Hashtbl.remove tbl m);
         match t.lineage with
         | Some l when stamp >= 0 -> Dgr_obs.Lineage.drop l stamp
         | _ -> ()
@@ -1001,8 +914,7 @@ end
    Everything [send] computes per mailbox entry falls into two classes:
 
    - {e per-destination} state: which (src, arrival) frame the task
-     joins, whether an identical mark is already staged there (the
-     coalescing test), the frame's mark index and task/stamp vectors.
+     joins, and the frame's task/stamp vectors.
      Frames are keyed by destination, so this state is disjoint across
      destinations — [flush_shard_group] partitions the destination space
      and lets each shard group its own PEs' inbound entries in parallel.
@@ -1011,16 +923,12 @@ end
      visited in exactly the order the serial flush would visit them
      (the global order is src-major; restricting a src-major order to
      one destination preserves it), making each shard's grouping a pure
-     function of the mailboxes. Coalescing is decidable in this pass
-     because a secondary send fired by [on_coalesce] carries src = -1
-     and can never join a mailbox entry's (src >= 0) frame.
+     function of the mailboxes.
 
    - {e globally ordered} state: frame uids and their [staged] order,
-     lineage ticket slots, the [on_coalesce] callbacks (whose synthetic
-     Returns draw the controller's jitter stream), and the send
-     counters. [flush_shard_finalize] replays the verdicts in the
-     serial flush's exact global order and performs only this part, so
-     uids, ticket slots, rng draws, events and counters are
+     lineage ticket slots, and the send counters. [flush_shard_finalize]
+     replays the verdicts in the serial flush's exact global order and
+     performs only this part, so uids, ticket slots and counters are
      byte-identical to the serial flush — at every domain count, the
      sharded flush and [Mailbox.flush] over the same mailboxes leave
      the network in the same state. *)
@@ -1079,9 +987,9 @@ let sf_find t ~dst ~src ~arrival =
 
 (* Group the mailbox entries bound for destinations [lo, hi) into
    proto-frames, and record each entry's verdict: the (frame, slot) it
-   joined, or coalesced. Touches only per-destination state of its own
-   range, so shards over disjoint ranges run concurrently; run over the
-   full range it is the serial grouping. Frame uids, [staged], tickets
+   joined. Touches only per-destination state of its own range, so
+   shards over disjoint ranges run concurrently; run over the full range
+   it is the serial grouping. Frame uids, [staged], tickets
    and counters are untouched — that is [flush_shard_finalize]'s. *)
 let flush_shard_group t (mbs : Mailbox.mb array) ~lo ~hi =
   for src = 0 to Array.length mbs - 1 do
@@ -1111,31 +1019,19 @@ let flush_shard_group t (mbs : Mailbox.mb array) ~lo ~hi =
             b
           end
         in
-        match e.Mailbox.e_task with
-        | Task.Marking m
-          when (match m with Task.Return _ -> false | _ -> t.batching)
-               && mark_staged b m ->
-          t.sf_vidx.(base + i) <- -1
-        | task ->
-          (match task with
-          | Task.Marking (Task.Return _) | Task.Reduction _ -> ()
-          | Task.Marking m -> if t.batching then index_mark b m);
-          t.sf_vbatch.(base + i) <- b;
-          t.sf_vidx.(base + i) <- Vec.length b.b_tasks;
-          Vec.push b.b_tasks task;
-          Vec.push b.b_stamps (-1)
+        t.sf_vbatch.(base + i) <- b;
+        t.sf_vidx.(base + i) <- Vec.length b.b_tasks;
+        Vec.push b.b_tasks e.Mailbox.e_task;
+        Vec.push b.b_stamps (-1)
       end
     done
   done
 
 (* Replay the verdicts in the serial flush's global order (ascending
    src, post order within a mailbox): number and stage each frame at its
-   first kept entry — a frame's first entry is always kept (there is
-   nothing in a fresh frame to coalesce against), so staging order
-   equals the serial flush's creation order — open lineage tickets in
-   slot-allocation order, fire [on_coalesce] (whose synthetic sends
-   stage and draw jitter exactly where the serial flush would), and
-   settle the counters. Clears the mailboxes and the plan. *)
+   first entry, so staging order equals the serial flush's creation
+   order, open lineage tickets in slot-allocation order, and settle the
+   counters. Clears the mailboxes and the plan. *)
 let flush_shard_finalize t (mbs : Mailbox.mb array) =
   let n = Array.length mbs in
   for src = 0 to n - 1 do
@@ -1144,42 +1040,21 @@ let flush_shard_finalize t (mbs : Mailbox.mb array) =
     let base = t.sf_offs.(src) in
     for i = 0 to Mailbox.length mb - 1 do
       let e = data.(i) in
-      if t.sf_vidx.(base + i) < 0 then begin
-        t.marks_coalesced <- t.marks_coalesced + 1;
-        (match t.recorder with
-        | None -> ()
-        | Some r ->
-          Dgr_obs.Recorder.emit r
-            (Dgr_obs.Event.Coalesce
-               {
-                 pe = e.Mailbox.e_pe;
-                 vid =
-                   (match Task.exec_vertex e.Mailbox.e_task with
-                   | Some v -> v
-                   | None -> -1);
-               }));
-        match e.Mailbox.e_task with
-        | Task.Marking m -> t.on_coalesce ~pe:e.Mailbox.e_pe m
-        | Task.Reduction _ -> assert false (* only marks coalesce *)
-      end
-      else begin
-        let idx = t.sf_vidx.(base + i) in
-        let b = t.sf_vbatch.(base + i) in
-        t.sf_vbatch.(base + i) <- t.sf_dummy;
-        if b.b_uid < 0 then begin
-          b.b_uid <- t.next_uid;
-          t.next_uid <- t.next_uid + 1;
-          Vec.push t.staged b
-        end;
-        (match (t.lineage, e.Mailbox.e_task) with
-        | Some l, Task.Reduction _ ->
-          Vec.set b.b_stamps idx
-            (Dgr_obs.Lineage.open_ticket l ~lin:e.Mailbox.e_lin
-               ~depth:e.Mailbox.e_depth ~sent:t.clock ~arrival:e.Mailbox.e_arrival)
-        | _ -> ());
-        t.undelivered <- t.undelivered + 1;
-        t.tasks_sent <- t.tasks_sent + 1
-      end
+      let b = t.sf_vbatch.(base + i) in
+      t.sf_vbatch.(base + i) <- t.sf_dummy;
+      if b.b_uid < 0 then begin
+        b.b_uid <- t.next_uid;
+        t.next_uid <- t.next_uid + 1;
+        Vec.push t.staged b
+      end;
+      (match (t.lineage, e.Mailbox.e_task) with
+      | Some l, Task.Reduction _ ->
+        Vec.set b.b_stamps t.sf_vidx.(base + i)
+          (Dgr_obs.Lineage.open_ticket l ~lin:e.Mailbox.e_lin
+             ~depth:e.Mailbox.e_depth ~sent:t.clock ~arrival:e.Mailbox.e_arrival)
+      | _ -> ());
+      t.undelivered <- t.undelivered + 1;
+      t.tasks_sent <- t.tasks_sent + 1
     done;
     Vec.clear mb
   done;

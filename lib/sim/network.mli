@@ -28,12 +28,10 @@ open Dgr_task
     Everything is driven by the fault plane's own seeded streams, so a
     (config, seed, fault-spec) triple replays byte-identically.
 
-    Staging also {e coalesces} mark waves (unless created with
-    [~batch:false]): a mark task structurally identical to one already
-    staged in its batch is absorbed rather than transmitted, and the
-    [on_coalesce] hook fires so the engine can settle the mark/return
-    accounting the dropped twin owed. [Return] marks and reduction
-    tasks never coalesce.
+    Batching never drops a task: every task sent is delivered, marks
+    included, so two identical marks staged on one link for one step
+    both arrive and both execute, as in the paper's one-task-per-edge
+    model. The transport keeps no marking accounting of its own.
 
     The cycle controller reads {!in_flight} when seeding M_T — the
     visibility of in-transit tasks the paper defers to [5]. That means
@@ -55,12 +53,12 @@ val create :
     a [Purge] event per destination PE swept. Under faults,
     [Drop]/[Dup]/[Retransmit] events trace the channel per frame and
     [Cum_ack] events trace the acknowledgement watermarks. [batch]
-    (default true) controls multi-task frames and mark coalescing;
-    [~batch:false] restores one task per frame for A/B runs (the
+    (default true) controls multi-task frames; [~batch:false] restores one task per frame for A/B runs (the
     cumulative-ack layer is shared by both modes).
 
     With a [lineage] store, {!send} opens a latency ticket per reduction
-    task (marking tasks travel unticketed — they may coalesce away),
+    task (marking tasks travel unticketed: the latency story is about
+    demand propagation, not the mark wave),
     {!deliver_into} records the delivery step and hands the ticket to
     [push], and {!purge} drops tickets of expunged tasks. Sends always
     run serially (inline, or at the barrier's mailbox flush), so ticket
@@ -74,15 +72,7 @@ val send : ?src:int -> ?lin:int -> ?depth:int -> t -> arrival:int -> pe:int -> T
     ticket when a lineage store is attached. [arrival] is the
     fault-free arrival step; the link's base delay is recovered as
     [arrival - now of last deliver]. Tasks staged for the same (src,
-    pe, arrival) join one batch; an identical already-staged mark
-    absorbs the newcomer (see {!set_on_coalesce}). *)
-
-val set_on_coalesce : t -> (pe:int -> Task.mark -> unit) -> unit
-(** Install the mark-coalescing callback: fired from {!send} when a
-    staged identical mark absorbs the task being sent, with [pe] the
-    destination PE. The callback may re-enter {!send} (e.g. to stage
-    the [Return] the absorbed mark would have produced); recursion is
-    bounded because [Return] tasks never coalesce. Default: ignore. *)
+    pe, arrival) join one batch. *)
 
 (** {2 Termination credits}
 
@@ -138,10 +128,6 @@ val deliver_into : t -> now:int -> push:(int -> int -> Task.t -> unit) -> unit
     order, then PE 1's, and so on. A pool therefore receives its marks
     in the same order as under the split tick. *)
 
-val deliver : t -> now:int -> (int * Task.t) list
-(** {!deliver_into} collected into a list, in its order (tests and
-    debugging; the engine runs the two halves). *)
-
 val in_flight : t -> Task.t list
 (** Tasks sent but not yet delivered — staged batches included — ordered
     by fault-free arrival step, then batch stage order, then in-batch
@@ -194,10 +180,7 @@ val acks_piggybacked : t -> int
 (** Cumulative acks carried on reverse-direction data frames. *)
 
 val tasks_sent : t -> int
-(** Tasks staged for transmission (coalesced marks excluded). *)
-
-val marks_coalesced : t -> int
-(** Mark tasks absorbed by a staged identical twin before transmission. *)
+(** Tasks staged for transmission. *)
 
 val unacked : t -> int
 (** Pending table size under faults: frames sent but not yet covered by
@@ -250,13 +233,12 @@ end
     The barrier mailbox flush split into a parallelizable grouping pass
     and a serial finalization, together byte-equivalent to flushing
     every mailbox through {!Mailbox.flush} in ascending PE order.
-    Frames are keyed by destination, so grouping tasks into frames and
-    deciding mark coalescing touch per-destination state only: shards
-    over disjoint destination ranges may run {!flush_shard_group}
-    concurrently. Everything globally ordered — frame uids and staging
-    order, lineage ticket slots, [on_coalesce] callbacks and their rng
-    draws, counters, events — happens in {!flush_shard_finalize}, which
-    replays the per-entry verdicts in the serial flush's exact order. *)
+    Frames are keyed by destination, so grouping tasks into frames
+    touches per-destination state only: shards over disjoint destination
+    ranges may run {!flush_shard_group} concurrently. Everything
+    globally ordered — frame uids and staging order, lineage ticket
+    slots, counters — happens in {!flush_shard_finalize}, which replays
+    the per-entry verdicts in the serial flush's exact order. *)
 
 val flush_shard_plan : t -> Mailbox.mb array -> unit
 (** Size the plan for one barrier ([mbs.(src)] is PE [src]'s mailbox)
@@ -272,6 +254,6 @@ val flush_shard_group : t -> Mailbox.mb array -> lo:int -> hi:int -> unit
     (ascending src, post order within a mailbox). *)
 
 val flush_shard_finalize : t -> Mailbox.mb array -> unit
-(** Stage the grouped frames and settle tickets, coalesce callbacks and
-    counters, in the serial flush's global order; clears the mailboxes
+(** Stage the grouped frames and settle tickets and counters, in the
+    serial flush's global order; clears the mailboxes
     and the plan. Serial, after every {!flush_shard_group} returned. *)

@@ -10,8 +10,9 @@ let policy_to_string = function
   | Dynamic -> "dynamic"
 
 (* The marking queue: a growable FIFO ring. Every marking task has
-   priority 0 and travels without a lineage ticket (marks may coalesce
-   away in transit, so none is ever opened), which makes the priority
+   priority 0 and travels without a lineage ticket (only reduction
+   tasks are ticketed: latency is tracked for demand propagation, not
+   for the mark wave), which makes the priority
    heap the reduction queue needs a FIFO paid for at O(log n) per push
    and per pop. The ring pays O(1) and carries no priorities or tags.
    Its capacity is 0 or a power of two, so positions wrap by masking. *)

@@ -16,9 +16,9 @@ type reduction =
    it. With overlapping cycles, a task from wave N can still be in a
    pool or in flight after wave N+1 opened its plane; the executor
    compares [ep] against the handler's wave and drops stale tasks
-   instead of crediting them to the wrong marking process. The tag also
-   keeps the transport's mark-coalescing honest: tasks from different
-   waves are structurally unequal and never merge. *)
+   instead of crediting them to the wrong marking process: marks from
+   different waves are distinct tasks even when every other field
+   matches. *)
 type mark =
   | Mark1 of { v : Vid.t; par : Plane.parent; ep : int }
   | Mark2 of { v : Vid.t; par : Plane.parent; prior : int; ep : int }

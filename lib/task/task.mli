@@ -41,8 +41,8 @@ type reduction =
 (** Mark tasks carry the wave ([Graph.wave]) that spawned them ([ep]):
     with overlapping cycles a task can outlive its wave in a pool or in
     flight, and the executor drops any task whose [ep] is not the
-    handler's current wave. Tasks from different waves are structurally
-    unequal, so the transport's coalescing never merges them. *)
+    handler's current wave. Marks from different waves are therefore
+    distinct tasks even when every other field matches. *)
 type mark =
   | Mark1 of { v : Vid.t; par : Plane.parent; ep : int }
       (** Fig 4-1 basic algorithm (runs on the M_R plane). *)

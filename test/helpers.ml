@@ -165,3 +165,10 @@ let gen_schedule rng g ~ops =
     | None -> ()
   done;
   List.rev !schedule
+
+(* One network tick: every task [Network.deliver_into] hands up, as
+   (pe, task) pairs in its order. *)
+let deliver net ~now =
+  let acc = ref [] in
+  Dgr_sim.Network.deliver_into net ~now ~push:(fun pe _stamp task -> acc := (pe, task) :: !acc);
+  List.rev !acc

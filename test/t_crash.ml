@@ -28,7 +28,7 @@ let drain ?(from = 0) net =
   let now = ref from in
   while Network.size net > 0 && !now < from + 100_000 do
     incr now;
-    out := !out @ Network.deliver net ~now:!now
+    out := !out @ Helpers.deliver net ~now:!now
   done;
   Alcotest.(check int) "network drained" 0 (Network.size net);
   !out
@@ -37,7 +37,7 @@ let settle_acks ?(from = 100_000) net =
   let now = ref from in
   while Network.unacked net > 0 && !now < from + 200_000 do
     incr now;
-    ignore (Network.deliver net ~now:!now)
+    ignore (Helpers.deliver net ~now:!now)
   done;
   Alcotest.(check int) "every surviving data frame cumulatively acked" 0
     (Network.unacked net)
@@ -67,7 +67,7 @@ let test_crash_purges_in_flight () =
   Network.send ~src:1 net ~arrival:3 ~pe:2 (Task.request 6 Demand.Vital);
   Network.send ~src:2 net ~arrival:3 ~pe:0 (Task.request 7 Demand.Vital);
   (* tick once so the four (src, dst, arrival) batches flush as frames *)
-  Alcotest.(check int) "nothing due yet" 0 (List.length (Network.deliver net ~now:1));
+  Alcotest.(check int) "nothing due yet" 0 (List.length (Helpers.deliver net ~now:1));
   Alcotest.(check int) "four data frames in flight" 4 (Network.frames_sent net);
   let lost = Network.crash_pe net ~pe:1 in
   Alcotest.(check int) "batched inbound + outbound tasks lost" 4 lost;
@@ -90,18 +90,18 @@ let test_seq_reset_no_false_positive () =
   let f = Faults.create { Faults.none with Faults.stall = 0.5; fault_seed = 4 } in
   let net = Network.create ~faults:f () in
   Network.send ~src:0 net ~arrival:2 ~pe:1 (Task.request 1 Demand.Vital);
-  ignore (Network.deliver net ~now:1);
+  ignore (Helpers.deliver net ~now:1);
   Alcotest.(check (list int)) "pre-crash frame (seq 0) delivered" [ 1 ]
-    (vids_of (Network.deliver net ~now:2));
+    (vids_of (Helpers.deliver net ~now:2));
   (* delivered but not yet acked: the crash loses only its bookkeeping *)
   Alcotest.(check bool) "frame awaited its ack" true (Network.unacked net > 0);
   Alcotest.(check int) "no undelivered task lost" 0 (Network.crash_pe net ~pe:1);
   Alcotest.(check int) "pending table cleared by the crash" 0 (Network.unacked net);
   (* post-recovery traffic reuses seq 0 on the same link *)
   Network.send ~src:0 net ~arrival:4 ~pe:1 (Task.request 2 Demand.Vital);
-  ignore (Network.deliver net ~now:3);
+  ignore (Helpers.deliver net ~now:3);
   Alcotest.(check (list int)) "seq-0 reuse is delivered, not deduped" [ 2 ]
-    (vids_of (Network.deliver net ~now:4));
+    (vids_of (Helpers.deliver net ~now:4));
   settle_acks net
 
 (* Same property under a lossy, duplicating, reordering channel: every
@@ -119,7 +119,7 @@ let test_seq_reset_under_faults () =
   done;
   let early = ref [] in
   for now = 1 to 6 do
-    early := !early @ Network.deliver net ~now
+    early := !early @ Helpers.deliver net ~now
   done;
   let lost = Network.crash_pe net ~pe:1 in
   Alcotest.(check int) "crash lost exactly the undelivered tasks" 20

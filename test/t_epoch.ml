@@ -199,8 +199,7 @@ let test_overlap_bit_identical_across_domains () =
     let live = List.sort compare (Graph.live_vids g) in
     Engine.dispose e;
     ( Engine.now e, live, m.Metrics.marking_executed,
-      m.Metrics.stale_marks_dropped, m.Metrics.cycles_completed,
-      m.Metrics.marks_coalesced )
+      m.Metrics.stale_marks_dropped, m.Metrics.cycles_completed )
   in
   let fp1 = fingerprint 1 in
   Alcotest.(check bool) "2 domains = 1 domain" true (fingerprint 2 = fp1);

@@ -33,7 +33,7 @@ let drain net =
   let now = ref 0 in
   while Network.size net > 0 && !now < 100_000 do
     incr now;
-    out := !out @ Network.deliver net ~now:!now
+    out := !out @ Helpers.deliver net ~now:!now
   done;
   Alcotest.(check int) "network drained" 0 (Network.size net);
   !out
@@ -116,7 +116,7 @@ let settle_acks net =
   let now = ref 100_000 in
   while Network.unacked net > 0 && !now < 300_000 do
     incr now;
-    ignore (Network.deliver net ~now:!now)
+    ignore (Helpers.deliver net ~now:!now)
   done;
   Alcotest.(check int) "every data frame cumulatively acked" 0 (Network.unacked net)
 
@@ -134,7 +134,7 @@ let test_purge_batched_frames () =
   Network.send ~src:0 net ~arrival:3 ~pe:1 (Task.request 3 Demand.Vital);
   Network.send ~src:0 net ~arrival:3 ~pe:2 (Task.request 4 Demand.Vital);
   (* tick once so the batches flush into the channel as frames *)
-  Alcotest.(check int) "nothing due yet" 0 (List.length (Network.deliver net ~now:1));
+  Alcotest.(check int) "nothing due yet" 0 (List.length (Helpers.deliver net ~now:1));
   Alcotest.(check int) "two data frames flushed" 2 (Network.frames_sent net);
   let purged =
     Network.purge net (function
@@ -162,21 +162,21 @@ let test_piggyback_on_last_reverse_frame () =
   let r = Dgr_obs.Recorder.create ~num_pes:4 () in
   let net = Network.create ~recorder:r ~faults:f () in
   Network.send ~src:0 net ~arrival:2 ~pe:1 (Task.request 7 Demand.Vital);
-  ignore (Network.deliver net ~now:1);
+  ignore (Helpers.deliver net ~now:1);
   Alcotest.(check int) "forward frame delivered" 1
-    (List.length (Network.deliver net ~now:2));
+    (List.length (Helpers.deliver net ~now:2));
   (* PE 1 now owes PE 0 an ack; it also has two reverse batches to send *)
   Network.send ~src:1 net ~arrival:4 ~pe:0 (Task.request 8 Demand.Vital);
   Network.send ~src:1 net ~arrival:5 ~pe:0 (Task.request 9 Demand.Vital);
-  ignore (Network.deliver net ~now:3);
+  ignore (Helpers.deliver net ~now:3);
   Alcotest.(check int) "ack rode a reverse data frame" 1 (Network.acks_piggybacked net);
   Alcotest.(check int) "no standalone ack was spent on it" 0 (Network.acks_sent net);
   Alcotest.(check int) "three frames await acks" 3 (Network.unacked net);
-  ignore (Network.deliver net ~now:4);
+  ignore (Helpers.deliver net ~now:4);
   (* the arrival-4 reverse frame carried no ack: the forward frame's
      pending entry must still be there *)
   Alcotest.(check int) "first reverse frame cleared nothing" 3 (Network.unacked net);
-  ignore (Network.deliver net ~now:5);
+  ignore (Helpers.deliver net ~now:5);
   (* the arrival-5 frame (the last of that flush) carried the watermark *)
   Alcotest.(check int) "last reverse frame cleared the forward pending" 2
     (Network.unacked net);
@@ -237,12 +237,12 @@ let test_seq_wraparound_guard () =
   Network.send ~src:0 net ~arrival:2 ~pe:1 (Task.request 1 Demand.Vital);
   Alcotest.check_raises "flush refuses to assign a wrapped sequence"
     (Invalid_argument "Network.send: per-link sequence space exhausted") (fun () ->
-      ignore (Network.deliver net ~now:1));
+      ignore (Helpers.deliver net ~now:1));
   (* other links are unaffected by the exhausted one *)
   let net2 = Network.create ~faults:(Faults.create { Faults.none with Faults.fault_seed = 1 }) () in
   Network.set_link_seq net2 ~src:0 ~dst:1 ((max_int / 2) - 1);
   Network.send ~src:0 net2 ~arrival:2 ~pe:1 (Task.request 1 Demand.Vital);
-  ignore (Network.deliver net2 ~now:1);
+  ignore (Helpers.deliver net2 ~now:1);
   Alcotest.(check int) "the last sequence number below the guard still flushes" 1
     (Network.frames_sent net2)
 

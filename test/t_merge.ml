@@ -60,8 +60,8 @@ let test_absorb_associativity () =
 (* One randomized post schedule, two mailbox sets, two networks: flushing
    serially (ascending PE, Mailbox.flush) and via the sharded
    plan/group/finalize path must leave byte-identical networks — same
-   staged entries, same counters, same coalesce callbacks in the same
-   order. Duplicated marks exercise in-batch coalescing. *)
+   staged entries, same counters, same frames. Duplicated marks share
+   multi-task frames, and every one of them must be staged. *)
 let random_schedule ~pes ~posts seed =
   let rng = Rng.create seed in
   List.init posts (fun _ ->
@@ -91,9 +91,7 @@ let flush_pair ~shards schedule pes =
         Network.Mailbox.post mbs.(src) ~src ~arrival ~pe:dst task)
       schedule
   in
-  let fired = ref [] in
   let net = Network.create () in
-  Network.set_on_coalesce net (fun ~pe m -> fired := (pe, m) :: !fired);
   let mbs = Array.init pes (fun _ -> Network.Mailbox.create ()) in
   post_all mbs;
   (match shards with
@@ -104,7 +102,11 @@ let flush_pair ~shards schedule pes =
       Network.flush_shard_group net mbs ~lo:(s * pes / k) ~hi:((s + 1) * pes / k)
     done;
     Network.flush_shard_finalize net mbs);
-  (Network.entries net, Network.tasks_sent net, Network.marks_coalesced net, List.rev !fired)
+  let entries = Network.entries net in
+  (* a tick before the earliest arrival flushes the staged frames into
+     the channel, which counts them, and delivers nothing *)
+  Network.deliver_serial net ~now:0 ~push:(fun _ _ _ -> assert false);
+  (entries, Network.tasks_sent net, Network.frames_sent net)
 
 let test_sharded_flush_equivalence () =
   let pes = 8 in
@@ -114,16 +116,16 @@ let test_sharded_flush_equivalence () =
       let serial = flush_pair ~shards:None schedule pes in
       List.iter
         (fun k ->
-          let entries_s, sent_s, coal_s, fired_s = serial in
-          let entries_p, sent_p, coal_p, fired_p = flush_pair ~shards:(Some k) schedule pes in
+          let entries_s, sent_s, frames_s = serial in
+          let entries_p, sent_p, frames_p = flush_pair ~shards:(Some k) schedule pes in
           Alcotest.(check bool)
             (Printf.sprintf "seed %d: staged entries equal at %d shards" seed k)
             true
             (entries_s = entries_p);
           Alcotest.(check int) "tasks_sent" sent_s sent_p;
-          Alcotest.(check int) "marks_coalesced" coal_s coal_p;
-          Alcotest.(check bool) "coalesce callbacks" true (fired_s = fired_p);
-          Alcotest.(check bool) "coalescing exercised" true (coal_s > 0))
+          Alcotest.(check int) "every post staged" (List.length schedule) sent_p;
+          Alcotest.(check int) "frames staged" frames_s frames_p;
+          Alcotest.(check bool) "multi-task frames exercised" true (sent_s > frames_s))
         [ 1; 2; 4 ])
     [ 3; 17; 29 ]
 
@@ -139,7 +141,7 @@ let test_plan_refuses_staged () =
     (Invalid_argument "Network.flush_shard_plan: 1 frame(s) already staged") (fun () ->
       Network.flush_shard_plan net mbs);
   (* delivery flushes the staged area; the plan then goes through *)
-  ignore (Network.deliver net ~now:1);
+  ignore (Helpers.deliver net ~now:1);
   Network.flush_shard_plan net mbs;
   Network.flush_shard_finalize net mbs
 

@@ -105,9 +105,9 @@ let test_timeseries_csv_shape () =
   let lines = String.split_on_char '\n' (String.trim s) in
   Alcotest.(check int) "header + 2 samples x 2 PEs" 5 (List.length lines);
   Alcotest.(check string) "header"
-    "step,pe,pool_depth,marking,reduction,live,in_flight,headroom,drops,dups,retransmits,stalls,frames,batched_tasks,acks_piggybacked,coalesced"
+    "step,pe,pool_depth,marking,reduction,live,in_flight,headroom,drops,dups,retransmits,stalls,frames,batched_tasks,acks_piggybacked"
     (List.hd lines);
-  Alcotest.(check string) "row" "4,1,0,0,1,2,0,-1,0,0,0,0,0,0,0,0" (List.nth lines 4)
+  Alcotest.(check string) "row" "4,1,0,0,1,2,0,-1,0,0,0,0,0,0,0" (List.nth lines 4)
 
 (* --- end-to-end determinism ---------------------------------------- *)
 

@@ -201,10 +201,25 @@ let test_network_ordering () =
   Network.send net ~arrival:3 ~pe:1 t2;
   Network.send net ~arrival:5 ~pe:0 t3;
   Alcotest.(check int) "in flight" 3 (Network.size net);
-  Alcotest.(check bool) "nothing before time" true (Network.deliver net ~now:2 = []);
+  Alcotest.(check bool) "nothing before time" true (Helpers.deliver net ~now:2 = []);
   Alcotest.(check bool) "delivers by arrival then send order" true
-    (Network.deliver net ~now:5 = [ (1, t2); (0, t1); (0, t3) ]);
+    (Helpers.deliver net ~now:5 = [ (1, t2); (0, t1); (0, t3) ]);
   Alcotest.(check int) "drained" 0 (Network.size net)
+
+(* Batching groups but never merges: two identical marks sent on one
+   link for one arrival step ride in one frame, and both are delivered. *)
+let test_identical_marks_both_delivered () =
+  List.iter
+    (fun (name, faults) ->
+      let net = Network.create ?faults () in
+      let m = Task.Marking (Task.Mark1 { v = 7; par = Plane.Rootpar; ep = 0 }) in
+      Network.send ~src:0 net ~arrival:2 ~pe:1 m;
+      Network.send ~src:0 net ~arrival:2 ~pe:1 m;
+      Alcotest.(check int) (name ^ ": both staged") 2 (Network.tasks_sent net);
+      let got = Helpers.deliver net ~now:2 in
+      Alcotest.(check int) (name ^ ": one frame") 1 (Network.frames_sent net);
+      Alcotest.(check bool) (name ^ ": both delivered") true (got = [ (1, m); (1, m) ]))
+    [ ("ideal", None); ("lossy", Some (Faults.create Faults.none)) ]
 
 (* Marks and reductions interleaved over several links and arrivals,
    with the (destination, task) pairs in send order. *)
@@ -244,7 +259,7 @@ let test_deliver_into_hands_marks () =
       let expected =
         reds @ List.concat_map (fun pe -> List.map (fun t -> (pe, t)) (marks_of pe)) [ 0; 1; 2 ]
       in
-      let got = Network.deliver net ~now:10 in
+      let got = Helpers.deliver net ~now:10 in
       Alcotest.(check int) (name ^ ": every task handed up") 24 (List.length got);
       Alcotest.(check int) (name ^ ": marks included") 18
         (List.length (List.filter (fun (_, t) -> Task.is_marking t) got));
@@ -289,7 +304,7 @@ let test_lossy_channel_delivers_marks () =
   let now = ref 0 in
   while Network.size net > 0 && !now < 100_000 do
     incr now;
-    got := Network.deliver net ~now:!now @ !got
+    got := Helpers.deliver net ~now:!now @ !got
   done;
   let canon l = List.sort compare (List.map (fun (pe, t) -> (pe, Task.to_string t)) l) in
   Alcotest.(check bool) "channel dropped frames" true (f.Faults.drops > 0);
@@ -426,6 +441,17 @@ let test_paused_step_receives_marks () =
   Alcotest.(check bool) "some steps were paused" true
     ((Engine.metrics e).Metrics.total_pause_steps >= 10)
 
+(* A count below 1 is refused where the config is built, by [make] and
+   by the updater alike, with the field and the value in the message. *)
+let config_rejects field ~make ~update ~get () =
+  let expected =
+    Invalid_argument (Printf.sprintf "Engine.Config: %s must be at least 1, got 0" field)
+  in
+  Alcotest.check_raises (field ^ " via make") expected (fun () -> ignore (make 0));
+  Alcotest.check_raises (field ^ " via updater") expected (fun () ->
+      ignore (update 0 Engine.Config.default));
+  Alcotest.(check int) (field ^ ": 1 accepted") 1 (get (update 1 (make 1)))
+
 let test_metrics_pp () =
   let m = Metrics.create () in
   Metrics.record_pause m 5;
@@ -448,6 +474,8 @@ let suite =
     Alcotest.test_case "marking ring wraps, grows, purges" `Quick test_pool_marking_ring;
     Alcotest.test_case "marking ring = priority-0 pqueue" `Quick test_pool_marking_ring_oracle;
     Alcotest.test_case "network ordering" `Quick test_network_ordering;
+    Alcotest.test_case "identical marks both delivered" `Quick
+      test_identical_marks_both_delivered;
     Alcotest.test_case "deliver_into hands marks in order" `Quick test_deliver_into_hands_marks;
     Alcotest.test_case "split delivery in order" `Quick test_deliver_split_in_order;
     Alcotest.test_case "lossy channel delivers marks" `Quick test_lossy_channel_delivers_marks;
@@ -460,6 +488,18 @@ let suite =
     Alcotest.test_case "stalled PE receives its marks" `Quick test_stalled_pe_receives_marks;
     Alcotest.test_case "paused step receives its marks" `Quick test_paused_step_receives_marks;
     Alcotest.test_case "metrics" `Quick test_metrics_pp;
+    Alcotest.test_case "config rejects num_pes < 1" `Quick
+      (config_rejects "num_pes"
+         ~make:(fun v -> Engine.Config.make ~num_pes:v ())
+         ~update:Engine.Config.with_num_pes ~get:Engine.Config.num_pes);
+    Alcotest.test_case "config rejects tasks_per_step < 1" `Quick
+      (config_rejects "tasks_per_step"
+         ~make:(fun v -> Engine.Config.make ~tasks_per_step:v ())
+         ~update:Engine.Config.with_tasks_per_step ~get:Engine.Config.tasks_per_step);
+    Alcotest.test_case "config rejects marking_per_step < 1" `Quick
+      (config_rejects "marking_per_step"
+         ~make:(fun v -> Engine.Config.make ~marking_per_step:v ())
+         ~update:Engine.Config.with_marking_per_step ~get:Engine.Config.marking_per_step);
   ]
 
 (* Delivery jitter: deterministic per seed; results invariant. *)
