@@ -304,25 +304,38 @@ let bench_cmd smoke deterministic domains batch out baseline alloc_budget
             | _ -> assert false)
           (B.scenario_names ~smoke)
       in
-      let rows =
+      let rows, digest_check =
         (* With shards and live clocks, take a sequential reference pass
            and report the comparison; any digest divergence is a
-           determinism bug and outranks the numbers. *)
+           determinism bug, outranks the numbers and fails the run. *)
         if domains > 1 && not deterministic then begin
           let seq = B.run_suite ~domains:1 ~batch ~smoke ~deterministic () in
           Format.printf "@.%-24s %13s %13s %9s@." "scenario" "seq steps/s"
             (Printf.sprintf "%dd steps/s" domains)
             "speedup";
+          let table = B.speedup_table ~seq ~par:rows in
           List.iter
             (fun (name, seq_sps, par_sps, agree) ->
               Format.printf "%-24s %13.0f %13.0f %8.2fx%s@." name seq_sps
                 par_sps
                 (if seq_sps > 0.0 then par_sps /. seq_sps else 0.0)
                 (if agree then "" else "  DIGEST MISMATCH"))
-            (B.speedup_table ~seq ~par:rows);
-          B.with_speedups ~seq rows
+            table;
+          let digest_of rs name = (List.find (fun r -> r.B.name = name) rs).B.digest in
+          let mismatches =
+            List.filter_map
+              (fun (name, _, _, agree) ->
+                if agree then None
+                else
+                  Some
+                    (Printf.sprintf "%s digest mismatch: sequential %s, %d domains %s"
+                       name (digest_of seq name) domains (digest_of rows name)))
+              table
+          in
+          ( B.with_speedups ~seq rows,
+            if mismatches = [] then Ok () else Error (String.concat "; " mismatches) )
         end
-        else rows
+        else (rows, Ok ())
       in
       let mode = if smoke then "smoke" else "full" in
       let json = B.to_json ~batch ~mode ~deterministic rows in
@@ -393,15 +406,13 @@ let bench_cmd smoke deterministic domains batch out baseline alloc_budget
                  "storm-tree-8k serial fraction over ceiling: %.2f > %.2f"
                  row.B.serial_fraction ceil))
       in
-      (match (rate_check, alloc_check, serial_check) with
-      | Ok (), Ok (), Ok () -> Ok ()
-      | a, b, c ->
-        let errs =
-          List.filter_map
-            (function Error e -> Some e | Ok () -> None)
-            [ a; b; c ]
-        in
-        Error (String.concat "; " errs))
+      (match
+         List.filter_map
+           (function Error e -> Some e | Ok () -> None)
+           [ digest_check; rate_check; alloc_check; serial_check ]
+       with
+      | [] -> Ok ()
+      | errs -> Error (String.concat "; " errs))
     with
     | Ok () -> 0
     | Error msg | (exception Sys_error msg) | (exception Failure msg) ->

@@ -150,9 +150,8 @@ let render ?(deterministic = false) e =
       (Profile.amdahl_speedup p ~domains:4)
       (Profile.amdahl_speedup p ~domains:8);
     (* The step-barrier bill: what merging the per-PE buffers costs, and
-       where inside the merge the time goes. [flush sharded] is the
-       parallelizable destination-grouping pass; everything else on this
-       line runs serially at the barrier. *)
+       where inside the merge the time goes. Everything on this line
+       runs serially at the barrier. *)
     if p.Profile.merge_ns > 0.0 then begin
       let mshare part =
         if p.Profile.merge_ns <= 0.0 then 0.0
@@ -165,11 +164,10 @@ let render ?(deterministic = false) e =
         (p.Profile.merge_ns /. 1e3 /. steps)
         (p.Profile.merge_mw /. steps);
       Printf.bprintf b
-        "  within merge: drain=%.1f%% absorb=%.1f%% close=%.1f%% flush \
-         sharded=%.1f%% serial=%.1f%% replay=%.1f%%\n"
+        "  within merge: drain=%.1f%% absorb=%.1f%% close=%.1f%% flush=%.1f%% \
+         replay=%.1f%%\n"
         (mshare p.Profile.drain_ns) (mshare p.Profile.absorb_ns)
         (mshare p.Profile.close_ns)
-        (mshare p.Profile.pflush_ns)
         (mshare p.Profile.flush_ns)
         (mshare p.Profile.replay_ns)
     end

@@ -226,8 +226,6 @@ and t = {
   mutable rc_freed_batch : Vid.Set.t;
       (** vertices RC reclaimed since the last batch purge *)
   mutable ctxs : pe_ctx array;
-  mutable mboxes : Network.Mailbox.mb array;
-      (** [ctxs]' mailboxes in PE order, for the sharded barrier flush *)
   mutable workers : workers option;
   (* Health watchdogs: window-based progress monitors, re-armed on any
      progress and fired at most once per stall episode (resp. window). *)
@@ -447,10 +445,11 @@ let create ?recorder ?(config = Config.default) g templates =
     if Faults.active faults then Some (Faults.create faults) else None
   in
   let seed = Config.seed config in
-  (* One ticket store for the whole machine. Tickets are opened inside
-     [Network.send] — always on the main domain (inline sends, or the
-     barrier mailbox flush) — so slot allocation is serial and its order
-     a pure function of machine state, independent of [domains]. *)
+  (* One ticket store for the whole machine. Tickets are opened where
+     the network stages a task — always on the main domain (inline
+     sends, or the barrier mailbox flush) — so slot allocation is serial
+     and its order a pure function of machine state, independent of
+     [domains]. *)
   let lineage = Dgr_obs.Lineage.create () in
   let t =
     {
@@ -494,7 +493,6 @@ let create ?recorder ?(config = Config.default) g templates =
       crash_used = (Config.faults config).Faults.crash > 0.0;
       rc_freed_batch = Vid.Set.empty;
       ctxs = [||];
-      mboxes = [||];
       workers = None;
       wd_mark_last = 0;
       wd_mark_since = 0;
@@ -567,7 +565,6 @@ let create ?recorder ?(config = Config.default) g templates =
         in
         cell := Some ctx;
         ctx);
-  t.mboxes <- Array.map (fun ctx -> ctx.mbox) t.ctxs;
   t.coop_sink <-
     (fun ev ->
       let pe = Domain.DLS.get dls_pe in
@@ -991,12 +988,12 @@ let run_shard t d =
   Domain.DLS.set dls_pe (-1)
 
 (* Where the shards run. A machine with a fault plane steps them inline
-   on the main domain, and so do its flush grouping and restructure's
-   home passes: its steps are light (a few PEs, small budgets, serial
-   work on either side of the shards), and handing each one to the
-   worker pool cost fib-lossy a fifth of its 2-domain step rate. Such a
-   machine never starts a worker pool. The shards are data-disjoint
-   either way, so where they run never shows in the bytes. *)
+   on the main domain, and so do restructure's home passes: its steps
+   are light (a few PEs, small budgets, serial work on either side of
+   the shards), and handing each one to the worker pool cost fib-lossy a
+   fifth of its 2-domain step rate. Such a machine never starts a worker
+   pool. The shards are data-disjoint either way, so where they run
+   never shows in the bytes. *)
 let shards_inline t = t.flt <> None
 
 (* Relaxes a waiting domain spins before it parks. 100k took ~2.7 ms on
@@ -1053,10 +1050,11 @@ let spawn_workers t =
 
 (* One parallel phase: [job t d] for every shard [d], shard 0 on the
    calling domain — inline when there is only one shard. [job t d] must
-   touch only shard [d]'s state; the execution budgets, the flush
-   grouping and restructure's home passes all qualify. Jobs take [t] so
-   the per-step ones ([run_shard], [flush_group]) are closed functions
-   and the step loop allocates no closure. *)
+   touch only shard [d]'s state; the execution budgets and restructure's
+   home passes both qualify. Jobs take [t] so the per-step one
+   ([run_shard]) is a closed function and the step loop allocates no
+   closure. There is one fork/join per step: the barrier's mailbox
+   flush stays on this domain. *)
 let run_parallel t job =
   if t.domains = 1 then job t 0
   else begin
@@ -1094,9 +1092,9 @@ let run_parallel t job =
   end
 
 (* Run a per-shard job on the worker pool, or shard after shard on this
-   domain — the same bytes either way. *)
-let run_shards t ~inline job =
-  if inline then
+   domain where [shards_inline] says so — the same bytes either way. *)
+let run_shards t job =
+  if shards_inline t then
     for d = 0 to t.domains - 1 do
       job t d
     done
@@ -1108,7 +1106,7 @@ let run_shards t ~inline job =
    restructure bucket. *)
 let each_home_run t f =
   let r0 = Profile.now () in
-  run_shards t ~inline:(shards_inline t) (fun t d ->
+  run_shards t (fun t d ->
       for pe = shard_lo t d to shard_lo t (d + 1) - 1 do
         f pe
       done);
@@ -1116,31 +1114,18 @@ let each_home_run t f =
 
 let () = each_home_cell := each_home_run
 
-(* The barrier mailbox flush, destination-sharded (see the
-   [flush_shard_*] trio in {!Network}): grouping tasks into frames is
-   per-destination work, so it runs on the worker pool sharded by the
-   same PE ranges as the execution budgets, and only the globally
-   ordered finalization (uids, tickets, counters)
-   stays serial. The staged area is always empty here: delivery flushed
-   it at the top of the step and nothing stages a frame before the
-   merge. Grouping is kept inline where the shards are, and on hosts
-   without a second core ([Domain.recommended_domain_count]), where a
-   worker-pool round-trip per step buys nothing. The grouping span
-   counts as parallelizable in the profiler ([pflush_ns]); the
-   finalization as serial. *)
-let flush_on_workers = Domain.recommended_domain_count () > 1
-
-let flush_group t d =
-  Network.flush_shard_group t.net t.mboxes ~lo:(shard_lo t d) ~hi:(shard_lo t (d + 1))
-
+(* The barrier mailbox flush: every PE's mailbox, in ascending PE order,
+   on the main domain. Staging is a lookup in the network's
+   per-destination index, cheaper inline than a second worker-pool
+   round trip per step, and it opens the lineage tickets, which must be
+   serial anyway. Entries join frames exactly as inline sends of them
+   would, so the staged frames are a pure function of the mailboxes. *)
 let flush_mailboxes t =
   let f0 = Profile.now () in
-  Network.flush_shard_plan t.net t.mboxes;
-  run_shards t ~inline:(shards_inline t || not flush_on_workers) flush_group;
-  let f1 = Profile.now () in
-  t.prof.Profile.pflush_ns <- t.prof.Profile.pflush_ns +. (f1 -. f0);
-  Network.flush_shard_finalize t.net t.mboxes;
-  t.prof.Profile.flush_ns <- t.prof.Profile.flush_ns +. (Profile.now () -. f1)
+  for pe = 0 to Array.length t.ctxs - 1 do
+    Network.Mailbox.flush t.ctxs.(pe).mbox t.net
+  done;
+  t.prof.Profile.flush_ns <- t.prof.Profile.flush_ns +. (Profile.now () -. f0)
 
 let dispose t =
   match t.workers with
@@ -1481,7 +1466,7 @@ let step t =
     t.mark_only <- not running;
     (match t.flt with Some f -> roll_stalls t f | None -> ());
     Mutator.set_defer t.mut (Some t.coop_sink);
-    run_shards t ~inline:(shards_inline t) run_shard;
+    run_shards t run_shard;
     let p2 = Profile.now () in
     let w2 = Profile.words () in
     t.prof.Profile.execute_ns <- t.prof.Profile.execute_ns +. (p2 -. p1);

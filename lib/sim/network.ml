@@ -1,12 +1,15 @@
 open Dgr_util
 open Dgr_task
 
-(* Two regimes share this module, and both now speak in *batches*: every
+(* Two regimes share this module, and both speak in *batches*: every
    task staged on the same (src, dst) link for the same arrival step
-   rides in one frame. Staging happens at [send]; the staged batches are
-   flushed into the channel at the next [deliver_into] (the network's
-   clock tick), which is also when the fault plane rolls its dice — one
-   roll per frame, not per task.
+   rides in one frame. Staging has one entry point, [stage]: inline
+   sends ([send]) and the barrier's mailbox flush ([Mailbox.flush]) both
+   go through it, and it finds a task's forming frame through one
+   per-destination index. The staged batches are flushed into the
+   channel at the next [deliver_serial] (the network's clock tick),
+   which is also when the fault plane rolls its dice — one roll per
+   frame, not per task.
 
    Without a fault plane the flushed batches sit in an arrival-keyed
    queue and drain exactly once in flush order among equals, preserving
@@ -89,43 +92,38 @@ type t = {
   recorder : Dgr_obs.Recorder.t option;
   lineage : Dgr_obs.Lineage.t option;
       (* when present, every reduction task sent gets a latency ticket:
-         opened here (sends always run serially — inline or at the
-         mailbox flush), marked delivered in [deliver_into], dropped by
-         [purge] *)
+         opened by [stage] (always on the main domain — inline sends or
+         the barrier's mailbox flush), marked delivered in
+         [deliver_serial], dropped by [purge] *)
   faults : Faults.t option;
   batching : bool;  (* false: one task per frame *)
   staged : batch Vec.t;  (* batches forming since the last flush *)
+  (* The staging index: [staged] regrouped by destination, in stage
+     order, plus the frame each destination was last staged into —
+     sends cluster by link (a PE drains its pool, a mark wave fans out),
+     so most lookups hit that cache. [sf_dummy] is the "no frame"
+     sentinel, so the hot path never boxes an option. The index is
+     cleared whenever [staged] is and rebuilt whenever [staged] is
+     filtered, so it never names a frame [staged] lost. *)
+  sf_dummy : batch;
+  mutable forming : batch Vec.t array;
+  mutable last : batch array;
   (* Delivered frames awaiting reuse, segregated by destination
      (idealized channel only: under faults a frame outlives delivery in
      [pending] until its cumulative ack lands, so those are never
-     recycled). Per-destination pools exist for the sharded barrier
-     flush: each destination shard recycles frames for its own PEs
-     without sharing a free list across domains. *)
+     recycled). Per-destination pools let each shard recycle the frames
+     whose marks it took (see [take_marks]) without sharing a free list
+     across domains. *)
   mutable sf_free : batch Vec.t array;
   mutable inbox : batch Vec.t array;
       (* delivered frames parked per destination until the destination's
          shard takes their marks (see [take_marks]) *)
-  (* Destination-sharded flush plan (see [flush_shard_plan] and
-     friends): forming proto-batches and a last-batch cache per
-     destination — written by at most one shard each — plus a flat
-     per-entry verdict, indexed by [sf_offs.(src) + i] for mailbox
-     entry [i] of PE [src]. [sf_dummy] is the "no batch" sentinel, so
-     the hot paths never box an option. *)
-  sf_dummy : batch;
-  mutable sf_batches : batch Vec.t array;  (* forming frames, by dst *)
-  mutable sf_last : batch array;  (* per-dst last-batch cache *)
-  mutable sf_offs : int array;  (* per-src entry offset into the plan *)
-  mutable sf_vbatch : batch array;  (* per-entry: target proto-batch *)
-  mutable sf_vidx : int array;  (* per-entry: slot in batch *)
   snd : (int * int, snd_link) Hashtbl.t;  (* (src, dst) -> sender state *)
   rcv : (int * int, rcv_link) Hashtbl.t;  (* (src, dst) -> receiver state *)
   pending : (int * int * int, pending) Hashtbl.t;  (* unacked sends *)
   timers : (int * int * int) Pqueue.t;  (* fire step -> frame key *)
   owed : (int * int, int) Hashtbl.t;  (* data link -> ack base delay *)
   owed_order : (int * int) Vec.t;  (* links in first-owed order *)
-  mutable last_batch : batch option;
-      (* the batch the previous send staged into: sends cluster by link,
-         so most lookups hit here without scanning [staged] *)
   mutable credit_of : int -> (int * int * int) option;
       (* the sending PE's current termination credit, sampled at each
          physical transmission (flush and retransmit alike, so a
@@ -155,7 +153,6 @@ let dummy_batch () =
   }
 
 let create ?recorder ?lineage ?faults ?(batch = true) () =
-  let sf_dummy = dummy_batch () in
   {
     q = Pqueue.create ();
     fq = Pqueue.create ();
@@ -165,21 +162,17 @@ let create ?recorder ?lineage ?faults ?(batch = true) () =
     faults;
     batching = batch;
     staged = Vec.create ();
+    sf_dummy = dummy_batch ();
+    forming = [||];
+    last = [||];
     sf_free = [||];
     inbox = [||];
-    sf_dummy;
-    sf_batches = [||];
-    sf_last = [||];
-    sf_offs = [||];
-    sf_vbatch = [||];
-    sf_vidx = [||];
     snd = Hashtbl.create 16;
     rcv = Hashtbl.create 16;
     pending = Hashtbl.create 64;
     timers = Pqueue.create ();
     owed = Hashtbl.create 16;
     owed_order = Vec.create ();
-    last_batch = None;
     credit_of = (fun _ -> None);
     on_credit = (fun ~pe:_ ~epoch:_ ~sent:_ ~executed:_ -> ());
     next_uid = 0;
@@ -318,6 +311,25 @@ let transmit_ack t f ~arrival ~base frame =
   if not (Faults.drops_frame f) then
     Pqueue.add t.fq (arrival + Faults.extra_delay f ~latency:base) frame
 
+(* Drop [staged]'s frames from the staging index; call before [staged]
+   is cleared or filtered. Only a destination with a staged frame can
+   have a non-empty index entry, so this costs the staged count, not the
+   machine size. *)
+let unindex t =
+  for i = 0 to Vec.length t.staged - 1 do
+    let dst = (Vec.get t.staged i).b_dst in
+    Vec.clear t.forming.(dst);
+    t.last.(dst) <- t.sf_dummy
+  done
+
+(* Rebuild the index after [staged] was filtered, in stage order. The
+   last-frame caches stay empty until the next stage. *)
+let reindex t =
+  for i = 0 to Vec.length t.staged - 1 do
+    let b = Vec.get t.staged i in
+    Vec.push t.forming.(b.b_dst) b
+  done
+
 (* Flush the batches staged since the last tick into the channel, then
    (under faults) settle every owed cumulative ack. Fault-plane dice are
    rolled here, once per frame, in stage order. *)
@@ -365,8 +377,8 @@ let flush t f ~now =
       in
       transmit_data t f ~arrival:b.b_arrival ~base:b.b_delay ~fseq ~pack b)
     t.staged;
+  unindex t;
   Vec.clear t.staged;
-  t.last_batch <- None;
   (* Standalone acks for links no reverse data frame covered. *)
   Vec.iter
     (fun (src, dst) ->
@@ -397,37 +409,22 @@ let flush_ideal t =
              { src = b.b_src; dst = b.b_dst; count = Vec.length b.b_tasks }));
       Pqueue.add t.q b.b_arrival b)
     t.staged;
-  Vec.clear t.staged;
-  t.last_batch <- None
+  unindex t;
+  Vec.clear t.staged
 
-(* Find the forming batch for (src, dst, arrival). Sends cluster by
-   link (a PE drains its pool, a mark wave fans out), so the previous
-   send's batch is checked first; otherwise a backward linear scan over
-   the staged set — one forming batch per active (link, arrival), so it
-   stays short. *)
-let find_staged t ~src ~dst ~arrival =
-  let matches b = b.b_src = src && b.b_dst = dst && b.b_arrival = arrival in
-  match t.last_batch with
-  | Some b when matches b -> Some b
-  | _ ->
-    let rec scan i =
-      if i < 0 then None
-      else
-        let b = Vec.get t.staged i in
-        if matches b then Some b else scan (i - 1)
-    in
-    scan (Vec.length t.staged - 1)
-
-(* The free pool for frames bound for [dst], grown on demand (serial
-   contexts only; the sharded grouping pass never resizes, it relies on
-   [flush_shard_plan] having sized the array first). *)
-let free_list_for t dst =
-  let n = Array.length t.sf_free in
+(* Grow the per-destination arrays to cover [dst]. Only [stage] calls
+   this, so every frame's destination is covered before the frame
+   exists, and the shard side ([take_marks], [recycle_batch]) never
+   resizes. *)
+let reserve t dst =
+  let n = Array.length t.forming in
   if dst >= n then begin
-    let a = Array.init (dst + 1) (fun i -> if i < n then t.sf_free.(i) else Vec.create ()) in
-    t.sf_free <- a
-  end;
-  t.sf_free.(dst)
+    let grow a fill = Array.init (dst + 1) (fun i -> if i < n then a.(i) else fill ()) in
+    t.forming <- grow t.forming (fun () -> Vec.create ());
+    t.last <- grow t.last (fun () -> t.sf_dummy);
+    t.sf_free <- grow t.sf_free (fun () -> Vec.create ());
+    t.inbox <- grow t.inbox (fun () -> Vec.create ())
+  end
 
 (* Pop a recycled frame from [fl], or allocate one. The caller fills the
    scalar header; the emptied vectors keep their storage. *)
@@ -440,12 +437,39 @@ let batch_for fl =
   end
   else dummy_batch ()
 
-let send ?(src = -1) ?(lin = -1) ?(depth = 0) t ~arrival ~pe task =
+(* The staged frame for (src, arrival) among [bs], newest first, or
+   [dummy]. Top-level with every argument passed, so a miss allocates no
+   closure. *)
+let rec scan_forming bs ~src ~arrival i dummy =
+  if i < 0 then dummy
+  else
+    let b = Vec.get bs i in
+    if b.b_src = src && b.b_arrival = arrival then b
+    else scan_forming bs ~src ~arrival (i - 1) dummy
+
+(* The one staging function: put [task] into the frame forming on link
+   (src, pe) for [arrival], opening that frame on a miss. There is at
+   most one such frame per key, so the lookup — the destination's last
+   frame, then a backward scan of its forming frames (one per active
+   (src, arrival), so the scan stays short) — finds the frame whatever
+   order the sends came in. The dummy's header never matches a real
+   key. Allocation-free on a hit: both the inline [send] and the
+   barrier's [Mailbox.flush] stage through here. *)
+let stage t ~src ~lin ~depth ~arrival ~pe task =
+  reserve t pe;
   let b =
-    match if t.batching then find_staged t ~src ~dst:pe ~arrival else None with
-    | Some b -> b
-    | None ->
-      let b = batch_for (free_list_for t pe) in
+    if not t.batching then t.sf_dummy
+    else
+      let last = t.last.(pe) in
+      if last.b_src = src && last.b_arrival = arrival then last
+      else
+        let bs = t.forming.(pe) in
+        scan_forming bs ~src ~arrival (Vec.length bs - 1) t.sf_dummy
+  in
+  let b =
+    if b != t.sf_dummy then b
+    else begin
+      let b = batch_for t.sf_free.(pe) in
       b.b_src <- src;
       b.b_dst <- pe;
       b.b_arrival <- arrival;
@@ -454,12 +478,11 @@ let send ?(src = -1) ?(lin = -1) ?(depth = 0) t ~arrival ~pe task =
       b.b_pack <- false;
       t.next_uid <- t.next_uid + 1;
       Vec.push t.staged b;
+      Vec.push t.forming.(pe) b;
       b
+    end
   in
-  (if t.batching then
-     match t.last_batch with
-     | Some lb when lb == b -> ()
-     | _ -> t.last_batch <- Some b);
+  if t.batching then t.last.(pe) <- b;
   (* Only reduction tasks are ticketed: the latency story the histograms
      tell is about demand propagation, not the mark wave. *)
   let stamp =
@@ -472,6 +495,9 @@ let send ?(src = -1) ?(lin = -1) ?(depth = 0) t ~arrival ~pe task =
   Vec.push b.b_stamps stamp;
   t.undelivered <- t.undelivered + 1;
   t.tasks_sent <- t.tasks_sent + 1
+
+let send ?(src = -1) ?(lin = -1) ?(depth = 0) t ~arrival ~pe task =
+  stage t ~src ~lin ~depth ~arrival ~pe task
 
 (* Delivery hands each due reduction task to [push] as its batch pops —
    the engine's pools consume directly, with no intermediate list. [push]
@@ -512,14 +538,14 @@ let deliver_batch t b ~now ~push =
 
 (* Return a delivered frame to its destination's free pool. Only the
    idealized channel may call this: after its pop the batch is
-   referenced nowhere (staged was flushed, [last_batch] was reset by
-   that flush), whereas the fault path keeps frames in [pending] until
-   cumulatively acked. Each pool is capped so a burst does not pin its
-   high-water mark of vectors forever. *)
+   referenced nowhere (the flush emptied [staged] and its index),
+   whereas the fault path keeps frames in [pending] until cumulatively
+   acked. Each pool is capped so a burst does not pin its high-water
+   mark of vectors forever. *)
 let free_batches_cap = 32
 
 let recycle_batch t b =
-  let fl = free_list_for t b.b_dst in
+  let fl = t.sf_free.(b.b_dst) in
   if Vec.length fl < free_batches_cap then begin
     Vec.clear b.b_tasks;
     Vec.clear b.b_stamps;
@@ -538,20 +564,12 @@ let drain_credits t ~now =
     ()
   done
 
-(* The parked frames for [dst], grown on demand (serial contexts only,
-   like [free_list_for]). *)
-let inbox_for t dst =
-  let n = Array.length t.inbox in
-  if dst >= n then
-    t.inbox <- Array.init (dst + 1) (fun i -> if i < n then t.inbox.(i) else Vec.create ());
-  t.inbox.(dst)
-
 (* A delivered frame that holds a mark is parked in its destination's
    inbox for [take_marks]; a mark-free one is settled at once. A settled
    frame of the idealized channel is recycled; a lossy one stays in
    [pending] until its cumulative ack lands. *)
 let settle t b ~now ~push =
-  if deliver_batch t b ~now ~push then Vec.push (inbox_for t b.b_dst) b
+  if deliver_batch t b ~now ~push then Vec.push t.inbox.(b.b_dst) b
   else if t.faults = None then recycle_batch t b
 
 let deliver_serial t ~now ~push =
@@ -635,7 +653,7 @@ let deliver_serial t ~now ~push =
     service_timers ()
 
 (* Runs on [pe]'s shard, possibly on a worker domain: it touches only
-   [pe]'s inbox and free pool, both sized by the serial half. A parked
+   [pe]'s inbox and free pool, both sized when the frame was staged. A parked
    frame is referenced nowhere else on the idealized channel, so it is
    recycled here; under faults it waits in [pending] for its ack. *)
 let take_marks t ~pe f =
@@ -748,7 +766,9 @@ let purge t pred =
     t.undelivered <- t.undelivered - n;
     !j = 0
   in
+  unindex t;
   Vec.filter_in_place (fun b -> not (prune b)) t.staged;
+  reindex t;
   (match t.faults with
   | None -> Pqueue.filter_in_place (fun _ b -> not (prune b)) t.q
   | Some _ ->
@@ -812,6 +832,7 @@ let crash_pe t ~pe =
     | Some l ->
       Vec.iter (fun stamp -> if stamp >= 0 then Dgr_obs.Lineage.drop l stamp) b.b_stamps
   in
+  unindex t;
   Vec.filter_in_place
     (fun b ->
       if touches b then begin
@@ -820,9 +841,7 @@ let crash_pe t ~pe =
       end
       else true)
     t.staged;
-  (match t.last_batch with
-  | Some b when touches b -> t.last_batch <- None
-  | Some _ | None -> ());
+  reindex t;
   (match t.faults with
   | None ->
     (* ideal channel (a crash injected without a fault plane) *)
@@ -869,12 +888,12 @@ let crash_pe t ~pe =
 
 (* Per-PE outgoing buffer for the sharded engine. A PE executing on a
    worker domain never touches the shared staging area directly: it
-   posts into its private mailbox, and the engine flushes all mailboxes
-   into the network at the step barrier in ascending PE order. Flushing
-   preserves each mailbox's post order, and staging groups tasks by
-   (src, dst, arrival) irrespective of post interleaving, so the merged
-   batches equal the serial engine's — independent of which domain ran
-   which PE when. *)
+   posts into its private mailbox, and the engine flushes every mailbox
+   into the network at the step barrier, on the main domain, in
+   ascending PE order. Each entry is staged exactly as an inline [send]
+   of it would be, so the frames, their stage order and the lineage
+   ticket slots are a pure function of the mailboxes — independent of
+   which domain ran which PE when. *)
 module Mailbox = struct
   type entry = {
     e_src : int;
@@ -897,168 +916,13 @@ module Mailbox = struct
   let length (mb : mb) = Vec.length mb
 
   let flush (mb : mb) net =
-    Vec.iter
-      (fun e ->
-        send ~src:e.e_src ~lin:e.e_lin ~depth:e.e_depth net ~arrival:e.e_arrival
-          ~pe:e.e_pe e.e_task)
-      mb;
+    let data = Vec.unsafe_data mb in
+    for i = 0 to Vec.length mb - 1 do
+      let e = data.(i) in
+      stage net ~src:e.e_src ~lin:e.e_lin ~depth:e.e_depth ~arrival:e.e_arrival ~pe:e.e_pe
+        e.e_task
+    done;
     Vec.clear mb
 
   type t = mb
 end
-
-(* ---- Destination-sharded mailbox flush --------------------------------
-   The barrier flush split in two, so the grouping half can run on the
-   worker pool.
-
-   Everything [send] computes per mailbox entry falls into two classes:
-
-   - {e per-destination} state: which (src, arrival) frame the task
-     joins, and the frame's task/stamp vectors.
-     Frames are keyed by destination, so this state is disjoint across
-     destinations — [flush_shard_group] partitions the destination space
-     and lets each shard group its own PEs' inbound entries in parallel.
-     Each shard scans every mailbox in ascending src order and takes
-     post order within one, so the entries of one destination are
-     visited in exactly the order the serial flush would visit them
-     (the global order is src-major; restricting a src-major order to
-     one destination preserves it), making each shard's grouping a pure
-     function of the mailboxes.
-
-   - {e globally ordered} state: frame uids and their [staged] order,
-     lineage ticket slots, and the send counters. [flush_shard_finalize]
-     replays the verdicts in the serial flush's exact global order and
-     performs only this part, so uids, ticket slots and counters are
-     byte-identical to the serial flush — at every domain count, the
-     sharded flush and [Mailbox.flush] over the same mailboxes leave
-     the network in the same state. *)
-
-(* Size the plan for [mbs] and publish the per-src offsets. The staged
-   area must be empty — a forming frame could already match a mailbox
-   entry's key, and the grouping pass does not look there. The engine's
-   barrier always runs on an empty staged area: delivery flushed it at
-   the top of the step. *)
-let flush_shard_plan t (mbs : Mailbox.mb array) =
-  let staged = Vec.length t.staged in
-  if staged > 0 then
-    invalid_arg
-      (Printf.sprintf "Network.flush_shard_plan: %d frame(s) already staged" staged)
-  else begin
-    let n = Array.length mbs in
-    ignore (free_list_for t (n - 1));
-    if Array.length t.sf_batches < n then begin
-      let old_b = t.sf_batches and old_l = t.sf_last in
-      let nb = Array.length old_b in
-      t.sf_batches <-
-        Array.init n (fun i -> if i < nb then old_b.(i) else Vec.create ());
-      t.sf_last <- Array.init n (fun i -> if i < nb then old_l.(i) else t.sf_dummy)
-    end;
-    if Array.length t.sf_offs < n + 1 then t.sf_offs <- Array.make (n + 1) 0;
-    let total = ref 0 in
-    for src = 0 to n - 1 do
-      t.sf_offs.(src) <- !total;
-      total := !total + Mailbox.length mbs.(src)
-    done;
-    t.sf_offs.(n) <- !total;
-    if Array.length t.sf_vidx < !total then begin
-      let cap = Stdlib.max 64 (2 * !total) in
-      t.sf_vidx <- Array.make cap 0;
-      t.sf_vbatch <- Array.make cap t.sf_dummy
-    end
-  end
-
-(* The forming frame for (src, arrival) bound for [dst], or [sf_dummy].
-   Same lookup as [find_staged] restricted to one destination: the
-   last-batch cache first, then a backward scan — the dummy's negative
-   header fields can never match a real (src >= 0) key. *)
-let sf_find t ~dst ~src ~arrival =
-  let last = t.sf_last.(dst) in
-  if last.b_src = src && last.b_arrival = arrival then last
-  else begin
-    let bs = t.sf_batches.(dst) in
-    let rec scan i =
-      if i < 0 then t.sf_dummy
-      else
-        let b = Vec.get bs i in
-        if b.b_src = src && b.b_arrival = arrival then b else scan (i - 1)
-    in
-    scan (Vec.length bs - 1)
-  end
-
-(* Group the mailbox entries bound for destinations [lo, hi) into
-   proto-frames, and record each entry's verdict: the (frame, slot) it
-   joined. Touches only per-destination state of its own range, so
-   shards over disjoint ranges run concurrently; run over the full range
-   it is the serial grouping. Frame uids, [staged], tickets
-   and counters are untouched — that is [flush_shard_finalize]'s. *)
-let flush_shard_group t (mbs : Mailbox.mb array) ~lo ~hi =
-  for src = 0 to Array.length mbs - 1 do
-    let mb = mbs.(src) in
-    let data = Vec.unsafe_data mb in
-    let base = t.sf_offs.(src) in
-    for i = 0 to Mailbox.length mb - 1 do
-      let e = data.(i) in
-      let dst = e.Mailbox.e_pe in
-      if dst >= lo && dst < hi then begin
-        let arrival = e.Mailbox.e_arrival in
-        let b =
-          if not t.batching then t.sf_dummy else sf_find t ~dst ~src ~arrival
-        in
-        let b =
-          if b != t.sf_dummy then b
-          else begin
-            let b = batch_for t.sf_free.(dst) in
-            b.b_src <- src;
-            b.b_dst <- dst;
-            b.b_arrival <- arrival;
-            b.b_delay <- Int.max 1 (arrival - t.clock);
-            b.b_uid <- -1;  (* staged (and numbered) at finalize *)
-            b.b_pack <- false;
-            Vec.push t.sf_batches.(dst) b;
-            if t.batching then t.sf_last.(dst) <- b;
-            b
-          end
-        in
-        t.sf_vbatch.(base + i) <- b;
-        t.sf_vidx.(base + i) <- Vec.length b.b_tasks;
-        Vec.push b.b_tasks e.Mailbox.e_task;
-        Vec.push b.b_stamps (-1)
-      end
-    done
-  done
-
-(* Replay the verdicts in the serial flush's global order (ascending
-   src, post order within a mailbox): number and stage each frame at its
-   first entry, so staging order equals the serial flush's creation
-   order, open lineage tickets in slot-allocation order, and settle the
-   counters. Clears the mailboxes and the plan. *)
-let flush_shard_finalize t (mbs : Mailbox.mb array) =
-  let n = Array.length mbs in
-  for src = 0 to n - 1 do
-    let mb = mbs.(src) in
-    let data = Vec.unsafe_data mb in
-    let base = t.sf_offs.(src) in
-    for i = 0 to Mailbox.length mb - 1 do
-      let e = data.(i) in
-      let b = t.sf_vbatch.(base + i) in
-      t.sf_vbatch.(base + i) <- t.sf_dummy;
-      if b.b_uid < 0 then begin
-        b.b_uid <- t.next_uid;
-        t.next_uid <- t.next_uid + 1;
-        Vec.push t.staged b
-      end;
-      (match (t.lineage, e.Mailbox.e_task) with
-      | Some l, Task.Reduction _ ->
-        Vec.set b.b_stamps t.sf_vidx.(base + i)
-          (Dgr_obs.Lineage.open_ticket l ~lin:e.Mailbox.e_lin
-             ~depth:e.Mailbox.e_depth ~sent:t.clock ~arrival:e.Mailbox.e_arrival)
-      | _ -> ());
-      t.undelivered <- t.undelivered + 1;
-      t.tasks_sent <- t.tasks_sent + 1
-    done;
-    Vec.clear mb
-  done;
-  for dst = 0 to n - 1 do
-    Vec.clear t.sf_batches.(dst);
-    t.sf_last.(dst) <- t.sf_dummy
-  done

@@ -2,14 +2,18 @@ open Dgr_task
 
 (** The message network: tasks in transit between PEs, batched per link.
 
-    Transport is frame-batched in both regimes: every task {!send}-ed to
+    Transport is frame-batched in both regimes: every task staged on
     the same (src, dst) link for the same arrival step rides in one
-    frame, staged until the next {!deliver_into} tick flushes it into
-    the channel. Batching is a refinement of the paper's
-    one-task-per-message model below task granularity — each task keeps
-    its fault-free arrival step and per-link FIFO order; only the
-    grouping into physical frames (and hence per-frame bookkeeping:
-    arrival events, pending entries, retransmit timers, acks) changes.
+    frame, staged until the next {!deliver_serial} tick flushes it into
+    the channel. There is one staging path: an inline {!send} and the
+    barrier's {!Mailbox.flush} stage each task the same way, through one
+    per-destination index of forming frames, so a mailbox entry joins a
+    frame an inline send opened earlier in the step and vice versa.
+    Batching is a refinement of the paper's one-task-per-message model
+    below task granularity — each task keeps its fault-free arrival step
+    and per-link FIFO order; only the grouping into physical frames (and
+    hence per-frame bookkeeping: arrival events, pending entries,
+    retransmit timers, acks) changes.
 
     Without a fault plane, delivery is the paper's idealized channel:
     batches become available at their arrival step and drain in stage
@@ -60,9 +64,9 @@ val create :
     task (marking tasks travel unticketed: the latency story is about
     demand propagation, not the mark wave),
     {!deliver_into} records the delivery step and hands the ticket to
-    [push], and {!purge} drops tickets of expunged tasks. Sends always
-    run serially (inline, or at the barrier's mailbox flush), so ticket
-    ids are deterministic at any domain count. *)
+    [push], and {!purge} drops tickets of expunged tasks. Staging always
+    runs on the main domain (inline sends, or the barrier's mailbox
+    flush), so ticket ids are deterministic at any domain count. *)
 
 val send : ?src:int -> ?lin:int -> ?depth:int -> t -> arrival:int -> pe:int -> Task.t -> unit
 (** Stage a task on link (src, dst = pe) for [arrival]. [src] (default
@@ -72,7 +76,8 @@ val send : ?src:int -> ?lin:int -> ?depth:int -> t -> arrival:int -> pe:int -> T
     ticket when a lineage store is attached. [arrival] is the
     fault-free arrival step; the link's base delay is recovered as
     [arrival - now of last deliver]. Tasks staged for the same (src,
-    pe, arrival) join one batch. *)
+    pe, arrival) join one batch, in staging order, whether they came
+    through [send] or {!Mailbox.flush}. *)
 
 (** {2 Termination credits}
 
@@ -206,9 +211,8 @@ val crash_pe : t -> pe:int -> int
 
 (** Per-PE outgoing buffer for the sharded engine: a worker-domain PE
     posts its sends here instead of staging directly; the engine flushes
-    every mailbox at the step barrier in ascending PE order. Staging
-    groups tasks by (src, dst, arrival) regardless of post interleaving,
-    so the merged batches equal the serial engine's exactly. *)
+    every mailbox at the step barrier, on the main domain, in ascending
+    PE order. *)
 module Mailbox : sig
   type mb
 
@@ -220,40 +224,9 @@ module Mailbox : sig
   val length : mb -> int
 
   val flush : mb -> t -> unit
-  (** Issue every buffered send into the network in post order, then
-      clear the mailbox. The engine never calls this — its barrier uses
-      the destination-sharded flush below; it remains as the reference
-      semantics that flush is tested against. *)
+  (** Stage every buffered entry in post order, exactly as {!send} of
+      the same arguments would, then clear the mailbox. This is the
+      engine's barrier flush. *)
 
   type t = mb
 end
-
-(** {2 Destination-sharded flush}
-
-    The barrier mailbox flush split into a parallelizable grouping pass
-    and a serial finalization, together byte-equivalent to flushing
-    every mailbox through {!Mailbox.flush} in ascending PE order.
-    Frames are keyed by destination, so grouping tasks into frames
-    touches per-destination state only: shards over disjoint destination
-    ranges may run {!flush_shard_group} concurrently. Everything
-    globally ordered — frame uids and staging order, lineage ticket
-    slots, counters — happens in {!flush_shard_finalize}, which replays
-    the per-entry verdicts in the serial flush's exact order. *)
-
-val flush_shard_plan : t -> Mailbox.mb array -> unit
-(** Size the plan for one barrier ([mbs.(src)] is PE [src]'s mailbox)
-    and publish per-src offsets. Serial. Raises [Invalid_argument]
-    naming the staged count if the staged area is non-empty — a forming
-    frame could match a mailbox entry's key. {!deliver_into} empties
-    it. *)
-
-val flush_shard_group : t -> Mailbox.mb array -> lo:int -> hi:int -> unit
-(** Group entries bound for destinations [lo, hi) into forming frames
-    and record per-entry verdicts. Safe to run concurrently with other
-    disjoint ranges after {!flush_shard_plan}; deterministic per range
-    (ascending src, post order within a mailbox). *)
-
-val flush_shard_finalize : t -> Mailbox.mb array -> unit
-(** Stage the grouped frames and settle tickets and counters, in the
-    serial flush's global order; clears the mailboxes
-    and the plan. Serial, after every {!flush_shard_group} returned. *)

@@ -40,15 +40,12 @@ type t = {
   mutable sexec_ns : float;  (* always 0: no step executes off the sharded path *)
   mutable merge_ns : float;
   (* Inside merge, where the barrier's time goes — the attack surface of
-     the pay-as-you-go merge. [pflush_ns] is the destination-sharded
-     grouping pass: per-destination state is disjoint, so that span runs
-     on the worker pool and counts as parallelizable alongside execute
-     and restructure. *)
+     the pay-as-you-go merge. *)
   mutable drain_ns : float;  (* inside merge: sub-recorder event drain *)
   mutable absorb_ns : float;  (* inside merge: metrics/reducer absorption *)
   mutable close_ns : float;  (* inside merge: batched lineage closes *)
-  mutable pflush_ns : float;  (* inside merge: sharded flush grouping (parallelizable) *)
-  mutable flush_ns : float;  (* inside merge: serial flush finalization *)
+  mutable pflush_ns : float;  (* always 0: the mailbox flush runs on the main domain *)
+  mutable flush_ns : float;  (* inside merge: mailbox flush *)
   mutable replay_ns : float;  (* inside merge: coop + controller replay *)
   mutable gc_ns : float;
   mutable book_ns : float;
@@ -100,25 +97,10 @@ let serial_fraction t =
   if t.total_ns <= 0.0 then 0.0
   else
     Float.max 0.0
-      ((t.total_ns -. t.execute_ns -. t.restr_ns -. t.pflush_ns) /. t.total_ns)
+      ((t.total_ns -. t.execute_ns -. t.restr_ns) /. t.total_ns)
 
 (* Amdahl: the best speedup [domains] workers can extract when only the
    execution span parallelizes. *)
 let amdahl_speedup t ~domains =
   let s = serial_fraction t in
   1.0 /. (s +. ((1.0 -. s) /. float_of_int (Stdlib.max 1 domains)))
-
-let share t part = if t.total_ns <= 0.0 then 0.0 else part /. t.total_ns
-
-let per_step t part = if t.steps <= 0 then 0.0 else part /. float_of_int t.steps
-
-let to_json t =
-  Printf.sprintf
-    "{\"steps\":%d,\"total_ms\":%.3f,\"transport\":%.4f,\"execute\":%.4f,\"execute_serial\":%.4f,\"merge\":%.4f,\"merge_breakdown\":{\"drain\":%.4f,\"absorb\":%.4f,\"close\":%.4f,\"flush_sharded\":%.4f,\"flush_serial\":%.4f,\"replay\":%.4f},\"gc\":%.4f,\"bookkeeping\":%.4f,\"restructure\":%.4f,\"marking\":%.4f,\"reduction\":%.4f,\"serial_fraction\":%.4f,\"mw_per_step\":{\"transport\":%.1f,\"execute\":%.1f,\"execute_serial\":%.1f,\"merge\":%.1f,\"gc\":%.1f,\"bookkeeping\":%.1f}}"
-    t.steps (t.total_ns /. 1e6) (share t t.transport_ns) (share t t.execute_ns)
-    (share t t.sexec_ns) (share t t.merge_ns) (share t t.drain_ns)
-    (share t t.absorb_ns) (share t t.close_ns) (share t t.pflush_ns)
-    (share t t.flush_ns) (share t t.replay_ns) (share t t.gc_ns) (share t t.book_ns)
-    (share t t.restr_ns) (share t t.mark_ns) (share t t.red_ns) (serial_fraction t)
-    (per_step t t.transport_mw) (per_step t t.execute_mw) (per_step t t.sexec_mw)
-    (per_step t t.merge_mw) (per_step t t.gc_mw) (per_step t t.book_mw)

@@ -6,11 +6,11 @@
     loops split their span into marking vs reduction work. The merge
     span is further split into its barrier stages (event drain, metric
     absorption, lineage closes, mailbox flush, deferred replay). The
-    sharded engine runs three spans in parallel — execution,
-    restructure's per-home passes, and the destination-sharded half of
-    the mailbox flush — so the measured Amdahl serial fraction is
-    [(total - execute - restructure - sharded_flush) / total], the
-    direct yardstick for how much of a step sharding can reach.
+    sharded engine runs two spans in parallel — execution and
+    restructure's per-home passes — so the measured Amdahl serial
+    fraction is [(total - execute - restructure) / total], the direct
+    yardstick for how much of a step sharding can reach. The mailbox
+    flush is serial: it runs on the main domain at the barrier.
 
     The same brackets also accumulate [Gc.minor_words] deltas, so the
     bench's [minor_words_per_step] budget can be attributed to a phase
@@ -36,6 +36,9 @@ type t = {
   mutable absorb_ns : float;
   mutable close_ns : float;
   mutable pflush_ns : float;
+      (** always 0: the mailbox flush is one serial pass on the main
+          domain ([flush_ns]), with no parallel grouping half. Kept for
+          readers that still name it. *)
   mutable flush_ns : float;
   mutable replay_ns : float;
   mutable gc_ns : float;
@@ -63,14 +66,10 @@ val now : unit -> float
 val words : unit -> float
 
 (** Fraction of total step time spent outside the parallelizable spans
-    (execution, sharded restructure, and the sharded flush-grouping
-    pass), in [0, 1]; [0.0] before any step ran. *)
+    (execution and sharded restructure), in [0, 1]; [0.0] before any
+    step ran. *)
 val serial_fraction : t -> float
 
 (** Best-case speedup at [domains] workers under Amdahl's law with the
     measured serial fraction. *)
 val amdahl_speedup : t -> domains:int -> float
-
-(** Phase shares, the serial fraction, and per-phase minor words per
-    step as a JSON object. Wall-clock derived — not byte-deterministic. *)
-val to_json : t -> string

@@ -63,6 +63,23 @@ let test_rates_roundtrip () =
   | other ->
     Alcotest.failf "expected one parsed scenario, got %d" (List.length other)
 
+(* The sequential-vs-parallel table flags a scenario whose digests
+   differ; [dgr bench --domains N] fails on that flag. *)
+let test_speedup_table_flags_mismatch () =
+  let seq =
+    Dgr_harness.Bench.run_suite ~only:[ "fib-12-concurrent" ] ~smoke:true
+      ~deterministic:true ()
+  in
+  let flags par =
+    List.map (fun (name, _, _, agree) -> (name, agree))
+      (Dgr_harness.Bench.speedup_table ~seq ~par)
+  in
+  Alcotest.(check (list (pair string bool)))
+    "equal digests agree" [ ("fib-12-concurrent", true) ] (flags seq);
+  let forged = List.map (fun r -> { r with Dgr_harness.Bench.digest = "forged" }) seq in
+  Alcotest.(check (list (pair string bool)))
+    "a differing digest is flagged" [ ("fib-12-concurrent", false) ] (flags forged)
+
 let suite =
   [
     Alcotest.test_case "hot-path rewrite is bit-identical (20 goldens)" `Slow
@@ -75,4 +92,6 @@ let suite =
       test_bench_json_deterministic;
     Alcotest.test_case "baseline rates round-trip through BENCH.json" `Quick
       test_rates_roundtrip;
+    Alcotest.test_case "speedup table flags a digest mismatch" `Quick
+      test_speedup_table_flags_mismatch;
   ]

@@ -1,5 +1,5 @@
 (* The step barrier's merge machinery: dirty-set absorption, the
-   destination-sharded mailbox flush, the empty-step fast path, and the
+   mailbox flush, the empty-step fast path, and the
    chunk-linked recorder drain. Each test pins a byte-equivalence the
    sharded engine's determinism proof leans on. *)
 open Dgr_util
@@ -55,13 +55,14 @@ let test_absorb_associativity () =
   Alcotest.(check bool) "non-empty merge" true (first <> Hist.to_json (Hist.create ()));
   Alcotest.(check int) "sources cleared" 0 (Hist.count again)
 
-(* --- destination-sharded flush -------------------------------------- *)
+(* --- mailbox flush ---------------------------------------------------- *)
 
-(* One randomized post schedule, two mailbox sets, two networks: flushing
-   serially (ascending PE, Mailbox.flush) and via the sharded
-   plan/group/finalize path must leave byte-identical networks — same
-   staged entries, same counters, same frames. Duplicated marks share
-   multi-task frames, and every one of them must be staged. *)
+(* One randomized post schedule, two networks: posting it into per-PE
+   mailboxes and flushing them in ascending PE order (the barrier), and
+   sending the same schedule directly in src-major order (post order
+   within a src), must leave identical networks — same staged entries,
+   same counters, same frames. Duplicated marks share multi-task frames,
+   and every one of them must be staged. *)
 let random_schedule ~pes ~posts seed =
   let rng = Rng.create seed in
   List.init posts (fun _ ->
@@ -84,72 +85,69 @@ let random_schedule ~pes ~posts seed =
       in
       (src, dst, arrival, task))
 
-let flush_pair ~shards schedule pes =
-  let post_all mbs =
-    List.iter
-      (fun (src, dst, arrival, task) ->
-        Network.Mailbox.post mbs.(src) ~src ~arrival ~pe:dst task)
-      schedule
-  in
-  let net = Network.create () in
-  let mbs = Array.init pes (fun _ -> Network.Mailbox.create ()) in
-  post_all mbs;
-  (match shards with
-  | None -> Array.iter (fun mb -> Network.Mailbox.flush mb net) mbs
-  | Some k ->
-    Network.flush_shard_plan net mbs;
-    for s = 0 to k - 1 do
-      Network.flush_shard_group net mbs ~lo:(s * pes / k) ~hi:((s + 1) * pes / k)
-    done;
-    Network.flush_shard_finalize net mbs);
+(* What a flushed network shows: its staged entries, then — after a tick
+   before the earliest arrival flushes the frames into the channel,
+   which counts them, and delivers nothing — its counters. *)
+let observe net =
   let entries = Network.entries net in
-  (* a tick before the earliest arrival flushes the staged frames into
-     the channel, which counts them, and delivers nothing *)
   Network.deliver_serial net ~now:0 ~push:(fun _ _ _ -> assert false);
   (entries, Network.tasks_sent net, Network.frames_sent net)
 
-let test_sharded_flush_equivalence () =
+let via_mailboxes schedule pes =
+  let net = Network.create () in
+  let mbs = Array.init pes (fun _ -> Network.Mailbox.create ()) in
+  List.iter
+    (fun (src, dst, arrival, task) -> Network.Mailbox.post mbs.(src) ~src ~arrival ~pe:dst task)
+    schedule;
+  Array.iter (fun mb -> Network.Mailbox.flush mb net) mbs;
+  observe net
+
+let via_send schedule =
+  let net = Network.create () in
+  let src_major = List.stable_sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) schedule in
+  List.iter
+    (fun (src, dst, arrival, task) -> Network.send ~src net ~arrival ~pe:dst task)
+    src_major;
+  observe net
+
+let test_mailbox_flush_equivalence () =
   let pes = 8 in
   List.iter
     (fun seed ->
       let schedule = random_schedule ~pes ~posts:300 seed in
-      let serial = flush_pair ~shards:None schedule pes in
-      List.iter
-        (fun k ->
-          let entries_s, sent_s, frames_s = serial in
-          let entries_p, sent_p, frames_p = flush_pair ~shards:(Some k) schedule pes in
-          Alcotest.(check bool)
-            (Printf.sprintf "seed %d: staged entries equal at %d shards" seed k)
-            true
-            (entries_s = entries_p);
-          Alcotest.(check int) "tasks_sent" sent_s sent_p;
-          Alcotest.(check int) "every post staged" (List.length schedule) sent_p;
-          Alcotest.(check int) "frames staged" frames_s frames_p;
-          Alcotest.(check bool) "multi-task frames exercised" true (sent_s > frames_s))
-        [ 1; 2; 4 ])
+      let entries_m, sent_m, frames_m = via_mailboxes schedule pes in
+      let entries_d, sent_d, frames_d = via_send schedule in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: staged entries equal" seed)
+        true (entries_m = entries_d);
+      Alcotest.(check int) "tasks_sent" sent_d sent_m;
+      Alcotest.(check int) "every post staged" (List.length schedule) sent_m;
+      Alcotest.(check int) "frames staged" frames_d frames_m;
+      Alcotest.(check bool) "multi-task frames exercised" true (sent_m > frames_m))
     [ 3; 17; 29 ]
 
-(* A frame staged outside the barrier (a direct [send] after the last
-   delivery) could share a key with a mailbox entry, which the grouping
-   pass never looks for: the plan refuses it loudly, naming the count. *)
-let test_plan_refuses_staged () =
+(* The inline sends and the barrier flush share one staging index: a
+   mailbox entry joins the frame a direct [send] opened earlier in the
+   step, and a direct send after the flush joins the mailbox's frame. *)
+let test_mailbox_joins_sent_frame () =
+  let mark v = Task.Marking (Task.Mark1 { v; par = Plane.Rootpar; ep = 0 }) in
   let net = Network.create () in
   let mbs = Array.init 2 (fun _ -> Network.Mailbox.create ()) in
-  Network.send ~src:0 net ~arrival:3 ~pe:1
-    (Task.Marking (Task.Mark1 { v = 1; par = Plane.Rootpar; ep = 0 }));
-  Alcotest.check_raises "staged frame refused"
-    (Invalid_argument "Network.flush_shard_plan: 1 frame(s) already staged") (fun () ->
-      Network.flush_shard_plan net mbs);
-  (* delivery flushes the staged area; the plan then goes through *)
-  ignore (Helpers.deliver net ~now:1);
-  Network.flush_shard_plan net mbs;
-  Network.flush_shard_finalize net mbs
+  Network.send ~src:0 net ~arrival:3 ~pe:1 (mark 1);
+  Network.Mailbox.post mbs.(0) ~src:0 ~arrival:3 ~pe:1 (mark 2);
+  Network.Mailbox.post mbs.(1) ~src:1 ~arrival:3 ~pe:0 (mark 3);
+  Array.iter (fun mb -> Network.Mailbox.flush mb net) mbs;
+  Network.send ~src:1 net ~arrival:3 ~pe:0 (mark 4);
+  let entries, sent, frames = observe net in
+  Alcotest.(check int) "four tasks staged" 4 sent;
+  Alcotest.(check int) "two frames, one per link" 2 frames;
+  Alcotest.(check bool) "frame order is staging order" true
+    (List.map snd entries = [ mark 1; mark 2; mark 3; mark 4 ])
 
 (* --- empty-step fast path ------------------------------------------- *)
 
 (* An idle step's merge touches nothing: absorbing empty shard sinks and
-   planning a flush over empty mailboxes must be allocation-free (after
-   one warm-up call that sizes the plan arrays). *)
+   flushing empty mailboxes must be allocation-free. *)
 let test_empty_merge_alloc_free () =
   let pes = 8 in
   let main_h = Hist.create () and sub_h = Hist.create () in
@@ -159,9 +157,9 @@ let test_empty_merge_alloc_free () =
   let empty_merge () =
     Hist.absorb ~into:main_h sub_h;
     Metrics.absorb main_m sub_m;
-    Network.flush_shard_plan net mbs;
-    Network.flush_shard_group net mbs ~lo:0 ~hi:pes;
-    Network.flush_shard_finalize net mbs
+    for pe = 0 to pes - 1 do
+      Network.Mailbox.flush mbs.(pe) net
+    done
   in
   empty_merge ();
   (* warmed up *)
@@ -230,10 +228,10 @@ let suite =
   [
     Alcotest.test_case "hist absorb is associative across domain groupings" `Quick
       test_absorb_associativity;
-    Alcotest.test_case "sharded flush = serial flush, byte for byte" `Quick
-      test_sharded_flush_equivalence;
-    Alcotest.test_case "flush plan refuses a non-empty staged area" `Quick
-      test_plan_refuses_staged;
+    Alcotest.test_case "mailbox flush = direct send, src-major order" `Quick
+      test_mailbox_flush_equivalence;
+    Alcotest.test_case "mailbox entry joins a frame staged by send" `Quick
+      test_mailbox_joins_sent_frame;
     Alcotest.test_case "empty-step merge allocates nothing" `Quick
       test_empty_merge_alloc_free;
     Alcotest.test_case "chunk-linked drain = copied drain" `Quick

@@ -322,6 +322,23 @@ let test_network_purge () =
   Alcotest.(check int) "one purged" 1 n;
   Alcotest.(check int) "one left" 1 (Network.size net)
 
+(* A purge that empties the most recently staged frame withdraws it;
+   the next send on the same (src, dst, arrival) must open a fresh
+   frame, not land in the withdrawn one and be lost. *)
+let test_purge_emptied_frame_not_reused () =
+  List.iter
+    (fun (name, faults) ->
+      let net = Network.create ?faults () in
+      Network.send ~src:0 net ~arrival:2 ~pe:1 (Task.request 7 Demand.Vital);
+      Alcotest.(check int) (name ^ ": purged") 1 (Network.purge net (fun _ -> true));
+      Network.send ~src:0 net ~arrival:2 ~pe:1 (Task.request 8 Demand.Vital);
+      let got = Helpers.deliver net ~now:2 in
+      Alcotest.(check bool)
+        (name ^ ": resent task delivered") true
+        (got = [ (1, Task.request 8 Demand.Vital) ]);
+      Alcotest.(check int) (name ^ ": nothing left in flight") 0 (Network.size net))
+    [ ("ideal", None); ("lossy", Some (Faults.create Faults.none)) ]
+
 let test_network_purge_records_destination () =
   (* The purge trace must name the PE each expunged task was bound for
      (not a blanket -1), one event per destination, ascending. *)
@@ -482,6 +499,7 @@ let suite =
     Alcotest.test_case "network purge" `Quick test_network_purge;
     Alcotest.test_case "network purge records destination" `Quick
       test_network_purge_records_destination;
+    Alcotest.test_case "purged frame is not reused" `Quick test_purge_emptied_frame_not_reused;
     Alcotest.test_case "remote latency accounting" `Quick test_engine_local_vs_remote_latency;
     Alcotest.test_case "quiescence without gc" `Quick test_engine_quiescence_no_gc;
     Alcotest.test_case "inject and locate" `Quick test_engine_inject_and_locate;
