@@ -2,7 +2,7 @@ open Dgr_graph
 open Dgr_task
 
 type env = {
-  spawn_mark : Task.mark -> unit;
+  spawn_mark : Task.sink;
   pes : int;
   iter_pe_endpoints : int -> (Vid.t -> unit) -> unit;
   purge_tasks : (Task.t -> bool) -> int;
@@ -86,11 +86,11 @@ let graph t = t.g
 
 let seed run env v =
   Run.seed_added run;
-  env.spawn_mark (Marker.seed_for run v)
+  env.spawn_mark v (-1) (Marker.seed_meta run)
 
 let flood_seed fl env v =
   Flood.count_seed fl ~pe:0;
-  env.spawn_mark (Flood.seed_for fl v)
+  env.spawn_mark v (-1) (Flood.seed_meta fl)
 
 (* Build taskroot_i from per-PE local knowledge: each PE enumerates the
    reduction endpoints it knows (its pool, its mailbox, its shard of the

@@ -46,7 +46,7 @@ open Dgr_task
     through [env.each_home] and merge in fixed PE order. *)
 
 type env = {
-  spawn_mark : Task.mark -> unit;  (** route into the owning PE's pool *)
+  spawn_mark : Task.sink;  (** route a mark, as lanes, into the owning PE's pool *)
   pes : int;  (** home-partition count — one endpoint source per PE *)
   iter_pe_endpoints : int -> (Vid.t -> unit) -> unit;
       (** [iter_pe_endpoints pe f]: apply [f] to the endpoint vertices of

@@ -1,6 +1,5 @@
 open Dgr_graph
 open Dgr_task
-open Task
 
 type t = {
   graph : Graph.t;
@@ -36,55 +35,46 @@ let credit t ~pe =
   let s = pe_slot t pe in
   (t.sent.(s), t.executed.(s))
 
-let mark_task_for t ~v ~prior =
-  let ep = t.wave in
-  match t.variant with
-  | Run.Basic -> Mark1 { v; par = Plane.Rootpar; ep }
-  | Run.Priority -> Mark2 { v; par = Plane.Rootpar; prior; ep }
-  | Run.Tasks -> Mark3 { v; par = Plane.Rootpar; ep }
-
 (* The flood never uses mt-par; seeds and spawned tasks alike carry the
    dummy Rootpar so a task printout distinguishes the schemes. *)
-let seed_for t v = mark_task_for t ~v ~prior:3
+let seed_meta t = Run.mark_meta t.variant ~wave:t.wave ~prior:3
 
-let mark_task t ~v ~prior = mark_task_for t ~v ~prior
+let seed_for t v = Task.mark_of_lanes v (-1) (seed_meta t)
 
-let spawn_children t ~pe ~v ~prior ~emit =
-  let g = t.graph in
-  Trace.iter_children g t.plane v (fun c ->
+let spawn_children t ~pe ~prior ~emit vx =
+  for i = 0 to Trace.child_slots vx t.plane - 1 do
+    let c = Trace.child_at vx t.plane i in
+    if c >= 0 then begin
       count_seed t ~pe;
-      emit (mark_task_for t ~v:c ~prior:(Trace.child_priority g v prior c)))
+      emit c (-1)
+        (Run.mark_meta t.variant ~wave:t.wave ~prior:(Trace.child_priority_of vx prior c))
+    end
+  done
 
-let execute t ~pe ~emit task =
-  (match task with
-  | Return _ -> invalid_arg "Flood.execute: this scheme has no return tasks"
-  | Mark1 _ | Mark2 _ | Mark3 _ ->
-    if Task.plane_of_mark task <> t.plane then
-      invalid_arg "Flood.execute: task for the wrong plane");
-  if Task.mark_ep task <> t.wave then
+let execute t ~pe ~emit v _par meta =
+  if Task.is_return meta then invalid_arg "Flood.execute: this scheme has no return tasks";
+  if Task.meta_plane meta <> t.plane then invalid_arg "Flood.execute: task for the wrong plane";
+  if Task.meta_ep meta <> t.wave then
     invalid_arg "Flood.execute: stale-wave task (drop before dispatch)";
   count_executed t ~pe;
-  match task with
-  | Return _ -> assert false
-  | Mark1 { v; _ } | Mark3 { v; _ } ->
-    let vx = Graph.vertex t.graph v in
-    let plane = Vertex.plane vx t.plane in
-    if (Vertex.free vx) || Plane.marked plane then ()
-    else begin
-      Plane.mark plane;
-      spawn_children t ~pe ~v ~prior:3 ~emit
-    end
-  | Mark2 { v; prior; _ } ->
-    let vx = Graph.vertex t.graph v in
-    let plane = Vertex.plane vx t.plane in
+  let vx = Graph.vertex t.graph v in
+  let plane = Vertex.plane vx t.plane in
+  if Task.meta_kind meta = Task.kind_mark2 then begin
+    let prior = Task.meta_prior meta in
     if (Vertex.free vx) then ()
     else if Plane.marked plane && prior <= (Plane.prior plane) then ()
     else begin
       (* first visit, or a strictly higher priority: (re-)flood *)
       Plane.mark plane;
       Plane.set_prior plane @@ prior;
-      spawn_children t ~pe ~v ~prior ~emit
+      spawn_children t ~pe ~prior ~emit vx
     end
+  end
+  else if (Vertex.free vx) || Plane.marked plane then ()
+  else begin
+    Plane.mark plane;
+    spawn_children t ~pe ~prior:3 ~emit vx
+  end
 
 let sent_total t = Array.fold_left ( + ) 0 t.sent
 

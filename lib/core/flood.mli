@@ -41,17 +41,18 @@ val create : Graph.t -> Run.variant -> t
     captured from the graph, so create the flood right after
     [Graph.reset_plane] opened its wave. *)
 
-val execute : t -> pe:int -> emit:(Task.mark -> unit) -> Task.mark -> unit
-(** Execute one mark task on PE [pe]; each spawned task is handed to
-    [emit] as it is created (already counted as sent by [pe]) — no list
-    is built. [Return] tasks are rejected — this scheme never creates
-    them. *)
+val execute : t -> pe:int -> emit:Task.sink -> int -> int -> int -> unit
+(** Execute one mark task, given as lanes [v par meta], on PE [pe]; each
+    spawned task is handed to [emit] as lanes as it is created (already
+    counted as sent by [pe]) — nothing is allocated. [Return] tasks are
+    rejected — this scheme never creates them. *)
+
+val seed_meta : t -> int
+(** The lane meta of a seed (and of every spawned task: the flood never
+    uses mt-par, so the parent lane is always [-1]). *)
 
 val seed_for : t -> Vid.t -> Task.mark
-
-val mark_task : t -> v:Vid.t -> prior:int -> Task.mark
-(** The mark task a cooperating mutation should spawn on a new traced
-    child (the caller counts it with {!count_coop_spawn}). *)
+(** A seed task as a view. *)
 
 val count_seed : t -> pe:int -> unit
 (** Account for a seed task injected by the controller (counted as sent

@@ -1,6 +1,5 @@
 open Dgr_graph
 open Dgr_task
-open Task
 
 type coop_event =
   | Ev_tree_edge of { run : Run.t; parent : Vid.t; child : Vid.t }
@@ -11,7 +10,7 @@ type t = {
   graph : Graph.t;
   mutable active : Run.t list;
   mutable active_flood : Flood.t list;
-  mutable spawn : Task.mark -> unit;
+  mutable spawn : Task.sink;
   mutable coop_pe : unit -> int;
   mutable defer : (coop_event -> unit) option;
   mutable on_connect : Vid.t -> Vid.t -> unit;
@@ -127,13 +126,6 @@ let flood_edge_all t ~parent ~child ~mt_only =
       if (not mt_only) || fl.Flood.plane = Plane.MT then coop_flood t fl ~parent ~child)
     t.active_flood
 
-let mark_task_for run ~v ~par ~prior =
-  let ep = run.Run.wave in
-  match run.Run.variant with
-  | Run.Basic -> Mark1 { v; par; ep }
-  | Run.Priority -> Mark2 { v; par; prior; ep }
-  | Run.Tasks -> Mark3 { v; par; ep }
-
 (* Spawn a mark task on [child] charged to the transient [parent]
    (invariant 1 lets a transient vertex carry new outstanding tasks). *)
 let charge_and_spawn t run ~parent ~child ~prior =
@@ -142,7 +134,7 @@ let charge_and_spawn t run ~parent ~child ~prior =
   run.Run.coop_spawns <- run.Run.coop_spawns + 1;
   t.total_coop_spawned <- t.total_coop_spawned + 1;
   obs t (Dgr_obs.Event.Coop_spawn { pe = t.coop_pe (); parent; child });
-  t.spawn (mark_task_for run ~v:child ~par:(Plane.Parent parent) ~prior)
+  t.spawn child parent (Run.mark_meta run.Run.variant ~wave:run.Run.wave ~prior)
 
 (* Synchronously mark the unmarked component reachable from [v] through
    the run's traced relation. Invariants: only unmarked vertices are
@@ -218,8 +210,8 @@ let witness_cooperate t run ~a ~b ~c =
     t.total_coop_spawned <- t.total_coop_spawned + 1;
     obs t (Dgr_obs.Event.Coop_spawn { pe = t.coop_pe (); parent = b; child = c });
     let prior = Trace.child_priority g b (Int.max 1 (Plane.prior pb)) c in
-    Marker.execute run ~pe:(t.coop_pe ()) ~emit:t.spawn
-      (mark_task_for run ~v:c ~par:(Plane.Parent b) ~prior)
+    Marker.execute run ~pe:(t.coop_pe ()) ~emit:t.spawn c b
+      (Run.mark_meta run.Run.variant ~wave:run.Run.wave ~prior)
   end
   (* marked a / marked b: c is at least transient by invariant 2;
      unmarked a, or transient a with non-unmarked b: covered by b. *)

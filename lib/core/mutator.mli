@@ -54,7 +54,7 @@ type t = {
   graph : Graph.t;
   mutable active : Run.t list;  (** tree-scheme runs in their mark phase *)
   mutable active_flood : Flood.t list;  (** flood-scheme runs in flight *)
-  mutable spawn : Task.mark -> unit;  (** asynchronous task injection *)
+  mutable spawn : Task.sink;  (** asynchronous mark injection, as lanes *)
   mutable coop_pe : unit -> int;
       (** the PE a cooperation spawn is charged to (flood counters) *)
   mutable defer : (coop_event -> unit) option;
@@ -81,7 +81,7 @@ val create :
   ?on_connect:(Vid.t -> Vid.t -> unit) ->
   ?on_disconnect:(Vid.t -> Vid.t -> unit) ->
   ?recorder:Dgr_obs.Recorder.t ->
-  spawn:(Task.mark -> unit) ->
+  spawn:Task.sink ->
   Graph.t ->
   t
 

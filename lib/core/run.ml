@@ -17,6 +17,16 @@ type t = {
 
 let plane_of_variant = function Basic | Priority -> Plane.MR | Tasks -> Plane.MT
 
+let mark_meta variant ~wave ~prior =
+  let open Dgr_task.Task in
+  match variant with
+  | Basic -> meta ~kind:kind_mark1 ~plane:Plane.MR ~prior:0 ~ep:wave
+  | Priority -> meta ~kind:kind_mark2 ~plane:Plane.MR ~prior ~ep:wave
+  | Tasks -> meta ~kind:kind_mark3 ~plane:Plane.MT ~prior:0 ~ep:wave
+
+let return_meta t =
+  Dgr_task.Task.meta ~kind:Dgr_task.Task.kind_return ~plane:t.plane ~prior:0 ~ep:t.wave
+
 let create graph variant =
   {
     graph;

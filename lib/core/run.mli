@@ -42,6 +42,14 @@ val create : Graph.t -> variant -> t
 
 val plane_of_variant : variant -> Plane.id
 
+val mark_meta : variant -> wave:int -> prior:int -> int
+(** The lane meta ({!Dgr_task.Task.meta}) of the variant's mark task
+    under [wave]: mark1, mark2 at [prior], or mark3. [prior] is ignored
+    by the priority-less variants. *)
+
+val return_meta : t -> int
+(** The lane meta of a return task on the run's plane and wave. *)
+
 val count_mark : t -> pe:int -> unit
 (** Count one mark-task execution on [pe]'s cell (out-of-range PEs — the
     controller replays as [-1] — account to slot 0). *)

@@ -16,11 +16,11 @@ type t = {
 }
 
 let create ?(order = Fifo) g =
-  let mut = Mutator.create ~spawn:(fun _ -> ()) g in
+  let mut = Mutator.create ~spawn:(fun _ _ _ -> ()) g in
   let t =
     { g; tasks = Vec.create (); order; head = 0; mr = None; mt = None; mut; executed = 0 }
   in
-  mut.Mutator.spawn <- (fun task -> Vec.push t.tasks task);
+  mut.Mutator.spawn <- Task.sink_of (Vec.push t.tasks);
   t
 
 let graph t = t.g
@@ -90,7 +90,7 @@ let step t =
   | Some task ->
     t.executed <- t.executed + 1;
     let run = run_for t (Task.plane_of_mark task) in
-    Marker.execute run ~pe:0 ~emit:t.mut.Mutator.spawn task;
+    Task.emit_mark (Marker.execute run ~pe:0 ~emit:t.mut.Mutator.spawn) task;
     true
 
 let drain ?interleave ?(max_steps = 10_000_000) t =

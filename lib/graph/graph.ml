@@ -31,29 +31,32 @@ module Seg = struct
       len = 0;
     }
 
-  (* chunk index and offset for slot [i]: chunk [j] starts at
-     [base_size * (2^j - 1)]. *)
-  let locate i =
-    let j = ref 0 and lo = ref 0 and size = ref base_size in
-    while i >= !lo + !size do
-      lo := !lo + !size;
-      size := !size * 2;
+  (* Chunk [j] starts at slot [base_size * (2^j - 1)]; slot [i] lives in
+     the chunk [chunk_of i], at offset [i - chunk_start j]. Two scalar
+     functions rather than one returning a pair: every vertex lookup goes
+     through here, and the pair would be a heap block per lookup. *)
+  let chunk_start j = base_size * ((1 lsl j) - 1)
+
+  let chunk_of i =
+    let j = ref 0 in
+    while i >= chunk_start (!j + 1) do
       incr j
     done;
-    (!j, i - !lo)
+    !j
 
   let length t = t.len
 
   let get t i =
-    let j, off = locate i in
-    Array.unsafe_get (Array.unsafe_get t.chunks j) off
+    let j = chunk_of i in
+    Array.unsafe_get (Array.unsafe_get t.chunks j) (i - chunk_start j)
 
   let dummy = lazy (Vertex.create (-1) ~pe:(-1) Label.Freed)
 
   (* Append a fresh slot, materializing the chunk (handles + columns) on
      first touch, and return its handle. *)
   let alloc t id ~pe label =
-    let j, off = locate t.len in
+    let j = chunk_of t.len in
+    let off = t.len - chunk_start j in
     if Array.length t.chunks.(j) = 0 then begin
       t.cols.(j) <- Vertex.make_cols (base_size lsl j);
       t.chunks.(j) <- Array.make (base_size lsl j) (Lazy.force dummy)

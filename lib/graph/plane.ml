@@ -6,8 +6,10 @@ type id = MR | MT
 
 (* One marking plane's state for a whole storage chunk, as parallel
    columns: colour packed one byte per slot, the counter/parent/priority
-   words one cell per slot. Chunks never move once allocated (see
-   [Graph]), so a handle caches the column arrays directly.
+   words one cell per slot (the parent as a vid, -1 for rootpar, so the
+   marking hot path reads and writes it without boxing). Chunks never
+   move once allocated (see [Graph]), so a handle caches the column
+   arrays directly.
 
    The [c_epoch] column makes between-cycle resets O(1): a slot's state
    is valid only while its epoch equals the chunk's current epoch
@@ -21,7 +23,7 @@ type id = MR | MT
 type cols = {
   c_color : Bytes.t;
   c_cnt : int array;
-  c_par : parent array;
+  c_par : int array;
   c_prior : int array;
   c_epoch : int array;
   mutable cur : int;
@@ -35,7 +37,7 @@ let make_cols n =
   {
     c_color = Bytes.make n '\000';
     c_cnt = Array.make n 0;
-    c_par = Array.make n Rootpar;
+    c_par = Array.make n (-1);
     c_prior = Array.make n 0;
     c_epoch = Array.make n 0;
     cur = 1;
@@ -56,7 +58,7 @@ let materialize t =
     Array.unsafe_set t.c.c_epoch t.off t.c.cur;
     Bytes.unsafe_set t.c.c_color t.off '\000';
     Array.unsafe_set t.c.c_cnt t.off 0;
-    t.c.c_par.(t.off) <- Rootpar;
+    Array.unsafe_set t.c.c_par t.off (-1);
     Array.unsafe_set t.c.c_prior t.off 0
   end
 
@@ -79,11 +81,17 @@ let set_cnt t n =
   materialize t;
   Array.unsafe_set t.c.c_cnt t.off n
 
-let par t = if live t then t.c.c_par.(t.off) else Rootpar
+let parent_of_vid v = if v < 0 then Rootpar else Parent v
 
-let set_par t p =
+let vid_of_parent = function Rootpar -> -1 | Parent v -> v
+
+let par_vid t = if live t then Array.unsafe_get t.c.c_par t.off else -1
+
+let set_par_vid t v =
   materialize t;
-  t.c.c_par.(t.off) <- p
+  Array.unsafe_set t.c.c_par t.off v
+
+let par t = parent_of_vid (par_vid t)
 
 let prior t = if live t then Array.unsafe_get t.c.c_prior t.off else 0
 
@@ -116,26 +124,26 @@ let equal_color (a : color) b = a = b
 type shot = {
   mutable s_color : color;
   mutable s_cnt : int;
-  mutable s_par : parent;
+  mutable s_par : int;
   mutable s_prior : int;
 }
 
-let capture t = { s_color = color t; s_cnt = cnt t; s_par = par t; s_prior = prior t }
+let capture t = { s_color = color t; s_cnt = cnt t; s_par = par_vid t; s_prior = prior t }
 
 let recapture s t =
   s.s_color <- color t;
   s.s_cnt <- cnt t;
-  s.s_par <- par t;
+  s.s_par <- par_vid t;
   s.s_prior <- prior t
 
 let matches s t =
   equal_color s.s_color (color t)
-  && s.s_cnt = cnt t && s.s_par = par t && s.s_prior = prior t
+  && s.s_cnt = cnt t && s.s_par = par_vid t && s.s_prior = prior t
 
 let restore s t =
   set_color t s.s_color;
   set_cnt t s.s_cnt;
-  set_par t s.s_par;
+  set_par_vid t s.s_par;
   set_prior t s.s_prior
 
 let pp_color fmt = function

@@ -56,7 +56,16 @@ val set_cnt : t -> int -> unit
 val par : t -> parent
 (** mt-par: parent in the marking tree. *)
 
-val set_par : t -> parent -> unit
+val par_vid : t -> int
+(** {!par} as a vid, [-1] for [Rootpar] — the unboxed form the marking
+    handlers read and write. *)
+
+val set_par_vid : t -> int -> unit
+
+val parent_of_vid : int -> parent
+(** [-1] (any negative) is [Rootpar]. *)
+
+val vid_of_parent : parent -> int
 
 val prior : t -> int
 (** 0 when unmarked; 1..3 once traced (M_R). *)
@@ -84,7 +93,7 @@ val unmark : t -> unit
 type shot = {
   mutable s_color : color;
   mutable s_cnt : int;
-  mutable s_par : parent;
+  mutable s_par : int;  (** the parent vid, -1 for [Rootpar] *)
   mutable s_prior : int;
 }
 (** A boxed copy of one slot's plane state (checkpointing); mutable so

@@ -159,9 +159,13 @@ let grown a n =
     a'
   end
 
-let row_mem a n c =
-  let rec scan i = i < n && (Vid.equal (Array.unsafe_get a i) c || scan (i + 1)) in
-  scan 0
+(* Top-level, every argument passed: a local [scan] closing over the row
+   would be a heap closure per call, and the marking handlers ask this
+   once or twice per traced child. *)
+let rec row_mem_from a n c i =
+  i < n && (Vid.equal (Array.unsafe_get a i) c || row_mem_from a n c (i + 1))
+
+let row_mem a n c = row_mem_from a n c 0
 
 (* Drop every occurrence of [c], compacting in place; returns the new
    length. Preserves the order of the survivors. *)
@@ -244,12 +248,6 @@ let req_count t = t.reqv_n + t.reqe_n
 
 let is_req_arg t c = row_mem t.reqv_a t.reqv_n c || row_mem t.reqe_a t.reqe_n c
 
-let iter_unrequested_args t f =
-  for i = 0 to t.args_n - 1 do
-    let c = Array.unsafe_get t.args_a i in
-    if not (is_req_arg t c) then f c
-  done
-
 let unrequested_args t =
   let acc = ref [] in
   for i = t.args_n - 1 downto 0 do
@@ -312,12 +310,9 @@ let blit_requests t dst =
   Array.blit t.rq_a 0 dst 0 (3 * t.rq_n);
   t.rq_n
 
-(* Newest-first, like the old list; external (None) entries are skipped. *)
-let iter_requesters t f =
-  for i = t.rq_n - 1 downto 0 do
-    let w = Array.unsafe_get t.rq_a (3 * i) in
-    if w >= 0 then f w
-  done
+let requester t i =
+  if i < 0 || i >= t.rq_n then invalid_arg "Vertex.requester: index out of bounds";
+  Array.unsafe_get t.rq_a (3 * i)
 
 let add_requester t r ~demand ~key =
   let w = who_code r in

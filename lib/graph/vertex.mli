@@ -150,9 +150,6 @@ val is_req_arg : t -> Vid.t -> bool
 val unrequested_args : t -> Vid.t list
 (** args(v) − req-args(v): children not yet demanded (reserve paths). *)
 
-val iter_unrequested_args : t -> (Vid.t -> unit) -> unit
-(** Visit {!unrequested_args} in order. Does not allocate. *)
-
 val request_arg : t -> Vid.t -> Demand.t -> unit
 (** Record that [v] demanded a child with the given kind. Upgrades an
     eager record to vital when re-requested vitally; never downgrades. *)
@@ -172,9 +169,9 @@ val requested : t -> request_entry list
 
 val requested_count : t -> int
 
-val iter_requesters : t -> (Vid.t -> unit) -> unit
-(** Visit the requesters in [requested] order, skipping the external
-    ([None]) entries. Does not allocate. *)
+val requester : t -> int -> int
+(** The vid of the [i]-th [requested] entry (append order), [-1] for the
+    external requester. Raises [Invalid_argument] out of bounds. *)
 
 val blit_requests : t -> int array -> int
 (** Copy the raw request rows into [dst] — stride 3 per entry: requester

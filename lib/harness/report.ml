@@ -142,6 +142,11 @@ let render ?(deterministic = false) e =
       (p.Profile.merge_mw /. steps)
       (p.Profile.gc_mw /. steps)
       (p.Profile.book_mw /. steps);
+    (* In OCaml 5 a minor collection stops every domain: this is the
+       allocation bill's cost at the barrier, machine-wide. *)
+    Printf.bprintf b "  minor collections/step: %.4f (%d over the run at domains=%d)\n"
+      (float_of_int p.Profile.minor_gcs /. steps)
+      p.Profile.minor_gcs domains;
     Printf.bprintf b
       "  serial_fraction=%.3f (Amdahl ceiling: x%.2f at 2 domains, x%.2f at \
        4, x%.2f at 8)\n"

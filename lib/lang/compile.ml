@@ -82,7 +82,7 @@ let compile_program (program : Ast.program) =
   List.iter (fun d -> Template.define reg (compile_def ~arities d)) program;
   reg
 
-let null_mutator g = Dgr_core.Mutator.create ~spawn:(fun _ -> ()) g
+let null_mutator g = Dgr_core.Mutator.create ~spawn:(fun _ _ _ -> ()) g
 
 let load ?(num_pes = 1) ?(free_pool = 0) program =
   let reg = compile_program program in

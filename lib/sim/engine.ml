@@ -125,19 +125,19 @@ type pe_ctx = {
   mutable clin : int;  (** lineage of the task this PE is executing; -1 outside *)
   mutable cdepth : int;  (** causal depth its children inherit *)
   cdone : int Vec.t;  (** tickets of executed tasks, closed at the barrier *)
-  mutable cmark_ns : float;  (** profiler: this shard's marking-budget time *)
-  mutable cred_ns : float;  (** profiler: this shard's reduction-budget time *)
-  mutable cexec : (Task.t -> int -> unit) option;
-      (** pre-bound [pe_execute] — built on first use, reused by every
-          budget drain so the inner loop allocates no closures *)
+  cns : float array;
+      (** profiler: this shard's marking-budget (0) and reduction-budget
+          (1) time — a flat float array, so adding to it boxes nothing *)
+  mutable cexec : Task.t -> int -> unit;
+  mutable cmark : Task.sink;
+  mutable cemit : Task.sink;
+      (** pre-bound [pe_execute], [pe_execute_mark] and [pe_send_mark],
+          bound once at [create] so the budget loops build no closures *)
   ccoop : Mutator.coop_event Vec.t;
       (** cooperation events this PE's reductions deferred; replayed at
           the barrier in ascending PE order *)
-  mutable cemit : (Task.mark -> unit) option;
-      (** pre-bound mark emit ([pe_send] of a [Marking]) — built on first
-          use so the marking inner loop allocates no closures *)
-  ctake : Task.t -> unit;
-      (** pre-bound push into this PE's pool, for {!Network.take_marks} *)
+  ctake : Task.sink;
+      (** pre-bound push into this PE's pool, for {!Network.take_mark_lanes} *)
   cinc : int Vec.t;
   cdec : int Vec.t;
       (** refcount increments / decrements this PE's mutations logged, as
@@ -237,9 +237,9 @@ and t = {
   mutable wd_exec_fired : bool;
   mutable wd_retx_last : int;  (** [retransmits] at the last window boundary *)
   mutable wd_retx_at : int;  (** next retransmit-window boundary *)
-  mutable emit_mark : Task.mark -> unit;
-      (** [send] wrapped for the marker/flood spawn callbacks — allocated
-          once so the marking inner loop builds no closures. *)
+  mutable emit_mark : Task.sink;
+      (** [send_mark] bound for the controller-side mark spawns (seeds,
+          barrier-replayed cooperation) — allocated once. *)
   mutable push_due : int -> int -> Task.t -> unit;
       (** delivery's push into the destination pool, allocated once *)
   mutable mark_only : bool;
@@ -261,11 +261,11 @@ let throughput t = Int.max 1 (t.num_pes * t.tasks_per_step)
 let obs t kind =
   match t.recorder with None -> () | Some r -> Dgr_obs.Recorder.emit r kind
 
-(* Destination PE of a task, or [-1] for controller-addressed tasks.
-   Unboxed (no option) — this runs once per send. *)
-let pe_of t task =
-  let v = Task.exec_vid task in
-  if v < 0 then -1 else Vertex.pe (Graph.vertex t.g v)
+(* Destination PE of a task's vid, or [-1] for controller-addressed
+   tasks. Unboxed (no option) — this runs once per send. *)
+let pe_of_vid t v = if v < 0 then -1 else Vertex.pe (Graph.vertex t.g v)
+
+let pe_of t task = pe_of_vid t (Task.exec_vid task)
 
 (* The PE a mutation is charged to for the ownership checker: the
    domain-local executing PE while the shards run (the engine never
@@ -301,25 +301,23 @@ let active_flood t =
       | Some (Cycle.Flood_run fl) -> Some fl
       | Some (Cycle.Tree_run _) | None -> None))
 
-let delay_of t ~rng ~src task pe =
+(* Marking messages are tiny and bounded (§6) and ride a fast path: if
+   they paid full data latency, a mutator expanding a deep structure
+   could outrun the marking wavefront forever and the cycle would never
+   terminate. [base] is the link's delay for the message's class. *)
+let mark_base t = Int.max 1 (t.latency / 4)
+
+let reduction_base t = Int.max 1 t.latency
+
+let delay_of t ~rng ~src ~base pe =
   if pe = src then 1
-  else begin
-    (* Marking messages are tiny and bounded (§6) and ride a fast
-       path: if they paid full data latency, a mutator expanding a
-       deep structure could outrun the marking wavefront forever and
-       the cycle would never terminate. *)
-    let base =
-      match task with
-      | Marking _ -> Int.max 1 (t.latency / 4)
-      | Reduction _ -> Int.max 1 t.latency
-    in
+  else if
     (* Seeded delivery jitter: occasionally a message takes longer,
        reordering arrivals — the interleaving adversary for the full
        machine. Deterministic for a given config seed. *)
-    if t.jitter > 0.0 && Rng.float rng 1.0 < t.jitter then
-      base + 1 + Rng.int rng (Int.max 1 t.latency)
-    else base
-  end
+    t.jitter > 0.0 && Rng.float rng 1.0 < t.jitter
+  then base + 1 + Rng.int rng (Int.max 1 t.latency)
+  else base
 
 (* The mark dispatch, for a PE's shard and for the controller alike: [m]
    is the metrics sink the drop is counted in, [emit] where the handler's
@@ -336,19 +334,19 @@ let delay_of t ~rng ~src task pe =
    reduction. The handler table itself ([Cycle.handler_for_plane]) only
    changes at serial points, published to workers by the step
    barrier. *)
-let execute_marking t m ~pe ~emit mark =
+let execute_marking t m ~pe ~emit v par meta =
   match t.cyc with
   | None -> ()
   | Some c -> (
-    match Cycle.handler_for_plane c (Task.plane_of_mark mark) with
+    match Cycle.handler_for_plane c (Task.meta_plane meta) with
     | Some (Cycle.Tree_run run) ->
-      if Task.mark_ep mark <> run.Run.wave then
+      if Task.meta_ep meta <> run.Run.wave then
         m.Metrics.stale_marks_dropped <- m.Metrics.stale_marks_dropped + 1
-      else Marker.execute run ~pe ~emit mark
+      else Marker.execute run ~pe ~emit v par meta
     | Some (Cycle.Flood_run fl) ->
-      if Task.mark_ep mark <> fl.Flood.wave then
+      if Task.meta_ep meta <> fl.Flood.wave then
         m.Metrics.stale_marks_dropped <- m.Metrics.stale_marks_dropped + 1
-      else Flood.execute fl ~pe ~emit mark
+      else Flood.execute fl ~pe ~emit v par meta
     | None -> () (* stray task from a finished run: drop *))
 
 (* Execute controller-addressed tasks immediately: the final response of
@@ -356,30 +354,51 @@ let execute_marking t m ~pe ~emit mark =
 let rec execute_at_controller t task =
   match task with
   | Reduction r -> Reducer.execute t.red r
-  | Marking mark -> execute_marking t t.m ~pe:0 ~emit:t.emit_mark mark
+  | Marking m ->
+    execute_marking t t.m ~pe:0 ~emit:t.emit_mark (Task.lane_v m) (Task.lane_par m)
+      (Task.lane_meta m)
+
+(* The serial send's message accounting, shared by both task classes:
+   returns the delay drawn from the sender's jitter stream. *)
+and count_send t ~base ~kind ~vid pe =
+  (if pe <> t.current_pe && t.current_pe >= 0 then
+     t.m.Metrics.remote_messages <- t.m.Metrics.remote_messages + 1);
+  let delay = delay_of t ~rng:(rng_for t) ~src:t.current_pe ~base pe in
+  if pe = t.current_pe then t.m.Metrics.local_messages <- t.m.Metrics.local_messages + 1;
+  if t.obs_on then
+    obs t
+      (Dgr_obs.Event.Send
+         {
+           kind;
+           pe;
+           vid;
+           arrival = t.now + delay;
+           remote = pe <> t.current_pe;
+           lin = t.current_lin;
+         });
+  delay
+
+and send_mark t v par meta =
+  let vid = Task.lanes_exec_vid v par meta in
+  let pe = pe_of_vid t vid in
+  if pe < 0 then execute_marking t t.m ~pe:0 ~emit:t.emit_mark v par meta
+  else
+    let delay = count_send t ~base:(mark_base t) ~kind:(Task.obs_kind_of_meta meta) ~vid pe in
+    Network.send_mark t.net ~src:t.current_pe ~arrival:(t.now + delay) ~pe v par meta
 
 and send t task =
-  let pe = pe_of t task in
-  if pe < 0 then execute_at_controller t task
-  else begin
-    (if pe <> t.current_pe && t.current_pe >= 0 then
-       t.m.Metrics.remote_messages <- t.m.Metrics.remote_messages + 1);
-    let delay = delay_of t ~rng:(rng_for t) ~src:t.current_pe task pe in
-    if pe = t.current_pe then t.m.Metrics.local_messages <- t.m.Metrics.local_messages + 1;
-    if t.obs_on then
-      obs t
-        (Dgr_obs.Event.Send
-           {
-             kind = Task.obs_kind task;
-             pe;
-             vid = Task.exec_vid task;
-             arrival = t.now + delay;
-             remote = pe <> t.current_pe;
-             lin = t.current_lin;
-           });
-    Network.send ~src:t.current_pe ~lin:t.current_lin ~depth:t.current_depth t.net
-      ~arrival:(t.now + delay) ~pe task
-  end
+  match task with
+  | Marking m -> send_mark t (Task.lane_v m) (Task.lane_par m) (Task.lane_meta m)
+  | Reduction _ ->
+    let pe = pe_of t task in
+    if pe < 0 then execute_at_controller t task
+    else
+      let delay =
+        count_send t ~base:(reduction_base t) ~kind:(Task.obs_kind task)
+          ~vid:(Task.exec_vid task) pe
+      in
+      Network.send ~src:t.current_pe ~lin:t.current_lin ~depth:t.current_depth t.net
+        ~arrival:(t.now + delay) ~pe task
 
 (* The per-PE counterpart of [send], used while PE budgets run inside a
    step (possibly on a worker domain): controller tasks are deferred to
@@ -387,30 +406,121 @@ and send t task =
    all bookkeeping lands in the context — nothing shared is touched. The
    delay computation and jitter stream are exactly [send]'s, so a PE's
    arrival schedule is identical whichever of the two carried it. *)
+let pe_count_send t ctx ~base ~kind ~vid pe =
+  (if pe <> ctx.cpe then
+     ctx.pm.Metrics.remote_messages <- ctx.pm.Metrics.remote_messages + 1);
+  let delay = delay_of t ~rng:ctx.crng ~src:ctx.cpe ~base pe in
+  if pe = ctx.cpe then ctx.pm.Metrics.local_messages <- ctx.pm.Metrics.local_messages + 1;
+  (match ctx.sub with
+  | None -> ()
+  | Some r ->
+    Dgr_obs.Recorder.emit r
+      (Dgr_obs.Event.Send
+         {
+           kind;
+           pe;
+           vid;
+           arrival = t.now + delay;
+           remote = pe <> ctx.cpe;
+           lin = ctx.clin;
+         }));
+  delay
+
+(* A mark spawned on a PE's shard, as lanes: into the mailbox's int
+   column, with no view built. Only a return to the dummy rootpar is
+   boxed, for the controller replay — one per seed per wave. *)
+let pe_send_mark t ctx v par meta =
+  let vid = Task.lanes_exec_vid v par meta in
+  let pe = pe_of_vid t vid in
+  if pe < 0 then Vec.push ctx.ctrl (Marking (Task.mark_of_lanes v par meta))
+  else
+    let delay =
+      pe_count_send t ctx ~base:(mark_base t) ~kind:(Task.obs_kind_of_meta meta) ~vid pe
+    in
+    Network.Mailbox.post_mark ctx.mbox ~src:ctx.cpe ~arrival:(t.now + delay) ~pe v par meta
+
 let pe_send t ctx task =
-  let pe = pe_of t task in
-  if pe < 0 then Vec.push ctx.ctrl task
-  else begin
-    (if pe <> ctx.cpe then
-       ctx.pm.Metrics.remote_messages <- ctx.pm.Metrics.remote_messages + 1);
-    let delay = delay_of t ~rng:ctx.crng ~src:ctx.cpe task pe in
-    if pe = ctx.cpe then ctx.pm.Metrics.local_messages <- ctx.pm.Metrics.local_messages + 1;
+  match task with
+  | Marking m -> pe_send_mark t ctx (Task.lane_v m) (Task.lane_par m) (Task.lane_meta m)
+  | Reduction _ ->
+    let pe = pe_of t task in
+    if pe < 0 then Vec.push ctx.ctrl task
+    else
+      let delay =
+        pe_count_send t ctx ~base:(reduction_base t) ~kind:(Task.obs_kind task)
+          ~vid:(Task.exec_vid task) pe
+      in
+      Network.Mailbox.post_reduction ctx.mbox ~lin:ctx.clin ~depth:ctx.cdepth ~src:ctx.cpe
+        ~arrival:(t.now + delay) ~pe task
+
+(* Decompose a ticketed task's latency at the moment it executes: network
+   transit (send → fault-free arrival), retransmit delay (arrival →
+   actual delivery), queue wait (delivery → execution) and end-to-end
+   (send → execution, counting the execution step itself). *)
+let note_latency m l stamp ~now =
+  let sent = Dgr_obs.Lineage.sent_of l stamp in
+  let arrival = Dgr_obs.Lineage.arrival_of l stamp in
+  let delivered = Dgr_obs.Lineage.delivered_of l stamp in
+  Dgr_obs.Hist.add m.Metrics.lat_net (arrival - sent);
+  Dgr_obs.Hist.add m.Metrics.lat_retx (delivered - arrival);
+  Dgr_obs.Hist.add m.Metrics.lat_queue (now - delivered);
+  Dgr_obs.Hist.add m.Metrics.lat_e2e (now - sent + 1)
+
+(* Execute one mark, as lanes, on its PE's shard. Marks are never
+   ticketed, so the context's lineage stays at its idle -1/0 (only
+   [pe_execute] moves it, and resets it after), and its spawns ride the
+   PE's mailbox; returns to the dummy rootpar replay at the barrier. *)
+let pe_execute_mark t ctx v par meta =
+  (match ctx.sub with
+  | None -> ()
+  | Some r ->
+    Dgr_obs.Recorder.emit r
+      (Dgr_obs.Event.Execute
+         {
+           kind = Task.obs_kind_of_meta meta;
+           pe = ctx.cpe;
+           vid = Task.lanes_exec_vid v par meta;
+           lin = ctx.clin;
+         }));
+  ctx.pm.Metrics.marking_executed <- ctx.pm.Metrics.marking_executed + 1;
+  execute_marking t ctx.pm ~pe:ctx.cpe ~emit:ctx.cemit v par meta
+
+(* Execute one task on its PE's shard. Latency lands in the context's
+   private sink (histogram absorption is associative, so the merged
+   totals match any execution order); ticket closes are deferred to the
+   barrier, where they run in ascending PE order — a fixed,
+   domain-count-free order. Ticket reads are safe off the main domain:
+   between barriers the store is never mutated. Marks never come here:
+   [Pool.drain_lanes] hands them to [pe_execute_mark] as lanes. *)
+let pe_execute t ctx task stamp =
+  match task with
+  | Marking _ -> assert false
+  | Reduction r ->
+    if stamp >= 0 then begin
+      note_latency ctx.pm t.lin stamp ~now:t.now;
+      ctx.clin <- Dgr_obs.Lineage.lin_of t.lin stamp;
+      ctx.cdepth <- Dgr_obs.Lineage.depth_of t.lin stamp + 1
+    end
+    else begin
+      ctx.clin <- -1;
+      ctx.cdepth <- 0
+    end;
     (match ctx.sub with
     | None -> ()
-    | Some r ->
-      Dgr_obs.Recorder.emit r
-        (Dgr_obs.Event.Send
+    | Some rc ->
+      Dgr_obs.Recorder.emit rc
+        (Dgr_obs.Event.Execute
            {
              kind = Task.obs_kind task;
-             pe;
+             pe = ctx.cpe;
              vid = Task.exec_vid task;
-             arrival = t.now + delay;
-             remote = pe <> ctx.cpe;
              lin = ctx.clin;
            }));
-    Network.Mailbox.post ctx.mbox ~lin:ctx.clin ~depth:ctx.cdepth ~src:ctx.cpe
-      ~arrival:(t.now + delay) ~pe task
-  end
+    ctx.pm.Metrics.reduction_executed <- ctx.pm.Metrics.reduction_executed + 1;
+    Reducer.execute ctx.pred r;
+    if stamp >= 0 then Vec.push ctx.cdone stamp;
+    ctx.clin <- -1;
+    ctx.cdepth <- 0
 
 let purge_everywhere t pred =
   Array.fold_left (fun acc pool -> acc + Pool.purge pool pred) 0 t.pools
@@ -430,7 +540,7 @@ let create ?recorder ?(config = Config.default) g templates =
   (* Hand the graph to the PEs: per-home free lists and striped fresh
      vids, so a shard's allocation never shares a structure across PEs. *)
   if not (Graph.partitioned g) then Graph.partition g ~pes:num_pes;
-  let mut = Mutator.create ?recorder ~spawn:(fun _ -> ()) g in
+  let mut = Mutator.create ?recorder ~spawn:(fun _ _ _ -> ()) g in
   let speculate_if = Config.speculate_if config in
   let red =
     Reducer.create ~speculate_if ?recorder ~graph:g ~mut ~templates ~send:(fun _ -> ()) ()
@@ -502,13 +612,13 @@ let create ?recorder ?(config = Config.default) g templates =
       wd_exec_fired = false;
       wd_retx_last = 0;
       wd_retx_at = 64;
-      emit_mark = ignore;
+      emit_mark = (fun _ _ _ -> ());
       push_due = (fun _ _ _ -> ());
       mark_only = false;
       coop_sink = ignore;
     }
   in
-  t.emit_mark <- (fun mark -> send t (Marking mark));
+  t.emit_mark <- send_mark t;
   t.push_due <- (fun pe stamp task -> Pool.push_stamped t.pools.(pe) stamp task);
   mut.Mutator.spawn <- t.emit_mark;
   mut.Mutator.coop_pe <- (fun () -> Int.max 0 t.current_pe);
@@ -553,17 +663,20 @@ let create ?recorder ?(config = Config.default) g templates =
             clin = -1;
             cdepth = 0;
             cdone = Vec.create ();
-            cmark_ns = 0.0;
-            cred_ns = 0.0;
-            cexec = None;
+            cns = [| 0.0; 0.0 |];
+            cexec = (fun _ _ -> ());
+            cmark = (fun _ _ _ -> ());
+            cemit = (fun _ _ _ -> ());
             ccoop = Vec.create ();
-            cemit = None;
-            ctake = (let pool = t.pools.(pe) in fun task -> Pool.push_stamped pool (-1) task);
+            ctake = Pool.push_mark t.pools.(pe);
             cinc = Vec.create ();
             cdec = Vec.create ();
           }
         in
         cell := Some ctx;
+        ctx.cexec <- pe_execute t ctx;
+        ctx.cmark <- pe_execute_mark t ctx;
+        ctx.cemit <- pe_send_mark t ctx;
         ctx);
   t.coop_sink <-
     (fun ev ->
@@ -607,17 +720,11 @@ let create ?recorder ?(config = Config.default) g templates =
     let iter_pe_endpoints pe f =
       if pe = 0 then begin
         Array.iter Vec.clear net_scratch;
-        Network.iter_in_flight_dst t.net (fun ~dst task ->
-            match task with
-            | Reduction r ->
-              if dst >= 0 && dst < num_pes then
-                Task.iter_reduction_endpoints (fun v -> Vec.push net_scratch.(dst) v) r
-            | Marking _ -> ())
+        Network.iter_in_flight_dst t.net (fun ~dst r ->
+            if dst >= 0 && dst < num_pes then
+              Task.iter_reduction_endpoints (fun v -> Vec.push net_scratch.(dst) v) r)
       end;
-      Pool.iter_tasks t.pools.(pe) (fun task ->
-          match task with
-          | Reduction r -> Task.iter_reduction_endpoints f r
-          | Marking _ -> ());
+      Pool.iter_reductions t.pools.(pe) (fun r -> Task.iter_reduction_endpoints f r);
       Vec.iter f net_scratch.(pe);
       Reducer.iter_parked t.red (fun r ->
           let home = pe_of t (Reduction r) in
@@ -628,7 +735,7 @@ let create ?recorder ?(config = Config.default) g templates =
     in
     let env =
       {
-        Cycle.spawn_mark = (fun mark -> send t (Marking mark));
+        Cycle.spawn_mark = t.emit_mark;
         pes = num_pes;
         iter_pe_endpoints;
         purge_tasks;
@@ -748,67 +855,6 @@ let flush_rc_purge t =
            | Marking _ -> false))
   end
 
-(* Decompose a ticketed task's latency at the moment it executes: network
-   transit (send → fault-free arrival), retransmit delay (arrival →
-   actual delivery), queue wait (delivery → execution) and end-to-end
-   (send → execution, counting the execution step itself). *)
-let note_latency m l stamp ~now =
-  let sent = Dgr_obs.Lineage.sent_of l stamp in
-  let arrival = Dgr_obs.Lineage.arrival_of l stamp in
-  let delivered = Dgr_obs.Lineage.delivered_of l stamp in
-  Dgr_obs.Hist.add m.Metrics.lat_net (arrival - sent);
-  Dgr_obs.Hist.add m.Metrics.lat_retx (delivered - arrival);
-  Dgr_obs.Hist.add m.Metrics.lat_queue (now - delivered);
-  Dgr_obs.Hist.add m.Metrics.lat_e2e (now - sent + 1)
-
-(* Emits ride the PE's mailbox; returns to the dummy rootpar are
-   controller-addressed and replay serially at the barrier. *)
-let cemit_for t ctx =
-  match ctx.cemit with
-  | Some f -> f
-  | None ->
-    let f mark = pe_send t ctx (Marking mark) in
-    ctx.cemit <- Some f;
-    f
-
-(* Execute one task on its PE's shard. Latency lands in the context's
-   private sink (histogram absorption is associative, so the merged
-   totals match any execution order); ticket closes are deferred to the
-   barrier, where they run in ascending PE order — a fixed,
-   domain-count-free order. Ticket reads are safe off the main domain:
-   between barriers the store is never mutated. *)
-let pe_execute t ctx task stamp =
-  if stamp >= 0 then begin
-    note_latency ctx.pm t.lin stamp ~now:t.now;
-    ctx.clin <- Dgr_obs.Lineage.lin_of t.lin stamp;
-    ctx.cdepth <- Dgr_obs.Lineage.depth_of t.lin stamp + 1
-  end
-  else begin
-    ctx.clin <- -1;
-    ctx.cdepth <- 0
-  end;
-  (match ctx.sub with
-  | None -> ()
-  | Some r ->
-    Dgr_obs.Recorder.emit r
-      (Dgr_obs.Event.Execute
-         {
-           kind = Task.obs_kind task;
-           pe = ctx.cpe;
-           vid = Task.exec_vid task;
-           lin = ctx.clin;
-         }));
-  (match task with
-  | Reduction r ->
-    ctx.pm.Metrics.reduction_executed <- ctx.pm.Metrics.reduction_executed + 1;
-    Reducer.execute ctx.pred r
-  | Marking mark ->
-    ctx.pm.Metrics.marking_executed <- ctx.pm.Metrics.marking_executed + 1;
-    execute_marking t ctx.pm ~pe:ctx.cpe ~emit:(cemit_for t ctx) mark);
-  if stamp >= 0 then Vec.push ctx.cdone stamp;
-  ctx.clin <- -1;
-  ctx.cdepth <- 0
-
 (* GC work (tracing a vertex, sweeping a slot) is much lighter than
    executing a task; [gc_work_factor] work units fit in one task slot. *)
 let pause t ~reason work =
@@ -924,22 +970,14 @@ let gc_control t =
    [Pool.pop]). Plain loops: this is the innermost simulator code. *)
 let pe_budgets t ctx pool =
   let t0 = Profile.now () in
-  let f =
-    match ctx.cexec with
-    | Some f -> f
-    | None ->
-      let f task stamp = pe_execute t ctx task stamp in
-      ctx.cexec <- Some f;
-      f
-  in
-  Pool.drain_marking pool ~budget:t.marking_per_step f;
+  Pool.drain_marking pool ~budget:t.marking_per_step ctx.cmark;
   let t1 = Profile.now () in
-  ctx.cmark_ns <- ctx.cmark_ns +. (t1 -. t0);
+  ctx.cns.(0) <- ctx.cns.(0) +. (t1 -. t0);
   (* During a restructure pause only the marking budget runs: the
      mutator is stopped, the next wave's marks are not. *)
   if not t.mark_only then begin
-    Pool.drain pool ~budget:t.tasks_per_step f;
-    ctx.cred_ns <- ctx.cred_ns +. (Profile.now () -. t1)
+    Pool.drain_lanes pool ~budget:t.tasks_per_step ~red:ctx.cexec ~mark:ctx.cmark;
+    ctx.cns.(1) <- ctx.cns.(1) +. (Profile.now () -. t1)
   end
 
 (* Transient PE stalls (crash-restart with memory preserved): a stalled
@@ -979,7 +1017,7 @@ let shard_lo t d = d * t.num_pes / t.domains
    [roll_stalls] wrote before the shards started. *)
 let run_shard t d =
   for pe = shard_lo t d to shard_lo t (d + 1) - 1 do
-    Network.take_marks t.net ~pe t.ctxs.(pe).ctake;
+    Network.take_mark_lanes t.net ~pe t.ctxs.(pe).ctake;
     if t.down_since.(pe) < 0 && t.now >= t.stall_until.(pe) then begin
       Domain.DLS.set dls_pe pe;
       pe_budgets t t.ctxs.(pe) t.pools.(pe)
@@ -1193,10 +1231,10 @@ let merge_shards t =
     (fun ctx ->
       Reducer.absorb t.red ctx.pred;
       Metrics.absorb t.m ctx.pm;
-      t.prof.Profile.mark_ns <- t.prof.Profile.mark_ns +. ctx.cmark_ns;
-      ctx.cmark_ns <- 0.0;
-      t.prof.Profile.red_ns <- t.prof.Profile.red_ns +. ctx.cred_ns;
-      ctx.cred_ns <- 0.0)
+      t.prof.Profile.mark_ns <- t.prof.Profile.mark_ns +. ctx.cns.(0);
+      ctx.cns.(0) <- 0.0;
+      t.prof.Profile.red_ns <- t.prof.Profile.red_ns +. ctx.cns.(1);
+      ctx.cns.(1) <- 0.0)
     t.ctxs;
   let m2 = Profile.now () in
   t.prof.Profile.absorb_ns <- t.prof.Profile.absorb_ns +. (m2 -. m1);
@@ -1478,7 +1516,7 @@ let step t =
   else
     (* No shard runs: the pools take their parked marks here. *)
     for pe = 0 to t.num_pes - 1 do
-      Network.take_marks t.net ~pe t.ctxs.(pe).ctake
+      Network.take_mark_lanes t.net ~pe t.ctxs.(pe).ctake
     done;
   (* 3. Memory management. *)
   let p3 = Profile.now () in
@@ -1563,6 +1601,7 @@ let run ?(max_steps = 1_000_000) ?stop t =
      [stop] replaces it (e.g. to keep collecting after the result). *)
   let stop = match stop with Some f -> f | None -> finished in
   let gc_cycles_forever = match t.gc_mode with Concurrent _ -> true | _ -> false in
+  let gcs0 = (Gc.quick_stat ()).Gc.minor_collections in
   let continue = ref true in
   while !continue do
     if stop t || t.now - start >= max_steps then continue := false
@@ -1570,6 +1609,8 @@ let run ?(max_steps = 1_000_000) ?stop t =
       continue := false
     else step t
   done;
+  t.prof.Profile.minor_gcs <-
+    t.prof.Profile.minor_gcs + (Gc.quick_stat ()).Gc.minor_collections - gcs0;
   t.now - start
 
 let network_entries t = Network.entries t.net

@@ -34,6 +34,35 @@ open Dgr_task
    entries of the frame and execute twice at the destination, exactly
    as the paper's one-task-per-edge model sends them. *)
 
+(* A growable buffer of int lanes. Local to this module so the per-task
+   pushes and reads are direct, monomorphic array accesses: no write
+   barrier, no call through a polymorphic vector. *)
+module Lanes = struct
+  type t = { mutable a : int array; mutable n : int }
+
+  let create () = { a = [||]; n = 0 }
+
+  let get l i =
+    if i < 0 || i >= l.n then invalid_arg "Network.Lanes.get: index out of bounds";
+    Array.unsafe_get l.a i
+
+  let set l i x =
+    if i < 0 || i >= l.n then invalid_arg "Network.Lanes.set: index out of bounds";
+    Array.unsafe_set l.a i x
+
+  let push3 l x y z =
+    let n = l.n in
+    if n + 3 > Array.length l.a then begin
+      let a = Array.make (Int.max 24 (2 * (n + 3))) 0 in
+      Array.blit l.a 0 a 0 n;
+      l.a <- a
+    end;
+    Array.unsafe_set l.a n x;
+    Array.unsafe_set l.a (n + 1) y;
+    Array.unsafe_set l.a (n + 2) z;
+    l.n <- n + 3
+end
+
 (* Scalar fields are mutable so delivered frames can be recycled through
    a free list (lossless channel only — see [recycle_batch]): a storm
    step stages tens of frames, and re-initializing a dead record beats
@@ -44,12 +73,94 @@ type batch = {
   mutable b_arrival : int;  (* fault-free arrival step, the stable sort key *)
   mutable b_delay : int;  (* base link delay at stage time (incl. jitter) *)
   mutable b_uid : int;  (* global stage order; ties in in_flight/entries *)
-  b_tasks : Task.t Vec.t;  (* shared with every queued copy of the frame *)
+  (* The frame's tasks, in stage order, shared with every queued copy of
+     the frame. A mark is three lanes [v; par; meta] (see [Task.sink]); a
+     reduction is the lane triple [0; 0; -1] standing for the next task
+     of [b_reds]. *)
+  b_lanes : Lanes.t;
+  b_reds : Task.t Vec.t;
   b_stamps : int Vec.t;
-      (* lineage tickets, parallel to [b_tasks] ([-1]: untracked); pruned
+      (* lineage tickets, parallel to [b_reds] ([-1]: untracked); pruned
          in lock-step by [purge] so the pairing survives in-flight edits *)
   mutable b_pack : bool;  (* claimed to carry the reverse link's cum ack *)
 }
+
+(* The idealized channel: flushed frames bucketed by fault-free arrival
+   step, buckets in ascending arrival order and each bucket in flush
+   order — exactly the order an arrival-keyed heap with FIFO ties pops,
+   without a heap sift per frame (on a storm that sift is a visible part
+   of the serial delivery pass, which runs once per step). Distinct pending arrivals are few (at
+   most the largest link delay), so [add] finds its bucket by a short
+   scan from the newest end. *)
+module Ideal = struct
+  type t = {
+    mutable at : int array;  (* bucket arrival steps, ascending *)
+    mutable frames : batch Vec.t array;  (* parallel to [at] *)
+    mutable n : int;
+    spare : batch Vec.t Vec.t;  (* drained bucket vectors, for reuse *)
+  }
+
+  let create () = { at = [||]; frames = [||]; n = 0; spare = Vec.create () }
+
+  (* Open an empty bucket for [arrival] at position [i]. *)
+  let insert q i arrival =
+    if q.n = Array.length q.at then begin
+      let cap = Int.max 8 (2 * q.n) in
+      let at = Array.make cap 0 and frames = Array.make cap (Vec.create ()) in
+      Array.blit q.at 0 at 0 q.n;
+      Array.blit q.frames 0 frames 0 q.n;
+      q.at <- at;
+      q.frames <- frames
+    end;
+    Array.blit q.at i q.at (i + 1) (q.n - i);
+    Array.blit q.frames i q.frames (i + 1) (q.n - i);
+    q.at.(i) <- arrival;
+    let ns = Vec.length q.spare in
+    q.frames.(i) <-
+      (if ns = 0 then Vec.create ()
+       else begin
+         let v = Vec.get q.spare (ns - 1) in
+         Vec.truncate q.spare (ns - 1);
+         v
+       end);
+    q.n <- q.n + 1
+
+  let add q b =
+    let a = b.b_arrival in
+    let i = ref (q.n - 1) in
+    while !i >= 0 && q.at.(!i) > a do
+      decr i
+    done;
+    if !i < 0 || q.at.(!i) <> a then begin
+      incr i;
+      insert q !i a
+    end;
+    Vec.push q.frames.(!i) b
+
+  (* Hand every frame due by [now] to [f], in delivery order. *)
+  let drain_due q ~now f =
+    while q.n > 0 && q.at.(0) <= now do
+      let v = q.frames.(0) in
+      q.n <- q.n - 1;
+      Array.blit q.at 1 q.at 0 q.n;
+      Array.blit q.frames 1 q.frames 0 q.n;
+      for k = 0 to Vec.length v - 1 do
+        f (Vec.get v k)
+      done;
+      Vec.clear v;
+      Vec.push q.spare v
+    done
+
+  let iter f q =
+    for i = 0 to q.n - 1 do
+      Vec.iter f q.frames.(i)
+    done
+
+  let filter_in_place keep q =
+    for i = 0 to q.n - 1 do
+      Vec.filter_in_place keep q.frames.(i)
+    done
+end
 
 type frame =
   | Data of { fseq : int; pack : int; credit : (int * int * int) option; batch : batch }
@@ -81,7 +192,7 @@ type rcv_link = {
 }
 
 type t = {
-  q : batch Pqueue.t;  (* ideal channel (faults = None) *)
+  q : Ideal.t;  (* ideal channel (faults = None) *)
   fq : frame Pqueue.t;  (* lossy channel, arrival-keyed *)
   cq : (int * int * int * int) Pqueue.t;
       (* standalone termination credits (pe, epoch, sent, executed),
@@ -112,12 +223,12 @@ type t = {
      (idealized channel only: under faults a frame outlives delivery in
      [pending] until its cumulative ack lands, so those are never
      recycled). Per-destination pools let each shard recycle the frames
-     whose marks it took (see [take_marks]) without sharing a free list
+     whose marks it took (see [take_mark_lanes]) without sharing a free list
      across domains. *)
   mutable sf_free : batch Vec.t array;
   mutable inbox : batch Vec.t array;
       (* delivered frames parked per destination until the destination's
-         shard takes their marks (see [take_marks]) *)
+         shard takes their marks (see [take_mark_lanes]) *)
   snd : (int * int, snd_link) Hashtbl.t;  (* (src, dst) -> sender state *)
   rcv : (int * int, rcv_link) Hashtbl.t;  (* (src, dst) -> receiver state *)
   pending : (int * int * int, pending) Hashtbl.t;  (* unacked sends *)
@@ -147,14 +258,15 @@ let dummy_batch () =
     b_arrival = min_int;
     b_delay = 0;
     b_uid = -1;
-    b_tasks = Vec.create ();
+    b_lanes = Lanes.create ();
+    b_reds = Vec.create ();
     b_stamps = Vec.create ();
     b_pack = false;
   }
 
 let create ?recorder ?lineage ?faults ?(batch = true) () =
   {
-    q = Pqueue.create ();
+    q = Ideal.create ();
     fq = Pqueue.create ();
     cq = Pqueue.create ();
     recorder;
@@ -204,13 +316,39 @@ let unacked t = Hashtbl.length t.pending
 let emit t kind =
   match t.recorder with None -> () | Some r -> Dgr_obs.Recorder.emit r kind
 
-let obs_of task =
-  (Task.obs_kind task, match Task.exec_vertex task with Some v -> v | None -> -1)
+let n_tasks b = b.b_lanes.Lanes.n / 3
+
+(* Lane [k] (0: v, 1: par, 2: meta) of the frame's [i]-th task. *)
+let lane b i k = Lanes.get b.b_lanes ((3 * i) + k)
+
+(* The frame's tasks in stage order, marks as views: the in-flight
+   listings' form (built backwards, so the reductions are taken from
+   the end of [b_reds]). *)
+let views b =
+  let r = ref (Vec.length b.b_reds) and acc = ref [] in
+  for i = n_tasks b - 1 downto 0 do
+    let meta = lane b i 2 in
+    let task =
+      if meta >= 0 then Task.Marking (Task.mark_of_lanes (lane b i 0) (lane b i 1) meta)
+      else begin
+        decr r;
+        Vec.get b.b_reds !r
+      end
+    in
+    acc := task :: !acc
+  done;
+  !acc
 
 (* Drop/Dup/Retransmit events describe a whole frame via its head task —
    batches are never empty in the channel (fully-purged batches are
-   removed outright), so [Vec.get 0] is safe. *)
-let head_obs b = obs_of (Vec.get b.b_tasks 0)
+   removed outright), so the head exists. *)
+let head_obs b =
+  let meta = lane b 0 2 in
+  if meta >= 0 then
+    (Task.obs_kind_of_meta meta, Task.lanes_exec_vid (lane b 0 0) (lane b 0 1) meta)
+  else
+    let task = Vec.get b.b_reds 0 in
+    (Task.obs_kind task, Task.exec_vid task)
 
 let rto_cap = 1024
 
@@ -363,7 +501,7 @@ let flush t f ~now =
       t.frames_sent <- t.frames_sent + 1;
       emit t
         (Dgr_obs.Event.Batch
-           { src = b.b_src; dst = b.b_dst; count = Vec.length b.b_tasks });
+           { src = b.b_src; dst = b.b_dst; count = n_tasks b });
       let pack =
         if b.b_pack then begin
           let cum = cum_for t ~src:b.b_dst ~dst:b.b_src in
@@ -394,9 +532,8 @@ let flush t f ~now =
     t.owed_order;
   Vec.clear t.owed_order
 
-(* Fault-free flush: batches go straight onto the ideal arrival-keyed
-   queue. Stage order among equal arrivals is preserved by the queue's
-   FIFO tie-breaking, so delivery order is deterministic. *)
+(* Fault-free flush: batches go straight into the ideal channel's
+   arrival buckets, in stage order, so delivery order is deterministic. *)
 let flush_ideal t =
   Vec.iter
     (fun b ->
@@ -406,15 +543,15 @@ let flush_ideal t =
       | Some r ->
         Dgr_obs.Recorder.emit r
           (Dgr_obs.Event.Batch
-             { src = b.b_src; dst = b.b_dst; count = Vec.length b.b_tasks }));
-      Pqueue.add t.q b.b_arrival b)
+             { src = b.b_src; dst = b.b_dst; count = n_tasks b }));
+      Ideal.add t.q b)
     t.staged;
   unindex t;
   Vec.clear t.staged
 
 (* Grow the per-destination arrays to cover [dst]. Only [stage] calls
    this, so every frame's destination is covered before the frame
-   exists, and the shard side ([take_marks], [recycle_batch]) never
+   exists, and the shard side ([take_mark_lanes], [recycle_batch]) never
    resizes. *)
 let reserve t dst =
   let n = Array.length t.forming in
@@ -447,15 +584,14 @@ let rec scan_forming bs ~src ~arrival i dummy =
     if b.b_src = src && b.b_arrival = arrival then b
     else scan_forming bs ~src ~arrival (i - 1) dummy
 
-(* The one staging function: put [task] into the frame forming on link
-   (src, pe) for [arrival], opening that frame on a miss. There is at
-   most one such frame per key, so the lookup — the destination's last
-   frame, then a backward scan of its forming frames (one per active
-   (src, arrival), so the scan stays short) — finds the frame whatever
-   order the sends came in. The dummy's header never matches a real
-   key. Allocation-free on a hit: both the inline [send] and the
-   barrier's [Mailbox.flush] stage through here. *)
-let stage t ~src ~lin ~depth ~arrival ~pe task =
+(* The one staging lookup: the frame forming on link (src, pe) for
+   [arrival], opened on a miss. There is at most one such frame per key,
+   so the lookup — the destination's last frame, then a backward scan of
+   its forming frames (one per active (src, arrival), so the scan stays
+   short) — finds the frame whatever order the sends came in. The dummy's
+   header never matches a real key. Allocation-free on a hit: the inline
+   sends and the barrier's [Mailbox.flush] both stage through here. *)
+let frame_for t ~src ~arrival ~pe =
   reserve t pe;
   let b =
     if not t.batching then t.sf_dummy
@@ -483,21 +619,32 @@ let stage t ~src ~lin ~depth ~arrival ~pe task =
     end
   in
   if t.batching then t.last.(pe) <- b;
-  (* Only reduction tasks are ticketed: the latency story the histograms
-     tell is about demand propagation, not the mark wave. *)
-  let stamp =
-    match (t.lineage, task) with
-    | Some l, Task.Reduction _ ->
-      Dgr_obs.Lineage.open_ticket l ~lin ~depth ~sent:t.clock ~arrival
-    | _ -> -1
-  in
-  Vec.push b.b_tasks task;
-  Vec.push b.b_stamps stamp;
   t.undelivered <- t.undelivered + 1;
-  t.tasks_sent <- t.tasks_sent + 1
+  t.tasks_sent <- t.tasks_sent + 1;
+  b
+
+let send_mark t ~src ~arrival ~pe v par meta =
+  let b = frame_for t ~src ~arrival ~pe in
+  Lanes.push3 b.b_lanes v par meta
+
+(* Only reduction tasks are ticketed: the latency story the histograms
+   tell is about demand propagation, not the mark wave. *)
+let stage_reduction t ~src ~lin ~depth ~arrival ~pe task =
+  let b = frame_for t ~src ~arrival ~pe in
+  let stamp =
+    match t.lineage with
+    | Some l -> Dgr_obs.Lineage.open_ticket l ~lin ~depth ~sent:t.clock ~arrival
+    | None -> -1
+  in
+  Lanes.push3 b.b_lanes 0 0 (-1);
+  Vec.push b.b_reds task;
+  Vec.push b.b_stamps stamp
 
 let send ?(src = -1) ?(lin = -1) ?(depth = 0) t ~arrival ~pe task =
-  stage t ~src ~lin ~depth ~arrival ~pe task
+  match task with
+  | Task.Marking m ->
+    send_mark t ~src ~arrival ~pe (Task.lane_v m) (Task.lane_par m) (Task.lane_meta m)
+  | Task.Reduction _ -> stage_reduction t ~src ~lin ~depth ~arrival ~pe task
 
 (* Delivery hands each due reduction task to [push] as its batch pops —
    the engine's pools consume directly, with no intermediate list. [push]
@@ -505,36 +652,57 @@ let send ?(src = -1) ?(lin = -1) ?(depth = 0) t ~arrival ~pe task =
    pool carries through residence. Pops emit [Deliver] per task in pop
    order and [push] emits nothing, so interleaving push with pop keeps
    the trace deterministic. Mark tasks are left in the frame for
-   [take_marks]; the result says whether the frame held any. *)
-let deliver_batch t b ~now ~push =
-  t.undelivered <- t.undelivered - Vec.length b.b_tasks;
+   [take_mark_lanes]; the result says whether the frame held any. *)
+let deliver_tasks t b ~now ~push n =
   let marked = ref false in
-  for i = 0 to Vec.length b.b_tasks - 1 do
-    let task = Vec.get b.b_tasks i in
-    let stamp = Vec.get b.b_stamps i in
-    let lin =
-      match t.lineage with
-      | Some l when stamp >= 0 ->
-        Dgr_obs.Lineage.deliver l stamp ~now;
-        Dgr_obs.Lineage.lin_of l stamp
-      | _ -> -1
-    in
-    (match t.recorder with
-    | None -> ()
-    | Some r ->
-      Dgr_obs.Recorder.emit r
-        (Dgr_obs.Event.Deliver
-           {
-             kind = Task.obs_kind task;
-             pe = b.b_dst;
-             vid = (match Task.exec_vertex task with Some v -> v | None -> -1);
-             lin;
-           }));
-    match task with
-    | Task.Reduction _ -> push b.b_dst stamp task
-    | Task.Marking _ -> marked := true
+  let r = ref 0 in
+  for i = 0 to n - 1 do
+    let meta = lane b i 2 in
+    if meta >= 0 then begin
+      marked := true;
+      match t.recorder with
+      | None -> ()
+      | Some rc ->
+        Dgr_obs.Recorder.emit rc
+          (Dgr_obs.Event.Deliver
+             {
+               kind = Task.obs_kind_of_meta meta;
+               pe = b.b_dst;
+               vid = Task.lanes_exec_vid (lane b i 0) (lane b i 1) meta;
+               lin = -1;
+             })
+    end
+    else begin
+      let task = Vec.get b.b_reds !r in
+      let stamp = Vec.get b.b_stamps !r in
+      incr r;
+      let lin =
+        match t.lineage with
+        | Some l when stamp >= 0 ->
+          Dgr_obs.Lineage.deliver l stamp ~now;
+          Dgr_obs.Lineage.lin_of l stamp
+        | _ -> -1
+      in
+      (match t.recorder with
+      | None -> ()
+      | Some rc ->
+        Dgr_obs.Recorder.emit rc
+          (Dgr_obs.Event.Deliver
+             { kind = Task.obs_kind task; pe = b.b_dst; vid = Task.exec_vid task; lin }));
+      push b.b_dst stamp task
+    end
   done;
   !marked
+
+let deliver_batch t b ~now ~push =
+  let n = n_tasks b in
+  t.undelivered <- t.undelivered - n;
+  match t.recorder with
+  | None when Vec.length b.b_reds = 0 ->
+    (* An untraced mark-only frame has nothing to hand up here: its
+       marks wait for the destination's shard ([take_mark_lanes]). *)
+    n > 0
+  | None | Some _ -> deliver_tasks t b ~now ~push n
 
 (* Return a delivered frame to its destination's free pool. Only the
    idealized channel may call this: after its pop the batch is
@@ -547,7 +715,8 @@ let free_batches_cap = 32
 let recycle_batch t b =
   let fl = t.sf_free.(b.b_dst) in
   if Vec.length fl < free_batches_cap then begin
-    Vec.clear b.b_tasks;
+    b.b_lanes.Lanes.n <- 0;
+    Vec.clear b.b_reds;
     Vec.clear b.b_stamps;
     Vec.push fl b
   end
@@ -565,7 +734,7 @@ let drain_credits t ~now =
   done
 
 (* A delivered frame that holds a mark is parked in its destination's
-   inbox for [take_marks]; a mark-free one is settled at once. A settled
+   inbox for [take_mark_lanes]; a mark-free one is settled at once. A settled
    frame of the idealized channel is recycled; a lossy one stays in
    [pending] until its cumulative ack lands. *)
 let settle t b ~now ~push =
@@ -578,17 +747,10 @@ let deliver_serial t ~now ~push =
   match t.faults with
   | None ->
     flush_ideal t;
-    (* Fast path: the idealized channel is a single peek/pop loop with
-       no frame bookkeeping — the unboxed [min_prio]/[pop_tagged_with]
-       pair pops due frames without building options or tuples — and
-       [Deliver] event records are only constructed when a recorder is
-       attached. *)
-    while
-      Pqueue.min_prio t.q ~default:max_int <= now
-      && Pqueue.pop_tagged_with t.q (fun b _stamp -> settle t b ~now ~push)
-    do
-      ()
-    done
+    (* Fast path: the idealized channel hands over its due buckets with
+       no frame bookkeeping, and [Deliver] event records are only
+       constructed when a recorder is attached. *)
+    Ideal.drain_due t.q ~now (fun b -> settle t b ~now ~push)
   | Some f ->
     flush t f ~now;
     let rec drain () =
@@ -656,20 +818,22 @@ let deliver_serial t ~now ~push =
    [pe]'s inbox and free pool, both sized when the frame was staged. A parked
    frame is referenced nowhere else on the idealized channel, so it is
    recycled here; under faults it waits in [pending] for its ack. *)
-let take_marks t ~pe f =
+let take_mark_lanes t ~pe (f : Task.sink) =
   if pe < Array.length t.inbox then begin
     let ib = t.inbox.(pe) in
     for k = 0 to Vec.length ib - 1 do
       let b = Vec.get ib k in
-      for i = 0 to Vec.length b.b_tasks - 1 do
-        match Vec.get b.b_tasks i with
-        | Task.Marking _ as task -> f task
-        | Task.Reduction _ -> ()
+      for i = 0 to n_tasks b - 1 do
+        let meta = lane b i 2 in
+        if meta >= 0 then f (lane b i 0) (lane b i 1) meta
       done;
       if t.faults = None then recycle_batch t b
     done;
     Vec.clear ib
   end
+
+let take_marks t ~pe f =
+  take_mark_lanes t ~pe (fun v par meta -> f (Task.Marking (Task.mark_of_lanes v par meta)))
 
 (* The whole tick on one domain: the serial half, then every PE's marks
    in ascending PE order. *)
@@ -686,7 +850,7 @@ let deliver_into t ~now ~push =
 let sorted_batches t =
   let acc = ref [] in
   (match t.faults with
-  | None -> Pqueue.iter (fun _ b -> acc := b :: !acc) t.q
+  | None -> Ideal.iter (fun b -> acc := b :: !acc) t.q
   | Some _ ->
     Hashtbl.iter (fun _ p -> if not p.p_delivered then acc := p.p_batch :: !acc) t.pending);
   Vec.iter (fun b -> acc := b :: !acc) t.staged;
@@ -695,26 +859,23 @@ let sorted_batches t =
       match compare a.b_arrival b.b_arrival with 0 -> compare a.b_uid b.b_uid | c -> c)
     !acc
 
-let in_flight t =
-  List.concat_map (fun b -> Vec.to_list b.b_tasks) (sorted_batches t)
-
-let iter_in_flight t f =
-  let visit b = Vec.iter f b.b_tasks in
-  (match t.faults with
-  | None -> Pqueue.iter (fun _ b -> visit b) t.q
-  | Some _ -> Hashtbl.iter (fun _ p -> if not p.p_delivered then visit p.p_batch) t.pending);
-  Vec.iter visit t.staged
+let in_flight t = List.concat_map views (sorted_batches t)
 
 let iter_in_flight_dst t f =
-  let visit b = Vec.iter (fun task -> f ~dst:b.b_dst task) b.b_tasks in
+  let visit b =
+    Vec.iter
+      (fun task ->
+        match task with Task.Reduction r -> f ~dst:b.b_dst r | Task.Marking _ -> ())
+      b.b_reds
+  in
   (match t.faults with
-  | None -> Pqueue.iter (fun _ b -> visit b) t.q
+  | None -> Ideal.iter visit t.q
   | Some _ -> Hashtbl.iter (fun _ p -> if not p.p_delivered then visit p.p_batch) t.pending);
   Vec.iter visit t.staged
 
 let entries t =
   List.concat_map
-    (fun b -> List.map (fun task -> (b.b_arrival, task)) (Vec.to_list b.b_tasks))
+    (fun b -> List.map (fun task -> (b.b_arrival, task)) (views b))
     (sorted_batches t)
 
 let emit_purges t counts =
@@ -739,28 +900,45 @@ let bump tbl pe =
 let purge t pred =
   let per_pe = Hashtbl.create 8 in
   let removed = ref 0 in
+  (* Compact the frame's lanes, reductions and stamps in lock-step,
+     keeping survivors in stage order; true when the frame is emptied. *)
   let prune b =
-    let before = Vec.length b.b_tasks in
-    let j = ref 0 in
+    let before = n_tasks b in
+    let j = ref 0 and r = ref 0 and rj = ref 0 in
     for i = 0 to before - 1 do
-      let task = Vec.get b.b_tasks i in
-      let stamp = Vec.get b.b_stamps i in
-      if pred task then begin
-        bump per_pe b.b_dst;
-        match t.lineage with
-        | Some l when stamp >= 0 -> Dgr_obs.Lineage.drop l stamp
-        | _ -> ()
-      end
+      let meta = lane b i 2 in
+      let doomed =
+        if meta >= 0 then
+          pred (Task.Marking (Task.mark_of_lanes (lane b i 0) (lane b i 1) meta))
+        else begin
+          let task = Vec.get b.b_reds !r and stamp = Vec.get b.b_stamps !r in
+          incr r;
+          if pred task then begin
+            (match t.lineage with
+            | Some l when stamp >= 0 -> Dgr_obs.Lineage.drop l stamp
+            | _ -> ());
+            true
+          end
+          else begin
+            Vec.set b.b_reds !rj task;
+            Vec.set b.b_stamps !rj stamp;
+            incr rj;
+            false
+          end
+        end
+      in
+      if doomed then bump per_pe b.b_dst
       else begin
-        if !j <> i then begin
-          Vec.set b.b_tasks !j task;
-          Vec.set b.b_stamps !j stamp
-        end;
+        if !j <> i then
+          for k = 0 to 2 do
+            Lanes.set b.b_lanes ((3 * !j) + k) (lane b i k)
+          done;
         incr j
       end
     done;
-    Vec.truncate b.b_tasks !j;
-    Vec.truncate b.b_stamps !j;
+    b.b_lanes.Lanes.n <- 3 * !j;
+    Vec.truncate b.b_reds !rj;
+    Vec.truncate b.b_stamps !rj;
     let n = before - !j in
     removed := !removed + n;
     t.undelivered <- t.undelivered - n;
@@ -770,7 +948,7 @@ let purge t pred =
   Vec.filter_in_place (fun b -> not (prune b)) t.staged;
   reindex t;
   (match t.faults with
-  | None -> Pqueue.filter_in_place (fun _ b -> not (prune b)) t.q
+  | None -> Ideal.filter_in_place (fun b -> not (prune b)) t.q
   | Some _ ->
     let victims =
       Hashtbl.fold
@@ -824,7 +1002,7 @@ let crash_pe t ~pe =
   let lost = ref 0 in
   let touches b = b.b_src = pe || b.b_dst = pe in
   let forget_batch b =
-    let n = Vec.length b.b_tasks in
+    let n = n_tasks b in
     lost := !lost + n;
     t.undelivered <- t.undelivered - n;
     match t.lineage with
@@ -845,8 +1023,8 @@ let crash_pe t ~pe =
   (match t.faults with
   | None ->
     (* ideal channel (a crash injected without a fault plane) *)
-    Pqueue.filter_in_place
-      (fun _ b ->
+    Ideal.filter_in_place
+      (fun b ->
         if touches b then begin
           forget_batch b;
           false
@@ -895,34 +1073,47 @@ let crash_pe t ~pe =
    ticket slots are a pure function of the mailboxes — independent of
    which domain ran which PE when. *)
 module Mailbox = struct
-  type entry = {
-    e_src : int;
-    e_arrival : int;
-    e_pe : int;
-    e_lin : int;
-    e_depth : int;
-    e_task : Task.t;
-  }
+  (* Two columns, no entry records: [ints] holds six lanes per entry in
+     post order — [src; arrival; pe] and then a mark's [v; par; meta], or
+     a reduction's [lin; depth; -1] standing for the next task of
+     [reds]. Posting a mark allocates nothing. *)
+  type mb = { ints : Lanes.t; reds : Task.t Vec.t }
 
-  type mb = entry Vec.t
+  let create () = { ints = Lanes.create (); reds = Vec.create () }
 
-  let create () : mb = Vec.create ()
+  let post_mark mb ~src ~arrival ~pe v par meta =
+    Lanes.push3 mb.ints src arrival pe;
+    Lanes.push3 mb.ints v par meta
 
-  let post (mb : mb) ?(lin = -1) ?(depth = 0) ~src ~arrival ~pe task =
-    Vec.push mb
-      { e_src = src; e_arrival = arrival; e_pe = pe; e_lin = lin; e_depth = depth;
-        e_task = task }
+  let post_reduction mb ~lin ~depth ~src ~arrival ~pe task =
+    Lanes.push3 mb.ints src arrival pe;
+    Lanes.push3 mb.ints lin depth (-1);
+    Vec.push mb.reds task
 
-  let length (mb : mb) = Vec.length mb
+  let post mb ?(lin = -1) ?(depth = 0) ~src ~arrival ~pe task =
+    match task with
+    | Task.Marking m ->
+      post_mark mb ~src ~arrival ~pe (Task.lane_v m) (Task.lane_par m) (Task.lane_meta m)
+    | Task.Reduction _ -> post_reduction mb ~lin ~depth ~src ~arrival ~pe task
 
-  let flush (mb : mb) net =
-    let data = Vec.unsafe_data mb in
-    for i = 0 to Vec.length mb - 1 do
-      let e = data.(i) in
-      stage net ~src:e.e_src ~lin:e.e_lin ~depth:e.e_depth ~arrival:e.e_arrival ~pe:e.e_pe
-        e.e_task
+  let length mb = mb.ints.Lanes.n / 6
+
+  let flush mb net =
+    let d = mb.ints.Lanes.a in
+    let r = ref 0 in
+    for i = 0 to length mb - 1 do
+      let k = 6 * i in
+      let src = d.(k) and arrival = d.(k + 1) and pe = d.(k + 2) in
+      let meta = d.(k + 5) in
+      if meta >= 0 then send_mark net ~src ~arrival ~pe d.(k + 3) d.(k + 4) meta
+      else begin
+        stage_reduction net ~src ~lin:d.(k + 3) ~depth:d.(k + 4) ~arrival ~pe
+          (Vec.get mb.reds !r);
+        incr r
+      end
     done;
-    Vec.clear mb
+    mb.ints.Lanes.n <- 0;
+    Vec.clear mb.reds
 
   type t = mb
 end

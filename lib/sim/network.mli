@@ -77,7 +77,13 @@ val send : ?src:int -> ?lin:int -> ?depth:int -> t -> arrival:int -> pe:int -> T
     fault-free arrival step; the link's base delay is recovered as
     [arrival - now of last deliver]. Tasks staged for the same (src,
     pe, arrival) join one batch, in staging order, whether they came
-    through [send] or {!Mailbox.flush}. *)
+    through [send] or {!Mailbox.flush}. A mark is staged as its lanes
+    (see {!send_mark}); [Task.t] is the interface, not the wire form. *)
+
+val send_mark : t -> src:int -> arrival:int -> pe:int -> int -> int -> int -> unit
+(** [send] of a mark given as lanes [v par meta] ({!Task.sink}): staged
+    into its frame as three ints, with no view and no optional-argument
+    boxes. Marks are never ticketed. *)
 
 (** {2 Termination credits}
 
@@ -112,18 +118,21 @@ val deliver_serial : t -> now:int -> push:(int -> int -> Task.t -> unit) -> unit
     lineage ticket, [-1] when untracked — in delivery order, without
     building a list, emitting a [Deliver] event for every due task,
     marks included. A delivered frame that holds a mark is parked in its
-    destination's inbox until {!take_marks} hands its marks over. Under
+    destination's inbox until {!take_mark_lanes} hands its marks over. Under
     faults this also settles owed cumulative acks (piggybacked or
     standalone), suppresses duplicate frames, and fires expired
     retransmission timers. Call once per step. *)
 
+val take_mark_lanes : t -> pe:int -> Task.sink -> unit
+(** The shard half of the tick: hand every mark parked for [pe] since
+    the last {!deliver_serial} to [f v par meta], in delivery order, and
+    empty the inbox. Marks are never ticketed, so no stamp is passed.
+    Calls for distinct PEs touch disjoint state and may run concurrently
+    on different domains; each PE's inbox must be emptied before the
+    next tick. *)
+
 val take_marks : t -> pe:int -> (Task.t -> unit) -> unit
-(** The shard half of the tick: apply [f] to every mark parked for
-    [pe] since the last {!deliver_serial}, in delivery order, and empty
-    the inbox. Marks are never ticketed, so no stamp is passed. Calls
-    for distinct PEs touch disjoint state and may run concurrently on
-    different domains; each PE's inbox must be emptied before the next
-    tick. *)
+(** {!take_mark_lanes} with each mark handed over as a view. *)
 
 val deliver_into : t -> now:int -> push:(int -> int -> Task.t -> unit) -> unit
 (** The whole tick on one domain: {!deliver_serial}, then {!take_marks}
@@ -139,14 +148,12 @@ val in_flight : t -> Task.t list
     post order. Delivered-but-unacked frames are excluded: their effect
     already happened. *)
 
-val iter_in_flight : t -> (Task.t -> unit) -> unit
-(** Apply [f] to every undelivered task in {e unspecified} order, without
-    sorting or allocating — for order-insensitive folds (M_T seeding). *)
-
-val iter_in_flight_dst : t -> (dst:int -> Task.t -> unit) -> unit
-(** Like {!iter_in_flight}, with each task's destination PE: the
-    receiver is the PE whose "local knowledge" an in-flight task counts
-    as when the cycle builds taskroot from per-PE enumerations. *)
+val iter_in_flight_dst : t -> (dst:int -> Task.reduction -> unit) -> unit
+(** Apply [f] to every undelivered reduction task in {e unspecified}
+    order, with its destination PE, without sorting or building views;
+    marks are skipped. For M_T seeding: the receiver is the PE whose
+    "local knowledge" an in-flight task counts as when the cycle builds
+    taskroot from per-PE enumerations. *)
 
 val purge : t -> (Task.t -> bool) -> int
 (** Remove matching undelivered tasks; returns the count. Tasks are
@@ -220,6 +227,15 @@ module Mailbox : sig
 
   val post :
     mb -> ?lin:int -> ?depth:int -> src:int -> arrival:int -> pe:int -> Task.t -> unit
+  (** Buffer a task; [lin] and [depth] as for {!send}. *)
+
+  val post_mark : mb -> src:int -> arrival:int -> pe:int -> int -> int -> int -> unit
+  (** {!post} of a mark given as lanes: six ints into the mailbox's int
+      column, nothing allocated. *)
+
+  val post_reduction :
+    mb -> lin:int -> depth:int -> src:int -> arrival:int -> pe:int -> Task.t -> unit
+  (** {!post} of a reduction task, without optional arguments. *)
 
   val length : mb -> int
 

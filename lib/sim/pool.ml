@@ -9,73 +9,88 @@ let policy_to_string = function
   | By_demand -> "by-demand"
   | Dynamic -> "dynamic"
 
-(* The marking queue: a growable FIFO ring. Every marking task has
-   priority 0 and travels without a lineage ticket (only reduction
-   tasks are ticketed: latency is tracked for demand propagation, not
-   for the mark wave), which makes the priority
-   heap the reduction queue needs a FIFO paid for at O(log n) per push
-   and per pop. The ring pays O(1) and carries no priorities or tags.
-   Its capacity is 0 or a power of two, so positions wrap by masking. *)
+(* The marking queue: a growable FIFO ring of mark lanes (see
+   [Task.sink]), three ints per slot, so queueing a mark allocates
+   nothing. Every marking task has priority 0 and travels without a
+   lineage ticket (only reduction tasks are ticketed: latency is tracked
+   for demand propagation, not for the mark wave), which makes the
+   priority heap the reduction queue needs a FIFO paid for at O(log n)
+   per push and per pop. The ring pays O(1) and carries no priorities or
+   tags. Its capacity is 0 or a power of two, so positions wrap by
+   masking. *)
 module Ring = struct
   type t = {
-    mutable buf : Task.t array;
-    mutable head : int;  (* position of the oldest task *)
+    mutable buf : int array;  (* slot [k] is [buf.(3k) .. buf.(3k+2)] *)
+    mutable mask : int;  (* capacity - 1 *)
+    mutable head : int;  (* slot of the oldest mark *)
     mutable len : int;
   }
 
-  let create () = { buf = [||]; head = 0; len = 0 }
+  let create () = { buf = [||]; mask = -1; head = 0; len = 0 }
 
-  let slot r i = (r.head + i) land (Array.length r.buf - 1)
+  let slot r i = 3 * ((r.head + i) land r.mask)
 
-  (* Unwrap into a buffer twice the size, oldest task at position 0.
-     [x] fills the fresh array, keeping its representation right. *)
-  let grow r x =
-    let cap = Array.length r.buf in
-    let buf = Array.make (if cap = 0 then 8 else 2 * cap) x in
+  (* Unwrap into a buffer twice the size, oldest mark in slot 0. *)
+  let grow r =
+    let cap = r.mask + 1 in
+    let cap' = if cap = 0 then 8 else 2 * cap in
+    let buf = Array.make (3 * cap') 0 in
     for i = 0 to r.len - 1 do
-      buf.(i) <- r.buf.(slot r i)
+      Array.blit r.buf (slot r i) buf (3 * i) 3
     done;
     r.buf <- buf;
+    r.mask <- cap' - 1;
     r.head <- 0
 
-  let push r x =
-    if r.len = Array.length r.buf then grow r x;
-    r.buf.(slot r r.len) <- x;
+  let push r v par meta =
+    if r.len = r.mask + 1 then grow r;
+    let k = slot r r.len in
+    Array.unsafe_set r.buf k v;
+    Array.unsafe_set r.buf (k + 1) par;
+    Array.unsafe_set r.buf (k + 2) meta;
     r.len <- r.len + 1
 
-  let take r =
-    let x = r.buf.(r.head) in
-    r.head <- slot r 1;
-    r.len <- r.len - 1;
-    x
+  let drop_oldest r =
+    r.head <- (r.head + 1) land r.mask;
+    r.len <- r.len - 1
 
-  let pop r = if r.len = 0 then None else Some (take r)
-
-  (* Pop the oldest task into [f task (-1)]; false (and no call) when
-     empty. The ring is updated before [f] runs, so [f] may push. *)
-  let pop_with r f =
+  (* Pop the oldest mark into [f v par meta]; false (and no call) when
+     empty. The ring is updated before [f] runs, so [f] may push (a
+     push may regrow [buf], so the lanes are read first). *)
+  let pop_with r (f : Task.sink) =
     if r.len = 0 then false
     else begin
-      f (take r) (-1);
+      let k = slot r 0 in
+      let v = Array.unsafe_get r.buf k
+      and par = Array.unsafe_get r.buf (k + 1)
+      and meta = Array.unsafe_get r.buf (k + 2) in
+      drop_oldest r;
+      f v par meta;
       true
     end
 
-  let iter f r =
-    for i = 0 to r.len - 1 do
-      f r.buf.(slot r i)
-    done
+  let view r i =
+    let k = slot r i in
+    Task.Marking (Task.mark_of_lanes r.buf.(k) r.buf.(k + 1) r.buf.(k + 2))
 
-  let to_list r = List.init r.len (fun i -> r.buf.(slot r i))
+  let pop r =
+    if r.len = 0 then None
+    else begin
+      let task = view r 0 in
+      drop_oldest r;
+      Some task
+    end
 
-  (* Keep the tasks [keep] accepts, oldest first, compacting toward the
+  let to_list r = List.init r.len (view r)
+
+  (* Keep the marks [keep] accepts, oldest first, compacting toward the
      head: the write position never passes the read position, so no
      survivor is overwritten before it is read. *)
   let filter_in_place keep r =
     let j = ref 0 in
     for i = 0 to r.len - 1 do
-      let x = r.buf.(slot r i) in
-      if keep x then begin
-        if !j <> i then r.buf.(slot r !j) <- x;
+      if keep (view r i) then begin
+        if !j <> i then Array.blit r.buf (slot r i) r.buf (slot r !j) 3;
         incr j
       end
     done;
@@ -156,47 +171,50 @@ let create ?recorder ?lineage ?(pe = 0) policy g =
 
 let push_stamped t stamp task =
   match task with
-  | Task.Marking _ ->
+  | Task.Marking m ->
     if stamp >= 0 then
       invalid_arg
         (Printf.sprintf "Pool.push: marking task on PE %d carries lineage stamp %d" t.pe
            stamp);
-    Ring.push t.marking task
+    Ring.push t.marking (Task.lane_v m) (Task.lane_par m) (Task.lane_meta m)
   | Task.Reduction _ ->
     Pqueue.add_tagged t.reduction (priority_of t.policy t.g task) ~tag:stamp task
 
 let push ?(stamp = -1) t task = push_stamped t stamp task
 
-let pop_marking_stamped t =
-  match Ring.pop t.marking with Some task -> Some (task, -1) | None -> None
+let push_mark t v par meta = Ring.push t.marking v par meta
 
 let pop_stamped t =
   match Pqueue.pop_tagged t.reduction with
   | Some (_, stamp, task) -> Some (task, stamp)
-  | None -> pop_marking_stamped t
+  | None -> ( match Ring.pop t.marking with Some task -> Some (task, -1) | None -> None)
 
 let pop t = Option.map fst (pop_stamped t)
 
-let pop_marking t = Option.map fst (pop_marking_stamped t)
+let pop_marking t = Ring.pop t.marking
 
-(* Budgeted callback drains — the no-box counterparts of the
-   [pop_*_stamped] forms, for the engine's per-step budget loops. Pop
-   order is identical: [drain] serves the reduction queue first and falls
-   back to marking, like [pop_stamped]. *)
-let drain_marking t ~budget f =
+(* Budgeted callback drains — the no-box counterparts of the pops, for
+   the engine's per-step budget loops. Pop order is [pop_stamped]'s:
+   [drain_lanes] serves the reduction queue first and falls back to
+   marking. *)
+let drain_marking t ~budget mark =
   let n = ref 0 in
-  while !n < budget && Ring.pop_with t.marking f do
+  while !n < budget && Ring.pop_with t.marking mark do
     incr n
   done
 
-let drain t ~budget f =
+let drain_lanes t ~budget ~red ~mark =
   let n = ref 0 in
   let continue = ref true in
   while !n < budget && !continue do
-    if Pqueue.pop_tagged_with t.reduction f then incr n
-    else if Ring.pop_with t.marking f then incr n
+    if Pqueue.pop_tagged_with t.reduction red then incr n
+    else if Ring.pop_with t.marking mark then incr n
     else continue := false
   done
+
+let drain t ~budget f =
+  drain_lanes t ~budget ~red:f ~mark:(fun v par meta ->
+      f (Task.Marking (Task.mark_of_lanes v par meta)) (-1))
 
 let length t = t.marking.Ring.len + Pqueue.length t.reduction
 
@@ -204,9 +222,10 @@ let is_empty t = t.marking.Ring.len = 0 && Pqueue.is_empty t.reduction
 
 let tasks t = Ring.to_list t.marking @ List.map snd (Pqueue.to_sorted_list t.reduction)
 
-let iter_tasks t f =
-  Ring.iter f t.marking;
-  Pqueue.iter (fun _ task -> f task) t.reduction
+let iter_reductions t f =
+  Pqueue.iter
+    (fun _ task -> match task with Task.Reduction r -> f r | Task.Marking _ -> ())
+    t.reduction
 
 let purge t pred =
   let before = length t in

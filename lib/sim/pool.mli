@@ -3,9 +3,10 @@ open Dgr_task
 
 (** Per-PE task pools (§5.2's [taskpool(i)]) with dynamic prioritization.
 
-    A pool holds two queues. Marking tasks wait in a FIFO ring: they all
-    share one priority and carry no lineage ticket, so push and pop are
-    O(1). Reduction tasks wait in a priority queue (FIFO among equals,
+    A pool holds two queues. Marking tasks wait in a FIFO ring of mark
+    lanes ({!Task.sink}): they all share one priority and carry no
+    lineage ticket, so push and pop are O(1) and allocate nothing; the
+    [Task.t] entry points convert to and from views. Reduction tasks wait in a priority queue (FIFO among equals,
     so execution stays deterministic). The policy decides how much of
     the paper's §3.2 the reduction scheduler uses:
 
@@ -42,8 +43,11 @@ val push : ?stamp:int -> t -> Task.t -> unit
 
 val push_stamped : t -> int -> Task.t -> unit
 (** [push_stamped t stamp task] is [push ~stamp t task] without the
-    optional argument, which the engine's delivery loop would otherwise
-    box once per task. *)
+    optional argument. *)
+
+val push_mark : t -> int -> int -> int -> unit
+(** Queue a mark given as lanes [v par meta] ({!Task.sink}); allocates
+    nothing once the ring has grown. The engine's delivery path. *)
 
 val pop : t -> Task.t option
 (** Highest-priority reduction task, falling back to marking work when no
@@ -56,17 +60,19 @@ val pop_marking : t -> Task.t option
 (** Oldest queued marking task, if any — marking and reduction
     live in separate queues so the engine can budget them separately. *)
 
-val pop_marking_stamped : t -> (Task.t * int) option
-(** {!pop_marking} with its lineage stamp, always [-1]: marks are never
-    ticketed. *)
+val drain_lanes :
+  t -> budget:int -> red:(Task.t -> int -> unit) -> mark:Task.sink -> unit
+(** Pop up to [budget] tasks in {!pop_stamped} order (reduction first,
+    then marking), handing a reduction to [red task stamp] and a mark to
+    [mark v par meta], and stop early when both queues run dry.
+    Allocates nothing — the engine's budget-loop form. *)
+
+val drain_marking : t -> budget:int -> Task.sink -> unit
+(** {!drain_lanes} over the marking queue only, oldest first. *)
 
 val drain : t -> budget:int -> (Task.t -> int -> unit) -> unit
-(** Pop and apply [f task stamp] up to [budget] times in {!pop_stamped}
-    order (reduction first, then marking), stopping early when both
-    queues run dry. Allocates nothing — the engine's budget-loop form. *)
-
-val drain_marking : t -> budget:int -> (Task.t -> int -> unit) -> unit
-(** {!drain} over the marking queue only ({!pop_marking_stamped} order). *)
+(** {!drain_lanes} with marks handed over as views ([Marking], stamp
+    [-1]) — the [Task.t] form for tests and tools. *)
 
 val length : t -> int
 
@@ -77,10 +83,9 @@ val tasks : t -> Task.t list
     order (ascending priority, FIFO among ties) — deterministic, so
     external views built from pool contents are stable. *)
 
-val iter_tasks : t -> (Task.t -> unit) -> unit
-(** Apply [f] to every pooled task in {e unspecified} order, without
-    sorting or allocating — for callers folding into order-insensitive
-    structures (e.g. the M_T seed set). *)
+val iter_reductions : t -> (Task.reduction -> unit) -> unit
+(** Apply [f] to every pooled reduction task in unspecified order; the
+    marks are skipped without building views (M_T seeding). *)
 
 val purge : t -> (Task.t -> bool) -> int
 (** Remove all tasks matching the predicate; returns how many. The

@@ -34,6 +34,7 @@
 
 type t = {
   mutable steps : int;
+  mutable minor_gcs : int;  (* minor collections over [Engine.run] *)
   mutable total_ns : float;
   mutable transport_ns : float;
   mutable execute_ns : float;  (* parallel(izable) sharded execution span *)
@@ -64,6 +65,7 @@ type t = {
 let create () =
   {
     steps = 0;
+    minor_gcs = 0;
     total_ns = 0.0;
     transport_ns = 0.0;
     execute_ns = 0.0;

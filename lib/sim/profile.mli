@@ -24,6 +24,11 @@
 
 type t = {
   mutable steps : int;
+  mutable minor_gcs : int;
+      (** minor collections during [Engine.run], machine-wide: the
+          [Gc.quick_stat] delta over the run, at its domain count (each
+          one stops every domain). Steps driven outside [Engine.run]
+          leave it untouched. *)
   mutable total_ns : float;
   mutable transport_ns : float;
   mutable execute_ns : float;

@@ -70,6 +70,61 @@ let reduction_endpoint_exists p = function
     p src || (match dst with Some d -> p d | None -> false)
   | Cancel { src; dst } -> p src || p dst
 
+(* Mark lanes. A mark travels as three ints: [v] (the target, -1 for a
+   return), [par] (the parent vid, -1 for Rootpar) and [meta], which packs
+   kind (bits 0-1), plane (bit 2), prior (bits 3-4) and the wave (bits 5
+   and up). [meta] is never negative, so a lane slot holding -1 can stand
+   for "not a mark". *)
+type sink = int -> int -> int -> unit
+
+let kind_mark1 = 0
+let kind_mark2 = 1
+let kind_mark3 = 2
+let kind_return = 3
+
+let plane_bit = function Plane.MR -> 0 | Plane.MT -> 4
+
+let meta ~kind ~plane ~prior ~ep =
+  if ep < 0 || prior land lnot 3 <> 0 then
+    invalid_arg (Printf.sprintf "Task.meta: prior %d / wave %d out of range" prior ep);
+  (ep lsl 5) lor (prior lsl 3) lor plane_bit plane lor kind
+
+let meta_kind m = m land 3
+let meta_plane m = if m land 4 = 0 then Plane.MR else Plane.MT
+let meta_prior m = (m lsr 3) land 3
+let meta_ep m = m lsr 5
+let is_return m = m land 3 = kind_return
+
+let lanes_exec_vid v par m = if is_return m then par else v
+
+let lane_v = function
+  | Mark1 { v; _ } | Mark2 { v; _ } | Mark3 { v; _ } -> v
+  | Return _ -> -1
+
+let lane_par = function
+  | Mark1 { par; _ } | Mark2 { par; _ } | Mark3 { par; _ } | Return { par; _ } ->
+    Plane.vid_of_parent par
+
+let lane_meta = function
+  | Mark1 { ep; _ } -> meta ~kind:kind_mark1 ~plane:Plane.MR ~prior:0 ~ep
+  | Mark2 { prior; ep; _ } -> meta ~kind:kind_mark2 ~plane:Plane.MR ~prior ~ep
+  | Mark3 { ep; _ } -> meta ~kind:kind_mark3 ~plane:Plane.MT ~prior:0 ~ep
+  | Return { plane; ep; _ } -> meta ~kind:kind_return ~plane ~prior:0 ~ep
+
+let mark_of_lanes v par m =
+  let par = Plane.parent_of_vid par and ep = meta_ep m in
+  match meta_kind m with
+  | 0 -> Mark1 { v; par; ep }
+  | 1 -> Mark2 { v; par; prior = meta_prior m; ep }
+  | 2 -> Mark3 { v; par; ep }
+  | _ -> Return { plane = meta_plane m; par; ep }
+
+let emit_mark (sink : sink) m = sink (lane_v m) (lane_par m) (lane_meta m)
+
+let sink_of f : sink = fun v par m -> f (mark_of_lanes v par m)
+
+let obs_kind_of_meta m = if is_return m then Dgr_obs.Event.Return_mark else Dgr_obs.Event.Mark
+
 let plane_of_mark = function
   | Mark1 _ | Mark2 _ -> Plane.MR
   | Mark3 _ -> Plane.MT

@@ -98,6 +98,54 @@ val request : ?src:Vid.t -> ?key:Vid.t -> Vid.t -> Demand.t -> t
 val respond : src:Vid.t -> key:Vid.t -> ?demand:Demand.t -> Vertex.requester -> Label.value -> t
 (** [demand] defaults to [Vital]. *)
 
+(** {2 Mark lanes}
+
+    On the wire a mark is three ints, not a {!mark}: [v], the target
+    vertex ([-1] for a return); [par], the parent vid ([-1] for
+    [Rootpar]); and [meta], which packs the kind, the plane, the M_R
+    priority (0-3) and the wave. Handlers emit lanes, and mailboxes,
+    frames and pools carry them, so sending a mark allocates nothing.
+    {!mark} is the view tests, printers, invariants and purge predicates
+    read; {!mark_of_lanes} and {!emit_mark} convert between the two. *)
+
+type sink = int -> int -> int -> unit
+(** Receives one mark as [v par meta]. *)
+
+val kind_mark1 : int
+val kind_mark2 : int
+val kind_mark3 : int
+val kind_return : int
+
+val meta : kind:int -> plane:Plane.id -> prior:int -> ep:int -> int
+(** Raises [Invalid_argument] for a negative wave or a prior outside 0-3.
+    The result is never negative. *)
+
+val meta_kind : int -> int
+val meta_plane : int -> Plane.id
+val meta_prior : int -> int
+val meta_ep : int -> int
+
+val is_return : int -> bool
+(** Is this the meta of a [Return]? *)
+
+val lanes_exec_vid : int -> int -> int -> int
+(** {!exec_vid} of a mark in lanes: [par] for a return, else [v]. *)
+
+val lane_v : mark -> int
+val lane_par : mark -> int
+val lane_meta : mark -> int
+
+val mark_of_lanes : int -> int -> int -> mark
+(** The view of [v par meta]; inverse of the three [lane_*] functions. *)
+
+val emit_mark : sink -> mark -> unit
+(** Hand a view to a sink as lanes. *)
+
+val sink_of : (mark -> unit) -> sink
+(** A sink that rebuilds the view and passes it on (tests, tools). *)
+
+val obs_kind_of_meta : int -> Dgr_obs.Event.task_kind
+
 val pp : Format.formatter -> t -> unit
 
 val pp_mark : Format.formatter -> mark -> unit

@@ -1,6 +1,13 @@
 (* Shared test utilities. *)
 open Dgr_graph
 
+(* Mark handlers take lanes; run one on a view ([on_view h m]), or drop
+   its spawns ([no_emit]). *)
+let on_view (h : Dgr_task.Task.sink) m =
+  h (Dgr_task.Task.lane_v m) (Dgr_task.Task.lane_par m) (Dgr_task.Task.lane_meta m)
+
+let no_emit : Dgr_task.Task.sink = fun _ _ _ -> ()
+
 let vid_set = Alcotest.testable (Fmt.Dump.list Fmt.int) (fun a b -> a = b)
 
 let sorted_list_of_set s = Vid.Set.elements s
@@ -128,7 +135,7 @@ let root_reachable g =
    schedule's final state — ready to serve as the reference for a
    differential oracle. *)
 let gen_schedule rng g ~ops =
-  let mut = Dgr_core.Mutator.create ~spawn:(fun _ -> ()) g in
+  let mut = Dgr_core.Mutator.create ~spawn:(fun _ _ _ -> ()) g in
   let pick l = List.nth l (Rng.int rng (List.length l)) in
   let args v = Vertex.args (Graph.vertex g v) in
   let schedule = ref [] in

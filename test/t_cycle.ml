@@ -115,10 +115,10 @@ let test_irrelevant_tasks_purged () =
 let test_start_cycle_twice_rejected () =
   let g = Graph.create () in
   let (_ : Vid.t) = Builder.add_root g (Label.Int 1) [] in
-  let mut = Mutator.create ~spawn:(fun _ -> ()) g in
+  let mut = Mutator.create ~spawn:(fun _ _ _ -> ()) g in
   let env =
     {
-      Cycle.spawn_mark = (fun _ -> ());
+      Cycle.spawn_mark = (fun _ _ _ -> ());
       pes = 1;
       iter_pe_endpoints = (fun _ _ -> ());
       purge_tasks = (fun _ -> 0);
@@ -137,11 +137,11 @@ let test_mt_before_mr_order () =
   (* With deadlock detection on, the first phase must be Mark_tasks. *)
   let g = Graph.create () in
   let (_ : Vid.t) = Builder.add_root g (Label.Int 1) [] in
-  let mut = Mutator.create ~spawn:(fun _ -> ()) g in
+  let mut = Mutator.create ~spawn:(fun _ _ _ -> ()) g in
   let spawned = ref [] in
   let env =
     {
-      Cycle.spawn_mark = (fun m -> spawned := m :: !spawned);
+      Cycle.spawn_mark = Dgr_task.Task.sink_of (fun m -> spawned := m :: !spawned);
       pes = 1;
       iter_pe_endpoints =
         (fun _pe f ->

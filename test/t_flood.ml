@@ -18,12 +18,14 @@ let flood_drain ?mut fl seeds =
       Queue.add (Flood.seed_for fl v) queue)
     seeds;
   (match mut with
-  | Some m -> m.Mutator.spawn <- (fun task -> Queue.add task queue)
+  | Some m -> m.Mutator.spawn <- Dgr_task.Task.sink_of (fun task -> Queue.add task queue)
   | None -> ());
   let executed = ref 0 in
   while not (Queue.is_empty queue) do
     let task = Queue.pop queue in
-    Flood.execute fl ~pe:0 ~emit:(fun t -> Queue.add t queue) task;
+    Helpers.on_view
+      (Flood.execute fl ~pe:0 ~emit:(Dgr_task.Task.sink_of (fun t -> Queue.add t queue)))
+      task;
     incr executed;
     if !executed > 10_000_000 then failwith "flood diverged"
   done;
@@ -147,10 +149,10 @@ let prop_flood_safety_liveness_under_mutation =
           Vid.Set.empty g
       in
       let fl = Flood.create g Run.Priority in
-      let mut = Mutator.create ~spawn:(fun _ -> ()) g in
+      let mut = Mutator.create ~spawn:(fun _ _ _ -> ()) g in
       Mutator.set_active_flood mut [ fl ];
       let queue = Queue.create () in
-      mut.Mutator.spawn <- (fun task -> Queue.add task queue);
+      mut.Mutator.spawn <- Dgr_task.Task.sink_of (fun task -> Queue.add task queue);
       Flood.count_seed fl ~pe:0;
       Queue.add (Flood.seed_for fl (Graph.root g)) queue;
       let adversary () =
@@ -188,7 +190,9 @@ let prop_flood_safety_liveness_under_mutation =
         adversary ();
         (if not (Queue.is_empty queue) then
            let task = Queue.pop queue in
-           Flood.execute fl ~pe:0 ~emit:(fun t -> Queue.add t queue) task);
+           Helpers.on_view
+             (Flood.execute fl ~pe:0 ~emit:(Dgr_task.Task.sink_of (fun t -> Queue.add t queue)))
+             task);
         incr steps;
         if !steps > 5_000_000 then failwith "flood diverged under mutation"
       done;

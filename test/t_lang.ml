@@ -127,7 +127,7 @@ let test_template_instantiate () =
   let g = Graph.create () in
   let x = Builder.add g (Label.Int 1) [] in
   let y = Builder.add g (Label.Int 2) [] in
-  let mut = Dgr_core.Mutator.create ~spawn:(fun _ -> ()) g in
+  let mut = Dgr_core.Mutator.create ~spawn:(fun _ _ _ -> ()) g in
   let entry = Template.instantiate tpl g mut ~actuals:[ x; y ] in
   Alcotest.(check bool) "entry is the indirection" true
     ((Vertex.label (Graph.vertex g entry)) = Label.Ind);

@@ -252,7 +252,7 @@ let test_wrong_plane_rejected () =
   let run = Run.create g Run.Priority in
   Run.seed_added run;
   (match
-     Marker.execute run ~pe:0 ~emit:ignore
+     Helpers.on_view (Marker.execute run ~pe:0 ~emit:Helpers.no_emit)
        (Dgr_task.Task.Mark3 { v; par = Plane.Rootpar; ep = run.Run.wave })
    with
   | exception Invalid_argument _ -> ()
@@ -260,7 +260,7 @@ let test_wrong_plane_rejected () =
   let run_t = Run.create g Run.Tasks in
   Run.seed_added run_t;
   match
-    Marker.execute run_t ~pe:0 ~emit:ignore
+    Helpers.on_view (Marker.execute run_t ~pe:0 ~emit:Helpers.no_emit)
       (Dgr_task.Task.Mark2 { v; par = Plane.Rootpar; prior = 3; ep = run_t.Run.wave })
   with
   | exception Invalid_argument _ -> ()
@@ -271,7 +271,7 @@ let test_return_without_credit_rejected () =
   let v = Builder.add_root g (Label.Int 1) [] in
   let run = Run.create g Run.Basic in
   match
-    Marker.execute run ~pe:0 ~emit:ignore
+    Helpers.on_view (Marker.execute run ~pe:0 ~emit:Helpers.no_emit)
       (Dgr_task.Task.Return { plane = Plane.MR; par = Plane.Parent v; ep = run.Run.wave })
   with
   | exception Invalid_argument _ -> ()
@@ -283,7 +283,7 @@ let test_flood_rejects_returns () =
   ignore v;
   let fl = Dgr_core.Flood.create g Run.Basic in
   match
-    Dgr_core.Flood.execute fl ~pe:0 ~emit:ignore
+    Helpers.on_view (Dgr_core.Flood.execute fl ~pe:0 ~emit:Helpers.no_emit)
       (Dgr_task.Task.Return { plane = Plane.MR; par = Plane.Rootpar; ep = fl.Dgr_core.Flood.wave })
   with
   | exception Invalid_argument _ -> ()
@@ -316,7 +316,7 @@ let test_drain_guard () =
     (* each injected seed produces at least a return task, so the queue
        can never drain while the feeder keeps going *)
     Run.seed_added run;
-    mut.Mutator.spawn (Marker.seed_for run head)
+    Helpers.on_view mut.Mutator.spawn (Marker.seed_for run head)
   in
   match Sync_engine.drain ~interleave:feeder ~max_steps:500 engine with
   | exception Failure _ -> ()

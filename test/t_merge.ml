@@ -174,6 +174,75 @@ let test_empty_merge_alloc_free () =
     true
     (words < 2.0 *. float_of_int iters)
 
+(* --- marks as lanes -------------------------------------------------- *)
+
+(* The whole per-mark transport path, as the engine drives it: post into
+   a PE's mailbox, flush at the barrier, the delivery tick, the shard's
+   take into its pool's ring, and the marking drain. Once the buffers
+   have grown, a mark is three ints all the way: under one minor word
+   per mark over the whole path. *)
+let test_mark_path_alloc_free () =
+  let pes = 4 in
+  let g = Graph.create ~num_pes:pes () in
+  let pools = Array.init pes (fun pe -> Pool.create ~pe Pool.Flat g) in
+  let takes = Array.map (fun pool v par meta -> Pool.push_mark pool v par meta) pools in
+  let net = Network.create () in
+  let mbs = Array.init pes (fun _ -> Network.Mailbox.create ()) in
+  let meta = Task.meta ~kind:Task.kind_mark1 ~plane:Plane.MR ~prior:0 ~ep:0 in
+  let drained = ref 0 in
+  let handler : Task.sink = fun _ _ _ -> incr drained in
+  let no_reduction _ _ _ = Alcotest.fail "no reduction was sent" in
+  let marks = 64 in
+  let round now =
+    for i = 0 to marks - 1 do
+      let src = i mod pes and dst = i / pes mod pes in
+      Network.Mailbox.post_mark mbs.(src) ~src ~arrival:(now + 1) ~pe:dst i (-1) meta
+    done;
+    Array.iter (fun mb -> Network.Mailbox.flush mb net) mbs;
+    Network.deliver_serial net ~now:(now + 1) ~push:no_reduction;
+    for pe = 0 to pes - 1 do
+      Network.take_mark_lanes net ~pe takes.(pe);
+      Pool.drain_marking pools.(pe) ~budget:max_int handler
+    done
+  in
+  (* warm-up: grows every buffer, ring and free list *)
+  for now = 0 to 9 do
+    round now
+  done;
+  let rounds = 1_000 in
+  let w0 = Gc.minor_words () in
+  for k = 1 to rounds do
+    round (10 + k)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every mark drained" ((10 + rounds) * marks) !drained;
+  Alcotest.(check int) "network empty" 0 (Network.size net);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over %d marks" words (rounds * marks))
+    true
+    (words < float_of_int (rounds * marks))
+
+(* A vertex lookup is a slot read: no tuple for the chunk address, in the
+   dense prefix or in a partitioned home's segment. *)
+let test_vertex_lookup_alloc_free () =
+  let g = Graph.create () in
+  for _ = 1 to 3_000 do
+    ignore (Graph.alloc g Label.Ind)
+  done;
+  Graph.partition g ~pes:4;
+  for pe = 0 to 3 do
+    for _ = 1 to 700 do
+      ignore (Graph.alloc ~from:pe g Label.Ind)
+    done
+  done;
+  let n = Graph.vertex_count g in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (Sys.opaque_identity (Graph.vertex g i))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) (Printf.sprintf "minor words over %d lookups" n) 0.0 words
+
 (* --- chunk-linked recorder drain ------------------------------------ *)
 
 let exec pe vid = Event.Execute { kind = Event.Mark; pe; vid; lin = -1 }
@@ -234,6 +303,9 @@ let suite =
       test_mailbox_joins_sent_frame;
     Alcotest.test_case "empty-step merge allocates nothing" `Quick
       test_empty_merge_alloc_free;
+    Alcotest.test_case "mark path allocates under a word per mark" `Quick
+      test_mark_path_alloc_free;
+    Alcotest.test_case "vertex lookup allocates nothing" `Quick test_vertex_lookup_alloc_free;
     Alcotest.test_case "chunk-linked drain = copied drain" `Quick
       test_chunk_drain_order;
   ]

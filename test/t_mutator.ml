@@ -82,7 +82,7 @@ let test_add_reference_validates_witness () =
   let c = Builder.add g (Label.Int 1) [] in
   let b = Builder.add g Label.Ind [ c ] in
   let a = Builder.add_root g Label.Ind [ b ] in
-  let mut = Mutator.create ~spawn:(fun _ -> ()) g in
+  let mut = Mutator.create ~spawn:(fun _ _ _ -> ()) g in
   Alcotest.check_raises "b must be a child of a"
     (Invalid_argument
        (Printf.sprintf "Mutator.add_reference: witness v%d is not a child of v%d" c a))
@@ -114,7 +114,7 @@ let test_expand_node_unmarked_parent () =
   let g = Graph.create () in
   let leaf = Builder.add g (Label.Int 5) [] in
   let a = Builder.add_root g Label.Ind [ leaf ] in
-  let mut = Mutator.create ~spawn:(fun _ -> ()) g in
+  let mut = Mutator.create ~spawn:(fun _ _ _ -> ()) g in
   let inner = Graph.alloc g (Label.Prim Label.Neg) in
   Mutator.connect_fresh mut ~parent:(Vertex.id inner) ~child:leaf;
   Mutator.expand_node mut ~a ~entry:(Vertex.id inner);
@@ -172,7 +172,7 @@ let test_hooks_fire () =
     Mutator.create
       ~on_connect:(fun p ch -> log := ("connect", p, ch) :: !log)
       ~on_disconnect:(fun p ch -> log := ("disconnect", p, ch) :: !log)
-      ~spawn:(fun _ -> ()) g
+      ~spawn:(fun _ _ _ -> ()) g
   in
   Mutator.add_reference mut ~a ~b ~c;
   Mutator.delete_reference mut ~a ~b;

@@ -126,9 +126,10 @@ let test_pool_marking_ring () =
   let pool = Pool.create Pool.Flat g in
   let popped = ref [] in
   let take n =
-    Pool.drain_marking pool ~budget:n (fun task stamp ->
-        Alcotest.(check int) "marks are unticketed" (-1) stamp;
-        popped := mark_id task :: !popped)
+    Pool.drain_marking pool ~budget:n (fun v par meta ->
+        Alcotest.(check bool) "lanes decode to the pushed mark" true
+          (Task.Marking (Task.mark_of_lanes v par meta) = mark v);
+        popped := v :: !popped)
   in
   let ids () = List.map mark_id (Pool.tasks pool) in
   for i = 0 to 5 do
@@ -171,7 +172,7 @@ let test_pool_marking_ring_oracle () =
     | 4 | 5 ->
       let budget = Dgr_util.Rng.int rng 6 in
       let got = ref [] in
-      Pool.drain_marking pool ~budget (fun task _ -> got := mark_id task :: !got);
+      Pool.drain_marking pool ~budget (fun v _ _ -> got := v :: !got);
       let want =
         List.filter_map
           (fun _ -> Option.map snd (Dgr_util.Pqueue.pop q))
@@ -238,9 +239,11 @@ let channels () =
 
 (* The order both halves promise: fault-free arrival, then frame stage
    order, then the frame's own order — which [in_flight] lists before the
-   tick — restricted to the reduction tasks, or to one PE's marks. *)
+   tick — restricted to the reduction tasks, or to one PE's marks. Every
+   sent task is distinct, so a task is found by value: marks travel as
+   lanes and come back as fresh views. *)
 let due_in_order net sent =
-  let dst_of task = fst (List.find (fun (_, t) -> t == task) sent) in
+  let dst_of task = fst (List.find (fun (_, t) -> t = task) sent) in
   let due = List.map (fun task -> (dst_of task, task)) (Network.in_flight net) in
   let reds = List.filter (fun (_, t) -> not (Task.is_marking t)) due in
   let marks_of pe =
@@ -363,6 +366,73 @@ let test_network_purge_records_destination () =
   in
   Alcotest.(check (list (pair int int))) "per-PE purge events, real destinations"
     [ (0, 1); (2, 2) ] purge_events
+
+(* One frame interleaving reductions and marks (same link, same
+   arrival): [entries] lists it in send order, delivery traces a
+   [Deliver] per task in that same order while handing up only the
+   reductions, and the marks follow through [take_marks], in order. *)
+let interleaved () =
+  List.init 12 (fun i ->
+      if i mod 3 = 0 then Task.request (200 + i) Demand.Vital
+      else if i mod 3 = 1 then mark (200 + i)
+      else
+        Task.Marking
+          (Task.Return { plane = Plane.MT; par = Plane.Parent (200 + i); ep = 1 lsl 40 }))
+
+let test_interleaved_frame_order () =
+  let r = Dgr_obs.Recorder.create ~num_pes:2 () in
+  let net = Network.create ~recorder:r () in
+  let sent = interleaved () in
+  List.iter (fun task -> Network.send ~src:0 net ~arrival:3 ~pe:1 task) sent;
+  Alcotest.(check bool) "entries in send order" true
+    (Network.entries net = List.map (fun task -> (3, task)) sent);
+  Alcotest.(check bool) "in_flight in send order" true (Network.in_flight net = sent);
+  let reds = ref [] in
+  Network.deliver_serial net ~now:3 ~push:(fun _ _ task -> reds := task :: !reds);
+  Alcotest.(check int) "one frame" 1 (Network.frames_sent net);
+  let delivered =
+    List.filter_map
+      (function
+        | { Dgr_obs.Event.kind = Dgr_obs.Event.Deliver { kind; pe; vid; _ }; _ } ->
+          Some (kind, pe, vid)
+        | _ -> None)
+      (Dgr_obs.Recorder.events r)
+  in
+  Alcotest.(check bool) "a Deliver per task, in send order" true
+    (delivered
+    = List.map
+        (fun task ->
+          (Task.obs_kind task, 1, match Task.exec_vertex task with Some v -> v | None -> -1))
+        sent);
+  Alcotest.(check bool) "reductions handed up in order" true
+    (List.rev !reds = List.filter Task.is_reduction sent);
+  let marks = ref [] in
+  Network.take_marks net ~pe:1 (fun task -> marks := task :: !marks);
+  Alcotest.(check bool) "marks taken in order" true
+    (List.rev !marks = List.filter Task.is_marking sent)
+
+(* Purges and crashes count tasks, marks and reductions alike, whatever
+   their place in a frame; survivors keep their order. *)
+let test_interleaved_purge_and_crash_counts () =
+  List.iter
+    (fun (name, faults) ->
+      let net = Network.create ?faults () in
+      let sent = interleaved () in
+      List.iter (fun task -> Network.send ~src:0 net ~arrival:3 ~pe:1 task) sent;
+      List.iter (fun task -> Network.send ~src:2 net ~arrival:4 ~pe:3 task) sent;
+      let doomed task =
+        match Task.exec_vertex task with Some v -> v mod 2 = 0 | None -> false
+      in
+      let n_doomed = List.length (List.filter doomed sent) in
+      Alcotest.(check int) (name ^ ": purge count") (2 * n_doomed) (Network.purge net doomed);
+      let survivors = List.filter (fun task -> not (doomed task)) sent in
+      Alcotest.(check bool) (name ^ ": survivors keep their order") true
+        (Network.in_flight net = survivors @ survivors);
+      Alcotest.(check int) (name ^ ": crash loses the link's tasks") (List.length survivors)
+        (Network.crash_pe net ~pe:3);
+      Alcotest.(check bool) (name ^ ": the other link survives") true
+        (Network.in_flight net = survivors))
+    [ ("ideal", None); ("lossy", Some (Faults.create Faults.none)) ]
 
 let test_engine_local_vs_remote_latency () =
   (* Two vertices on different PEs: the respond crosses the boundary. *)
@@ -497,6 +567,9 @@ let suite =
     Alcotest.test_case "split delivery in order" `Quick test_deliver_split_in_order;
     Alcotest.test_case "lossy channel delivers marks" `Quick test_lossy_channel_delivers_marks;
     Alcotest.test_case "network purge" `Quick test_network_purge;
+    Alcotest.test_case "interleaved frame keeps its order" `Quick test_interleaved_frame_order;
+    Alcotest.test_case "interleaved purge and crash counts" `Quick
+      test_interleaved_purge_and_crash_counts;
     Alcotest.test_case "network purge records destination" `Quick
       test_network_purge_records_destination;
     Alcotest.test_case "purged frame is not reused" `Quick test_purge_emptied_frame_not_reused;

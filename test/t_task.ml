@@ -62,8 +62,46 @@ let test_request_default_key () =
     Alcotest.(check (option int)) "src" (Some 9) src
   | _ -> Alcotest.fail "expected a request"
 
+(* Every mark survives the trip to lanes and back: each constructor,
+   both planes on a return, Rootpar and Parent, priors 1-3, and waves 0
+   and 2^40. *)
+let test_lane_roundtrip () =
+  let pars = [ Plane.Rootpar; Plane.Parent 0; Plane.Parent 41 ] in
+  let eps = [ 0; 1 lsl 40 ] in
+  let marks =
+    List.concat_map
+      (fun par ->
+        List.concat_map
+          (fun ep ->
+            [ Mark1 { v = 9; par; ep }; Mark3 { v = 0; par; ep } ]
+            @ List.map (fun prior -> Mark2 { v = 7; par; prior; ep }) [ 1; 2; 3 ]
+            @ List.map (fun plane -> Return { plane; par; ep }) [ Plane.MR; Plane.MT ])
+          eps)
+      pars
+  in
+  List.iter
+    (fun m ->
+      let v = lane_v m and par = lane_par m and meta = lane_meta m in
+      let name = Format.asprintf "%a" pp_mark m in
+      Alcotest.(check bool) (name ^ ": round-trips") true (mark_of_lanes v par meta = m);
+      Alcotest.(check bool) (name ^ ": meta is never negative") true (meta >= 0);
+      Alcotest.(check int) (name ^ ": wave") (mark_ep m) (meta_ep meta);
+      Alcotest.(check bool) (name ^ ": plane") true (meta_plane meta = plane_of_mark m);
+      Alcotest.(check int) (name ^ ": exec vid")
+        (exec_vid (Marking m)) (lanes_exec_vid v par meta);
+      Alcotest.(check bool) (name ^ ": trace kind") true
+        (obs_kind_of_meta meta = obs_kind (Marking m));
+      let seen = ref None in
+      emit_mark (sink_of (fun m' -> seen := Some m')) m;
+      Alcotest.(check bool) (name ^ ": through a sink") true (!seen = Some m))
+    marks;
+  Alcotest.check_raises "a prior past 3 is refused"
+    (Invalid_argument "Task.meta: prior 4 / wave 0 out of range") (fun () ->
+      ignore (meta ~kind:kind_mark2 ~plane:Plane.MR ~prior:4 ~ep:0))
+
 let suite =
   [
+    Alcotest.test_case "mark lanes round-trip" `Quick test_lane_roundtrip;
     Alcotest.test_case "exec_vertex routing" `Quick test_exec_vertex;
     Alcotest.test_case "reduction endpoints" `Quick test_endpoints;
     Alcotest.test_case "mark planes" `Quick test_planes;
