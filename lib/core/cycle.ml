@@ -26,7 +26,6 @@ type t = {
   cycle_scheme : scheme;
   detection_window : int;
   mutable phase : phase;
-  mutable phase_started_at : int;  (* [env.now] at the last phase transition *)
   mutable mr_run : Run.t option;
   mutable mt_run : Run.t option;
   mutable mr_flood : Flood.t option;
@@ -39,8 +38,6 @@ type t = {
   mutable last_report : Restructure.report option;
   mutable deadlocked_ever : Vid.Set.t;
   mutable total_garbage : int;
-  mutable mr_marks : int;
-  mutable mt_marks : int;
 }
 
 let create ?(deadlock_every = 1) ?(scheme = Tree) ?(detection_window = 8) ?recorder g mut
@@ -54,7 +51,6 @@ let create ?(deadlock_every = 1) ?(scheme = Tree) ?(detection_window = 8) ?recor
     cycle_scheme = scheme;
     detection_window;
     phase = Idle;
-    phase_started_at = 0;
     mr_run = None;
     mt_run = None;
     mr_flood = None;
@@ -69,8 +65,6 @@ let create ?(deadlock_every = 1) ?(scheme = Tree) ?(detection_window = 8) ?recor
     last_report = None;
     deadlocked_ever = Vid.Set.empty;
     total_garbage = 0;
-    mr_marks = 0;
-    mt_marks = 0;
   }
 
 let obs t kind =
@@ -79,10 +73,6 @@ let obs t kind =
 let scheme t = t.cycle_scheme
 
 let phase t = t.phase
-
-let phase_started_at t = t.phase_started_at
-
-let graph t = t.g
 
 let seed run env v =
   Run.seed_added run;
@@ -115,7 +105,6 @@ let phase_obs t phase =
 let start_mark_root t =
   Graph.reset_plane t.g Plane.MR;
   t.phase <- Mark_root;
-  t.phase_started_at <- t.env.now ();
   phase_obs t Dgr_obs.Event.Mark_root;
   match t.cycle_scheme with
   | Tree ->
@@ -144,7 +133,6 @@ let start_mark_tasks t =
   Graph.reset_plane t.g Plane.MT;
   t.mt_ran_this_cycle <- true;
   t.phase <- Mark_tasks;
-  t.phase_started_at <- t.env.now ();
   phase_obs t Dgr_obs.Event.Mark_tasks;
   match t.cycle_scheme with
   | Tree ->
@@ -173,27 +161,12 @@ let start_mark_tasks t =
    termination detector (flood) is created under the new epoch and
    re-seeded; the {e other} plane's finished result is untouched — its
    marks were settled before this phase began and remain a valid
-   (conservative) input to the cycle's verdict. The aborted run's
-   executed-mark tally is folded into the totals first. *)
+   (conservative) input to the cycle's verdict. *)
 let restart_phase t =
   match t.phase with
   | Idle -> ()
-  | Mark_tasks ->
-    (match t.mt_run with
-    | Some r -> t.mt_marks <- t.mt_marks + Run.marks_total r
-    | None -> ());
-    (match t.mt_flood with
-    | Some f -> t.mt_marks <- t.mt_marks + Flood.executed_total f
-    | None -> ());
-    start_mark_tasks t
-  | Mark_root ->
-    (match t.mr_run with
-    | Some r -> t.mr_marks <- t.mr_marks + Run.marks_total r
-    | None -> ());
-    (match t.mr_flood with
-    | Some f -> t.mr_marks <- t.mr_marks + Flood.executed_total f
-    | None -> ());
-    start_mark_root t
+  | Mark_tasks -> start_mark_tasks t
+  | Mark_root -> start_mark_root t
 
 let start_cycle t =
   if t.phase <> Idle then invalid_arg "Cycle.start_cycle: cycle already in progress";
@@ -204,14 +177,6 @@ let start_cycle t =
 let finish_cycle t =
   Mutator.set_active t.mut [];
   Mutator.set_active_flood t.mut [];
-  (match t.mr_run with Some r -> t.mr_marks <- t.mr_marks + Run.marks_total r | None -> ());
-  (match t.mt_run with Some r -> t.mt_marks <- t.mt_marks + Run.marks_total r | None -> ());
-  (match t.mr_flood with
-  | Some f -> t.mr_marks <- t.mr_marks + Flood.executed_total f
-  | None -> ());
-  (match t.mt_flood with
-  | Some f -> t.mt_marks <- t.mt_marks + Flood.executed_total f
-  | None -> ());
   phase_obs t Dgr_obs.Event.Restructure;
   let report =
     Restructure.run ~graph:t.g ~deadlock_checked:t.mt_ran_this_cycle
@@ -228,7 +193,6 @@ let finish_cycle t =
        { cycle = t.cycles; garbage = List.length report.Restructure.garbage });
   phase_obs t Dgr_obs.Event.Idle;
   t.phase <- Idle;
-  t.phase_started_at <- t.env.now ();
   t.cycles <- t.cycles + 1;
   t.last_report <- Some report;
   t.deadlocked_ever <-
@@ -286,7 +250,3 @@ let last_report t = t.last_report
 let deadlocked_ever t = t.deadlocked_ever
 
 let total_garbage_collected t = t.total_garbage
-
-let mr_marks_total t = t.mr_marks
-
-let mt_marks_total t = t.mt_marks

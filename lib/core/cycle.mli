@@ -91,13 +91,6 @@ val scheme : t -> scheme
 
 val phase : t -> phase
 
-val phase_started_at : t -> int
-(** The step at which the current phase was entered ([env.now] at the
-    last transition; [0] before the first cycle). The engine's mark-wave
-    watchdog and the report tool use this to age a phase. *)
-
-val graph : t -> Graph.t
-
 val start_cycle : t -> unit
 (** Begin marking from [Idle]. Raises [Invalid_argument] if a cycle is
     already in progress. No-op graphs (no root) still cycle: an absent
@@ -141,8 +134,3 @@ val deadlocked_ever : t -> Vid.Set.t
 (** Union of all deadlock reports so far. *)
 
 val total_garbage_collected : t -> int
-
-val mr_marks_total : t -> int
-(** Cumulative mark-task executions across completed M_R runs. *)
-
-val mt_marks_total : t -> int

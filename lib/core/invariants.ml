@@ -76,8 +76,8 @@ let check_exn run ~pending =
    by construction) and vertices born in the current allocation epoch:
    a template instantiated this step is wired up by its allocating PE
    before any other PE can learn the fresh vids. *)
-let ownership_guard g ~current_pe v =
-  let pe = current_pe () in
+let ownership_guard g ~executing_pe v =
+  let pe = executing_pe () in
   if pe >= 0 then begin
     let vx = Graph.vertex g v in
     if

@@ -33,11 +33,11 @@ val check_exn : Run.t -> pending:Task.mark list -> unit
 (** Raises [Failure] with the concatenated violations. *)
 
 val ownership_guard :
-  Dgr_graph.Graph.t -> current_pe:(unit -> int) -> Dgr_graph.Vid.t -> unit
+  Dgr_graph.Graph.t -> executing_pe:(unit -> int) -> Dgr_graph.Vid.t -> unit
 (** A {!Mutator.t} guard asserting the ownership discipline the sharded
     engine relies on: a task executing at PE [p] (as reported by
-    [current_pe ()]) only mutates vertices with [Vertex.pe = p].
-    Controller execution ([current_pe () < 0]) and vertices born in the
+    [executing_pe ()]) only mutates vertices with [Vertex.pe = p].
+    Controller execution ([executing_pe () < 0]) and vertices born in the
     current {!Dgr_graph.Graph.epoch} (template slots the executing PE
     just allocated) are exempt. Raises [Failure] on a violation.
     Installed by [Engine.enable_ownership_checks]. *)

@@ -17,8 +17,6 @@ type t = {
   mutable on_disconnect : Vid.t -> Vid.t -> unit;
   mutable recorder : Dgr_obs.Recorder.t option;
   mutable guard : Vid.t -> unit;
-  mutable total_coop_spawned : int;
-  mutable total_coop_closure : int;
   (* Scratch stack for the synchronous marking closures, (vid, prior)
      pairs interleaved. Reused across calls — the closures never nest —
      so the traversal allocates nothing once the stack has grown. *)
@@ -40,8 +38,6 @@ let create ?(on_connect = nop2) ?(on_disconnect = nop2) ?recorder ~spawn graph =
     on_disconnect;
     recorder;
     guard = ignore;
-    total_coop_spawned = 0;
-    total_coop_closure = 0;
     stk = Array.make 32 0;
     stk_n = 0;
   }
@@ -96,7 +92,6 @@ let flood_cooperate_edge t (fl : Flood.t) ~parent ~child =
       then begin
         Plane.mark plane;
         Plane.set_prior plane @@ prior;
-        t.total_coop_closure <- t.total_coop_closure + 1;
         incr marked_here;
         Trace.iter_children g fl.Flood.plane v (fun c ->
             stk_push t c (Trace.child_priority g v prior c))
@@ -132,7 +127,6 @@ let charge_and_spawn t run ~parent ~child ~prior =
   let plane = Vertex.plane (Graph.vertex t.graph parent) run.Run.plane in
   Plane.set_cnt plane @@ (Plane.cnt plane) + 1;
   run.Run.coop_spawns <- run.Run.coop_spawns + 1;
-  t.total_coop_spawned <- t.total_coop_spawned + 1;
   obs t (Dgr_obs.Event.Coop_spawn { pe = t.coop_pe (); parent; child });
   t.spawn child parent (Run.mark_meta run.Run.variant ~wave:run.Run.wave ~prior)
 
@@ -155,7 +149,6 @@ let closure t run ~from ~prior =
       Plane.mark plane;
       Plane.set_prior plane @@ prior;
       run.Run.coop_closure <- run.Run.coop_closure + 1;
-      t.total_coop_closure <- t.total_coop_closure + 1;
       incr marked_here;
       Trace.iter_children g run.Run.plane v (fun c ->
           stk_push t c (Trace.child_priority g v prior c))
@@ -207,7 +200,6 @@ let witness_cooperate t run ~a ~b ~c =
     (* execute mark(c,b) synchronously, charged to the transient b. *)
     Plane.set_cnt pb @@ (Plane.cnt pb) + 1;
     run.Run.coop_spawns <- run.Run.coop_spawns + 1;
-    t.total_coop_spawned <- t.total_coop_spawned + 1;
     obs t (Dgr_obs.Event.Coop_spawn { pe = t.coop_pe (); parent = b; child = c });
     let prior = Trace.child_priority g b (Int.max 1 (Plane.prior pb)) c in
     Marker.execute run ~pe:(t.coop_pe ()) ~emit:t.spawn c b
@@ -322,7 +314,3 @@ let drop_request_child t ~v ~c =
       t.active;
     flood_edge_all t ~parent:v ~child:c ~mt_only:true
   end
-
-let coop_spawned t = t.total_coop_spawned
-
-let coop_closure_marked t = t.total_coop_closure

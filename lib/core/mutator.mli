@@ -69,8 +69,6 @@ type t = {
           edge-set mutation ([connect]/[disconnect]/request bookkeeping).
           Default [ignore]; {!Dgr_core.Invariants.ownership_guard}
           installs the debug ownership-discipline check here. *)
-  mutable total_coop_spawned : int;
-  mutable total_coop_closure : int;
   mutable stk : int array;
       (** scratch stack for the synchronous marking closures — (vid,
           prior) pairs interleaved, reused across calls *)
@@ -144,11 +142,3 @@ val request_child : t -> v:Vid.t -> c:Vid.t -> demand:Demand.t -> unit
 val drop_request_child : t -> v:Vid.t -> c:Vid.t -> unit
 (** Dereference: remove [c] from [req-args(v)] while keeping the arg —
     [v→c] re-enters M_T's relation, so M_T cooperation applies. *)
-
-(** {1 Introspection} *)
-
-val coop_spawned : t -> int
-(** Total mark tasks spawned by cooperation across all runs ever active. *)
-
-val coop_closure_marked : t -> int
-(** Total vertices marked synchronously by closure cooperation. *)

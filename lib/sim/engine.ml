@@ -49,6 +49,26 @@ module Config = struct
       invalid_arg (Printf.sprintf "Engine.Config: %s must be at least 1, got %d" field v);
     v
 
+  (* A fault rate is a probability. A channel that drops every frame
+     loses its retransmits and acks too, so nothing is ever delivered:
+     [drop] must stay below 1. The other rates may reach 1. *)
+  let rates (f : Faults.spec) =
+    List.iter
+      (fun (field, p) ->
+        if not (p >= 0.0 && p <= 1.0) then
+          invalid_arg
+            (Printf.sprintf "Engine.Config: faults.%s must be in [0, 1], got %g" field p))
+      [
+        ("drop", f.drop);
+        ("duplicate", f.duplicate);
+        ("delay", f.delay);
+        ("stall", f.stall);
+        ("crash", f.crash);
+      ];
+    if f.drop >= 1.0 then
+      invalid_arg (Printf.sprintf "Engine.Config: faults.drop must be below 1, got %g" f.drop);
+    f
+
   let make ?(num_pes = 4) ?(latency = 4) ?(tasks_per_step = 2) ?(marking_per_step = 8)
       ?(gc_work_factor = 8) ?(heap_size = Some 50_000) ?(pool_policy = Pool.Dynamic)
       ?(speculate_if = true) ?(gc = Concurrent { deadlock_every = 1; idle_gap = 50 })
@@ -57,6 +77,7 @@ module Config = struct
     let num_pes = positive "num_pes" num_pes in
     let tasks_per_step = positive "tasks_per_step" tasks_per_step in
     let marking_per_step = positive "marking_per_step" marking_per_step in
+    let faults = rates faults in
     {
       machine =
         { num_pes; tasks_per_step; marking_per_step; pool_policy; speculate_if; seed; domains };
@@ -103,20 +124,25 @@ module Config = struct
   let with_recover_deadlock v t = { t with gc = { t.gc with recover_deadlock = v } }
   let with_jitter v t = { t with network = { t.network with jitter = v } }
   let with_seed v t = { t with machine = { t.machine with seed = v } }
-  let with_faults v t = { t with network = { t.network with faults = v } }
+  let with_faults v t = { t with network = { t.network with faults = rates v } }
   let with_domains v t = { t with machine = { t.machine with domains = v } }
   let with_batch v t = { t with network = { t.network with batch = v } }
 end
 
 type config = Config.t
 
-(* Per-PE execution context. Everything a PE's budget touches during a
-   step lives here (or in graph/pool state only its owner mutates), so
+(* A sender's execution context. Everything a PE's budget touches during
+   a step lives here (or in graph/pool state only its owner mutates), so
    shards on different domains share no mutable state until the step
-   barrier merges them in ascending PE order. *)
+   barrier merges them in ascending PE order. The controller has one too
+   ([t.cctl], [cpe = -1]): its sinks are the machine's own, and it is
+   [serial] — it stages its sends at once and runs controller-addressed
+   tasks at once, where a PE's context posts and defers them to the
+   barrier. *)
 type pe_ctx = {
-  cpe : int;
-  crng : Rng.t;  (** scheduling stream [Rng.stream ~seed cpe] *)
+  mutable cpe : int;
+  mutable crng : Rng.t;  (** scheduling stream [Rng.stream ~seed cpe] *)
+  serial : bool;  (** the controller's context: stage and execute now *)
   mbox : Network.Mailbox.mb;  (** outgoing sends, flushed at the barrier *)
   ctrl : Task.t Vec.t;  (** controller-addressed tasks, replayed at the barrier *)
   pred : Reducer.t;  (** private reducer: own counters/park list, shared graph *)
@@ -131,7 +157,7 @@ type pe_ctx = {
   mutable cexec : Task.t -> int -> unit;
   mutable cmark : Task.sink;
   mutable cemit : Task.sink;
-      (** pre-bound [pe_execute], [pe_execute_mark] and [pe_send_mark],
+      (** pre-bound [pe_execute], [pe_execute_mark] and [send_mark],
           bound once at [create] so the budget loops build no closures *)
   ccoop : Mutator.coop_event Vec.t;
       (** cooperation events this PE's reductions deferred; replayed at
@@ -194,23 +220,19 @@ and t = {
   pools : Pool.t array;
   net : Network.t;
   mut : Mutator.t;
-  mutable red : Reducer.t;
+  cctl : pe_ctx;
+      (** the controller's context: seeds, injection, barrier replay and
+          deadlock recovery send through it; its reducer is the machine's *)
   mutable cyc : Cycle.t option;
   rc : Refcount.t option;
   recorder : Dgr_obs.Recorder.t option;
-  obs_on : bool;  (** [recorder <> None]; avoids building event records when off *)
   m : Metrics.t;
   lin : Dgr_obs.Lineage.t;  (** causal lineage tickets, one per pooled reduction *)
   prof : Profile.t;  (** wall-clock step-phase attribution *)
   mutable now : int;
-  mutable current_pe : int;  (** PE whose task is executing; -1 = controller *)
-  mutable current_lin : int;  (** lineage of the executing task; -1 = none *)
-  mutable current_depth : int;  (** causal depth the executing task's sends carry *)
   mutable paused_until : int;
   mutable next_cycle_at : int;
   mutable next_stw_at : int;
-  pe_rngs : Rng.t array;  (** per-PE scheduling streams, [Rng.stream ~seed pe] *)
-  ctrl_rng : Rng.t;  (** the controller's stream, [Rng.stream ~seed (-1)] *)
   flt : Faults.t option;
   stall_until : int array;  (** per PE: first step it executes again *)
   (* Crash plane. [ckpts] is built lazily at the first crash (so
@@ -237,9 +259,6 @@ and t = {
   mutable wd_exec_fired : bool;
   mutable wd_retx_last : int;  (** [retransmits] at the last window boundary *)
   mutable wd_retx_at : int;  (** next retransmit-window boundary *)
-  mutable emit_mark : Task.sink;
-      (** [send_mark] bound for the controller-side mark spawns (seeds,
-          barrier-replayed cooperation) — allocated once. *)
   mutable push_due : int -> int -> Task.t -> unit;
       (** delivery's push into the destination pool, allocated once *)
   mutable mark_only : bool;
@@ -269,18 +288,8 @@ let pe_of t task = pe_of_vid t (Task.exec_vid task)
 
 (* The PE a mutation is charged to for the ownership checker: the
    domain-local executing PE while the shards run (the engine never
-   touches [current_pe] from a worker), else the serial [current_pe]. *)
+   touches the controller's context from a worker), else [t.cctl.cpe]. *)
 let dls_pe : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
-
-(* A PE's scheduling randomness is its own splitmix stream derived from
-   the config seed, so the jitter draws a PE sees depend only on its own
-   send history — not on how the other PEs' sends interleave, and not on
-   how many domains the machine is sharded across. The controller (and
-   deadlock-recovery responses, injections, …) draws from stream -1. *)
-let rng_for t =
-  if t.current_pe >= 0 && t.current_pe < Array.length t.pe_rngs then
-    t.pe_rngs.(t.current_pe)
-  else t.ctrl_rng
 
 (* The flood handler of the phase in progress, if any — the source of
    truth for what epoch termination credits should speak. *)
@@ -349,65 +358,15 @@ let execute_marking t m ~pe ~emit v par meta =
       else Flood.execute fl ~pe ~emit v par meta
     | None -> () (* stray task from a finished run: drop *))
 
-(* Execute controller-addressed tasks immediately: the final response of
-   the computation, and marking returns to the dummy rootpar. *)
-let rec execute_at_controller t task =
-  match task with
-  | Reduction r -> Reducer.execute t.red r
-  | Marking m ->
-    execute_marking t t.m ~pe:0 ~emit:t.emit_mark (Task.lane_v m) (Task.lane_par m)
-      (Task.lane_meta m)
-
-(* The serial send's message accounting, shared by both task classes:
-   returns the delay drawn from the sender's jitter stream. *)
-and count_send t ~base ~kind ~vid pe =
-  (if pe <> t.current_pe && t.current_pe >= 0 then
-     t.m.Metrics.remote_messages <- t.m.Metrics.remote_messages + 1);
-  let delay = delay_of t ~rng:(rng_for t) ~src:t.current_pe ~base pe in
-  if pe = t.current_pe then t.m.Metrics.local_messages <- t.m.Metrics.local_messages + 1;
-  if t.obs_on then
-    obs t
-      (Dgr_obs.Event.Send
-         {
-           kind;
-           pe;
-           vid;
-           arrival = t.now + delay;
-           remote = pe <> t.current_pe;
-           lin = t.current_lin;
-         });
-  delay
-
-and send_mark t v par meta =
-  let vid = Task.lanes_exec_vid v par meta in
-  let pe = pe_of_vid t vid in
-  if pe < 0 then execute_marking t t.m ~pe:0 ~emit:t.emit_mark v par meta
-  else
-    let delay = count_send t ~base:(mark_base t) ~kind:(Task.obs_kind_of_meta meta) ~vid pe in
-    Network.send_mark t.net ~src:t.current_pe ~arrival:(t.now + delay) ~pe v par meta
-
-and send t task =
-  match task with
-  | Marking m -> send_mark t (Task.lane_v m) (Task.lane_par m) (Task.lane_meta m)
-  | Reduction _ ->
-    let pe = pe_of t task in
-    if pe < 0 then execute_at_controller t task
-    else
-      let delay =
-        count_send t ~base:(reduction_base t) ~kind:(Task.obs_kind task)
-          ~vid:(Task.exec_vid task) pe
-      in
-      Network.send ~src:t.current_pe ~lin:t.current_lin ~depth:t.current_depth t.net
-        ~arrival:(t.now + delay) ~pe task
-
-(* The per-PE counterpart of [send], used while PE budgets run inside a
-   step (possibly on a worker domain): controller tasks are deferred to
-   the barrier, network sends are posted to the PE's private mailbox, and
-   all bookkeeping lands in the context — nothing shared is touched. The
-   delay computation and jitter stream are exactly [send]'s, so a PE's
-   arrival schedule is identical whichever of the two carried it. *)
-let pe_count_send t ctx ~base ~kind ~vid pe =
-  (if pe <> ctx.cpe then
+(* A send's message accounting, shared by both task classes and every
+   sender: returns the delay drawn from the sender's jitter stream. A
+   PE's scheduling randomness is its own splitmix stream derived from the
+   config seed, so the jitter draws a PE sees depend only on its own send
+   history — not on how the other PEs' sends interleave, and not on how
+   many domains the machine is sharded across. The controller draws from
+   stream -1 and never counts a send as remote. *)
+let count_send t ctx ~base ~kind ~vid pe =
+  (if pe <> ctx.cpe && ctx.cpe >= 0 then
      ctx.pm.Metrics.remote_messages <- ctx.pm.Metrics.remote_messages + 1);
   let delay = delay_of t ~rng:ctx.crng ~src:ctx.cpe ~base pe in
   if pe = ctx.cpe then ctx.pm.Metrics.local_messages <- ctx.pm.Metrics.local_messages + 1;
@@ -426,32 +385,54 @@ let pe_count_send t ctx ~base ~kind ~vid pe =
          }));
   delay
 
-(* A mark spawned on a PE's shard, as lanes: into the mailbox's int
-   column, with no view built. Only a return to the dummy rootpar is
-   boxed, for the controller replay — one per seed per wave. *)
-let pe_send_mark t ctx v par meta =
+(* Execute a controller-addressed task: the final response of the
+   computation, or a marking return to the dummy rootpar. *)
+let execute_at_controller t task =
+  match task with
+  | Reduction r -> Reducer.execute t.cctl.pred r
+  | Marking m ->
+    execute_marking t t.m ~pe:0 ~emit:t.cctl.cemit (Task.lane_v m) (Task.lane_par m)
+      (Task.lane_meta m)
+
+(* A mark, as lanes. The controller stages it at once; a PE's shard posts
+   it to the mailbox's int column, with no view built. Only a PE's return
+   to the dummy rootpar is boxed, for the barrier replay — one per seed
+   per wave. *)
+let send_mark t ctx v par meta =
   let vid = Task.lanes_exec_vid v par meta in
   let pe = pe_of_vid t vid in
-  if pe < 0 then Vec.push ctx.ctrl (Marking (Task.mark_of_lanes v par meta))
+  if pe < 0 then begin
+    if ctx.serial then execute_marking t ctx.pm ~pe:0 ~emit:ctx.cemit v par meta
+    else Vec.push ctx.ctrl (Marking (Task.mark_of_lanes v par meta))
+  end
   else
-    let delay =
-      pe_count_send t ctx ~base:(mark_base t) ~kind:(Task.obs_kind_of_meta meta) ~vid pe
-    in
-    Network.Mailbox.post_mark ctx.mbox ~src:ctx.cpe ~arrival:(t.now + delay) ~pe v par meta
+    let delay = count_send t ctx ~base:(mark_base t) ~kind:(Task.obs_kind_of_meta meta) ~vid pe in
+    if ctx.serial then
+      Network.send_mark t.net ~src:ctx.cpe ~arrival:(t.now + delay) ~pe v par meta
+    else Network.Mailbox.post_mark ctx.mbox ~src:ctx.cpe ~arrival:(t.now + delay) ~pe v par meta
 
-let pe_send t ctx task =
+(* One send for every sender; [ctx.serial] only chooses between staging
+   now and posting to the mailbox, and between running a
+   controller-addressed task now and deferring it to the barrier. *)
+let send t ctx task =
   match task with
-  | Marking m -> pe_send_mark t ctx (Task.lane_v m) (Task.lane_par m) (Task.lane_meta m)
+  | Marking m -> send_mark t ctx (Task.lane_v m) (Task.lane_par m) (Task.lane_meta m)
   | Reduction _ ->
     let pe = pe_of t task in
-    if pe < 0 then Vec.push ctx.ctrl task
+    if pe < 0 then begin
+      if ctx.serial then execute_at_controller t task else Vec.push ctx.ctrl task
+    end
     else
       let delay =
-        pe_count_send t ctx ~base:(reduction_base t) ~kind:(Task.obs_kind task)
+        count_send t ctx ~base:(reduction_base t) ~kind:(Task.obs_kind task)
           ~vid:(Task.exec_vid task) pe
       in
-      Network.Mailbox.post_reduction ctx.mbox ~lin:ctx.clin ~depth:ctx.cdepth ~src:ctx.cpe
-        ~arrival:(t.now + delay) ~pe task
+      if ctx.serial then
+        Network.send ~src:ctx.cpe ~lin:ctx.clin ~depth:ctx.cdepth t.net
+          ~arrival:(t.now + delay) ~pe task
+      else
+        Network.Mailbox.post_reduction ctx.mbox ~lin:ctx.clin ~depth:ctx.cdepth ~src:ctx.cpe
+          ~arrival:(t.now + delay) ~pe task
 
 (* Decompose a ticketed task's latency at the moment it executes: network
    transit (send → fault-free arrival), retransmit delay (arrival →
@@ -525,7 +506,7 @@ let pe_execute t ctx task stamp =
 let purge_everywhere t pred =
   Array.fold_left (fun acc pool -> acc + Pool.purge pool pred) 0 t.pools
   + Network.purge t.net pred
-  + Reducer.purge_parked t.red (fun r -> pred (Reduction r))
+  + Reducer.purge_parked t.cctl.pred (fun r -> pred (Reduction r))
 
 let purge_for_baseline t pred =
   let n = purge_everywhere t pred in
@@ -542,8 +523,11 @@ let create ?recorder ?(config = Config.default) g templates =
   if not (Graph.partitioned g) then Graph.partition g ~pes:num_pes;
   let mut = Mutator.create ?recorder ~spawn:(fun _ _ _ -> ()) g in
   let speculate_if = Config.speculate_if config in
-  let red =
-    Reducer.create ~speculate_if ?recorder ~graph:g ~mut ~templates ~send:(fun _ -> ()) ()
+  (* The reserve is per-home now that parking consults the executing
+     vertex's partition ({!Graph.headroom_for}): a quarter of the heap
+     globally, i.e. a quarter of each home's share. *)
+  let speculation_reserve =
+    match Config.heap_size config with Some c -> c / 4 / Int.max 1 num_pes | None -> 0
   in
   let rc =
     match Config.gc config with
@@ -561,6 +545,49 @@ let create ?recorder ?(config = Config.default) g templates =
      and its order a pure function of machine state, independent of
      [domains]. *)
   let lineage = Dgr_obs.Lineage.create () in
+  let pools =
+    Array.init num_pes (fun pe -> Pool.create ?recorder ~lineage ~pe (Config.pool_policy config) g)
+  in
+  (* One constructor for every context, the controller's ([pe = -1])
+     included. A context's reducer sends through the engine, which holds
+     the controller's context and so is built after it: [self] is set as
+     soon as [t] exists, before anything can send. *)
+  let self = ref None in
+  let make_ctx ~pe ~pm ~sub =
+    let cell = ref None in
+    let pred =
+      Reducer.create ~speculate_if ~speculation_reserve ?recorder:sub ~graph:g ~mut ~templates
+        ~send:(fun task ->
+          match (!self, !cell) with Some t, Some ctx -> send t ctx task | _ -> assert false)
+        ()
+    in
+    let ctx =
+      {
+        cpe = pe;
+        crng = Rng.stream ~seed pe;
+        serial = pe < 0;
+        mbox = Network.Mailbox.create ();
+        ctrl = Vec.create ();
+        pred;
+        pm;
+        sub;
+        clin = -1;
+        cdepth = 0;
+        cdone = Vec.create ();
+        cns = [| 0.0; 0.0 |];
+        cexec = (fun _ _ -> ());
+        cmark = (fun _ _ _ -> ());
+        cemit = (fun _ _ _ -> ());
+        ccoop = Vec.create ();
+        ctake = (if pe >= 0 then Pool.push_mark pools.(pe) else fun _ _ _ -> ());
+        cinc = Vec.create ();
+        cdec = Vec.create ();
+      }
+    in
+    cell := Some ctx;
+    ctx
+  in
+  let cctl = make_ctx ~pe:(-1) ~pm:(Metrics.create ()) ~sub:recorder in
   let t =
     {
       cfg = config;
@@ -573,28 +600,20 @@ let create ?recorder ?(config = Config.default) g templates =
       gc_mode = Config.gc config;
       domains = Int.max 1 (Int.min (Config.domains config) num_pes);
       g;
-      pools =
-        Array.init num_pes (fun pe ->
-            Pool.create ?recorder ~lineage ~pe (Config.pool_policy config) g);
+      pools;
       net = Network.create ?recorder ~lineage ?faults:flt ~batch:(Config.batch config) ();
       mut;
-      red;
+      cctl;
       cyc = None;
       rc;
       recorder;
-      obs_on = recorder <> None;
-      m = Metrics.create ();
+      m = cctl.pm;
       lin = lineage;
       prof = Profile.create ();
       now = 0;
-      current_pe = -1;
-      current_lin = -1;
-      current_depth = 0;
       paused_until = 0;
       next_cycle_at = 0;
       next_stw_at = (match Config.gc config with Stop_the_world { every } -> every | _ -> 0);
-      pe_rngs = Array.init num_pes (fun pe -> Rng.stream ~seed pe);
-      ctrl_rng = Rng.stream ~seed (-1);
       flt;
       stall_until = Array.make (Int.max 1 num_pes) 0;
       ckpts = [||];
@@ -612,27 +631,12 @@ let create ?recorder ?(config = Config.default) g templates =
       wd_exec_fired = false;
       wd_retx_last = 0;
       wd_retx_at = 64;
-      emit_mark = (fun _ _ _ -> ());
       push_due = (fun _ _ _ -> ());
       mark_only = false;
       coop_sink = ignore;
     }
   in
-  t.emit_mark <- send_mark t;
-  t.push_due <- (fun pe stamp task -> Pool.push_stamped t.pools.(pe) stamp task);
-  mut.Mutator.spawn <- t.emit_mark;
-  mut.Mutator.coop_pe <- (fun () -> Int.max 0 t.current_pe);
-  (* The reserve is per-home now that parking consults the executing
-     vertex's partition ({!Graph.headroom_for}): a quarter of the heap
-     globally, i.e. a quarter of each home's share. *)
-  let speculation_reserve =
-    match Config.heap_size config with Some c -> c / 4 / Int.max 1 num_pes | None -> 0
-  in
-  (* Rebuild the reducer with the real send, preserving the mutator. *)
-  t.red <-
-    Reducer.create ~speculate_if ~speculation_reserve ?recorder ~graph:g ~mut ~templates
-      ~send:(fun task -> send t task)
-      ();
+  self := Some t;
   t.ctxs <-
     Array.init num_pes (fun pe ->
         let sub =
@@ -643,41 +647,17 @@ let create ?recorder ?(config = Config.default) g templates =
                raises if it ever wraps, so overflow is loud, not silent. *)
             Some (Dgr_obs.Recorder.create ~capacity:(1 lsl 14) ~sample_every:0 ~num_pes ())
         in
-        let cell = ref None in
-        let pred =
-          Reducer.create ~speculate_if ~speculation_reserve ?recorder:sub ~graph:g ~mut
-            ~templates
-            ~send:(fun task ->
-              match !cell with Some ctx -> pe_send t ctx task | None -> assert false)
-            ()
-        in
-        let ctx =
-          {
-            cpe = pe;
-            crng = t.pe_rngs.(pe);
-            mbox = Network.Mailbox.create ();
-            ctrl = Vec.create ();
-            pred;
-            pm = Metrics.create ();
-            sub;
-            clin = -1;
-            cdepth = 0;
-            cdone = Vec.create ();
-            cns = [| 0.0; 0.0 |];
-            cexec = (fun _ _ -> ());
-            cmark = (fun _ _ _ -> ());
-            cemit = (fun _ _ _ -> ());
-            ccoop = Vec.create ();
-            ctake = Pool.push_mark t.pools.(pe);
-            cinc = Vec.create ();
-            cdec = Vec.create ();
-          }
-        in
-        cell := Some ctx;
-        ctx.cexec <- pe_execute t ctx;
-        ctx.cmark <- pe_execute_mark t ctx;
-        ctx.cemit <- pe_send_mark t ctx;
-        ctx);
+        make_ctx ~pe ~pm:(Metrics.create ()) ~sub);
+  Array.iter
+    (fun ctx ->
+      ctx.cexec <- pe_execute t ctx;
+      ctx.cmark <- pe_execute_mark t ctx;
+      ctx.cemit <- send_mark t ctx)
+    t.ctxs;
+  cctl.cemit <- send_mark t cctl;
+  t.push_due <- (fun pe stamp task -> Pool.push_stamped t.pools.(pe) stamp task);
+  mut.Mutator.spawn <- cctl.cemit;
+  mut.Mutator.coop_pe <- (fun () -> Int.max 0 cctl.cpe);
   t.coop_sink <-
     (fun ev ->
       let pe = Domain.DLS.get dls_pe in
@@ -726,7 +706,7 @@ let create ?recorder ?(config = Config.default) g templates =
       end;
       Pool.iter_reductions t.pools.(pe) (fun r -> Task.iter_reduction_endpoints f r);
       Vec.iter f net_scratch.(pe);
-      Reducer.iter_parked t.red (fun r ->
+      Reducer.iter_parked t.cctl.pred (fun r ->
           let home = pe_of t (Reduction r) in
           if home = pe || (home < 0 && pe = 0) then Task.iter_reduction_endpoints f r)
     in
@@ -735,7 +715,7 @@ let create ?recorder ?(config = Config.default) g templates =
     in
     let env =
       {
-        Cycle.spawn_mark = t.emit_mark;
+        Cycle.spawn_mark = cctl.cemit;
         pes = num_pes;
         iter_pe_endpoints;
         purge_tasks;
@@ -773,7 +753,7 @@ let recorder t = t.recorder
 
 let graph t = t.g
 
-let reducer t = t.red
+let reducer t = t.cctl.pred
 
 let mutator t = t.mut
 
@@ -792,28 +772,26 @@ let faults t = t.flt
 let now t = t.now
 
 let enable_ownership_checks t =
-  let current_pe () =
+  let executing_pe () =
     let d = Domain.DLS.get dls_pe in
-    if d >= 0 then d else t.current_pe
+    if d >= 0 then d else t.cctl.cpe
   in
-  t.mut.Mutator.guard <- (fun v -> Invariants.ownership_guard t.g ~current_pe v)
+  t.mut.Mutator.guard <- (fun v -> Invariants.ownership_guard t.g ~executing_pe v)
 
 (* Injection mints a fresh lineage id: every task the machine executes on
    behalf of this one — transitively, through every send — carries it. *)
 let inject t task =
-  t.current_pe <- -1;
-  t.current_lin <- Dgr_obs.Lineage.new_lineage t.lin ~now:t.now;
-  t.current_depth <- 0;
-  send t task;
-  t.current_lin <- -1
+  t.cctl.clin <- Dgr_obs.Lineage.new_lineage t.lin ~now:t.now;
+  send t t.cctl task;
+  t.cctl.clin <- -1
 
-let inject_root_demand t = inject t (Reducer.initial_task t.red)
+let inject_root_demand t = inject t (Reducer.initial_task t.cctl.pred)
 
 let pending_tasks t =
   let pooled =
     Array.fold_left (fun acc pool -> List.rev_append (Pool.tasks pool) acc) [] t.pools
   in
-  List.map (fun r -> Reduction r) (Reducer.parked t.red)
+  List.map (fun r -> Reduction r) (Reducer.parked t.cctl.pred)
   @ List.rev_append (Network.in_flight t.net) pooled
 
 let locate_task t pred =
@@ -838,7 +816,7 @@ let pending_reduction_tasks t =
 let quiescent t =
   Array.for_all Pool.is_empty t.pools
   && Network.size t.net = 0
-  && Reducer.parked_count t.red = 0
+  && Reducer.parked_count t.cctl.pred = 0
   && match t.cyc with None -> true | Some c -> Cycle.phase c = Cycle.Idle
 
 (* Batch-expunge tasks addressing RC-reclaimed vertices; must run before
@@ -881,7 +859,7 @@ let recover_deadlocks t report =
         let entries = (Vertex.requested vx) in
         List.iter
           (fun (e : Vertex.request_entry) ->
-            send t
+            send t t.cctl
               (Reduction
                  (Respond
                     {
@@ -906,9 +884,11 @@ let under_pressure t =
   | Some c -> Graph.headroom t.g < Int.max 64 (c / 8)
 
 (* Re-inject allocation-stalled expansions once the free list has a
-   chance of supplying them. *)
+   chance of supplying them. A re-injection, not a message: the task was
+   sent (and accounted) once already, so it goes straight to the network
+   with no [Send] event and no jitter draw. *)
 let unpark t =
-  match Reducer.drain_parked t.red with
+  match Reducer.drain_parked t.cctl.pred with
   | [] -> ()
   | tasks ->
     List.iter
@@ -1213,7 +1193,6 @@ let apply_rc t rc =
    straight to the network, after every shard's send — again a fixed
    order). *)
 let merge_shards t =
-  t.current_pe <- -1;
   Mutator.set_defer t.mut None;
   let m0 = Profile.now () in
   (match t.recorder with
@@ -1229,7 +1208,7 @@ let merge_shards t =
   t.prof.Profile.drain_ns <- t.prof.Profile.drain_ns +. (m1 -. m0);
   Array.iter
     (fun ctx ->
-      Reducer.absorb t.red ctx.pred;
+      Reducer.absorb t.cctl.pred ctx.pred;
       Metrics.absorb t.m ctx.pm;
       t.prof.Profile.mark_ns <- t.prof.Profile.mark_ns +. ctx.cns.(0);
       ctx.cns.(0) <- 0.0;
@@ -1253,15 +1232,18 @@ let merge_shards t =
   flush_mailboxes t;
   let m4 = Profile.now () in
   (match t.rc with Some rc -> apply_rc t rc | None -> ());
+  let cpe = t.cctl.cpe and crng = t.cctl.crng in
   Array.iter
     (fun ctx ->
       if Vec.length ctx.ccoop > 0 then begin
-        t.current_pe <- ctx.cpe;
+        t.cctl.cpe <- ctx.cpe;
+        t.cctl.crng <- ctx.crng;
         Vec.iter (fun ev -> Mutator.replay t.mut ev) ctx.ccoop;
         Vec.clear ctx.ccoop
       end)
     t.ctxs;
-  t.current_pe <- -1;
+  t.cctl.cpe <- cpe;
+  t.cctl.crng <- crng;
   Array.iter
     (fun ctx ->
       Vec.iter (fun task -> execute_at_controller t task) ctx.ctrl;
@@ -1545,7 +1527,7 @@ let step t =
   t.prof.Profile.gc_ns <- t.prof.Profile.gc_ns +. (p4 -. p3);
   t.prof.Profile.gc_mw <- t.prof.Profile.gc_mw +. (w4 -. w3);
   (* 4. Bookkeeping. *)
-  (match (Reducer.finished t.red, t.m.Metrics.completion_step) with
+  (match (Reducer.finished t.cctl.pred, t.m.Metrics.completion_step) with
   | true, None ->
     t.m.Metrics.completion_step <- Some t.now;
     obs t Dgr_obs.Event.Finished
@@ -1587,9 +1569,9 @@ let step t =
   t.prof.Profile.total_mw <- t.prof.Profile.total_mw +. (w5 -. w0);
   t.prof.Profile.steps <- t.prof.Profile.steps + 1
 
-let result t = t.red.Reducer.result
+let result t = t.cctl.pred.Reducer.result
 
-let finished t = Reducer.finished t.red
+let finished t = Reducer.finished t.cctl.pred
 
 let run ?(max_steps = 1_000_000) ?stop t =
   let start = t.now in

@@ -133,7 +133,10 @@ module Config : sig
       batching on. Raises [Invalid_argument], naming the field and the
       value, when [num_pes], [tasks_per_step] or [marking_per_step] is
       below 1; so do {!with_num_pes}, {!with_tasks_per_step} and
-      {!with_marking_per_step}. *)
+      {!with_marking_per_step}. [make] and {!with_faults} likewise
+      refuse a fault rate ([drop], [duplicate], [delay], [stall],
+      [crash]) outside [[0, 1]], and [drop = 1], which loses every
+      retransmit and ack too. *)
 
   val default : t
   (** [make ()]. *)

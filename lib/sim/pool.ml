@@ -184,17 +184,15 @@ let push ?(stamp = -1) t task = push_stamped t stamp task
 
 let push_mark t v par meta = Ring.push t.marking v par meta
 
-let pop_stamped t =
+let pop t =
   match Pqueue.pop_tagged t.reduction with
-  | Some (_, stamp, task) -> Some (task, stamp)
-  | None -> ( match Ring.pop t.marking with Some task -> Some (task, -1) | None -> None)
-
-let pop t = Option.map fst (pop_stamped t)
+  | Some (_, _, task) -> Some task
+  | None -> Ring.pop t.marking
 
 let pop_marking t = Ring.pop t.marking
 
 (* Budgeted callback drains — the no-box counterparts of the pops, for
-   the engine's per-step budget loops. Pop order is [pop_stamped]'s:
+   the engine's per-step budget loops. Pop order is [pop]'s:
    [drain_lanes] serves the reduction queue first and falls back to
    marking. *)
 let drain_marking t ~budget mark =

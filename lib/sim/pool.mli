@@ -37,7 +37,7 @@ val create :
 
 val push : ?stamp:int -> t -> Task.t -> unit
 (** [stamp] (default [-1]) is the task's lineage ticket; it rides the
-    queue untouched and comes back out of {!pop_stamped}. Marking tasks
+    queue untouched and comes back out of {!drain_lanes}. Marking tasks
     are never ticketed: pushing one with [stamp >= 0] raises
     [Invalid_argument] naming the PE and the stamp. *)
 
@@ -53,16 +53,13 @@ val pop : t -> Task.t option
 (** Highest-priority reduction task, falling back to marking work when no
     reduction is queued (an idle PE lends its slot to the collector). *)
 
-val pop_stamped : t -> (Task.t * int) option
-(** {!pop}, also returning the task's lineage stamp ([-1] untracked). *)
-
 val pop_marking : t -> Task.t option
 (** Oldest queued marking task, if any — marking and reduction
     live in separate queues so the engine can budget them separately. *)
 
 val drain_lanes :
   t -> budget:int -> red:(Task.t -> int -> unit) -> mark:Task.sink -> unit
-(** Pop up to [budget] tasks in {!pop_stamped} order (reduction first,
+(** Pop up to [budget] tasks in {!pop} order (reduction first,
     then marking), handing a reduction to [red task stamp] and a mark to
     [mark v par meta], and stop early when both queues run dry.
     Allocates nothing — the engine's budget-loop form. *)

@@ -52,7 +52,7 @@ let guard_fingerprint g =
         (fun probe ->
           let ok =
             try
-              Dgr_core.Invariants.ownership_guard g ~current_pe:(fun () -> probe) vid;
+              Dgr_core.Invariants.ownership_guard g ~executing_pe:(fun () -> probe) vid;
               true
             with Failure _ -> false
           in

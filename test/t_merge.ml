@@ -293,6 +293,80 @@ let test_chunk_drain_order () =
     (* never-wrapping, and wrapping mid-chunk *)
     [ 65536; 64; 17 ]
 
+(* --- the controller's accounting --------------------------------------- *)
+
+(* The controller sends through a context of its own (PE -1): an
+   injection is one [Send] event, remote whatever its destination,
+   stamped with the lineage it minted and the plain link latency, and
+   staged at once — but it is no PE's message, so neither message
+   counter moves. *)
+let test_inject_send_accounting () =
+  let g = Graph.create ~num_pes:2 () in
+  let v = Vertex.id (Graph.alloc ~pe:1 g (Label.Int 7)) in
+  let r = Recorder.create ~num_pes:2 () in
+  let config = Engine.Config.make ~num_pes:2 ~latency:4 ~jitter:0.0 ~gc:Engine.No_gc () in
+  let e = Engine.create ~recorder:r ~config g (Dgr_reduction.Template.create_registry ()) in
+  let task = Task.request v Demand.Eager in
+  Engine.inject e task;
+  Alcotest.(check int) "one lineage minted" 1 (Lineage.lineages (Engine.lineage e));
+  (match
+     List.filter_map
+       (fun (ev : Event.t) ->
+         match ev.Event.kind with
+         | Event.Send { pe; vid; arrival; remote; lin; _ } -> Some (pe, vid, arrival, remote, lin)
+         | _ -> None)
+       (Recorder.events r)
+   with
+  | [ (pe, vid, arrival, remote, lin) ] ->
+    Alcotest.(check (pair int int)) "to v on PE 1" (1, v) (pe, vid);
+    Alcotest.(check int) "arrives at now + latency" (Engine.now e + 4) arrival;
+    Alcotest.(check bool) "remote" true remote;
+    Alcotest.(check int) "carries the minted lineage" 0 lin
+  | sends -> Alcotest.failf "want one Send, got %d" (List.length sends));
+  let m = Engine.metrics e in
+  Alcotest.(check int) "remote_messages" 0 m.Metrics.remote_messages;
+  Alcotest.(check int) "local_messages" 0 m.Metrics.local_messages;
+  Alcotest.(check bool) "staged before any step" true
+    (Engine.network_entries e = [ (4, task) ]);
+  Engine.dispose e
+
+(* Cooperation deferred by a PE's shard is replayed at the barrier as
+   that PE: a replayed [Coop_spawn] whose child is homed on the
+   deferring PE is followed by its [Send], which is local and counted
+   so. Charging the replay to the controller would make those sends
+   remote and leave [local_messages] short of the trace. *)
+let test_replayed_coop_spawn_is_local () =
+  let pes = 4 in
+  let g, templates = Dgr_lang.Compile.load_string ~num_pes:pes (Dgr_lang.Prelude.fib 12) in
+  let r = Recorder.create ~capacity:(1 lsl 20) ~num_pes:pes () in
+  let config = Engine.Config.make ~num_pes:pes ~jitter:0.3 ~seed:5 () in
+  let e = Engine.create ~recorder:r ~config g templates in
+  Engine.inject_root_demand e;
+  ignore (Engine.run ~max_steps:20_000 e);
+  Engine.dispose e;
+  Alcotest.(check bool) "finished" true (Engine.finished e);
+  Alcotest.(check int) "trace complete" 0 (Recorder.dropped r);
+  let evs = Array.of_list (Recorder.events r) in
+  let replayed = ref 0 and local_sends = ref 0 in
+  Array.iteri
+    (fun i (ev : Event.t) ->
+      match ev.Event.kind with
+      | Event.Send { remote = false; _ } -> incr local_sends
+      | Event.Coop_spawn { pe = p; child; _ } when i + 1 < Array.length evs -> (
+        match evs.(i + 1).Event.kind with
+        | Event.Send { pe; vid; remote; _ } when vid = child && pe = p ->
+          incr replayed;
+          Alcotest.(check bool)
+            (Printf.sprintf "spawn on v%d replayed for PE %d is local" child p)
+            false remote
+        | _ -> ())
+      | _ -> ())
+    evs;
+  Alcotest.(check bool) "some replayed spawn has its child on the deferring PE" true
+    (!replayed > 0);
+  Alcotest.(check int) "local_messages counts every local Send" !local_sends
+    (Engine.metrics e).Metrics.local_messages
+
 let suite =
   [
     Alcotest.test_case "hist absorb is associative across domain groupings" `Quick
@@ -308,4 +382,8 @@ let suite =
     Alcotest.test_case "vertex lookup allocates nothing" `Quick test_vertex_lookup_alloc_free;
     Alcotest.test_case "chunk-linked drain = copied drain" `Quick
       test_chunk_drain_order;
+    Alcotest.test_case "inject: one remote Send, no PE's message" `Quick
+      test_inject_send_accounting;
+    Alcotest.test_case "replayed cooperation sends as its PE" `Quick
+      test_replayed_coop_spawn_is_local;
   ]

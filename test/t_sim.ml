@@ -539,6 +539,43 @@ let config_rejects field ~make ~update ~get () =
       ignore (update 0 Engine.Config.default));
   Alcotest.(check int) (field ^ ": 1 accepted") 1 (get (update 1 (make 1)))
 
+(* Fault rates are probabilities, and a channel that drops everything
+   delivers nothing: both are refused by [make] and [with_faults]. *)
+let test_config_rejects_fault_rates () =
+  let rates =
+    [
+      ("drop", fun p -> { Faults.none with Faults.drop = p });
+      ("duplicate", fun p -> { Faults.none with Faults.duplicate = p });
+      ("delay", fun p -> { Faults.none with Faults.delay = p });
+      ("stall", fun p -> { Faults.none with Faults.stall = p });
+      ("crash", fun p -> { Faults.none with Faults.crash = p });
+    ]
+  in
+  let with_rate field = List.assoc field rates in
+  let refused what msg faults =
+    let expected = Invalid_argument ("Engine.Config: faults." ^ msg) in
+    Alcotest.check_raises (what ^ " via make") expected (fun () ->
+        ignore (Engine.Config.make ~faults ()));
+    Alcotest.check_raises (what ^ " via with_faults") expected (fun () ->
+        ignore (Engine.Config.with_faults faults Engine.Config.default))
+  in
+  List.iter
+    (fun (field, rate) ->
+      refused (field ^ " < 0") (field ^ " must be in [0, 1], got -0.1") (rate (-0.1));
+      refused (field ^ " > 1") (field ^ " must be in [0, 1], got 1.5") (rate 1.5))
+    rates;
+  refused "drop = 1" "drop must be below 1, got 1" (with_rate "drop" 1.0);
+  List.iter
+    (fun (field, p) ->
+      let faults = with_rate field p in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s = %g accepted" field p)
+        true
+        (Engine.Config.faults (Engine.Config.make ~faults ()) = faults
+        && Engine.Config.faults (Engine.Config.with_faults faults Engine.Config.default)
+           = faults))
+    [ ("drop", 0.99); ("duplicate", 1.0); ("delay", 1.0); ("stall", 1.0); ("crash", 1.0) ]
+
 let test_metrics_pp () =
   let m = Metrics.create () in
   Metrics.record_pause m 5;
@@ -591,6 +628,8 @@ let suite =
       (config_rejects "marking_per_step"
          ~make:(fun v -> Engine.Config.make ~marking_per_step:v ())
          ~update:Engine.Config.with_marking_per_step ~get:Engine.Config.marking_per_step);
+    Alcotest.test_case "config rejects fault rates outside [0, 1] and drop = 1" `Quick
+      test_config_rejects_fault_rates;
   ]
 
 (* Delivery jitter: deterministic per seed; results invariant. *)
