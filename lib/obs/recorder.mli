@@ -80,15 +80,6 @@ val drain_into : src:t -> dst:t -> unit
     ascending PE order, which makes the merged event stream — and every
     export derived from it — independent of domain scheduling. Raises
     [Invalid_argument] if [src]'s ring has wrapped (events would be
-    silently missing from the merge). *)
-
-val absorb_chunks : src:t -> dst:t -> unit
-(** {!drain_into} without the per-event re-emit: [src]'s buffered events
-    are linked into [dst] as one chunk (sharing the event records), its
-    emit-time time-series deltas are added in bulk, and [dst]'s sequence
-    counter advances by the chunk length. The stable (step, seq) stamps
-    each event would have received from {!emit} are recovered at export
-    time from the chunk header, so {!events}, {!length}, {!dropped} and
-    capacity retention are byte-identical to the {!drain_into} result.
-    Raises [Invalid_argument] on a wrapped source or a PE-count
-    mismatch. *)
+    silently missing from the merge), naming the events [src] took since
+    its last drain, its capacity and how many were lost; [dst] is then
+    untouched. *)

@@ -22,7 +22,6 @@ module Config = struct
   type machine = {
     num_pes : int;
     tasks_per_step : int;
-    marking_per_step : int;
     pool_policy : Pool.policy;
     speculate_if : bool;
     seed : int;
@@ -69,18 +68,17 @@ module Config = struct
       invalid_arg (Printf.sprintf "Engine.Config: faults.drop must be below 1, got %g" f.drop);
     f
 
-  let make ?(num_pes = 4) ?(latency = 4) ?(tasks_per_step = 2) ?(marking_per_step = 8)
-      ?(gc_work_factor = 8) ?(heap_size = Some 50_000) ?(pool_policy = Pool.Dynamic)
+  let make ?(num_pes = 4) ?(latency = 4) ?(tasks_per_step = 2) ?(gc_work_factor = 8)
+      ?(heap_size = Some 50_000) ?(pool_policy = Pool.Dynamic)
       ?(speculate_if = true) ?(gc = Concurrent { deadlock_every = 1; idle_gap = 50 })
       ?(marking = Cycle.Tree) ?(recover_deadlock = false) ?(jitter = 0.0) ?(seed = 0)
       ?(faults = Faults.none) ?(domains = 1) ?(batch = true) () =
     let num_pes = positive "num_pes" num_pes in
     let tasks_per_step = positive "tasks_per_step" tasks_per_step in
-    let marking_per_step = positive "marking_per_step" marking_per_step in
     let faults = rates faults in
     {
       machine =
-        { num_pes; tasks_per_step; marking_per_step; pool_policy; speculate_if; seed; domains };
+        { num_pes; tasks_per_step; pool_policy; speculate_if; seed; domains };
       gc = { mode = gc; heap_size; gc_work_factor; marking; recover_deadlock };
       network = { latency; jitter; faults; batch };
     }
@@ -90,7 +88,6 @@ module Config = struct
   let num_pes t = t.machine.num_pes
   let latency t = t.network.latency
   let tasks_per_step t = t.machine.tasks_per_step
-  let marking_per_step t = t.machine.marking_per_step
   let gc_work_factor t = t.gc.gc_work_factor
   let heap_size t = t.gc.heap_size
   let pool_policy t = t.machine.pool_policy
@@ -111,9 +108,6 @@ module Config = struct
 
   let with_tasks_per_step v t =
     { t with machine = { t.machine with tasks_per_step = positive "tasks_per_step" v } }
-
-  let with_marking_per_step v t =
-    { t with machine = { t.machine with marking_per_step = positive "marking_per_step" v } }
 
   let with_gc_work_factor v t = { t with gc = { t.gc with gc_work_factor = v } }
   let with_heap_size v t = { t with gc = { t.gc with heap_size = v } }
@@ -211,7 +205,6 @@ and t = {
   num_pes : int;
   latency : int;
   tasks_per_step : int;
-  marking_per_step : int;
   gc_work_factor : int;
   jitter : float;
   gc_mode : gc_mode;
@@ -594,7 +587,6 @@ let create ?recorder ?(config = Config.default) g templates =
       num_pes;
       latency = Config.latency config;
       tasks_per_step = Config.tasks_per_step config;
-      marking_per_step = Config.marking_per_step config;
       gc_work_factor = Config.gc_work_factor config;
       jitter = Config.jitter config;
       gc_mode = Config.gc config;
@@ -643,7 +635,7 @@ let create ?recorder ?(config = Config.default) g templates =
           match recorder with
           | None -> None
           | Some _ ->
-            (* Sized for one step's events of one PE; [absorb_chunks]
+            (* Sized for one step's events of one PE; [drain_into]
                raises if it ever wraps, so overflow is loud, not silent. *)
             Some (Dgr_obs.Recorder.create ~capacity:(1 lsl 14) ~sample_every:0 ~num_pes ())
         in
@@ -945,12 +937,17 @@ let gc_control t =
         Cycle.start_cycle c
       end))
 
+(* Each PE's extra per-step budget for marking tasks, which are much
+   lighter than reduction tasks (§6). *)
+let marking_per_step = 8
+
 (* One PE's execution budget for one step: the marking budget first, then
    the reduction budget (which lends idle slots to marking — see
-   [Pool.pop]). Plain loops: this is the innermost simulator code. *)
+   [Pool.drain_lanes]). Plain loops: this is the innermost simulator
+   code. *)
 let pe_budgets t ctx pool =
   let t0 = Profile.now () in
-  Pool.drain_marking pool ~budget:t.marking_per_step ctx.cmark;
+  Pool.drain_marking pool ~budget:marking_per_step ctx.cmark;
   let t1 = Profile.now () in
   ctx.cns.(0) <- ctx.cns.(0) +. (t1 -. t0);
   (* During a restructure pause only the marking budget runs: the
@@ -1201,7 +1198,7 @@ let merge_shards t =
     Array.iter
       (fun ctx ->
         match ctx.sub with
-        | Some s -> Dgr_obs.Recorder.absorb_chunks ~src:s ~dst:r
+        | Some s -> Dgr_obs.Recorder.drain_into ~src:s ~dst:r
         | None -> ())
       t.ctxs);
   let m1 = Profile.now () in

@@ -44,9 +44,6 @@ module Config : sig
   type machine = {
     num_pes : int;
     tasks_per_step : int;  (** per-PE execution bandwidth *)
-    marking_per_step : int;
-        (** extra per-PE budget for marking tasks, which are much lighter
-            than reduction tasks (§6) *)
     pool_policy : Pool.policy;
     speculate_if : bool;
     seed : int;  (** seed for all of the machine's scheduling randomness *)
@@ -111,7 +108,6 @@ module Config : sig
     ?num_pes:int ->
     ?latency:int ->
     ?tasks_per_step:int ->
-    ?marking_per_step:int ->
     ?gc_work_factor:int ->
     ?heap_size:int option ->
     ?pool_policy:Pool.policy ->
@@ -127,16 +123,15 @@ module Config : sig
     unit ->
     t
   (** Smart constructor; every omitted knob takes the historical default:
-      4 PEs, latency 4, 2 tasks/step (+8 marking), heap 50k, [Dynamic]
-      pools, speculation on, concurrent GC with M_T every cycle and idle
-      gap 50, [Tree] marking, no jitter, no faults, seed 0, 1 domain,
-      batching on. Raises [Invalid_argument], naming the field and the
-      value, when [num_pes], [tasks_per_step] or [marking_per_step] is
-      below 1; so do {!with_num_pes}, {!with_tasks_per_step} and
-      {!with_marking_per_step}. [make] and {!with_faults} likewise
-      refuse a fault rate ([drop], [duplicate], [delay], [stall],
-      [crash]) outside [[0, 1]], and [drop = 1], which loses every
-      retransmit and ack too. *)
+      4 PEs, latency 4, 2 tasks/step, heap 50k, [Dynamic] pools,
+      speculation on, concurrent GC with M_T every cycle and idle gap 50,
+      [Tree] marking, no jitter, no faults, seed 0, 1 domain, batching
+      on. Raises [Invalid_argument], naming the field and the value, when
+      [num_pes] or [tasks_per_step] is below 1; so do {!with_num_pes} and
+      {!with_tasks_per_step}. [make] and {!with_faults} likewise refuse a
+      fault rate ([drop], [duplicate], [delay], [stall], [crash]) outside
+      [[0, 1]], and [drop = 1], which loses every retransmit and ack
+      too. *)
 
   val default : t
   (** [make ()]. *)
@@ -146,7 +141,6 @@ module Config : sig
   val num_pes : t -> int
   val latency : t -> int
   val tasks_per_step : t -> int
-  val marking_per_step : t -> int
   val gc_work_factor : t -> int
   val heap_size : t -> int option
   val pool_policy : t -> Pool.policy
@@ -168,7 +162,6 @@ module Config : sig
   val with_num_pes : int -> t -> t
   val with_latency : int -> t -> t
   val with_tasks_per_step : int -> t -> t
-  val with_marking_per_step : int -> t -> t
   val with_gc_work_factor : int -> t -> t
   val with_heap_size : int option -> t -> t
   val with_pool_policy : Pool.policy -> t -> t

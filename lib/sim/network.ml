@@ -1090,12 +1090,6 @@ module Mailbox = struct
     Lanes.push3 mb.ints lin depth (-1);
     Vec.push mb.reds task
 
-  let post mb ?(lin = -1) ?(depth = 0) ~src ~arrival ~pe task =
-    match task with
-    | Task.Marking m ->
-      post_mark mb ~src ~arrival ~pe (Task.lane_v m) (Task.lane_par m) (Task.lane_meta m)
-    | Task.Reduction _ -> post_reduction mb ~lin ~depth ~src ~arrival ~pe task
-
   let length mb = mb.ints.Lanes.n / 6
 
   let flush mb net =

@@ -225,17 +225,13 @@ module Mailbox : sig
 
   val create : unit -> mb
 
-  val post :
-    mb -> ?lin:int -> ?depth:int -> src:int -> arrival:int -> pe:int -> Task.t -> unit
-  (** Buffer a task; [lin] and [depth] as for {!send}. *)
-
   val post_mark : mb -> src:int -> arrival:int -> pe:int -> int -> int -> int -> unit
-  (** {!post} of a mark given as lanes: six ints into the mailbox's int
-      column, nothing allocated. *)
+  (** Buffer a mark given as lanes ({!send_mark}): six ints into the
+      mailbox's int column, nothing allocated. *)
 
   val post_reduction :
     mb -> lin:int -> depth:int -> src:int -> arrival:int -> pe:int -> Task.t -> unit
-  (** {!post} of a reduction task, without optional arguments. *)
+  (** Buffer a reduction task; [lin] and [depth] as for {!send}. *)
 
   val length : mb -> int
 

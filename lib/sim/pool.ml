@@ -73,14 +73,6 @@ module Ring = struct
     let k = slot r i in
     Task.Marking (Task.mark_of_lanes r.buf.(k) r.buf.(k + 1) r.buf.(k + 2))
 
-  let pop r =
-    if r.len = 0 then None
-    else begin
-      let task = view r 0 in
-      drop_oldest r;
-      Some task
-    end
-
   let to_list r = List.init r.len (view r)
 
   (* Keep the marks [keep] accepts, oldest first, compacting toward the
@@ -184,15 +176,7 @@ let push ?(stamp = -1) t task = push_stamped t stamp task
 
 let push_mark t v par meta = Ring.push t.marking v par meta
 
-let pop t =
-  match Pqueue.pop_tagged t.reduction with
-  | Some (_, _, task) -> Some task
-  | None -> Ring.pop t.marking
-
-let pop_marking t = Ring.pop t.marking
-
-(* Budgeted callback drains — the no-box counterparts of the pops, for
-   the engine's per-step budget loops. Pop order is [pop]'s:
+(* Budgeted callback drains for the engine's per-step budget loops:
    [drain_lanes] serves the reduction queue first and falls back to
    marking. *)
 let drain_marking t ~budget mark =

@@ -49,23 +49,19 @@ val push_mark : t -> int -> int -> int -> unit
 (** Queue a mark given as lanes [v par meta] ({!Task.sink}); allocates
     nothing once the ring has grown. The engine's delivery path. *)
 
-val pop : t -> Task.t option
-(** Highest-priority reduction task, falling back to marking work when no
-    reduction is queued (an idle PE lends its slot to the collector). *)
-
-val pop_marking : t -> Task.t option
-(** Oldest queued marking task, if any — marking and reduction
-    live in separate queues so the engine can budget them separately. *)
-
 val drain_lanes :
   t -> budget:int -> red:(Task.t -> int -> unit) -> mark:Task.sink -> unit
-(** Pop up to [budget] tasks in {!pop} order (reduction first,
-    then marking), handing a reduction to [red task stamp] and a mark to
-    [mark v par meta], and stop early when both queues run dry.
-    Allocates nothing — the engine's budget-loop form. *)
+(** Pop up to [budget] tasks, handing a reduction to [red task stamp] and
+    a mark to [mark v par meta], and stop early when both queues run dry.
+    Each pop takes the highest-priority reduction task (FIFO among
+    equals), falling back to the oldest mark when no reduction is queued
+    (an idle PE lends its slot to the collector). Allocates nothing —
+    the engine's budget-loop form. *)
 
 val drain_marking : t -> budget:int -> Task.sink -> unit
-(** {!drain_lanes} over the marking queue only, oldest first. *)
+(** {!drain_lanes} over the marking queue only, oldest first — marking
+    and reduction live in separate queues so the engine can budget them
+    separately. *)
 
 val drain : t -> budget:int -> (Task.t -> int -> unit) -> unit
 (** {!drain_lanes} with marks handed over as views ([Marking], stamp

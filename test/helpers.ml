@@ -179,3 +179,27 @@ let deliver net ~now =
   let acc = ref [] in
   Dgr_sim.Network.deliver_into net ~now ~push:(fun pe _stamp task -> acc := (pe, task) :: !acc);
   List.rev !acc
+
+(* Buffer a task in a mailbox as [Network.send] takes it: a mark as its
+   lanes, a reduction untracked ([lin] -1, [depth] 0). *)
+let post mb ~src ~arrival ~pe task =
+  match task with
+  | Dgr_task.Task.Marking m ->
+    Dgr_sim.Network.Mailbox.post_mark mb ~src ~arrival ~pe (Dgr_task.Task.lane_v m)
+      (Dgr_task.Task.lane_par m) (Dgr_task.Task.lane_meta m)
+  | Dgr_task.Task.Reduction _ ->
+    Dgr_sim.Network.Mailbox.post_reduction mb ~lin:(-1) ~depth:0 ~src ~arrival ~pe task
+
+(* The next task a PE's budget loop would run: the oldest highest-priority
+   reduction, else the oldest mark (as a view). *)
+let pop pool =
+  let got = ref None in
+  Dgr_sim.Pool.drain pool ~budget:1 (fun task _stamp -> got := Some task);
+  !got
+
+(* The oldest queued mark, as a view. *)
+let pop_marking pool =
+  let got = ref None in
+  Dgr_sim.Pool.drain_marking pool ~budget:1 (fun v par meta ->
+      got := Some (Dgr_task.Task.Marking (Dgr_task.Task.mark_of_lanes v par meta)));
+  !got

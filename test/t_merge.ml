@@ -1,6 +1,5 @@
 (* The step barrier's merge machinery: dirty-set absorption, the
-   mailbox flush, the empty-step fast path, and the
-   chunk-linked recorder drain. Each test pins a byte-equivalence the
+   mailbox flush, the empty-step fast path, and the recorder drain. Each test pins a byte-equivalence the
    sharded engine's determinism proof leans on. *)
 open Dgr_util
 open Dgr_obs
@@ -97,7 +96,7 @@ let via_mailboxes schedule pes =
   let net = Network.create () in
   let mbs = Array.init pes (fun _ -> Network.Mailbox.create ()) in
   List.iter
-    (fun (src, dst, arrival, task) -> Network.Mailbox.post mbs.(src) ~src ~arrival ~pe:dst task)
+    (fun (src, dst, arrival, task) -> Helpers.post mbs.(src) ~src ~arrival ~pe:dst task)
     schedule;
   Array.iter (fun mb -> Network.Mailbox.flush mb net) mbs;
   observe net
@@ -134,8 +133,8 @@ let test_mailbox_joins_sent_frame () =
   let net = Network.create () in
   let mbs = Array.init 2 (fun _ -> Network.Mailbox.create ()) in
   Network.send ~src:0 net ~arrival:3 ~pe:1 (mark 1);
-  Network.Mailbox.post mbs.(0) ~src:0 ~arrival:3 ~pe:1 (mark 2);
-  Network.Mailbox.post mbs.(1) ~src:1 ~arrival:3 ~pe:0 (mark 3);
+  Helpers.post mbs.(0) ~src:0 ~arrival:3 ~pe:1 (mark 2);
+  Helpers.post mbs.(1) ~src:1 ~arrival:3 ~pe:0 (mark 3);
   Array.iter (fun mb -> Network.Mailbox.flush mb net) mbs;
   Network.send ~src:1 net ~arrival:3 ~pe:0 (mark 4);
   let entries, sent, frames = observe net in
@@ -243,55 +242,89 @@ let test_vertex_lookup_alloc_free () =
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check (float 0.0)) (Printf.sprintf "minor words over %d lookups" n) 0.0 words
 
-(* --- chunk-linked recorder drain ------------------------------------ *)
+(* --- recorder drain ------------------------------------------------- *)
 
 let exec pe vid = Event.Execute { kind = Event.Mark; pe; vid; lin = -1 }
 
-(* Drive two (main, subs) recorder pairs through the same multi-step
-   emission schedule — sub events drained at each barrier, controller
-   events emitted directly on the main recorder in between — one pair
-   with the re-emitting drain, one with the chunk-linking drain. Events,
-   stamps, lengths and drop counts must match byte for byte. A small
-   main capacity pushes eviction across the ring/chunk boundary. *)
-let drive ~capacity ~drain =
-  let pes = 3 in
-  let main = Recorder.create ~capacity ~num_pes:pes () in
-  let subs = Array.init pes (fun _ -> Recorder.create ~capacity:256 ~num_pes:pes ()) in
-  let rng = Rng.create 99 in
-  for step = 0 to 29 do
-    Recorder.set_now main step;
-    Array.iter (fun s -> Recorder.set_now s step) subs;
-    (* per-PE work, buffered in the sub-recorders *)
-    Array.iteri
-      (fun pe s ->
-        for _ = 1 to Rng.int rng 8 do
-          Recorder.emit s (exec pe (Rng.int rng 100))
-        done)
-      subs;
-    (* the barrier: drain ascending, then controller-side events *)
-    Array.iter (fun s -> drain ~src:s ~dst:main) subs;
-    Recorder.emit main (Event.Phase { phase = Event.Mark_root; cycle = step; wave = step })
+(* A sub-recorder that wrapped between drains has lost events the merge
+   can never restore: the drain refuses it, says what it found, and
+   leaves the destination as it was. *)
+let test_drain_refuses_wrapped_source () =
+  let dst = Recorder.create ~num_pes:2 () in
+  Recorder.emit dst (exec 0 1);
+  let src = Recorder.create ~capacity:4 ~num_pes:2 () in
+  for vid = 1 to 5 do
+    Recorder.emit src (exec 1 vid)
   done;
-  main
+  Alcotest.check_raises "wrapped source"
+    (Invalid_argument
+       "Recorder.drain_into: source ring wrapped: 5 events emitted since the last drain, \
+        capacity 4, 1 lost")
+    (fun () -> Recorder.drain_into ~src ~dst);
+  Alcotest.(check int) "dst emitted unchanged" 1 (Recorder.emitted dst);
+  Alcotest.(check int) "dst length unchanged" 1 (Recorder.length dst)
 
-let test_chunk_drain_order () =
+(* A main recorder much smaller than the run: the barrier's drains push
+   the ring past capacity many times, and what is retained — events with
+   their stamps, emitted and dropped counts — must not depend on how
+   many domains stepped the PEs. The fib program runs on one PE once
+   its first steps are over, so the marking storm keeps every PE
+   emitting inside the retained window. *)
+let test_overflowing_trace_domain_invariant () =
+  let pes = 4 in
+  let fib ~recorder ~domains =
+    let g, templates = Dgr_lang.Compile.load_string ~num_pes:pes (Dgr_lang.Prelude.fib 11) in
+    let config =
+      Engine.Config.make ~num_pes:pes ~jitter:0.3 ~seed:1
+        ~marking:Dgr_core.Cycle.Flood_counters ~domains ()
+    in
+    let e = Engine.create ~recorder ~config g templates in
+    Engine.inject_root_demand e;
+    ignore (Engine.run ~max_steps:20_000 e);
+    Alcotest.(check bool) (Printf.sprintf "fib, domains %d: finished" domains) true
+      (Engine.finished e);
+    e
+  in
+  let storm ~recorder ~domains =
+    let spec =
+      { Builder.live = 400; garbage = 100; free_pool = 16; avg_degree = 2.5; cycle_bias = 0.15 }
+    in
+    let g = Builder.random ~num_pes:pes (Rng.create 3) spec in
+    let config =
+      Engine.Config.make ~num_pes:pes ~jitter:0.3 ~seed:1 ~heap_size:None
+        ~marking:Dgr_core.Cycle.Flood_counters
+        ~gc:(Engine.Concurrent { deadlock_every = 1; idle_gap = 8 })
+        ~domains ()
+    in
+    let e = Engine.create ~recorder ~config g (Dgr_reduction.Template.create_registry ()) in
+    Engine.inject_root_demand e;
+    ignore (Engine.run ~max_steps:300 ~stop:(fun _ -> false) e);
+    e
+  in
+  let trace machine domains =
+    let r = Recorder.create ~capacity:2_000 ~num_pes:pes () in
+    Engine.dispose (machine ~recorder:r ~domains);
+    let evs =
+      List.map
+        (fun (ev : Event.t) -> (ev.Event.step, ev.Event.seq, Format.asprintf "%a" Event.pp ev))
+        (Recorder.events r)
+    in
+    (evs, Recorder.emitted r, Recorder.dropped r)
+  in
   List.iter
-    (fun capacity ->
-      let copied = drive ~capacity ~drain:Recorder.drain_into in
-      let linked = drive ~capacity ~drain:Recorder.absorb_chunks in
-      Alcotest.(check int)
-        (Printf.sprintf "cap %d: emitted" capacity)
-        (Recorder.emitted copied) (Recorder.emitted linked);
-      Alcotest.(check int) "length" (Recorder.length copied) (Recorder.length linked);
-      Alcotest.(check int) "dropped" (Recorder.dropped copied) (Recorder.dropped linked);
-      let evs r =
-        List.map
-          (fun (e : Event.t) -> (e.Event.step, e.Event.seq, Format.asprintf "%a" Event.pp e))
-          (Recorder.events r)
-      in
-      Alcotest.(check bool) "event streams identical" true (evs copied = evs linked))
-    (* never-wrapping, and wrapping mid-chunk *)
-    [ 65536; 64; 17 ]
+    (fun (name, machine) ->
+      let evs1, emitted1, dropped1 = trace machine 1 in
+      Alcotest.(check bool) (name ^ ": the ring overflowed") true (dropped1 > 0);
+      Alcotest.(check int) (name ^ ": ring full") 2_000 (List.length evs1);
+      List.iter
+        (fun d ->
+          let evs, emitted, dropped = trace machine d in
+          let label what = Printf.sprintf "%s, domains %d: %s" name d what in
+          Alcotest.(check int) (label "emitted") emitted1 emitted;
+          Alcotest.(check int) (label "dropped") dropped1 dropped;
+          Alcotest.(check bool) (label "retained events") true (evs = evs1))
+        [ 2; 4 ])
+    [ ("fib", fib); ("storm", storm) ]
 
 (* --- the controller's accounting --------------------------------------- *)
 
@@ -380,8 +413,10 @@ let suite =
     Alcotest.test_case "mark path allocates under a word per mark" `Quick
       test_mark_path_alloc_free;
     Alcotest.test_case "vertex lookup allocates nothing" `Quick test_vertex_lookup_alloc_free;
-    Alcotest.test_case "chunk-linked drain = copied drain" `Quick
-      test_chunk_drain_order;
+    Alcotest.test_case "drain refuses a wrapped source" `Quick
+      test_drain_refuses_wrapped_source;
+    Alcotest.test_case "overflowing trace is the same at 1/2/4 domains" `Quick
+      test_overflowing_trace_domain_invariant;
     Alcotest.test_case "inject: one remote Send, no PE's message" `Quick
       test_inject_send_accounting;
     Alcotest.test_case "replayed cooperation sends as its PE" `Quick

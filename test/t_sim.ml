@@ -58,18 +58,18 @@ let test_pool_fifo_and_separate_queues () =
   Pool.push pool m;
   Pool.push pool r2;
   Alcotest.(check int) "length counts both queues" 3 (Pool.length pool);
-  (match Pool.pop_marking pool with
+  (match Helpers.pop_marking pool with
   | Some (Task.Marking _) -> ()
   | _ -> Alcotest.fail "pop_marking should find the mark task");
-  Alcotest.(check bool) "pop is FIFO among equals" true (Pool.pop pool = Some r1);
-  Alcotest.(check bool) "then r2" true (Pool.pop pool = Some r2);
+  Alcotest.(check bool) "pop is FIFO among equals" true (Helpers.pop pool = Some r1);
+  Alcotest.(check bool) "then r2" true (Helpers.pop pool = Some r2);
   Alcotest.(check bool) "empty" true (Pool.is_empty pool)
 
 let test_pool_pop_lends_slot_to_marking () =
   let g, a, _ = mk_graph () in
   let pool = Pool.create Pool.Dynamic g in
   Pool.push pool (Task.Marking (Task.Mark1 { v = a; par = Plane.Rootpar; ep = 0 }));
-  match Pool.pop pool with
+  match Helpers.pop pool with
   | Some (Task.Marking _) -> ()
   | _ -> Alcotest.fail "an idle reduction slot should take marking work"
 
@@ -100,7 +100,7 @@ let test_pool_policy_pop_orders () =
   let pop_all policy =
     let pool = Pool.create policy g in
     List.iter (Pool.push pool) [ e_b; v_b; e_a; m ];
-    List.init 4 (fun _ -> Option.get (Pool.pop pool))
+    List.init 4 (fun _ -> Option.get (Helpers.pop pool))
   in
   (* Flat: pure FIFO among reduction tasks; the marking task only gets
      the idle slot at the end. *)
@@ -624,10 +624,6 @@ let suite =
       (config_rejects "tasks_per_step"
          ~make:(fun v -> Engine.Config.make ~tasks_per_step:v ())
          ~update:Engine.Config.with_tasks_per_step ~get:Engine.Config.tasks_per_step);
-    Alcotest.test_case "config rejects marking_per_step < 1" `Quick
-      (config_rejects "marking_per_step"
-         ~make:(fun v -> Engine.Config.make ~marking_per_step:v ())
-         ~update:Engine.Config.with_marking_per_step ~get:Engine.Config.marking_per_step);
     Alcotest.test_case "config rejects fault rates outside [0, 1] and drop = 1" `Quick
       test_config_rejects_fault_rates;
   ]
