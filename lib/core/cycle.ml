@@ -83,8 +83,8 @@ let flood_seed fl env v =
   env.spawn_mark v (-1) (Flood.seed_meta fl)
 
 (* Build taskroot_i from per-PE local knowledge: each PE enumerates the
-   reduction endpoints it knows (its pool, its mailbox, its shard of the
-   in-flight set), visited in fixed PE order. Duplicates across PEs (a
+   reduction endpoints it knows (its pool, its shard of the in-flight
+   set), visited in fixed PE order. Duplicates across PEs (a
    task in flight is known to sender and receiver) are dropped in O(1)
    by stamping the vertex with the current wave — no global set is
    built. First PE to name a vertex seeds it. *)

@@ -24,8 +24,8 @@ open Dgr_task
 
     {b Seeding.} M_T's seeds ([troot]/[taskroot_i], §5.2) are built from
     per-PE local knowledge: each PE enumerates the reduction-task
-    endpoints it knows (its pool, its outgoing mailbox, its shard of the
-    in-flight set) via [iter_pe_endpoints], visited in fixed PE order;
+    endpoints it knows (its pool, its shard of the in-flight set) via
+    [iter_pe_endpoints], visited in fixed PE order;
     cross-PE duplicates are dropped in O(1) by stamping each vertex with
     the current wave. No global task snapshot is taken.
 

@@ -147,6 +147,9 @@ let render ?(deterministic = false) e =
     Printf.bprintf b "  minor collections/step: %.4f (%d over the run at domains=%d)\n"
       (float_of_int p.Profile.minor_gcs /. steps)
       p.Profile.minor_gcs domains;
+    (* Many parks per step name a descheduled run, few a slow one. *)
+    Printf.bprintf b "  worker-pool parks/step: main=%.4f workers=%.4f\n"
+      (float_of_int p.Profile.main_parks /. steps) (float_of_int p.Profile.worker_parks /. steps);
     Printf.bprintf b
       "  serial_fraction=%.3f (Amdahl ceiling: x%.2f at 2 domains, x%.2f at \
        4, x%.2f at 8)\n"
@@ -169,7 +172,7 @@ let render ?(deterministic = false) e =
         (p.Profile.merge_ns /. 1e3 /. steps)
         (p.Profile.merge_mw /. steps);
       Printf.bprintf b
-        "  within merge: drain=%.1f%% absorb=%.1f%% close=%.1f%% flush=%.1f%% \
+        "  within merge: drain=%.1f%% absorb=%.1f%% close=%.1f%% seal=%.1f%% \
          replay=%.1f%%\n"
         (mshare p.Profile.drain_ns) (mshare p.Profile.absorb_ns)
         (mshare p.Profile.close_ns)

@@ -48,15 +48,18 @@ module Config = struct
       invalid_arg (Printf.sprintf "Engine.Config: %s must be at least 1, got %d" field v);
     v
 
-  (* A fault rate is a probability. A channel that drops every frame
-     loses its retransmits and acks too, so nothing is ever delivered:
-     [drop] must stay below 1. The other rates may reach 1. *)
+  (* Jitter and the fault rates are probabilities; NaN is refused too. *)
+  let probability field p =
+    if not (p >= 0.0 && p <= 1.0) then
+      invalid_arg (Printf.sprintf "Engine.Config: %s must be in [0, 1], got %g" field p);
+    p
+
+  (* A channel that drops every frame loses its retransmits and acks
+     too, so nothing is ever delivered: [drop] must stay below 1. The
+     other rates may reach 1. *)
   let rates (f : Faults.spec) =
     List.iter
-      (fun (field, p) ->
-        if not (p >= 0.0 && p <= 1.0) then
-          invalid_arg
-            (Printf.sprintf "Engine.Config: faults.%s must be in [0, 1], got %g" field p))
+      (fun (field, p) -> ignore (probability ("faults." ^ field) p))
       [
         ("drop", f.drop);
         ("duplicate", f.duplicate);
@@ -75,6 +78,8 @@ module Config = struct
       ?(faults = Faults.none) ?(domains = 1) ?(batch = true) () =
     let num_pes = positive "num_pes" num_pes in
     let tasks_per_step = positive "tasks_per_step" tasks_per_step in
+    let latency = positive "latency" latency in
+    let jitter = probability "jitter" jitter in
     let faults = rates faults in
     {
       machine =
@@ -104,7 +109,7 @@ module Config = struct
   let with_num_pes v t =
     { t with machine = { t.machine with num_pes = positive "num_pes" v } }
 
-  let with_latency v t = { t with network = { t.network with latency = v } }
+  let with_latency v t = { t with network = { t.network with latency = positive "latency" v } }
 
   let with_tasks_per_step v t =
     { t with machine = { t.machine with tasks_per_step = positive "tasks_per_step" v } }
@@ -116,7 +121,7 @@ module Config = struct
   let with_gc v t = { t with gc = { t.gc with mode = v } }
   let with_marking v t = { t with gc = { t.gc with marking = v } }
   let with_recover_deadlock v t = { t with gc = { t.gc with recover_deadlock = v } }
-  let with_jitter v t = { t with network = { t.network with jitter = v } }
+  let with_jitter v t = { t with network = { t.network with jitter = probability "jitter" v } }
   let with_seed v t = { t with machine = { t.machine with seed = v } }
   let with_faults v t = { t with network = { t.network with faults = rates v } }
   let with_domains v t = { t with machine = { t.machine with domains = v } }
@@ -126,18 +131,17 @@ end
 type config = Config.t
 
 (* A sender's execution context. Everything a PE's budget touches during
-   a step lives here (or in graph/pool state only its owner mutates), so
-   shards on different domains share no mutable state until the step
-   barrier merges them in ascending PE order. The controller has one too
-   ([t.cctl], [cpe = -1]): its sinks are the machine's own, and it is
-   [serial] — it stages its sends at once and runs controller-addressed
-   tasks at once, where a PE's context posts and defers them to the
-   barrier. *)
+   a step lives here (or in graph/pool state or a network sender record
+   only its owner mutates), so shards on different domains share no
+   mutable state until the step barrier merges them in ascending PE
+   order. The controller has one too ([t.cctl], [cpe = -1]): its sinks
+   are the machine's own, and it is [serial] — it runs
+   controller-addressed tasks at once, where a PE's context defers them
+   to the barrier. *)
 type pe_ctx = {
   mutable cpe : int;
   mutable crng : Rng.t;  (** scheduling stream [Rng.stream ~seed cpe] *)
-  serial : bool;  (** the controller's context: stage and execute now *)
-  mbox : Network.Mailbox.mb;  (** outgoing sends, flushed at the barrier *)
+  serial : bool;  (** the controller's context: run its tasks now *)
   ctrl : Task.t Vec.t;  (** controller-addressed tasks, replayed at the barrier *)
   pred : Reducer.t;  (** private reducer: own counters/park list, shared graph *)
   pm : Metrics.t;  (** private counters, absorbed at the barrier *)
@@ -192,6 +196,7 @@ type workers = {
   pending : int Atomic.t;  (** workers still running the current job *)
   sleepers : int Atomic.t;  (** workers parked (or parking) on [wake] *)
   main_parked : bool Atomic.t;  (** the main domain is parking on [finished] *)
+  parks : int Atomic.t;  (** worker parks not yet folded into the profile *)
   spin : int;  (** relaxes before parking; 0 parks at once *)
   mu : Mutex.t;
   wake : Condition.t;
@@ -387,10 +392,9 @@ let execute_at_controller t task =
     execute_marking t t.m ~pe:0 ~emit:t.cctl.cemit (Task.lane_v m) (Task.lane_par m)
       (Task.lane_meta m)
 
-(* A mark, as lanes. The controller stages it at once; a PE's shard posts
-   it to the mailbox's int column, with no view built. Only a PE's return
-   to the dummy rootpar is boxed, for the barrier replay — one per seed
-   per wave. *)
+(* A mark, as lanes, staged into the sender's frame with no view built.
+   Only a PE's return to the dummy rootpar is boxed, for the barrier
+   replay — one per seed per wave. *)
 let send_mark t ctx v par meta =
   let vid = Task.lanes_exec_vid v par meta in
   let pe = pe_of_vid t vid in
@@ -400,13 +404,10 @@ let send_mark t ctx v par meta =
   end
   else
     let delay = count_send t ctx ~base:(mark_base t) ~kind:(Task.obs_kind_of_meta meta) ~vid pe in
-    if ctx.serial then
-      Network.send_mark t.net ~src:ctx.cpe ~arrival:(t.now + delay) ~pe v par meta
-    else Network.Mailbox.post_mark ctx.mbox ~src:ctx.cpe ~arrival:(t.now + delay) ~pe v par meta
+    Network.send_mark t.net ~src:ctx.cpe ~arrival:(t.now + delay) ~pe v par meta
 
-(* One send for every sender; [ctx.serial] only chooses between staging
-   now and posting to the mailbox, and between running a
-   controller-addressed task now and deferring it to the barrier. *)
+(* One send for every sender; [ctx.serial] only chooses between running
+   a controller-addressed task now and deferring it to the barrier. *)
 let send t ctx task =
   match task with
   | Marking m -> send_mark t ctx (Task.lane_v m) (Task.lane_par m) (Task.lane_meta m)
@@ -420,12 +421,8 @@ let send t ctx task =
         count_send t ctx ~base:(reduction_base t) ~kind:(Task.obs_kind task)
           ~vid:(Task.exec_vid task) pe
       in
-      if ctx.serial then
-        Network.send ~src:ctx.cpe ~lin:ctx.clin ~depth:ctx.cdepth t.net
-          ~arrival:(t.now + delay) ~pe task
-      else
-        Network.Mailbox.post_reduction ctx.mbox ~lin:ctx.clin ~depth:ctx.cdepth ~src:ctx.cpe
-          ~arrival:(t.now + delay) ~pe task
+      Network.stage_reduction t.net ~src:ctx.cpe ~lin:ctx.clin ~depth:ctx.cdepth
+        ~arrival:(t.now + delay) ~pe task
 
 (* Decompose a ticketed task's latency at the moment it executes: network
    transit (send → fault-free arrival), retransmit delay (arrival →
@@ -442,8 +439,9 @@ let note_latency m l stamp ~now =
 
 (* Execute one mark, as lanes, on its PE's shard. Marks are never
    ticketed, so the context's lineage stays at its idle -1/0 (only
-   [pe_execute] moves it, and resets it after), and its spawns ride the
-   PE's mailbox; returns to the dummy rootpar replay at the barrier. *)
+   [pe_execute] moves it, and resets it after), and its spawns stage
+   into the PE's own frames; returns to the dummy rootpar replay at the
+   barrier. *)
 let pe_execute_mark t ctx v par meta =
   (match ctx.sub with
   | None -> ()
@@ -532,11 +530,10 @@ let create ?recorder ?(config = Config.default) g templates =
     if Faults.active faults then Some (Faults.create faults) else None
   in
   let seed = Config.seed config in
-  (* One ticket store for the whole machine. Tickets are opened where
-     the network stages a task — always on the main domain (inline
-     sends, or the barrier mailbox flush) — so slot allocation is serial
-     and its order a pure function of machine state, independent of
-     [domains]. *)
+  (* One ticket store for the whole machine. Tickets are only opened on
+     the main domain (by a serial send, or by [Network.seal] for the
+     shards' sends), so slot allocation is serial and its order a pure
+     function of machine state, independent of [domains]. *)
   let lineage = Dgr_obs.Lineage.create () in
   let pools =
     Array.init num_pes (fun pe -> Pool.create ?recorder ~lineage ~pe (Config.pool_policy config) g)
@@ -559,7 +556,6 @@ let create ?recorder ?(config = Config.default) g templates =
         cpe = pe;
         crng = Rng.stream ~seed pe;
         serial = pe < 0;
-        mbox = Network.Mailbox.create ();
         ctrl = Vec.create ();
         pred;
         pm;
@@ -629,6 +625,7 @@ let create ?recorder ?(config = Config.default) g templates =
     }
   in
   self := Some t;
+  Network.reserve t.net ~pes:num_pes;
   t.ctxs <-
     Array.init num_pes (fun pe ->
         let sub =
@@ -1027,6 +1024,7 @@ let spawn_workers t =
       pending = Atomic.make 0;
       sleepers = Atomic.make 0;
       main_parked = Atomic.make false;
+      parks = Atomic.make 0;
       spin = (if t.domains <= Domain.recommended_domain_count () then spin_budget else 0);
       mu = Mutex.create ();
       wake = Condition.create ();
@@ -1042,6 +1040,7 @@ let spawn_workers t =
       decr n
     done;
     if Atomic.get w.gen = seen then begin
+      Atomic.incr w.parks;
       Atomic.incr w.sleepers;
       Mutex.lock w.mu;
       while Atomic.get w.gen = seen do
@@ -1068,8 +1067,8 @@ let spawn_workers t =
    touch only shard [d]'s state; the execution budgets and restructure's
    home passes both qualify. Jobs take [t] so the per-step one
    ([run_shard]) is a closed function and the step loop allocates no
-   closure. There is one fork/join per step: the barrier's mailbox
-   flush stays on this domain. *)
+   closure. There is one fork/join per step: the barrier's seal stays
+   on this domain. *)
 let run_parallel t job =
   if t.domains = 1 then job t 0
   else begin
@@ -1096,6 +1095,7 @@ let run_parallel t job =
       decr n
     done;
     if Atomic.get w.pending > 0 then begin
+      t.prof.Profile.main_parks <- t.prof.Profile.main_parks + 1;
       Atomic.set w.main_parked true;
       Mutex.lock w.mu;
       while Atomic.get w.pending > 0 do
@@ -1103,7 +1103,9 @@ let run_parallel t job =
       done;
       Mutex.unlock w.mu;
       Atomic.set w.main_parked false
-    end
+    end;
+    if Atomic.get w.parks > 0 then
+      t.prof.Profile.worker_parks <- t.prof.Profile.worker_parks + Atomic.exchange w.parks 0
   end
 
 (* Run a per-shard job on the worker pool, or shard after shard on this
@@ -1128,19 +1130,6 @@ let each_home_run t f =
   t.prof.Profile.restr_ns <- t.prof.Profile.restr_ns +. (Profile.now () -. r0)
 
 let () = each_home_cell := each_home_run
-
-(* The barrier mailbox flush: every PE's mailbox, in ascending PE order,
-   on the main domain. Staging is a lookup in the network's
-   per-destination index, cheaper inline than a second worker-pool
-   round trip per step, and it opens the lineage tickets, which must be
-   serial anyway. Entries join frames exactly as inline sends of them
-   would, so the staged frames are a pure function of the mailboxes. *)
-let flush_mailboxes t =
-  let f0 = Profile.now () in
-  for pe = 0 to Array.length t.ctxs - 1 do
-    Network.Mailbox.flush t.ctxs.(pe).mbox t.net
-  done;
-  t.prof.Profile.flush_ns <- t.prof.Profile.flush_ns +. (Profile.now () -. f0)
 
 let dispose t =
   match t.workers with
@@ -1181,12 +1170,12 @@ let apply_rc t rc =
    ascending PE order throughout, so the merged state is a pure function
    of the per-PE buffers — independent of domain count and scheduling.
    Order within the merge: events first (so traces read
-   execute-then-control), then counters, then network sends (the queue is
-   FIFO-stable among equal arrivals, so PE-ordered flushing reproduces
-   what a serial PE-ordered execution would have enqueued), then the
-   logged refcount changes, then the deferred cooperation events (whose
-   mark spawns are charged to the deferring PE and draw its jitter
-   stream), then the deferred controller tasks (whose own sends go
+   execute-then-control), then counters, then the seal of the shards'
+   frames (PE-ordered numbering reproduces what a serial PE-ordered
+   execution would have enqueued), then the logged refcount changes,
+   then the deferred cooperation events (whose mark spawns are charged
+   to the deferring PE, draw its jitter stream and join the frames its
+   shard opened), then the deferred controller tasks (whose own sends go
    straight to the network, after every shard's send — again a fixed
    order). *)
 let merge_shards t =
@@ -1214,10 +1203,9 @@ let merge_shards t =
     t.ctxs;
   let m2 = Profile.now () in
   t.prof.Profile.absorb_ns <- t.prof.Profile.absorb_ns +. (m2 -. m1);
-  (* Close the executed tasks' tickets before flushing the mailboxes: the
-     freed slots are recycled by the flush's opens, in ascending PE order
-     both times, so slot allocation stays a pure function of the step's
-     buffers. *)
+  (* Close the executed tasks' tickets before the seal: the freed slots
+     are recycled by the seal's opens, in ascending PE order both times,
+     so slot allocation stays a pure function of the step's buffers. *)
   Array.iter
     (fun ctx ->
       Dgr_obs.Lineage.close_many t.lin (Vec.unsafe_data ctx.cdone)
@@ -1226,8 +1214,9 @@ let merge_shards t =
     t.ctxs;
   let m3 = Profile.now () in
   t.prof.Profile.close_ns <- t.prof.Profile.close_ns +. (m3 -. m2);
-  flush_mailboxes t;
+  Network.seal t.net;
   let m4 = Profile.now () in
+  t.prof.Profile.flush_ns <- t.prof.Profile.flush_ns +. (m4 -. m3);
   (match t.rc with Some rc -> apply_rc t rc | None -> ());
   let cpe = t.cctl.cpe and crng = t.cctl.crng in
   Array.iter
@@ -1483,6 +1472,7 @@ let step t =
     t.mark_only <- not running;
     (match t.flt with Some f -> roll_stalls t f | None -> ());
     Mutator.set_defer t.mut (Some t.coop_sink);
+    Network.shard_phase t.net;
     run_shards t run_shard;
     let p2 = Profile.now () in
     let w2 = Profile.words () in

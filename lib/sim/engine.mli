@@ -127,11 +127,12 @@ module Config : sig
       speculation on, concurrent GC with M_T every cycle and idle gap 50,
       [Tree] marking, no jitter, no faults, seed 0, 1 domain, batching
       on. Raises [Invalid_argument], naming the field and the value, when
-      [num_pes] or [tasks_per_step] is below 1; so do {!with_num_pes} and
-      {!with_tasks_per_step}. [make] and {!with_faults} likewise refuse a
-      fault rate ([drop], [duplicate], [delay], [stall], [crash]) outside
-      [[0, 1]], and [drop = 1], which loses every retransmit and ack
-      too. *)
+      [num_pes], [latency] or [tasks_per_step] is below 1, or [jitter] is
+      outside [[0, 1]] (NaN included); so do {!with_num_pes},
+      {!with_latency}, {!with_tasks_per_step} and {!with_jitter}. [make]
+      and {!with_faults} likewise refuse a fault rate ([drop],
+      [duplicate], [delay], [stall], [crash]) outside [[0, 1]], and
+      [drop = 1], which loses every retransmit and ack too. *)
 
   val default : t
   (** [make ()]. *)
@@ -258,8 +259,9 @@ val pe_down : t -> int -> bool
 val step : t -> unit
 (** One discrete step, always executed the same way: each PE's budget
     runs against a private context — its own splitmix scheduling stream,
-    outgoing-message mailbox, metrics, reducer counters, event buffer
-    and refcount log — and the contexts are merged into the shared
+    sender record in the network (it frames its own sends), metrics,
+    reducer counters, event buffer and refcount log — and the contexts
+    are merged into the shared
     machine at a step barrier in ascending PE order. The serial parts
     bracket the shards: crashes and recoveries at the top of the step,
     then delivery, which hands reduction tasks to their pools and parks

@@ -3,10 +3,10 @@ open Dgr_task
 
 (* Two regimes share this module, and both speak in *batches*: every
    task staged on the same (src, dst) link for the same arrival step
-   rides in one frame. Staging has one entry point, [stage]: inline
-   sends ([send]) and the barrier's mailbox flush ([Mailbox.flush]) both
-   go through it, and it finds a task's forming frame through one
-   per-destination index. The staged batches are flushed into the
+   rides in one frame, built by its sender: every send stages through
+   one lookup in the sending PE's own [sender] record. In the shard
+   phase a PE's shard writes only its record, and [seal] then numbers
+   the new frames PE by PE. The staged batches are flushed into the
    channel at the next [deliver_serial] (the network's clock tick),
    which is also when the fault plane rolls its dice — one roll per
    frame, not per task.
@@ -191,6 +191,19 @@ type rcv_link = {
   ooo : (int, unit) Hashtbl.t;  (* received out of order, above rcv_next *)
 }
 
+(* A source's staging state, [senders.(src + 1)]: in the shard phase
+   only its own shard writes it. *)
+type sender = {
+  mutable forming : batch Vec.t array;
+      (* per destination: the link's forming frames, one per arrival;
+         cleared and rebuilt with [staged] *)
+  opened : batch Vec.t;  (* frames opened this shard phase, unnumbered *)
+  tickets : batch Vec.t;  (* this shard phase's reductions, post order... *)
+  ticket_args : Lanes.t;  (* ...and their [slot; lin; depth], for [seal] *)
+  free : batch Vec.t;  (* delivered frames of this sender, for reuse *)
+  mutable tasks : int;  (* tasks staged this shard phase *)
+}
+
 type t = {
   q : Ideal.t;  (* ideal channel (faults = None) *)
   fq : frame Pqueue.t;  (* lossy channel, arrival-keyed *)
@@ -203,32 +216,20 @@ type t = {
   recorder : Dgr_obs.Recorder.t option;
   lineage : Dgr_obs.Lineage.t option;
       (* when present, every reduction task sent gets a latency ticket:
-         opened by [stage] (always on the main domain — inline sends or
-         the barrier's mailbox flush), marked delivered in
-         [deliver_serial], dropped by [purge] *)
+         opened on the main domain (by the send, or by [seal]), marked
+         delivered in [deliver_serial], dropped by [purge] *)
   faults : Faults.t option;
   batching : bool;  (* false: one task per frame *)
-  staged : batch Vec.t;  (* batches forming since the last flush *)
-  (* The staging index: [staged] regrouped by destination, in stage
-     order, plus the frame each destination was last staged into —
-     sends cluster by link (a PE drains its pool, a mark wave fans out),
-     so most lookups hit that cache. [sf_dummy] is the "no frame"
-     sentinel, so the hot path never boxes an option. The index is
-     cleared whenever [staged] is and rebuilt whenever [staged] is
-     filtered, so it never names a frame [staged] lost. *)
-  sf_dummy : batch;
-  mutable forming : batch Vec.t array;
-  mutable last : batch array;
-  (* Delivered frames awaiting reuse, segregated by destination
-     (idealized channel only: under faults a frame outlives delivery in
-     [pending] until its cumulative ack lands, so those are never
-     recycled). Per-destination pools let each shard recycle the frames
-     whose marks it took (see [take_mark_lanes]) without sharing a free list
-     across domains. *)
-  mutable sf_free : batch Vec.t array;
+  staged : batch Vec.t;  (* numbered batches forming since the last flush *)
+  sf_dummy : batch;  (* "no frame": the lookup's miss, never boxed *)
+  mutable senders : sender array;  (* [src + 1] -> sender; sized by [reserve] *)
+  mutable sharding : bool;  (* between [shard_phase] and [seal] *)
   mutable inbox : batch Vec.t array;
       (* delivered frames parked per destination until the destination's
          shard takes their marks (see [take_mark_lanes]) *)
+  mutable spent : batch Vec.t array;
+      (* per destination: frames its shard emptied, recycled at the next
+         tick — never onto a free list another domain pops *)
   snd : (int * int, snd_link) Hashtbl.t;  (* (src, dst) -> sender state *)
   rcv : (int * int, rcv_link) Hashtbl.t;  (* (src, dst) -> receiver state *)
   pending : (int * int * int, pending) Hashtbl.t;  (* unacked sends *)
@@ -275,10 +276,10 @@ let create ?recorder ?lineage ?faults ?(batch = true) () =
     batching = batch;
     staged = Vec.create ();
     sf_dummy = dummy_batch ();
-    forming = [||];
-    last = [||];
-    sf_free = [||];
+    senders = [||];
+    sharding = false;
     inbox = [||];
+    spent = [||];
     snd = Hashtbl.create 16;
     rcv = Hashtbl.create 16;
     pending = Hashtbl.create 64;
@@ -449,23 +450,21 @@ let transmit_ack t f ~arrival ~base frame =
   if not (Faults.drops_frame f) then
     Pqueue.add t.fq (arrival + Faults.extra_delay f ~latency:base) frame
 
-(* Drop [staged]'s frames from the staging index; call before [staged]
-   is cleared or filtered. Only a destination with a staged frame can
+(* Drop [staged]'s frames from their senders' indexes; call before
+   [staged] is cleared or filtered. Only a link with a staged frame can
    have a non-empty index entry, so this costs the staged count, not the
    machine size. *)
 let unindex t =
   for i = 0 to Vec.length t.staged - 1 do
-    let dst = (Vec.get t.staged i).b_dst in
-    Vec.clear t.forming.(dst);
-    t.last.(dst) <- t.sf_dummy
+    let b = Vec.get t.staged i in
+    Vec.clear t.senders.(b.b_src + 1).forming.(b.b_dst)
   done
 
-(* Rebuild the index after [staged] was filtered, in stage order. The
-   last-frame caches stay empty until the next stage. *)
+(* Rebuild the indexes after [staged] was filtered, in stage order. *)
 let reindex t =
   for i = 0 to Vec.length t.staged - 1 do
     let b = Vec.get t.staged i in
-    Vec.push t.forming.(b.b_dst) b
+    Vec.push t.senders.(b.b_src + 1).forming.(b.b_dst) b
   done
 
 (* Flush the batches staged since the last tick into the channel, then
@@ -549,18 +548,32 @@ let flush_ideal t =
   unindex t;
   Vec.clear t.staged
 
-(* Grow the per-destination arrays to cover [dst]. Only [stage] calls
-   this, so every frame's destination is covered before the frame
-   exists, and the shard side ([take_mark_lanes], [recycle_batch]) never
-   resizes. *)
-let reserve t dst =
-  let n = Array.length t.forming in
-  if dst >= n then begin
-    let grow a fill = Array.init (dst + 1) (fun i -> if i < n then a.(i) else fill ()) in
-    t.forming <- grow t.forming (fun () -> Vec.create ());
-    t.last <- grow t.last (fun () -> t.sf_dummy);
-    t.sf_free <- grow t.sf_free (fun () -> Vec.create ());
-    t.inbox <- grow t.inbox (fun () -> Vec.create ())
+(* Only the main domain grows the per-PE arrays, outside the shard
+   phase, so a shard never sees them move. *)
+let reserve t ~pes =
+  let n = Array.length t.inbox in
+  if pes > n then begin
+    if t.sharding then
+      invalid_arg
+        (Printf.sprintf "Network: PE %d is outside the %d reserved before the shard phase"
+           (pes - 1) n);
+    let grow a = Array.init pes (fun i -> if i < n then a.(i) else Vec.create ()) in
+    t.inbox <- grow t.inbox;
+    t.spent <- grow t.spent;
+    Array.iter (fun s -> s.forming <- grow s.forming) t.senders;
+    let ns = Array.length t.senders in
+    t.senders <-
+      Array.init (pes + 1) (fun i ->
+          if i < ns then t.senders.(i)
+          else
+            {
+              forming = Array.init pes (fun _ -> Vec.create ());
+              opened = Vec.create ();
+              tickets = Vec.create ();
+              ticket_args = Lanes.create ();
+              free = Vec.create ();
+              tasks = 0;
+            })
   end
 
 (* Pop a recycled frame from [fl], or allocate one. The caller fills the
@@ -574,53 +587,51 @@ let batch_for fl =
   end
   else dummy_batch ()
 
-(* The staged frame for (src, arrival) among [bs], newest first, or
-   [dummy]. Top-level with every argument passed, so a miss allocates no
+(* The forming frame for [arrival] among [bs], newest first, or [dummy].
+   Top-level with every argument passed, so a miss allocates no
    closure. *)
-let rec scan_forming bs ~src ~arrival i dummy =
+let rec scan_forming bs ~arrival i dummy =
   if i < 0 then dummy
   else
     let b = Vec.get bs i in
-    if b.b_src = src && b.b_arrival = arrival then b
-    else scan_forming bs ~src ~arrival (i - 1) dummy
+    if b.b_arrival = arrival then b else scan_forming bs ~arrival (i - 1) dummy
+
+let number t b =
+  b.b_uid <- t.next_uid;
+  t.next_uid <- t.next_uid + 1;
+  Vec.push t.staged b
 
 (* The one staging lookup: the frame forming on link (src, pe) for
-   [arrival], opened on a miss. There is at most one such frame per key,
-   so the lookup — the destination's last frame, then a backward scan of
-   its forming frames (one per active (src, arrival), so the scan stays
-   short) — finds the frame whatever order the sends came in. The dummy's
-   header never matches a real key. Allocation-free on a hit: the inline
-   sends and the barrier's [Mailbox.flush] both stage through here. *)
+   [arrival] (a link has one per pending arrival, so the scan is short),
+   opened on a miss. On the main domain a new frame is numbered and
+   staged at once; in the shard phase the frame and the task count wait
+   in the sender's record for [seal]. Allocation-free on a hit. *)
 let frame_for t ~src ~arrival ~pe =
-  reserve t pe;
+  if Int.max src pe >= Array.length t.inbox then reserve t ~pes:(1 + Int.max src pe);
+  let s = t.senders.(src + 1) in
+  let bs = s.forming.(pe) in
   let b =
-    if not t.batching then t.sf_dummy
-    else
-      let last = t.last.(pe) in
-      if last.b_src = src && last.b_arrival = arrival then last
-      else
-        let bs = t.forming.(pe) in
-        scan_forming bs ~src ~arrival (Vec.length bs - 1) t.sf_dummy
+    if t.batching then scan_forming bs ~arrival (Vec.length bs - 1) t.sf_dummy else t.sf_dummy
   in
   let b =
     if b != t.sf_dummy then b
     else begin
-      let b = batch_for t.sf_free.(pe) in
+      let b = batch_for s.free in
       b.b_src <- src;
       b.b_dst <- pe;
       b.b_arrival <- arrival;
       b.b_delay <- Int.max 1 (arrival - t.clock);
-      b.b_uid <- t.next_uid;
       b.b_pack <- false;
-      t.next_uid <- t.next_uid + 1;
-      Vec.push t.staged b;
-      Vec.push t.forming.(pe) b;
+      Vec.push bs b;
+      if t.sharding then Vec.push s.opened b else number t b;
       b
     end
   in
-  if t.batching then t.last.(pe) <- b;
-  t.undelivered <- t.undelivered + 1;
-  t.tasks_sent <- t.tasks_sent + 1;
+  if t.sharding then s.tasks <- s.tasks + 1
+  else begin
+    t.undelivered <- t.undelivered + 1;
+    t.tasks_sent <- t.tasks_sent + 1
+  end;
   b
 
 let send_mark t ~src ~arrival ~pe v par meta =
@@ -628,13 +639,18 @@ let send_mark t ~src ~arrival ~pe v par meta =
   Lanes.push3 b.b_lanes v par meta
 
 (* Only reduction tasks are ticketed: the latency story the histograms
-   tell is about demand propagation, not the mark wave. *)
+   tell is about demand propagation, not the mark wave. The store is
+   shared, so a shard-phase send leaves its ticket to [seal]. *)
 let stage_reduction t ~src ~lin ~depth ~arrival ~pe task =
   let b = frame_for t ~src ~arrival ~pe in
   let stamp =
     match t.lineage with
-    | Some l -> Dgr_obs.Lineage.open_ticket l ~lin ~depth ~sent:t.clock ~arrival
     | None -> -1
+    | Some _ when t.sharding ->
+      Vec.push t.senders.(src + 1).tickets b;
+      Lanes.push3 t.senders.(src + 1).ticket_args (Vec.length b.b_reds) lin depth;
+      -1
+    | Some l -> Dgr_obs.Lineage.open_ticket l ~lin ~depth ~sent:t.clock ~arrival
   in
   Lanes.push3 b.b_lanes 0 0 (-1);
   Vec.push b.b_reds task;
@@ -645,6 +661,43 @@ let send ?(src = -1) ?(lin = -1) ?(depth = 0) t ~arrival ~pe task =
   | Task.Marking m ->
     send_mark t ~src ~arrival ~pe (Task.lane_v m) (Task.lane_par m) (Task.lane_meta m)
   | Task.Reduction _ -> stage_reduction t ~src ~lin ~depth ~arrival ~pe task
+
+let shard_phase t = t.sharding <- true
+
+(* Every sender in ascending PE order: its new frames numbered and
+   staged in open order, its tickets opened in post order, its count
+   folded — what one domain sending PE after PE would have staged. *)
+let seal t =
+  for i = 0 to Array.length t.senders - 1 do
+    let s = t.senders.(i) in
+    for k = 0 to Vec.length s.opened - 1 do
+      number t (Vec.get s.opened k)
+    done;
+    Vec.clear s.opened;
+    for k = 0 to Vec.length s.tickets - 1 do
+      let b = Vec.get s.tickets k and a = s.ticket_args.Lanes.a in
+      Vec.set b.b_stamps a.(3 * k)
+        (Dgr_obs.Lineage.open_ticket (Option.get t.lineage) ~lin:a.((3 * k) + 1)
+           ~depth:a.((3 * k) + 2) ~sent:t.clock ~arrival:b.b_arrival)
+    done;
+    Vec.clear s.tickets;
+    s.ticket_args.Lanes.n <- 0;
+    t.undelivered <- t.undelivered + s.tasks;
+    t.tasks_sent <- t.tasks_sent + s.tasks;
+    s.tasks <- 0
+  done;
+  t.sharding <- false
+
+(* Sends [seal] has not published would escape a flush, purge or crash. *)
+let check_sealed t fn =
+  if t.sharding then
+    Array.iteri
+      (fun i s ->
+        if s.tasks > 0 then
+          invalid_arg
+            (Printf.sprintf "Network.%s: src %d holds %d unsealed frame(s) (%d tasks)" fn
+               (i - 1) (Vec.length s.opened) s.tasks))
+      t.senders
 
 (* Delivery hands each due reduction task to [push] as its batch pops —
    the engine's pools consume directly, with no intermediate list. [push]
@@ -704,22 +757,31 @@ let deliver_batch t b ~now ~push =
     n > 0
   | None | Some _ -> deliver_tasks t b ~now ~push n
 
-(* Return a delivered frame to its destination's free pool. Only the
-   idealized channel may call this: after its pop the batch is
-   referenced nowhere (the flush emptied [staged] and its index),
-   whereas the fault path keeps frames in [pending] until cumulatively
-   acked. Each pool is capped so a burst does not pin its high-water
-   mark of vectors forever. *)
+(* Return a delivered frame to its sender's free list, on the main
+   domain. Only the idealized channel may call this: after its pop the
+   batch is referenced nowhere (the flush emptied [staged] and the
+   index), whereas the fault path keeps frames in [pending] until
+   cumulatively acked. Each list is capped so a burst does not pin its
+   high-water mark of vectors forever. *)
 let free_batches_cap = 32
 
 let recycle_batch t b =
-  let fl = t.sf_free.(b.b_dst) in
+  let fl = t.senders.(b.b_src + 1).free in
   if Vec.length fl < free_batches_cap then begin
     b.b_lanes.Lanes.n <- 0;
     Vec.clear b.b_reds;
     Vec.clear b.b_stamps;
     Vec.push fl b
   end
+
+let reclaim_spent t =
+  for pe = 0 to Array.length t.spent - 1 do
+    let sp = t.spent.(pe) in
+    for k = 0 to Vec.length sp - 1 do
+      recycle_batch t (Vec.get sp k)
+    done;
+    Vec.clear sp
+  done
 
 (* Standalone credits drain in arrival order (FIFO among equals) in both
    regimes; [learn] is idempotent and order-insensitive anyway, so this
@@ -742,6 +804,8 @@ let settle t b ~now ~push =
   else if t.faults = None then recycle_batch t b
 
 let deliver_serial t ~now ~push =
+  check_sealed t "deliver_serial";
+  reclaim_spent t;
   t.clock <- now;
   drain_credits t ~now;
   match t.faults with
@@ -815,9 +879,9 @@ let deliver_serial t ~now ~push =
     service_timers ()
 
 (* Runs on [pe]'s shard, possibly on a worker domain: it touches only
-   [pe]'s inbox and free pool, both sized when the frame was staged. A parked
-   frame is referenced nowhere else on the idealized channel, so it is
-   recycled here; under faults it waits in [pending] for its ack. *)
+   [pe]'s inbox and spent list. A parked frame is referenced nowhere
+   else on the idealized channel, so it is recycled at the next tick;
+   under faults it waits in [pending] for its ack. *)
 let take_mark_lanes t ~pe (f : Task.sink) =
   if pe < Array.length t.inbox then begin
     let ib = t.inbox.(pe) in
@@ -827,7 +891,7 @@ let take_mark_lanes t ~pe (f : Task.sink) =
         let meta = lane b i 2 in
         if meta >= 0 then f (lane b i 0) (lane b i 1) meta
       done;
-      if t.faults = None then recycle_batch t b
+      if t.faults = None then Vec.push t.spent.(pe) b
     done;
     Vec.clear ib
   end
@@ -898,6 +962,7 @@ let bump tbl pe =
    then skip over it and its queued copies are discarded, so survivors
    on the link are neither blocked nor double-acked. *)
 let purge t pred =
+  check_sealed t "purge";
   let per_pe = Hashtbl.create 8 in
   let removed = ref 0 in
   (* Compact the frame's lanes, reductions and stamps in lock-step,
@@ -999,6 +1064,7 @@ let set_link_seq t ~src ~dst n =
    are dropped. Delivered-but-unacked batches lose only their ack state
    (the receiver already has the tasks). *)
 let crash_pe t ~pe =
+  check_sealed t "crash_pe";
   let lost = ref 0 in
   let touches b = b.b_src = pe || b.b_dst = pe in
   let forget_batch b =
@@ -1010,27 +1076,14 @@ let crash_pe t ~pe =
     | Some l ->
       Vec.iter (fun stamp -> if stamp >= 0 then Dgr_obs.Lineage.drop l stamp) b.b_stamps
   in
+  let survives b = if touches b then (forget_batch b; false) else true in
   unindex t;
-  Vec.filter_in_place
-    (fun b ->
-      if touches b then begin
-        forget_batch b;
-        false
-      end
-      else true)
-    t.staged;
+  Vec.filter_in_place survives t.staged;
   reindex t;
   (match t.faults with
   | None ->
     (* ideal channel (a crash injected without a fault plane) *)
-    Ideal.filter_in_place
-      (fun b ->
-        if touches b then begin
-          forget_batch b;
-          false
-        end
-        else true)
-      t.q
+    Ideal.filter_in_place survives t.q
   | Some _ ->
     let victims =
       Hashtbl.fold
@@ -1063,51 +1116,3 @@ let crash_pe t ~pe =
   purge_links t.owed;
   Vec.filter_in_place (fun (s, d) -> s <> pe && d <> pe) t.owed_order;
   !lost
-
-(* Per-PE outgoing buffer for the sharded engine. A PE executing on a
-   worker domain never touches the shared staging area directly: it
-   posts into its private mailbox, and the engine flushes every mailbox
-   into the network at the step barrier, on the main domain, in
-   ascending PE order. Each entry is staged exactly as an inline [send]
-   of it would be, so the frames, their stage order and the lineage
-   ticket slots are a pure function of the mailboxes — independent of
-   which domain ran which PE when. *)
-module Mailbox = struct
-  (* Two columns, no entry records: [ints] holds six lanes per entry in
-     post order — [src; arrival; pe] and then a mark's [v; par; meta], or
-     a reduction's [lin; depth; -1] standing for the next task of
-     [reds]. Posting a mark allocates nothing. *)
-  type mb = { ints : Lanes.t; reds : Task.t Vec.t }
-
-  let create () = { ints = Lanes.create (); reds = Vec.create () }
-
-  let post_mark mb ~src ~arrival ~pe v par meta =
-    Lanes.push3 mb.ints src arrival pe;
-    Lanes.push3 mb.ints v par meta
-
-  let post_reduction mb ~lin ~depth ~src ~arrival ~pe task =
-    Lanes.push3 mb.ints src arrival pe;
-    Lanes.push3 mb.ints lin depth (-1);
-    Vec.push mb.reds task
-
-  let length mb = mb.ints.Lanes.n / 6
-
-  let flush mb net =
-    let d = mb.ints.Lanes.a in
-    let r = ref 0 in
-    for i = 0 to length mb - 1 do
-      let k = 6 * i in
-      let src = d.(k) and arrival = d.(k + 1) and pe = d.(k + 2) in
-      let meta = d.(k + 5) in
-      if meta >= 0 then send_mark net ~src ~arrival ~pe d.(k + 3) d.(k + 4) meta
-      else begin
-        stage_reduction net ~src ~lin:d.(k + 3) ~depth:d.(k + 4) ~arrival ~pe
-          (Vec.get mb.reds !r);
-        incr r
-      end
-    done;
-    mb.ints.Lanes.n <- 0;
-    Vec.clear mb.reds
-
-  type t = mb
-end

@@ -5,11 +5,10 @@ open Dgr_task
     Transport is frame-batched in both regimes: every task staged on
     the same (src, dst) link for the same arrival step rides in one
     frame, staged until the next {!deliver_serial} tick flushes it into
-    the channel. There is one staging path: an inline {!send} and the
-    barrier's {!Mailbox.flush} stage each task the same way, through one
-    per-destination index of forming frames, so a mailbox entry joins a
-    frame an inline send opened earlier in the step and vice versa.
-    Batching is a refinement of the paper's one-task-per-message model
+    the channel. Frames are built by their sender: each source PE, and
+    the controller (src [-1]), owns a record of its forming frames, and
+    every send stages through it, joining the frame forming on its link
+    whichever phase opened it. Batching is a refinement of the paper's one-task-per-message model
     below task granularity — each task keeps its fault-free arrival step
     and per-link FIFO order; only the grouping into physical frames (and
     hence per-frame bookkeeping: arrival events, pending entries,
@@ -64,9 +63,9 @@ val create :
     task (marking tasks travel unticketed: the latency story is about
     demand propagation, not the mark wave),
     {!deliver_into} records the delivery step and hands the ticket to
-    [push], and {!purge} drops tickets of expunged tasks. Staging always
-    runs on the main domain (inline sends, or the barrier's mailbox
-    flush), so ticket ids are deterministic at any domain count. *)
+    [push], and {!purge} drops tickets of expunged tasks. Tickets are
+    opened on the main domain only (by the send, or by {!seal}), so
+    ticket ids are deterministic at any domain count. *)
 
 val send : ?src:int -> ?lin:int -> ?depth:int -> t -> arrival:int -> pe:int -> Task.t -> unit
 (** Stage a task on link (src, dst = pe) for [arrival]. [src] (default
@@ -76,14 +75,42 @@ val send : ?src:int -> ?lin:int -> ?depth:int -> t -> arrival:int -> pe:int -> T
     ticket when a lineage store is attached. [arrival] is the
     fault-free arrival step; the link's base delay is recovered as
     [arrival - now of last deliver]. Tasks staged for the same (src,
-    pe, arrival) join one batch, in staging order, whether they came
-    through [send] or {!Mailbox.flush}. A mark is staged as its lanes
-    (see {!send_mark}); [Task.t] is the interface, not the wire form. *)
+    pe, arrival) join one batch, in staging order, whichever phase they
+    were sent in. A mark is staged as its lanes (see {!send_mark}), a
+    reduction through {!stage_reduction}; [Task.t] is the interface, not
+    the wire form. *)
 
 val send_mark : t -> src:int -> arrival:int -> pe:int -> int -> int -> int -> unit
 (** [send] of a mark given as lanes [v par meta] ({!Task.sink}): staged
     into its frame as three ints, with no view and no optional-argument
     boxes. Marks are never ticketed. *)
+
+val stage_reduction :
+  t -> src:int -> lin:int -> depth:int -> arrival:int -> pe:int -> Task.t -> unit
+(** [send] of a reduction task, with every argument given. *)
+
+(** {2 The shard phase}
+
+    Between {!shard_phase} and {!seal} a send touches only its sender's
+    record: its new frame is not numbered or staged, its ticket not
+    opened, its task not counted in {!size}. Sends from distinct sources
+    may then run concurrently on different domains. *)
+
+val reserve : t -> pes:int -> unit
+(** Size the per-PE state for PEs [0 .. pes - 1]. A send outside it
+    grows it, except in the shard phase, where it raises
+    [Invalid_argument]. *)
+
+val shard_phase : t -> unit
+(** Begin the shard phase. *)
+
+val seal : t -> unit
+(** End the shard phase: for each sender in ascending PE order (the
+    controller first), number and stage its new frames in open order,
+    open its tickets in post order and count its tasks — the frames one
+    domain sending PE after PE would have staged. Until then
+    {!deliver_serial}, {!purge} and {!crash_pe} raise [Invalid_argument]
+    naming the sender and its unsealed frame count. *)
 
 (** {2 Termination credits}
 
@@ -215,30 +242,3 @@ val crash_pe : t -> pe:int -> int
     by a pre-crash timer. Returns the number of undelivered tasks lost
     (their lineage tickets are dropped); delivered-but-unacked batches
     lose only their ack bookkeeping. *)
-
-(** Per-PE outgoing buffer for the sharded engine: a worker-domain PE
-    posts its sends here instead of staging directly; the engine flushes
-    every mailbox at the step barrier, on the main domain, in ascending
-    PE order. *)
-module Mailbox : sig
-  type mb
-
-  val create : unit -> mb
-
-  val post_mark : mb -> src:int -> arrival:int -> pe:int -> int -> int -> int -> unit
-  (** Buffer a mark given as lanes ({!send_mark}): six ints into the
-      mailbox's int column, nothing allocated. *)
-
-  val post_reduction :
-    mb -> lin:int -> depth:int -> src:int -> arrival:int -> pe:int -> Task.t -> unit
-  (** Buffer a reduction task; [lin] and [depth] as for {!send}. *)
-
-  val length : mb -> int
-
-  val flush : mb -> t -> unit
-  (** Stage every buffered entry in post order, exactly as {!send} of
-      the same arguments would, then clear the mailbox. This is the
-      engine's barrier flush. *)
-
-  type t = mb
-end

@@ -4,7 +4,7 @@
    Each engine step is bracketed into phases — transport (network flush
    and delivery), execution (the per-PE budget loops, the only span the
    sharded engine runs in parallel), barrier merge (sub-recorder drain,
-   metric absorption, mailbox flush, controller replay), GC control,
+   metric absorption, lineage closes, seal, controller replay), GC control,
    and bookkeeping (counter sync, watchdogs, sampling). Within the
    execution span the budget loops further split their time into
    marking and reduction work.
@@ -45,8 +45,8 @@ type t = {
   mutable drain_ns : float;  (* inside merge: sub-recorder event drain *)
   mutable absorb_ns : float;  (* inside merge: metrics/reducer absorption *)
   mutable close_ns : float;  (* inside merge: batched lineage closes *)
-  mutable pflush_ns : float;  (* always 0: the mailbox flush runs on the main domain *)
-  mutable flush_ns : float;  (* inside merge: mailbox flush *)
+  mutable pflush_ns : float;  (* always 0: the seal runs on the main domain *)
+  mutable flush_ns : float;  (* inside merge: [Network.seal] *)
   mutable replay_ns : float;  (* inside merge: coop + controller replay *)
   mutable gc_ns : float;
   mutable book_ns : float;
@@ -60,6 +60,8 @@ type t = {
   mutable merge_mw : float;
   mutable gc_mw : float;
   mutable book_mw : float;
+  mutable main_parks : int;  (* the main domain parked on the shards' join *)
+  mutable worker_parks : int;  (* a worker parked waiting for a job *)
 }
 
 let create () =
@@ -89,6 +91,8 @@ let create () =
     merge_mw = 0.0;
     gc_mw = 0.0;
     book_mw = 0.0;
+    main_parks = 0;
+    worker_parks = 0;
   }
 
 let now () = Unix.gettimeofday () *. 1e9

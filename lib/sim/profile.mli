@@ -5,12 +5,12 @@
     merge / GC control / bookkeeping phases, and the execution budget
     loops split their span into marking vs reduction work. The merge
     span is further split into its barrier stages (event drain, metric
-    absorption, lineage closes, mailbox flush, deferred replay). The
+    absorption, lineage closes, the seal, deferred replay). The
     sharded engine runs two spans in parallel — execution and
     restructure's per-home passes — so the measured Amdahl serial
     fraction is [(total - execute - restructure) / total], the direct
-    yardstick for how much of a step sharding can reach. The mailbox
-    flush is serial: it runs on the main domain at the barrier.
+    yardstick for how much of a step sharding can reach. The seal is
+    serial: it runs on the main domain at the barrier.
 
     The same brackets also accumulate [Gc.minor_words] deltas, so the
     bench's [minor_words_per_step] budget can be attributed to a phase
@@ -41,10 +41,10 @@ type t = {
   mutable absorb_ns : float;
   mutable close_ns : float;
   mutable pflush_ns : float;
-      (** always 0: the mailbox flush is one serial pass on the main
+      (** always 0: the barrier's seal is one serial pass on the main
           domain ([flush_ns]), with no parallel grouping half. Kept for
           readers that still name it. *)
-  mutable flush_ns : float;
+  mutable flush_ns : float;  (** the barrier's [Network.seal] *)
   mutable replay_ns : float;
   mutable gc_ns : float;
   mutable book_ns : float;
@@ -58,6 +58,10 @@ type t = {
   mutable merge_mw : float;
   mutable gc_mw : float;
   mutable book_mw : float;
+  mutable main_parks : int;  (** main-domain parks waiting on the shards *)
+  mutable worker_parks : int;
+      (** worker parks waiting for a job. Both count on the park path
+          only: many per step mark a descheduled run, not a busy one. *)
 }
 
 val create : unit -> t

@@ -103,8 +103,8 @@ val respond : src:Vid.t -> key:Vid.t -> ?demand:Demand.t -> Vertex.requester -> 
     On the wire a mark is three ints, not a {!mark}: [v], the target
     vertex ([-1] for a return); [par], the parent vid ([-1] for
     [Rootpar]); and [meta], which packs the kind, the plane, the M_R
-    priority (0-3) and the wave. Handlers emit lanes, and mailboxes,
-    frames and pools carry them, so sending a mark allocates nothing.
+    priority (0-3) and the wave. Handlers emit lanes, and frames and
+    pools carry them, so sending a mark allocates nothing.
     {!mark} is the view tests, printers, invariants and purge predicates
     read; {!mark_of_lanes} and {!emit_mark} convert between the two. *)
 

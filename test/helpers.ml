@@ -180,16 +180,6 @@ let deliver net ~now =
   Dgr_sim.Network.deliver_into net ~now ~push:(fun pe _stamp task -> acc := (pe, task) :: !acc);
   List.rev !acc
 
-(* Buffer a task in a mailbox as [Network.send] takes it: a mark as its
-   lanes, a reduction untracked ([lin] -1, [depth] 0). *)
-let post mb ~src ~arrival ~pe task =
-  match task with
-  | Dgr_task.Task.Marking m ->
-    Dgr_sim.Network.Mailbox.post_mark mb ~src ~arrival ~pe (Dgr_task.Task.lane_v m)
-      (Dgr_task.Task.lane_par m) (Dgr_task.Task.lane_meta m)
-  | Dgr_task.Task.Reduction _ ->
-    Dgr_sim.Network.Mailbox.post_reduction mb ~lin:(-1) ~depth:0 ~src ~arrival ~pe task
-
 (* The next task a PE's budget loop would run: the oldest highest-priority
    reduction, else the oldest mark (as a view). *)
 let pop pool =

@@ -1,6 +1,7 @@
-(* The step barrier's merge machinery: dirty-set absorption, the
-   mailbox flush, the empty-step fast path, and the recorder drain. Each test pins a byte-equivalence the
-   sharded engine's determinism proof leans on. *)
+(* The step barrier's merge machinery: dirty-set absorption, the seal
+   of the frames the shards built, the empty-step fast path, and the
+   recorder drain. Each test pins a byte-equivalence the sharded
+   engine's determinism proof leans on. *)
 open Dgr_util
 open Dgr_obs
 open Dgr_sim
@@ -54,20 +55,22 @@ let test_absorb_associativity () =
   Alcotest.(check bool) "non-empty merge" true (first <> Hist.to_json (Hist.create ()));
   Alcotest.(check int) "sources cleared" 0 (Hist.count again)
 
-(* --- mailbox flush ---------------------------------------------------- *)
+(* --- sender-side framing and the seal ---------------------------------- *)
 
-(* One randomized post schedule, two networks: posting it into per-PE
-   mailboxes and flushing them in ascending PE order (the barrier), and
-   sending the same schedule directly in src-major order (post order
-   within a src), must leave identical networks — same staged entries,
-   same counters, same frames. Duplicated marks share multi-task frames,
-   and every one of them must be staged. *)
+(* One randomized send schedule, two networks: sending it in the shard
+   phase, in its random interleaving of sources, then sealing (the
+   barrier), and sending the same schedule serially in src-major order
+   (send order within a src), must leave identical networks — same
+   staged entries, same counters, same frames, same lineage tickets.
+   Duplicated marks share multi-task frames, and every one of them must
+   be staged. *)
 let random_schedule ~pes ~posts seed =
   let rng = Rng.create seed in
   List.init posts (fun _ ->
       let src = Rng.int rng pes in
       let dst = Rng.int rng pes in
       let arrival = 4 + Rng.int rng 3 in
+      let lin = Rng.int rng 10 - 1 and depth = Rng.int rng 5 in
       let task =
         if Rng.int rng 3 = 0 then
           Task.Reduction
@@ -82,83 +85,120 @@ let random_schedule ~pes ~posts seed =
           (* small vid range forces duplicate marks into shared frames *)
           Task.Marking (Task.Mark1 { v = Rng.int rng 12; par = Plane.Rootpar; ep = 0 })
       in
-      (src, dst, arrival, task))
+      (src, dst, arrival, lin, depth, task))
 
-(* What a flushed network shows: its staged entries, then — after a tick
+(* What a sealed network shows: its staged entries, then — after a tick
    before the earliest arrival flushes the frames into the channel,
-   which counts them, and delivers nothing — its counters. *)
+   which counts them, and delivers nothing — its counters, then every
+   task with its ticket as a later tick hands it up. *)
 let observe net =
   let entries = Network.entries net in
   Network.deliver_serial net ~now:0 ~push:(fun _ _ _ -> assert false);
-  (entries, Network.tasks_sent net, Network.frames_sent net)
+  let sent = Network.tasks_sent net and frames = Network.frames_sent net in
+  let delivered = ref [] in
+  Network.deliver_into net ~now:10 ~push:(fun pe stamp task ->
+      delivered := (pe, stamp, task) :: !delivered);
+  (entries, sent, frames, List.rev !delivered)
 
-let via_mailboxes schedule pes =
-  let net = Network.create () in
-  let mbs = Array.init pes (fun _ -> Network.Mailbox.create ()) in
-  List.iter
-    (fun (src, dst, arrival, task) -> Helpers.post mbs.(src) ~src ~arrival ~pe:dst task)
-    schedule;
-  Array.iter (fun mb -> Network.Mailbox.flush mb net) mbs;
+let send_entry net (src, dst, arrival, lin, depth, task) =
+  Network.send ~src ~lin ~depth net ~arrival ~pe:dst task
+
+let via_shards schedule pes =
+  let net = Network.create ~lineage:(Lineage.create ()) () in
+  Network.reserve net ~pes;
+  Network.shard_phase net;
+  List.iter (send_entry net) schedule;
+  Network.seal net;
   observe net
 
 let via_send schedule =
-  let net = Network.create () in
-  let src_major = List.stable_sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) schedule in
-  List.iter
-    (fun (src, dst, arrival, task) -> Network.send ~src net ~arrival ~pe:dst task)
-    src_major;
+  let net = Network.create ~lineage:(Lineage.create ()) () in
+  let src_of (src, _, _, _, _, _) = src in
+  List.iter (send_entry net)
+    (List.stable_sort (fun a b -> compare (src_of a) (src_of b)) schedule);
   observe net
 
-let test_mailbox_flush_equivalence () =
+let test_seal_equivalence () =
   let pes = 8 in
   List.iter
     (fun seed ->
       let schedule = random_schedule ~pes ~posts:300 seed in
-      let entries_m, sent_m, frames_m = via_mailboxes schedule pes in
-      let entries_d, sent_d, frames_d = via_send schedule in
+      let entries_s, sent_s, frames_s, got_s = via_shards schedule pes in
+      let entries_d, sent_d, frames_d, got_d = via_send schedule in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: staged entries equal" seed)
-        true (entries_m = entries_d);
-      Alcotest.(check int) "tasks_sent" sent_d sent_m;
-      Alcotest.(check int) "every post staged" (List.length schedule) sent_m;
-      Alcotest.(check int) "frames staged" frames_d frames_m;
-      Alcotest.(check bool) "multi-task frames exercised" true (sent_m > frames_m))
+        true (entries_s = entries_d);
+      Alcotest.(check int) "tasks_sent" sent_d sent_s;
+      Alcotest.(check int) "every send staged" (List.length schedule) sent_s;
+      Alcotest.(check int) "frames staged" frames_d frames_s;
+      Alcotest.(check bool) "multi-task frames exercised" true (sent_s > frames_s);
+      Alcotest.(check bool) "same tasks, tickets and delivery order" true (got_s = got_d);
+      Alcotest.(check int) "every send delivered" (List.length schedule) (List.length got_s))
     [ 3; 17; 29 ]
 
-(* The inline sends and the barrier flush share one staging index: a
-   mailbox entry joins the frame a direct [send] opened earlier in the
-   step, and a direct send after the flush joins the mailbox's frame. *)
-let test_mailbox_joins_sent_frame () =
+(* Serial and shard-phase sends share each sender's index: a shard send
+   joins the frame a serial send opened on its link, and a serial send
+   after the seal joins the frame a shard opened. *)
+let test_shard_and_serial_sends_join () =
   let mark v = Task.Marking (Task.Mark1 { v; par = Plane.Rootpar; ep = 0 }) in
   let net = Network.create () in
-  let mbs = Array.init 2 (fun _ -> Network.Mailbox.create ()) in
+  Network.reserve net ~pes:2;
   Network.send ~src:0 net ~arrival:3 ~pe:1 (mark 1);
-  Helpers.post mbs.(0) ~src:0 ~arrival:3 ~pe:1 (mark 2);
-  Helpers.post mbs.(1) ~src:1 ~arrival:3 ~pe:0 (mark 3);
-  Array.iter (fun mb -> Network.Mailbox.flush mb net) mbs;
+  Network.shard_phase net;
+  Network.send ~src:0 net ~arrival:3 ~pe:1 (mark 2);
+  Network.send ~src:1 net ~arrival:3 ~pe:0 (mark 3);
+  Network.seal net;
   Network.send ~src:1 net ~arrival:3 ~pe:0 (mark 4);
-  let entries, sent, frames = observe net in
+  let entries, sent, frames, _ = observe net in
   Alcotest.(check int) "four tasks staged" 4 sent;
   Alcotest.(check int) "two frames, one per link" 2 frames;
   Alcotest.(check bool) "frame order is staging order" true
     (List.map snd entries = [ mark 1; mark 2; mark 3; mark 4 ])
 
+(* Sends the seal has not published must not escape it: flushing,
+   purging or severing the staged frames refuses, naming the sender and
+   what it holds, and leaves the network as it was. A PE outside the
+   reserved ones cannot send in the shard phase either. *)
+let test_unsealed_sends_refused () =
+  let mark v = Task.Marking (Task.Mark1 { v; par = Plane.Rootpar; ep = 0 }) in
+  let net = Network.create () in
+  Network.reserve net ~pes:4;
+  Network.shard_phase net;
+  Network.send ~src:2 net ~arrival:3 ~pe:1 (mark 1);
+  Network.send ~src:2 net ~arrival:4 ~pe:1 (mark 2);
+  Network.send ~src:2 net ~arrival:4 ~pe:1 (mark 3);
+  let refused fn =
+    Invalid_argument (Printf.sprintf "Network.%s: src 2 holds 2 unsealed frame(s) (3 tasks)" fn)
+  in
+  Alcotest.check_raises "deliver_serial" (refused "deliver_serial") (fun () ->
+      Network.deliver_serial net ~now:1 ~push:(fun _ _ _ -> ()));
+  Alcotest.check_raises "purge" (refused "purge") (fun () ->
+      ignore (Network.purge net (fun _ -> true)));
+  Alcotest.check_raises "crash_pe" (refused "crash_pe") (fun () ->
+      ignore (Network.crash_pe net ~pe:2));
+  Alcotest.check_raises "unreserved sender"
+    (Invalid_argument "Network: PE 4 is outside the 4 reserved before the shard phase")
+    (fun () -> Network.send ~src:4 net ~arrival:3 ~pe:1 (mark 4));
+  Alcotest.(check int) "nothing counted before the seal" 0 (Network.size net);
+  Network.seal net;
+  Alcotest.(check int) "sealed: every send counted" 3 (Network.size net);
+  Alcotest.(check int) "and purgeable" 3 (Network.purge net (fun _ -> true))
+
 (* --- empty-step fast path ------------------------------------------- *)
 
 (* An idle step's merge touches nothing: absorbing empty shard sinks and
-   flushing empty mailboxes must be allocation-free. *)
+   sealing a shard phase that sent nothing must be allocation-free. *)
 let test_empty_merge_alloc_free () =
   let pes = 8 in
   let main_h = Hist.create () and sub_h = Hist.create () in
   let main_m = Metrics.create () and sub_m = Metrics.create () in
   let net = Network.create () in
-  let mbs = Array.init pes (fun _ -> Network.Mailbox.create ()) in
+  Network.reserve net ~pes;
   let empty_merge () =
     Hist.absorb ~into:main_h sub_h;
     Metrics.absorb main_m sub_m;
-    for pe = 0 to pes - 1 do
-      Network.Mailbox.flush mbs.(pe) net
-    done
+    Network.shard_phase net;
+    Network.seal net
   in
   empty_merge ();
   (* warmed up *)
@@ -175,29 +215,30 @@ let test_empty_merge_alloc_free () =
 
 (* --- marks as lanes -------------------------------------------------- *)
 
-(* The whole per-mark transport path, as the engine drives it: post into
-   a PE's mailbox, flush at the barrier, the delivery tick, the shard's
-   take into its pool's ring, and the marking drain. Once the buffers
-   have grown, a mark is three ints all the way: under one minor word
-   per mark over the whole path. *)
+(* The whole per-mark transport path, as the engine drives it: a shard's
+   send into its own frame, the barrier's seal, the delivery tick, the
+   destination shard's take into its pool's ring, and the marking drain.
+   Once the buffers have grown, a mark is three ints all the way: under
+   one minor word per mark over the whole path. *)
 let test_mark_path_alloc_free () =
   let pes = 4 in
   let g = Graph.create ~num_pes:pes () in
   let pools = Array.init pes (fun pe -> Pool.create ~pe Pool.Flat g) in
   let takes = Array.map (fun pool v par meta -> Pool.push_mark pool v par meta) pools in
   let net = Network.create () in
-  let mbs = Array.init pes (fun _ -> Network.Mailbox.create ()) in
+  Network.reserve net ~pes;
   let meta = Task.meta ~kind:Task.kind_mark1 ~plane:Plane.MR ~prior:0 ~ep:0 in
   let drained = ref 0 in
   let handler : Task.sink = fun _ _ _ -> incr drained in
   let no_reduction _ _ _ = Alcotest.fail "no reduction was sent" in
   let marks = 64 in
   let round now =
+    Network.shard_phase net;
     for i = 0 to marks - 1 do
       let src = i mod pes and dst = i / pes mod pes in
-      Network.Mailbox.post_mark mbs.(src) ~src ~arrival:(now + 1) ~pe:dst i (-1) meta
+      Network.send_mark net ~src ~arrival:(now + 1) ~pe:dst i (-1) meta
     done;
-    Array.iter (fun mb -> Network.Mailbox.flush mb net) mbs;
+    Network.seal net;
     Network.deliver_serial net ~now:(now + 1) ~push:no_reduction;
     for pe = 0 to pes - 1 do
       Network.take_mark_lanes net ~pe takes.(pe);
@@ -400,14 +441,82 @@ let test_replayed_coop_spawn_is_local () =
   Alcotest.(check int) "local_messages counts every local Send" !local_sends
     (Engine.metrics e).Metrics.local_messages
 
+(* A cooperation event replayed at the barrier for PE p sends as p, after
+   the seal: when p's shard opened a frame on the same link for the same
+   arrival that step, the replayed send joins it instead of opening a
+   second one. The trace shows it: p's shard sends (the [Send]s after
+   its [Execute]s, before the step's first cooperation event), the
+   replayed sends (a [Send] right after a [Coop_spawn]), and the next
+   step's [Batch]es per link. A witness is a link whose shard sends that
+   step all share the replayed send's arrival and whose next flush is a
+   single frame carrying both. The machine flushes as many frames at 1
+   and 2 domains. *)
+let test_replay_joins_shard_frame () =
+  let pes = 4 in
+  let run domains =
+    let g, templates = Dgr_lang.Compile.load_string ~num_pes:pes (Dgr_lang.Prelude.fib 12) in
+    let r = Recorder.create ~capacity:(1 lsl 20) ~num_pes:pes () in
+    let config = Engine.Config.make ~num_pes:pes ~jitter:0.3 ~seed:5 ~domains () in
+    let e = Engine.create ~recorder:r ~config g templates in
+    Engine.inject_root_demand e;
+    ignore (Engine.run ~max_steps:20_000 e);
+    Engine.dispose e;
+    Alcotest.(check bool) (Printf.sprintf "domains %d: finished" domains) true (Engine.finished e);
+    Alcotest.(check int) "trace complete" 0 (Recorder.dropped r);
+    ((Engine.metrics e).Metrics.frames_sent, Array.of_list (Recorder.events r))
+  in
+  let frames1, evs = run 1 in
+  let frames2, _ = run 2 in
+  Alcotest.(check int) "frames_sent at 1 and 2 domains" frames1 frames2;
+  (* (step, src, dst) -> arrivals of the shard's sends, of the replayed
+     sends; (step, src, dst) -> the frame sizes flushed *)
+  let shard = Hashtbl.create 64 and replayed = Hashtbl.create 64 and batches = Hashtbl.create 64 in
+  let add tbl key x = Hashtbl.replace tbl key (x :: Option.value ~default:[] (Hashtbl.find_opt tbl key)) in
+  let cur = ref (-1, -1) and replaying = ref (-1) in
+  Array.iteri
+    (fun i (ev : Event.t) ->
+      let step = ev.Event.step in
+      if fst !cur <> step then cur := (step, -1);
+      match ev.Event.kind with
+      | Event.Execute { pe; _ } when !replaying <> step -> cur := (step, pe)
+      | Event.Coop_spawn { pe = p; child; _ } -> (
+        replaying := step;
+        if i + 1 < Array.length evs then
+          match evs.(i + 1).Event.kind with
+          | Event.Send { pe = d; vid; arrival; _ } when vid = child ->
+            add replayed (step, p, d) arrival
+          | _ -> ())
+      | Event.Coop_closure _ -> replaying := step
+      | Event.Send { pe = d; arrival; _ } when !replaying <> step && snd !cur >= 0 ->
+        add shard (step, snd !cur, d) arrival
+      | Event.Batch { src; dst; count } -> add batches (step - 1, src, dst) count
+      | _ -> ())
+    evs;
+  let witnesses =
+    Hashtbl.fold
+      (fun key arrivals acc ->
+        match (Hashtbl.find_opt shard key, Hashtbl.find_opt batches key) with
+        | Some (a :: rest as sent), Some [ count ]
+          when List.for_all (( = ) a) rest && List.mem a arrivals ->
+          Alcotest.(check bool) "the one frame carries the shard's and the replayed sends" true
+            (count >= List.length sent + List.length (List.filter (( = ) a) arrivals));
+          acc + 1
+        | _ -> acc)
+      replayed 0
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "a replayed send joined its PE's frame (%d witnesses)" witnesses)
+    true (witnesses > 0)
+
 let suite =
   [
     Alcotest.test_case "hist absorb is associative across domain groupings" `Quick
       test_absorb_associativity;
-    Alcotest.test_case "mailbox flush = direct send, src-major order" `Quick
-      test_mailbox_flush_equivalence;
-    Alcotest.test_case "mailbox entry joins a frame staged by send" `Quick
-      test_mailbox_joins_sent_frame;
+    Alcotest.test_case "shard sends + seal = serial sends, src-major" `Quick
+      test_seal_equivalence;
+    Alcotest.test_case "shard and serial sends join each other's frames" `Quick
+      test_shard_and_serial_sends_join;
+    Alcotest.test_case "unsealed sends are refused" `Quick test_unsealed_sends_refused;
     Alcotest.test_case "empty-step merge allocates nothing" `Quick
       test_empty_merge_alloc_free;
     Alcotest.test_case "mark path allocates under a word per mark" `Quick
@@ -421,4 +530,6 @@ let suite =
       test_inject_send_accounting;
     Alcotest.test_case "replayed cooperation sends as its PE" `Quick
       test_replayed_coop_spawn_is_local;
+    Alcotest.test_case "a replayed send joins its PE's shard frame" `Quick
+      test_replay_joins_shard_frame;
   ]

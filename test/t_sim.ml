@@ -576,6 +576,41 @@ let test_config_rejects_fault_rates () =
            = faults))
     [ ("drop", 0.99); ("duplicate", 1.0); ("delay", 1.0); ("stall", 1.0); ("crash", 1.0) ]
 
+(* A latency below 1 would deliver a remote message before it was sent,
+   and jitter is a probability: both are refused by [make] and by their
+   updaters, NaN jitter included, with the field and the value. *)
+let test_config_rejects_latency_and_jitter () =
+  let refused what msg ~make ~update =
+    let expected = Invalid_argument ("Engine.Config: " ^ msg) in
+    Alcotest.check_raises (what ^ " via make") expected (fun () -> ignore (make ()));
+    Alcotest.check_raises (what ^ " via updater") expected (fun () ->
+        ignore (update Engine.Config.default))
+  in
+  List.iter
+    (fun v ->
+      refused
+        (Printf.sprintf "latency %d" v)
+        (Printf.sprintf "latency must be at least 1, got %d" v)
+        ~make:(fun () -> Engine.Config.make ~latency:v ())
+        ~update:(Engine.Config.with_latency v))
+    [ 0; -3 ];
+  List.iter
+    (fun (p, shown) ->
+      refused ("jitter " ^ shown)
+        ("jitter must be in [0, 1], got " ^ shown)
+        ~make:(fun () -> Engine.Config.make ~jitter:p ())
+        ~update:(Engine.Config.with_jitter p))
+    [ (-0.2, "-0.2"); (1.5, "1.5"); (Float.nan, "nan") ];
+  Alcotest.(check int) "latency 1 accepted" 1
+    (Engine.Config.latency (Engine.Config.with_latency 1 (Engine.Config.make ~latency:1 ())));
+  List.iter
+    (fun p ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "jitter %g accepted" p)
+        p
+        (Engine.Config.jitter (Engine.Config.with_jitter p (Engine.Config.make ~jitter:p ()))))
+    [ 0.0; 1.0 ]
+
 let test_metrics_pp () =
   let m = Metrics.create () in
   Metrics.record_pause m 5;
@@ -626,6 +661,8 @@ let suite =
          ~update:Engine.Config.with_tasks_per_step ~get:Engine.Config.tasks_per_step);
     Alcotest.test_case "config rejects fault rates outside [0, 1] and drop = 1" `Quick
       test_config_rejects_fault_rates;
+    Alcotest.test_case "config rejects latency < 1 and jitter outside [0, 1]" `Quick
+      test_config_rejects_latency_and_jitter;
   ]
 
 (* Delivery jitter: deterministic per seed; results invariant. *)

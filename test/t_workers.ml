@@ -50,10 +50,17 @@ let within ~limit what f =
    publishes again. *)
 let past_spin_budget () = Unix.sleepf 0.05
 
+(* The profile counts the parks, and a machine without a pool has none. *)
 let test_park_and_wake () =
-  let expected = run_to_end ~domains:1 12 in
+  let one = fib_engine ~domains:1 12 in
+  Engine.inject_root_demand one;
+  let expected = finish one in
+  let p1 = Engine.profile one in
+  Alcotest.(check (pair int int)) "1 domain: no parks" (0, 0)
+    (p1.Profile.main_parks, p1.Profile.worker_parks);
   let e = fib_engine ~domains:2 12 in
   Engine.inject_root_demand e;
+  let slept = ref false in
   let got =
     within ~limit:60.0 "park-and-wake run" (fun () ->
         (* idle gaps early on, while the machine is busy on every PE *)
@@ -61,11 +68,17 @@ let test_park_and_wake () =
         while !i < 2_000 && not (Engine.finished e) do
           Engine.step e;
           incr i;
-          if !i mod 400 = 0 then past_spin_budget ()
+          if !i mod 400 = 0 then begin
+            past_spin_budget ();
+            slept := true
+          end
         done;
         finish e)
   in
-  Alcotest.(check string) "2-domain run with parked workers = 1-domain run" expected got
+  Alcotest.(check string) "2-domain run with parked workers = 1-domain run" expected got;
+  Alcotest.(check bool) "a gap past the spin budget" true !slept;
+  Alcotest.(check bool) "its worker parks were counted" true
+    ((Engine.profile e).Profile.worker_parks > 0)
 
 let test_dispose_states () =
   (* never stepped: no workers were spawned *)
