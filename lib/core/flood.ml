@@ -39,8 +39,6 @@ let credit t ~pe =
    dummy Rootpar so a task printout distinguishes the schemes. *)
 let seed_meta t = Run.mark_meta t.variant ~wave:t.wave ~prior:3
 
-let seed_for t v = Task.mark_of_lanes v (-1) (seed_meta t)
-
 let spawn_children t ~pe ~prior ~emit vx =
   for i = 0 to Trace.child_slots vx t.plane - 1 do
     let c = Trace.child_at vx t.plane i in

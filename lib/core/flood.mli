@@ -51,9 +51,6 @@ val seed_meta : t -> int
 (** The lane meta of a seed (and of every spawned task: the flood never
     uses mt-par, so the parent lane is always [-1]). *)
 
-val seed_for : t -> Vid.t -> Task.mark
-(** A seed task as a view. *)
-
 val count_seed : t -> pe:int -> unit
 (** Account for a seed task injected by the controller (counted as sent
     by [pe]; use the controller's home PE, conventionally 0). *)

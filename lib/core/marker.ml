@@ -111,5 +111,3 @@ let execute run ~pe ~emit v par meta =
   | Run.Basic | Run.Priority | Run.Tasks -> bad_task run v par meta
 
 let seed_meta run = Run.mark_meta run.Run.variant ~wave:run.Run.wave ~prior:3
-
-let seed_for run v = Task.mark_of_lanes v (-1) (seed_meta run)

@@ -1,4 +1,3 @@
-open Dgr_graph
 open Dgr_task
 
 (** Atomic execution of marking tasks (Figs 4-1, 5-1, 5-3).
@@ -26,6 +25,3 @@ val seed_meta : Run.t -> int
     (for M_R) initial priority 3 — "we assume that the value of the root
     is essential to the overall computation" (§5.1). A seed's parent is
     [Rootpar] ([-1]). *)
-
-val seed_for : Run.t -> Vid.t -> Task.mark
-(** The seed task for a vertex, as a view. *)

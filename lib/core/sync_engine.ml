@@ -6,91 +6,88 @@ type order = Fifo | Lifo | Random of Rng.t
 
 type t = {
   g : Graph.t;
-  tasks : Task.mark Vec.t;
+  ring : Mark_ring.t;
   order : order;
-  mutable head : int;  (** Fifo consumption index into [tasks] *)
-  mutable mr : Run.t option;
-  mutable mt : Run.t option;
+  mutable mr : Cycle.handler option;
+  mutable mt : Cycle.handler option;
   mut : Mutator.t;
+  exec : Task.sink;  (** [dispatch] bound to this engine *)
   mutable executed : int;
 }
 
+let dispatch t v par meta =
+  t.executed <- t.executed + 1;
+  let emit = t.mut.Mutator.spawn in
+  match (Task.meta_plane meta, t.mr, t.mt) with
+  | Plane.MR, Some h, _ | Plane.MT, _, Some h -> (
+    match h with
+    | Cycle.Tree_run run -> Marker.execute run ~pe:0 ~emit v par meta
+    | Cycle.Flood_run fl -> Flood.execute fl ~pe:0 ~emit v par meta)
+  | (Plane.MR | Plane.MT), _, _ ->
+    invalid_arg "Sync_engine: task for a run that was never started"
+
 let create ?(order = Fifo) g =
-  let mut = Mutator.create ~spawn:(fun _ _ _ -> ()) g in
-  let t =
-    { g; tasks = Vec.create (); order; head = 0; mr = None; mt = None; mut; executed = 0 }
+  let ring = Mark_ring.create () in
+  let mut = Mutator.create ~spawn:(Mark_ring.push ring) g in
+  let rec t =
+    { g; ring; order; mr = None; mt = None; mut; exec = (fun v p m -> dispatch t v p m);
+      executed = 0 }
   in
-  mut.Mutator.spawn <- Task.sink_of (Vec.push t.tasks);
   t
 
 let graph t = t.g
 
 let mutator t = t.mut
 
-let run_for t plane =
-  match (plane, t.mr, t.mt) with
-  | Plane.MR, Some r, _ -> r
-  | Plane.MT, _, Some r -> r
-  | (Plane.MR | Plane.MT), _, _ ->
-    invalid_arg "Sync_engine: task for a run that was never started"
+let handlers t = List.filter_map Fun.id [ t.mr; t.mt ]
 
-let active_runs t = List.filter_map Fun.id [ t.mr; t.mt ]
+(* Install [h] in its plane's slot and tell the mutator which runs and
+   floods now need cooperation. *)
+let install t plane h =
+  (match plane with Plane.MR -> t.mr <- Some h | Plane.MT -> t.mt <- Some h);
+  let runs, floods =
+    List.partition_map
+      (function Cycle.Tree_run r -> Left r | Cycle.Flood_run f -> Right f)
+      (handlers t)
+  in
+  Mutator.set_active t.mut runs;
+  Mutator.set_active_flood t.mut floods
 
 let start t variant ~seeds =
   let run = Run.create t.g variant in
-  (match run.Run.plane with
-  | Plane.MR -> t.mr <- Some run
-  | Plane.MT -> t.mt <- Some run);
-  Mutator.set_active t.mut (active_runs t);
+  install t run.Run.plane (Cycle.Tree_run run);
+  let meta = Marker.seed_meta run in
   List.iter
     (fun v ->
       Run.seed_added run;
-      Vec.push t.tasks (Marker.seed_for run v))
+      Mark_ring.push t.ring v (-1) meta)
     seeds;
   Run.check_trivially_finished run;
   run
 
-(* Queue compaction for the Fifo case: consumed entries are skipped via
-   [head] and physically dropped when they dominate the buffer. *)
-let compact t =
-  if t.head > 64 && t.head * 2 > Vec.length t.tasks then begin
-    let remaining = ref [] in
-    for i = Vec.length t.tasks - 1 downto t.head do
-      remaining := Vec.get t.tasks i :: !remaining
-    done;
-    Vec.clear t.tasks;
-    List.iter (Vec.push t.tasks) !remaining;
-    t.head <- 0
-  end
+let start_flood t variant ~seeds =
+  let fl = Flood.create t.g variant in
+  install t fl.Flood.plane (Cycle.Flood_run fl);
+  let meta = Flood.seed_meta fl in
+  List.iter
+    (fun v ->
+      Flood.count_seed fl ~pe:0;
+      Mark_ring.push t.ring v (-1) meta)
+    seeds;
+  fl
 
-let take t =
-  if t.head >= Vec.length t.tasks then None
-  else
-    match t.order with
-    | Fifo ->
-      let task = Vec.get t.tasks t.head in
-      t.head <- t.head + 1;
-      compact t;
-      Some task
-    | Lifo -> Vec.pop t.tasks
-    | Random rng ->
-      let i = t.head + Rng.int rng (Vec.length t.tasks - t.head) in
-      Some (Vec.swap_remove t.tasks i)
-
-let pending t =
-  let acc = ref [] in
-  for i = Vec.length t.tasks - 1 downto t.head do
-    acc := Vec.get t.tasks i :: !acc
-  done;
-  !acc
+let pending t = Mark_ring.to_list t.ring
 
 let step t =
-  match take t with
-  | None -> false
-  | Some task ->
-    t.executed <- t.executed + 1;
-    let run = run_for t (Task.plane_of_mark task) in
-    Task.emit_mark (Marker.execute run ~pe:0 ~emit:t.mut.Mutator.spawn) task;
+  let n = Mark_ring.length t.ring in
+  match t.order with
+  | _ when n = 0 -> false
+  | Fifo -> Mark_ring.pop_with t.ring t.exec
+  | Lifo ->
+    Mark_ring.take_with t.ring (n - 1) t.exec;
+    true
+  | Random rng ->
+    Mark_ring.take_with t.ring (Rng.int rng n) t.exec;
     true
 
 let drain ?interleave ?(max_steps = 10_000_000) t =
@@ -100,20 +97,16 @@ let drain ?interleave ?(max_steps = 10_000_000) t =
     (match interleave with Some f -> f t.executed | None -> ());
     if not (step t) then continue := false
     else if t.executed - start > max_steps then begin
-      let run_state =
-        match active_runs t with
-        | [] -> "no active run"
-        | runs ->
-          String.concat "; "
-            (List.map (fun r -> Format.asprintf "%a" Run.pp r) runs)
+      let describe = function
+        | Cycle.Tree_run r -> Format.asprintf "%a" Run.pp r
+        | Cycle.Flood_run f -> Printf.sprintf "flood: %d outstanding" (Flood.outstanding f)
       in
       failwith
         (Printf.sprintf
            "Sync_engine.drain: exceeded max_steps=%d after %d steps with %d \
             tasks queued (%s) — marking diverged?"
-           max_steps (t.executed - start)
-           (Vec.length t.tasks - t.head)
-           run_state)
+           max_steps (t.executed - start) (Mark_ring.length t.ring)
+           (String.concat "; " (List.map describe (handlers t))))
     end
   done;
   t.executed - start

@@ -43,10 +43,25 @@ module Config = struct
   (* A machine with no PE, or a per-step budget of nothing, would fail
      deep inside [Graph.create] or idle until the step limit: refuse it
      here, in [make] and the updaters alike. *)
-  let positive field v =
-    if v < 1 then
-      invalid_arg (Printf.sprintf "Engine.Config: %s must be at least 1, got %d" field v);
+  let at_least lo field v =
+    if v < lo then
+      invalid_arg (Printf.sprintf "Engine.Config: %s must be at least %d, got %d" field lo v);
     v
+
+  let positive = at_least 1
+
+  (* A stop-the-world period below 1 never collects, not even under
+     pressure; a negative idle gap or M_T period means nothing. An M_T
+     period of 0 disables M_T. *)
+  let gc_mode = function
+    | Stop_the_world { every } as m ->
+      ignore (positive "Stop_the_world.every" every);
+      m
+    | Concurrent { deadlock_every; idle_gap } as m ->
+      ignore (at_least 0 "Concurrent.deadlock_every" deadlock_every);
+      ignore (at_least 0 "Concurrent.idle_gap" idle_gap);
+      m
+    | (No_gc | Refcount) as m -> m
 
   (* Jitter and the fault rates are probabilities; NaN is refused too. *)
   let probability field p =
@@ -79,6 +94,8 @@ module Config = struct
     let num_pes = positive "num_pes" num_pes in
     let tasks_per_step = positive "tasks_per_step" tasks_per_step in
     let latency = positive "latency" latency in
+    let gc = gc_mode gc in
+    let gc_work_factor = positive "gc_work_factor" gc_work_factor in
     let jitter = probability "jitter" jitter in
     let faults = rates faults in
     {
@@ -114,11 +131,12 @@ module Config = struct
   let with_tasks_per_step v t =
     { t with machine = { t.machine with tasks_per_step = positive "tasks_per_step" v } }
 
-  let with_gc_work_factor v t = { t with gc = { t.gc with gc_work_factor = v } }
+  let with_gc_work_factor v t =
+    { t with gc = { t.gc with gc_work_factor = positive "gc_work_factor" v } }
   let with_heap_size v t = { t with gc = { t.gc with heap_size = v } }
   let with_pool_policy v t = { t with machine = { t.machine with pool_policy = v } }
   let with_speculate_if v t = { t with machine = { t.machine with speculate_if = v } }
-  let with_gc v t = { t with gc = { t.gc with mode = v } }
+  let with_gc v t = { t with gc = { t.gc with mode = gc_mode v } }
   let with_marking v t = { t with gc = { t.gc with marking = v } }
   let with_recover_deadlock v t = { t with gc = { t.gc with recover_deadlock = v } }
   let with_jitter v t = { t with network = { t.network with jitter = probability "jitter" v } }
@@ -825,7 +843,7 @@ let flush_rc_purge t =
 (* GC work (tracing a vertex, sweeping a slot) is much lighter than
    executing a task; [gc_work_factor] work units fit in one task slot. *)
 let pause t ~reason work =
-  let per_step = throughput t * Int.max 1 t.gc_work_factor in
+  let per_step = throughput t * t.gc_work_factor in
   let steps = (work + per_step - 1) / per_step in
   Metrics.record_pause t.m steps;
   obs t (Dgr_obs.Event.Pause { steps; reason });
@@ -897,9 +915,8 @@ let gc_control t =
     (* Memory pressure pulls the schedule in, but never below a quarter
        of the period — a full collection per step would thrash. *)
     if
-      every > 0
-      && (t.now >= t.next_stw_at
-         || (under_pressure t && t.now >= t.next_stw_at - (3 * every / 4)))
+      t.now >= t.next_stw_at
+      || (under_pressure t && t.now >= t.next_stw_at - (3 * every / 4))
     then begin
       if t.now < t.next_stw_at then obs t (Dgr_obs.Event.Heap_pressure { headroom = Graph.headroom t.g });
       let report = Stw.collect t.g ~purge_tasks:(purge_for_baseline t) in

@@ -127,9 +127,13 @@ module Config : sig
       speculation on, concurrent GC with M_T every cycle and idle gap 50,
       [Tree] marking, no jitter, no faults, seed 0, 1 domain, batching
       on. Raises [Invalid_argument], naming the field and the value, when
-      [num_pes], [latency] or [tasks_per_step] is below 1, or [jitter] is
-      outside [[0, 1]] (NaN included); so do {!with_num_pes},
-      {!with_latency}, {!with_tasks_per_step} and {!with_jitter}. [make]
+      [num_pes], [latency], [tasks_per_step] or [gc_work_factor] is below
+      1, [jitter] is outside [[0, 1]] (NaN included), or [gc] is a
+      [Stop_the_world] period below 1 or a [Concurrent] mode with a
+      negative [deadlock_every] or [idle_gap] ([deadlock_every = 0]
+      disables M_T); so do {!with_num_pes}, {!with_latency},
+      {!with_tasks_per_step}, {!with_gc_work_factor}, {!with_gc} and
+      {!with_jitter}. [make]
       and {!with_faults} likewise refuse a fault rate ([drop],
       [duplicate], [delay], [stall], [crash]) outside [[0, 1]], and
       [drop = 1], which loses every retransmit and ack too. *)

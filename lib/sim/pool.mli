@@ -4,10 +4,11 @@ open Dgr_task
 (** Per-PE task pools (§5.2's [taskpool(i)]) with dynamic prioritization.
 
     A pool holds two queues. Marking tasks wait in a FIFO ring of mark
-    lanes ({!Task.sink}): they all share one priority and carry no
-    lineage ticket, so push and pop are O(1) and allocate nothing; the
-    [Task.t] entry points convert to and from views. Reduction tasks wait in a priority queue (FIFO among equals,
-    so execution stays deterministic). The policy decides how much of
+    lanes ({!Dgr_task.Mark_ring}): they all share one priority and carry
+    no lineage ticket, so push and pop are O(1) and allocate nothing;
+    the [Task.t] entry points convert to and from views. Reduction tasks
+    wait in a priority queue (FIFO among equals, so execution stays
+    deterministic). The policy decides how much of
     the paper's §3.2 the reduction scheduler uses:
 
     - [Flat]: no priorities (everything FIFO) — the ablation baseline;
@@ -18,8 +19,6 @@ open Dgr_task
       became vital is boosted and one that became reserve is demoted. *)
 
 type policy = Flat | By_demand | Dynamic
-
-val policy_to_string : policy -> string
 
 type t
 

@@ -119,10 +119,6 @@ let mark_of_lanes v par m =
   | 2 -> Mark3 { v; par; ep }
   | _ -> Return { plane = meta_plane m; par; ep }
 
-let emit_mark (sink : sink) m = sink (lane_v m) (lane_par m) (lane_meta m)
-
-let sink_of f : sink = fun v par m -> f (mark_of_lanes v par m)
-
 let obs_kind_of_meta m = if is_return m then Dgr_obs.Event.Return_mark else Dgr_obs.Event.Mark
 
 let plane_of_mark = function

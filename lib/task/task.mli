@@ -106,7 +106,8 @@ val respond : src:Vid.t -> key:Vid.t -> ?demand:Demand.t -> Vertex.requester -> 
     priority (0-3) and the wave. Handlers emit lanes, and frames and
     pools carry them, so sending a mark allocates nothing.
     {!mark} is the view tests, printers, invariants and purge predicates
-    read; {!mark_of_lanes} and {!emit_mark} convert between the two. *)
+    read; {!mark_of_lanes} and the three [lane_*] functions convert
+    between the two. *)
 
 type sink = int -> int -> int -> unit
 (** Receives one mark as [v par meta]. *)
@@ -137,12 +138,6 @@ val lane_meta : mark -> int
 
 val mark_of_lanes : int -> int -> int -> mark
 (** The view of [v par meta]; inverse of the three [lane_*] functions. *)
-
-val emit_mark : sink -> mark -> unit
-(** Hand a view to a sink as lanes. *)
-
-val sink_of : (mark -> unit) -> sink
-(** A sink that rebuilds the view and passes it on (tests, tools). *)
 
 val obs_kind_of_meta : int -> Dgr_obs.Event.task_kind
 

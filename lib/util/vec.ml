@@ -89,11 +89,4 @@ let truncate v n =
     invalid_arg (Printf.sprintf "Vec.truncate: length %d out of bounds [0,%d]" n v.len);
   v.len <- n
 
-let swap_remove v i =
-  check v i "swap_remove";
-  let x = v.data.(i) in
-  v.len <- v.len - 1;
-  v.data.(i) <- v.data.(v.len);
-  x
-
 let unsafe_data v = v.data

@@ -53,10 +53,6 @@ val truncate : 'a t -> int -> unit
     raises [Invalid_argument] if [n] exceeds the current length. Used to
     compact parallel vectors in lock-step. *)
 
-val swap_remove : 'a t -> int -> 'a
-(** [swap_remove v i] removes the element at [i] in O(1) by moving the last
-    element into its place. Does not preserve order. *)
-
 val unsafe_data : 'a t -> 'a array
 (** The backing array, for bulk loops that cannot afford a bounds check
     or closure per element. Only indices below [length v] hold live

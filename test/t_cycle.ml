@@ -141,7 +141,8 @@ let test_mt_before_mr_order () =
   let spawned = ref [] in
   let env =
     {
-      Cycle.spawn_mark = Dgr_task.Task.sink_of (fun m -> spawned := m :: !spawned);
+      Cycle.spawn_mark =
+        (fun v par meta -> spawned := Dgr_task.Task.mark_of_lanes v par meta :: !spawned);
       pes = 1;
       iter_pe_endpoints =
         (fun _pe f ->

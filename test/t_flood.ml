@@ -7,30 +7,16 @@ open Dgr_util
 
 let qtest = QCheck_alcotest.to_alcotest
 
-(* A minimal single-queue driver for flood runs (the sync-engine
-   equivalent; the full distributed execution is exercised through the
-   simulator below). *)
-let flood_drain ?mut fl seeds =
-  let queue = Queue.create () in
-  List.iter
-    (fun v ->
-      Flood.count_seed fl ~pe:0;
-      Queue.add (Flood.seed_for fl v) queue)
-    seeds;
-  (match mut with
-  | Some m -> m.Mutator.spawn <- Dgr_task.Task.sink_of (fun task -> Queue.add task queue)
-  | None -> ());
-  let executed = ref 0 in
-  while not (Queue.is_empty queue) do
-    let task = Queue.pop queue in
-    Helpers.on_view
-      (Flood.execute fl ~pe:0 ~emit:(Dgr_task.Task.sink_of (fun t -> Queue.add t queue)))
-      task;
-    incr executed;
-    if !executed > 10_000_000 then failwith "flood diverged"
-  done;
+(* Flood a graph to quiescence on the synchronous engine (the full
+   distributed execution is exercised through the simulator below); the
+   counters must balance. *)
+let flood_drain ?order g variant seeds =
+  let e = Sync_engine.create ?order g in
+  let fl = Sync_engine.start_flood e variant ~seeds in
+  let (_ : int) = Sync_engine.drain e in
   Alcotest.(check int) "counters balance" (Flood.sent_total fl) (Flood.executed_total fl);
-  Alcotest.(check int) "outstanding zero" 0 (Flood.outstanding fl)
+  Alcotest.(check int) "outstanding zero" 0 (Flood.outstanding fl);
+  fl
 
 let test_termination_detector () =
   let t = Termination.create ~window:5 ~epoch:7 ~pes:2 in
@@ -65,8 +51,7 @@ let test_flood_marks_reachable () =
   let root = Builder.binary_tree g ~depth:4 in
   Graph.set_root g root;
   let junk = Builder.cycle g 4 in
-  let fl = Flood.create g Run.Basic in
-  flood_drain fl [ root ];
+  let fl = flood_drain g Run.Basic [ root ] in
   let marked = Helpers.marked_set g Plane.MR in
   let expected = Dgr_analysis.Reach.reachable_from (Snapshot.take g) [ root ] in
   Helpers.check_vid_set "flood = R" expected marked;
@@ -89,52 +74,57 @@ let arb_spec = QCheck.make spec_gen
 let prop_flood_equals_tree_static =
   QCheck.Test.make ~name:"flood priorities = tree priorities (static)" ~count:60 arb_spec
     (fun (spec, seed) ->
-      let g1 = Builder.random_with_requests (Rng.create seed) spec in
-      let g2 = Builder.random_with_requests (Rng.create seed) spec in
-      (* tree on g1 *)
-      let (_ : Run.t) = Sync_engine.mark g1 Run.Priority ~seeds:[ Graph.root g1 ] in
-      (* flood on g2 *)
-      let fl = Flood.create g2 Run.Priority in
-      flood_drain fl [ Graph.root g2 ];
-      Graph.fold_live
-        (fun ok v ->
-          ok
-          &&
-          let w = Graph.vertex g2 (Vertex.id v) in
-          Plane.marked (Vertex.mr v) = Plane.marked (Vertex.mr w)
-          && Plane.prior (Vertex.mr v) = Plane.prior (Vertex.mr w))
-        true g1)
+      List.for_all
+        (fun (_, order) ->
+          let g1 = Builder.random_with_requests (Rng.create seed) spec in
+          let g2 = Builder.random_with_requests (Rng.create seed) spec in
+          (* tree on g1 *)
+          let (_ : Run.t) = Sync_engine.mark ~order g1 Run.Priority ~seeds:[ Graph.root g1 ] in
+          (* flood on g2 *)
+          let (_ : Flood.t) = flood_drain ~order g2 Run.Priority [ Graph.root g2 ] in
+          Graph.fold_live
+            (fun ok v ->
+              ok
+              &&
+              let w = Graph.vertex g2 (Vertex.id v) in
+              Plane.marked (Vertex.mr v) = Plane.marked (Vertex.mr w)
+              && Plane.prior (Vertex.mr v) = Plane.prior (Vertex.mr w))
+            true g1)
+        (Helpers.orders (Rng.create (seed + 7))))
 
 let prop_flood_mt_equals_oracle =
   QCheck.Test.make ~name:"flood M_T = oracle T" ~count:40 arb_spec
     (fun (spec, seed) ->
-      let g = Builder.random_with_requests (Rng.create seed) spec in
-      let rng = Rng.create (seed * 5) in
-      let tasks =
-        Graph.fold_live
-          (fun acc v ->
-            List.fold_left
-              (fun acc (e : Vertex.request_entry) ->
-                if Rng.int rng 2 = 0 then
-                  Dgr_task.Task.Request
-                    { src = e.Vertex.who; dst = (Vertex.id v); demand = e.Vertex.demand;
-                      key = e.Vertex.key }
-                  :: acc
-                else acc)
-              acc (Vertex.requested v))
-          [] g
-      in
-      let seeds =
-        List.concat_map Dgr_task.Task.reduction_endpoints tasks |> List.sort_uniq compare
-      in
-      let fl = Flood.create g Run.Tasks in
-      flood_drain fl seeds;
-      Vid.Set.equal (Helpers.marked_set g Plane.MT)
-        (Dgr_analysis.Reach.task_reachable_from (Snapshot.take g) tasks))
+      List.for_all
+        (fun (_, order) ->
+          let g = Builder.random_with_requests (Rng.create seed) spec in
+          let rng = Rng.create (seed * 5) in
+          let tasks =
+            Graph.fold_live
+              (fun acc v ->
+                List.fold_left
+                  (fun acc (e : Vertex.request_entry) ->
+                    if Rng.int rng 2 = 0 then
+                      Dgr_task.Task.Request
+                        { src = e.Vertex.who; dst = (Vertex.id v); demand = e.Vertex.demand;
+                          key = e.Vertex.key }
+                      :: acc
+                    else acc)
+                  acc (Vertex.requested v))
+              [] g
+          in
+          let seeds =
+            List.concat_map Dgr_task.Task.reduction_endpoints tasks |> List.sort_uniq compare
+          in
+          let (_ : Flood.t) = flood_drain ~order g Run.Tasks seeds in
+          Vid.Set.equal (Helpers.marked_set g Plane.MT)
+            (Dgr_analysis.Reach.task_reachable_from (Snapshot.take g) tasks))
+        (Helpers.orders (Rng.create (seed + 7))))
 
-(* Under concurrent mutation: drive the flood through a queue while an
-   axiom-safe adversary mutates between executions; everything reachable
-   at the end must be marked, nothing garbage-at-start may be marked. *)
+(* Under concurrent mutation: drive the flood on the synchronous engine
+   while an axiom-safe adversary mutates between executions; everything
+   reachable at the end must be marked, nothing garbage-at-start may be
+   marked. *)
 let prop_flood_safety_liveness_under_mutation =
   QCheck.Test.make ~name:"flood safety+liveness under mutation" ~count:40 arb_spec
     (fun (spec, seed) ->
@@ -148,14 +138,10 @@ let prop_flood_safety_liveness_under_mutation =
             if Vid.Set.mem (Vertex.id v) r then acc else Vid.Set.add (Vertex.id v) acc)
           Vid.Set.empty g
       in
-      let fl = Flood.create g Run.Priority in
-      let mut = Mutator.create ~spawn:(fun _ _ _ -> ()) g in
-      Mutator.set_active_flood mut [ fl ];
-      let queue = Queue.create () in
-      mut.Mutator.spawn <- Dgr_task.Task.sink_of (fun task -> Queue.add task queue);
-      Flood.count_seed fl ~pe:0;
-      Queue.add (Flood.seed_for fl (Graph.root g)) queue;
-      let adversary () =
+      let e = Sync_engine.create g in
+      let mut = Sync_engine.mutator e in
+      let fl = Sync_engine.start_flood e Run.Priority ~seeds:[ Graph.root g ] in
+      let adversary _ =
         if Rng.int rng 3 = 0 then begin
           let live = Graph.live_vids g in
           let pick () = Rng.choose_list rng live in
@@ -185,17 +171,7 @@ let prop_flood_safety_liveness_under_mutation =
             end
         end
       in
-      let steps = ref 0 in
-      while not (Queue.is_empty queue) do
-        adversary ();
-        (if not (Queue.is_empty queue) then
-           let task = Queue.pop queue in
-           Helpers.on_view
-             (Flood.execute fl ~pe:0 ~emit:(Dgr_task.Task.sink_of (fun t -> Queue.add t queue)))
-             task);
-        incr steps;
-        if !steps > 5_000_000 then failwith "flood diverged under mutation"
-      done;
+      let (_ : int) = Sync_engine.drain ~interleave:adversary ~max_steps:5_000_000 e in
       let reachable = Dgr_analysis.Reach.reachable_from (Snapshot.take g) [ Graph.root g ] in
       let liveness =
         Vid.Set.for_all

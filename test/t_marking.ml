@@ -223,8 +223,68 @@ let test_planes_independent () =
   Alcotest.(check bool) "MR marked" true (Plane.marked (Vertex.mr (Graph.vertex g head)));
   Alcotest.(check bool) "MT untouched" true (Plane.unmarked (Vertex.mt (Graph.vertex g head)))
 
+(* The dequeue schedule itself, pinned: M_T from every requested vertex,
+   then M_R from the root, on one engine. The tasks executed and every
+   live vertex's (mt-par, prior, marked) on both planes differ per order,
+   so a change to how any order picks its next mark shows here even when
+   the marked sets agree. *)
+let schedule_fingerprint order seed =
+  let spec =
+    { Builder.live = 60; garbage = 20; free_pool = 10; avg_degree = 2.0; cycle_bias = 0.2 }
+  in
+  let g = Builder.random_with_requests (Rng.create seed) spec in
+  let seeds =
+    List.rev
+      (Graph.fold_live
+         (fun acc v -> if Vertex.requested v = [] then acc else Vertex.id v :: acc)
+         [] g)
+  in
+  let e = Sync_engine.create ~order g in
+  let (_ : Run.t) = Sync_engine.start e Run.Tasks ~seeds in
+  let n_mt = Sync_engine.drain e in
+  let (_ : Run.t) = Sync_engine.start e Run.Priority ~seeds:[ Graph.root g ] in
+  let n_mr = Sync_engine.drain e in
+  let b = Buffer.create 4096 in
+  let plane p = Printf.bprintf b "%d,%d,%b;" (Plane.par_vid p) (Plane.prior p) (Plane.marked p) in
+  Graph.iter_live
+    (fun v ->
+      Printf.bprintf b "%d:" (Vertex.id v);
+      plane (Vertex.mt v);
+      plane (Vertex.mr v))
+    g;
+  Printf.sprintf "%d+%d %s" n_mt n_mr (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let test_schedules_pinned () =
+  List.iter
+    (fun (seed, fifo, lifo, random) ->
+      List.iter
+        (fun (name, order, expected) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s schedule, seed %d" name seed)
+            expected (schedule_fingerprint order seed))
+        [
+          ("fifo", Sync_engine.Fifo, fifo);
+          ("lifo", Sync_engine.Lifo, lifo);
+          ("random", Sync_engine.Random (Rng.create (seed + 1)), random);
+        ])
+    [
+      ( 3,
+        "338+264 38a321555028b9617df1f85526787660",
+        "338+316 8bb47e0098a0d22d87d4eda2acd62003",
+        "338+262 184822fb9cbe4523803f9fe474ce4daa" );
+      ( 17,
+        "364+254 666bb0a2f1669a8e3a8cce1b6a0d5046",
+        "364+256 6551586f26f131d20fec008527714ef0",
+        "364+256 c39aa5ac1b12db501c95eaef36f64362" );
+      ( 42,
+        "352+240 2a68a78f93a696e01045a01955c547c5",
+        "352+240 5ac94d3bd178780dc084f211b80a5cd8",
+        "352+240 287f411df8b2121692a2d9e95fad800a" );
+    ]
+
 let suite =
   [
+    Alcotest.test_case "dequeue schedules pinned" `Quick test_schedules_pinned;
     Alcotest.test_case "chain" `Quick test_chain;
     Alcotest.test_case "binary tree" `Quick test_tree;
     Alcotest.test_case "self loop" `Quick test_self_loop;
@@ -316,7 +376,7 @@ let test_drain_guard () =
     (* each injected seed produces at least a return task, so the queue
        can never drain while the feeder keeps going *)
     Run.seed_added run;
-    Helpers.on_view mut.Mutator.spawn (Marker.seed_for run head)
+    mut.Mutator.spawn head (-1) (Marker.seed_meta run)
   in
   match Sync_engine.drain ~interleave:feeder ~max_steps:500 engine with
   | exception Failure _ -> ()

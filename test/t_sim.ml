@@ -578,7 +578,10 @@ let test_config_rejects_fault_rates () =
 
 (* A latency below 1 would deliver a remote message before it was sent,
    and jitter is a probability: both are refused by [make] and by their
-   updaters, NaN jitter included, with the field and the value. *)
+   updaters, NaN jitter included, with the field and the value. So are
+   GC settings that cannot work: a stop-the-world period below 1 (the
+   machine would never collect), a negative M_T period or idle gap, and
+   a GC work factor below 1. *)
 let test_config_rejects_latency_and_jitter () =
   let refused what msg ~make ~update =
     let expected = Invalid_argument ("Engine.Config: " ^ msg) in
@@ -601,6 +604,41 @@ let test_config_rejects_latency_and_jitter () =
         ~make:(fun () -> Engine.Config.make ~jitter:p ())
         ~update:(Engine.Config.with_jitter p))
     [ (-0.2, "-0.2"); (1.5, "1.5"); (Float.nan, "nan") ];
+  List.iter
+    (fun (what, msg, gc) ->
+      refused what msg
+        ~make:(fun () -> Engine.Config.make ~gc ())
+        ~update:(Engine.Config.with_gc gc))
+    [
+      ( "stw every 0",
+        "Stop_the_world.every must be at least 1, got 0",
+        Engine.Stop_the_world { every = 0 } );
+      ( "deadlock_every -1",
+        "Concurrent.deadlock_every must be at least 0, got -1",
+        Engine.Concurrent { deadlock_every = -1; idle_gap = 50 } );
+      ( "idle_gap -1",
+        "Concurrent.idle_gap must be at least 0, got -1",
+        Engine.Concurrent { deadlock_every = 1; idle_gap = -1 } );
+    ];
+  List.iter
+    (fun v ->
+      refused
+        (Printf.sprintf "gc_work_factor %d" v)
+        (Printf.sprintf "gc_work_factor must be at least 1, got %d" v)
+        ~make:(fun () -> Engine.Config.make ~gc_work_factor:v ())
+        ~update:(Engine.Config.with_gc_work_factor v))
+    [ 0; -2 ];
+  List.iter
+    (fun gc ->
+      Alcotest.(check bool) "edge GC setting accepted" true
+        (Engine.Config.gc (Engine.Config.with_gc gc (Engine.Config.make ~gc ())) = gc))
+    [
+      Engine.Stop_the_world { every = 1 };
+      Engine.Concurrent { deadlock_every = 0; idle_gap = 0 };
+    ];
+  Alcotest.(check int) "gc_work_factor 1 accepted" 1
+    (Engine.Config.gc_work_factor
+       (Engine.Config.with_gc_work_factor 1 (Engine.Config.make ~gc_work_factor:1 ())));
   Alcotest.(check int) "latency 1 accepted" 1
     (Engine.Config.latency (Engine.Config.with_latency 1 (Engine.Config.make ~latency:1 ())));
   List.iter

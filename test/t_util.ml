@@ -21,12 +21,6 @@ let test_vec_filter_in_place () =
   Vec.filter_in_place (fun x -> x mod 2 = 0) v;
   Alcotest.(check (list int)) "evens kept in order" [ 2; 4; 6 ] (Vec.to_list v)
 
-let test_vec_swap_remove () =
-  let v = Vec.of_list [ 10; 20; 30; 40 ] in
-  let x = Vec.swap_remove v 1 in
-  Alcotest.(check int) "removed" 20 x;
-  Alcotest.(check (list int)) "last moved in" [ 10; 40; 30 ] (Vec.to_list v)
-
 let test_rng_determinism () =
   let a = Rng.create 42 and b = Rng.create 42 in
   for _ = 1 to 50 do
@@ -227,7 +221,6 @@ let suite =
     Alcotest.test_case "vec push/get/pop" `Quick test_vec_push_get;
     Alcotest.test_case "vec bounds checking" `Quick test_vec_bounds;
     Alcotest.test_case "vec filter_in_place" `Quick test_vec_filter_in_place;
-    Alcotest.test_case "vec swap_remove" `Quick test_vec_swap_remove;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independence;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
