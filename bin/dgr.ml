@@ -19,9 +19,16 @@ let setup_logs level =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level level
 
+(* A FILE's text; a missing or unreadable one is a user error that names
+   the path. *)
+let read_file path =
+  try Ok (In_channel.with_open_text path In_channel.input_all)
+  with Sys_error msg ->
+    Error (if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg)
+
 let read_source file expr =
   match (file, expr) with
-  | Some f, None -> Ok (In_channel.with_open_text f In_channel.input_all)
+  | Some f, None -> read_file f
   | None, Some e -> Ok ("def main = " ^ e ^ ";")
   | Some _, Some _ -> Error "pass either FILE or --expr, not both"
   | None, None -> Error "a FILE or --expr is required"
@@ -227,8 +234,8 @@ let trace_cmd file expr opts output timeseries sample_every max_steps log_level 
 
 let check_cmd file =
   match
+    Result.bind (read_file file) @@ fun source ->
     try
-      let source = In_channel.with_open_text file In_channel.input_all in
       let program = Dgr_lang.Parser.parse_program source in
       let (_ : Dgr_reduction.Template.registry) = Dgr_lang.Compile.compile_program program in
       Ok (List.length program)
@@ -237,7 +244,6 @@ let check_cmd file =
     | Dgr_lang.Parser.Parse_error msg -> Error ("parse error: " ^ msg)
     | Dgr_lang.Lexer.Error (msg, pos) ->
       Error (Printf.sprintf "lex error at offset %d: %s" pos msg)
-    | Sys_error msg -> Error msg
   with
   | Ok n ->
     Format.printf "%s: ok (%d definitions)@." file n;

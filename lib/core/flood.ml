@@ -6,73 +6,62 @@ type t = {
   plane : Plane.id;
   variant : Run.variant;
   wave : int;
+  metas : int array;
   sent : int array;
   executed : int array;
 }
 
 let create graph variant =
-  let n = Graph.num_pes graph in
+  let n = Graph.num_pes graph and wave = Graph.wave graph in
   {
     graph;
     plane = Run.plane_of_variant variant;
     variant;
-    wave = Graph.wave graph;
+    wave;
+    metas = Run.metas_of variant ~wave;
     sent = Array.make n 0;
     executed = Array.make n 0;
   }
 
-let pe_slot t pe = if pe >= 0 && pe < Array.length t.sent then pe else 0
+let pe_slot cells pe = if pe >= 0 && pe < Array.length cells then pe else 0
 
-let count_seed t ~pe = t.sent.(pe_slot t pe) <- t.sent.(pe_slot t pe) + 1
+let count cells ~pe n =
+  let s = pe_slot cells pe in
+  cells.(s) <- cells.(s) + n
 
-let count_coop_spawn t ~pe = count_seed t ~pe
+let count_seed t ~pe = count t.sent ~pe 1
 
-let count_executed t ~pe =
-  let s = pe_slot t pe in
-  t.executed.(s) <- t.executed.(s) + 1
+let sent_on t ~pe = t.sent.(pe_slot t.sent pe)
 
-let credit t ~pe =
-  let s = pe_slot t pe in
-  (t.sent.(s), t.executed.(s))
+let executed_on t ~pe = t.executed.(pe_slot t.executed pe)
 
 (* The flood never uses mt-par; seeds and spawned tasks alike carry the
    dummy Rootpar so a task printout distinguishes the schemes. *)
-let seed_meta t = Run.mark_meta t.variant ~wave:t.wave ~prior:3
+let seed_meta t = t.metas.(3)
 
-let spawn_children t ~pe ~prior ~emit vx =
-  for i = 0 to Trace.child_slots vx t.plane - 1 do
-    let c = Trace.child_at vx t.plane i in
-    if c >= 0 then begin
-      count_seed t ~pe;
-      emit c (-1)
-        (Run.mark_meta t.variant ~wave:t.wave ~prior:(Trace.child_priority_of vx prior c))
-    end
-  done
-
-let execute t ~pe ~emit v _par meta =
-  if Task.is_return meta then invalid_arg "Flood.execute: this scheme has no return tasks";
-  if Task.meta_plane meta <> t.plane then invalid_arg "Flood.execute: task for the wrong plane";
-  if Task.meta_ep meta <> t.wave then
-    invalid_arg "Flood.execute: stale-wave task (drop before dispatch)";
-  count_executed t ~pe;
-  let vx = Graph.vertex t.graph v in
-  let plane = Vertex.plane vx t.plane in
-  if Task.meta_kind meta = Task.kind_mark2 then begin
-    let prior = Task.meta_prior meta in
-    if (Vertex.free vx) then ()
-    else if Plane.marked plane && prior <= (Plane.prior plane) then ()
-    else begin
-      (* first visit, or a strictly higher priority: (re-)flood *)
-      Plane.mark plane;
-      Plane.set_prior plane @@ prior;
-      spawn_children t ~pe ~prior ~emit vx
-    end
-  end
-  else if (Vertex.free vx) || Plane.marked plane then ()
+(* The priority a mark floods at: a mark2 at its own (a first visit, or
+   a strictly higher priority, (re-)floods), the priority-less marks at
+   0. The flood's own marks carry one of its [metas]; anything else is
+   decoded and checked. *)
+let prior_of t meta =
+  let prior = Run.prior_in t.metas meta in
+  if prior >= 0 then prior
   else begin
-    Plane.mark plane;
-    spawn_children t ~pe ~prior:3 ~emit vx
+    if Task.is_return meta then
+      invalid_arg "Flood.execute: this scheme has no return tasks";
+    if Task.meta_plane meta <> t.plane then
+      invalid_arg "Flood.execute: task for the wrong plane";
+    if Task.meta_ep meta <> t.wave then
+      invalid_arg "Flood.execute: stale-wave task (drop before dispatch)";
+    if Task.meta_kind meta = Task.kind_mark2 then Task.meta_prior meta else 0
   end
+
+(* The children the visit spawns are counted as sent by [pe]. *)
+let execute t ~pe ~emit v _par meta =
+  let prior = prior_of t meta in
+  count t.executed ~pe 1;
+  let n = Vertex.mark_flood (Graph.vertex t.graph v) t.plane ~prior ~metas:t.metas ~emit in
+  if n > 0 then count t.sent ~pe n
 
 let sent_total t = Array.fold_left ( + ) 0 t.sent
 

@@ -32,6 +32,7 @@ type t = {
   plane : Plane.id;
   variant : Run.variant;
   wave : int;  (** the [Graph.wave] this flood marks under *)
+  metas : int array;  (** the mark metas by priority ([Run.metas_of]) *)
   sent : int array;  (** per-PE: mark tasks spawned from this PE *)
   executed : int array;  (** per-PE: mark tasks executed on this PE *)
 }
@@ -55,14 +56,12 @@ val count_seed : t -> pe:int -> unit
 (** Account for a seed task injected by the controller (counted as sent
     by [pe]; use the controller's home PE, conventionally 0). *)
 
-val count_coop_spawn : t -> pe:int -> unit
-(** Account for a mark task spawned by a cooperating mutation executing
-    on PE [pe]. *)
+val sent_on : t -> pe:int -> int
 
-val credit : t -> pe:int -> int * int
-(** [pe]'s local [(sent, executed)] counter pair — what the PE reports
-    to the distributed termination detector (piggybacked on transport
-    frames; see {!Termination}). *)
+val executed_on : t -> pe:int -> int
+(** [sent_on] and [executed_on] are [pe]'s local counters: the credit the
+    PE reports to the distributed termination detector (piggybacked on
+    transport frames, or posted as heartbeats; see {!Termination}). *)
 
 val sent_total : t -> int
 

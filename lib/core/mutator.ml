@@ -22,25 +22,10 @@ type t = {
      so the traversal allocates nothing once the stack has grown. *)
   mutable stk : int array;
   mutable stk_n : int;
+  mutable stk_sink : Task.sink;
 }
 
 let nop2 _ _ = ()
-
-let create ?(on_connect = nop2) ?(on_disconnect = nop2) ?recorder ~spawn graph =
-  {
-    graph;
-    active = [];
-    active_flood = [];
-    spawn;
-    coop_pe = (fun () -> 0);
-    defer = None;
-    on_connect;
-    on_disconnect;
-    recorder;
-    guard = ignore;
-    stk = Array.make 32 0;
-    stk_n = 0;
-  }
 
 let stk_push t v prior =
   let n = t.stk_n in
@@ -52,6 +37,31 @@ let stk_push t v prior =
   t.stk.(2 * n) <- v;
   t.stk.((2 * n) + 1) <- prior;
   t.stk_n <- n + 1
+
+let create ?(on_connect = nop2) ?(on_disconnect = nop2) ?recorder ~spawn graph =
+  let t =
+    {
+      graph;
+      active = [];
+      active_flood = [];
+      spawn;
+      coop_pe = (fun () -> 0);
+      defer = None;
+      on_connect;
+      on_disconnect;
+      recorder;
+      guard = ignore;
+      stk = Array.make 32 0;
+      stk_n = 0;
+      stk_sink = (fun _ _ _ -> ());
+    }
+  in
+  t.stk_sink <- (fun v _ prior -> stk_push t v prior);
+  t
+
+(* The flood visit's child metas, when the closure below runs it: each
+   child's priority itself, for [stk_sink] to push. *)
+let priorities = [| 0; 1; 2; 3 |]
 
 let obs t kind =
   match t.recorder with None -> () | Some r -> Dgr_obs.Recorder.emit r kind
@@ -84,18 +94,12 @@ let flood_cooperate_edge t (fl : Flood.t) ~parent ~child =
     while t.stk_n > 0 do
       t.stk_n <- t.stk_n - 1;
       let v = t.stk.(2 * t.stk_n) and prior = t.stk.((2 * t.stk_n) + 1) in
-      let vx = Graph.vertex g v in
-      let plane = Vertex.plane vx fl.Flood.plane in
+      (* the flood visit itself, its children pushed with their priority *)
       if
-        (not (Vertex.free vx))
-        && ((not (Plane.marked plane)) || prior > (Plane.prior plane))
-      then begin
-        Plane.mark plane;
-        Plane.set_prior plane @@ prior;
-        incr marked_here;
-        Trace.iter_children g fl.Flood.plane v (fun c ->
-            stk_push t c (Trace.child_priority g v prior c))
-      end
+        Vertex.mark_flood (Graph.vertex g v) fl.Flood.plane ~prior ~metas:priorities
+          ~emit:t.stk_sink
+        >= 0
+      then incr marked_here
     done;
     obs_closure t ~from:child ~marked:!marked_here
   end
@@ -128,7 +132,7 @@ let charge_and_spawn t run ~parent ~child ~prior =
   Plane.set_cnt plane @@ (Plane.cnt plane) + 1;
   run.Run.coop_spawns <- run.Run.coop_spawns + 1;
   obs t (Dgr_obs.Event.Coop_spawn { pe = t.coop_pe (); parent; child });
-  t.spawn child parent (Run.mark_meta run.Run.variant ~wave:run.Run.wave ~prior)
+  t.spawn child parent run.Run.metas.(prior)
 
 (* Synchronously mark the unmarked component reachable from [v] through
    the run's traced relation. Invariants: only unmarked vertices are
@@ -202,8 +206,7 @@ let witness_cooperate t run ~a ~b ~c =
     run.Run.coop_spawns <- run.Run.coop_spawns + 1;
     obs t (Dgr_obs.Event.Coop_spawn { pe = t.coop_pe (); parent = b; child = c });
     let prior = Trace.child_priority g b (Int.max 1 (Plane.prior pb)) c in
-    Marker.execute run ~pe:(t.coop_pe ()) ~emit:t.spawn c b
-      (Run.mark_meta run.Run.variant ~wave:run.Run.wave ~prior)
+    Marker.execute run ~pe:(t.coop_pe ()) ~emit:t.spawn c b run.Run.metas.(prior)
   end
   (* marked a / marked b: c is at least transient by invariant 2;
      unmarked a, or transient a with non-unmarked b: covered by b. *)

@@ -73,6 +73,9 @@ type t = {
       (** scratch stack for the synchronous marking closures — (vid,
           prior) pairs interleaved, reused across calls *)
   mutable stk_n : int;
+  mutable stk_sink : Task.sink;
+      (** pushes [(v, prior)] from a mark [v _ prior]: the [emit] of the
+          flood visits the closures run *)
 }
 
 val create :

@@ -7,6 +7,8 @@ type t = {
   plane : Plane.id;
   variant : variant;
   wave : int;
+  metas : int array;
+  return_meta : int;
   mutable outstanding_seeds : int;
   mutable finished : bool;
   marks_executed : int array;
@@ -17,22 +19,31 @@ type t = {
 
 let plane_of_variant = function Basic | Priority -> Plane.MR | Tasks -> Plane.MT
 
-let mark_meta variant ~wave ~prior =
+let metas_of variant ~wave =
   let open Dgr_task.Task in
-  match variant with
-  | Basic -> meta ~kind:kind_mark1 ~plane:Plane.MR ~prior:0 ~ep:wave
-  | Priority -> meta ~kind:kind_mark2 ~plane:Plane.MR ~prior ~ep:wave
-  | Tasks -> meta ~kind:kind_mark3 ~plane:Plane.MT ~prior:0 ~ep:wave
+  Array.init 4 (fun prior ->
+      match variant with
+      | Basic -> meta ~kind:kind_mark1 ~plane:Plane.MR ~prior:0 ~ep:wave
+      | Priority -> meta ~kind:kind_mark2 ~plane:Plane.MR ~prior ~ep:wave
+      | Tasks -> meta ~kind:kind_mark3 ~plane:Plane.MT ~prior:0 ~ep:wave)
 
-let return_meta t =
-  Dgr_task.Task.meta ~kind:Dgr_task.Task.kind_return ~plane:t.plane ~prior:0 ~ep:t.wave
+let prior_in metas meta =
+  if meta = metas.(0) then 0
+  else if meta = metas.(1) then 1
+  else if meta = metas.(2) then 2
+  else if meta = metas.(3) then 3
+  else -1
 
 let create graph variant =
+  let plane = plane_of_variant variant and wave = Graph.wave graph in
   {
     graph;
-    plane = plane_of_variant variant;
+    plane;
     variant;
-    wave = Graph.wave graph;
+    wave;
+    metas = metas_of variant ~wave;
+    return_meta =
+      Dgr_task.Task.meta ~kind:Dgr_task.Task.kind_return ~plane ~prior:0 ~ep:wave;
     outstanding_seeds = 0;
     finished = false;
     marks_executed = Array.make (Int.max 1 (Graph.num_pes graph)) 0;
@@ -40,18 +51,6 @@ let create graph variant =
     coop_spawns = 0;
     coop_closure = 0;
   }
-
-(* Out-of-range executors (the controller replays barrier tasks as PE
-   [-1]) account to slot 0; only the totals are ever read. *)
-let pe_slot t pe = if pe < 0 || pe >= Array.length t.marks_executed then 0 else pe
-
-let count_mark t ~pe =
-  let s = pe_slot t pe in
-  t.marks_executed.(s) <- t.marks_executed.(s) + 1
-
-let count_return t ~pe =
-  let s = pe_slot t pe in
-  t.returns_executed.(s) <- t.returns_executed.(s) + 1
 
 let marks_total t = Array.fold_left ( + ) 0 t.marks_executed
 

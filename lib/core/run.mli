@@ -26,6 +26,10 @@ type t = {
   plane : Plane.id;
   variant : variant;
   wave : int;  (** the [Graph.wave] this run marks under *)
+  metas : int array;
+      (** the lane metas of the run's mark task, indexed by priority 0-3
+          ({!metas_of}) *)
+  return_meta : int;  (** the lane meta of a return on the run's plane and wave *)
   mutable outstanding_seeds : int;
   mutable finished : bool;
   marks_executed : int array;  (** per-PE; read via {!marks_total} *)
@@ -42,19 +46,18 @@ val create : Graph.t -> variant -> t
 
 val plane_of_variant : variant -> Plane.id
 
-val mark_meta : variant -> wave:int -> prior:int -> int
-(** The lane meta ({!Dgr_task.Task.meta}) of the variant's mark task
-    under [wave]: mark1, mark2 at [prior], or mark3. [prior] is ignored
-    by the priority-less variants. *)
+val metas_of : variant -> wave:int -> int array
+(** The lane metas ({!Dgr_task.Task.meta}) of the variant's mark task
+    under [wave], indexed by priority 0-3: mark1, mark2 at that
+    priority, or mark3. The priority-less variants repeat one meta.
+    Handlers pass this array to the [Vertex] transitions, so a spawned
+    child's meta is an array read, not an encoding. *)
 
-val return_meta : t -> int
-(** The lane meta of a return task on the run's plane and wave. *)
-
-val count_mark : t -> pe:int -> unit
-(** Count one mark-task execution on [pe]'s cell (out-of-range PEs — the
-    controller replays as [-1] — account to slot 0). *)
-
-val count_return : t -> pe:int -> unit
+val prior_in : int array -> int -> int
+(** [prior_in metas meta] is the priority at which [meta] appears in a
+    {!metas_of} array (the lowest, for the priority-less variants), or
+    [-1]: one comparison per priority fixes a mark's kind, plane, wave
+    and priority, so a handler's own marks need no decoding. *)
 
 val marks_total : t -> int
 

@@ -50,6 +50,12 @@ module Seg = struct
     let j = chunk_of i in
     Array.unsafe_get (Array.unsafe_get t.chunks j) (i - chunk_start j)
 
+  (* The slot's PE, read from the chunk's column: the handle itself is
+     never loaded. *)
+  let pe t i =
+    let j = chunk_of i in
+    Vertex.pe_at (Array.unsafe_get t.cols j) (i - chunk_start j)
+
   let dummy = lazy (Vertex.create (-1) ~pe:(-1) Label.Freed)
 
   (* Append a fresh slot, materializing the chunk (handles + columns) on
@@ -243,15 +249,18 @@ let mem t v =
       let off = v - p.base in
       off >= 0 && off / p.pes < Seg.length p.segs.(off mod p.pes)
 
-let vertex t v =
-  if v >= 0 && v < Seg.length t.dense then Seg.get t.dense v
+(* [get seg i] on the segment and index holding vid [v]. *)
+let[@inline] at t v (get : Seg.t -> int -> 'a) =
+  if v >= 0 && v < Seg.length t.dense then get t.dense v
   else
     match t.part with
     | Some p when v >= p.base && (v - p.base) / p.pes < Seg.length p.segs.((v - p.base) mod p.pes)
       ->
-      Seg.get p.segs.((v - p.base) mod p.pes) ((v - p.base) / p.pes)
+      get p.segs.((v - p.base) mod p.pes) ((v - p.base) / p.pes)
     | Some _ | None ->
       invalid_arg (Printf.sprintf "Graph.vertex: unknown vertex v%d" v)
+
+let vertex t v = at t v Seg.get
 
 (* Vid-keyed scalar accessors: one slot lookup, no allocation. *)
 let label t v = Vertex.label (vertex t v)
@@ -259,6 +268,8 @@ let label t v = Vertex.label (vertex t v)
 let is_free t v = Vertex.free (vertex t v)
 
 let sched_prior t v = Vertex.sched_prior (vertex t v)
+
+let pe t v = at t v Seg.pe
 
 let next_pe t =
   let pe = t.next_pe in

@@ -82,6 +82,11 @@ val is_free : t -> Vid.t -> bool
 
 val sched_prior : t -> Vid.t -> int
 
+val pe : t -> Vid.t -> int
+(** The owning PE of a vertex: [Vertex.pe (vertex t v)] in one call,
+    read from the chunk's PE column without loading the vertex's handle
+    — the per-send destination lookup. *)
+
 val alloc : ?pe:int -> ?from:int -> t -> Label.t -> Vertex.t
 (** Acquire a vertex from the free list (or grow the table if [F] is
     empty), assign it to a PE and label it. The returned vertex has no

@@ -1,3 +1,208 @@
+(* This unit owns everything one mark touches: the marking planes'
+   columns (module [Plane], re-exported under that name by plane.ml), the
+   vertex rows, the traced-children enumeration and the per-slot marking
+   transitions of both schemes (mark1/mark3, mark2's modify, return1 and
+   the flood visit). The libraries build in dune's default profile, which
+   compiles with [-opaque]: a call into another unit is an out-of-line
+   call through that unit's module block, never inlined. Inside one unit
+   the column accessors inline, so a mark pays one call into here and the
+   handler's [emit] per spawned child, not a call per accessor. *)
+
+(* --- marking planes ------------------------------------------------- *)
+
+module Plane = struct
+  type color = Unmarked | Transient | Marked
+
+  type parent = Rootpar | Parent of Vid.t
+
+  type id = MR | MT
+
+  (* One marking plane's state for a whole storage chunk, as parallel
+     columns: colour packed one byte per slot, the counter/parent/priority
+     words one cell per slot (the parent as a vid, -1 for rootpar, so the
+     marking hot path reads and writes it without boxing). Chunks never
+     move once allocated (see [Graph]), so a handle caches the column
+     arrays directly.
+
+     The [c_epoch] column makes between-cycle resets O(1): a slot's state
+     is valid only while its epoch equals the chunk's current epoch
+     [cur]; a stale slot reads as pristine (unmarked, zero, rootpar) and
+     is lazily re-zeroed the first time the new wave writes it. Bumping
+     [cur] therefore resets the whole chunk without touching a slot —
+     which is what lets cycle N+1's mark wave start while cycle N's
+     restructuring is still draining, instead of a bulk wipe that has to
+     wait for every outstanding reader. Epochs start at 0 with [cur] at 1,
+     so a fresh chunk is wholly stale, i.e. wholly pristine. *)
+  type cols = {
+    c_color : Bytes.t;
+    c_cnt : int array;
+    c_par : int array;
+    c_prior : int array;
+    c_epoch : int array;
+    mutable cur : int;
+  }
+
+  (* A handle onto one slot of a plane column set. Copying the handle is
+     cheap and aliases the same state. *)
+  type t = { off : int; c : cols }
+
+  let make_cols n =
+    {
+      c_color = Bytes.make n '\000';
+      c_cnt = Array.make n 0;
+      c_par = Array.make n (-1);
+      c_prior = Array.make n 0;
+      c_epoch = Array.make n 0;
+      cur = 1;
+    }
+
+  let reset_cols c = c.cur <- c.cur + 1
+
+  let handle c off = { off; c }
+
+  let create () = handle (make_cols 1) 0
+
+  (* The slot operations take the column set and the offset, so the
+     transitions below reach a vertex's plane through the vertex's own
+     chunk columns, without loading the premade handle; the handle API
+     is the same operations on [t.c] and [t.off]. *)
+  let live c off = Array.unsafe_get c.c_epoch off = c.cur
+
+  (* Bring a stale slot into the current epoch, pristine. Every write goes
+     through this first so a slot never mixes bits from two waves. *)
+  let materialize c off =
+    if not (live c off) then begin
+      Array.unsafe_set c.c_epoch off c.cur;
+      Bytes.unsafe_set c.c_color off '\000';
+      Array.unsafe_set c.c_cnt off 0;
+      Array.unsafe_set c.c_par off (-1);
+      Array.unsafe_set c.c_prior off 0
+    end
+
+  let color_at c off =
+    if not (live c off) then Unmarked
+    else
+      match Bytes.unsafe_get c.c_color off with
+      | '\000' -> Unmarked
+      | '\001' -> Transient
+      | _ -> Marked
+
+  let set_color_at c off col =
+    materialize c off;
+    Bytes.unsafe_set c.c_color off
+      (match col with Unmarked -> '\000' | Transient -> '\001' | Marked -> '\002')
+
+  let cnt_at c off = if live c off then Array.unsafe_get c.c_cnt off else 0
+
+  let set_cnt_at c off n =
+    materialize c off;
+    Array.unsafe_set c.c_cnt off n
+
+  let par_vid_at c off = if live c off then Array.unsafe_get c.c_par off else -1
+
+  let set_par_vid_at c off v =
+    materialize c off;
+    Array.unsafe_set c.c_par off v
+
+  let prior_at c off = if live c off then Array.unsafe_get c.c_prior off else 0
+
+  let set_prior_at c off p =
+    materialize c off;
+    Array.unsafe_set c.c_prior off p
+
+  let unmarked_at c off = (not (live c off)) || Bytes.unsafe_get c.c_color off = '\000'
+
+  let transient_at c off = live c off && Bytes.unsafe_get c.c_color off = '\001'
+
+  let marked_at c off = live c off && Bytes.unsafe_get c.c_color off = '\002'
+
+  let color t = color_at t.c t.off
+
+  let set_color t col = set_color_at t.c t.off col
+
+  let cnt t = cnt_at t.c t.off
+
+  let set_cnt t n = set_cnt_at t.c t.off n
+
+  let parent_of_vid v = if v < 0 then Rootpar else Parent v
+
+  let vid_of_parent = function Rootpar -> -1 | Parent v -> v
+
+  let par_vid t = par_vid_at t.c t.off
+
+  let set_par_vid t v = set_par_vid_at t.c t.off v
+
+  let par t = parent_of_vid (par_vid t)
+
+  let prior t = prior_at t.c t.off
+
+  let set_prior t p = set_prior_at t.c t.off p
+
+  (* Per-slot reset: mark the slot stale, which IS the pristine state. *)
+  let reset t = Array.unsafe_set t.c.c_epoch t.off 0
+
+  let unmarked t = unmarked_at t.c t.off
+
+  let transient t = transient_at t.c t.off
+
+  let marked t = marked_at t.c t.off
+
+  let touch t = set_color t Transient
+
+  let mark t = set_color t Marked
+
+  let unmark t =
+    set_color t Unmarked;
+    set_prior t 0
+
+  let equal_color (a : color) b = a = b
+
+  (* A boxed copy of one slot's plane state (checkpointing). Fields are
+     mutable so an incremental checkpoint can refresh a stale shot in
+     place instead of allocating a new one per sync. *)
+  type shot = {
+    mutable s_color : color;
+    mutable s_cnt : int;
+    mutable s_par : int;
+    mutable s_prior : int;
+  }
+
+  let capture t = { s_color = color t; s_cnt = cnt t; s_par = par_vid t; s_prior = prior t }
+
+  let recapture s t =
+    s.s_color <- color t;
+    s.s_cnt <- cnt t;
+    s.s_par <- par_vid t;
+    s.s_prior <- prior t
+
+  let matches s t =
+    equal_color s.s_color (color t)
+    && s.s_cnt = cnt t && s.s_par = par_vid t && s.s_prior = prior t
+
+  let restore s t =
+    set_color t s.s_color;
+    set_cnt t s.s_cnt;
+    set_par_vid t s.s_par;
+    set_prior t s.s_prior
+
+  let pp_color fmt = function
+    | Unmarked -> Format.pp_print_string fmt "unmarked"
+    | Transient -> Format.pp_print_string fmt "transient"
+    | Marked -> Format.pp_print_string fmt "marked"
+
+  let pp_parent fmt = function
+    | Rootpar -> Format.pp_print_string fmt "rootpar"
+    | Parent v -> Vid.pp fmt v
+
+  let pp_id fmt = function
+    | MR -> Format.pp_print_string fmt "M_R"
+    | MT -> Format.pp_print_string fmt "M_T"
+
+  let pp fmt t =
+    Format.fprintf fmt "{%a cnt=%d par=%a prior=%d}" pp_color (color t) (cnt t) pp_parent
+      (par t) (prior t)
+end
+
 type requester = Vid.t option
 
 type request_entry = { who : requester; demand : Demand.t; key : Vid.t }
@@ -120,7 +325,9 @@ let label t = Array.unsafe_get t.c.label t.off
 
 let set_label t l = Array.unsafe_set t.c.label t.off l
 
-let pe t = Array.unsafe_get t.c.pe t.off
+let pe_at c off = Array.unsafe_get c.pe off
+
+let pe t = pe_at t.c t.off
 
 let set_pe t p = Array.unsafe_set t.c.pe t.off p
 
@@ -403,6 +610,102 @@ let recv t =
   !acc
 
 let clear_reduction_state t = t.recv_n <- 0
+
+(* --- traced children ---------------------------------------------- *)
+
+(* Slot [i] of a plane's relation. M_R: the args. M_T: the requesters
+   newest-first, then the args, an arg that is a req-arg standing empty.
+   Every visit order of a traced relation is this one. *)
+let child_slots t pid =
+  if free t then 0
+  else match pid with Plane.MR -> t.args_n | Plane.MT -> t.rq_n + t.args_n
+
+let child_at t pid i =
+  match pid with
+  | Plane.MR -> arg t i
+  | Plane.MT ->
+    let r = t.rq_n in
+    if i < r then requester t (r - 1 - i)
+    else
+      let c = arg t (i - r) in
+      if is_req_arg t c then -1 else c
+
+(* min(prior, request-type(c, t)) (Fig 5-1). A priority-less mark (prior
+   0) skips the request-type scan: the minimum is 0 either way. *)
+let child_priority t prior c = if prior = 0 then 0 else Int.min prior (request_type t c)
+
+(* --- marking transitions (Figs 4-1, 5-1, 5-3; §6) -------------------- *)
+
+(* Emit one mark per traced child, in slot order: [emit c par m], where
+   [m] is [metas.(child_priority t prior c)] — the handler's child mark
+   metas indexed by priority. With [charge] each child is first counted
+   on [p]'s mt-cnt. Returns the number emitted. *)
+let spawn_children t pid pc ~charge ~prior ~par ~metas ~(emit : int -> int -> int -> unit) =
+  let off = t.off in
+  let n = ref 0 in
+  for i = 0 to child_slots t pid - 1 do
+    let c = child_at t pid i in
+    if c >= 0 then begin
+      if charge then Plane.set_cnt_at pc off (Plane.cnt_at pc off + 1);
+      incr n;
+      emit c par metas.(child_priority t prior c)
+    end
+  done;
+  !n
+
+(* The plane's columns for [t]'s chunk; the slot is [t.off]. *)
+let plane_cols t = function Plane.MR -> t.c.mrc | Plane.MT -> t.c.mtc
+
+(* mark1/mark3 (prior 0, Figs 4-1 and 5-3) and mark2 (prior 1-3,
+   Fig 5-1). A free target degenerates to an immediate return; so does a
+   vertex already traced at this priority or higher, which for prior 0
+   is any vertex not unmarked. Otherwise mark2's [modify]: a transient
+   vertex re-marked at a higher priority first releases its current
+   parent (the children of its previous visit still credit its count),
+   then the vertex turns transient under [par], takes the priority and
+   spawns its children; with none charged it is marked at once and owes
+   [par] its return. *)
+let mark_tree t pid ~par ~prior ~metas ~ret ~emit =
+  let pc = plane_cols t pid and off = t.off in
+  if free t || ((not (Plane.unmarked_at pc off)) && prior <= Plane.prior_at pc off) then
+    emit (-1) par ret
+  else begin
+    if Plane.transient_at pc off then emit (-1) (Plane.par_vid_at pc off) ret;
+    Plane.set_color_at pc off Plane.Transient;
+    Plane.set_par_vid_at pc off par;
+    if prior > 0 then Plane.set_prior_at pc off prior;
+    let (_ : int) = spawn_children t pid pc ~charge:true ~prior ~par:t.id ~metas ~emit in
+    if Plane.cnt_at pc off = 0 then begin
+      Plane.set_color_at pc off Plane.Marked;
+      emit (-1) par ret
+    end
+  end
+
+(* return1 (Fig 4-1), at a non-root parent: the last outstanding child's
+   return marks the vertex and passes a return to its own parent. *)
+let return_tree t pid ~ret ~emit =
+  let pc = plane_cols t pid and off = t.off in
+  let n = Plane.cnt_at pc off in
+  if n <= 0 then
+    invalid_arg (Format.asprintf "Vertex.return_tree: %a has mt-cnt=0" Vid.pp t.id);
+  Plane.set_cnt_at pc off (n - 1);
+  if n = 1 then begin
+    Plane.set_color_at pc off Plane.Marked;
+    emit (-1) (Plane.par_vid_at pc off) ret
+  end
+
+(* The flood visit (§6): a live vertex not yet marked at [prior] or
+   higher is marked (taking a nonzero priority) and floods its children
+   with parent lane -1. Returns the number of marks spawned, or -1 when
+   the visit changed nothing. *)
+let mark_flood t pid ~prior ~metas ~emit =
+  let pc = plane_cols t pid and off = t.off in
+  if free t || (Plane.marked_at pc off && prior <= Plane.prior_at pc off) then -1
+  else begin
+    Plane.set_color_at pc off Plane.Marked;
+    if prior > 0 then Plane.set_prior_at pc off prior;
+    spawn_children t pid pc ~charge:false ~prior ~par:(-1) ~metas ~emit
+  end
 
 (* --- lifecycle -------------------------------------------------------- *)
 

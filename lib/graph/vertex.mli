@@ -23,6 +23,96 @@
     primitives in [Dgr_core.Mutator]; the raw [connect]/[disconnect]
     operations here are the paper's non-cooperating graph edits. *)
 
+(** {1 Marking planes} *)
+
+(** Per-vertex marking state for one marking process, re-exported as
+    [Dgr_graph.Plane].
+
+    Each vertex carries two independent planes — one for M_R (marking from
+    the root) and one for M_T (marking from tasks) — because deadlock
+    detection compares the two results (DL' = R'_v − T', §5.4) and the
+    paper requires their bits to be distinct (§5.2).
+
+    A plane holds the tri-state colour (unmarked / transient / marked,
+    §4.1), the outstanding-mark-task counter [mt-cnt], the marking-tree
+    parent [mt-par], and — for M_R only — the priority with which the
+    vertex was traced (3 = vital, 2 = eager, 1 = reserve; §5.1).
+
+    Plane state lives in struct-of-arrays columns owned by the graph's
+    storage chunks; {!t} is a cheap handle (column set + slot offset) and
+    all access goes through the functions below. A chunk's planes reset
+    in O(1) ([Graph.reset_plane]): the chunk carries a per-slot epoch
+    column and a current-epoch counter, a reset bumps the counter, stale
+    slots read as pristine, and a slot is lazily re-zeroed the first time
+    the new wave writes it. *)
+module Plane : sig
+  type color = Unmarked | Transient | Marked
+
+  type parent = Rootpar | Parent of Vid.t
+  (** [Rootpar] is the paper's dummy node used by [return1] to detect
+      termination of the whole marking process. *)
+
+  type id = MR | MT
+
+  type t
+  (** A handle onto one vertex's slot of a plane's columns. *)
+
+  val create : unit -> t
+  (** A standalone single-slot plane (tests). *)
+
+  val color : t -> color
+
+  val set_color : t -> color -> unit
+
+  val cnt : t -> int
+  (** mt-cnt: spawned-but-unreturned mark tasks. *)
+
+  val set_cnt : t -> int -> unit
+
+  val par : t -> parent
+  (** mt-par: parent in the marking tree. *)
+
+  val par_vid : t -> int
+  (** {!par} as a vid, [-1] for [Rootpar] — the unboxed form the marking
+      transitions read and write. *)
+
+  val set_par_vid : t -> int -> unit
+
+  val parent_of_vid : int -> parent
+  (** [-1] (any negative) is [Rootpar]. *)
+
+  val vid_of_parent : parent -> int
+
+  val prior : t -> int
+  (** 0 when unmarked; 1..3 once traced (M_R). *)
+
+  val set_prior : t -> int -> unit
+
+  val reset : t -> unit
+  (** Return the plane to the pristine unmarked state (between cycles). *)
+
+  val unmarked : t -> bool
+
+  val transient : t -> bool
+
+  val marked : t -> bool
+
+  val touch : t -> unit
+  (** unmarked/marked -> transient (paper's [touch]). *)
+
+  val mark : t -> unit
+  (** -> marked (paper's [mark]). *)
+
+  val unmark : t -> unit
+  (** -> unmarked, clearing priority. *)
+
+  val pp_parent : Format.formatter -> parent -> unit
+
+  val pp_id : Format.formatter -> id -> unit
+
+  val pp : Format.formatter -> t -> unit
+end
+
 type requester = Vid.t option
 (** [None] is the external origin of the initial task [<-,root>]. *)
 
@@ -59,6 +149,10 @@ val attach : Vid.t -> off:int -> cols -> pe:int -> Label.t -> t
 
 val create : Vid.t -> pe:int -> Label.t -> t
 (** A standalone vertex backed by its own single-slot chunk (tests). *)
+
+val pe_at : cols -> int -> int
+(** [pe_at c off] is {!pe} of the vertex in slot [off] of chunk [c],
+    read without its handle ([Graph.pe]'s per-send lookup). *)
 
 (** {1 Scalar state} *)
 
@@ -221,6 +315,58 @@ val recv : t -> (Vid.t * Label.value) list
 val clear_reduction_state : t -> unit
 (** Reset the received values (used when a vertex is re-expanded or
     freed). *)
+
+(** {1 Traced children and the marking transitions}
+
+    The per-slot steps of both marking schemes live here, beside the
+    plane columns and rows they read, so that one mark costs one call
+    into this unit plus one [emit] per spawned child. A handler passes
+    its child mark metas as [metas], indexed by priority 0-3 (the lane
+    metas of [Dgr_task.Task]; this unit never decodes them), and its
+    return meta as [ret]; [emit c par meta] receives each spawned mark
+    as lanes ([c = -1] for a return). *)
+
+val child_slots : t -> Plane.id -> int
+(** The number of child slots of a vertex under a plane's relation (0
+    for a free vertex): a loop over [0 .. child_slots - 1] with
+    {!child_at} visits the traced children in order, with no closure.
+    M_R traces the args (§5.1); M_T traces the requesters, newest first,
+    then the args that are not req-args (§5.2). *)
+
+val child_at : t -> Plane.id -> int -> int
+(** The traced child in slot [i], or [-1] when the slot holds none (an
+    external requester, or under M_T an arg that is a req-arg). *)
+
+val child_priority : t -> int -> Vid.t -> int
+(** [child_priority v prior c] is the priority a mark spawned from [v]
+    (being marked at [prior]) onto [c] carries:
+    [min prior (request-type c v)] (Fig 5-1). *)
+
+val mark_tree :
+  t ->
+  Plane.id ->
+  par:int ->
+  prior:int ->
+  metas:int array ->
+  ret:int ->
+  emit:(int -> int -> int -> unit) ->
+  unit
+(** Execute a marking-tree mark with parent [par] ([-1] for [Rootpar]):
+    mark1/mark3 at [prior] 0 (Figs 4-1, 5-3), mark2 at [prior] 1-3
+    (Fig 5-1, including [modify]'s re-mark at a higher priority). A
+    free target, or one already traced at [prior] or higher, returns at
+    once. *)
+
+val return_tree : t -> Plane.id -> ret:int -> emit:(int -> int -> int -> unit) -> unit
+(** [return1] (Fig 4-1) arriving at this vertex. Raises
+    [Invalid_argument] when its mt-cnt is already 0. *)
+
+val mark_flood :
+  t -> Plane.id -> prior:int -> metas:int array -> emit:(int -> int -> int -> unit) -> int
+(** The flood visit (§6): mark a live vertex not yet marked at [prior]
+    or higher (0: marked at all) and spawn a mark, parent lane [-1], on
+    each traced child. Returns the number spawned, or [-1] when the
+    visit changed nothing. *)
 
 (** {1 Lifecycle} *)
 

@@ -108,6 +108,23 @@ let render ?(deterministic = false) e =
       "p50" "p90" "p99" "p999" "max";
     hist_row b "downtime" m.Metrics.lat_recovery
   end;
+  (* Load shape: how evenly the PEs share the executed work, and how
+     much of the traffic crosses a PE boundary. *)
+  let per_pe = Engine.executed_per_pe e in
+  let total = Array.fold_left ( + ) 0 per_pe in
+  if total > 0 then begin
+    let mean = float_of_int total /. float_of_int (Array.length per_pe) in
+    let msgs = m.Metrics.remote_messages + m.Metrics.local_messages in
+    Printf.bprintf b "\n-- load shape --\n";
+    let max = Array.fold_left Int.max 0 per_pe in
+    Printf.bprintf b "  executed/PE: max=%d mean=%.1f max/mean=%.3f\n" max mean
+      (float_of_int max /. mean);
+    Printf.bprintf b "  executed by PE:%s\n"
+      (String.concat "" (Array.to_list (Array.map (Printf.sprintf " %d") per_pe)));
+    let remote = m.Metrics.remote_messages in
+    Printf.bprintf b "  remote messages: %d of %d (%.1f%%)\n" remote msgs
+      (if msgs = 0 then 0.0 else 100.0 *. float_of_int remote /. float_of_int msgs)
+  end;
   if m.Metrics.frames_sent > 0 then begin
     Printf.bprintf b "\n-- transport --\n";
     Printf.bprintf b

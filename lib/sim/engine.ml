@@ -178,8 +178,6 @@ type pe_ctx = {
   ccoop : Mutator.coop_event Vec.t;
       (** cooperation events this PE's reductions deferred; replayed at
           the barrier in ascending PE order *)
-  ctake : Task.sink;
-      (** pre-bound push into this PE's pool, for {!Network.take_mark_lanes} *)
   cinc : int Vec.t;
   cdec : int Vec.t;
       (** refcount increments / decrements this PE's mutations logged, as
@@ -243,6 +241,9 @@ and t = {
   rc : Refcount.t option;
   recorder : Dgr_obs.Recorder.t option;
   m : Metrics.t;
+  executed_by : int array;
+      (** per PE: tasks (marks and reductions) its shard has executed,
+          summed at the barrier — the load-shape meter *)
   lin : Dgr_obs.Lineage.t;  (** causal lineage tickets, one per pooled reduction *)
   prof : Profile.t;  (** wall-clock step-phase attribution *)
   mutable now : int;
@@ -298,7 +299,7 @@ let obs t kind =
 
 (* Destination PE of a task's vid, or [-1] for controller-addressed
    tasks. Unboxed (no option) — this runs once per send. *)
-let pe_of_vid t v = if v < 0 then -1 else Vertex.pe (Graph.vertex t.g v)
+let pe_of_vid t v = if v < 0 then -1 else Graph.pe t.g v
 
 let pe_of t task = pe_of_vid t (Task.exec_vid task)
 
@@ -307,24 +308,17 @@ let pe_of t task = pe_of_vid t (Task.exec_vid task)
    touches the controller's context from a worker), else [t.cctl.cpe]. *)
 let dls_pe : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
 
-(* The flood handler of the phase in progress, if any — the source of
-   truth for what epoch termination credits should speak. *)
-let active_flood t =
+(* The handler of the marking phase in progress, if any — for a flood,
+   the source of truth for what epoch termination credits should speak.
+   The handler option is the cycle's own, so asking allocates nothing. *)
+let active_handler t =
   match t.cyc with
   | None -> None
   | Some c -> (
-    let plane =
-      match Cycle.phase c with
-      | Cycle.Idle -> None
-      | Cycle.Mark_tasks -> Some Plane.MT
-      | Cycle.Mark_root -> Some Plane.MR
-    in
-    match plane with
-    | None -> None
-    | Some p -> (
-      match Cycle.handler_for_plane c p with
-      | Some (Cycle.Flood_run fl) -> Some fl
-      | Some (Cycle.Tree_run _) | None -> None))
+    match Cycle.phase c with
+    | Cycle.Idle -> None
+    | Cycle.Mark_tasks -> Cycle.handler_for_plane c Plane.MT
+    | Cycle.Mark_root -> Cycle.handler_for_plane c Plane.MR)
 
 (* Marking messages are tiny and bounded (§6) and ride a fast path: if
    they paid full data latency, a mutator expanding a deep structure
@@ -364,15 +358,17 @@ let execute_marking t m ~pe ~emit v par meta =
   | None -> ()
   | Some c -> (
     match Cycle.handler_for_plane c (Task.meta_plane meta) with
-    | Some (Cycle.Tree_run run) ->
-      if Task.meta_ep meta <> run.Run.wave then
+    | None -> () (* stray task from a finished run: drop *)
+    | Some h -> (
+      let wave =
+        match h with Cycle.Tree_run r -> r.Run.wave | Cycle.Flood_run f -> f.Flood.wave
+      in
+      if Task.meta_ep meta <> wave then
         m.Metrics.stale_marks_dropped <- m.Metrics.stale_marks_dropped + 1
-      else Marker.execute run ~pe ~emit v par meta
-    | Some (Cycle.Flood_run fl) ->
-      if Task.meta_ep meta <> fl.Flood.wave then
-        m.Metrics.stale_marks_dropped <- m.Metrics.stale_marks_dropped + 1
-      else Flood.execute fl ~pe ~emit v par meta
-    | None -> () (* stray task from a finished run: drop *))
+      else
+        match h with
+        | Cycle.Tree_run run -> Marker.execute run ~pe ~emit v par meta
+        | Cycle.Flood_run fl -> Flood.execute fl ~pe ~emit v par meta))
 
 (* A send's message accounting, shared by both task classes and every
    sender: returns the delay drawn from the sender's jitter stream. A
@@ -381,25 +377,18 @@ let execute_marking t m ~pe ~emit v par meta =
    history — not on how the other PEs' sends interleave, and not on how
    many domains the machine is sharded across. The controller draws from
    stream -1 and never counts a send as remote. *)
-let count_send t ctx ~base ~kind ~vid pe =
+let count_send t ctx ~base pe =
   (if pe <> ctx.cpe && ctx.cpe >= 0 then
      ctx.pm.Metrics.remote_messages <- ctx.pm.Metrics.remote_messages + 1);
-  let delay = delay_of t ~rng:ctx.crng ~src:ctx.cpe ~base pe in
   if pe = ctx.cpe then ctx.pm.Metrics.local_messages <- ctx.pm.Metrics.local_messages + 1;
-  (match ctx.sub with
-  | None -> ()
-  | Some r ->
-    Dgr_obs.Recorder.emit r
-      (Dgr_obs.Event.Send
-         {
-           kind;
-           pe;
-           vid;
-           arrival = t.now + delay;
-           remote = pe <> ctx.cpe;
-           lin = ctx.clin;
-         }));
-  delay
+  delay_of t ~rng:ctx.crng ~src:ctx.cpe ~base pe
+
+(* The [Send] event of a counted send, for a sender with a recorder:
+   callers build its kind only then. *)
+let note_send t ctx r ~kind ~vid ~delay pe =
+  Dgr_obs.Recorder.emit r
+    (Dgr_obs.Event.Send
+       { kind; pe; vid; arrival = t.now + delay; remote = pe <> ctx.cpe; lin = ctx.clin })
 
 (* Execute a controller-addressed task: the final response of the
    computation, or a marking return to the dummy rootpar. *)
@@ -421,7 +410,10 @@ let send_mark t ctx v par meta =
     else Vec.push ctx.ctrl (Marking (Task.mark_of_lanes v par meta))
   end
   else
-    let delay = count_send t ctx ~base:(mark_base t) ~kind:(Task.obs_kind_of_meta meta) ~vid pe in
+    let delay = count_send t ctx ~base:(mark_base t) pe in
+    (match ctx.sub with
+    | None -> ()
+    | Some r -> note_send t ctx r ~kind:(Task.obs_kind_of_meta meta) ~vid ~delay pe);
     Network.send_mark t.net ~src:ctx.cpe ~arrival:(t.now + delay) ~pe v par meta
 
 (* One send for every sender; [ctx.serial] only chooses between running
@@ -435,10 +427,11 @@ let send t ctx task =
       if ctx.serial then execute_at_controller t task else Vec.push ctx.ctrl task
     end
     else
-      let delay =
-        count_send t ctx ~base:(reduction_base t) ~kind:(Task.obs_kind task)
-          ~vid:(Task.exec_vid task) pe
-      in
+      let delay = count_send t ctx ~base:(reduction_base t) pe in
+      (match ctx.sub with
+      | None -> ()
+      | Some r ->
+        note_send t ctx r ~kind:(Task.obs_kind task) ~vid:(Task.exec_vid task) ~delay pe);
       Network.stage_reduction t.net ~src:ctx.cpe ~lin:ctx.clin ~depth:ctx.cdepth
         ~arrival:(t.now + delay) ~pe task
 
@@ -586,7 +579,6 @@ let create ?recorder ?(config = Config.default) g templates =
         cmark = (fun _ _ _ -> ());
         cemit = (fun _ _ _ -> ());
         ccoop = Vec.create ();
-        ctake = (if pe >= 0 then Pool.push_mark pools.(pe) else fun _ _ _ -> ());
         cinc = Vec.create ();
         cdec = Vec.create ();
       }
@@ -614,6 +606,7 @@ let create ?recorder ?(config = Config.default) g templates =
       rc;
       recorder;
       m = cctl.pm;
+      executed_by = Array.make num_pes 0;
       lin = lineage;
       prof = Profile.create ();
       now = 0;
@@ -657,11 +650,11 @@ let create ?recorder ?(config = Config.default) g templates =
         make_ctx ~pe ~pm:(Metrics.create ()) ~sub);
   Array.iter
     (fun ctx ->
-      ctx.cexec <- pe_execute t ctx;
-      ctx.cmark <- pe_execute_mark t ctx;
-      ctx.cemit <- send_mark t ctx)
+      ctx.cexec <- (fun task stamp -> pe_execute t ctx task stamp);
+      ctx.cmark <- (fun v par meta -> pe_execute_mark t ctx v par meta);
+      ctx.cemit <- (fun v par meta -> send_mark t ctx v par meta))
     t.ctxs;
-  cctl.cemit <- send_mark t cctl;
+  cctl.cemit <- (fun v par meta -> send_mark t cctl v par meta);
   t.push_due <- (fun pe stamp task -> Pool.push_stamped t.pools.(pe) stamp task);
   mut.Mutator.spawn <- cctl.cemit;
   mut.Mutator.coop_pe <- (fun () -> Int.max 0 cctl.cpe);
@@ -741,10 +734,9 @@ let create ?recorder ?(config = Config.default) g templates =
        credits — piggybacked or standalone heartbeats — flow into the
        cycle's detector, which discards wrong-epoch noise itself. *)
     Network.set_credit_of t.net (fun pe ->
-        match active_flood t with
-        | Some fl when pe >= 0 && pe < num_pes ->
-          let sent, executed = Flood.credit fl ~pe in
-          Some (fl.Flood.wave, sent, executed)
+        match active_handler t with
+        | Some (Cycle.Flood_run fl) when pe >= 0 && pe < num_pes ->
+          Some (fl.Flood.wave, Flood.sent_on fl ~pe, Flood.executed_on fl ~pe)
         | _ -> None);
     Network.set_on_credit t.net (fun ~pe ~epoch ~sent ~executed ->
         match t.cyc with
@@ -771,6 +763,8 @@ let refcount t = t.rc
 let metrics t = t.m
 
 let lineage t = t.lin
+
+let executed_per_pe t = Array.copy t.executed_by
 
 let profile t = t.prof
 
@@ -1008,7 +1002,7 @@ let shard_lo t d = d * t.num_pes / t.domains
    [roll_stalls] wrote before the shards started. *)
 let run_shard t d =
   for pe = shard_lo t d to shard_lo t (d + 1) - 1 do
-    Network.take_mark_lanes t.net ~pe t.ctxs.(pe).ctake;
+    Network.take_mark_lanes t.net ~pe (Pool.marks t.pools.(pe));
     if t.down_since.(pe) < 0 && t.now >= t.stall_until.(pe) then begin
       Domain.DLS.set dls_pe pe;
       pe_budgets t t.ctxs.(pe) t.pools.(pe)
@@ -1212,6 +1206,9 @@ let merge_shards t =
   Array.iter
     (fun ctx ->
       Reducer.absorb t.cctl.pred ctx.pred;
+      t.executed_by.(ctx.cpe) <-
+        t.executed_by.(ctx.cpe) + ctx.pm.Metrics.reduction_executed
+        + ctx.pm.Metrics.marking_executed;
       Metrics.absorb t.m ctx.pm;
       t.prof.Profile.mark_ns <- t.prof.Profile.mark_ns +. ctx.cns.(0);
       ctx.cns.(0) <- 0.0;
@@ -1502,7 +1499,7 @@ let step t =
   else
     (* No shard runs: the pools take their parked marks here. *)
     for pe = 0 to t.num_pes - 1 do
-      Network.take_mark_lanes t.net ~pe t.ctxs.(pe).ctake
+      Network.take_mark_lanes t.net ~pe (Pool.marks t.pools.(pe))
     done;
   (* 3. Memory management. *)
   let p3 = Profile.now () in
@@ -1514,18 +1511,16 @@ let step t =
      as a standalone loss-free control message, so the detector hears
      from PEs the data traffic never visits. Deterministic: driven by
      [t.now] and machine state only. *)
-  (match active_flood t with
-  | Some fl ->
+  (match active_handler t with
+  | Some (Cycle.Flood_run fl) ->
     let ht = Int.max 1 (t.latency / 4) in
     if t.now mod ht = 0 then
       for pe = 0 to t.num_pes - 1 do
-        if t.down_since.(pe) < 0 then begin
-          let sent, executed = Flood.credit fl ~pe in
-          Network.post_credit t.net ~arrival:(t.now + ht) ~pe ~epoch:fl.Flood.wave ~sent
-            ~executed
-        end
+        if t.down_since.(pe) < 0 then
+          Network.post_credit t.net ~arrival:(t.now + ht) ~pe ~epoch:fl.Flood.wave
+            ~sent:(Flood.sent_on fl ~pe) ~executed:(Flood.executed_on fl ~pe)
       done
-  | None -> ());
+  | Some (Cycle.Tree_run _) | None -> ());
   let p4 = Profile.now () in
   let w4 = Profile.words () in
   t.prof.Profile.gc_ns <- t.prof.Profile.gc_ns +. (p4 -. p3);

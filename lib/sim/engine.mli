@@ -216,6 +216,10 @@ val refcount : t -> Dgr_baseline.Refcount.t option
 
 val metrics : t -> Metrics.t
 
+val executed_per_pe : t -> int array
+(** Tasks each PE has executed so far (marks and reductions; index =
+    PE), a fresh copy. Deterministic: the same at every domain count. *)
+
 val lineage : t -> Dgr_obs.Lineage.t
 (** The machine's causal-lineage ticket store. {!inject} mints a fresh
     lineage id; every reduction task the machine pools on behalf of that

@@ -50,17 +50,29 @@ module Lanes = struct
     if i < 0 || i >= l.n then invalid_arg "Network.Lanes.set: index out of bounds";
     Array.unsafe_set l.a i x
 
-  let push3 l x y z =
+  (* Room for [k] more lanes. *)
+  let reserve l k =
     let n = l.n in
-    if n + 3 > Array.length l.a then begin
-      let a = Array.make (Int.max 24 (2 * (n + 3))) 0 in
+    if n + k > Array.length l.a then begin
+      let a = Array.make (Int.max 24 (2 * (n + k))) 0 in
       Array.blit l.a 0 a 0 n;
       l.a <- a
-    end;
+    end
+
+  let push3 l x y z =
+    reserve l 3;
+    let n = l.n in
     Array.unsafe_set l.a n x;
     Array.unsafe_set l.a (n + 1) y;
     Array.unsafe_set l.a (n + 2) z;
     l.n <- n + 3
+
+  let push2 l x y =
+    reserve l 2;
+    let n = l.n in
+    Array.unsafe_set l.a n x;
+    Array.unsafe_set l.a (n + 1) y;
+    l.n <- n + 2
 end
 
 (* Scalar fields are mutable so delivered frames can be recycled through
@@ -207,12 +219,15 @@ type sender = {
 type t = {
   q : Ideal.t;  (* ideal channel (faults = None) *)
   fq : frame Pqueue.t;  (* lossy channel, arrival-keyed *)
-  cq : (int * int * int * int) Pqueue.t;
-      (* standalone termination credits (pe, epoch, sent, executed),
-         arrival-keyed: the heartbeat path for PEs with no data or ack
-         traffic to piggyback on. Loss-free by design — credits are
-         idempotent advisories, and the heartbeat is the liveness
-         backstop the lossy piggyback paths lean on *)
+  cq : Lanes.t;
+      (* standalone termination credits, five lanes each [arrival; pe;
+         epoch; sent; executed], oldest from lane [cq_head]: the
+         heartbeat path for PEs with no data or ack traffic to piggyback
+         on. Arrivals never decrease ([post_credit] refuses one that
+         would), so a FIFO is arrival order. Loss-free by design —
+         credits are idempotent advisories, and the heartbeat is the
+         liveness backstop the lossy piggyback paths lean on *)
+  mutable cq_head : int;
   recorder : Dgr_obs.Recorder.t option;
   lineage : Dgr_obs.Lineage.t option;
       (* when present, every reduction task sent gets a latency ticket:
@@ -269,7 +284,8 @@ let create ?recorder ?lineage ?faults ?(batch = true) () =
   {
     q = Ideal.create ();
     fq = Pqueue.create ();
-    cq = Pqueue.create ();
+    cq = Lanes.create ();
+    cq_head = 0;
     recorder;
     lineage;
     faults;
@@ -301,7 +317,13 @@ let set_credit_of t f = t.credit_of <- f
 let set_on_credit t f = t.on_credit <- f
 
 let post_credit t ~arrival ~pe ~epoch ~sent ~executed =
-  Pqueue.add t.cq arrival (pe, epoch, sent, executed)
+  let q = t.cq in
+  if q.Lanes.n > t.cq_head && arrival < q.Lanes.a.(q.Lanes.n - 5) then
+    invalid_arg
+      (Printf.sprintf "Network.post_credit: arrival %d before the queued %d" arrival
+         q.Lanes.a.(q.Lanes.n - 5));
+  Lanes.push3 q arrival pe epoch;
+  Lanes.push2 q sent executed
 
 let apply_credit t ~pe credit =
   match credit with
@@ -787,13 +809,22 @@ let reclaim_spent t =
    regimes; [learn] is idempotent and order-insensitive anyway, so this
    order only matters for trace determinism. *)
 let drain_credits t ~now =
-  while
-    Pqueue.min_prio t.cq ~default:max_int <= now
-    && Pqueue.pop_tagged_with t.cq (fun (pe, epoch, sent, executed) _stamp ->
-           t.on_credit ~pe ~epoch ~sent ~executed)
-  do
-    ()
-  done
+  let q = t.cq in
+  while t.cq_head < q.Lanes.n && q.Lanes.a.(t.cq_head) <= now do
+    let k = t.cq_head in
+    t.cq_head <- k + 5;
+    t.on_credit ~pe:q.Lanes.a.(k + 1) ~epoch:q.Lanes.a.(k + 2) ~sent:q.Lanes.a.(k + 3)
+      ~executed:q.Lanes.a.(k + 4)
+  done;
+  (* Move what is still pending to the front once it is the smaller
+     half (the heartbeat drains every credit before it posts again, so
+     this is usually the empty queue's reset). *)
+  if 2 * t.cq_head >= q.Lanes.n then begin
+    let left = q.Lanes.n - t.cq_head in
+    Array.blit q.Lanes.a t.cq_head q.Lanes.a 0 left;
+    q.Lanes.n <- left;
+    t.cq_head <- 0
+  end
 
 (* A delivered frame that holds a mark is parked in its destination's
    inbox for [take_mark_lanes]; a mark-free one is settled at once. A settled
@@ -882,22 +913,28 @@ let deliver_serial t ~now ~push =
    [pe]'s inbox and spent list. A parked frame is referenced nowhere
    else on the idealized channel, so it is recycled at the next tick;
    under faults it waits in [pending] for its ack. *)
-let take_mark_lanes t ~pe (f : Task.sink) =
+let take_frames t ~pe x (f : 'a -> batch -> unit) =
   if pe < Array.length t.inbox then begin
     let ib = t.inbox.(pe) in
     for k = 0 to Vec.length ib - 1 do
       let b = Vec.get ib k in
-      for i = 0 to n_tasks b - 1 do
-        let meta = lane b i 2 in
-        if meta >= 0 then f (lane b i 0) (lane b i 1) meta
-      done;
+      f x b;
       if t.faults = None then Vec.push t.spent.(pe) b
     done;
     Vec.clear ib
   end
 
-let take_marks t ~pe f =
-  take_mark_lanes t ~pe (fun v par meta -> f (Task.Marking (Task.mark_of_lanes v par meta)))
+let push_frame ring b = Mark_ring.push_marks ring b.b_lanes.Lanes.a b.b_lanes.Lanes.n
+
+let take_mark_lanes t ~pe ring = take_frames t ~pe ring push_frame
+
+let view_frame f b =
+  for i = 0 to n_tasks b - 1 do
+    let meta = lane b i 2 in
+    if meta >= 0 then f (Task.Marking (Task.mark_of_lanes (lane b i 0) (lane b i 1) meta))
+  done
+
+let take_marks t ~pe f = take_frames t ~pe f view_frame
 
 (* The whole tick on one domain: the serial half, then every PE's marks
    in ascending PE order. *)
@@ -1104,7 +1141,16 @@ let crash_pe t ~pe =
       t.fq;
     Pqueue.filter_in_place (fun _ (s, d, _) -> s <> pe && d <> pe) t.timers);
   (* in-flight heartbeat credits from the dead PE die with it *)
-  Pqueue.filter_in_place (fun _ (p, _, _, _) -> p <> pe) t.cq;
+  (let q = t.cq in
+   let j = ref t.cq_head in
+   for k = 0 to ((q.Lanes.n - t.cq_head) / 5) - 1 do
+     let i = t.cq_head + (5 * k) in
+     if q.Lanes.a.(i + 1) <> pe then begin
+       Array.blit q.Lanes.a i q.Lanes.a !j 5;
+       j := !j + 5
+     end
+   done;
+   q.Lanes.n <- !j);
   let purge_links tbl =
     let doomed =
       Hashtbl.fold (fun ((s, d) as k) _ acc -> if s = pe || d = pe then k :: acc else acc) tbl []

@@ -150,13 +150,13 @@ val deliver_serial : t -> now:int -> push:(int -> int -> Task.t -> unit) -> unit
     standalone), suppresses duplicate frames, and fires expired
     retransmission timers. Call once per step. *)
 
-val take_mark_lanes : t -> pe:int -> Task.sink -> unit
-(** The shard half of the tick: hand every mark parked for [pe] since
-    the last {!deliver_serial} to [f v par meta], in delivery order, and
-    empty the inbox. Marks are never ticketed, so no stamp is passed.
-    Calls for distinct PEs touch disjoint state and may run concurrently
-    on different domains; each PE's inbox must be emptied before the
-    next tick. *)
+val take_mark_lanes : t -> pe:int -> Mark_ring.t -> unit
+(** The shard half of the tick: push every mark parked for [pe] since
+    the last {!deliver_serial} onto [ring] (the PE pool's mark queue), in
+    delivery order, one ring call per frame, and empty the inbox. Marks
+    are never ticketed, so no stamp is carried. Calls for distinct PEs
+    touch disjoint state and may run concurrently on different domains;
+    each PE's inbox must be emptied before the next tick. *)
 
 val take_marks : t -> pe:int -> (Task.t -> unit) -> unit
 (** {!take_mark_lanes} with each mark handed over as a view. *)

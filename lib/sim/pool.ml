@@ -95,25 +95,23 @@ let push_stamped t stamp task =
 
 let push ?(stamp = -1) t task = push_stamped t stamp task
 
-let push_mark t v par meta = Mark_ring.push t.marking v par meta
+let marks t = t.marking
 
-(* Budgeted callback drains for the engine's per-step budget loops:
-   [drain_lanes] serves the reduction queue first and falls back to
-   marking. *)
+(* Budgeted callback drains for the engine's per-step budget loops, one
+   ring call per budget: [drain_lanes] serves the reduction queue first
+   and lends what is left of the budget to marking. Nothing pushes into
+   a pool while its budget runs (sends go through the network), so the
+   reduction queue cannot refill once it ran dry. *)
 let drain_marking t ~budget mark =
-  let n = ref 0 in
-  while !n < budget && Mark_ring.pop_with t.marking mark do
-    incr n
-  done
+  let (_ : int) = Mark_ring.drain t.marking ~budget mark in
+  ()
 
 let drain_lanes t ~budget ~red ~mark =
   let n = ref 0 in
-  let continue = ref true in
-  while !n < budget && !continue do
-    if Pqueue.pop_tagged_with t.reduction red then incr n
-    else if Mark_ring.pop_with t.marking mark then incr n
-    else continue := false
-  done
+  while !n < budget && Pqueue.pop_tagged_with t.reduction red do
+    incr n
+  done;
+  if !n < budget then drain_marking t ~budget:(budget - !n) mark
 
 let drain t ~budget f =
   drain_lanes t ~budget ~red:f ~mark:(fun v par meta ->

@@ -44,9 +44,9 @@ val push_stamped : t -> int -> Task.t -> unit
 (** [push_stamped t stamp task] is [push ~stamp t task] without the
     optional argument. *)
 
-val push_mark : t -> int -> int -> int -> unit
-(** Queue a mark given as lanes [v par meta] ({!Task.sink}); allocates
-    nothing once the ring has grown. The engine's delivery path. *)
+val marks : t -> Mark_ring.t
+(** The marking queue, as lanes ({!Task.sink}): delivery pushes a whole
+    frame's marks into it at once ([Network.take_mark_lanes]). *)
 
 val drain_lanes :
   t -> budget:int -> red:(Task.t -> int -> unit) -> mark:Task.sink -> unit

@@ -34,20 +34,31 @@ let push r v par meta =
   Array.unsafe_set r.buf (k + 2) meta;
   r.len <- r.len + 1
 
-(* Both takes update the ring before [f] runs, so [f] may push (a push
+(* [push] for each mark among the first [n] lanes of [a], three per
+   task, oldest first; a slot whose meta lane is negative holds no mark. *)
+let push_marks r a n =
+  for i = 0 to (n / 3) - 1 do
+    let meta = a.((3 * i) + 2) in
+    if meta >= 0 then push r a.(3 * i) a.((3 * i) + 1) meta
+  done
+
+(* Every take updates the ring before [f] runs, so [f] may push (a push
    may regrow [buf], so the lanes are read first). *)
-let pop_with r (f : Task.sink) =
-  if r.len = 0 then false
-  else begin
+let drain r ~budget (f : Task.sink) =
+  let n = ref 0 in
+  while !n < budget && r.len > 0 do
     let k = slot r 0 in
     let v = Array.unsafe_get r.buf k
     and par = Array.unsafe_get r.buf (k + 1)
     and meta = Array.unsafe_get r.buf (k + 2) in
     r.head <- (r.head + 1) land r.mask;
     r.len <- r.len - 1;
-    f v par meta;
-    true
-  end
+    incr n;
+    f v par meta
+  done;
+  !n
+
+let pop_with r f = drain r ~budget:1 f = 1
 
 let take_with r i (f : Task.sink) =
   if i < 0 || i >= r.len then

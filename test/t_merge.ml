@@ -224,7 +224,6 @@ let test_mark_path_alloc_free () =
   let pes = 4 in
   let g = Graph.create ~num_pes:pes () in
   let pools = Array.init pes (fun pe -> Pool.create ~pe Pool.Flat g) in
-  let takes = Array.map (fun pool v par meta -> Pool.push_mark pool v par meta) pools in
   let net = Network.create () in
   Network.reserve net ~pes;
   let meta = Task.meta ~kind:Task.kind_mark1 ~plane:Plane.MR ~prior:0 ~ep:0 in
@@ -241,7 +240,7 @@ let test_mark_path_alloc_free () =
     Network.seal net;
     Network.deliver_serial net ~now:(now + 1) ~push:no_reduction;
     for pe = 0 to pes - 1 do
-      Network.take_mark_lanes net ~pe takes.(pe);
+      Network.take_mark_lanes net ~pe (Pool.marks pools.(pe));
       Pool.drain_marking pools.(pe) ~budget:max_int handler
     done
   in

@@ -657,6 +657,31 @@ let test_metrics_pp () =
   let s = Format.asprintf "%a" Metrics.pp_summary m in
   Alcotest.(check bool) "summary renders" true (String.length s > 10)
 
+(* The load-shape meter: each PE's executed-task count, summed at the
+   barrier, adds up to the machine's executed total and does not depend
+   on how many domains the PEs are sharded across. *)
+let test_executed_per_pe () =
+  let run domains =
+    let config =
+      Engine.Config.make ~num_pes:4 ~domains
+        ~gc:(Engine.Concurrent { deadlock_every = 2; idle_gap = 10 })
+        ()
+    in
+    let g, templates = Dgr_lang.Compile.load_string ~num_pes:4 (Dgr_lang.Prelude.fib 9) in
+    let e = Engine.create ~config g templates in
+    Engine.inject_root_demand e;
+    let (_ : int) = Engine.run ~max_steps:200_000 e in
+    let m = Engine.metrics e in
+    let per_pe = Engine.executed_per_pe e in
+    Engine.dispose e;
+    (per_pe, m.Metrics.reduction_executed + m.Metrics.marking_executed)
+  in
+  let one, total = run 1 and two, _ = run 2 in
+  Alcotest.(check int) "one count per PE" 4 (Array.length one);
+  Alcotest.(check int) "per-PE counts sum to the executed total" total
+    (Array.fold_left ( + ) 0 one);
+  Alcotest.(check (array int)) "same at 1 and 2 domains" one two
+
 let suite =
   [
     Alcotest.test_case "pool priority bands" `Quick test_pool_policy_bands;
@@ -689,6 +714,7 @@ let suite =
     Alcotest.test_case "stalled PE receives its marks" `Quick test_stalled_pe_receives_marks;
     Alcotest.test_case "paused step receives its marks" `Quick test_paused_step_receives_marks;
     Alcotest.test_case "metrics" `Quick test_metrics_pp;
+    Alcotest.test_case "executed tasks per PE" `Quick test_executed_per_pe;
     Alcotest.test_case "config rejects num_pes < 1" `Quick
       (config_rejects "num_pes"
          ~make:(fun v -> Engine.Config.make ~num_pes:v ())
