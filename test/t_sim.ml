@@ -714,7 +714,6 @@ let suite =
     Alcotest.test_case "stalled PE receives its marks" `Quick test_stalled_pe_receives_marks;
     Alcotest.test_case "paused step receives its marks" `Quick test_paused_step_receives_marks;
     Alcotest.test_case "metrics" `Quick test_metrics_pp;
-    Alcotest.test_case "executed tasks per PE" `Quick test_executed_per_pe;
     Alcotest.test_case "config rejects num_pes < 1" `Quick
       (config_rejects "num_pes"
          ~make:(fun v -> Engine.Config.make ~num_pes:v ())
@@ -727,6 +726,7 @@ let suite =
       test_config_rejects_fault_rates;
     Alcotest.test_case "config rejects latency < 1 and jitter outside [0, 1]" `Quick
       test_config_rejects_latency_and_jitter;
+    Alcotest.test_case "executed tasks per PE" `Quick test_executed_per_pe;
   ]
 
 (* Delivery jitter: deterministic per seed; results invariant. *)
