@@ -151,6 +151,15 @@ let render ?(deterministic = false) e =
     Printf.bprintf b "  within execute: marking=%.1f%% reduction=%.1f%%\n"
       (share p.Profile.mark_ns) (share p.Profile.red_ns);
     let steps = float_of_int (Stdlib.max 1 p.Profile.steps) in
+    (* Each shard's budget loops, side by side: a shard slower than its
+       partners shows here, before it shows in the barrier wait. *)
+    if Array.length p.Profile.shard_ns > 1 then begin
+      Printf.bprintf b "  shard busy us/step:";
+      Array.iteri
+        (fun d ns -> Printf.bprintf b " %d=%.1f" d (ns /. 1e3 /. steps))
+        p.Profile.shard_ns;
+      Buffer.add_char b '\n'
+    end;
     Printf.bprintf b
       "  minor words/step: transport=%.0f execute=%.0f merge=%.0f gc=%.0f \
        bookkeeping=%.0f\n"

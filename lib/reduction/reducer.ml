@@ -68,7 +68,7 @@ let initial_task t =
   let root = Graph.root t.graph in
   Task.request root Demand.Vital
 
-let finished t = t.result <> None
+let finished t = Option.is_some t.result
 
 let stale t = t.stale_dropped <- t.stale_dropped + 1
 
@@ -545,7 +545,7 @@ let absorb_dirty t src =
   src.result <- None;
   Dgr_util.Vec.iter (fun task -> Dgr_util.Vec.push t.parked task) src.parked;
   Dgr_util.Vec.clear src.parked;
-  if src.stuck <> [] then begin
+  if not (List.is_empty src.stuck) then begin
     List.iter (fun (v, reason) -> ignore (add_stuck t v reason)) (List.rev src.stuck);
     src.stuck <- [];
     Option.iter Hashtbl.clear src.stuck_set
@@ -555,7 +555,7 @@ let absorb t src =
   if
     src.requests_executed + src.responds_executed + src.cancels_executed
     + src.expansions + src.rewrites + src.stale_dropped + src.alloc_stalls <> 0
-    || src.result <> None
+    || Option.is_some src.result
     || not (Dgr_util.Vec.is_empty src.parked)
-    || src.stuck <> []
+    || not (List.is_empty src.stuck)
   then absorb_dirty t src

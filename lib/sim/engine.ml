@@ -167,9 +167,6 @@ type pe_ctx = {
   mutable clin : int;  (** lineage of the task this PE is executing; -1 outside *)
   mutable cdepth : int;  (** causal depth its children inherit *)
   cdone : int Vec.t;  (** tickets of executed tasks, closed at the barrier *)
-  cns : float array;
-      (** profiler: this shard's marking-budget (0) and reduction-budget
-          (1) time — a flat float array, so adding to it boxes nothing *)
   mutable cexec : Task.t -> int -> unit;
   mutable cmark : Task.sink;
   mutable cemit : Task.sink;
@@ -245,7 +242,12 @@ and t = {
       (** per PE: tasks (marks and reductions) its shard has executed,
           summed at the barrier — the load-shape meter *)
   lin : Dgr_obs.Lineage.t;  (** causal lineage tickets, one per pooled reduction *)
-  prof : Profile.t;  (** wall-clock step-phase attribution *)
+  prof : Profile.t;  (** step and park counts; [profile] adds the sums *)
+  ph_ns : float array;  (** per phase: seconds, see [lap] *)
+  ph_mw : float array;  (** per phase: minor words *)
+  shard_ph : float array;
+      (** per shard, [shard_stride] apart: marking (+0) and reduction (+1)
+          budget seconds, written only by the shard's own domain *)
   mutable now : int;
   mutable paused_until : int;
   mutable next_cycle_at : int;
@@ -291,6 +293,41 @@ and t = {
    [each_home] through this cell (assigned once, next to
    [each_home_run]). *)
 let each_home_cell : (t -> (int -> unit) -> unit) ref = ref (fun _ _ -> ())
+
+(* The profiler's sums, per phase, in two flat float arrays, so adding
+   to a sum boxes nothing: [ph_ns] in seconds ([profile] scales them to
+   ns), [ph_mw] in minor words. The step reads the clock once per phase
+   boundary: [lap] closes the running phase at the reading and opens the
+   next, so the phases partition the step. Slot [k_at] holds the last
+   boundary's readings. *)
+let k_transport = 0
+let k_execute = 1
+let k_drain = 2
+let k_absorb = 3
+let k_close = 4
+let k_seal = 5
+let k_replay = 6
+let k_gc = 7
+let k_book = 8
+let k_restr = 9
+let k_total = 10
+let k_at = 11
+
+(* Floats per shard in [shard_ph]: two 64-byte lines, so two domains
+   never write the same line, however the array is aligned. *)
+let shard_stride = 16
+
+(* Wall clock in seconds. Both readings in [lap] are unboxed externals,
+   so a boundary allocates nothing. *)
+let clock () = Unix.gettimeofday ()
+
+let lap t k =
+  let c = clock () and w = Gc.minor_words () in
+  let ns = t.ph_ns and mw = t.ph_mw in
+  ns.(k) <- ns.(k) +. (c -. ns.(k_at));
+  ns.(k_at) <- c;
+  mw.(k) <- mw.(k) +. (w -. mw.(k_at));
+  mw.(k_at) <- w
 
 let throughput t = Int.max 1 (t.num_pes * t.tasks_per_step)
 
@@ -574,7 +611,6 @@ let create ?recorder ?(config = Config.default) g templates =
         clin = -1;
         cdepth = 0;
         cdone = Vec.create ();
-        cns = [| 0.0; 0.0 |];
         cexec = (fun _ _ -> ());
         cmark = (fun _ _ _ -> ());
         cemit = (fun _ _ _ -> ());
@@ -587,6 +623,7 @@ let create ?recorder ?(config = Config.default) g templates =
     ctx
   in
   let cctl = make_ctx ~pe:(-1) ~pm:(Metrics.create ()) ~sub:recorder in
+  let domains = Int.max 1 (Int.min (Config.domains config) num_pes) in
   let t =
     {
       cfg = config;
@@ -596,7 +633,7 @@ let create ?recorder ?(config = Config.default) g templates =
       gc_work_factor = Config.gc_work_factor config;
       jitter = Config.jitter config;
       gc_mode = Config.gc config;
-      domains = Int.max 1 (Int.min (Config.domains config) num_pes);
+      domains;
       g;
       pools;
       net = Network.create ?recorder ~lineage ?faults:flt ~batch:(Config.batch config) ();
@@ -609,6 +646,9 @@ let create ?recorder ?(config = Config.default) g templates =
       executed_by = Array.make num_pes 0;
       lin = lineage;
       prof = Profile.create ();
+      ph_ns = Array.make (k_at + 1) 0.0;
+      ph_mw = Array.make (k_at + 1) 0.0;
+      shard_ph = Array.make (shard_stride * domains) 0.0;
       now = 0;
       paused_until = 0;
       next_cycle_at = 0;
@@ -766,7 +806,35 @@ let lineage t = t.lin
 
 let executed_per_pe t = Array.copy t.executed_by
 
-let profile t = t.prof
+let profile t =
+  let ns k = t.ph_ns.(k) *. 1e9 and mw k = t.ph_mw.(k) in
+  let merge f = f k_drain +. f k_absorb +. f k_close +. f k_seal +. f k_replay in
+  let shard k d = t.shard_ph.((d * shard_stride) + k) *. 1e9 in
+  let budgets k = Array.fold_left ( +. ) 0.0 (Array.init t.domains (shard k)) in
+  {
+    t.prof with
+    total_ns = ns k_total;
+    transport_ns = ns k_transport;
+    execute_ns = ns k_execute;
+    merge_ns = merge ns;
+    drain_ns = ns k_drain;
+    absorb_ns = ns k_absorb;
+    close_ns = ns k_close;
+    flush_ns = ns k_seal;
+    replay_ns = ns k_replay;
+    gc_ns = ns k_gc;
+    book_ns = ns k_book;
+    restr_ns = ns k_restr;
+    mark_ns = budgets 0;
+    red_ns = budgets 1;
+    total_mw = mw k_total;
+    transport_mw = mw k_transport;
+    execute_mw = mw k_execute;
+    merge_mw = merge mw;
+    gc_mw = mw k_gc;
+    book_mw = mw k_book;
+    shard_ns = Array.init t.domains (fun d -> shard 0 d +. shard 1 d);
+  }
 
 let faults t = t.flt
 
@@ -949,22 +1017,6 @@ let gc_control t =
    lighter than reduction tasks (§6). *)
 let marking_per_step = 8
 
-(* One PE's execution budget for one step: the marking budget first, then
-   the reduction budget (which lends idle slots to marking — see
-   [Pool.drain_lanes]). Plain loops: this is the innermost simulator
-   code. *)
-let pe_budgets t ctx pool =
-  let t0 = Profile.now () in
-  Pool.drain_marking pool ~budget:marking_per_step ctx.cmark;
-  let t1 = Profile.now () in
-  ctx.cns.(0) <- ctx.cns.(0) +. (t1 -. t0);
-  (* During a restructure pause only the marking budget runs: the
-     mutator is stopped, the next wave's marks are not. *)
-  if not t.mark_only then begin
-    Pool.drain_lanes pool ~budget:t.tasks_per_step ~red:ctx.cexec ~mark:ctx.cmark;
-    ctx.cns.(1) <- ctx.cns.(1) +. (Profile.now () -. t1)
-  end
-
 (* Transient PE stalls (crash-restart with memory preserved): a stalled
    PE skips its execution budget; its pool, heap and in-flight messages
    survive. The marking plane must tolerate this — a stalled PE delays
@@ -995,20 +1047,44 @@ let roll_stalls t f =
    call of the step loop. *)
 let shard_lo t d = d * t.num_pes / t.domains
 
-(* Each PE first takes the marks delivery parked for it, down or
-   stalled or not (its pool receives them either way). A crashed PE
-   then executes nothing until its downtime elapses, a stalled one until
-   its stall ends; both read serial state the crash tick and
+(* A crashed PE executes nothing until its downtime elapses, a stalled
+   one until its stall ends; both read serial state the crash tick and
    [roll_stalls] wrote before the shards started. *)
+let executes t pe = t.down_since.(pe) < 0 && t.now >= t.stall_until.(pe)
+
+(* Each PE first takes the marks delivery parked for it, down or
+   stalled or not (its pool receives them either way). Then every
+   executing PE drains its marking budget, then — unless a restructure
+   pause leaves only marking running — its reduction budget, which lends
+   idle slots to marking ([Pool.drain_lanes]). A step's PEs are
+   data-disjoint, so this order moves no byte, and each loop is timed
+   once per shard, not once per PE. *)
 let run_shard t d =
-  for pe = shard_lo t d to shard_lo t (d + 1) - 1 do
-    Network.take_mark_lanes t.net ~pe (Pool.marks t.pools.(pe));
-    if t.down_since.(pe) < 0 && t.now >= t.stall_until.(pe) then begin
+  let lo = shard_lo t d and hi = shard_lo t (d + 1) - 1 in
+  for pe = lo to hi do
+    Network.take_mark_lanes t.net ~pe (Pool.marks t.pools.(pe))
+  done;
+  let c0 = clock () in
+  for pe = lo to hi do
+    if executes t pe then begin
       Domain.DLS.set dls_pe pe;
-      pe_budgets t t.ctxs.(pe) t.pools.(pe)
+      Pool.drain_marking t.pools.(pe) ~budget:marking_per_step t.ctxs.(pe).cmark
     end
   done;
-  Domain.DLS.set dls_pe (-1)
+  let c1 = clock () in
+  if not t.mark_only then
+    for pe = lo to hi do
+      if executes t pe then begin
+        Domain.DLS.set dls_pe pe;
+        let ctx = t.ctxs.(pe) in
+        Pool.drain_lanes t.pools.(pe) ~budget:t.tasks_per_step ~red:ctx.cexec ~mark:ctx.cmark
+      end
+    done;
+  let c2 = clock () in
+  Domain.DLS.set dls_pe (-1);
+  let s = t.shard_ph and i = d * shard_stride in
+  s.(i) <- s.(i) +. (c1 -. c0);
+  s.(i + 1) <- s.(i + 1) +. (c2 -. c1)
 
 (* Where the shards run. A machine with a fault plane steps them inline
    on the main domain, and so do restructure's home passes: its steps
@@ -1017,7 +1093,7 @@ let run_shard t d =
    fifth of its 2-domain step rate. Such a machine never starts a worker
    pool. The shards are data-disjoint either way, so where they run
    never shows in the bytes. *)
-let shards_inline t = t.flt <> None
+let shards_inline t = Option.is_some t.flt
 
 (* Relaxes a waiting domain spins before it parks. 100k took ~2.7 ms on
    a 2-core Xeon: far longer than the serial part of a step, so a busy
@@ -1133,12 +1209,12 @@ let run_shards t job =
    like them. The span is attributed to the profiler's parallel(izable)
    restructure bucket. *)
 let each_home_run t f =
-  let r0 = Profile.now () in
+  let r0 = clock () in
   run_shards t (fun t d ->
       for pe = shard_lo t d to shard_lo t (d + 1) - 1 do
         f pe
       done);
-  t.prof.Profile.restr_ns <- t.prof.Profile.restr_ns +. (Profile.now () -. r0)
+  t.ph_ns.(k_restr) <- t.ph_ns.(k_restr) +. (clock () -. r0)
 
 let () = each_home_cell := each_home_run
 
@@ -1191,7 +1267,6 @@ let apply_rc t rc =
    order). *)
 let merge_shards t =
   Mutator.set_defer t.mut None;
-  let m0 = Profile.now () in
   (match t.recorder with
   | None -> ()
   | Some r ->
@@ -1201,22 +1276,16 @@ let merge_shards t =
         | Some s -> Dgr_obs.Recorder.drain_into ~src:s ~dst:r
         | None -> ())
       t.ctxs);
-  let m1 = Profile.now () in
-  t.prof.Profile.drain_ns <- t.prof.Profile.drain_ns +. (m1 -. m0);
+  lap t k_drain;
   Array.iter
     (fun ctx ->
       Reducer.absorb t.cctl.pred ctx.pred;
       t.executed_by.(ctx.cpe) <-
         t.executed_by.(ctx.cpe) + ctx.pm.Metrics.reduction_executed
         + ctx.pm.Metrics.marking_executed;
-      Metrics.absorb t.m ctx.pm;
-      t.prof.Profile.mark_ns <- t.prof.Profile.mark_ns +. ctx.cns.(0);
-      ctx.cns.(0) <- 0.0;
-      t.prof.Profile.red_ns <- t.prof.Profile.red_ns +. ctx.cns.(1);
-      ctx.cns.(1) <- 0.0)
+      Metrics.absorb t.m ctx.pm)
     t.ctxs;
-  let m2 = Profile.now () in
-  t.prof.Profile.absorb_ns <- t.prof.Profile.absorb_ns +. (m2 -. m1);
+  lap t k_absorb;
   (* Close the executed tasks' tickets before the seal: the freed slots
      are recycled by the seal's opens, in ascending PE order both times,
      so slot allocation stays a pure function of the step's buffers. *)
@@ -1226,11 +1295,9 @@ let merge_shards t =
         ~len:(Vec.length ctx.cdone) ~now:t.now;
       Vec.clear ctx.cdone)
     t.ctxs;
-  let m3 = Profile.now () in
-  t.prof.Profile.close_ns <- t.prof.Profile.close_ns +. (m3 -. m2);
+  lap t k_close;
   Network.seal t.net;
-  let m4 = Profile.now () in
-  t.prof.Profile.flush_ns <- t.prof.Profile.flush_ns +. (m4 -. m3);
+  lap t k_seal;
   (match t.rc with Some rc -> apply_rc t rc | None -> ());
   let cpe = t.cctl.cpe and crng = t.cctl.crng in
   Array.iter
@@ -1249,7 +1316,7 @@ let merge_shards t =
       Vec.iter (fun task -> execute_at_controller t task) ctx.ctrl;
       Vec.clear ctx.ctrl)
     t.ctxs;
-  t.prof.Profile.replay_ns <- t.prof.Profile.replay_ns +. (Profile.now () -. m4)
+  lap t k_replay
 
 (* Health watchdogs. Window-based: each monitor re-arms on any progress
    (or while the machine is legitimately paused) and fires at most once
@@ -1295,7 +1362,7 @@ let health_check t =
   in
   if
     executed > t.wd_exec_last || paused || (not work_waiting)
-    || t.m.Metrics.completion_step <> None
+    || Option.is_some t.m.Metrics.completion_step
   then begin
     t.wd_exec_last <- executed;
     t.wd_exec_since <- now;
@@ -1443,8 +1510,9 @@ let inject_crash t ~pe ~down =
 let pe_down t pe = pe >= 0 && pe < t.num_pes && is_down t pe
 
 let step t =
-  let p0 = Profile.now () in
-  let w0 = Profile.words () in
+  let p0 = clock () and w0 = Gc.minor_words () in
+  t.ph_ns.(k_at) <- p0;
+  t.ph_mw.(k_at) <- w0;
   (match t.recorder with Some r -> Dgr_obs.Recorder.set_now r t.now | None -> ());
   (* Every vertex allocated from here on is this step's: the ownership
      checker exempts same-step births (a PE wires up its own fresh
@@ -1465,10 +1533,7 @@ let step t =
      in delivery order. *)
   Network.deliver_serial t.net ~now:t.now ~push:t.push_due;
   flush_rc_purge t;
-  let p1 = Profile.now () in
-  let w1 = Profile.words () in
-  t.prof.Profile.transport_ns <- t.prof.Profile.transport_ns +. (p1 -. p0);
-  t.prof.Profile.transport_mw <- t.prof.Profile.transport_mw +. (w1 -. w0);
+  lap t k_transport;
   (* 2. Execute, unless the machine is paused by a collection. Marking
      tasks are lightweight (§6: "bounded amount of time once the required
      vertices are accessed") and get their own per-step budget so GC
@@ -1488,22 +1553,17 @@ let step t =
     Mutator.set_defer t.mut (Some t.coop_sink);
     Network.shard_phase t.net;
     run_shards t run_shard;
-    let p2 = Profile.now () in
-    let w2 = Profile.words () in
-    t.prof.Profile.execute_ns <- t.prof.Profile.execute_ns +. (p2 -. p1);
-    t.prof.Profile.execute_mw <- t.prof.Profile.execute_mw +. (w2 -. w1);
-    merge_shards t;
-    t.prof.Profile.merge_ns <- t.prof.Profile.merge_ns +. (Profile.now () -. p2);
-    t.prof.Profile.merge_mw <- t.prof.Profile.merge_mw +. (Profile.words () -. w2)
+    lap t k_execute;
+    merge_shards t
   end
-  else
+  else begin
     (* No shard runs: the pools take their parked marks here. *)
     for pe = 0 to t.num_pes - 1 do
       Network.take_mark_lanes t.net ~pe (Pool.marks t.pools.(pe))
     done;
+    lap t k_execute
+  end;
   (* 3. Memory management. *)
-  let p3 = Profile.now () in
-  let w3 = Profile.words () in
   flush_rc_purge t;
   gc_control t;
   (* Flood termination heartbeats: while a flood phase is in progress
@@ -1521,10 +1581,7 @@ let step t =
             ~sent:(Flood.sent_on fl ~pe) ~executed:(Flood.executed_on fl ~pe)
       done
   | Some (Cycle.Tree_run _) | None -> ());
-  let p4 = Profile.now () in
-  let w4 = Profile.words () in
-  t.prof.Profile.gc_ns <- t.prof.Profile.gc_ns +. (p4 -. p3);
-  t.prof.Profile.gc_mw <- t.prof.Profile.gc_mw +. (w4 -. w3);
+  lap t k_gc;
   (* 4. Bookkeeping. *)
   (match (Reducer.finished t.cctl.pred, t.m.Metrics.completion_step) with
   | true, None ->
@@ -1560,12 +1617,9 @@ let step t =
       ~pool_depth:(Array.map Pool.length t.pools));
   t.now <- t.now + 1;
   t.m.Metrics.steps <- t.m.Metrics.steps + 1;
-  let p5 = Profile.now () in
-  let w5 = Profile.words () in
-  t.prof.Profile.book_ns <- t.prof.Profile.book_ns +. (p5 -. p4);
-  t.prof.Profile.book_mw <- t.prof.Profile.book_mw +. (w5 -. w4);
-  t.prof.Profile.total_ns <- t.prof.Profile.total_ns +. (p5 -. p0);
-  t.prof.Profile.total_mw <- t.prof.Profile.total_mw +. (w5 -. w0);
+  lap t k_book;
+  t.ph_ns.(k_total) <- t.ph_ns.(k_total) +. (t.ph_ns.(k_at) -. p0);
+  t.ph_mw.(k_total) <- t.ph_mw.(k_total) +. (t.ph_mw.(k_at) -. w0);
   t.prof.Profile.steps <- t.prof.Profile.steps + 1
 
 let result t = t.cctl.pred.Reducer.result

@@ -231,9 +231,10 @@ val lineage : t -> Dgr_obs.Lineage.t
 
 val profile : t -> Profile.t
 (** Wall-clock step-phase attribution (transport / execute / merge / GC /
-    bookkeeping) and the measured Amdahl serial fraction. Always on —
-    the readings are two [gettimeofday] calls per phase — but never part
-    of deterministic artifacts. *)
+    bookkeeping, per-shard budget time) and the measured Amdahl serial
+    fraction, as a fresh snapshot. Always on — one [gettimeofday] per
+    phase boundary plus three per shard — but never part of
+    deterministic artifacts. *)
 
 val faults : t -> Faults.t option
 (** The live fault plane, when [config.faults] is active: its counters

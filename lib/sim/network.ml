@@ -832,7 +832,7 @@ let drain_credits t ~now =
    [pending] until its cumulative ack lands. *)
 let settle t b ~now ~push =
   if deliver_batch t b ~now ~push then Vec.push t.inbox.(b.b_dst) b
-  else if t.faults = None then recycle_batch t b
+  else match t.faults with None -> recycle_batch t b | Some _ -> ()
 
 let deliver_serial t ~now ~push =
   check_sealed t "deliver_serial";
@@ -919,7 +919,7 @@ let take_frames t ~pe x (f : 'a -> batch -> unit) =
     for k = 0 to Vec.length ib - 1 do
       let b = Vec.get ib k in
       f x b;
-      if t.faults = None then Vec.push t.spent.(pe) b
+      match t.faults with None -> Vec.push t.spent.(pe) b | Some _ -> ()
     done;
     Vec.clear ib
   end

@@ -6,8 +6,16 @@
    sharded engine runs in parallel), barrier merge (sub-recorder drain,
    metric absorption, lineage closes, seal, controller replay), GC control,
    and bookkeeping (counter sync, watchdogs, sampling). Within the
-   execution span the budget loops further split their time into
-   marking and reduction work.
+   execution span each shard further splits its time into its marking
+   and its reduction budget loops ([shard_ns] keeps the per-shard sum).
+
+   The engine reads the clock once per phase boundary, each reading
+   closing one phase and opening the next, so the phases partition the
+   step: 10 readings a step (the start, transport, execute, the merge's
+   five sub-phases, GC control, bookkeeping), plus 3 per shard (around
+   its two budget loops) and 2 around each of restructure's home passes.
+   It sums the spans in flat float arrays of its own; this record is a
+   snapshot view, filled from those sums by [Engine.profile].
 
    Alongside each wall-clock span the same brackets accumulate
    [Gc.minor_words] deltas, attributing the engine's minor-heap traffic
@@ -62,6 +70,7 @@ type t = {
   mutable book_mw : float;
   mutable main_parks : int;  (* the main domain parked on the shards' join *)
   mutable worker_parks : int;  (* a worker parked waiting for a job *)
+  shard_ns : float array;  (* per shard: mark_ns + red_ns *)
 }
 
 let create () =
@@ -93,11 +102,8 @@ let create () =
     book_mw = 0.0;
     main_parks = 0;
     worker_parks = 0;
+    shard_ns = [||];
   }
-
-let now () = Unix.gettimeofday () *. 1e9
-
-let words () = Gc.minor_words ()
 
 let serial_fraction t =
   if t.total_ns <= 0.0 then 0.0

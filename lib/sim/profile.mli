@@ -2,15 +2,16 @@
     minor-heap allocation — goes.
 
     The engine brackets each step into transport / execution / barrier
-    merge / GC control / bookkeeping phases, and the execution budget
-    loops split their span into marking vs reduction work. The merge
-    span is further split into its barrier stages (event drain, metric
-    absorption, lineage closes, the seal, deferred replay). The
-    sharded engine runs two spans in parallel — execution and
-    restructure's per-home passes — so the measured Amdahl serial
-    fraction is [(total - execute - restructure) / total], the direct
-    yardstick for how much of a step sharding can reach. The seal is
-    serial: it runs on the main domain at the barrier.
+    merge / GC control / bookkeeping phases, chained so that they
+    partition the step, and each shard splits its budget loops into
+    marking vs reduction work. The merge span is further split into
+    its barrier stages (event drain, metric absorption, lineage closes,
+    the seal, deferred replay). The sharded engine runs two spans in
+    parallel — execution and restructure's per-home passes — so the
+    measured Amdahl serial fraction is
+    [(total - execute - restructure) / total], the direct yardstick for
+    how much of a step sharding can reach. The seal is serial: it runs
+    on the main domain at the barrier.
 
     The same brackets also accumulate [Gc.minor_words] deltas, so the
     bench's [minor_words_per_step] budget can be attributed to a phase
@@ -20,7 +21,10 @@
     Wall-clock readings are non-deterministic; they never feed traces,
     metrics JSON or golden fixtures. Deterministic outputs
     ([dgr report --deterministic], deterministic bench rows) zero the
-    whole profile. *)
+    whole profile.
+
+    A value is a snapshot: [Engine.profile] copies the engine's running
+    sums into a fresh record. *)
 
 type t = {
   mutable steps : int;
@@ -62,17 +66,14 @@ type t = {
   mutable worker_parks : int;
       (** worker parks waiting for a job. Both count on the park path
           only: many per step mark a descheduled run, not a busy one. *)
+  shard_ns : float array;
+      (** per shard (index = shard): the time its marking and reduction
+          budget loops took, so the entries sum to [mark_ns + red_ns].
+          At more than 1 domain a slow shard shows here. Empty from
+          {!create}. *)
 }
 
 val create : unit -> t
-
-(** Monotonic-enough wall clock in nanoseconds (the engine only ever
-    differences readings taken microseconds apart). *)
-val now : unit -> float
-
-(** This domain's cumulative minor-heap allocation in words
-    ([Gc.minor_words]) — differenced at the same points as {!now}. *)
-val words : unit -> float
 
 (** Fraction of total step time spent outside the parallelizable spans
     (execution and sharded restructure), in [0, 1]; [0.0] before any

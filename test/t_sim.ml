@@ -682,6 +682,48 @@ let test_executed_per_pe () =
     (Array.fold_left ( + ) 0 one);
   Alcotest.(check (array int)) "same at 1 and 2 domains" one two
 
+(* The profiler reads the clock once per phase boundary, each reading
+   closing one phase and opening the next, so the phases partition the
+   step: their minor words add up exactly (whole-word counts), their
+   wall-clock spans up to float rounding, and so do the merge's five
+   sub-phases and the shards' budget loops. *)
+let test_phases_partition () =
+  let close what total parts =
+    let sum = List.fold_left ( +. ) 0.0 parts in
+    if Float.abs (sum -. total) > 1e-9 *. Float.abs total then
+      Alcotest.failf "%s: parts sum to %.17g, total %.17g" what sum total
+  in
+  List.iter
+    (fun (name, domains) ->
+      let e = Dgr_harness.Bench.run_for_report ~domains name in
+      let p = Engine.profile e in
+      Engine.dispose e;
+      let what s = Printf.sprintf "%s at %d domains: %s" name domains s in
+      Alcotest.(check bool) (what "steps ran") true (p.Profile.steps > 0 && p.Profile.total_ns > 0.0);
+      Alcotest.(check (float 0.0))
+        (what "phase words sum to total_mw")
+        p.Profile.total_mw
+        (p.Profile.transport_mw +. p.Profile.execute_mw +. p.Profile.merge_mw +. p.Profile.gc_mw
+       +. p.Profile.book_mw);
+      close (what "phase ns vs total_ns") p.Profile.total_ns
+        [
+          p.Profile.transport_ns; p.Profile.execute_ns; p.Profile.merge_ns; p.Profile.gc_ns;
+          p.Profile.book_ns;
+        ];
+      close (what "merge sub-phases vs merge_ns") p.Profile.merge_ns
+        [
+          p.Profile.drain_ns; p.Profile.absorb_ns; p.Profile.close_ns; p.Profile.flush_ns;
+          p.Profile.replay_ns;
+        ];
+      Alcotest.(check bool) (what "restr_ns <= gc_ns") true (p.Profile.restr_ns <= p.Profile.gc_ns);
+      Alcotest.(check int) (what "one shard_ns per shard") domains (Array.length p.Profile.shard_ns);
+      close (what "shard_ns vs mark_ns + red_ns")
+        (p.Profile.mark_ns +. p.Profile.red_ns)
+        (Array.to_list p.Profile.shard_ns))
+    [
+      ("storm-tree-8k", 1); ("storm-tree-8k", 2); ("fib-12-concurrent", 1); ("fib-12-concurrent", 2);
+    ]
+
 let suite =
   [
     Alcotest.test_case "pool priority bands" `Quick test_pool_policy_bands;
@@ -727,6 +769,7 @@ let suite =
     Alcotest.test_case "config rejects latency < 1 and jitter outside [0, 1]" `Quick
       test_config_rejects_latency_and_jitter;
     Alcotest.test_case "executed tasks per PE" `Quick test_executed_per_pe;
+    Alcotest.test_case "the phases partition the step" `Quick test_phases_partition;
   ]
 
 (* Delivery jitter: deterministic per seed; results invariant. *)
