@@ -4,7 +4,8 @@ type t = {
   sent : int array;
   executed : int array;
   reported : bool array;
-  mutable first : (int * int) option;  (** (step, sent) of the first quiet wave *)
+  mutable first_step : int;  (** step of the first quiet observation; -1 = none *)
+  mutable first_sent : int;  (** the [sent] sum at [first_step] *)
   mutable terminated : bool;
 }
 
@@ -15,7 +16,8 @@ let create ~window ~epoch ~pes =
     sent = Array.make (Int.max 1 pes) 0;
     executed = Array.make (Int.max 1 pes) 0;
     reported = Array.make (Int.max 1 pes) false;
-    first = None;
+    first_step = -1;
+    first_sent = 0;
     terminated = false;
   }
 
@@ -49,13 +51,12 @@ let learned_executed t = Array.fold_left ( + ) 0 t.executed
 let observe t ~now =
   if not t.terminated then begin
     let sent = learned_sent t and executed = learned_executed t in
-    if (not (all_reported t)) || sent <> executed then t.first <- None
-    else
-      match t.first with
-      | None -> t.first <- Some (now, sent)
-      | Some (step, sent0) ->
-        if sent <> sent0 then t.first <- Some (now, sent)
-        else if now - step >= t.window then t.terminated <- true
+    if (not (all_reported t)) || sent <> executed then t.first_step <- -1
+    else if t.first_step < 0 || sent <> t.first_sent then begin
+      t.first_step <- now;
+      t.first_sent <- sent
+    end
+    else if now - t.first_step >= t.window then t.terminated <- true
   end
 
 let terminated t = t.terminated

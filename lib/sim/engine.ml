@@ -288,12 +288,6 @@ and t = {
           context; installed on the mutator around the shards *)
 }
 
-(* Forward reference: restructure's sharded home passes are placed like
-   the shards, whose machinery lives below [create]; engines bind
-   [each_home] through this cell (assigned once, next to
-   [each_home_run]). *)
-let each_home_cell : (t -> (int -> unit) -> unit) ref = ref (fun _ _ -> ())
-
 (* The profiler's sums, per phase, in two flat float arrays, so adding
    to a sum boxes nothing: [ph_ns] in seconds ([profile] scales them to
    ns), [ph_mw] in minor words. The step reads the clock once per phase
@@ -552,6 +546,184 @@ let purge_for_baseline t pred =
   t.m.Metrics.tasks_purged <- t.m.Metrics.tasks_purged + n;
   n
 
+(* Each PE's extra per-step budget for marking tasks, which are much
+   lighter than reduction tasks (§6). *)
+let marking_per_step = 8
+
+(* Shard [d] owns the PE range [shard_lo t d, shard_lo t (d + 1)). A
+   bound, not a pair: the non-flambda compiler would box a pair on every
+   call of the step loop. *)
+let shard_lo t d = d * t.num_pes / t.domains
+
+(* A crashed PE executes nothing until its downtime elapses, a stalled
+   one until its stall ends; both read serial state the crash tick and
+   [roll_stalls] wrote before the shards started. *)
+let executes t pe = t.down_since.(pe) < 0 && t.now >= t.stall_until.(pe)
+
+(* Each PE first takes the marks delivery parked for it, down or
+   stalled or not (its pool receives them either way). Then every
+   executing PE drains its marking budget, then — unless a restructure
+   pause leaves only marking running — its reduction budget, which lends
+   idle slots to marking ([Pool.drain_lanes]). A step's PEs are
+   data-disjoint, so this order moves no byte, and each loop is timed
+   once per shard, not once per PE. *)
+let run_shard t d =
+  let lo = shard_lo t d and hi = shard_lo t (d + 1) - 1 in
+  for pe = lo to hi do
+    Network.take_mark_lanes t.net ~pe (Pool.marks t.pools.(pe))
+  done;
+  let c0 = clock () in
+  for pe = lo to hi do
+    if executes t pe then begin
+      Domain.DLS.set dls_pe pe;
+      Pool.drain_marking t.pools.(pe) ~budget:marking_per_step t.ctxs.(pe).cmark
+    end
+  done;
+  let c1 = clock () in
+  if not t.mark_only then
+    for pe = lo to hi do
+      if executes t pe then begin
+        Domain.DLS.set dls_pe pe;
+        let ctx = t.ctxs.(pe) in
+        Pool.drain_lanes t.pools.(pe) ~budget:t.tasks_per_step ~red:ctx.cexec ~mark:ctx.cmark
+      end
+    done;
+  let c2 = clock () in
+  Domain.DLS.set dls_pe (-1);
+  let s = t.shard_ph and i = d * shard_stride in
+  s.(i) <- s.(i) +. (c1 -. c0);
+  s.(i + 1) <- s.(i + 1) +. (c2 -. c1)
+
+(* Where the shards run. A machine with a fault plane steps them inline
+   on the main domain, and so do restructure's home passes: its steps
+   are light (a few PEs, small budgets, serial work on either side of
+   the shards), and handing each one to the worker pool cost fib-lossy a
+   fifth of its 2-domain step rate. Such a machine never starts a worker
+   pool. The shards are data-disjoint either way, so where they run
+   never shows in the bytes. *)
+let shards_inline t = Option.is_some t.flt
+
+(* Relaxes a waiting domain spins before it parks. 100k took ~2.7 ms on
+   a 2-core Xeon: far longer than the serial part of a step, so a busy
+   engine's workers never park, and short enough that an idle engine
+   stops burning its cores. *)
+let spin_budget = 100_000
+
+let spawn_workers t =
+  let w =
+    {
+      doms = [||];
+      job = (fun _ _ -> ());
+      stop = false;
+      gen = Atomic.make 0;
+      pending = Atomic.make 0;
+      sleepers = Atomic.make 0;
+      main_parked = Atomic.make false;
+      parks = Atomic.make 0;
+      spin = (if t.domains <= Domain.recommended_domain_count () then spin_budget else 0);
+      mu = Mutex.create ();
+      wake = Condition.create ();
+      finished = Condition.create ();
+    }
+  in
+  (* [seen] is the last generation this worker ran; the main domain
+     publishes the next one only after every worker finished it. *)
+  let rec worker d seen =
+    let n = ref w.spin in
+    while Atomic.get w.gen = seen && !n > 0 do
+      Domain.cpu_relax ();
+      decr n
+    done;
+    if Atomic.get w.gen = seen then begin
+      Atomic.incr w.parks;
+      Atomic.incr w.sleepers;
+      Mutex.lock w.mu;
+      while Atomic.get w.gen = seen do
+        Condition.wait w.wake w.mu
+      done;
+      Mutex.unlock w.mu;
+      Atomic.decr w.sleepers
+    end;
+    if not w.stop then begin
+      w.job t d;
+      if Atomic.fetch_and_add w.pending (-1) = 1 && Atomic.get w.main_parked then begin
+        Mutex.lock w.mu;
+        Condition.signal w.finished;
+        Mutex.unlock w.mu
+      end;
+      worker d (seen + 1)
+    end
+  in
+  w.doms <- Array.init (t.domains - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1) 0));
+  w
+
+(* One parallel phase: [job t d] for every shard [d], shard 0 on the
+   calling domain — inline when there is only one shard. [job t d] must
+   touch only shard [d]'s state; the execution budgets and restructure's
+   home passes both qualify. Jobs take [t] so the per-step one
+   ([run_shard]) is a closed function and the step loop allocates no
+   closure. There is one fork/join per step: the barrier's seal stays
+   on this domain. *)
+let run_parallel t job =
+  if t.domains = 1 then job t 0
+  else begin
+    let w =
+      match t.workers with
+      | Some w -> w
+      | None ->
+        let w = spawn_workers t in
+        t.workers <- Some w;
+        w
+    in
+    w.job <- job;
+    Atomic.set w.pending (Array.length w.doms);
+    Atomic.incr w.gen;
+    if Atomic.get w.sleepers > 0 then begin
+      Mutex.lock w.mu;
+      Condition.broadcast w.wake;
+      Mutex.unlock w.mu
+    end;
+    job t 0;
+    let n = ref w.spin in
+    while Atomic.get w.pending > 0 && !n > 0 do
+      Domain.cpu_relax ();
+      decr n
+    done;
+    if Atomic.get w.pending > 0 then begin
+      t.prof.Profile.main_parks <- t.prof.Profile.main_parks + 1;
+      Atomic.set w.main_parked true;
+      Mutex.lock w.mu;
+      while Atomic.get w.pending > 0 do
+        Condition.wait w.finished w.mu
+      done;
+      Mutex.unlock w.mu;
+      Atomic.set w.main_parked false
+    end;
+    if Atomic.get w.parks > 0 then
+      t.prof.Profile.worker_parks <- t.prof.Profile.worker_parks + Atomic.exchange w.parks 0
+  end
+
+(* Run a per-shard job on the worker pool, or shard after shard on this
+   domain where [shards_inline] says so — the same bytes either way. *)
+let run_shards t job =
+  if shards_inline t then
+    for d = 0 to t.domains - 1 do
+      job t d
+    done
+  else run_parallel t job
+
+(* Restructure's sharded passes: run [f] over every home PE, sharded
+   across the domains exactly like the execution budgets, and placed
+   like them. The span is attributed to the profiler's parallel(izable)
+   restructure bucket. *)
+let each_home_run t f =
+  let r0 = clock () in
+  run_shards t (fun t d ->
+      for pe = shard_lo t d to shard_lo t (d + 1) - 1 do
+        f pe
+      done);
+  t.ph_ns.(k_restr) <- t.ph_ns.(k_restr) +. (clock () -. r0)
+
 let create ?recorder ?(config = Config.default) g templates =
   (match config.Config.gc.Config.heap_size with
   | Some c -> Graph.set_capacity g (Some (Int.max c (Graph.vertex_count g)))
@@ -760,7 +932,7 @@ let create ?recorder ?(config = Config.default) g templates =
         iter_pe_endpoints;
         purge_tasks;
         reprioritize;
-        each_home = (fun f -> !each_home_cell t f);
+        each_home = each_home_run t;
         now = (fun () -> t.now);
       }
     in
@@ -773,11 +945,15 @@ let create ?recorder ?(config = Config.default) g templates =
        samples the sending PE's counters via [credit_of]; arriving
        credits — piggybacked or standalone heartbeats — flow into the
        cycle's detector, which discards wrong-epoch noise itself. *)
-    Network.set_credit_of t.net (fun pe ->
-        match active_handler t with
-        | Some (Cycle.Flood_run fl) when pe >= 0 && pe < num_pes ->
-          Some (fl.Flood.wave, Flood.sent_on fl ~pe, Flood.executed_on fl ~pe)
-        | _ -> None);
+    let credit f pe =
+      match active_handler t with
+      | Some (Cycle.Flood_run fl) when pe >= 0 && pe < num_pes -> f fl pe
+      | _ -> -1
+    in
+    Network.set_credit_of t.net
+      ~epoch:(credit (fun fl _ -> fl.Flood.wave))
+      ~sent:(credit (fun fl pe -> Flood.sent_on fl ~pe))
+      ~executed:(credit (fun fl pe -> Flood.executed_on fl ~pe));
     Network.set_on_credit t.net (fun ~pe ~epoch ~sent ~executed ->
         match t.cyc with
         | Some c -> Cycle.learn_credit c ~pe ~epoch ~sent ~executed
@@ -1013,10 +1189,6 @@ let gc_control t =
         Cycle.start_cycle c
       end))
 
-(* Each PE's extra per-step budget for marking tasks, which are much
-   lighter than reduction tasks (§6). *)
-let marking_per_step = 8
-
 (* Transient PE stalls (crash-restart with memory preserved): a stalled
    PE skips its execution budget; its pool, heap and in-flight messages
    survive. The marking plane must tolerate this — a stalled PE delays
@@ -1041,182 +1213,6 @@ let roll_stalls t f =
       end
     end
   done
-
-(* Shard [d] owns the PE range [shard_lo t d, shard_lo t (d + 1)). A
-   bound, not a pair: the non-flambda compiler would box a pair on every
-   call of the step loop. *)
-let shard_lo t d = d * t.num_pes / t.domains
-
-(* A crashed PE executes nothing until its downtime elapses, a stalled
-   one until its stall ends; both read serial state the crash tick and
-   [roll_stalls] wrote before the shards started. *)
-let executes t pe = t.down_since.(pe) < 0 && t.now >= t.stall_until.(pe)
-
-(* Each PE first takes the marks delivery parked for it, down or
-   stalled or not (its pool receives them either way). Then every
-   executing PE drains its marking budget, then — unless a restructure
-   pause leaves only marking running — its reduction budget, which lends
-   idle slots to marking ([Pool.drain_lanes]). A step's PEs are
-   data-disjoint, so this order moves no byte, and each loop is timed
-   once per shard, not once per PE. *)
-let run_shard t d =
-  let lo = shard_lo t d and hi = shard_lo t (d + 1) - 1 in
-  for pe = lo to hi do
-    Network.take_mark_lanes t.net ~pe (Pool.marks t.pools.(pe))
-  done;
-  let c0 = clock () in
-  for pe = lo to hi do
-    if executes t pe then begin
-      Domain.DLS.set dls_pe pe;
-      Pool.drain_marking t.pools.(pe) ~budget:marking_per_step t.ctxs.(pe).cmark
-    end
-  done;
-  let c1 = clock () in
-  if not t.mark_only then
-    for pe = lo to hi do
-      if executes t pe then begin
-        Domain.DLS.set dls_pe pe;
-        let ctx = t.ctxs.(pe) in
-        Pool.drain_lanes t.pools.(pe) ~budget:t.tasks_per_step ~red:ctx.cexec ~mark:ctx.cmark
-      end
-    done;
-  let c2 = clock () in
-  Domain.DLS.set dls_pe (-1);
-  let s = t.shard_ph and i = d * shard_stride in
-  s.(i) <- s.(i) +. (c1 -. c0);
-  s.(i + 1) <- s.(i + 1) +. (c2 -. c1)
-
-(* Where the shards run. A machine with a fault plane steps them inline
-   on the main domain, and so do restructure's home passes: its steps
-   are light (a few PEs, small budgets, serial work on either side of
-   the shards), and handing each one to the worker pool cost fib-lossy a
-   fifth of its 2-domain step rate. Such a machine never starts a worker
-   pool. The shards are data-disjoint either way, so where they run
-   never shows in the bytes. *)
-let shards_inline t = Option.is_some t.flt
-
-(* Relaxes a waiting domain spins before it parks. 100k took ~2.7 ms on
-   a 2-core Xeon: far longer than the serial part of a step, so a busy
-   engine's workers never park, and short enough that an idle engine
-   stops burning its cores. *)
-let spin_budget = 100_000
-
-let spawn_workers t =
-  let w =
-    {
-      doms = [||];
-      job = (fun _ _ -> ());
-      stop = false;
-      gen = Atomic.make 0;
-      pending = Atomic.make 0;
-      sleepers = Atomic.make 0;
-      main_parked = Atomic.make false;
-      parks = Atomic.make 0;
-      spin = (if t.domains <= Domain.recommended_domain_count () then spin_budget else 0);
-      mu = Mutex.create ();
-      wake = Condition.create ();
-      finished = Condition.create ();
-    }
-  in
-  (* [seen] is the last generation this worker ran; the main domain
-     publishes the next one only after every worker finished it. *)
-  let rec worker d seen =
-    let n = ref w.spin in
-    while Atomic.get w.gen = seen && !n > 0 do
-      Domain.cpu_relax ();
-      decr n
-    done;
-    if Atomic.get w.gen = seen then begin
-      Atomic.incr w.parks;
-      Atomic.incr w.sleepers;
-      Mutex.lock w.mu;
-      while Atomic.get w.gen = seen do
-        Condition.wait w.wake w.mu
-      done;
-      Mutex.unlock w.mu;
-      Atomic.decr w.sleepers
-    end;
-    if not w.stop then begin
-      w.job t d;
-      if Atomic.fetch_and_add w.pending (-1) = 1 && Atomic.get w.main_parked then begin
-        Mutex.lock w.mu;
-        Condition.signal w.finished;
-        Mutex.unlock w.mu
-      end;
-      worker d (seen + 1)
-    end
-  in
-  w.doms <- Array.init (t.domains - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1) 0));
-  w
-
-(* One parallel phase: [job t d] for every shard [d], shard 0 on the
-   calling domain — inline when there is only one shard. [job t d] must
-   touch only shard [d]'s state; the execution budgets and restructure's
-   home passes both qualify. Jobs take [t] so the per-step one
-   ([run_shard]) is a closed function and the step loop allocates no
-   closure. There is one fork/join per step: the barrier's seal stays
-   on this domain. *)
-let run_parallel t job =
-  if t.domains = 1 then job t 0
-  else begin
-    let w =
-      match t.workers with
-      | Some w -> w
-      | None ->
-        let w = spawn_workers t in
-        t.workers <- Some w;
-        w
-    in
-    w.job <- job;
-    Atomic.set w.pending (Array.length w.doms);
-    Atomic.incr w.gen;
-    if Atomic.get w.sleepers > 0 then begin
-      Mutex.lock w.mu;
-      Condition.broadcast w.wake;
-      Mutex.unlock w.mu
-    end;
-    job t 0;
-    let n = ref w.spin in
-    while Atomic.get w.pending > 0 && !n > 0 do
-      Domain.cpu_relax ();
-      decr n
-    done;
-    if Atomic.get w.pending > 0 then begin
-      t.prof.Profile.main_parks <- t.prof.Profile.main_parks + 1;
-      Atomic.set w.main_parked true;
-      Mutex.lock w.mu;
-      while Atomic.get w.pending > 0 do
-        Condition.wait w.finished w.mu
-      done;
-      Mutex.unlock w.mu;
-      Atomic.set w.main_parked false
-    end;
-    if Atomic.get w.parks > 0 then
-      t.prof.Profile.worker_parks <- t.prof.Profile.worker_parks + Atomic.exchange w.parks 0
-  end
-
-(* Run a per-shard job on the worker pool, or shard after shard on this
-   domain where [shards_inline] says so — the same bytes either way. *)
-let run_shards t job =
-  if shards_inline t then
-    for d = 0 to t.domains - 1 do
-      job t d
-    done
-  else run_parallel t job
-
-(* Restructure's sharded passes: run [f] over every home PE, sharded
-   across the domains exactly like the execution budgets, and placed
-   like them. The span is attributed to the profiler's parallel(izable)
-   restructure bucket. *)
-let each_home_run t f =
-  let r0 = clock () in
-  run_shards t (fun t d ->
-      for pe = shard_lo t d to shard_lo t (d + 1) - 1 do
-        f pe
-      done);
-  t.ph_ns.(k_restr) <- t.ph_ns.(k_restr) +. (clock () -. r0)
-
-let () = each_home_cell := each_home_run
 
 let dispose t =
   match t.workers with

@@ -25,9 +25,13 @@ open Dgr_task
    a reverse-direction data frame when one is already going out this
    step, as a standalone [Ack] frame otherwise — so the reliable layer
    no longer generates one ack frame per data frame. Retransmission on
-   timeout with exponential backoff and receiver-side dedup keyed on
-   (src, dst, fseq) give the layer above every task exactly once, in a
-   deterministic order for a fixed fault seed.
+   timeout with exponential backoff and receiver-side dedup on the
+   link's sequence give the layer above every task exactly once, in a
+   deterministic order for a fixed fault seed. Each directed link keeps
+   all of that state in one [link] record; queued frames and timers
+   carry the record they belong to, and one drop rule ([dead_copy],
+   [dead_timer]) retires them lazily when a purge or a crash has made
+   them dead.
 
    Batching only groups: every task sent is delivered, marks included.
    Two identical marks staged on one link for one step ride as two
@@ -174,34 +178,63 @@ module Ideal = struct
     done
 end
 
-type frame =
-  | Data of { fseq : int; pack : int; credit : (int * int * int) option; batch : batch }
-      (** [pack] piggybacks a cumulative ack for the reverse data link
-          (batch.b_dst, batch.b_src); [min_int] when none is carried.
-          [credit] piggybacks the sender's termination credit
-          (epoch, sent, executed) — see {!set_credit_of}. *)
-  | Ack of { a_src : int; a_dst : int; cum : int; credit : (int * int * int) option }
-      (** cumulative ack for data link (a_src, a_dst): every fseq up to
-          and including [cum] has been received; travels a_dst→a_src and
-          carries a_dst's termination credit when one is due *)
+(* One directed link's reliable-delivery state, sender's and receiver's
+   halves together: [links.((src + 1) * pes + dst)], made at the link's
+   first send. A crash retires the record as a unit and empties its
+   slot, so the link restarts at fseq 0 in a fresh record while every
+   frame and timer still holding the old one dies when it pops. *)
+type link = {
+  l_src : int;
+  l_dst : int;
+  mutable next : int;  (* sender: next fseq to assign *)
+  pending : pending Vec.t;  (* sender: sends not yet cumulatively acked, fseq order *)
+  mutable rcv_next : int;  (* receiver: next fseq expected in order; cum = rcv_next - 1 *)
+  ooo : (int, unit) Hashtbl.t;  (* receiver: received out of order, above rcv_next *)
+  mutable owe : int;  (* receiver owes a cumulative ack: its base delay; -1 none *)
+  mutable retired : bool;  (* severed by a crash *)
+}
 
-type pending = {
+and pending = {
+  p_link : link;
   p_batch : batch;
   p_fseq : int;
   mutable p_attempts : int;
   mutable p_rto : int;
   mutable p_delivered : bool;  (* receiver got a copy; awaiting ack *)
+  mutable p_acked : bool;  (* covered by a cumulative ack *)
+  mutable p_purged : bool;  (* emptied by [purge]: a sequence hole *)
 }
 
-type snd_link = {
-  mutable snd_next : int;  (* next fseq to assign *)
-  mutable snd_una : int;  (* lowest fseq not yet cumulatively acked *)
-}
+(* A termination credit rides as three ints, [epoch] -1 for none. *)
+type frame =
+  | Data of { pack : int; epoch : int; sent : int; executed : int; p : pending }
+      (** [pack] piggybacks a cumulative ack for the reverse data link
+          (dst, src); [min_int] when none is carried. The credit is the
+          sender's — see {!set_credit_of}. *)
+  | Ack of { link : link; cum : int; epoch : int; sent : int; executed : int }
+      (** cumulative ack for data link [link]: every fseq up to and
+          including [cum] has been received; travels dst→src and carries
+          dst's termination credit when one is due *)
 
-type rcv_link = {
-  mutable rcv_next : int;  (* next fseq expected in order; cum = rcv_next - 1 *)
-  ooo : (int, unit) Hashtbl.t;  (* received out of order, above rcv_next *)
-}
+(* The one drop rule, applied when a frame or timer pops. A frame copy is
+   dead once its send was purged or its link retired by a crash; a timer
+   is dead once its send was acked too. A dead frame applies no pack, no
+   credit and no ack. A live copy of an acked send is a duplicate: the
+   receiver suppresses it and owes its ack again. *)
+let dead_copy p = p.p_purged || p.p_link.retired
+let dead_timer p = p.p_acked || dead_copy p
+
+let fresh_link ~src ~dst =
+  {
+    l_src = src;
+    l_dst = dst;
+    next = 0;
+    pending = Vec.create ();
+    rcv_next = 0;
+    ooo = Hashtbl.create 8;
+    owe = -1;
+    retired = false;
+  }
 
 (* A source's staging state, [senders.(src + 1)]: in the shard phase
    only its own shard writes it. *)
@@ -245,13 +278,15 @@ type t = {
   mutable spent : batch Vec.t array;
       (* per destination: frames its shard emptied, recycled at the next
          tick — never onto a free list another domain pops *)
-  snd : (int * int, snd_link) Hashtbl.t;  (* (src, dst) -> sender state *)
-  rcv : (int * int, rcv_link) Hashtbl.t;  (* (src, dst) -> receiver state *)
-  pending : (int * int * int, pending) Hashtbl.t;  (* unacked sends *)
-  timers : (int * int * int) Pqueue.t;  (* fire step -> frame key *)
-  owed : (int * int, int) Hashtbl.t;  (* data link -> ack base delay *)
-  owed_order : (int * int) Vec.t;  (* links in first-owed order *)
-  mutable credit_of : int -> (int * int * int) option;
+  mutable links : link array;
+      (* [(src + 1) * pes + dst] -> the link's record, [no_link] until its
+         first send; sized by [reserve] under faults, empty otherwise *)
+  no_link : link;  (* an empty slot: owes nothing, holds nothing; never written *)
+  timers : pending Pqueue.t;  (* fire step -> unacked send *)
+  owed_order : link Vec.t;  (* links owing an ack, in first-owed order *)
+  mutable credit_epoch : int -> int;
+  mutable credit_sent : int -> int;
+  mutable credit_executed : int -> int;
       (* the sending PE's current termination credit, sampled at each
          physical transmission (flush and retransmit alike, so a
          retransmitted frame carries *fresher* counters than the
@@ -296,13 +331,13 @@ let create ?recorder ?lineage ?faults ?(batch = true) () =
     sharding = false;
     inbox = [||];
     spent = [||];
-    snd = Hashtbl.create 16;
-    rcv = Hashtbl.create 16;
-    pending = Hashtbl.create 64;
+    links = [||];
+    no_link = fresh_link ~src:min_int ~dst:min_int;
     timers = Pqueue.create ();
-    owed = Hashtbl.create 16;
     owed_order = Vec.create ();
-    credit_of = (fun _ -> None);
+    credit_epoch = (fun _ -> -1);
+    credit_sent = (fun _ -> 0);
+    credit_executed = (fun _ -> 0);
     on_credit = (fun ~pe:_ ~epoch:_ ~sent:_ ~executed:_ -> ());
     next_uid = 0;
     undelivered = 0;
@@ -313,7 +348,10 @@ let create ?recorder ?lineage ?faults ?(batch = true) () =
     tasks_sent = 0;
   }
 
-let set_credit_of t f = t.credit_of <- f
+let set_credit_of t ~epoch ~sent ~executed =
+  t.credit_epoch <- epoch;
+  t.credit_sent <- sent;
+  t.credit_executed <- executed
 let set_on_credit t f = t.on_credit <- f
 
 let post_credit t ~arrival ~pe ~epoch ~sent ~executed =
@@ -325,16 +363,14 @@ let post_credit t ~arrival ~pe ~epoch ~sent ~executed =
   Lanes.push3 q arrival pe epoch;
   Lanes.push2 q sent executed
 
-let apply_credit t ~pe credit =
-  match credit with
-  | Some (epoch, sent, executed) -> t.on_credit ~pe ~epoch ~sent ~executed
-  | None -> ()
+let apply_credit t ~pe ~epoch ~sent ~executed =
+  if epoch >= 0 then t.on_credit ~pe ~epoch ~sent ~executed
 
 let frames_sent t = t.frames_sent
 let acks_sent t = t.acks_sent
 let acks_piggybacked t = t.acks_piggybacked
 let tasks_sent t = t.tasks_sent
-let unacked t = Hashtbl.length t.pending
+let unacked t = Array.fold_left (fun n l -> n + Vec.length l.pending) 0 t.links
 
 let emit t kind =
   match t.recorder with None -> () | Some r -> Dgr_obs.Recorder.emit r kind
@@ -380,72 +416,70 @@ let rto_cap = 1024
    rather than let cumulative acks silently go backwards. *)
 let seq_guard = max_int / 2
 
-let snd_link_for t key =
-  match Hashtbl.find_opt t.snd key with
-  | Some l -> l
-  | None ->
-    let l = { snd_next = 0; snd_una = 0 } in
-    Hashtbl.add t.snd key l;
-    l
+(* The record in link (src, dst)'s slot, [no_link] before its first
+   send: reads only. Both PEs must be reserved. *)
+let slot t ~src ~dst = t.links.(((src + 1) * Array.length t.inbox) + dst)
 
-let rcv_link_for t key =
-  match Hashtbl.find_opt t.rcv key with
-  | Some l -> l
-  | None ->
-    let l = { rcv_next = 0; ooo = Hashtbl.create 8 } in
-    Hashtbl.add t.rcv key l;
+(* The link's record, made on its first send. *)
+let link t ~src ~dst =
+  let l = slot t ~src ~dst in
+  if l != t.no_link then l
+  else begin
+    let l = fresh_link ~src ~dst in
+    t.links.(((src + 1) * Array.length t.inbox) + dst) <- l;
     l
+  end
 
-(* Record fseq as received on (src, dst), advancing the contiguous
+(* Record fseq as received on the link, advancing the contiguous
    watermark through any out-of-order backlog it unlocks. *)
-let mark_received t ~src ~dst fseq =
-  let rl = rcv_link_for t (src, dst) in
-  if fseq >= rl.rcv_next then
-    if fseq = rl.rcv_next then begin
-      rl.rcv_next <- rl.rcv_next + 1;
-      while Hashtbl.mem rl.ooo rl.rcv_next do
-        Hashtbl.remove rl.ooo rl.rcv_next;
-        rl.rcv_next <- rl.rcv_next + 1
+let mark_received l fseq =
+  if fseq >= l.rcv_next then
+    if fseq = l.rcv_next then begin
+      l.rcv_next <- l.rcv_next + 1;
+      while Hashtbl.mem l.ooo l.rcv_next do
+        Hashtbl.remove l.ooo l.rcv_next;
+        l.rcv_next <- l.rcv_next + 1
       done
     end
-    else Hashtbl.replace rl.ooo fseq ()
+    else Hashtbl.replace l.ooo fseq ()
 
-let already_received t ~src ~dst fseq =
-  match Hashtbl.find_opt t.rcv (src, dst) with
-  | None -> false
-  | Some rl -> fseq < rl.rcv_next || Hashtbl.mem rl.ooo fseq
+let already_received l fseq = fseq < l.rcv_next || Hashtbl.mem l.ooo fseq
 
-let cum_for t ~src ~dst =
-  match Hashtbl.find_opt t.rcv (src, dst) with
-  | None -> -1
-  | Some rl -> rl.rcv_next - 1
-
-(* A cumulative ack for link (src, dst): forget every pending send up to
-   [cum]. Idempotent — older acks and already-forgotten (purged) seqs
-   are no-ops. *)
-let apply_cum t ~src ~dst cum =
-  match Hashtbl.find_opt t.snd (src, dst) with
-  | None -> ()
-  | Some sl ->
-    while sl.snd_una <= cum do
-      Hashtbl.remove t.pending (src, dst, sl.snd_una);
-      sl.snd_una <- sl.snd_una + 1
-    done
+(* A cumulative ack for the link: forget every pending send up to [cum],
+   a prefix of [pending]. Idempotent — older acks are no-ops, and a
+   purged send has already left [pending]. *)
+let apply_cum l cum =
+  let q = l.pending in
+  let n = Vec.length q in
+  let k = ref 0 in
+  while !k < n && (Vec.get q !k).p_fseq <= cum do
+    (Vec.get q !k).p_acked <- true;
+    incr k
+  done;
+  let k = !k in
+  if k > 0 then begin
+    for i = k to n - 1 do
+      Vec.set q (i - k) (Vec.get q i)
+    done;
+    Vec.truncate q (n - k)
+  end
 
 (* The receiver owes the sender a cumulative ack: remember the link (and
    the triggering frame's base delay, for the ack's travel time). Every
    owed link is settled at the next flush — piggybacked or standalone —
-   so [owed]/[owed_order] never carry across more than one step. *)
-let owe_ack t ~src ~dst ~delay =
-  if not (Hashtbl.mem t.owed (src, dst)) then Vec.push t.owed_order (src, dst);
-  Hashtbl.replace t.owed (src, dst) delay
+   so [owed_order] never carries across more than one step. *)
+let owe_ack t l ~delay =
+  if l.owe < 0 then Vec.push t.owed_order l;
+  l.owe <- delay
 
 (* One physical transmission of a data frame through the fault plane:
    roll duplicate (two independent copies on a hit), then every copy
    rolls drop and extra delay. [arrival] is the fault-free arrival step;
    [base] the link delay that scales the fault plane's extra delay. *)
-let transmit_data t f ~arrival ~base ~fseq ~pack b =
-  let credit = t.credit_of b.b_src in
+let transmit_data t f ~arrival ~base ~pack p =
+  let b = p.p_batch in
+  let pe = b.b_src in
+  let epoch = t.credit_epoch pe and sent = t.credit_sent pe and executed = t.credit_executed pe in
   let copies =
     if Faults.duplicates_frame f then begin
       let kind, vid = head_obs b in
@@ -462,15 +496,20 @@ let transmit_data t f ~arrival ~base ~fseq ~pack b =
     else
       Pqueue.add t.fq
         (arrival + Faults.extra_delay f ~latency:base)
-        (Data { fseq; pack; credit; batch = b })
+        (Data { pack; epoch; sent; executed; p })
   done
 
 (* Acks roll drop and delay only — duplicating an ack is a no-op, and
    keeping it out of the stream keeps the dup counter equal to the
-   number of Dup events. *)
-let transmit_ack t f ~arrival ~base frame =
+   number of Dup events. The ack carries its sender's (the link's
+   receiver's) credit. *)
+let transmit_ack t f ~arrival ~base l cum =
+  let pe = l.l_dst in
+  let epoch = t.credit_epoch pe and sent = t.credit_sent pe and executed = t.credit_executed pe in
   if not (Faults.drops_frame f) then
-    Pqueue.add t.fq (arrival + Faults.extra_delay f ~latency:base) frame
+    Pqueue.add t.fq
+      (arrival + Faults.extra_delay f ~latency:base)
+      (Ack { link = l; cum; epoch; sent; executed })
 
 (* Drop [staged]'s frames from their senders' indexes; call before
    [staged] is cleared or filtered. Only a link with a staged frame can
@@ -499,33 +538,34 @@ let flush t f ~now =
      also stops earlier batches on the same link from claiming it. *)
   for i = Vec.length t.staged - 1 downto 0 do
     let b = Vec.get t.staged i in
-    let reverse = (b.b_dst, b.b_src) in
-    if Hashtbl.mem t.owed reverse then begin
-      Hashtbl.remove t.owed reverse;
-      b.b_pack <- true
+    if b.b_src >= 0 then begin
+      let r = slot t ~src:b.b_dst ~dst:b.b_src in
+      if r.owe >= 0 then begin
+        r.owe <- -1;
+        b.b_pack <- true
+      end
     end
   done;
   Vec.iter
     (fun b ->
-      let link = (b.b_src, b.b_dst) in
-      let sl = snd_link_for t link in
-      if sl.snd_next >= seq_guard then
+      let l = link t ~src:b.b_src ~dst:b.b_dst in
+      if l.next >= seq_guard then
         invalid_arg "Network.send: per-link sequence space exhausted";
-      let fseq = sl.snd_next in
-      sl.snd_next <- fseq + 1;
       let p =
-        { p_batch = b; p_fseq = fseq; p_attempts = 1; p_rto = (2 * b.b_delay) + 2;
-          p_delivered = false }
+        { p_link = l; p_batch = b; p_fseq = l.next; p_attempts = 1;
+          p_rto = (2 * b.b_delay) + 2; p_delivered = false; p_acked = false;
+          p_purged = false }
       in
-      Hashtbl.replace t.pending (b.b_src, b.b_dst, fseq) p;
-      Pqueue.add t.timers (now + p.p_rto) (b.b_src, b.b_dst, fseq);
+      l.next <- l.next + 1;
+      Vec.push l.pending p;
+      Pqueue.add t.timers (now + p.p_rto) p;
       t.frames_sent <- t.frames_sent + 1;
       emit t
         (Dgr_obs.Event.Batch
            { src = b.b_src; dst = b.b_dst; count = n_tasks b });
       let pack =
         if b.b_pack then begin
-          let cum = cum_for t ~src:b.b_dst ~dst:b.b_src in
+          let cum = (slot t ~src:b.b_dst ~dst:b.b_src).rcv_next - 1 in
           t.acks_piggybacked <- t.acks_piggybacked + 1;
           emit t
             (Dgr_obs.Event.Cum_ack
@@ -534,22 +574,21 @@ let flush t f ~now =
         end
         else min_int
       in
-      transmit_data t f ~arrival:b.b_arrival ~base:b.b_delay ~fseq ~pack b)
+      transmit_data t f ~arrival:b.b_arrival ~base:b.b_delay ~pack p)
     t.staged;
   unindex t;
   Vec.clear t.staged;
   (* Standalone acks for links no reverse data frame covered. *)
   Vec.iter
-    (fun (src, dst) ->
-      match Hashtbl.find_opt t.owed (src, dst) with
-      | None -> () (* piggybacked above *)
-      | Some delay ->
-        Hashtbl.remove t.owed (src, dst);
-        let cum = cum_for t ~src ~dst in
+    (fun l ->
+      if l.owe >= 0 && not l.retired then begin
+        let delay = l.owe and cum = l.rcv_next - 1 in
+        l.owe <- -1;
         t.acks_sent <- t.acks_sent + 1;
-        emit t (Dgr_obs.Event.Cum_ack { src; dst; upto = cum; piggyback = false });
-        transmit_ack t f ~arrival:(now + delay) ~base:delay
-          (Ack { a_src = src; a_dst = dst; cum; credit = t.credit_of dst }))
+        emit t
+          (Dgr_obs.Event.Cum_ack { src = l.l_src; dst = l.l_dst; upto = cum; piggyback = false });
+        transmit_ack t f ~arrival:(now + delay) ~base:delay l cum
+      end)
     t.owed_order;
   Vec.clear t.owed_order
 
@@ -580,6 +619,13 @@ let reserve t ~pes =
         (Printf.sprintf "Network: PE %d is outside the %d reserved before the shard phase"
            (pes - 1) n);
     let grow a = Array.init pes (fun i -> if i < n then a.(i) else Vec.create ()) in
+    if Option.is_some t.faults then begin
+      let old = t.links in
+      t.links <- Array.make ((pes + 1) * pes) t.no_link;
+      Array.iter
+        (fun l -> if l != t.no_link then t.links.(((l.l_src + 1) * pes) + l.l_dst) <- l)
+        old
+    end;
     t.inbox <- grow t.inbox;
     t.spent <- grow t.spent;
     Array.iter (fun s -> s.forming <- grow s.forming) t.senders;
@@ -848,66 +894,49 @@ let deliver_serial t ~now ~push =
     Ideal.drain_due t.q ~now (fun b -> settle t b ~now ~push)
   | Some f ->
     flush t f ~now;
-    let rec drain () =
-      match Pqueue.peek t.fq with
-      | Some (arrival, _) when arrival <= now ->
-        (match Pqueue.pop t.fq with
-        | Some (_, Data { fseq; pack; credit; batch = b }) ->
-          let src = b.b_src and dst = b.b_dst in
-          (* a piggybacked cum ack settles the reverse data link *)
-          if pack > min_int then apply_cum t ~src:dst ~dst:src pack;
-          (* credits apply even on duplicate frames — idempotent *)
-          apply_credit t ~pe:src credit;
-          if already_received t ~src ~dst fseq then
-            (* redelivery of a frame already seen (or whose batch was
-               purged): suppress — this is the exactly-once edge *)
-            f.Faults.dup_suppressed <- f.Faults.dup_suppressed + 1
-          else begin
-            mark_received t ~src ~dst fseq;
-            (match Hashtbl.find_opt t.pending (src, dst, fseq) with
-            | Some p -> p.p_delivered <- true
-            | None -> ());
-            settle t b ~now ~push
-          end;
-          (* always owe an ack, even for duplicates: the previous
-             cumulative ack may have been lost *)
-          owe_ack t ~src ~dst ~delay:b.b_delay;
-          drain ()
-        | Some (_, Ack { a_src; a_dst; cum; credit }) ->
-          apply_cum t ~src:a_src ~dst:a_dst cum;
-          apply_credit t ~pe:a_dst credit;
-          drain ()
-        | None -> ())
+    while Pqueue.min_prio t.fq ~default:max_int <= now do
+      match Pqueue.pop t.fq with
+      | Some (_, Data d) when dead_copy d.p -> ()
+      | Some (_, Data { pack; epoch; sent; executed; p }) ->
+        let l = p.p_link and b = p.p_batch in
+        (* a piggybacked cum ack settles the reverse data link *)
+        if pack > min_int then apply_cum (slot t ~src:l.l_dst ~dst:l.l_src) pack;
+        (* credits apply even on duplicate frames — idempotent *)
+        apply_credit t ~pe:l.l_src ~epoch ~sent ~executed;
+        if already_received l p.p_fseq then
+          (* redelivery of a frame already seen: suppress — this is
+             the exactly-once edge *)
+          f.Faults.dup_suppressed <- f.Faults.dup_suppressed + 1
+        else begin
+          mark_received l p.p_fseq;
+          p.p_delivered <- true;
+          settle t b ~now ~push
+        end;
+        (* always owe an ack, even for duplicates: the previous
+           cumulative ack may have been lost *)
+        owe_ack t l ~delay:b.b_delay
+      | Some (_, Ack a) when a.link.retired -> ()
+      | Some (_, Ack { link = l; cum; epoch; sent; executed }) ->
+        apply_cum l cum;
+        apply_credit t ~pe:l.l_dst ~epoch ~sent ~executed
+      | None -> ()
+    done;
+    while Pqueue.min_prio t.timers ~default:max_int <= now do
+      match Pqueue.pop t.timers with
+      | Some (_, p) when not (dead_timer p) ->
+        let b = p.p_batch in
+        p.p_attempts <- p.p_attempts + 1;
+        f.Faults.retransmits <- f.Faults.retransmits + 1;
+        let kind, vid = head_obs b in
+        emit t (Dgr_obs.Event.Retransmit { kind; pe = b.b_dst; vid; attempt = p.p_attempts });
+        (* the whole batch retransmits as a unit, without a piggybacked
+           ack (the ack path has its own redundancy: every receipt
+           re-owes the watermark) *)
+        transmit_data t f ~arrival:(now + b.b_delay) ~base:b.b_delay ~pack:min_int p;
+        p.p_rto <- Int.min (p.p_rto * 2) rto_cap;
+        Pqueue.add t.timers (now + p.p_rto) p
       | Some _ | None -> ()
-    in
-    drain ();
-    let rec service_timers () =
-      match Pqueue.peek t.timers with
-      | Some (at, _) when at <= now ->
-        (match Pqueue.pop t.timers with
-        | Some (_, key) -> (
-          match Hashtbl.find_opt t.pending key with
-          | None -> () (* acked or purged; timer lazily deleted *)
-          | Some p ->
-            let b = p.p_batch in
-            p.p_attempts <- p.p_attempts + 1;
-            f.Faults.retransmits <- f.Faults.retransmits + 1;
-            let kind, vid = head_obs b in
-            emit t
-              (Dgr_obs.Event.Retransmit
-                 { kind; pe = b.b_dst; vid; attempt = p.p_attempts });
-            (* the whole batch retransmits as a unit, without a
-               piggybacked ack (the ack path has its own redundancy:
-               every receipt re-owes the watermark) *)
-            transmit_data t f ~arrival:(now + b.b_delay) ~base:b.b_delay
-              ~fseq:p.p_fseq ~pack:min_int b;
-            p.p_rto <- Int.min (p.p_rto * 2) rto_cap;
-            Pqueue.add t.timers (now + p.p_rto) key)
-        | None -> ());
-        service_timers ()
-      | Some _ | None -> ()
-    in
-    service_timers ()
+    done
 
 (* Runs on [pe]'s shard, possibly on a worker domain: it touches only
    [pe]'s inbox and spent list. A parked frame is referenced nowhere
@@ -944,17 +973,23 @@ let deliver_into t ~now ~push =
     take_marks t ~pe (fun task -> push pe (-1) task)
   done
 
+(* Every undelivered batch: the channel's (the ideal channel's by
+   arrival bucket, the lossy channel's link by link in fseq order), then
+   the staged ones (sent this step, flushing next tick: between ticks
+   they are exactly as in-flight as queued ones). A fixed order, free of
+   hash-table and heap layout. *)
+let iter_undelivered t f =
+  (match t.faults with
+  | None -> Ideal.iter f t.q
+  | Some _ ->
+    Array.iter (fun l -> Vec.iter (fun p -> if not p.p_delivered then f p.p_batch) l.pending) t.links);
+  Vec.iter f t.staged
+
 (* Undelivered batches in fault-free arrival order, stage order among
-   equals — deterministic regardless of hash-table or heap layout.
-   Staged batches (sent this step, flushing next tick) are included:
-   between ticks they are exactly as in-flight as queued ones. *)
+   equals. *)
 let sorted_batches t =
   let acc = ref [] in
-  (match t.faults with
-  | None -> Ideal.iter (fun b -> acc := b :: !acc) t.q
-  | Some _ ->
-    Hashtbl.iter (fun _ p -> if not p.p_delivered then acc := p.p_batch :: !acc) t.pending);
-  Vec.iter (fun b -> acc := b :: !acc) t.staged;
+  iter_undelivered t (fun b -> acc := b :: !acc);
   List.sort
     (fun a b ->
       match compare a.b_arrival b.b_arrival with 0 -> compare a.b_uid b.b_uid | c -> c)
@@ -963,44 +998,28 @@ let sorted_batches t =
 let in_flight t = List.concat_map views (sorted_batches t)
 
 let iter_in_flight_dst t f =
-  let visit b =
-    Vec.iter
-      (fun task ->
-        match task with Task.Reduction r -> f ~dst:b.b_dst r | Task.Marking _ -> ())
-      b.b_reds
-  in
-  (match t.faults with
-  | None -> Ideal.iter visit t.q
-  | Some _ -> Hashtbl.iter (fun _ p -> if not p.p_delivered then visit p.p_batch) t.pending);
-  Vec.iter visit t.staged
+  iter_undelivered t (fun b ->
+      Vec.iter
+        (fun task ->
+          match task with Task.Reduction r -> f ~dst:b.b_dst r | Task.Marking _ -> ())
+        b.b_reds)
 
 let entries t =
   List.concat_map
     (fun b -> List.map (fun task -> (b.b_arrival, task)) (views b))
     (sorted_batches t)
 
-let emit_purges t counts =
-  List.iter
-    (fun (pe, n) -> emit t (Dgr_obs.Event.Purge { pe; count = n }))
-    (List.sort compare counts)
-
-let counts_of_tbl tbl = Hashtbl.fold (fun pe n acc -> (pe, !n) :: acc) tbl []
-
-let bump tbl pe =
-  match Hashtbl.find_opt tbl pe with
-  | Some n -> incr n
-  | None -> Hashtbl.add tbl pe (ref 1)
-
 (* Purge filters tasks *inside* batches. Queued frame copies share the
    batch's task vector, so pruning a pending batch prunes every copy in
    the channel at once. A batch emptied before it ever flushed simply
    disappears; one emptied while in the channel leaves a sequence hole,
    which the receiver is told to treat as received — cumulative acks
-   then skip over it and its queued copies are discarded, so survivors
-   on the link are neither blocked nor double-acked. *)
+   then skip over it — and its send is marked purged, so its queued
+   copies and its timer die when they pop: survivors on the link are
+   neither blocked nor double-acked. *)
 let purge t pred =
   check_sealed t "purge";
-  let per_pe = Hashtbl.create 8 in
+  let per_pe = Array.make (Array.length t.inbox) 0 in
   let removed = ref 0 in
   (* Compact the frame's lanes, reductions and stamps in lock-step,
      keeping survivors in stage order; true when the frame is emptied. *)
@@ -1029,7 +1048,7 @@ let purge t pred =
           end
         end
       in
-      if doomed then bump per_pe b.b_dst
+      if doomed then per_pe.(b.b_dst) <- per_pe.(b.b_dst) + 1
       else begin
         if !j <> i then
           for k = 0 to 2 do
@@ -1052,31 +1071,19 @@ let purge t pred =
   (match t.faults with
   | None -> Ideal.filter_in_place (fun b -> not (prune b)) t.q
   | Some _ ->
-    let victims =
-      Hashtbl.fold
-        (fun key p acc -> if not p.p_delivered then (key, p) :: acc else acc)
-        t.pending []
-    in
-    let holes = Hashtbl.create 8 in
-    List.iter
-      (fun ((src, dst, fseq) as key, p) ->
-        if prune p.p_batch then begin
-          Hashtbl.remove t.pending key;
-          Hashtbl.replace holes key ();
-          mark_received t ~src ~dst fseq
-        end)
-      victims;
-    (* discard queued copies of emptied batches too, so they are
-       neither delivered nor miscounted as duplicates when they arrive *)
-    if Hashtbl.length holes > 0 then
-      Pqueue.filter_in_place
-        (fun _ frame ->
-          match frame with
-          | Data { fseq; batch = b; _ } ->
-            not (Hashtbl.mem holes (b.b_src, b.b_dst, fseq))
-          | Ack _ -> true)
-        t.fq);
-  if !removed > 0 then emit_purges t (counts_of_tbl per_pe);
+    Array.iter
+      (fun l ->
+        Vec.filter_in_place
+          (fun p ->
+            if p.p_delivered || not (prune p.p_batch) then true
+            else begin
+              p.p_purged <- true;
+              mark_received l p.p_fseq;
+              false
+            end)
+          l.pending)
+      t.links);
+  Array.iteri (fun pe n -> if n > 0 then emit t (Dgr_obs.Event.Purge { pe; count = n })) per_pe;
   !removed
 
 let size t = t.undelivered
@@ -1084,22 +1091,18 @@ let size t = t.undelivered
 (* Test hook: fast-forward a link's sender sequence to exercise the
    wraparound guard without billions of sends. *)
 let set_link_seq t ~src ~dst n =
-  let sl = snd_link_for t (src, dst) in
-  sl.snd_next <- n;
-  sl.snd_una <- n
+  if Int.max src dst >= Array.length t.inbox then reserve t ~pes:(1 + Int.max src dst);
+  (link t ~src ~dst).next <- n
 
 (* A PE crash severs every link touching [pe], both directions, all at
-   once: staged batches, unacked sends, queued frame copies, retransmit
-   timers, owed acks, and — crucially — the per-link seq state on both
-   ends, so the link restarts at fseq 0 when traffic resumes. Resetting
-   seqs without dedup false-positives is only sound because every frame
-   that could carry an old seq dies in the same call: there is nothing
-   left in the channel to collide with the reused numbers, and stale
-   timers are filtered rather than lazily dropped so a fresh send's
-   (src, dst, 0) key cannot be retransmitted by a dead PE's timer.
-   Returns the number of undelivered tasks lost; their lineage tickets
-   are dropped. Delivered-but-unacked batches lose only their ack state
-   (the receiver already has the tasks). *)
+   once: its row and column of link records are retired and their slots
+   emptied, so traffic after recovery restarts at fseq 0 in fresh
+   records. Queued frame copies, acks and timers of a retired link die
+   when they pop, so nothing pre-crash can act on the fresh record.
+   Staged batches (not yet on a link) are discarded here. Returns the
+   number of undelivered tasks lost; their lineage tickets are dropped.
+   Delivered-but-unacked batches lose only their ack state (the
+   receiver already has the tasks). *)
 let crash_pe t ~pe =
   check_sealed t "crash_pe";
   let lost = ref 0 in
@@ -1122,24 +1125,23 @@ let crash_pe t ~pe =
     (* ideal channel (a crash injected without a fault plane) *)
     Ideal.filter_in_place survives t.q
   | Some _ ->
-    let victims =
-      Hashtbl.fold
-        (fun ((s, d, _) as key) p acc ->
-          if s = pe || d = pe then (key, p) :: acc else acc)
-        t.pending []
+    let pes = Array.length t.inbox in
+    let retire i =
+      let l = t.links.(i) in
+      if l != t.no_link then begin
+        l.retired <- true;
+        Vec.iter (fun p -> if not p.p_delivered then forget_batch p.p_batch) l.pending;
+        t.links.(i) <- t.no_link
+      end
     in
-    List.iter
-      (fun (key, p) ->
-        Hashtbl.remove t.pending key;
-        if not p.p_delivered then forget_batch p.p_batch)
-      victims;
-    Pqueue.filter_in_place
-      (fun _ frame ->
-        match frame with
-        | Data { batch = b; _ } -> not (touches b)
-        | Ack { a_src; a_dst; _ } -> a_src <> pe && a_dst <> pe)
-      t.fq;
-    Pqueue.filter_in_place (fun _ (s, d, _) -> s <> pe && d <> pe) t.timers);
+    if pe < pes then begin
+      for dst = 0 to pes - 1 do
+        retire (((pe + 1) * pes) + dst)
+      done;
+      for src = -1 to pes - 1 do
+        retire (((src + 1) * pes) + pe)
+      done
+    end);
   (* in-flight heartbeat credits from the dead PE die with it *)
   (let q = t.cq in
    let j = ref t.cq_head in
@@ -1151,14 +1153,4 @@ let crash_pe t ~pe =
      end
    done;
    q.Lanes.n <- !j);
-  let purge_links tbl =
-    let doomed =
-      Hashtbl.fold (fun ((s, d) as k) _ acc -> if s = pe || d = pe then k :: acc else acc) tbl []
-    in
-    List.iter (Hashtbl.remove tbl) doomed
-  in
-  purge_links t.snd;
-  purge_links t.rcv;
-  purge_links t.owed;
-  Vec.filter_in_place (fun (s, d) -> s <> pe && d <> pe) t.owed_order;
   !lost

@@ -121,10 +121,13 @@ val seal : t -> unit
     Credits are idempotent advisories — the detector max-merges them —
     so no delivery discipline is required. *)
 
-val set_credit_of : t -> (int -> (int * int * int) option) -> unit
-(** Install the credit sampler: [credit_of pe] is the PE's current
-    [(epoch, sent, executed)] credit, or [None] when no mark wave is
-    active. Sampled at every physical transmission — flush {e and}
+val set_credit_of :
+  t -> epoch:(int -> int) -> sent:(int -> int) -> executed:(int -> int) -> unit
+(** Install the credit sampler: [epoch pe] is the epoch of the PE's
+    current credit, or [-1] when no mark wave is active; [sent pe] and
+    [executed pe] are its counters, ignored when the epoch is [-1]. A
+    frame carries the three as ints, so sampling allocates nothing.
+    Sampled at every physical transmission — flush {e and}
     retransmit — of a data frame (from its source PE) and at every
     standalone ack (from the ack's sender). Default: no credits. *)
 
@@ -176,9 +179,12 @@ val in_flight : t -> Task.t list
     already happened. *)
 
 val iter_in_flight_dst : t -> (dst:int -> Task.reduction -> unit) -> unit
-(** Apply [f] to every undelivered reduction task in {e unspecified}
-    order, with its destination PE, without sorting or building views;
-    marks are skipped. For M_T seeding: the receiver is the PE whose
+(** Apply [f] to every undelivered reduction task, with its destination
+    PE, without sorting or building views; marks are skipped. The order
+    is fixed: the channel's frames (by arrival step on the ideal
+    channel; under faults link by link, by source then destination, the
+    controller first, each link's in sequence order), then the staged
+    ones. For M_T seeding: the receiver is the PE whose
     "local knowledge" an in-flight task counts as when the cycle builds
     taskroot from per-PE enumerations. *)
 
@@ -188,8 +194,10 @@ val purge : t -> (Task.t -> bool) -> int
     so every copy is pruned at once); a batch emptied entirely is
     withdrawn — its retransmission stops, late copies are not delivered,
     and under faults its sequence number is treated as received so
-    cumulative acks flow past the hole without re-acking survivors.
-    Emits one [Purge] event per affected destination PE, ascending. *)
+    cumulative acks flow past the hole without re-acking survivors;
+    its queued copies are dropped when they pop, counted neither as
+    deliveries nor as duplicates. Emits one [Purge] event per affected
+    destination PE, ascending. *)
 
 val size : t -> int
 (** Undelivered task count, staged batches included. [0] means no task
@@ -222,8 +230,8 @@ val tasks_sent : t -> int
 (** Tasks staged for transmission. *)
 
 val unacked : t -> int
-(** Pending table size under faults: frames sent but not yet covered by
-    a cumulative ack, delivered or not (tests). *)
+(** Under faults, the frames sent but not yet covered by a cumulative
+    ack, delivered or not, summed over the links (tests). *)
 
 val set_link_seq : t -> src:int -> dst:int -> int -> unit
 (** Test hook: fast-forward link (src, dst)'s sender sequence number to
@@ -236,9 +244,9 @@ val crash_pe : t -> pe:int -> int
     acks — cancel their retransmit timers and owed acks, and reset the
     per-link sequence state on both endpoints of every severed link, so
     traffic after recovery restarts at seq 0. The reset cannot produce
-    dedup false-positives: every frame that could carry an old sequence
-    number on those links is removed in the same call, and stale timers
-    are filtered eagerly so a reused (src, dst, fseq) key is never fired
-    by a pre-crash timer. Returns the number of undelivered tasks lost
-    (their lineage tickets are dropped); delivered-but-unacked batches
-    lose only their ack bookkeeping. *)
+    dedup false-positives: each severed link's state is one record,
+    retired as a unit, and a queued frame, ack or timer of a retired
+    record is dropped when it pops, so nothing sent before the crash
+    acts on the restarted link. Returns the number of undelivered tasks
+    lost (their lineage tickets are dropped); delivered-but-unacked
+    batches lose only their ack bookkeeping. *)

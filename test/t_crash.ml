@@ -4,7 +4,8 @@
    - the network's view of a crash ([Network.crash_pe]): in-flight
      frames on both link directions die — batched and staged frames
      included — retransmit timers are cancelled, and per-link sequence
-     state resets without dedup false-positives;
+     state resets without dedup false-positives, and nothing queued
+     before the crash acts on the restarted link;
    - the engine's view ([Engine.inject_crash]): pool and segment lost,
      checkpoint restore, re-homing onto survivors, a marking wave caught
      mid-phase is invalidated and restarted (tree and flood schemes),
@@ -133,6 +134,35 @@ let test_seq_reset_under_faults () =
     (List.init 40 (fun i -> 101 + i))
     (vids_of later);
   settle_acks net
+
+(* Nothing sent before a crash acts on the restarted link. Link 0->1
+   holds a delivered frame whose ack is owed (seq 0) and an undelivered
+   one still queued with its timer (seq 1) when PE 1 crashes; the
+   restarted link reuses seq 0. The stale ack is never sent, the queued
+   seq-1 copy is not delivered onto the fresh link (where seq 1 would be
+   next in order), and no stale timer retransmits anything. *)
+let test_crash_leaves_nothing_on_restarted_link () =
+  (* stall-only spec: no frame is ever dropped, so any retransmission
+     or duplicate below could only come from pre-crash state *)
+  let f = Faults.create { Faults.none with Faults.stall = 0.5; fault_seed = 9 } in
+  let net = Network.create ~faults:f () in
+  Network.send ~src:0 net ~arrival:2 ~pe:1 (Task.request 1 Demand.Vital);
+  Network.send ~src:0 net ~arrival:6 ~pe:1 (Task.request 3 Demand.Vital);
+  ignore (Helpers.deliver net ~now:1);
+  Alcotest.(check (list int)) "seq 0 delivered before the crash" [ 1 ]
+    (vids_of (Helpers.deliver net ~now:2));
+  Alcotest.(check int) "the queued seq-1 task is lost" 1 (Network.crash_pe net ~pe:1);
+  Network.send ~src:0 net ~arrival:4 ~pe:1 (Task.request 2 Demand.Vital);
+  (* past every pre-crash timer (the seq-1 frame's fires at step 15) *)
+  let after = ref [] in
+  for now = 3 to 20 do
+    after := !after @ Helpers.deliver net ~now
+  done;
+  Alcotest.(check (list int)) "only the post-crash task arrives" [ 2 ] (vids_of !after);
+  Alcotest.(check int) "the restarted link's frame is acked" 0 (Network.unacked net);
+  Alcotest.(check int) "no stale timer retransmitted" 0 f.Faults.retransmits;
+  Alcotest.(check int) "no stale copy suppressed as a duplicate" 0 f.Faults.dup_suppressed;
+  Alcotest.(check int) "one standalone ack: the restarted link's" 1 (Network.acks_sent net)
 
 (* --- the engine under an injected crash ------------------------------ *)
 
@@ -384,4 +414,6 @@ let suite =
     Alcotest.test_case "inject_crash guard rails" `Quick test_inject_crash_guards;
     Alcotest.test_case "crashed report is byte-identical at 1/2/4 domains" `Slow
       test_crash_report_byte_identical;
+    Alcotest.test_case "a crash leaves nothing that acts on the restarted link" `Quick
+      test_crash_leaves_nothing_on_restarted_link;
   ]

@@ -148,6 +148,11 @@ let test_purge_batched_frames () =
     (match delivered with
     | [ (1, Task.Reduction (Task.Request { dst = 2; _ })) ] -> true
     | _ -> false);
+  (* the emptied 0->2 frame's copy was queued for step 3: dropped when
+     it popped, not suppressed as a duplicate of the hole (checked
+     before [settle_acks] jumps the clock past the survivor's timer,
+     whose retransmission would be a genuine duplicate) *)
+  Alcotest.(check int) "purged frame's copy is no duplicate" 0 f.Faults.dup_suppressed;
   (* the fully-purged frame left a hole on link 0->2; the watermark must
      skip it so the link's pending set still empties *)
   settle_acks net
