@@ -211,11 +211,13 @@ let truthy = function
 
 (* --- primitive evaluation ------------------------------------------- *)
 
+(* Formatted on the error path only, never per primitive reduction. *)
+let type_error p = Error (Printf.sprintf "type error in %s" (Label.prim_name p))
+
 let eval_scalar p values =
   let int_of = function Label.V_int n -> Some n | _ -> None in
   let bool_of = function Label.V_bool b -> Some b | _ -> None in
   let module L = Label in
-  let err = Error (Printf.sprintf "type error in %s" (L.prim_name p)) in
   (* ⊥-recovery values are contagious through strict operators
      (footnote 5): the requester learns its input was undefined. *)
   let first_err =
@@ -236,19 +238,19 @@ let eval_scalar p values =
       | L.Div -> if y = 0 then Error "division by zero" else Ok (L.Int (x / y))
       | L.Mod -> if y = 0 then Error "modulo by zero" else Ok (L.Int (x mod y))
       | _ -> assert false)
-    | _ -> err)
+    | _ -> type_error p)
   | L.Lt, [ a; b ] | L.Leq, [ a; b ] -> (
     match (int_of a, int_of b) with
     | Some x, Some y -> Ok (L.Bool (if p = L.Lt then x < y else x <= y))
-    | _ -> err)
+    | _ -> type_error p)
   | L.Eq, [ a; b ] -> Ok (L.Bool (L.equal_value a b))
   | L.And, [ a; b ] | L.Or, [ a; b ] -> (
     match (bool_of a, bool_of b) with
     | Some x, Some y -> Ok (L.Bool (if p = L.And then x && y else x || y))
-    | _ -> err)
+    | _ -> type_error p)
   | L.Not, [ a ] -> (
-    match bool_of a with Some x -> Ok (L.Bool (not x)) | None -> err)
-  | L.Neg, [ a ] -> ( match int_of a with Some x -> Ok (L.Int (-x)) | None -> err)
+    match bool_of a with Some x -> Ok (L.Bool (not x)) | None -> type_error p)
+  | L.Neg, [ a ] -> ( match int_of a with Some x -> Ok (L.Int (-x)) | None -> type_error p)
   | L.Is_nil, [ a ] -> Ok (L.Bool (a = L.V_nil))
   | (L.Head | L.Tail), _ -> assert false (* handled structurally *)
   | _, _ -> Error (Printf.sprintf "arity error in %s" (L.prim_name p))

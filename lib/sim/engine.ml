@@ -365,7 +365,7 @@ let delay_of t ~rng ~src ~base pe =
     (* Seeded delivery jitter: occasionally a message takes longer,
        reordering arrivals — the interleaving adversary for the full
        machine. Deterministic for a given config seed. *)
-    t.jitter > 0.0 && Rng.float rng 1.0 < t.jitter
+    t.jitter > 0.0 && Rng.chance rng t.jitter
   then base + 1 + Rng.int rng (Int.max 1 t.latency)
   else base
 

@@ -61,7 +61,7 @@ let create spec =
     stall_steps = 0;
   }
 
-let roll rng p = p > 0.0 && Rng.float rng 1.0 < p
+let roll rng p = p > 0.0 && Rng.chance rng p
 
 let drops_frame t =
   let hit = roll t.net_rng t.spec.drop in

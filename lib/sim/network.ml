@@ -80,9 +80,9 @@ module Lanes = struct
 end
 
 (* Scalar fields are mutable so delivered frames can be recycled through
-   a free list (lossless channel only — see [recycle_batch]): a storm
-   step stages tens of frames, and re-initializing a dead record beats
-   allocating record + two vectors. *)
+   a free list, on both channels (see [recycle_batch]): a storm step
+   stages tens of frames, and re-initializing a dead record beats
+   allocating record + lanes + two vectors. *)
 type batch = {
   mutable b_src : int;
   mutable b_dst : int;
@@ -196,8 +196,13 @@ type link = {
 
 and pending = {
   p_link : link;
-  p_batch : batch;
+  p_batch : batch;  (* read only while not [p_delivered]: delivery recycles it *)
   p_fseq : int;
+  p_delay : int;  (* the frame's base delay: ack travel and retransmit timing *)
+  mutable p_kind : Dgr_obs.Event.task_kind;
+  mutable p_vid : int;
+      (* the head task, captured at delivery when a recorder is attached:
+         a delivered-but-unacked frame's Retransmit/Dup/Drop events *)
   mutable p_attempts : int;
   mutable p_rto : int;
   mutable p_delivered : bool;  (* receiver got a copy; awaiting ack *)
@@ -400,14 +405,27 @@ let views b =
 
 (* Drop/Dup/Retransmit events describe a whole frame via its head task —
    batches are never empty in the channel (fully-purged batches are
-   removed outright), so the head exists. *)
-let head_obs b =
+   removed outright), so the head exists; once delivered, the pair
+   captured at delivery. Built only when a recorder is attached. *)
+let batch_head b =
   let meta = lane b 0 2 in
   if meta >= 0 then
     (Task.obs_kind_of_meta meta, Task.lanes_exec_vid (lane b 0 0) (lane b 0 1) meta)
   else
     let task = Vec.get b.b_reds 0 in
     (Task.obs_kind task, Task.exec_vid task)
+
+let emit_head t p what =
+  match t.recorder with
+  | None -> ()
+  | Some r ->
+    let kind, vid = if p.p_delivered then (p.p_kind, p.p_vid) else batch_head p.p_batch in
+    let pe = p.p_link.l_dst in
+    Dgr_obs.Recorder.emit r
+      (match what with
+      | `Drop -> Dgr_obs.Event.Drop { kind; pe; vid }
+      | `Dup -> Dgr_obs.Event.Dup { kind; pe; vid }
+      | `Retransmit -> Dgr_obs.Event.Retransmit { kind; pe; vid; attempt = p.p_attempts })
 
 let rto_cap = 1024
 
@@ -477,22 +495,17 @@ let owe_ack t l ~delay =
    rolls drop and extra delay. [arrival] is the fault-free arrival step;
    [base] the link delay that scales the fault plane's extra delay. *)
 let transmit_data t f ~arrival ~base ~pack p =
-  let b = p.p_batch in
-  let pe = b.b_src in
+  let pe = p.p_link.l_src in
   let epoch = t.credit_epoch pe and sent = t.credit_sent pe and executed = t.credit_executed pe in
   let copies =
     if Faults.duplicates_frame f then begin
-      let kind, vid = head_obs b in
-      emit t (Dgr_obs.Event.Dup { kind; pe = b.b_dst; vid });
+      emit_head t p `Dup;
       2
     end
     else 1
   in
   for _ = 1 to copies do
-    if Faults.drops_frame f then begin
-      let kind, vid = head_obs b in
-      emit t (Dgr_obs.Event.Drop { kind; pe = b.b_dst; vid })
-    end
+    if Faults.drops_frame f then emit_head t p `Drop
     else
       Pqueue.add t.fq
         (arrival + Faults.extra_delay f ~latency:base)
@@ -528,6 +541,20 @@ let reindex t =
     Vec.push t.senders.(b.b_src + 1).forming.(b.b_dst) b
   done
 
+(* A flushed frame is counted and traced; the event records are built
+   only when a recorder is attached. *)
+let emit_batch t b =
+  t.frames_sent <- t.frames_sent + 1;
+  match t.recorder with
+  | None -> ()
+  | Some r ->
+    Dgr_obs.Recorder.emit r (Dgr_obs.Event.Batch { src = b.b_src; dst = b.b_dst; count = n_tasks b })
+
+let emit_cum_ack t ~src ~dst ~upto ~piggyback =
+  match t.recorder with
+  | None -> ()
+  | Some r -> Dgr_obs.Recorder.emit r (Dgr_obs.Event.Cum_ack { src; dst; upto; piggyback })
+
 (* Flush the batches staged since the last tick into the channel, then
    (under faults) settle every owed cumulative ack. Fault-plane dice are
    rolled here, once per frame, in stage order. *)
@@ -546,50 +573,45 @@ let flush t f ~now =
       end
     end
   done;
-  Vec.iter
-    (fun b ->
-      let l = link t ~src:b.b_src ~dst:b.b_dst in
-      if l.next >= seq_guard then
-        invalid_arg "Network.send: per-link sequence space exhausted";
-      let p =
-        { p_link = l; p_batch = b; p_fseq = l.next; p_attempts = 1;
-          p_rto = (2 * b.b_delay) + 2; p_delivered = false; p_acked = false;
-          p_purged = false }
-      in
-      l.next <- l.next + 1;
-      Vec.push l.pending p;
-      Pqueue.add t.timers (now + p.p_rto) p;
-      t.frames_sent <- t.frames_sent + 1;
-      emit t
-        (Dgr_obs.Event.Batch
-           { src = b.b_src; dst = b.b_dst; count = n_tasks b });
-      let pack =
-        if b.b_pack then begin
-          let cum = (slot t ~src:b.b_dst ~dst:b.b_src).rcv_next - 1 in
-          t.acks_piggybacked <- t.acks_piggybacked + 1;
-          emit t
-            (Dgr_obs.Event.Cum_ack
-               { src = b.b_dst; dst = b.b_src; upto = cum; piggyback = true });
-          cum
-        end
-        else min_int
-      in
-      transmit_data t f ~arrival:b.b_arrival ~base:b.b_delay ~pack p)
-    t.staged;
+  for i = 0 to Vec.length t.staged - 1 do
+    let b = Vec.get t.staged i in
+    let l = link t ~src:b.b_src ~dst:b.b_dst in
+    if l.next >= seq_guard then
+      invalid_arg "Network.send: per-link sequence space exhausted";
+    let p =
+      { p_link = l; p_batch = b; p_fseq = l.next; p_delay = b.b_delay;
+        p_kind = Dgr_obs.Event.Request; p_vid = -1; p_attempts = 1;
+        p_rto = (2 * b.b_delay) + 2; p_delivered = false; p_acked = false;
+        p_purged = false }
+    in
+    l.next <- l.next + 1;
+    Vec.push l.pending p;
+    Pqueue.add t.timers (now + p.p_rto) p;
+    emit_batch t b;
+    let pack =
+      if b.b_pack then begin
+        let cum = (slot t ~src:b.b_dst ~dst:b.b_src).rcv_next - 1 in
+        t.acks_piggybacked <- t.acks_piggybacked + 1;
+        emit_cum_ack t ~src:b.b_dst ~dst:b.b_src ~upto:cum ~piggyback:true;
+        cum
+      end
+      else min_int
+    in
+    transmit_data t f ~arrival:b.b_arrival ~base:b.b_delay ~pack p
+  done;
   unindex t;
   Vec.clear t.staged;
   (* Standalone acks for links no reverse data frame covered. *)
-  Vec.iter
-    (fun l ->
-      if l.owe >= 0 && not l.retired then begin
-        let delay = l.owe and cum = l.rcv_next - 1 in
-        l.owe <- -1;
-        t.acks_sent <- t.acks_sent + 1;
-        emit t
-          (Dgr_obs.Event.Cum_ack { src = l.l_src; dst = l.l_dst; upto = cum; piggyback = false });
-        transmit_ack t f ~arrival:(now + delay) ~base:delay l cum
-      end)
-    t.owed_order;
+  for i = 0 to Vec.length t.owed_order - 1 do
+    let l = Vec.get t.owed_order i in
+    if l.owe >= 0 && not l.retired then begin
+      let delay = l.owe and cum = l.rcv_next - 1 in
+      l.owe <- -1;
+      t.acks_sent <- t.acks_sent + 1;
+      emit_cum_ack t ~src:l.l_src ~dst:l.l_dst ~upto:cum ~piggyback:false;
+      transmit_ack t f ~arrival:(now + delay) ~base:delay l cum
+    end
+  done;
   Vec.clear t.owed_order
 
 (* Fault-free flush: batches go straight into the ideal channel's
@@ -597,13 +619,7 @@ let flush t f ~now =
 let flush_ideal t =
   Vec.iter
     (fun b ->
-      t.frames_sent <- t.frames_sent + 1;
-      (match t.recorder with
-      | None -> ()
-      | Some r ->
-        Dgr_obs.Recorder.emit r
-          (Dgr_obs.Event.Batch
-             { src = b.b_src; dst = b.b_dst; count = n_tasks b }));
+      emit_batch t b;
       Ideal.add t.q b)
     t.staged;
   unindex t;
@@ -826,11 +842,11 @@ let deliver_batch t b ~now ~push =
   | None | Some _ -> deliver_tasks t b ~now ~push n
 
 (* Return a delivered frame to its sender's free list, on the main
-   domain. Only the idealized channel may call this: after its pop the
-   batch is referenced nowhere (the flush emptied [staged] and the
-   index), whereas the fault path keeps frames in [pending] until
-   cumulatively acked. Each list is capped so a burst does not pin its
-   high-water mark of vectors forever. *)
+   domain. After delivery the batch is referenced nowhere that reads it:
+   the flush emptied [staged] and the index, and a lossy send's
+   [pending] record reads its own [p_delay] and captured head once
+   [p_delivered] is set, never [p_batch]. Each list is capped so a burst
+   does not pin its high-water mark of vectors forever. *)
 let free_batches_cap = 32
 
 let recycle_batch t b =
@@ -873,12 +889,10 @@ let drain_credits t ~now =
   end
 
 (* A delivered frame that holds a mark is parked in its destination's
-   inbox for [take_mark_lanes]; a mark-free one is settled at once. A settled
-   frame of the idealized channel is recycled; a lossy one stays in
-   [pending] until its cumulative ack lands. *)
+   inbox for [take_mark_lanes]; a mark-free one is recycled at once, on
+   either channel. *)
 let settle t b ~now ~push =
-  if deliver_batch t b ~now ~push then Vec.push t.inbox.(b.b_dst) b
-  else match t.faults with None -> recycle_batch t b | Some _ -> ()
+  if deliver_batch t b ~now ~push then Vec.push t.inbox.(b.b_dst) b else recycle_batch t b
 
 let deliver_serial t ~now ~push =
   check_sealed t "deliver_serial";
@@ -898,7 +912,7 @@ let deliver_serial t ~now ~push =
       match Pqueue.pop t.fq with
       | Some (_, Data d) when dead_copy d.p -> ()
       | Some (_, Data { pack; epoch; sent; executed; p }) ->
-        let l = p.p_link and b = p.p_batch in
+        let l = p.p_link in
         (* a piggybacked cum ack settles the reverse data link *)
         if pack > min_int then apply_cum (slot t ~src:l.l_dst ~dst:l.l_src) pack;
         (* credits apply even on duplicate frames — idempotent *)
@@ -908,13 +922,19 @@ let deliver_serial t ~now ~push =
              the exactly-once edge *)
           f.Faults.dup_suppressed <- f.Faults.dup_suppressed + 1
         else begin
+          let b = p.p_batch in
           mark_received l p.p_fseq;
+          if Option.is_some t.recorder then begin
+            let kind, vid = batch_head b in
+            p.p_kind <- kind;
+            p.p_vid <- vid
+          end;
           p.p_delivered <- true;
           settle t b ~now ~push
         end;
         (* always owe an ack, even for duplicates: the previous
            cumulative ack may have been lost *)
-        owe_ack t l ~delay:b.b_delay
+        owe_ack t l ~delay:p.p_delay
       | Some (_, Ack a) when a.link.retired -> ()
       | Some (_, Ack { link = l; cum; epoch; sent; executed }) ->
         apply_cum l cum;
@@ -924,31 +944,29 @@ let deliver_serial t ~now ~push =
     while Pqueue.min_prio t.timers ~default:max_int <= now do
       match Pqueue.pop t.timers with
       | Some (_, p) when not (dead_timer p) ->
-        let b = p.p_batch in
         p.p_attempts <- p.p_attempts + 1;
         f.Faults.retransmits <- f.Faults.retransmits + 1;
-        let kind, vid = head_obs b in
-        emit t (Dgr_obs.Event.Retransmit { kind; pe = b.b_dst; vid; attempt = p.p_attempts });
+        emit_head t p `Retransmit;
         (* the whole batch retransmits as a unit, without a piggybacked
            ack (the ack path has its own redundancy: every receipt
            re-owes the watermark) *)
-        transmit_data t f ~arrival:(now + b.b_delay) ~base:b.b_delay ~pack:min_int p;
+        transmit_data t f ~arrival:(now + p.p_delay) ~base:p.p_delay ~pack:min_int p;
         p.p_rto <- Int.min (p.p_rto * 2) rto_cap;
         Pqueue.add t.timers (now + p.p_rto) p
       | Some _ | None -> ()
     done
 
 (* Runs on [pe]'s shard, possibly on a worker domain: it touches only
-   [pe]'s inbox and spent list. A parked frame is referenced nowhere
-   else on the idealized channel, so it is recycled at the next tick;
-   under faults it waits in [pending] for its ack. *)
+   [pe]'s inbox and spent list. A parked frame is read nowhere else once
+   its marks are taken, so it is recycled at the next tick, on either
+   channel. *)
 let take_frames t ~pe x (f : 'a -> batch -> unit) =
   if pe < Array.length t.inbox then begin
     let ib = t.inbox.(pe) in
     for k = 0 to Vec.length ib - 1 do
       let b = Vec.get ib k in
       f x b;
-      match t.faults with None -> Vec.push t.spent.(pe) b | Some _ -> ()
+      Vec.push t.spent.(pe) b
     done;
     Vec.clear ib
   end

@@ -32,6 +32,10 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
 
+val chance : t -> float -> bool
+(** [chance t p] is [float t 1.0 < p], the same draw, without boxing
+    the float: true with probability [p]. *)
+
 val bool : t -> bool
 
 val choose : t -> 'a array -> 'a

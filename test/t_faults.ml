@@ -251,6 +251,89 @@ let test_seq_wraparound_guard () =
   Alcotest.(check int) "the last sequence number below the guard still flushes" 1
     (Network.frames_sent net2)
 
+(* --- frame recycling ---------------------------------------------------- *)
+
+let vids_of got = List.map (fun (_, task) -> Task.exec_vid task) got
+
+let retransmit_heads r =
+  List.filter_map
+    (function
+      | { Dgr_obs.Event.kind = Dgr_obs.Event.Retransmit { kind; vid; _ }; _ } -> Some (kind, vid)
+      | _ -> None)
+    (Dgr_obs.Recorder.events r)
+
+(* A delivered frame goes back to its sender's free list at once, before
+   its ack. Here that ack is lost and the sender's next send reuses the
+   frame, so when the first send retransmits, its batch holds another
+   task at another delay. The Retransmit event must still name the first
+   head, and the copy must travel at the first send's delay, be
+   suppressed once, and re-owe an ack at that delay. Fault seed 12 at
+   drop 0.5 rolls keep, keep, drop, keep, keep for: the first frame, the
+   second, the first frame's ack, the retransmission, the re-owed ack. *)
+let test_retransmit_after_recycle () =
+  let f = Faults.create { Faults.none with Faults.drop = 0.5; fault_seed = 12 } in
+  let r = Dgr_obs.Recorder.create ~num_pes:2 () in
+  let net = Network.create ~recorder:r ~faults:f () in
+  let quiet now =
+    Alcotest.(check (list int)) (Printf.sprintf "nothing at %d" now) []
+      (vids_of (Helpers.deliver net ~now))
+  in
+  Network.send ~src:0 net ~arrival:2 ~pe:1 (Task.request 7 Demand.Vital);
+  (* flushed at 1 with base delay 2: its timer fires at 1 + 2*2 + 2 = 7 *)
+  quiet 1;
+  Alcotest.(check (list int)) "the first frame arrives" [ 7 ] (vids_of (Helpers.deliver net ~now:2));
+  (* a Cancel at base delay 8 reuses the recycled frame on the same link *)
+  Network.send ~src:0 net ~arrival:10 ~pe:1 (Task.Reduction (Task.Cancel { src = 3; dst = 9 }));
+  quiet 3;
+  Alcotest.(check (pair int int)) "the first frame's standalone ack was the loss" (1, 1)
+    (Network.acks_sent net, f.Faults.drops);
+  List.iter quiet [ 4; 5; 6; 7; 8 ];
+  Alcotest.(check int) "the first send retransmitted at 7" 1 f.Faults.retransmits;
+  Alcotest.(check (list (pair string int))) "the retransmission names the first head"
+    [ ("request", 7) ]
+    (List.map (fun (k, v) -> (Dgr_obs.Event.task_kind_name k, v)) (retransmit_heads r));
+  Alcotest.(check int) "its copy is still in flight at 8" 0 f.Faults.dup_suppressed;
+  quiet 9;
+  Alcotest.(check int) "the copy lands at 7 + 2, suppressed once" 1 f.Faults.dup_suppressed;
+  Alcotest.(check (list int)) "the Cancel arrives at 10" [ 9 ] (vids_of (Helpers.deliver net ~now:10));
+  quiet 11;
+  Alcotest.(check int) "the first send still awaits its ack at 11" 2 (Network.unacked net);
+  quiet 12;
+  (* the ack the copy re-owed left at 10 and lands at 10 + 2 *)
+  Alcotest.(check int) "the re-owed ack lands at 12" 1 (Network.unacked net);
+  Alcotest.(check int) "nothing was handed up twice" 1 f.Faults.dup_suppressed
+
+(* Steady state on the lossy channel: each send reuses the frame its
+   predecessor was delivered in, so a send, its delivery and its ack
+   allocate the pending record and queue entries but never a batch. The
+   loop reads 67 words per frame; a fresh batch would add ~60 more. *)
+let test_lossy_loop_reuses_frames () =
+  let f = Faults.create { Faults.none with Faults.stall = 0.5; fault_seed = 1 } in
+  let net = Network.create ~faults:f () in
+  let task = Task.request 7 Demand.Vital in
+  let push _ _ _ = () in
+  let now = ref 0 in
+  let round () =
+    Network.send ~src:0 net ~arrival:(!now + 1) ~pe:1 task;
+    incr now;
+    Network.deliver_into net ~now:!now ~push
+  in
+  for _ = 1 to 100 do
+    round ()
+  done;
+  let frames = 2000 in
+  let sent0 = Network.frames_sent net in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to frames do
+    round ()
+  done;
+  let per_frame = (Gc.minor_words () -. w0) /. float_of_int frames in
+  Alcotest.(check int) "one frame per round" frames (Network.frames_sent net - sent0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per frame" per_frame)
+    true (per_frame <= 90.);
+  settle_acks net
+
 (* --- differential fuzz: faulted concurrent GC vs fault-free STW ------- *)
 
 (* Build the machine's graph and an identical fault-free replica (same
@@ -624,4 +707,8 @@ let suite =
       test_deadlock_detected_under_faults;
     Alcotest.test_case "fault plane is deterministic per seed" `Quick
       test_fault_determinism;
+    Alcotest.test_case "a recycled frame's retransmission keeps its own head and delay" `Quick
+      test_retransmit_after_recycle;
+    Alcotest.test_case "a lossy send-deliver loop allocates no frame" `Quick
+      test_lossy_loop_reuses_frames;
   ]

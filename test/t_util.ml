@@ -43,6 +43,62 @@ let test_rng_bounds () =
     if f < 0.0 || f >= 2.5 then Alcotest.failf "Rng.float out of range: %f" f
   done
 
+(* The splitmix64 stream, pinned: these outputs were drawn before the
+   state moved out of a boxed int64, and every seeded run (fault dice,
+   jitter, graph builders) replays them. *)
+let test_rng_stream_pinned () =
+  let a = Rng.create 42 in
+  Alcotest.(check (list int64)) "create 42: int64"
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L; 6349198060258255764L ]
+    (List.init 4 (fun _ -> Rng.int64 a));
+  let b = Rng.split a in
+  Alcotest.(check (list int)) "split: int 1000" [ 653; 719; 4; 821; 952; 51; 874; 316 ]
+    (List.init 8 (fun _ -> Rng.int b 1000));
+  let s = Rng.stream ~seed:7 3 in
+  let c = Rng.copy s in
+  Alcotest.(check (list (float 0.0))) "stream 7 3: float 1.0"
+    [ 0x1.a1019f5f71259p-1; 0x1.e065460bd8f48p-4; 0x1.faf8b20472d18p-3; 0x1.faf199aeebc2cp-2 ]
+    (List.init 4 (fun _ -> Rng.float s 1.0));
+  Alcotest.(check (list bool)) "then bool"
+    [ false; false; true; true; true; false; false; false ]
+    (List.init 8 (fun _ -> Rng.bool s));
+  Alcotest.(check (float 0.0)) "a copy replays the stream" 0x1.a1019f5f71259p-1 (Rng.float c 1.0);
+  let d = Rng.create (-5) in
+  Alcotest.(check (list bool)) "create -5: chance 0.3 (float 1.0 < 0.3 before the change)"
+    [ true; false; false; false; false; true; true; false; false; false; true; true ]
+    (List.init 12 (fun _ -> Rng.chance d 0.3))
+
+(* The fault plane rolls several dice per step and per transmission; none
+   of them may allocate. *)
+let test_rng_rolls_unboxed () =
+  let rng = Rng.create 9 in
+  let f =
+    Dgr_sim.Faults.create
+      { Dgr_sim.Faults.none with
+        drop = 0.2; duplicate = 0.1; delay = 0.3; stall = 0.05; crash = 0.01; fault_seed = 4 }
+  in
+  let open Dgr_sim.Faults in
+  List.iter
+    (fun (name, roll) ->
+      roll ();
+      let calls = 10_000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to calls do
+        roll ()
+      done;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check (float 0.0)) (Printf.sprintf "%s: minor words over %d calls" name calls) 0.0
+        words)
+    [
+      ("Rng.int", fun () -> ignore (Sys.opaque_identity (Rng.int rng 10)));
+      ("Rng.chance", fun () -> ignore (Sys.opaque_identity (Rng.chance rng 0.5)));
+      ("Faults.drops_frame", fun () -> ignore (Sys.opaque_identity (drops_frame f)));
+      ("Faults.duplicates_frame", fun () -> ignore (Sys.opaque_identity (duplicates_frame f)));
+      ("Faults.extra_delay", fun () -> ignore (Sys.opaque_identity (extra_delay f ~latency:4)));
+      ("Faults.stall_begins", fun () -> ignore (Sys.opaque_identity (stall_begins f ~pe:0)));
+      ("Faults.crash_begins", fun () -> ignore (Sys.opaque_identity (crash_begins f ~pe:0)));
+    ]
+
 let test_pqueue_ordering () =
   let q = Pqueue.create () in
   Pqueue.add q 3 "c";
@@ -236,4 +292,7 @@ let suite =
     Alcotest.test_case "stats accumulation" `Quick test_stats_basic;
     Alcotest.test_case "stats empty" `Quick test_stats_empty;
     Alcotest.test_case "table rendering" `Quick test_table_render;
+    Alcotest.test_case "rng stream pinned across representations" `Quick
+      test_rng_stream_pinned;
+    Alcotest.test_case "rng and fault dice allocate nothing" `Quick test_rng_rolls_unboxed;
   ]
