@@ -190,14 +190,14 @@ let finish_cycle t =
     obs t (Dgr_obs.Event.Irrelevant { purged = report.Restructure.irrelevant_purged });
   obs t
     (Dgr_obs.Event.Cycle_done
-       { cycle = t.cycles; garbage = List.length report.Restructure.garbage });
+       { cycle = t.cycles; garbage = report.Restructure.garbage });
   phase_obs t Dgr_obs.Event.Idle;
   t.phase <- Idle;
   t.cycles <- t.cycles + 1;
   t.last_report <- Some report;
   t.deadlocked_ever <-
     List.fold_left (fun acc v -> Vid.Set.add v acc) t.deadlocked_ever report.deadlocked;
-  t.total_garbage <- t.total_garbage + List.length report.Restructure.garbage;
+  t.total_garbage <- t.total_garbage + report.Restructure.garbage;
   t.mr_run <- None;
   t.mt_run <- None;
   t.mr_flood <- None;

@@ -2,7 +2,7 @@ open Dgr_graph
 open Dgr_task
 
 type report = {
-  garbage : Vid.t list;
+  garbage : int;
   deadlocked : Vid.t list;
   deadlock_checked : bool;
   irrelevant_purged : int;
@@ -12,7 +12,7 @@ type report = {
 (* The verdict pass for one home partition: read-only over the planes,
    touching only [pe]'s slots, so every home can run concurrently.
    Lists are built by prepending over the ascending-vid slot walk —
-   deterministic per home, and the caller concatenates homes in fixed PE
+   deterministic per home, and the caller walks homes in fixed PE
    order, so the merged verdict is identical at every domain count. *)
 let collect_home g ~deadlock_checked ~pe =
   let gar = ref [] and dl = ref [] in
@@ -28,15 +28,27 @@ let collect_home g ~deadlock_checked ~pe =
       end);
   (!gar, !dl)
 
-(* Owner-local bookkeeping on one home's survivors: requester sets and
+(* GAR' membership, read from the slot: [collect_home]'s garbage
+   predicate. Between the verdict and the releases nothing writes a
+   plane or frees a slot, so any home may ask about any vid. *)
+let in_gar g v =
+  Graph.mem g v
+  &&
+  let vx = Graph.vertex g v in
+  (not (Vertex.free vx)) && Plane.unmarked (Vertex.mr vx)
+
+(* Owner-local bookkeeping on one home's survivors: requester rows and
    scheduling priorities live on the vertex itself, so this pass is also
-   safe per home. *)
-let persist_home g ~in_gar ~pe =
+   safe per home. A survivor is a live slot whose M_R colour is not
+   unmarked; only those with requesters pay for the filter. *)
+let persist_home g ~pe =
+  let keep r = not (in_gar g r) in
   Graph.iter_home g ~pe (fun v ->
-      if (not (Vertex.free v)) && not (in_gar (Vertex.id v)) then begin
-        Vertex.retain_requesters v (fun r -> not (in_gar r));
+      let mr = Vertex.mr v in
+      if (not (Vertex.free v)) && not (Plane.unmarked mr) then begin
+        if Vertex.requested_count v > 0 then Vertex.retain_requesters v keep;
         (* Persist the cycle's priority verdict for pool scheduling. *)
-        if Plane.marked (Vertex.mr v) then Vertex.set_sched_prior v @@ Plane.prior (Vertex.mr v)
+        if Plane.marked mr then Vertex.set_sched_prior v (Plane.prior mr)
       end)
 
 let serial_each_home g f =
@@ -52,26 +64,26 @@ let run ~graph:g ~deadlock_checked ~purge_tasks ~reprioritize ?each_home () =
       let gar, dl = collect_home g ~deadlock_checked ~pe in
       gar_by.(pe) <- gar;
       dl_by.(pe) <- dl);
-  let gar = List.concat (Array.to_list gar_by) in
   let dl = List.concat (Array.to_list dl_by) in
-  let gar_set = Vid.Set.of_list gar in
-  let in_gar v = Vid.Set.mem v gar_set in
   (* Expunge tasks touching garbage before the slots are recycled.
      Requests into GAR are Property 6's irrelevant tasks. The network is
      shared, so this stays serial between the two sharded passes. *)
+  let in_gar = in_gar g in
   let purged =
     purge_tasks (fun task ->
         match task with
-        | Task.Reduction r -> List.exists in_gar (Task.reduction_endpoints r)
+        | Task.Reduction r -> Task.reduction_endpoint_exists in_gar r
         | Task.Marking _ -> false)
   in
-  each_home (fun pe -> persist_home g ~in_gar ~pe);
-  List.iter (Graph.release g) gar;
+  each_home (fun pe -> persist_home g ~pe);
+  (* Releases stay serial and in the verdict's order (PE order, then
+     each home's list), so the free lists come out the same. *)
+  Array.iter (List.iter (Graph.release g)) gar_by;
   let moved = reprioritize () in
   Graph.reset_plane g Plane.MR;
   Graph.reset_plane g Plane.MT;
   {
-    garbage = gar;
+    garbage = Array.fold_left (fun n gar -> n + List.length gar) 0 gar_by;
     deadlocked = dl;
     deadlock_checked;
     irrelevant_purged = purged;
@@ -79,7 +91,7 @@ let run ~graph:g ~deadlock_checked ~purge_tasks ~reprioritize ?each_home () =
   }
 
 let pp_report fmt r =
-  Format.fprintf fmt "garbage=%d deadlocked=%d%s purged=%d reprioritized=%d"
-    (List.length r.garbage) (List.length r.deadlocked)
+  Format.fprintf fmt "garbage=%d deadlocked=%d%s purged=%d reprioritized=%d" r.garbage
+    (List.length r.deadlocked)
     (if r.deadlock_checked then "" else " (unchecked)")
     r.irrelevant_purged r.reprioritized

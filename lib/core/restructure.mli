@@ -28,10 +28,19 @@ open Dgr_task
     slots, so the engine can fan them out across domains ([each_home]),
     with per-home results merged in fixed PE order — bit-identical at
     every domain count. Only the task purge, the free-list releases, the
-    pool re-sort, and the plane resets remain serial. *)
+    pool re-sort, and the plane resets remain serial.
+
+    GAR' membership is read from the slot itself — live, and unmarked in
+    its M_R column, exactly {!collect_home}'s predicate — not from a set
+    built of the verdict: nothing between the verdict and the releases
+    writes a plane or frees a slot (the survivor pass writes only
+    [sched_prior] and requester rows), so those reads are race-free at
+    any domain count. The phase therefore allocates per garbage vertex
+    (the per-home verdict lists) and not per live vertex: survivors
+    without requesters are only read. *)
 
 type report = {
-  garbage : Vid.t list;  (** vertices reclaimed this cycle *)
+  garbage : int;  (** how many vertices this cycle reclaimed *)
   deadlocked : Vid.t list;  (** DL'_v; empty when M_T did not run *)
   deadlock_checked : bool;
   irrelevant_purged : int;  (** reduction tasks expunged *)

@@ -35,10 +35,14 @@ let learn t ~pe ~epoch ~sent ~executed =
     if executed > t.executed.(pe) then t.executed.(pe) <- executed
   end
 
+(* A loop, not a local recursive function: [observe] runs every poll,
+   and the function would be a fresh closure each time. *)
 let all_reported t =
-  let n = Array.length t.reported in
-  let rec go i = i >= n || (t.reported.(i) && go (i + 1)) in
-  go 0
+  let i = ref 0 in
+  while !i < Array.length t.reported && t.reported.(!i) do
+    incr i
+  done;
+  !i = Array.length t.reported
 
 let learned_sent t = Array.fold_left ( + ) 0 t.sent
 

@@ -168,6 +168,12 @@ let render ?(deterministic = false) e =
       (p.Profile.merge_mw /. steps)
       (p.Profile.gc_mw /. steps)
       (p.Profile.book_mw /. steps);
+    (* Per completed cycle, the GC phase's words compare the tree and
+       flood schemes whatever their cycle lengths. *)
+    if m.Metrics.cycles_completed > 0 then
+      Printf.bprintf b "  gc minor words/cycle: %.0f (cycles=%d)\n"
+        (p.Profile.gc_mw /. float_of_int m.Metrics.cycles_completed)
+        m.Metrics.cycles_completed;
     (* In OCaml 5 a minor collection stops every domain: this is the
        allocation bill's cost at the barrier, machine-wide. *)
     Printf.bprintf b "  minor collections/step: %.4f (%d over the run at domains=%d)\n"

@@ -545,7 +545,9 @@ let absorb_dirty t src =
   src.alloc_stalls <- 0;
   (match t.result with None -> t.result <- src.result | Some _ -> ());
   src.result <- None;
-  Dgr_util.Vec.iter (fun task -> Dgr_util.Vec.push t.parked task) src.parked;
+  for k = 0 to Dgr_util.Vec.length src.parked - 1 do
+    Dgr_util.Vec.push t.parked (Dgr_util.Vec.get src.parked k)
+  done;
   Dgr_util.Vec.clear src.parked;
   if not (List.is_empty src.stuck) then begin
     List.iter (fun (v, reason) -> ignore (add_stuck t v reason)) (List.rev src.stuck);

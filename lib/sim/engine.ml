@@ -283,9 +283,10 @@ and t = {
   mutable mark_only : bool;
       (** budgets drain marking only — set while the machine is paused
           for restructure but the next wave's marks may flow *)
-  mutable coop_sink : Mutator.coop_event -> unit;
+  mutable coop_sink : (Mutator.coop_event -> unit) option;
       (** routes a deferred cooperation event to the executing PE's
-          context; installed on the mutator around the shards *)
+          context; installed on the mutator around the shards, and
+          boxed once at [create] so installing it allocates nothing *)
 }
 
 (* The profiler's sums, per phase, in two flat float arrays, so adding
@@ -844,7 +845,7 @@ let create ?recorder ?(config = Config.default) g templates =
       wd_retx_at = 64;
       push_due = (fun _ _ _ -> ());
       mark_only = false;
-      coop_sink = ignore;
+      coop_sink = None;
     }
   in
   self := Some t;
@@ -871,9 +872,10 @@ let create ?recorder ?(config = Config.default) g templates =
   mut.Mutator.spawn <- cctl.cemit;
   mut.Mutator.coop_pe <- (fun () -> Int.max 0 cctl.cpe);
   t.coop_sink <-
-    (fun ev ->
-      let pe = Domain.DLS.get dls_pe in
-      Vec.push t.ctxs.(if pe >= 0 then pe else 0).ccoop ev);
+    Some
+      (fun ev ->
+        let pe = Domain.DLS.get dls_pe in
+        Vec.push t.ctxs.(if pe >= 0 then pe else 0).ccoop ev);
   (match rc with
   | Some rc ->
     (* A PE's shard logs its count changes in its context; the barrier
@@ -1133,14 +1135,12 @@ let under_pressure t =
    sent (and accounted) once already, so it goes straight to the network
    with no [Send] event and no jitter draw. *)
 let unpark t =
-  match Reducer.drain_parked t.cctl.pred with
-  | [] -> ()
-  | tasks ->
+  if Reducer.parked_count t.cctl.pred > 0 then
     List.iter
       (fun r ->
         let pe = pe_of t (Reduction r) in
         if pe >= 0 then Network.send ~src:(-1) t.net ~arrival:(t.now + 1) ~pe (Reduction r))
-      tasks
+      (Reducer.drain_parked t.cctl.pred)
 
 let gc_control t =
   match t.gc_mode with
@@ -1174,7 +1174,7 @@ let gc_control t =
         (* Restructure is the concurrent scheme's only stop: a sweep over
            the live vertices plus the slots being reclaimed. *)
         pause t ~reason:Dgr_obs.Event.Restructure_pause
-          (Graph.live_count t.g + List.length report.Dgr_core.Restructure.garbage);
+          (Graph.live_count t.g + report.Dgr_core.Restructure.garbage);
         if Config.recover_deadlock t.cfg then recover_deadlocks t report;
         (* Decentralized initiation: the next cycle's mark wave may open
            while this cycle's restructure pause is still draining — the
@@ -1263,55 +1263,58 @@ let apply_rc t rc =
    order). *)
 let merge_shards t =
   Mutator.set_defer t.mut None;
+  let ctxs = t.ctxs in
   (match t.recorder with
   | None -> ()
   | Some r ->
-    Array.iter
-      (fun ctx ->
-        match ctx.sub with
-        | Some s -> Dgr_obs.Recorder.drain_into ~src:s ~dst:r
-        | None -> ())
-      t.ctxs);
+    for pe = 0 to Array.length ctxs - 1 do
+      match ctxs.(pe).sub with
+      | Some s -> Dgr_obs.Recorder.drain_into ~src:s ~dst:r
+      | None -> ()
+    done);
   lap t k_drain;
-  Array.iter
-    (fun ctx ->
-      Reducer.absorb t.cctl.pred ctx.pred;
-      t.executed_by.(ctx.cpe) <-
-        t.executed_by.(ctx.cpe) + ctx.pm.Metrics.reduction_executed
-        + ctx.pm.Metrics.marking_executed;
-      Metrics.absorb t.m ctx.pm)
-    t.ctxs;
+  for pe = 0 to Array.length ctxs - 1 do
+    let ctx = ctxs.(pe) in
+    Reducer.absorb t.cctl.pred ctx.pred;
+    t.executed_by.(pe) <-
+      t.executed_by.(pe) + ctx.pm.Metrics.reduction_executed + ctx.pm.Metrics.marking_executed;
+    Metrics.absorb t.m ctx.pm
+  done;
   lap t k_absorb;
   (* Close the executed tasks' tickets before the seal: the freed slots
      are recycled by the seal's opens, in ascending PE order both times,
      so slot allocation stays a pure function of the step's buffers. *)
-  Array.iter
-    (fun ctx ->
-      Dgr_obs.Lineage.close_many t.lin (Vec.unsafe_data ctx.cdone)
-        ~len:(Vec.length ctx.cdone) ~now:t.now;
-      Vec.clear ctx.cdone)
-    t.ctxs;
+  for pe = 0 to Array.length ctxs - 1 do
+    let d = ctxs.(pe).cdone in
+    Dgr_obs.Lineage.close_many t.lin (Vec.unsafe_data d) ~len:(Vec.length d) ~now:t.now;
+    Vec.clear d
+  done;
   lap t k_close;
   Network.seal t.net;
   lap t k_seal;
   (match t.rc with Some rc -> apply_rc t rc | None -> ());
   let cpe = t.cctl.cpe and crng = t.cctl.crng in
-  Array.iter
-    (fun ctx ->
-      if Vec.length ctx.ccoop > 0 then begin
-        t.cctl.cpe <- ctx.cpe;
-        t.cctl.crng <- ctx.crng;
-        Vec.iter (fun ev -> Mutator.replay t.mut ev) ctx.ccoop;
-        Vec.clear ctx.ccoop
-      end)
-    t.ctxs;
+  for pe = 0 to Array.length ctxs - 1 do
+    let ctx = ctxs.(pe) in
+    let evs = ctx.ccoop in
+    if Vec.length evs > 0 then begin
+      t.cctl.cpe <- ctx.cpe;
+      t.cctl.crng <- ctx.crng;
+      for k = 0 to Vec.length evs - 1 do
+        Mutator.replay t.mut (Vec.get evs k)
+      done;
+      Vec.clear evs
+    end
+  done;
   t.cctl.cpe <- cpe;
   t.cctl.crng <- crng;
-  Array.iter
-    (fun ctx ->
-      Vec.iter (fun task -> execute_at_controller t task) ctx.ctrl;
-      Vec.clear ctx.ctrl)
-    t.ctxs;
+  for pe = 0 to Array.length ctxs - 1 do
+    let q = ctxs.(pe).ctrl in
+    for k = 0 to Vec.length q - 1 do
+      execute_at_controller t (Vec.get q k)
+    done;
+    Vec.clear q
+  done;
   lap t k_replay
 
 (* Health watchdogs. Window-based: each monitor re-arms on any progress
@@ -1321,7 +1324,7 @@ let merge_shards t =
    and must be identical at every domain count. *)
 let wd_window t = Int.max 32 (8 * t.latency)
 
-let health_check t =
+let health_check t ~pooled =
   let now = t.now in
   let paused = now < t.paused_until in
   (* Mark wave: a cycle is running but no marking task has executed for a
@@ -1353,9 +1356,7 @@ let health_check t =
      repeated losses. The window is 4× the mark watchdog's so a healthy
      exponential-backoff retransmit never trips it. *)
   let executed = t.m.Metrics.reduction_executed + t.m.Metrics.marking_executed in
-  let work_waiting =
-    (not (Array.for_all Pool.is_empty t.pools)) || Network.size t.net > 0
-  in
+  let work_waiting = pooled || Network.size t.net > 0 in
   if
     executed > t.wd_exec_last || paused || (not work_waiting)
     || Option.is_some t.m.Metrics.completion_step
@@ -1546,7 +1547,7 @@ let step t =
        Cooperation bodies are deferred for the barrier replay. *)
     t.mark_only <- not running;
     (match t.flt with Some f -> roll_stalls t f | None -> ());
-    Mutator.set_defer t.mut (Some t.coop_sink);
+    Mutator.set_defer t.mut t.coop_sink;
     Network.shard_phase t.net;
     run_shards t run_shard;
     lap t k_execute;
@@ -1588,7 +1589,7 @@ let step t =
   for pe = 0 to t.num_pes - 1 do
     depth := !depth + Pool.length t.pools.(pe)
   done;
-  Dgr_util.Stats.add t.m.Metrics.pool_depth (float_of_int !depth);
+  Dgr_util.Stats.add t.m.Metrics.pool_depth !depth;
   t.m.Metrics.peak_live <- Int.max t.m.Metrics.peak_live (Graph.live_count t.g);
   (match t.flt with
   | None -> ()
@@ -1604,7 +1605,7 @@ let step t =
   t.m.Metrics.acks_sent <- Network.acks_sent t.net;
   t.m.Metrics.acks_piggybacked <- Network.acks_piggybacked t.net;
   t.m.Metrics.tasks_sent <- Network.tasks_sent t.net;
-  health_check t;
+  health_check t ~pooled:(!depth > 0);
   (match t.recorder with
   | None -> ()
   | Some r ->

@@ -92,7 +92,7 @@ let create () =
   }
 
 let record_pause t steps =
-  Stats.add t.pauses (float_of_int steps);
+  Stats.add t.pauses steps;
   t.total_pause_steps <- t.total_pause_steps + steps
 
 (* Fold a per-PE metrics sink into [t] and zero it. Only the counters a

@@ -16,7 +16,7 @@ type t = {
   pauses : Stats.t;  (** mutator pause lengths, in steps *)
   mutable total_pause_steps : int;
   mutable completion_step : int option;  (** when the root's value arrived *)
-  pool_depth : Stats.t;  (** sampled every step, aggregated over PEs *)
+  pool_depth : Stats.t;  (** tasks pooled over all PEs, added once per step *)
   mutable peak_live : int;  (** max live vertices observed *)
   mutable deadlocks_recovered : int;
       (** vertices rewritten to an error value by ⊥-recovery *)

@@ -153,19 +153,21 @@ module Ideal = struct
     end;
     Vec.push q.frames.(!i) b
 
-  (* Hand every frame due by [now] to [f], in delivery order. *)
-  let drain_due q ~now f =
-    while q.n > 0 && q.at.(0) <= now do
-      let v = q.frames.(0) in
-      q.n <- q.n - 1;
-      Array.blit q.at 1 q.at 0 q.n;
-      Array.blit q.frames 1 q.frames 0 q.n;
-      for k = 0 to Vec.length v - 1 do
-        f (Vec.get v k)
-      done;
-      Vec.clear v;
-      Vec.push q.spare v
-    done
+  (* Is the oldest bucket due by [now]? Delivery pops buckets while it
+     is, hands each frame on in flush order, and gives the emptied
+     vector back with [spare]: a loop at the caller, so no closure. *)
+  let due q ~now = q.n > 0 && q.at.(0) <= now
+
+  let pop_bucket q =
+    let v = q.frames.(0) in
+    q.n <- q.n - 1;
+    Array.blit q.at 1 q.at 0 q.n;
+    Array.blit q.frames 1 q.frames 0 q.n;
+    v
+
+  let spare q v =
+    Vec.clear v;
+    Vec.push q.spare v
 
   let iter f q =
     for i = 0 to q.n - 1 do
@@ -617,11 +619,11 @@ let flush t f ~now =
 (* Fault-free flush: batches go straight into the ideal channel's
    arrival buckets, in stage order, so delivery order is deterministic. *)
 let flush_ideal t =
-  Vec.iter
-    (fun b ->
-      emit_batch t b;
-      Ideal.add t.q b)
-    t.staged;
+  for i = 0 to Vec.length t.staged - 1 do
+    let b = Vec.get t.staged i in
+    emit_batch t b;
+    Ideal.add t.q b
+  done;
   unindex t;
   Vec.clear t.staged
 
@@ -905,13 +907,19 @@ let deliver_serial t ~now ~push =
     (* Fast path: the idealized channel hands over its due buckets with
        no frame bookkeeping, and [Deliver] event records are only
        constructed when a recorder is attached. *)
-    Ideal.drain_due t.q ~now (fun b -> settle t b ~now ~push)
+    while Ideal.due t.q ~now do
+      let v = Ideal.pop_bucket t.q in
+      for k = 0 to Vec.length v - 1 do
+        settle t (Vec.get v k) ~now ~push
+      done;
+      Ideal.spare t.q v
+    done
   | Some f ->
     flush t f ~now;
     while Pqueue.min_prio t.fq ~default:max_int <= now do
-      match Pqueue.pop t.fq with
-      | Some (_, Data d) when dead_copy d.p -> ()
-      | Some (_, Data { pack; epoch; sent; executed; p }) ->
+      match Pqueue.pop_min t.fq with
+      | Data d when dead_copy d.p -> ()
+      | Data { pack; epoch; sent; executed; p } ->
         let l = p.p_link in
         (* a piggybacked cum ack settles the reverse data link *)
         if pack > min_int then apply_cum (slot t ~src:l.l_dst ~dst:l.l_src) pack;
@@ -935,15 +943,14 @@ let deliver_serial t ~now ~push =
         (* always owe an ack, even for duplicates: the previous
            cumulative ack may have been lost *)
         owe_ack t l ~delay:p.p_delay
-      | Some (_, Ack a) when a.link.retired -> ()
-      | Some (_, Ack { link = l; cum; epoch; sent; executed }) ->
+      | Ack a when a.link.retired -> ()
+      | Ack { link = l; cum; epoch; sent; executed } ->
         apply_cum l cum;
         apply_credit t ~pe:l.l_dst ~epoch ~sent ~executed
-      | None -> ()
     done;
     while Pqueue.min_prio t.timers ~default:max_int <= now do
-      match Pqueue.pop t.timers with
-      | Some (_, p) when not (dead_timer p) ->
+      let p = Pqueue.pop_min t.timers in
+      if not (dead_timer p) then begin
         p.p_attempts <- p.p_attempts + 1;
         f.Faults.retransmits <- f.Faults.retransmits + 1;
         emit_head t p `Retransmit;
@@ -953,7 +960,7 @@ let deliver_serial t ~now ~push =
         transmit_data t f ~arrival:(now + p.p_delay) ~base:p.p_delay ~pack:min_int p;
         p.p_rto <- Int.min (p.p_rto * 2) rto_cap;
         Pqueue.add t.timers (now + p.p_rto) p
-      | Some _ | None -> ()
+      end
     done
 
 (* Runs on [pe]'s shard, possibly on a worker domain: it touches only

@@ -130,46 +130,36 @@ let add_tagged q prio ~tag value =
 
 let add q prio value = add_tagged q prio ~tag:(-1) value
 
-let pop_tagged q =
-  if q.len = 0 then None
-  else begin
-    let p = q.prio.(0) and g = q.tag.(0) and v = q.vals.(0) in
-    let n = q.len - 1 in
-    q.len <- n;
-    if n > 0 then begin
-      q.prio.(0) <- q.prio.(n);
-      q.rank.(0) <- q.rank.(n);
-      q.tag.(0) <- q.tag.(n);
-      q.vals.(0) <- q.vals.(n);
-      sift_down q 0
-    end;
-    Some (p, g, v)
-  end
+(* Remove the minimum entry and return its value. No option or tuple is
+   built, so drain loops that test [min_prio] first allocate nothing. *)
+let pop_min q =
+  if q.len = 0 then invalid_arg "Pqueue.pop_min: empty queue";
+  let v = q.vals.(0) in
+  let n = q.len - 1 in
+  q.len <- n;
+  if n > 0 then begin
+    q.prio.(0) <- q.prio.(n);
+    q.rank.(0) <- q.rank.(n);
+    q.tag.(0) <- q.tag.(n);
+    q.vals.(0) <- q.vals.(n);
+    sift_down q 0
+  end;
+  v
 
 let pop q =
-  match pop_tagged q with None -> None | Some (p, _, v) -> Some (p, v)
+  if q.len = 0 then None
+  else
+    let p = q.prio.(0) in
+    Some (p, pop_min q)
 
-(* Callback form of [pop_tagged] for per-pop hot loops: no option or
-   tuple is built. The heap invariant is restored before [f] runs, so
-   [f] may re-enter [add_tagged]. *)
+(* The heap invariant is restored before [f] runs, so [f] may re-enter
+   [add_tagged]. *)
 let pop_tagged_with q f =
-  if q.len = 0 then false
-  else begin
-    let g = q.tag.(0) and v = q.vals.(0) in
-    let n = q.len - 1 in
-    q.len <- n;
-    if n > 0 then begin
-      q.prio.(0) <- q.prio.(n);
-      q.rank.(0) <- q.rank.(n);
-      q.tag.(0) <- q.tag.(n);
-      q.vals.(0) <- q.vals.(n);
-      sift_down q 0
-    end;
-    f v g;
-    true
-  end
-
-let peek q = if q.len = 0 then None else Some (q.prio.(0), q.vals.(0))
+  q.len > 0
+  &&
+  let g = q.tag.(0) in
+  f (pop_min q) g;
+  true
 
 (* Unboxed peek at the minimum priority for hot drain loops that only
    need to compare it against a threshold before committing to a pop. *)

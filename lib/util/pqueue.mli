@@ -17,27 +17,26 @@ val add : 'a t -> int -> 'a -> unit
 
 val add_tagged : 'a t -> int -> tag:int -> 'a -> unit
 (** [add_tagged q prio ~tag x] additionally attaches an opaque integer
-    [tag] that travels with [x] and comes back out of {!pop_tagged}.
+    [tag] that travels with [x] and comes back out of {!pop_tagged_with}.
     Task pools use it to carry lineage tickets without boxing. *)
 
 val pop : 'a t -> (int * 'a) option
 (** Removes and returns the minimum-priority element (FIFO among ties). *)
 
-val pop_tagged : 'a t -> (int * int * 'a) option
-(** Like {!pop} but also returns the entry's tag:
-    [(prio, tag, value)]. *)
+val pop_min : 'a t -> 'a
+(** {!pop}'s value, with no option or pair built: the allocation-free
+    form for drain loops that test {!min_prio} first. Raises
+    [Invalid_argument] on an empty queue. *)
 
 val pop_tagged_with : 'a t -> ('a -> int -> unit) -> bool
 (** [pop_tagged_with q f] pops the minimum entry and calls [f value tag];
     false (and no call) when empty. Allocates nothing — the hot-loop form
-    of {!pop_tagged}. The heap invariant is restored before [f] runs, so
-    [f] may re-enter {!add_tagged}. *)
-
-val peek : 'a t -> (int * 'a) option
+    of {!pop} for tagged entries. The heap invariant is restored before
+    [f] runs, so [f] may re-enter {!add_tagged}. *)
 
 val min_prio : 'a t -> default:int -> int
 (** The minimum priority in the queue, or [default] when empty — the
-    allocation-free form of [peek] for threshold checks (e.g. "is the
+    allocation-free peek for threshold checks (e.g. "is the
     next arrival due?"). *)
 
 val clear : 'a t -> unit

@@ -1,80 +1,36 @@
+(* Every field is a float, so the record is stored flat and [add]
+   boxes nothing: the count is exact as a float far beyond any run.
+   Samples come in as ints (every caller counts something), which a
+   call passes unboxed where a float argument would be boxed. *)
 type t = {
-  samples : float Vec.t;
+  mutable n : float;
+  mutable sum : float;
   mutable mean : float;
   mutable m2 : float;
   mutable min_v : float;
   mutable max_v : float;
-  mutable sorted : float array option; (* cache invalidated on add *)
 }
 
-let create () =
-  { samples = Vec.create (); mean = 0.0; m2 = 0.0; min_v = nan; max_v = nan; sorted = None }
+let create () = { n = 0.0; sum = 0.0; mean = 0.0; m2 = 0.0; min_v = nan; max_v = nan }
 
-let add t x =
-  Vec.push t.samples x;
-  t.sorted <- None;
-  let n = float_of_int (Vec.length t.samples) in
+let add t v =
+  let x = float_of_int v in
+  t.n <- t.n +. 1.0;
+  t.sum <- t.sum +. x;
   let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. n);
+  t.mean <- t.mean +. (delta /. t.n);
   t.m2 <- t.m2 +. (delta *. (x -. t.mean));
   if Float.is_nan t.min_v || x < t.min_v then t.min_v <- x;
   if Float.is_nan t.max_v || x > t.max_v then t.max_v <- x
 
-let count t = Vec.length t.samples
+let count t = int_of_float t.n
 
-let total t = Vec.fold_left ( +. ) 0.0 t.samples
+let total t = t.sum
 
-let mean t = if count t = 0 then 0.0 else t.mean
+let mean t = if t.n = 0.0 then 0.0 else t.mean
 
-let stddev t =
-  let n = count t in
-  if n < 2 then 0.0 else sqrt (t.m2 /. float_of_int (n - 1))
+let stddev t = if t.n < 2.0 then 0.0 else sqrt (t.m2 /. (t.n -. 1.0))
 
 let min_value t = t.min_v
 
 let max_value t = t.max_v
-
-let sorted t =
-  match t.sorted with
-  | Some a -> a
-  | None ->
-    let a = Vec.to_array t.samples in
-    Array.sort compare a;
-    t.sorted <- Some a;
-    a
-
-let percentile t p =
-  let a = sorted t in
-  let n = Array.length a in
-  if n = 0 then nan
-  else begin
-    let p = Float.max 0.0 (Float.min 100.0 p) in
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-    a.(Int.max 0 (Int.min (n - 1) (rank - 1)))
-  end
-
-type histogram = (float * float * int) list
-
-let histogram ?(buckets = 10) t =
-  let n = count t in
-  if n = 0 || buckets <= 0 then []
-  else begin
-    let lo = t.min_v and hi = t.max_v in
-    let width = if hi > lo then (hi -. lo) /. float_of_int buckets else 1.0 in
-    let counts = Array.make buckets 0 in
-    Vec.iter
-      (fun x ->
-        let i = int_of_float ((x -. lo) /. width) in
-        let i = Int.max 0 (Int.min (buckets - 1) i) in
-        counts.(i) <- counts.(i) + 1)
-      t.samples;
-    List.init buckets (fun i ->
-        (lo +. (float_of_int i *. width), lo +. (float_of_int (i + 1) *. width), counts.(i)))
-  end
-
-let histogram_buckets h = h
-
-let pp fmt t =
-  Format.fprintf fmt "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p99=%.3f max=%.3f"
-    (count t) (mean t) (stddev t) (min_value t) (percentile t 50.0) (percentile t 99.0)
-    (max_value t)

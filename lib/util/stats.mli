@@ -1,16 +1,18 @@
-(** Running statistics and simple histograms for experiment reporting. *)
+(** Running statistics for experiment reporting. *)
 
 type t
-(** A running accumulator of float samples (Welford's algorithm for
-    variance; all samples retained for percentiles). *)
+(** A running accumulator of integer samples: count, total, Welford's
+    mean and variance, minimum and maximum, all as floats. No sample is
+    kept, and [add] allocates nothing. *)
 
 val create : unit -> t
 
-val add : t -> float -> unit
+val add : t -> int -> unit
 
 val count : t -> int
 
 val total : t -> float
+(** The samples' sum, accumulated in [add] order. *)
 
 val mean : t -> float
 (** 0.0 when empty. *)
@@ -23,18 +25,3 @@ val min_value : t -> float
 
 val max_value : t -> float
 (** [nan] when empty. *)
-
-val percentile : t -> float -> float
-(** [percentile t p] with [p] in [\[0,100\]], nearest-rank on sorted
-    samples; [nan] when empty. *)
-
-type histogram
-
-val histogram : ?buckets:int -> t -> histogram
-(** Equal-width histogram over the observed range (default 10 buckets). *)
-
-val histogram_buckets : histogram -> (float * float * int) list
-(** [(lo, hi, count)] per bucket. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary: n/mean/stddev/min/p50/p99/max. *)

@@ -172,6 +172,122 @@ let test_cycle_with_empty_graph () =
   let c = run_cycles e 1 in
   Alcotest.(check int) "nothing to collect" 0 (Cycle.total_garbage_collected c)
 
+(* --- GAR' read from the plane columns ------------------------------- *)
+
+(* A reduction task whose endpoints are drawn from [-1, n + 3): live,
+   garbage, free and out-of-range vids, and the controller. *)
+let random_task rng n =
+  let v () = Dgr_util.Rng.int rng (n + 4) - 1 in
+  let who () = if Dgr_util.Rng.int rng 4 = 0 then None else Some (v ()) in
+  let open Dgr_task.Task in
+  match Dgr_util.Rng.int rng 4 with
+  | 0 -> Reduction (Request { src = who (); dst = v (); demand = Demand.Vital; key = v () })
+  | 1 ->
+    let value = Label.V_int 0 in
+    Reduction (Respond { src = v (); dst = who (); value; key = v (); demand = Demand.Eager })
+  | 2 -> Reduction (Cancel { src = v (); dst = v () })
+  | _ -> Marking (Mark1 { v = v (); par = Plane.Rootpar; ep = 0 })
+
+let endpoints = function
+  | Dgr_task.Task.Reduction r -> Dgr_task.Task.reduction_endpoints r
+  | Dgr_task.Task.Marking _ -> []
+
+(* Over random graphs with requester rows — dense ones, and partitioned
+   ones where a crash re-homed a dead PE's live vertices onto survivors
+   — one restructure releases exactly the union of the per-home
+   [collect_home] verdicts, purges exactly the tasks with an endpoint in
+   that union, and leaves no surviving requester row naming it. *)
+let test_gar_oracle () =
+  let pes = 4 in
+  for seed = 1 to 12 do
+    let crash = seed mod 2 = 0 in
+    let rng = Dgr_util.Rng.create seed in
+    let spec =
+      {
+        Builder.live = 30 + Dgr_util.Rng.int rng 60;
+        garbage = 5 + Dgr_util.Rng.int rng 40;
+        free_pool = 8;
+        avg_degree = 2.0;
+        cycle_bias = 0.2;
+      }
+    in
+    let g = Builder.random_with_requests ~num_pes:pes rng spec in
+    if crash then begin
+      let config = Engine.Config.make ~num_pes:pes ~gc:Engine.No_gc ~heap_size:None () in
+      let e = Engine.create ~config g empty_registry in
+      Engine.inject_crash e ~pe:(seed mod pes) ~down:5;
+      Engine.dispose e
+    end;
+    ignore (Sync_engine.mark g Run.Priority ~seeds:[ Graph.root g ]);
+    let verdict =
+      List.concat_map
+        (fun pe -> fst (Restructure.collect_home g ~deadlock_checked:false ~pe))
+        (List.init pes Fun.id)
+    in
+    let gar = Vid.Set.of_list verdict in
+    let what s = Printf.sprintf "seed %d%s: %s" seed (if crash then " (crashed)" else "") s in
+    Alcotest.(check bool) (what "a nonempty verdict") true (not (Vid.Set.is_empty gar));
+    let free_before = Vid.Set.of_list (Graph.free_list g) in
+    let tasks = List.init 300 (fun _ -> random_task rng (Graph.vertex_count g)) in
+    let purged = ref [] in
+    let purge_tasks pred =
+      purged := List.filter pred tasks;
+      List.length !purged
+    in
+    let report =
+      Restructure.run ~graph:g ~deadlock_checked:false ~purge_tasks
+        ~reprioritize:(fun () -> 0) ()
+    in
+    let released = Vid.Set.diff (Vid.Set.of_list (Graph.free_list g)) free_before in
+    Helpers.check_vid_set (what "released = union of verdicts") gar released;
+    Alcotest.(check int) (what "garbage count") (Vid.Set.cardinal gar) report.Restructure.garbage;
+    let expected =
+      List.filter (fun t -> List.exists (fun v -> Vid.Set.mem v gar) (endpoints t)) tasks
+    in
+    Alcotest.(check (list string))
+      (what "purged = tasks touching the union")
+      (List.map Dgr_task.Task.to_string expected)
+      (List.map Dgr_task.Task.to_string !purged);
+    Graph.iter_live
+      (fun v ->
+        List.iter
+          (fun (e : Vertex.request_entry) ->
+            match e.Vertex.who with
+            | Some w when Vid.Set.mem w gar ->
+              Alcotest.failf "%s"
+                (what (Printf.sprintf "v%d still lists released v%d" (Vertex.id v) w))
+            | Some _ | None -> ())
+          (Vertex.requested v))
+      g
+  done
+
+(* Minor words of the step that finishes the first cycle, on a machine
+   holding [live] reachable vertices and a fixed garbage load. *)
+let finishing_step_words ~live =
+  let spec = { Builder.live; garbage = 400; free_pool = 0; avg_degree = 2.0; cycle_bias = 0.1 } in
+  let g = Builder.random ~num_pes:8 (Dgr_util.Rng.create 3) spec in
+  let e = engine_for ~deadlock_every:0 g in
+  let c = Option.get (Engine.cycle e) in
+  let words = ref nan in
+  while Cycle.cycles_completed c = 0 do
+    let w0 = Gc.minor_words () in
+    Engine.step e;
+    words := Gc.minor_words () -. w0
+  done;
+  Alcotest.(check int) "garbage collected" 400 (Cycle.total_garbage_collected c);
+  !words
+
+(* The collector pays per garbage vertex: with equal garbage, the step
+   that runs restructure allocates about the same at 2k and at 8k live
+   vertices — under half a word per extra live vertex. *)
+let test_restructure_words_flat_in_live_set () =
+  let small = finishing_step_words ~live:2_000 and large = finishing_step_words ~live:8_000 in
+  let per_live = (large -. small) /. 6_000.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "finishing step: %.0f words at 2k live, %.0f at 8k (%.2f per extra live vertex)"
+       small large per_live)
+    true (per_live < 0.5)
+
 let suite =
   [
     Alcotest.test_case "collects unreachable clusters" `Quick test_collects_unreachable;
@@ -184,4 +300,8 @@ let suite =
     Alcotest.test_case "double start rejected" `Quick test_start_cycle_twice_rejected;
     Alcotest.test_case "M_T runs before M_R" `Quick test_mt_before_mr_order;
     Alcotest.test_case "empty graph cycles" `Quick test_cycle_with_empty_graph;
+    Alcotest.test_case "GAR' oracle: releases and purge match the verdicts" `Quick
+      test_gar_oracle;
+    Alcotest.test_case "restructure words do not grow with the live set" `Quick
+      test_restructure_words_flat_in_live_set;
   ]

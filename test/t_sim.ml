@@ -724,6 +724,34 @@ let test_phases_partition () =
       ("storm-tree-8k", 1); ("storm-tree-8k", 2); ("fib-12-concurrent", 1); ("fib-12-concurrent", 2);
     ]
 
+(* A machine with nothing to do pays nothing to step: no collector, no
+   task, 8 PEs on one domain, 1,000 steps, not one minor word. The
+   failure message names the phase that allocated. *)
+let test_idle_step_alloc_free () =
+  let g = Graph.create ~num_pes:8 () in
+  let config = Engine.Config.make ~num_pes:8 ~gc:Engine.No_gc ~domains:1 () in
+  let e = Engine.create ~config g (Dgr_reduction.Template.create_registry ()) in
+  for _ = 1 to 100 do
+    Engine.step e
+  done;
+  let p0 = Engine.profile e in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    Engine.step e
+  done;
+  let words = Gc.minor_words () -. w0 in
+  let p = Engine.profile e in
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf
+       "minor words over 1,000 idle steps (transport %.0f, execute %.0f, merge %.0f, gc %.0f, \
+        bookkeeping %.0f)"
+       (p.Profile.transport_mw -. p0.Profile.transport_mw)
+       (p.Profile.execute_mw -. p0.Profile.execute_mw)
+       (p.Profile.merge_mw -. p0.Profile.merge_mw)
+       (p.Profile.gc_mw -. p0.Profile.gc_mw)
+       (p.Profile.book_mw -. p0.Profile.book_mw))
+    0.0 words
+
 let suite =
   [
     Alcotest.test_case "pool priority bands" `Quick test_pool_policy_bands;
@@ -770,6 +798,7 @@ let suite =
       test_config_rejects_latency_and_jitter;
     Alcotest.test_case "executed tasks per PE" `Quick test_executed_per_pe;
     Alcotest.test_case "the phases partition the step" `Quick test_phases_partition;
+    Alcotest.test_case "an idle step allocates nothing" `Quick test_idle_step_alloc_free;
   ]
 
 (* Delivery jitter: deterministic per seed; results invariant. *)

@@ -247,19 +247,33 @@ let test_pqueue_hole_sifts_match_swap_oracle () =
       (Printf.sprintf "layout after op %d" step) (Swap_heap.layout h) (layout q)
   done
 
+(* A fixed sequence, read back through every accessor. The sample
+   variance of [3; -1; 7; 0; 2] is 38.8 / 4. *)
 let test_stats_basic () =
   let s = Stats.create () in
-  List.iter (Stats.add s) [ 1.0; 2.0; 3.0; 4.0 ];
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.mean s);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Stats.min_value s);
-  Alcotest.(check (float 1e-9)) "max" 4.0 (Stats.max_value s);
-  Alcotest.(check (float 1e-6)) "stddev" 1.2909944 (Stats.stddev s);
-  Alcotest.(check (float 1e-9)) "p50" 2.0 (Stats.percentile s 50.0)
+  List.iter (Stats.add s) [ 3; -1; 7; 0; 2 ];
+  Alcotest.(check int) "count" 5 (Stats.count s);
+  Alcotest.(check (float 0.0)) "total" 11.0 (Stats.total s);
+  Alcotest.(check (float 1e-12)) "mean" 2.2 (Stats.mean s);
+  Alcotest.(check (float 1e-12)) "stddev" (sqrt (38.8 /. 4.0)) (Stats.stddev s);
+  Alcotest.(check (float 0.0)) "min" (-1.0) (Stats.min_value s);
+  Alcotest.(check (float 0.0)) "max" 7.0 (Stats.max_value s);
+  (* the accumulator keeps no samples: adding allocates nothing *)
+  let w0 = Gc.minor_words () in
+  for i = 1 to 1_000 do
+    Stats.add s i
+  done;
+  Alcotest.(check (float 0.0)) "minor words over 1,000 adds" 0.0 (Gc.minor_words () -. w0);
+  Alcotest.(check int) "count after" 1_005 (Stats.count s)
 
 let test_stats_empty () =
   let s = Stats.create () in
+  Alcotest.(check int) "count empty" 0 (Stats.count s);
+  Alcotest.(check (float 0.0)) "total empty" 0.0 (Stats.total s);
   Alcotest.(check (float 0.0)) "mean empty" 0.0 (Stats.mean s);
-  Alcotest.(check bool) "p50 empty is nan" true (Float.is_nan (Stats.percentile s 50.0))
+  Alcotest.(check (float 0.0)) "stddev empty" 0.0 (Stats.stddev s);
+  Alcotest.(check bool) "min empty is nan" true (Float.is_nan (Stats.min_value s));
+  Alcotest.(check bool) "max empty is nan" true (Float.is_nan (Stats.max_value s))
 
 let test_table_render () =
   let t = Table.create ~title:"demo" ~columns:[ ("name", Table.Left); ("n", Table.Right) ] in
