@@ -63,12 +63,20 @@ let create ?(on_connect = nop2) ?(on_disconnect = nop2) ?recorder ~spawn graph =
    child's priority itself, for [stk_sink] to push. *)
 let priorities = [| 0; 1; 2; 3 |]
 
-let obs t kind =
-  match t.recorder with None -> () | Some r -> Dgr_obs.Recorder.emit r kind
-
+(* The cooperation events are built only with a recorder attached: an
+   event record built to be dropped is a heap block per cooperation. *)
 let obs_closure t ~from ~marked =
-  if marked > 0 then
-    obs t (Dgr_obs.Event.Coop_closure { pe = t.coop_pe (); from_ = from; marked })
+  match t.recorder with
+  | Some r when marked > 0 ->
+    Dgr_obs.Recorder.emit r
+      (Dgr_obs.Event.Coop_closure { pe = t.coop_pe (); from_ = from; marked })
+  | Some _ | None -> ()
+
+let obs_spawn t ~parent ~child =
+  match t.recorder with
+  | Some r ->
+    Dgr_obs.Recorder.emit r (Dgr_obs.Event.Coop_spawn { pe = t.coop_pe (); parent; child })
+  | None -> ()
 
 let set_active t runs = t.active <- runs
 
@@ -119,11 +127,13 @@ let coop_flood t fl ~parent ~child =
   | Some sink -> sink (Ev_flood_edge { fl; parent; child })
   | None -> flood_cooperate_edge t fl ~parent ~child
 
-let flood_edge_all t ~parent ~child ~mt_only =
-  List.iter
-    (fun fl ->
-      if (not mt_only) || fl.Flood.plane = Plane.MT then coop_flood t fl ~parent ~child)
-    t.active_flood
+let rec coop_floods t floods ~mr ~mt ~parent ~child =
+  match floods with
+  | [] -> ()
+  | fl :: rest ->
+    if match fl.Flood.plane with Plane.MR -> mr | Plane.MT -> mt then
+      coop_flood t fl ~parent ~child;
+    coop_floods t rest ~mr ~mt ~parent ~child
 
 (* Spawn a mark task on [child] charged to the transient [parent]
    (invariant 1 lets a transient vertex carry new outstanding tasks). *)
@@ -131,7 +141,7 @@ let charge_and_spawn t run ~parent ~child ~prior =
   let plane = Vertex.plane (Graph.vertex t.graph parent) run.Run.plane in
   Plane.set_cnt plane @@ (Plane.cnt plane) + 1;
   run.Run.coop_spawns <- run.Run.coop_spawns + 1;
-  obs t (Dgr_obs.Event.Coop_spawn { pe = t.coop_pe (); parent; child });
+  obs_spawn t ~parent ~child;
   t.spawn child parent run.Run.metas.(prior)
 
 (* Synchronously mark the unmarked component reachable from [v] through
@@ -178,6 +188,23 @@ let coop_tree t run ~parent ~child =
   | Some sink -> sink (Ev_tree_edge { run; parent; child })
   | None -> cooperate_edge t run ~parent ~child
 
+(* Generic cooperation for the new edge parent→child on every active
+   run, then every active flood, whose plane is selected by [mr]/[mt].
+   Top-level recursions with every argument passed: under [-opaque] a
+   [List.iter] closure capturing the edge would be a heap block per
+   mutation (DESIGN.md §6). *)
+let rec coop_runs t runs ~mr ~mt ~parent ~child =
+  match runs with
+  | [] -> ()
+  | run :: rest ->
+    if match run.Run.plane with Plane.MR -> mr | Plane.MT -> mt then
+      coop_tree t run ~parent ~child;
+    coop_runs t rest ~mr ~mt ~parent ~child
+
+let cooperate t ~mr ~mt ~parent ~child =
+  coop_runs t t.active ~mr ~mt ~parent ~child;
+  coop_floods t t.active_flood ~mr ~mt ~parent ~child
+
 let connect t a c =
   t.guard a;
   Vertex.connect (Graph.vertex t.graph a) c;
@@ -204,7 +231,7 @@ let witness_cooperate t run ~a ~b ~c =
     (* execute mark(c,b) synchronously, charged to the transient b. *)
     Plane.set_cnt pb @@ (Plane.cnt pb) + 1;
     run.Run.coop_spawns <- run.Run.coop_spawns + 1;
-    obs t (Dgr_obs.Event.Coop_spawn { pe = t.coop_pe (); parent = b; child = c });
+    obs_spawn t ~parent:b ~child:c;
     let prior = Trace.child_priority g b (Int.max 1 (Plane.prior pb)) c in
     Marker.execute run ~pe:(t.coop_pe ()) ~emit:t.spawn c b run.Run.metas.(prior)
   end
@@ -226,6 +253,19 @@ let replay t ev =
   | Ev_witness { run; a; b; c } -> witness_cooperate t run ~a ~b ~c
   | Ev_flood_edge { fl; parent; child } -> flood_cooperate_edge t fl ~parent ~child
 
+let rec witness_runs t runs ~a ~b ~c =
+  match runs with
+  | [] -> ()
+  | run :: rest ->
+    (match run.Run.plane with
+    | Plane.MR -> coop_witness t run ~a ~b ~c
+    | Plane.MT ->
+      (* The witness argument needs c ∈ traced-children(b), which does
+         not hold for M_T in general (b may have requested c). Use the
+         generic protocol. *)
+      coop_tree t run ~parent:a ~child:c);
+    witness_runs t rest ~a ~b ~c
+
 let add_reference t ~a ~b ~c =
   let g = t.graph in
   let va = Graph.vertex g a and vb = Graph.vertex g b in
@@ -235,17 +275,8 @@ let add_reference t ~a ~b ~c =
   if not (Vertex.has_arg vb c) then
     invalid_arg
       (Printf.sprintf "Mutator.add_reference: v%d is not a child of witness v%d" c b);
-  List.iter
-    (fun run ->
-      match run.Run.plane with
-      | Plane.MR -> coop_witness t run ~a ~b ~c
-      | Plane.MT ->
-        (* The witness argument needs c ∈ traced-children(b), which does
-           not hold for M_T in general (b may have requested c). Use the
-           generic protocol. *)
-        coop_tree t run ~parent:a ~child:c)
-    t.active;
-  flood_edge_all t ~parent:a ~child:c ~mt_only:false;
+  witness_runs t t.active ~a ~b ~c;
+  coop_floods t t.active_flood ~mr:true ~mt:true ~parent:a ~child:c;
   connect t a c
 
 let expand_node t ~a ~entry =
@@ -255,10 +286,13 @@ let expand_node t ~a ~entry =
      next cycle (§5.3's "simply wait" option). The dispatch on [a]'s
      state is exactly [cooperate_edge]'s, so the generic (deferrable)
      path serves here too. *)
-  List.iter (fun run -> coop_tree t run ~parent:a ~child:entry) t.active;
-  flood_edge_all t ~parent:a ~child:entry ~mt_only:false;
+  cooperate t ~mr:true ~mt:true ~parent:a ~child:entry;
+  (* [disconnect] removes the first occurrence, so draining from the
+     front drops the old args in order, as a walk over their list would. *)
   let va = Graph.vertex t.graph a in
-  List.iter (fun old -> disconnect t a old) (Vertex.args va);
+  while Vertex.arg_count va > 0 do
+    disconnect t a (Vertex.arg va 0)
+  done;
   connect t a entry
 
 let connect_fresh t ~parent ~child = connect t parent child
@@ -268,18 +302,8 @@ let add_edge ?demand t ~a ~c =
   | Some d -> Vertex.request_arg (Graph.vertex t.graph a) c d
   | None -> ());
   connect t a c;
-  List.iter
-    (fun run ->
-      match run.Run.plane with
-      | Plane.MR -> coop_tree t run ~parent:a ~child:c
-      | Plane.MT ->
-        (* a→c is in M_T's relation only if c is not requested by a. *)
-        if demand = None then coop_tree t run ~parent:a ~child:c)
-    t.active;
-  List.iter
-    (fun fl ->
-      if fl.Flood.plane = Plane.MR || demand = None then coop_flood t fl ~parent:a ~child:c)
-    t.active_flood
+  (* a→c is in M_T's relation only if c is not requested by a. *)
+  cooperate t ~mr:true ~mt:(Option.is_none demand) ~parent:a ~child:c
 
 let record_request t ~at ~requester ~demand ~key =
   t.guard at;
@@ -292,16 +316,11 @@ let record_request t ~at ~requester ~demand ~key =
     (* Cooperate only when the traced edge is actually new — re-recording
        an existing request (e.g. a retried task) must not charge the
        marking tree again or M_T would never terminate. *)
-    if fresh then begin
-      List.iter
-        (fun run -> if run.Run.plane = Plane.MT then coop_tree t run ~parent:at ~child:r)
-        t.active;
-      flood_edge_all t ~parent:at ~child:r ~mt_only:true
-    end
+    if fresh then cooperate t ~mr:false ~mt:true ~parent:at ~child:r
 
-let answer t ~at ~requester =
+let answer t ~at ~who =
   t.guard at;
-  Vertex.remove_requester (Graph.vertex t.graph at) requester
+  Vertex.remove_who (Graph.vertex t.graph at) who
 
 let request_child t ~v ~c ~demand =
   t.guard v;
@@ -311,9 +330,4 @@ let drop_request_child t ~v ~c =
   t.guard v;
   let vx = Graph.vertex t.graph v in
   Vertex.drop_request vx c;
-  if Vertex.has_arg vx c then begin
-    List.iter
-      (fun run -> if run.Run.plane = Plane.MT then coop_tree t run ~parent:v ~child:c)
-      t.active;
-    flood_edge_all t ~parent:v ~child:c ~mt_only:true
-  end
+  if Vertex.has_arg vx c then cooperate t ~mr:false ~mt:true ~parent:v ~child:c

@@ -134,9 +134,10 @@ val record_request :
 (** Add a requester to [requested(at)] — a new M_T edge [at→requester];
     generic cooperation on active M_T runs. *)
 
-val answer : t -> at:Vid.t -> requester:Vertex.requester -> unit
+val answer : t -> at:Vid.t -> who:int -> unit
 (** Remove a requester from [requested(at)] (edge deletion — no
-    cooperation). *)
+    cooperation). [who] is its row code: the vid, or [-1] for the
+    external requester. *)
 
 val request_child : t -> v:Vid.t -> c:Vid.t -> demand:Demand.t -> unit
 (** Record [c ∈ req-args(v)] (removes [v→c] from M_T's relation — no

@@ -74,5 +74,3 @@ val terminated : t -> bool
 
 val learned_sent : t -> int
 (** Sum of the learned per-PE sent counters (diagnostics). *)
-
-val learned_executed : t -> int

@@ -286,39 +286,53 @@ let reuse t v ~pe label =
   Vertex.set_birth vx t.epoch;
   vx
 
-let alloc ?pe ?from t label =
+(* The last free vid, or -1 with the list empty: [Vec.pop]'s option
+   would be a heap block per allocation. *)
+let pop_free free =
+  let n = Vec.length free in
+  if n = 0 then -1
+  else begin
+    let id = Vec.get free (n - 1) in
+    Vec.truncate free (n - 1);
+    id
+  end
+
+(* [alloc] with its PEs as ints, [-1] for absent: an optional argument
+   passed across modules is boxed at every call. *)
+let alloc_at t ~pe ~from label =
   match t.part with
   | None ->
-    let pe = match pe with Some p -> p | None -> next_pe t in
-    (match Vec.pop t.free with
-    | Some id -> reuse t id ~pe label
-    | None ->
+    let pe = if pe >= 0 then pe else next_pe t in
+    let id = pop_free t.free in
+    if id >= 0 then reuse t id ~pe label
+    else begin
       (match t.capacity with
       | Some c when Seg.length t.dense >= c -> raise Out_of_vertices
       | Some _ | None -> ());
       let v = fresh t ~pe label in
       Vertex.set_birth v t.epoch;
-      v)
+      v
+    end
   | Some p ->
     (* Partitioned: every structure touched below belongs to [home], so
        concurrent allocations from distinct PEs never contend. *)
-    let home =
-      match (from, pe) with
-      | Some f, _ -> ((f mod p.pes) + p.pes) mod p.pes
-      | None, Some q -> ((q mod p.pes) + p.pes) mod p.pes
-      | None, None -> 0
-    in
-    let pe = match pe with Some q -> q | None -> home in
-    (match Vec.pop p.frees.(home) with
-    | Some id -> reuse t id ~pe label
-    | None ->
+    let home = if from >= 0 then from mod p.pes else if pe >= 0 then pe mod p.pes else 0 in
+    let pe = if pe >= 0 then pe else home in
+    let id = pop_free p.frees.(home) in
+    if id >= 0 then reuse t id ~pe label
+    else begin
       if p.shares.(home) <> max_int && used_of p home >= p.shares.(home) then
         raise Out_of_vertices;
       let k = Seg.length p.segs.(home) in
       let id = p.base + (k * p.pes) + home in
       let v = Seg.alloc p.segs.(home) id ~pe label in
       Vertex.set_birth v t.epoch;
-      v)
+      v
+    end
+
+let alloc ?(pe = -1) ?(from = -1) t label = alloc_at t ~pe ~from label
+
+let alloc_from t ~from label = alloc_at t ~pe:(-1) ~from label
 
 let release t id =
   let v = vertex t id in

@@ -93,7 +93,11 @@ val alloc : ?pe:int -> ?from:int -> t -> Label.t -> Vertex.t
     edges. On a partitioned graph, [from] names the allocating PE and
     selects the home partition (fresh vertices default to [pe = from] —
     allocation is from the local store); before [partition], PEs are
-    assigned round-robin and [from] is ignored. *)
+    assigned round-robin and [from] is ignored. PEs are non-negative. *)
+
+val alloc_from : t -> from:int -> Label.t -> Vertex.t
+(** [alloc ~from] without the option box: the form template expansion
+    uses, once per slot. *)
 
 val release : t -> Vid.t -> unit
 (** Reset the vertex and return it to the free list (the restructuring

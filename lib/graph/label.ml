@@ -56,13 +56,18 @@ let is_whnf = function
   | Int _ | Bool _ | Nil | Cons | Err _ -> true
   | Prim _ | If | Apply _ | Ind | Bottom | Param _ | Freed -> false
 
+let v_true = V_bool true
+
+let v_false = V_bool false
+
 let value_of_whnf ~self = function
-  | Int n -> Some (V_int n)
-  | Bool b -> Some (V_bool b)
-  | Nil -> Some V_nil
-  | Cons -> Some (V_ref self)
-  | Err msg -> Some (V_err msg)
-  | Prim _ | If | Apply _ | Ind | Bottom | Param _ | Freed -> None
+  | Int n -> V_int n
+  | Bool b -> if b then v_true else v_false
+  | Nil -> V_nil
+  | Cons -> V_ref self
+  | Err msg -> V_err msg
+  | Prim _ | If | Apply _ | Ind | Bottom | Param _ | Freed ->
+    invalid_arg "Label.value_of_whnf: not in weak head normal form"
 
 let equal a b =
   match (a, b) with

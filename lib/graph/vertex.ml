@@ -451,6 +451,10 @@ let req_e t =
 
 let req_args t = req_v t @ req_e t
 
+let req_arg_at t i =
+  if i < 0 || i >= t.reqv_n + t.reqe_n then invalid_arg "Vertex.req_arg_at: index out of bounds";
+  if i < t.reqv_n then t.reqv_a.(t.reqv_n - 1 - i) else t.reqe_a.(t.reqe_n - 1 - (i - t.reqv_n))
+
 let req_count t = t.reqv_n + t.reqe_n
 
 let is_req_arg t c = row_mem t.reqv_a t.reqv_n c || row_mem t.reqe_a t.reqe_n c
@@ -539,10 +543,13 @@ let add_requester t r ~demand ~key =
     t.rq_n <- t.rq_n + 1
   end
 
-let rq_filter t keep =
+(* Keep the rows whose requester code [w] satisfies [keep env w],
+   compacting in place. Callers pass a [keep] that closes over nothing
+   and its data as [env], so a call allocates no closure. *)
+let rq_filter t keep env =
   let j = ref 0 in
   for i = 0 to t.rq_n - 1 do
-    if keep t.rq_a.(3 * i) t.rq_a.((3 * i) + 1) t.rq_a.((3 * i) + 2) then begin
+    if keep env t.rq_a.(3 * i) then begin
       if !j < i then begin
         t.rq_a.(3 * !j) <- t.rq_a.(3 * i);
         t.rq_a.((3 * !j) + 1) <- t.rq_a.((3 * i) + 1);
@@ -553,29 +560,31 @@ let rq_filter t keep =
   done;
   t.rq_n <- !j
 
-let remove_requester t r =
-  let w = who_code r in
-  rq_filter t (fun w' _ _ -> w' <> w)
+let remove_who t w = rq_filter t (fun w w' -> w' <> w) w
 
-let retain_requesters t keep = rq_filter t (fun w _ _ -> w < 0 || keep w)
+let retain_requesters t keep = rq_filter t (fun keep w -> w < 0 || keep w) keep
 
-let has_requester t r =
-  let w = who_code r in
-  let rec scan i = i < t.rq_n && (t.rq_a.(3 * i) = w || scan (i + 1)) in
-  scan 0
+(* The row scans below are top-level with every argument passed, like
+   [row_mem_from]: a local [scan] closing over the row would be a heap
+   closure per call, and the reducer asks once or twice per task. *)
+let rec rq_who_from a n w i =
+  i < n && (Array.unsafe_get a (3 * i) = w || rq_who_from a n w (i + 1))
 
-let has_request_entry t r key =
-  let w = who_code r in
-  let rec scan i =
-    i < t.rq_n && ((t.rq_a.(3 * i) = w && Vid.equal t.rq_a.((3 * i) + 2) key) || scan (i + 1))
-  in
-  scan 0
+let has_requester t r = rq_who_from t.rq_a t.rq_n (who_code r) 0
+
+let rec rq_entry_from a n w key i =
+  i < n
+  && ((Array.unsafe_get a (3 * i) = w && Vid.equal (Array.unsafe_get a ((3 * i) + 2)) key)
+     || rq_entry_from a n w key (i + 1))
+
+let has_request_entry t r key = rq_entry_from t.rq_a t.rq_n (who_code r) key 0
 
 let clear_requesters t = t.rq_n <- 0
 
-let has_vital_requester t =
-  let rec scan i = i < t.rq_n && (t.rq_a.((3 * i) + 1) = 1 || scan (i + 1)) in
-  scan 0
+let rec rq_vital_from a n i =
+  i < n && (Array.unsafe_get a ((3 * i) + 1) = 1 || rq_vital_from a n (i + 1))
+
+let has_vital_requester t = rq_vital_from t.rq_a t.rq_n 0
 
 (* --- recv ------------------------------------------------------------- *)
 
@@ -592,13 +601,16 @@ let record_value t ~from value =
     t.recv_n <- t.recv_n + 1
   end
 
-let value_from t c =
-  let rec scan i =
-    if i >= t.recv_n then None
-    else if Vid.equal t.recv_a.(i) c then Some t.recv_v.(i)
-    else scan (i + 1)
-  in
-  scan 0
+let rec row_index_from a n c i =
+  if i >= n then -1
+  else if Vid.equal (Array.unsafe_get a i) c then i
+  else row_index_from a n c (i + 1)
+
+let recv_index t c = row_index_from t.recv_a t.recv_n c 0
+
+let recv_value t i =
+  if i < 0 || i >= t.recv_n then invalid_arg "Vertex.recv_value: index out of bounds";
+  t.recv_v.(i)
 
 let has_value t c = row_mem t.recv_a t.recv_n c
 

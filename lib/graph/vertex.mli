@@ -238,6 +238,10 @@ val req_args : t -> Vid.t list
 val req_count : t -> int
 (** |req-args(v)|, without building the list. *)
 
+val req_arg_at : t -> int -> Vid.t
+(** The [i]-th element of {!req_args}, [0 <= i < req_count], without
+    building the list. Raises [Invalid_argument] out of bounds. *)
+
 val is_req_arg : t -> Vid.t -> bool
 (** Membership in req-args(v). *)
 
@@ -280,9 +284,10 @@ val add_requester : t -> requester -> demand:Demand.t -> key:Vid.t -> unit
     same requester may legitimately await [v] through two different args.
     A vital request upgrades an existing eager entry. *)
 
-val remove_requester : t -> requester -> unit
-(** Remove every entry of this requester (it dereferenced [v], or was
-    answered on all its keys). *)
+val remove_who : t -> int -> unit
+(** Remove every entry of the requester whose row code is [w] — its
+    vid, or [-1] for the external requester: it dereferenced [v], or was
+    answered on all its keys. Does not allocate. *)
 
 val retain_requesters : t -> (Vid.t -> bool) -> unit
 (** Keep only entries whose requester satisfies the predicate; external
@@ -291,10 +296,11 @@ val retain_requesters : t -> (Vid.t -> bool) -> unit
 val clear_requesters : t -> unit
 
 val has_requester : t -> requester -> bool
+(** Does not allocate. *)
 
 val has_request_entry : t -> requester -> Vid.t -> bool
 (** Entry-level membership (same [(who, key)] identity as
-    [add_requester]). *)
+    [add_requester]). Does not allocate. *)
 
 val has_vital_requester : t -> bool
 (** True when some pending entry carries vital demand — the vertex is
@@ -304,10 +310,16 @@ val has_vital_requester : t -> bool
 
 val record_value : t -> from:Vid.t -> Label.value -> unit
 
-val value_from : t -> Vid.t -> Label.value option
+val recv_index : t -> Vid.t -> int
+(** The row holding the value received from [c], or [-1] if none has
+    arrived. Does not allocate. *)
+
+val recv_value : t -> int -> Label.value
+(** The value in row [i] (a {!recv_index} result). Raises
+    [Invalid_argument] out of bounds. *)
 
 val has_value : t -> Vid.t -> bool
-(** [value_from t c <> None] without the option box. *)
+(** [recv_index t c >= 0]. *)
 
 val recv : t -> (Vid.t * Label.value) list
 (** Values received so far, newest first — cold paths only. *)

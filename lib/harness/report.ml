@@ -125,6 +125,16 @@ let render ?(deterministic = false) e =
     Printf.bprintf b "  remote messages: %d of %d (%.1f%%)\n" remote msgs
       (if msgs = 0 then 0.0 else 100.0 *. float_of_int remote /. float_of_int msgs)
   end;
+  (* Expansion churn: an expansion the free list cannot supply parks and
+     is retried, so stalls per expansion counts the futile attempts. *)
+  let red = Engine.reducer e in
+  let expansions = red.Dgr_reduction.Reducer.expansions in
+  let stalls = red.Dgr_reduction.Reducer.alloc_stalls in
+  if expansions + stalls > 0 then begin
+    Printf.bprintf b "\n-- reducer --\n";
+    Printf.bprintf b "  expansions=%d alloc_stalls=%d stalls/expansion=%.2f\n" expansions stalls
+      (if expansions = 0 then 0.0 else float_of_int stalls /. float_of_int expansions)
+  end;
   if m.Metrics.frames_sent > 0 then begin
     Printf.bprintf b "\n-- transport --\n";
     Printf.bprintf b

@@ -86,10 +86,10 @@ let null_mutator g = Dgr_core.Mutator.create ~spawn:(fun _ _ _ -> ()) g
 
 let load ?(num_pes = 1) ?(free_pool = 0) program =
   let reg = compile_program program in
-  match Template.find reg "main" with
-  | None -> fail "program has no main"
-  | Some tpl when tpl.Template.arity <> 0 -> fail "main must take no parameters"
-  | Some tpl ->
+  match Template.lookup reg "main" with
+  | exception Not_found -> fail "program has no main"
+  | tpl when tpl.Template.arity <> 0 -> fail "main must take no parameters"
+  | tpl ->
     let g = Graph.create ~num_pes () in
     Graph.preallocate g (free_pool + Template.size tpl);
     let root = Template.instantiate tpl g (null_mutator g) ~actuals:[] in
@@ -104,10 +104,7 @@ let graph_of_expr ?registry g expr =
     match registry with
     | None -> []
     | Some reg ->
-      List.filter_map
-        (fun name ->
-          Option.map (fun t -> (name, t.Template.arity)) (Template.find reg name))
-        (Template.names reg)
+      List.map (fun name -> (name, (Template.lookup reg name).Template.arity)) (Template.names reg)
   in
   let buf = Dgr_util.Vec.create () in
   let result = emit_expr ~arities ~fname:"<expr>" buf [] expr in

@@ -3,7 +3,7 @@ open Dgr_task
 open Task
 module Mutator = Dgr_core.Mutator
 
-type reduction_task_vec = Task.reduction Dgr_util.Vec.t
+type task_vec = Task.t Dgr_util.Vec.t
 
 let src = Logs.Src.create "dgr.reducer" ~doc:"distributed graph reduction"
 
@@ -17,7 +17,7 @@ type t = {
   speculate_if : bool;
   speculation_reserve : int;
   recorder : Dgr_obs.Recorder.t option;
-  parked : reduction_task_vec;
+  parked : task_vec;
   mutable result : Label.value option;
   mutable requests_executed : int;
   mutable responds_executed : int;
@@ -35,6 +35,8 @@ type t = {
       (* reusable snapshot of one vertex's raw request rows (stride 3:
          who|-1, demand code, key) — lets the rewrite hot paths walk
          [requested] without building the entry list *)
+  mutable vids : int array;
+      (* scratch for the slot vids of one template expansion *)
 }
 
 let create ?(speculate_if = true) ?(speculation_reserve = 0) ?recorder ~graph ~mut
@@ -59,10 +61,8 @@ let create ?(speculate_if = true) ?(speculation_reserve = 0) ?recorder ~graph ~m
     stuck = [];
     stuck_set = None;
     rq_scratch = Array.make 24 0;
+    vids = Array.make 16 (-1);
   }
-
-let obs t kind =
-  match t.recorder with None -> () | Some r -> Dgr_obs.Recorder.emit r kind
 
 let initial_task t =
   let root = Graph.root t.graph in
@@ -91,13 +91,6 @@ let add_stuck t v reason =
 
 let mark_stuck t v reason =
   if add_stuck t v reason then Log.warn (fun m -> m "v%d stuck: %s (behaves as ⊥)" v reason)
-
-let distinct vids =
-  let rec loop seen = function
-    | [] -> List.rev seen
-    | v :: rest -> if List.exists (Vid.equal v) seen then loop seen rest else loop (v :: seen) rest
-  in
-  loop [] vids
 
 let send_request t ~src:s ~dst ~demand ~key =
   t.send (Reduction (Request { src = s; dst; demand; key }))
@@ -128,6 +121,20 @@ let demand_own_args t v vx ~ctx =
 (* True when an existing requester already makes [v] globally vital. *)
 let has_vital_requester vx = Vertex.has_vital_requester vx
 
+(* Eager → vital upgrade (§3.2 item 2): re-demand vitally every req-arg
+   still awaiting its value, once each, in [Vertex.req_args] order, so
+   the whole speculative subcomputation is promoted. *)
+let redemand_vital t v vx =
+  for i = 0 to Vertex.req_count vx - 1 do
+    let c = Vertex.req_arg_at vx i in
+    let dup = ref false in
+    for j = 0 to i - 1 do
+      if Vid.equal (Vertex.req_arg_at vx j) c then dup := true
+    done;
+    if (not !dup) && not (Vertex.has_value vx c) then
+      send_request t ~src:(Some v) ~dst:c ~demand:Demand.Vital ~key:c
+  done
+
 let rq_snapshot t vx =
   let n = Vertex.requested_count vx in
   if 3 * n > Array.length t.rq_scratch then t.rq_scratch <- Array.make (6 * (n + 1)) 0;
@@ -155,7 +162,7 @@ let answer_all t v value =
     for j = i + 1 to k - 1 do
       if scratch.(3 * j) = w then last := false
     done;
-    if !last then Mutator.answer t.mut ~at:v ~requester:(if w < 0 then None else Some w)
+    if !last then Mutator.answer t.mut ~at:v ~who:w
   done
 
 (* Forward every pending requester of the indirection [v] to [target].
@@ -179,15 +186,15 @@ let forward_requesters t v target =
   done;
   Vertex.clear_requesters vx
 
+let bool_label b = if b then Label.Bool true else Label.Bool false
+
 (* Rewrite [v] to a scalar/WHNF label: answer requesters, drop argument
    references (the contraction that creates garbage), clear state. *)
 let finish_value t v label =
   let vx = Graph.vertex t.graph v in
   Vertex.set_label vx @@ label;
   t.rewrites <- t.rewrites + 1;
-  (match Label.value_of_whnf ~self:v label with
-  | Some value -> answer_all t v value
-  | None -> assert false);
+  answer_all t v (Label.value_of_whnf ~self:v label);
   (* [delete_reference] removes the first occurrence, so draining from the
      front deletes the children in the same order the old list walk did. *)
   while Vertex.arg_count vx > 0 do
@@ -212,60 +219,56 @@ let truthy = function
 (* --- primitive evaluation ------------------------------------------- *)
 
 (* Formatted on the error path only, never per primitive reduction. *)
-let type_error p = Error (Printf.sprintf "type error in %s" (Label.prim_name p))
+let type_error p = Printf.sprintf "type error in %s" (Label.prim_name p)
 
-let eval_scalar p values =
-  let int_of = function Label.V_int n -> Some n | _ -> None in
-  let bool_of = function Label.V_bool b -> Some b | _ -> None in
+(* The value [vx] received from its [i]-th arg; the caller has checked
+   that it arrived. *)
+let arg_value vx i = Vertex.recv_value vx (Vertex.recv_index vx (Vertex.arg vx i))
+
+(* The first of [vx]'s [n] arg values, from the [i]-th on, that is a
+   ⊥-recovery error, or -1. *)
+let rec first_err vx n i =
+  if i >= n then -1
+  else match arg_value vx i with Label.V_err _ -> i | _ -> first_err vx n (i + 1)
+
+(* Rewrite [v] by the strict primitive [p] on its argument values [a]
+   and [b] ([b] is [a] for a unary [p]), or mark it stuck. *)
+let eval_scalar t v p a b =
   let module L = Label in
-  (* ⊥-recovery values are contagious through strict operators
-     (footnote 5): the requester learns its input was undefined. *)
-  let first_err =
-    List.find_opt (function L.V_err _ -> true | _ -> false) values
-  in
-  match first_err with
-  | Some (L.V_err msg) -> Ok (L.Err msg)
-  | _ ->
-  match (p, values) with
-  | L.Add, [ a; b ] | L.Sub, [ a; b ] | L.Mul, [ a; b ] | L.Div, [ a; b ] | L.Mod, [ a; b ]
-    -> (
-    match (int_of a, int_of b) with
-    | Some x, Some y -> (
-      match p with
-      | L.Add -> Ok (L.Int (x + y))
-      | L.Sub -> Ok (L.Int (x - y))
-      | L.Mul -> Ok (L.Int (x * y))
-      | L.Div -> if y = 0 then Error "division by zero" else Ok (L.Int (x / y))
-      | L.Mod -> if y = 0 then Error "modulo by zero" else Ok (L.Int (x mod y))
-      | _ -> assert false)
-    | _ -> type_error p)
-  | L.Lt, [ a; b ] | L.Leq, [ a; b ] -> (
-    match (int_of a, int_of b) with
-    | Some x, Some y -> Ok (L.Bool (if p = L.Lt then x < y else x <= y))
-    | _ -> type_error p)
-  | L.Eq, [ a; b ] -> Ok (L.Bool (L.equal_value a b))
-  | L.And, [ a; b ] | L.Or, [ a; b ] -> (
-    match (bool_of a, bool_of b) with
-    | Some x, Some y -> Ok (L.Bool (if p = L.And then x && y else x || y))
-    | _ -> type_error p)
-  | L.Not, [ a ] -> (
-    match bool_of a with Some x -> Ok (L.Bool (not x)) | None -> type_error p)
-  | L.Neg, [ a ] -> ( match int_of a with Some x -> Ok (L.Int (-x)) | None -> type_error p)
-  | L.Is_nil, [ a ] -> Ok (L.Bool (a = L.V_nil))
-  | (L.Head | L.Tail), _ -> assert false (* handled structurally *)
-  | _, _ -> Error (Printf.sprintf "arity error in %s" (L.prim_name p))
+  match (p, a, b) with
+  | (L.Add | L.Sub | L.Mul | L.Div | L.Mod), L.V_int x, L.V_int y -> (
+    match p with
+    | L.Add -> finish_value t v (L.Int (x + y))
+    | L.Sub -> finish_value t v (L.Int (x - y))
+    | L.Mul -> finish_value t v (L.Int (x * y))
+    | L.Div ->
+      if y = 0 then mark_stuck t v "division by zero" else finish_value t v (L.Int (x / y))
+    | L.Mod ->
+      if y = 0 then mark_stuck t v "modulo by zero" else finish_value t v (L.Int (x mod y))
+    | _ -> assert false)
+  | (L.Lt | L.Leq), L.V_int x, L.V_int y ->
+    finish_value t v (bool_label (if p = L.Lt then x < y else x <= y))
+  | L.Eq, _, _ -> finish_value t v (bool_label (L.equal_value a b))
+  | (L.And | L.Or), L.V_bool x, L.V_bool y ->
+    finish_value t v (bool_label (if p = L.And then x && y else x || y))
+  | L.Not, L.V_bool x, _ -> finish_value t v (bool_label (not x))
+  | L.Neg, L.V_int x, _ -> finish_value t v (L.Int (-x))
+  | L.Is_nil, _, _ -> finish_value t v (bool_label (a = L.V_nil))
+  | (L.Add | L.Sub | L.Mul | L.Div | L.Mod | L.Lt | L.Leq | L.And | L.Or | L.Not | L.Neg), _, _
+    ->
+    mark_stuck t v (type_error p)
+  | (L.Head | L.Tail), _, _ -> assert false (* handled structurally *)
 
 (* --- task execution -------------------------------------------------- *)
 
-let rec exec_request t ~src:s ~dst:v ~demand ~key =
+let rec exec_request t task ~src:s ~dst:v ~demand ~key =
   t.requests_executed <- t.requests_executed + 1;
   let vx = Graph.vertex t.graph v in
   if (Vertex.free vx) then stale t
   else
     match (Vertex.label vx) with
     | (Label.Int _ | Label.Bool _ | Label.Nil | Label.Cons | Label.Err _) as l ->
-      let value = Option.get (Label.value_of_whnf ~self:v l) in
-      send_respond t ~src:v ~dst:s ~value ~key ~demand
+      send_respond t ~src:v ~dst:s ~value:(Label.value_of_whnf ~self:v l) ~key ~demand
     | Label.Ind ->
       if Vertex.arg_count vx > 0 then begin
         let target = Vertex.arg vx 0 in
@@ -293,15 +296,7 @@ let rec exec_request t ~src:s ~dst:v ~demand ~key =
                (Vertex.arg_count vx) (Label.prim_arity p))
         else demand_own_args t v vx ~ctx:demand
       end
-      else if Demand.equal demand Demand.Vital && not was_vital then
-        (* Eager → vital upgrade (§3.2 item 2): re-demand the pending
-           arguments vitally so the whole speculative subcomputation is
-           promoted. *)
-        List.iter
-          (fun c ->
-            if Vertex.value_from vx c = None then
-              send_request t ~src:(Some v) ~dst:c ~demand:Demand.Vital ~key:c)
-          (distinct (Vertex.req_args vx))
+      else if Demand.equal demand Demand.Vital && not was_vital then redemand_vital t v vx
     | Label.If ->
       let was_vital = has_vital_requester vx in
       Mutator.record_request t.mut ~at:v ~requester:s ~demand ~key;
@@ -318,21 +313,15 @@ let rec exec_request t ~src:s ~dst:v ~demand ~key =
         end
       end
       else if n = 3 || n = 1 then begin
-        if Demand.equal demand Demand.Vital && not was_vital then
-          (* Upgrade: re-demand whatever we are still waiting on. *)
-          List.iter
-            (fun c ->
-              if Vertex.value_from vx c = None then
-                send_request t ~src:(Some v) ~dst:c ~demand:Demand.Vital ~key:c)
-            (distinct (Vertex.req_args vx))
+        if Demand.equal demand Demand.Vital && not was_vital then redemand_vital t v vx
         (* else: demand already in flight *)
       end
       else mark_stuck t v "malformed if"
     | Label.Apply f -> (
       Mutator.record_request t.mut ~at:v ~requester:s ~demand ~key;
-      match Template.find t.templates f with
-      | None -> mark_stuck t v (Printf.sprintf "unknown function %s" f)
-      | Some tpl ->
+      match Template.lookup t.templates f with
+      | exception Not_found -> mark_stuck t v (Printf.sprintf "unknown function %s" f)
+      | tpl ->
         if Vertex.arg_count vx <> tpl.Template.arity then
           mark_stuck t v
             (Printf.sprintf "%s applied to %d args (arity %d)" f (Vertex.arg_count vx)
@@ -366,18 +355,22 @@ let rec exec_request t ~src:s ~dst:v ~demand ~key =
           Graph.headroom_for t.graph ~pe:(Vertex.pe vx) < need
         then begin
           t.alloc_stalls <- t.alloc_stalls + 1;
-          obs t (Dgr_obs.Event.Alloc_stall { vid = v });
-          Dgr_util.Vec.push t.parked (Request { src = s; dst = v; demand; key })
+          (match t.recorder with
+          | None -> ()
+          | Some r -> Dgr_obs.Recorder.emit r (Dgr_obs.Event.Alloc_stall { vid = v }));
+          (* The task itself waits: the retry re-sends this very block. *)
+          Dgr_util.Vec.push t.parked task
         end
         else begin
-          let entry =
-            Template.instantiate ~from:(Vertex.pe vx) tpl t.graph t.mut
-              ~actuals:(Vertex.args vx)
-          in
+          if Array.length t.vids < Template.size tpl then
+            t.vids <- Array.make (Template.size tpl) (-1);
+          let entry = Template.expand tpl t.graph t.mut ~vids:t.vids vx in
           Mutator.expand_node t.mut ~a:v ~entry;
           Vertex.set_label vx @@ Label.Ind;
           t.expansions <- t.expansions + 1;
-          obs t (Dgr_obs.Event.Expand { vid = v; entry });
+          (match t.recorder with
+          | None -> ()
+          | Some r -> Dgr_obs.Recorder.emit r (Dgr_obs.Event.Expand { vid = v; entry }));
           forward_requesters t v entry;
           Vertex.clear_reduction_state vx
         end)
@@ -403,29 +396,37 @@ and exec_respond t ~src:responder ~dst ~value ~key =
 
 and try_reduce_prim t v p =
   let vx = Graph.vertex t.graph v in
+  let n = Vertex.arg_count vx in
   let ready = ref true in
-  for i = 0 to Vertex.arg_count vx - 1 do
+  for i = 0 to n - 1 do
     if not (Vertex.has_value vx (Vertex.arg vx i)) then ready := false
   done;
   if !ready then begin
     match p with
-    | Label.Head | Label.Tail -> (
-      match List.map (fun c -> Option.get (Vertex.value_from vx c)) (Vertex.args vx) with
-      | [ Label.V_ref cell ] -> reduce_projection t v p cell
-      | [ _ ] -> mark_stuck t v (Label.prim_name p ^ " of a non-list value")
-      | _ -> mark_stuck t v (Label.prim_name p ^ " arity error"))
-    | _ -> (
-      let values = List.map (fun c -> Option.get (Vertex.value_from vx c)) (Vertex.args vx) in
-      match eval_scalar p values with
-      | Ok label -> finish_value t v label
-      | Error reason -> mark_stuck t v reason)
+    | Label.Head | Label.Tail ->
+      if n <> 1 then mark_stuck t v (Label.prim_name p ^ " arity error")
+      else (
+        match arg_value vx 0 with
+        | Label.V_ref cell -> reduce_projection t v p cell
+        | _ -> mark_stuck t v (Label.prim_name p ^ " of a non-list value"))
+    | _ ->
+      (* ⊥-recovery values are contagious through strict operators
+         (footnote 5): the requester learns its input was undefined. *)
+      let e = first_err vx n 0 in
+      if e >= 0 then
+        match arg_value vx e with
+        | Label.V_err msg -> finish_value t v (Label.Err msg)
+        | _ -> assert false
+      else if n <> Label.prim_arity p then
+        mark_stuck t v (Printf.sprintf "arity error in %s" (Label.prim_name p))
+      else eval_scalar t v p (arg_value vx 0) (arg_value vx (n - 1))
   end
 
 and reduce_projection t v p cell =
   let cx = Graph.vertex t.graph cell in
-  match ((Vertex.label cx), Vertex.args cx) with
-  | Label.Cons, [ hd; tl ] ->
-    let target = match p with Label.Head -> hd | _ -> tl in
+  match Vertex.label cx with
+  | Label.Cons when Vertex.arg_count cx = 2 ->
+    let target = Vertex.arg cx (match p with Label.Head -> 0 | _ -> 1) in
     let vx = Graph.vertex t.graph v in
     (* Rewire v → target. If the cons cell is v's direct child the paper's
        witnessed add-reference applies; otherwise the general edge. *)
@@ -433,12 +434,14 @@ and reduce_projection t v p cell =
       Mutator.add_reference t.mut ~a:v ~b:cell ~c:target
     else Mutator.add_edge t.mut ~a:v ~c:target;
     (* Drop every old argument, keeping exactly the one new occurrence of
-       [target] appended by the rewiring above. *)
-    let va = Vertex.args vx in
-    let olds = List.filteri (fun i _ -> i < List.length va - 1) va in
-    List.iter (fun c -> Mutator.delete_reference t.mut ~a:v ~b:c) olds;
+       [target] appended by the rewiring above: [delete_reference]
+       removes the first occurrence, so draining from the front deletes
+       them in order. *)
+    for _ = 1 to Vertex.arg_count vx - 1 do
+      Mutator.delete_reference t.mut ~a:v ~b:(Vertex.arg vx 0)
+    done;
     become_indirection t v target
-  | Label.Cons, _ -> mark_stuck t v "malformed cons cell"
+  | Label.Cons -> mark_stuck t v "malformed cons cell"
   | _ -> mark_stuck t v (Label.prim_name p ^ " of a non-cons vertex")
 
 and progress_if t v ~key ~value =
@@ -464,9 +467,9 @@ and progress_if t v ~key ~value =
         if other_requested && not (Vid.equal other chosen) then
           t.send (Reduction (Cancel { src = v; dst = other }));
         Mutator.delete_reference t.mut ~a:v ~b:p;
-        (match Vertex.value_from vx chosen with
-        | Some cv -> resolve_if t v chosen cv
-        | None ->
+        (match Vertex.recv_index vx chosen with
+        | i when i >= 0 -> resolve_if t v chosen (Vertex.recv_value vx i)
+        | _ ->
           (* The winner is now strictly needed relative to v; globally it
              is vital only if v itself is vitally awaited. *)
           Mutator.request_child t.mut ~v ~c:chosen ~demand:Demand.Vital;
@@ -481,7 +484,7 @@ and progress_if t v ~key ~value =
 and resolve_if t v chosen value =
   match value with
   | Label.V_int n -> finish_value t v (Label.Int n)
-  | Label.V_bool b -> finish_value t v (Label.Bool b)
+  | Label.V_bool b -> finish_value t v (bool_label b)
   | Label.V_nil -> finish_value t v Label.Nil
   | Label.V_err msg -> finish_value t v (Label.Err msg)
   | Label.V_ref _ -> become_indirection t v chosen
@@ -491,7 +494,7 @@ and exec_cancel t ~src:s ~dst:v =
   let vx = Graph.vertex t.graph v in
   if (Vertex.free vx) then stale t
   else begin
-    Mutator.answer t.mut ~at:v ~requester:(Some s);
+    Mutator.answer t.mut ~at:v ~who:s;
     match (Vertex.label vx) with
     | Label.Ind when Vertex.arg_count vx > 0 ->
       t.send (Reduction (Cancel { src = s; dst = Vertex.arg vx 0 }))
@@ -499,23 +502,23 @@ and exec_cancel t ~src:s ~dst:v =
   end
 
 let execute t task =
-  Log.debug (fun m -> m "exec %a" Task.pp_reduction task);
   match task with
-  | Request { src = s; dst; demand; key } -> exec_request t ~src:s ~dst ~demand ~key
-  | Respond { src = s; dst; value; key; demand = _ } -> exec_respond t ~src:s ~dst ~value ~key
-  | Cancel { src = s; dst } -> exec_cancel t ~src:s ~dst
-
+  | Marking _ -> invalid_arg "Reducer.execute: a marking task"
+  | Reduction r -> (
+    (* Guarded: the message closure would be a heap block per task. *)
+    (match Logs.Src.level src with
+    | Some Logs.Debug -> Log.debug (fun m -> m "exec %a" Task.pp_reduction r)
+    | _ -> ());
+    match r with
+    | Request { src = s; dst; demand; key } -> exec_request t task ~src:s ~dst ~demand ~key
+    | Respond { src = s; dst; value; key; demand = _ } -> exec_respond t ~src:s ~dst ~value ~key
+    | Cancel { src = s; dst } -> exec_cancel t ~src:s ~dst)
 
 let parked t = Dgr_util.Vec.to_list t.parked
 
 let iter_parked t f = Dgr_util.Vec.iter f t.parked
 
 let parked_count t = Dgr_util.Vec.length t.parked
-
-let drain_parked t =
-  let tasks = Dgr_util.Vec.to_list t.parked in
-  Dgr_util.Vec.clear t.parked;
-  tasks
 
 let purge_parked t pred =
   let before = Dgr_util.Vec.length t.parked in

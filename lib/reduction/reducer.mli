@@ -37,9 +37,11 @@ type t = {
   speculation_reserve : int;
   recorder : Dgr_obs.Recorder.t option;
       (** trace sink for allocation stalls and expansions *)
-  parked : Task.reduction Dgr_util.Vec.t;
-      (** allocation-stalled expansions awaiting free-list replenishment;
-          still part of "the set of all tasks" for M_T and purging *)
+  parked : Task.t Dgr_util.Vec.t;
+      (** allocation-stalled expansions awaiting free-list replenishment,
+          each the very task block {!execute} was handed; still part of
+          "the set of all tasks" for M_T and purging. The engine re-sends
+          them by looping over this vector, then clears it. *)
   mutable result : Label.value option;  (** the root's value, once delivered *)
   mutable requests_executed : int;
   mutable responds_executed : int;
@@ -57,6 +59,7 @@ type t = {
   mutable rq_scratch : int array;
       (** reusable raw snapshot of one vertex's request rows (see
           [Vertex.blit_requests]) — keeps the rewrite paths allocation-free *)
+  mutable vids : int array;  (** scratch for one template expansion's slot vids *)
 }
 
 val create :
@@ -76,7 +79,11 @@ val create :
     eager/reserve-class expansion must leave free, so speculation cannot
     allocate the vital computation out of memory. *)
 
-val execute : t -> Task.reduction -> unit
+val execute : t -> Task.t -> unit
+(** Execute one reduction task. Allocates only the tasks it sends and
+    the fresh slots an expansion draws (DESIGN.md §6); a stalled
+    expansion parks [task] itself. Raises [Invalid_argument] on a
+    marking task. *)
 
 val initial_task : t -> Task.t
 (** The distinguished initial task [<-,root>] (§2.2). *)
@@ -84,19 +91,15 @@ val initial_task : t -> Task.t
 val finished : t -> bool
 (** The overall result has been delivered. *)
 
-val parked : t -> Task.reduction list
+val parked : t -> Task.t list
 
-val iter_parked : t -> (Task.reduction -> unit) -> unit
+val iter_parked : t -> (Task.t -> unit) -> unit
 (** Apply [f] to every parked task without building a list (M_T seed
     assembly). *)
 
 val parked_count : t -> int
 
-val drain_parked : t -> Task.reduction list
-(** Remove and return every parked task (the engine re-injects them once
-    the free list has been replenished). *)
-
-val purge_parked : t -> (Task.reduction -> bool) -> int
+val purge_parked : t -> (Task.t -> bool) -> int
 (** Expunge matching parked tasks (restructure's irrelevant-task
     deletion must see parked tasks too). *)
 

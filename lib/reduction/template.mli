@@ -19,7 +19,16 @@ type operand =
 
 type instr = { label : Label.t; operands : operand list }
 
-type t = { name : string; arity : int; slots : instr array; entry : int }
+type t = private {
+  name : string;
+  arity : int;
+  entry : int;
+  labels : Label.t array;  (** slot [i]'s label *)
+  ops : int array;
+      (** every slot's operands in slot order, compiled once by {!make}:
+          [Slot s] as [s], [Param p] as [-(p + 1)] *)
+  op_lo : int array;  (** slot [i]'s operands are [ops.(op_lo.(i) .. op_lo.(i + 1) - 1)] *)
+}
 
 val make : name:string -> arity:int -> instr list -> t
 (** [entry] is the last slot. Validates that operands reference only
@@ -34,6 +43,13 @@ val instantiate : ?from:int -> t -> Graph.t -> Dgr_core.Mutator.t -> actuals:Vid
     draws the slots from the expanding PE's local store. Raises
     [Invalid_argument] on an arity mismatch. *)
 
+val expand : t -> Graph.t -> Dgr_core.Mutator.t -> vids:int array -> Vertex.t -> Vid.t
+(** [expand t g mut ~vids apply] is {!instantiate} with [apply]'s args
+    as the actuals and [from] its PE — the [Apply] reduction's form.
+    [vids], of length at least {!size}, is scratch for the slot vids.
+    Allocates nothing but the slots' fresh handles. Raises
+    [Invalid_argument] on an arity mismatch. *)
+
 val size : t -> int
 (** Number of vertices an instantiation allocates. *)
 
@@ -46,6 +62,9 @@ val create_registry : unit -> registry
 val define : registry -> t -> unit
 (** Raises [Invalid_argument] on duplicate names. *)
 
-val find : registry -> string -> t option
+val lookup : registry -> string -> t
+(** Raises [Not_found] for an undefined name. Does not allocate. *)
+
+val mem : registry -> string -> bool
 
 val names : registry -> string list

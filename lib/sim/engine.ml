@@ -133,14 +133,8 @@ module Config = struct
 
   let with_gc_work_factor v t =
     { t with gc = { t.gc with gc_work_factor = positive "gc_work_factor" v } }
-  let with_heap_size v t = { t with gc = { t.gc with heap_size = v } }
-  let with_pool_policy v t = { t with machine = { t.machine with pool_policy = v } }
-  let with_speculate_if v t = { t with machine = { t.machine with speculate_if = v } }
   let with_gc v t = { t with gc = { t.gc with mode = gc_mode v } }
-  let with_marking v t = { t with gc = { t.gc with marking = v } }
-  let with_recover_deadlock v t = { t with gc = { t.gc with recover_deadlock = v } }
   let with_jitter v t = { t with network = { t.network with jitter = probability "jitter" v } }
-  let with_seed v t = { t with machine = { t.machine with seed = v } }
   let with_faults v t = { t with network = { t.network with faults = rates v } }
   let with_domains v t = { t with machine = { t.machine with domains = v } }
   let with_batch v t = { t with network = { t.network with batch = v } }
@@ -426,7 +420,7 @@ let note_send t ctx r ~kind ~vid ~delay pe =
    computation, or a marking return to the dummy rootpar. *)
 let execute_at_controller t task =
   match task with
-  | Reduction r -> Reducer.execute t.cctl.pred r
+  | Reduction _ -> Reducer.execute t.cctl.pred task
   | Marking m ->
     execute_marking t t.m ~pe:0 ~emit:t.cctl.cemit (Task.lane_v m) (Task.lane_par m)
       (Task.lane_meta m)
@@ -510,7 +504,7 @@ let pe_execute_mark t ctx v par meta =
 let pe_execute t ctx task stamp =
   match task with
   | Marking _ -> assert false
-  | Reduction r ->
+  | Reduction _ ->
     if stamp >= 0 then begin
       note_latency ctx.pm t.lin stamp ~now:t.now;
       ctx.clin <- Dgr_obs.Lineage.lin_of t.lin stamp;
@@ -532,7 +526,7 @@ let pe_execute t ctx task stamp =
              lin = ctx.clin;
            }));
     ctx.pm.Metrics.reduction_executed <- ctx.pm.Metrics.reduction_executed + 1;
-    Reducer.execute ctx.pred r;
+    Reducer.execute ctx.pred task;
     if stamp >= 0 then Vec.push ctx.cdone stamp;
     ctx.clin <- -1;
     ctx.cdepth <- 0
@@ -540,7 +534,7 @@ let pe_execute t ctx task stamp =
 let purge_everywhere t pred =
   Array.fold_left (fun acc pool -> acc + Pool.purge pool pred) 0 t.pools
   + Network.purge t.net pred
-  + Reducer.purge_parked t.cctl.pred (fun r -> pred (Reduction r))
+  + Reducer.purge_parked t.cctl.pred pred
 
 let purge_for_baseline t pred =
   let n = purge_everywhere t pred in
@@ -920,9 +914,12 @@ let create ?recorder ?(config = Config.default) g templates =
       end;
       Pool.iter_reductions t.pools.(pe) (fun r -> Task.iter_reduction_endpoints f r);
       Vec.iter f net_scratch.(pe);
-      Reducer.iter_parked t.cctl.pred (fun r ->
-          let home = pe_of t (Reduction r) in
-          if home = pe || (home < 0 && pe = 0) then Task.iter_reduction_endpoints f r)
+      Reducer.iter_parked t.cctl.pred (fun task ->
+          let home = pe_of t task in
+          match task with
+          | Reduction r when home = pe || (home < 0 && pe = 0) ->
+            Task.iter_reduction_endpoints f r
+          | Reduction _ | Marking _ -> ())
     in
     let reprioritize () =
       Array.fold_left (fun acc pool -> acc + Pool.reprioritize pool) 0 t.pools
@@ -1038,7 +1035,7 @@ let pending_tasks t =
   let pooled =
     Array.fold_left (fun acc pool -> List.rev_append (Pool.tasks pool) acc) [] t.pools
   in
-  List.map (fun r -> Reduction r) (Reducer.parked t.cctl.pred)
+  Reducer.parked t.cctl.pred
   @ List.rev_append (Network.in_flight t.net) pooled
 
 let locate_task t pred =
@@ -1133,14 +1130,17 @@ let under_pressure t =
 (* Re-inject allocation-stalled expansions once the free list has a
    chance of supplying them. A re-injection, not a message: the task was
    sent (and accounted) once already, so it goes straight to the network
-   with no [Send] event and no jitter draw. *)
+   with no [Send] event and no jitter draw — the parked block itself,
+   staged from the controller to its destination's PE, in park order. *)
 let unpark t =
-  if Reducer.parked_count t.cctl.pred > 0 then
-    List.iter
-      (fun r ->
-        let pe = pe_of t (Reduction r) in
-        if pe >= 0 then Network.send ~src:(-1) t.net ~arrival:(t.now + 1) ~pe (Reduction r))
-      (Reducer.drain_parked t.cctl.pred)
+  let parked = t.cctl.pred.Reducer.parked in
+  for i = 0 to Vec.length parked - 1 do
+    let task = Vec.get parked i in
+    let pe = pe_of t task in
+    if pe >= 0 then
+      Network.stage_reduction t.net ~src:(-1) ~lin:(-1) ~depth:0 ~arrival:(t.now + 1) ~pe task
+  done;
+  Vec.clear parked
 
 let gc_control t =
   match t.gc_mode with

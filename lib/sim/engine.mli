@@ -168,14 +168,8 @@ module Config : sig
   val with_latency : int -> t -> t
   val with_tasks_per_step : int -> t -> t
   val with_gc_work_factor : int -> t -> t
-  val with_heap_size : int option -> t -> t
-  val with_pool_policy : Pool.policy -> t -> t
-  val with_speculate_if : bool -> t -> t
   val with_gc : gc_mode -> t -> t
-  val with_marking : Dgr_core.Cycle.scheme -> t -> t
-  val with_recover_deadlock : bool -> t -> t
   val with_jitter : float -> t -> t
-  val with_seed : int -> t -> t
   val with_faults : Faults.spec -> t -> t
   val with_domains : int -> t -> t
   val with_batch : bool -> t -> t

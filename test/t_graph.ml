@@ -68,7 +68,7 @@ let test_vertex_requesters () =
   Alcotest.(check bool) "missing entry" false (Vertex.has_request_entry v (Some 2) 7);
   Vertex.add_requester v None ~demand:Demand.Vital ~key:5;
   Alcotest.(check bool) "external requester" true (Vertex.has_requester v None);
-  Vertex.remove_requester v (Some 1);
+  Vertex.remove_who v 1;
   Alcotest.(check int) "all entries of requester removed" 1 (List.length (Vertex.requested v))
 
 let test_vertex_recv () =
@@ -76,10 +76,10 @@ let test_vertex_recv () =
   Vertex.record_value v ~from:3 (Label.V_int 7);
   Vertex.record_value v ~from:3 (Label.V_int 9);
   Alcotest.(check bool) "first value wins (dedup)" true
-    (Vertex.value_from v 3 = Some (Label.V_int 7));
-  Alcotest.(check bool) "absent child" true (Vertex.value_from v 4 = None);
+    (Vertex.recv_value v (Vertex.recv_index v 3) = Label.V_int 7);
+  Alcotest.(check int) "absent child" (-1) (Vertex.recv_index v 4);
   Vertex.clear_reduction_state v;
-  Alcotest.(check bool) "cleared" true (Vertex.value_from v 3 = None)
+  Alcotest.(check int) "cleared" (-1) (Vertex.recv_index v 3)
 
 let test_graph_alloc_release_reuse () =
   let g = Graph.create ~num_pes:3 () in

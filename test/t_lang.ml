@@ -78,9 +78,9 @@ let test_free_vars () =
 let test_compile_sharing () =
   (* let-bound expressions compile to one shared slot *)
   let reg = Compile.compile_program (Parser.parse_program "def main = let x = 1 + 2 in x * x;") in
-  match Template.find reg "main" with
-  | None -> Alcotest.fail "main missing"
-  | Some tpl ->
+  match Template.lookup reg "main" with
+  | exception Not_found -> Alcotest.fail "main missing"
+  | tpl ->
     (* slots: 1, 2, add, mul -> 4 (no duplicate adds) *)
     Alcotest.(check int) "shared slot" 4 (Template.size tpl)
 
@@ -143,7 +143,7 @@ let test_registry () =
     Template.make ~name:"t" ~arity:0 [ { Template.label = Label.Int 1; operands = [] } ]
   in
   Template.define reg tpl;
-  Alcotest.(check bool) "found" true (Template.find reg "t" <> None);
+  Alcotest.(check bool) "found" true (Template.mem reg "t");
   Alcotest.(check (list string)) "names" [ "t" ] (Template.names reg);
   Alcotest.check_raises "duplicate" (Invalid_argument "Template.define: duplicate template t")
     (fun () -> Template.define reg tpl)

@@ -752,6 +752,68 @@ let test_idle_step_alloc_free () =
        (p.Profile.book_mw -. p0.Profile.book_mw))
     0.0 words
 
+(* The reduction path's allocation, read off the engine's own meters. *)
+
+(* A stalled expansion and its retry allocate nothing: [big]'s 199-slot
+   body exceeds a PE's 128-slot share of a 1,024-slot heap on 8 PEs, so
+   its one [Apply] stalls, parks, and is re-sent every 64 steps (the
+   machine as a whole is not under pressure), forever. Each retry is a
+   delivery, an execution that parks the task again, and a re-send; the
+   bound, one word, fails on a single boxed option per retry. *)
+let test_stall_retry_alloc () =
+  let body = String.concat " + " (List.init 200 (fun _ -> "x")) in
+  let g, templates =
+    Dgr_lang.Compile.load_string ~num_pes:8
+      (Printf.sprintf "def big x = %s;\ndef main = big(1);" body)
+  in
+  let config =
+    Engine.Config.make ~num_pes:8 ~gc:Engine.No_gc ~heap_size:(Some 1024) ~domains:1 ()
+  in
+  let e = Engine.create ~config g templates in
+  Engine.inject_root_demand e;
+  for _ = 1 to 256 do
+    Engine.step e
+  done;
+  let red = Engine.reducer e in
+  let stalls0 = red.Dgr_reduction.Reducer.alloc_stalls in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 6_400 do
+    Engine.step e
+  done;
+  let words = Gc.minor_words () -. w0 in
+  let retries = red.Dgr_reduction.Reducer.alloc_stalls - stalls0 in
+  Engine.dispose e;
+  Alcotest.(check int) "one retry per 64 steps" 100 retries;
+  Alcotest.(check bool) "still parked" true (Dgr_reduction.Reducer.parked_count red = 1);
+  let per_retry = words /. float_of_int retries in
+  if per_retry > 1.0 then
+    Alcotest.failf "a stalled retry and its re-send allocate %.2f minor words (bound 1)"
+      per_retry
+
+(* Every executed reduction of a concurrent fib 12 run allocates at most
+   [bound] minor words in the execute phase: each send's task block and
+   each expansion's fresh slots, nothing per retry, primitive or
+   rewrite. The marks that share the phase allocate next to nothing. *)
+let test_reduction_alloc_per_task () =
+  let bound = 32.0 in
+  let g, templates =
+    Dgr_lang.Compile.load_string ~num_pes:4 (Dgr_lang.Prelude.fib 12)
+  in
+  let config = Engine.Config.make ~num_pes:4 ~domains:1 () in
+  let e = Engine.create ~config g templates in
+  Engine.inject_root_demand e;
+  let (_ : int) = Engine.run ~max_steps:100_000 e in
+  let p = Engine.profile e in
+  let reductions = (Engine.metrics e).Metrics.reduction_executed in
+  Alcotest.(check (option int)) "fib 12"
+    (Some (Dgr_lang.Prelude.fib_expected 12))
+    (match Engine.result e with Some (Label.V_int n) -> Some n | _ -> None);
+  Engine.dispose e;
+  let per_task = p.Profile.execute_mw /. float_of_int reductions in
+  if per_task > bound then
+    Alcotest.failf "%.2f execute-phase minor words per reduction over %d reductions (bound %.0f)"
+      per_task reductions bound
+
 let suite =
   [
     Alcotest.test_case "pool priority bands" `Quick test_pool_policy_bands;
@@ -799,6 +861,10 @@ let suite =
     Alcotest.test_case "executed tasks per PE" `Quick test_executed_per_pe;
     Alcotest.test_case "the phases partition the step" `Quick test_phases_partition;
     Alcotest.test_case "an idle step allocates nothing" `Quick test_idle_step_alloc_free;
+    Alcotest.test_case "a stalled expansion retries without allocating" `Quick
+      test_stall_retry_alloc;
+    Alcotest.test_case "a reduction allocates only its sends and births" `Quick
+      test_reduction_alloc_per_task;
   ]
 
 (* Delivery jitter: deterministic per seed; results invariant. *)

@@ -240,8 +240,7 @@ let differential_schedule seed =
       | Some vid ->
         if Random.State.bool rng then begin
           let w = if Random.State.int rng 8 = 0 then -1 else Random.State.int rng 24 in
-          Vertex.remove_requester (Graph.vertex g vid)
-            (if w < 0 then None else Some w);
+          Vertex.remove_who (Graph.vertex g vid) w;
           o_remove_requester (Hashtbl.find tbl vid) w
         end
         else begin
