@@ -2,19 +2,24 @@ open Dgr_graph
 
 type t = {
   g : Graph.t;
-  counts : (Vid.t, int) Hashtbl.t;
+  mutable counts : int array;  (* by vid; 0 past the end *)
+  children : int Dgr_util.Vec.t;
+      (* the args of the vertices being released, a stack shared by the
+         nested calls of one cascade *)
   mutable reclaimed : int;
   mutable messages : int;
-  mutable on_free : Vid.t -> unit;
 }
 
-let count t v = Option.value ~default:0 (Hashtbl.find_opt t.counts v)
+let count t v = if v < Array.length t.counts then Array.unsafe_get t.counts v else 0
 
-let set t v n = Hashtbl.replace t.counts v n
+let set t v n =
+  let len = Array.length t.counts in
+  if v >= len then t.counts <- Array.append t.counts (Array.make (Int.max (v + 1 - len) len) 0);
+  t.counts.(v) <- n
 
 let create g =
   let t =
-    { g; counts = Hashtbl.create 256; reclaimed = 0; messages = 0; on_free = ignore }
+    { g; counts = [||]; children = Dgr_util.Vec.create (); reclaimed = 0; messages = 0 }
   in
   (* Adopt edges that existed before the collector was attached (the
      initial program graph). *)
@@ -23,12 +28,10 @@ let create g =
     g;
   t
 
-let set_on_free t f = t.on_free <- f
-
 let tally_message t parent child =
   if
     Graph.mem t.g parent && Graph.mem t.g child
-    && (Vertex.pe (Graph.vertex t.g parent)) <> (Vertex.pe (Graph.vertex t.g child))
+    && Graph.pe t.g parent <> Graph.pe t.g child
   then t.messages <- t.messages + 1
 
 let on_connect t parent child =
@@ -37,19 +40,27 @@ let on_connect t parent child =
 
 let is_root t v = Graph.has_root t.g && Vid.equal (Graph.root t.g) v
 
+(* The release empties the vertex's args, so they are copied onto the
+   [children] stack first; a nested release pushes above them and pops
+   back before returning. *)
 let rec release t v =
   let vx = Graph.vertex t.g v in
   if not (Vertex.free vx) then begin
-    let children = Vertex.args vx in
+    let st = t.children in
+    let base = Dgr_util.Vec.length st in
+    for i = 0 to Vertex.arg_count vx - 1 do
+      Dgr_util.Vec.push st (Vertex.arg vx i)
+    done;
+    let top = Dgr_util.Vec.length st in
     t.reclaimed <- t.reclaimed + 1;
-    t.on_free v;
     Graph.release t.g v;
-    Hashtbl.remove t.counts v;
-    List.iter
-      (fun c ->
-        tally_message t v c;
-        decrement t c)
-      children
+    set t v 0;
+    for k = base to top - 1 do
+      let c = Dgr_util.Vec.get st k in
+      tally_message t v c;
+      decrement t c
+    done;
+    Dgr_util.Vec.truncate st base
   end
 
 and decrement t v =

@@ -11,17 +11,14 @@ open Dgr_graph
     RC pays that tracing does not). When a non-root vertex's count drops
     to zero it is reclaimed immediately and its outgoing references are
     decremented in cascade. Cyclic structures never reach zero — which is
-    exactly what experiment E6 demonstrates. *)
+    exactly what experiment E6 demonstrates. Counts are an int column by
+    vid; a release raises the slot's generation, so tasks addressing a
+    reclaimed vertex go stale without a hook into the task plane. *)
 
 type t
 
 val create : Graph.t -> t
 (** Adopts edges already present in the graph. *)
-
-val set_on_free : t -> (Vid.t -> unit) -> unit
-(** Called with each vertex id just before it is reclaimed — the engine
-    uses it to expunge in-flight tasks addressing the dead vertex before
-    the slot can be recycled. *)
 
 val on_connect : t -> Vid.t -> Vid.t -> unit
 (** Hook for [Mutator.on_connect] (parent, child). *)

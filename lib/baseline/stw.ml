@@ -1,9 +1,8 @@
 open Dgr_graph
-open Dgr_task
 
-type report = { marked : int; reclaimed : int; purged_tasks : int; work : int }
+type report = { marked : int; reclaimed : int; work : int }
 
-let collect g ~purge_tasks =
+let collect g =
   let snap = Snapshot.take g in
   let reachable =
     if Graph.has_root g then Dgr_analysis.Reach.reachable_from snap [ Graph.root g ]
@@ -15,24 +14,18 @@ let collect g ~purge_tasks =
       [] g
   in
   let gar_set = Vid.Set.of_list garbage in
-  let purged =
-    purge_tasks (fun task ->
-        match task with
-        | Task.Reduction r ->
-          List.exists (fun v -> Vid.Set.mem v gar_set) (Task.reduction_endpoints r)
-        | Task.Marking _ -> false)
-  in
   (* Dangling requester entries, as in the concurrent restructure. *)
   Graph.iter_live
     (fun v ->
       if Vid.Set.mem (Vertex.id v) reachable then
         Vertex.retain_requesters v (fun r -> not (Vid.Set.mem r gar_set)))
     g;
+  (* Each release raises its slot's generation, so a task addressing the
+     garbage is stale and dies where it is next handled. *)
   List.iter (Graph.release g) garbage;
   let marked = Vid.Set.cardinal reachable in
   {
     marked;
     reclaimed = List.length garbage;
-    purged_tasks = purged;
     work = marked + Graph.vertex_count g;
   }

@@ -5,7 +5,6 @@ type env = {
   spawn_mark : Task.sink;
   pes : int;
   iter_pe_endpoints : int -> (Vid.t -> unit) -> unit;
-  purge_tasks : (Task.t -> bool) -> int;
   reprioritize : unit -> int;
   each_home : (int -> unit) -> unit;
   now : unit -> int;
@@ -180,14 +179,12 @@ let finish_cycle t =
   phase_obs t Dgr_obs.Event.Restructure;
   let report =
     Restructure.run ~graph:t.g ~deadlock_checked:t.mt_ran_this_cycle
-      ~purge_tasks:t.env.purge_tasks ~reprioritize:t.env.reprioritize
+      ~reprioritize:t.env.reprioritize
       ~each_home:t.env.each_home ()
   in
   (match report.Restructure.deadlocked with
   | [] -> ()
   | vids -> obs t (Dgr_obs.Event.Deadlock { vids }));
-  if report.Restructure.irrelevant_purged > 0 then
-    obs t (Dgr_obs.Event.Irrelevant { purged = report.Restructure.irrelevant_purged });
   obs t
     (Dgr_obs.Event.Cycle_done
        { cycle = t.cycles; garbage = report.Restructure.garbage });

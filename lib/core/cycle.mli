@@ -53,8 +53,8 @@ type env = {
           every pending or in-flight reduction task that PE [pe] knows
           locally — its pool, its outgoing sends, its shard of parked
           work. Repeats (within or across PEs) are fine: the controller
-          dedups by wave stamp. Called serially, in ascending PE order. *)
-  purge_tasks : (Task.t -> bool) -> int;
+          dedups by wave stamp. Called serially, in ascending PE order.
+          Stale tasks ({!Dgr_task.Task.stale}) are not visited. *)
   reprioritize : unit -> int;
   each_home : (int -> unit) -> unit;
       (** run a per-home restructure pass for every home PE, possibly in

@@ -1,11 +1,9 @@
 open Dgr_graph
-open Dgr_task
 
 type report = {
   garbage : int;
   deadlocked : Vid.t list;
   deadlock_checked : bool;
-  irrelevant_purged : int;
   reprioritized : int;
 }
 
@@ -56,7 +54,7 @@ let serial_each_home g f =
     f pe
   done
 
-let run ~graph:g ~deadlock_checked ~purge_tasks ~reprioritize ?each_home () =
+let run ~graph:g ~deadlock_checked ~reprioritize ?each_home () =
   let each_home = match each_home with Some f -> f | None -> serial_each_home g in
   let pes = Graph.num_pes g in
   let gar_by = Array.make pes [] and dl_by = Array.make pes [] in
@@ -65,19 +63,13 @@ let run ~graph:g ~deadlock_checked ~purge_tasks ~reprioritize ?each_home () =
       gar_by.(pe) <- gar;
       dl_by.(pe) <- dl);
   let dl = List.concat (Array.to_list dl_by) in
-  (* Expunge tasks touching garbage before the slots are recycled.
-     Requests into GAR are Property 6's irrelevant tasks. The network is
-     shared, so this stays serial between the two sharded passes. *)
-  let in_gar = in_gar g in
-  let purged =
-    purge_tasks (fun task ->
-        match task with
-        | Task.Reduction r -> Task.reduction_endpoint_exists in_gar r
-        | Task.Marking _ -> false)
-  in
   each_home (fun pe -> persist_home g ~pe);
   (* Releases stay serial and in the verdict's order (PE order, then
-     each home's list), so the free lists come out the same. *)
+     each home's list), so the free lists come out the same. Each raises
+     its slot's generation: every task with an endpoint in GAR' —
+     Property 6's irrelevant tasks among them — is stale from here on,
+     and dies where it is next handled; the engine's [reprioritize] drops
+     the pooled ones. *)
   Array.iter (List.iter (Graph.release g)) gar_by;
   let moved = reprioritize () in
   Graph.reset_plane g Plane.MR;
@@ -86,12 +78,11 @@ let run ~graph:g ~deadlock_checked ~purge_tasks ~reprioritize ?each_home () =
     garbage = Array.fold_left (fun n gar -> n + List.length gar) 0 gar_by;
     deadlocked = dl;
     deadlock_checked;
-    irrelevant_purged = purged;
     reprioritized = moved;
   }
 
 let pp_report fmt r =
-  Format.fprintf fmt "garbage=%d deadlocked=%d%s purged=%d reprioritized=%d" r.garbage
+  Format.fprintf fmt "garbage=%d deadlocked=%d%s reprioritized=%d" r.garbage
     (List.length r.deadlocked)
     (if r.deadlock_checked then "" else " (unchecked)")
-    r.irrelevant_purged r.reprioritized
+    r.reprioritized

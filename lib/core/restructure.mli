@@ -1,5 +1,4 @@
 open Dgr_graph
-open Dgr_task
 
 (** The restructuring phase (§4).
 
@@ -8,10 +7,10 @@ open Dgr_task
 
     - vertices in GAR' = V − R' − F are returned to the free list
       (Theorem 1 guarantees GAR(t_b) ⊆ GAR' ⊆ GAR(t_c));
-    - tasks whose endpoints lie in GAR' are expunged — these are exactly
-      the irrelevant tasks of Property 6 (plus stale responses/cancels
-      to/from reclaimed vertices, which would otherwise dangle once vertex
-      slots are recycled);
+    - tasks with an endpoint in GAR' (Property 6's irrelevant tasks, and
+      responses and cancels to and from reclaimed vertices) go stale, as
+      each release raises its slot's generation, and die where they are
+      next handled ({!Dgr_task.Task.stale});
     - dangling [requested] entries naming reclaimed vertices are dropped;
     - deadlocked vertices DL'_v = R'_v − T' are reported (only when M_T ran
       this cycle; Theorem 2);
@@ -27,8 +26,8 @@ open Dgr_task
     and the survivor-bookkeeping passes each touch only one home PE's
     slots, so the engine can fan them out across domains ([each_home]),
     with per-home results merged in fixed PE order — bit-identical at
-    every domain count. Only the task purge, the free-list releases, the
-    pool re-sort, and the plane resets remain serial.
+    every domain count. No pass walks the tasks. Only the free-list
+    releases, the pool re-sort and the plane resets remain serial.
 
     GAR' membership is read from the slot itself — live, and unmarked in
     its M_R column, exactly {!collect_home}'s predicate — not from a set
@@ -43,23 +42,19 @@ type report = {
   garbage : int;  (** how many vertices this cycle reclaimed *)
   deadlocked : Vid.t list;  (** DL'_v; empty when M_T did not run *)
   deadlock_checked : bool;
-  irrelevant_purged : int;  (** reduction tasks expunged *)
   reprioritized : int;  (** pool tasks whose priority changed *)
 }
 
 val run :
   graph:Graph.t ->
   deadlock_checked:bool ->
-  purge_tasks:((Task.t -> bool) -> int) ->
   reprioritize:(unit -> int) ->
   ?each_home:((int -> unit) -> unit) ->
   unit ->
   report
-(** [purge_tasks pred] must delete every pending/in-flight task satisfying
-    [pred] from pools and network and return how many were deleted;
-    [reprioritize ()] re-sorts pool entries by current priorities and
-    returns how many moved. Both are provided by the engine driving the
-    system. [each_home f] must call [f pe] exactly once for every home
+(** [reprioritize ()] re-sorts pool entries by current priorities and
+    returns how many moved; the engine's also drops the entries the
+    releases just made stale. [each_home f] must call [f pe] exactly once for every home
     PE, with the [f] calls free to run concurrently (each touches only
     its home's slots plus its own cell of a results array); default is a
     serial ascending loop. *)

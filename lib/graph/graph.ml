@@ -271,6 +271,8 @@ let sched_prior t v = Vertex.sched_prior (vertex t v)
 
 let pe t v = at t v Seg.pe
 
+let gen t v = if mem t v then Vertex.gen (vertex t v) else 0
+
 let next_pe t =
   let pe = t.next_pe in
   t.next_pe <- (t.next_pe + 1) mod t.num_pes;
@@ -339,6 +341,7 @@ let release t id =
   if Vertex.free v then invalid_arg (Printf.sprintf "Graph.release: v%d already free" id);
   t.releases <- t.releases + 1;
   Vertex.reset_for_free v;
+  Vertex.set_gen v t.releases;
   match t.part with
   | None -> Vec.push t.free id
   | Some p -> Vec.push p.frees.(home_of p id) id

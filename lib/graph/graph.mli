@@ -87,6 +87,12 @@ val pe : t -> Vid.t -> int
     read from the chunk's PE column without loading the vertex's handle
     — the per-send destination lookup. *)
 
+val gen : t -> Vid.t -> int
+(** The slot's generation ({!Vertex.gen}): the {!releases} count at its
+    last release; 0 before, and for a vid outside the table. Only
+    {!release} writes it, and only serial phases release, so any shard
+    may read it. *)
+
 val alloc : ?pe:int -> ?from:int -> t -> Label.t -> Vertex.t
 (** Acquire a vertex from the free list (or grow the table if [F] is
     empty), assign it to a PE and label it. The returned vertex has no
@@ -100,9 +106,11 @@ val alloc_from : t -> from:int -> Label.t -> Vertex.t
     uses, once per slot. *)
 
 val release : t -> Vid.t -> unit
-(** Reset the vertex and return it to the free list (the restructuring
-    phase's "add elements of GAR to F"). Raises [Invalid_argument] if the
-    vertex is already free. *)
+(** Reset the vertex, set its generation to the new {!releases} count
+    (every task sent to or from it before is stale from here on) and
+    return it to the free list (the restructuring phase's "add elements
+    of GAR to F"). Raises [Invalid_argument] if the vertex is already
+    free. *)
 
 val preallocate : t -> int -> unit
 (** Grow the table by [n] vertices placed directly on the free list. *)
@@ -165,4 +173,5 @@ val reset_plane : t -> Plane.id -> unit
     counter bump and the old wave's bits become invisible instantly. *)
 
 val releases : t -> int
-(** Cumulative number of [release] calls. *)
+(** Cumulative number of [release] calls: the graph's generation, which
+    a reduction task records when it is sent (see [Task.stale]). *)

@@ -240,6 +240,7 @@ type cols = {
      excluded from checkpoints — the wave counter never decreases, so a
      stale stamp can only cause a harmless re-seed, never a miss. *)
   stamp : int array;
+  gen : int array;  (* release count at the slot's last release; see [Task.stale] *)
   free : Bytes.t;
   mrc : Plane.cols;
   mtc : Plane.cols;
@@ -276,6 +277,7 @@ let make_cols n =
     birth = Array.make n 0;
     sprior = Array.make n 0;
     stamp = Array.make n 0;
+    gen = Array.make n 0;
     free = Bytes.make n '\000';
     mrc = Plane.make_cols n;
     mtc = Plane.make_cols n;
@@ -295,6 +297,7 @@ let attach id ~off c ~pe label =
   c.birth.(off) <- 0;
   c.sprior.(off) <- 0;
   c.stamp.(off) <- 0;
+  c.gen.(off) <- 0;
   Bytes.set c.free off '\000';
   {
     id;
@@ -346,6 +349,10 @@ let set_sched_prior t p = Array.unsafe_set t.c.sprior t.off p
 let seed_stamp t = Array.unsafe_get t.c.stamp t.off
 
 let set_seed_stamp t s = Array.unsafe_set t.c.stamp t.off s
+
+let gen t = Array.unsafe_get t.c.gen t.off
+
+let set_gen t g = Array.unsafe_set t.c.gen t.off g
 
 let mr t = t.mr
 
@@ -746,6 +753,7 @@ module Cells = struct
     mutable s_pe : int;
     mutable s_free : bool;
     mutable s_birth : int;
+    mutable s_gen : int;
     mutable s_sprior : int;
     mutable s_args : int array;
     mutable s_reqv : int array;
@@ -763,6 +771,7 @@ module Cells = struct
       s_pe = pe t;
       s_free = free t;
       s_birth = birth t;
+      s_gen = gen t;
       s_sprior = sched_prior t;
       s_args = Array.sub t.args_a 0 t.args_n;
       s_reqv = Array.sub t.reqv_a 0 t.reqv_n;
@@ -789,6 +798,7 @@ module Cells = struct
     s.s_pe <- pe t;
     s.s_free <- free t;
     s.s_birth <- birth t;
+    s.s_gen <- gen t;
     s.s_sprior <- sched_prior t;
     s.s_args <- cap_row s.s_args t.args_a t.args_n;
     s.s_reqv <- cap_row s.s_reqv t.reqv_a t.reqv_n;
@@ -820,7 +830,7 @@ module Cells = struct
 
   let matches s t =
     Label.equal s.s_label (label t)
-    && s.s_pe = pe t && s.s_free = free t && s.s_birth = birth t
+    && s.s_pe = pe t && s.s_free = free t && s.s_birth = birth t && s.s_gen = gen t
     && s.s_sprior = sched_prior t
     && Plane.matches s.s_mr t.mr && Plane.matches s.s_mt t.mt
     && row_matches s.s_args t.args_a t.args_n
@@ -847,6 +857,7 @@ module Cells = struct
     set_pe t s.s_pe;
     set_free t s.s_free;
     set_birth t s.s_birth;
+    set_gen t s.s_gen;
     set_sched_prior t s.s_sprior;
     t.args_a <- restore_row s.s_args t.args_a (Array.length s.s_args);
     t.args_n <- Array.length s.s_args;

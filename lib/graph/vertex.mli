@@ -13,7 +13,7 @@
     received so far) and the two marking planes.
 
     {!t} is an opaque handle into a struct-of-arrays store: fixed-width
-    state (label, pe, free, birth, sched_prior, planes) lives in parallel
+    state (label, pe, free, birth, gen, sched_prior, planes) lives in parallel
     columns owned by the graph's storage chunks; the variable-width edge
     sets live in flat per-slot rows that are recycled — capacity intact —
     when the slot returns to the free list. All access goes through the
@@ -193,6 +193,13 @@ val seed_stamp : t -> int
     stamp can only cause a harmless duplicate seed check. *)
 
 val set_seed_stamp : t -> int -> unit
+
+val gen : t -> int
+(** The slot's generation: the graph's release count when
+    [Graph.release] last freed it, 0 before; copied by checkpoints (see
+    [Task.stale]). *)
+
+val set_gen : t -> int -> unit
 
 val mr : t -> Plane.t
 

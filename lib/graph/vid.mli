@@ -1,9 +1,11 @@
 (** Vertex identifiers.
 
     A [Vid.t] is a dense non-negative integer index into the graph's vertex
-    table; identifiers are never reused across the lifetime of a graph even
-    when the vertex returns to the free list (the index is, the identity
-    semantics are handled by the vertex's [free] flag). *)
+    table. The index is recycled: a slot returned to the free list is handed
+    out again, so one vid names a sequence of vertices over a run. The
+    slot's generation ([Vertex.gen], raised by every [Graph.release])
+    tells them apart: a reference taken at an older graph generation is
+    stale once the slot's is newer. *)
 
 type t = int
 

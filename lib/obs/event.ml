@@ -26,7 +26,6 @@ type kind =
   | Coop_spawn of { pe : int; parent : int; child : int }
   | Coop_closure of { pe : int; from_ : int; marked : int }
   | Deadlock of { vids : int list }
-  | Irrelevant of { purged : int }
   | Cycle_done of { cycle : int; garbage : int }
   | Drop of { kind : task_kind; pe : int; vid : int }
   | Dup of { kind : task_kind; pe : int; vid : int }
@@ -86,7 +85,6 @@ let pp_kind fmt = function
     Format.fprintf fmt "coop-closure pe=%d from=%d marked=%d" pe from_ marked
   | Deadlock { vids } ->
     Format.fprintf fmt "deadlock [%s]" (String.concat " " (List.map string_of_int vids))
-  | Irrelevant { purged } -> Format.fprintf fmt "irrelevant purged=%d" purged
   | Cycle_done { cycle; garbage } ->
     Format.fprintf fmt "cycle-done cycle=%d garbage=%d" cycle garbage
   | Drop { kind; pe; vid } ->

@@ -39,7 +39,9 @@ type kind =
   | Execute of { kind : task_kind; pe : int; vid : int; lin : int }
       (** [pe] executed a task addressed at [vid] *)
   | Purge of { pe : int; count : int }
-      (** [count] tasks expunged from [pe]'s pool ([-1]: network/parked) *)
+      (** [count] stale reduction tasks dropped on their way into or
+          out of [pe]'s pool, or at the retry of an expansion parked for
+          it ([-1]: a parked task addressed to the controller) *)
   | Phase of { phase : phase; cycle : int; wave : int }
       (** the marking controller entered [phase] of cycle number [cycle];
           [wave] is the graph's current wave counter (the epoch tag the
@@ -58,8 +60,6 @@ type kind =
   | Coop_closure of { pe : int; from_ : int; marked : int }
       (** the mutator synchronously marked [marked] vertices from [from_] *)
   | Deadlock of { vids : int list }  (** restructure's DL' verdict *)
-  | Irrelevant of { purged : int }
-      (** irrelevant tasks expunged by restructure *)
   | Cycle_done of { cycle : int; garbage : int }
   | Drop of { kind : task_kind; pe : int; vid : int }
       (** the fault plane lost a frame bound for [pe] in transit *)

@@ -123,9 +123,6 @@ let chrome_trace r =
             (Printf.sprintf "\"count\":%d,\"vids\":\"%s\",%s" (List.length vids)
                (String.concat " " (List.map string_of_int vids))
                seq_arg)
-      | Event.Irrelevant { purged } ->
-        instant ctx ~name:"irrelevant" ~tid:mark_tid ~ts
-          ~args:(Printf.sprintf "\"purged\":%d,%s" purged seq_arg)
       | Event.Cycle_done { cycle; garbage } ->
         instant ctx ~name:"cycle_done" ~tid:mark_tid ~ts
           ~args:(Printf.sprintf "\"cycle\":%d,\"garbage\":%d,%s" cycle garbage seq_arg)

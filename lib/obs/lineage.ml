@@ -34,7 +34,7 @@ type t = {
   mutable l_depth : int array;
   mutable num_lineages : int;
   mutable closed : int;  (* tickets retired at execution *)
-  mutable dropped : int;  (* tickets retired by purge/drop *)
+  mutable dropped : int;  (* tickets retired by [drop] *)
 }
 
 let create () =

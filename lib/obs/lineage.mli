@@ -52,8 +52,9 @@ val close : t -> int -> now:int -> unit
     recycling order). *)
 val close_many : t -> int array -> len:int -> now:int -> unit
 
-(** [drop t stamp] retires a ticket whose task was purged in flight,
-    without touching lineage aggregates. *)
+(** [drop t stamp] retires a ticket whose task will never execute (it
+    went stale, or a crash lost it), without touching lineage
+    aggregates. *)
 val drop : t -> int -> unit
 
 val lineages : t -> int

@@ -18,6 +18,7 @@ type t = {
   speculation_reserve : int;
   recorder : Dgr_obs.Recorder.t option;
   parked : task_vec;
+  parked_gens : int Dgr_util.Vec.t;
   mutable result : Label.value option;
   mutable requests_executed : int;
   mutable responds_executed : int;
@@ -50,6 +51,7 @@ let create ?(speculate_if = true) ?(speculation_reserve = 0) ?recorder ~graph ~m
     speculation_reserve;
     recorder;
     parked = Dgr_util.Vec.create ();
+    parked_gens = Dgr_util.Vec.create ();
     result = None;
     requests_executed = 0;
     responds_executed = 0;
@@ -358,8 +360,10 @@ let rec exec_request t task ~src:s ~dst:v ~demand ~key =
           (match t.recorder with
           | None -> ()
           | Some r -> Dgr_obs.Recorder.emit r (Dgr_obs.Event.Alloc_stall { vid = v }));
-          (* The task itself waits: the retry re-sends this very block. *)
-          Dgr_util.Vec.push t.parked task
+          (* The task itself waits: the retry re-sends this very block,
+             as of the generation it parked in (it was live when it ran). *)
+          Dgr_util.Vec.push t.parked task;
+          Dgr_util.Vec.push t.parked_gens (Graph.releases t.graph)
         end
         else begin
           if Array.length t.vids < Template.size tpl then
@@ -461,7 +465,8 @@ and progress_if t v ~key ~value =
         let chosen, other = if truthy value then (th, el) else (el, th) in
         (* Dereference the losing branch (§3.2): drop our reference and
            tell it to forget us. Irrelevant tasks under it keep running
-           until a marking cycle expunges them. *)
+           until a marking cycle releases their vertices, which makes
+           them stale. *)
         let other_requested = Vertex.is_req_arg vx other in
         Mutator.delete_reference t.mut ~a:v ~b:other;
         if other_requested && not (Vid.equal other chosen) then
@@ -514,16 +519,12 @@ let execute t task =
     | Respond { src = s; dst; value; key; demand = _ } -> exec_respond t ~src:s ~dst ~value ~key
     | Cancel { src = s; dst } -> exec_cancel t ~src:s ~dst)
 
-let parked t = Dgr_util.Vec.to_list t.parked
-
-let iter_parked t f = Dgr_util.Vec.iter f t.parked
+let iter_parked t f =
+  for k = 0 to Dgr_util.Vec.length t.parked - 1 do
+    f (Dgr_util.Vec.get t.parked_gens k) (Dgr_util.Vec.get t.parked k)
+  done
 
 let parked_count t = Dgr_util.Vec.length t.parked
-
-let purge_parked t pred =
-  let before = Dgr_util.Vec.length t.parked in
-  Dgr_util.Vec.filter_in_place (fun task -> not (pred task)) t.parked;
-  before - Dgr_util.Vec.length t.parked
 
 (* Fold a per-PE reducer's step-local effects into [t] and zero them.
    The sharded engine calls this at the barrier in ascending PE order, so
@@ -549,9 +550,11 @@ let absorb_dirty t src =
   (match t.result with None -> t.result <- src.result | Some _ -> ());
   src.result <- None;
   for k = 0 to Dgr_util.Vec.length src.parked - 1 do
-    Dgr_util.Vec.push t.parked (Dgr_util.Vec.get src.parked k)
+    Dgr_util.Vec.push t.parked (Dgr_util.Vec.get src.parked k);
+    Dgr_util.Vec.push t.parked_gens (Dgr_util.Vec.get src.parked_gens k)
   done;
   Dgr_util.Vec.clear src.parked;
+  Dgr_util.Vec.clear src.parked_gens;
   if not (List.is_empty src.stuck) then begin
     List.iter (fun (v, reason) -> ignore (add_stuck t v reason)) (List.rev src.stuck);
     src.stuck <- [];

@@ -40,8 +40,12 @@ type t = {
   parked : Task.t Dgr_util.Vec.t;
       (** allocation-stalled expansions awaiting free-list replenishment,
           each the very task block {!execute} was handed; still part of
-          "the set of all tasks" for M_T and purging. The engine re-sends
-          them by looping over this vector, then clears it. *)
+          "the set of all tasks" for M_T. The engine re-sends them by
+          looping over this vector, then clears it and [parked_gens]. *)
+  parked_gens : int Dgr_util.Vec.t;
+      (** parallel to [parked]: the graph generation each task parked
+          in. A task whose endpoint is released while it waits is stale
+          ({!Task.stale}), and the retry drops it. *)
   mutable result : Label.value option;  (** the root's value, once delivered *)
   mutable requests_executed : int;
   mutable responds_executed : int;
@@ -91,17 +95,12 @@ val initial_task : t -> Task.t
 val finished : t -> bool
 (** The overall result has been delivered. *)
 
-val parked : t -> Task.t list
-
-val iter_parked : t -> (Task.t -> unit) -> unit
-(** Apply [f] to every parked task without building a list (M_T seed
-    assembly). *)
+val iter_parked : t -> (int -> Task.t -> unit) -> unit
+(** Apply [f gen task] to every parked task, in park order, without
+    building a list (M_T seed assembly). *)
 
 val parked_count : t -> int
 
-val purge_parked : t -> (Task.t -> bool) -> int
-(** Expunge matching parked tasks (restructure's irrelevant-task
-    deletion must see parked tasks too). *)
 
 val absorb : t -> t -> unit
 (** [absorb t src] folds a per-PE reducer's step-local effects into [t]

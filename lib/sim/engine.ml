@@ -161,10 +161,12 @@ type pe_ctx = {
   mutable clin : int;  (** lineage of the task this PE is executing; -1 outside *)
   mutable cdepth : int;  (** causal depth its children inherit *)
   cdone : int Vec.t;  (** tickets of executed tasks, closed at the barrier *)
+  cdrop : int Vec.t;  (** tickets of stale pops, dropped at the barrier *)
   mutable cexec : Task.t -> int -> unit;
+  mutable cdead : Task.t -> int -> unit;
   mutable cmark : Task.sink;
   mutable cemit : Task.sink;
-      (** pre-bound [pe_execute], [pe_execute_mark] and [send_mark],
+      (** pre-bound [pe_execute], [pe_drop], [pe_execute_mark] and [send_mark],
           bound once at [create] so the budget loops build no closures *)
   ccoop : Mutator.coop_event Vec.t;
       (** cooperation events this PE's reductions deferred; replayed at
@@ -258,8 +260,6 @@ and t = {
   down_since : int array;  (** per PE: step it crashed; -1 = up *)
   mutable crash_used : bool;
       (** crashes possible (spec or injection): run the crash tick *)
-  mutable rc_freed_batch : Vid.Set.t;
-      (** vertices RC reclaimed since the last batch purge *)
   mutable ctxs : pe_ctx array;
   mutable workers : workers option;
   (* Health watchdogs: window-based progress monitors, re-armed on any
@@ -272,7 +272,7 @@ and t = {
   mutable wd_exec_fired : bool;
   mutable wd_retx_last : int;  (** [retransmits] at the last window boundary *)
   mutable wd_retx_at : int;  (** next retransmit-window boundary *)
-  mutable push_due : int -> int -> Task.t -> unit;
+  mutable push_due : int -> int -> int -> Task.t -> unit;
       (** delivery's push into the destination pool, allocated once *)
   mutable mark_only : bool;
       (** budgets drain marking only — set while the machine is paused
@@ -443,7 +443,8 @@ let send_mark t ctx v par meta =
     Network.send_mark t.net ~src:ctx.cpe ~arrival:(t.now + delay) ~pe v par meta
 
 (* One send for every sender; [ctx.serial] only chooses between running
-   a controller-addressed task now and deferring it to the barrier. *)
+   a controller-addressed task now and deferring it to the barrier. A
+   reduction records the graph's generation here. *)
 let send t ctx task =
   match task with
   | Marking m -> send_mark t ctx (Task.lane_v m) (Task.lane_par m) (Task.lane_meta m)
@@ -459,7 +460,7 @@ let send t ctx task =
       | Some r ->
         note_send t ctx r ~kind:(Task.obs_kind task) ~vid:(Task.exec_vid task) ~delay pe);
       Network.stage_reduction t.net ~src:ctx.cpe ~lin:ctx.clin ~depth:ctx.cdepth
-        ~arrival:(t.now + delay) ~pe task
+        ~gen:(Graph.releases t.g) ~arrival:(t.now + delay) ~pe task
 
 (* Decompose a ticketed task's latency at the moment it executes: network
    transit (send → fault-free arrival), retransmit delay (arrival →
@@ -531,15 +532,30 @@ let pe_execute t ctx task stamp =
     ctx.clin <- -1;
     ctx.cdepth <- 0
 
-let purge_everywhere t pred =
-  Array.fold_left (fun acc pool -> acc + Pool.purge pool pred) 0 t.pools
-  + Network.purge t.net pred
-  + Reducer.purge_parked t.cctl.pred pred
+(* A stale task dies unexecuted (Property 6), counted and traced. *)
+let note_purge m sub ~pe =
+  m.Metrics.tasks_purged <- m.Metrics.tasks_purged + 1;
+  match sub with
+  | None -> ()
+  | Some r -> Dgr_obs.Recorder.emit r (Dgr_obs.Event.Purge { pe; count = 1 })
 
-let purge_for_baseline t pred =
-  let n = purge_everywhere t pred in
-  t.m.Metrics.tasks_purged <- t.m.Metrics.tasks_purged + n;
-  n
+(* A drain's stale pop; the ticket is dropped at the barrier. *)
+let pe_drop ctx _task stamp =
+  note_purge ctx.pm ctx.sub ~pe:ctx.cpe;
+  if stamp >= 0 then Vec.push ctx.cdrop stamp
+
+(* The same drop on the main domain, for [pe]'s pool. *)
+let serial_drop t ~pe _task stamp =
+  note_purge t.m t.recorder ~pe;
+  if stamp >= 0 then Dgr_obs.Lineage.drop t.lin stamp
+
+let live t gen task =
+  match task with Reduction r -> not (Task.stale t.g gen r) | Marking _ -> true
+
+(* Delivery's push: a task that went stale in flight dies here. *)
+let deliver_to_pool t pe stamp gen task =
+  if live t gen task then Pool.push_stamped t.pools.(pe) stamp gen task
+  else serial_drop t ~pe task stamp
 
 (* Each PE's extra per-step budget for marking tasks, which are much
    lighter than reduction tasks (§6). *)
@@ -580,7 +596,8 @@ let run_shard t d =
       if executes t pe then begin
         Domain.DLS.set dls_pe pe;
         let ctx = t.ctxs.(pe) in
-        Pool.drain_lanes t.pools.(pe) ~budget:t.tasks_per_step ~red:ctx.cexec ~mark:ctx.cmark
+        Pool.drain_lanes t.pools.(pe) ~budget:t.tasks_per_step ~red:ctx.cexec ~dead:ctx.cdead
+          ~mark:ctx.cmark
       end
     done;
   let c2 = clock () in
@@ -751,7 +768,7 @@ let create ?recorder ?(config = Config.default) g templates =
      function of machine state, independent of [domains]. *)
   let lineage = Dgr_obs.Lineage.create () in
   let pools =
-    Array.init num_pes (fun pe -> Pool.create ?recorder ~lineage ~pe (Config.pool_policy config) g)
+    Array.init num_pes (fun pe -> Pool.create ~lineage ~pe (Config.pool_policy config) g)
   in
   (* One constructor for every context, the controller's ([pe = -1])
      included. A context's reducer sends through the engine, which holds
@@ -778,7 +795,9 @@ let create ?recorder ?(config = Config.default) g templates =
         clin = -1;
         cdepth = 0;
         cdone = Vec.create ();
+        cdrop = Vec.create ();
         cexec = (fun _ _ -> ());
+        cdead = (fun _ _ -> ());
         cmark = (fun _ _ _ -> ());
         cemit = (fun _ _ _ -> ());
         ccoop = Vec.create ();
@@ -826,7 +845,6 @@ let create ?recorder ?(config = Config.default) g templates =
       down_until = Array.make (Int.max 1 num_pes) 0;
       down_since = Array.make (Int.max 1 num_pes) (-1);
       crash_used = (Config.faults config).Faults.crash > 0.0;
-      rc_freed_batch = Vid.Set.empty;
       ctxs = [||];
       workers = None;
       wd_mark_last = 0;
@@ -837,7 +855,7 @@ let create ?recorder ?(config = Config.default) g templates =
       wd_exec_fired = false;
       wd_retx_last = 0;
       wd_retx_at = 64;
-      push_due = (fun _ _ _ -> ());
+      push_due = (fun _ _ _ _ -> ());
       mark_only = false;
       coop_sink = None;
     }
@@ -858,11 +876,12 @@ let create ?recorder ?(config = Config.default) g templates =
   Array.iter
     (fun ctx ->
       ctx.cexec <- (fun task stamp -> pe_execute t ctx task stamp);
+      ctx.cdead <- (fun task stamp -> pe_drop ctx task stamp);
       ctx.cmark <- (fun v par meta -> pe_execute_mark t ctx v par meta);
       ctx.cemit <- (fun v par meta -> send_mark t ctx v par meta))
     t.ctxs;
   cctl.cemit <- (fun v par meta -> send_mark t cctl v par meta);
-  t.push_due <- (fun pe stamp task -> Pool.push_stamped t.pools.(pe) stamp task);
+  t.push_due <- (fun pe stamp gen task -> deliver_to_pool t pe stamp gen task);
   mut.Mutator.spawn <- cctl.cemit;
   mut.Mutator.coop_pe <- (fun () -> Int.max 0 cctl.cpe);
   t.coop_sink <-
@@ -888,48 +907,47 @@ let create ?recorder ?(config = Config.default) g templates =
       (fun a c ->
         let pe = Domain.DLS.get dls_pe in
         if pe >= 0 then log t.ctxs.(pe).cdec a c else Refcount.on_disconnect rc a c);
-    (* A reclaimed slot may be recycled by the free list: tasks still
-       addressing dead vertices are expunged in one batch (see
-       [flush_rc_purge]) before any slot can be handed out again. *)
-    Refcount.set_on_free rc (fun v -> t.rc_freed_batch <- Vid.Set.add v t.rc_freed_batch);
     if Graph.has_root g then Refcount.pin rc (Graph.root g)
   | None -> ());
   (match Config.gc config with
   | Concurrent { deadlock_every; idle_gap } ->
-    let purge_tasks pred = purge_for_baseline t pred in
     (* taskroot_i from per-PE local knowledge: each PE enumerates the
        endpoint vids of the pending reduction tasks it can see — its own
        pool, parked expansions homed on it, and the in-flight frames
        bound for it. The transport's frames are bucketed by destination
        in one sweep on PE 0's turn (the cycle visits PEs in ascending
        order) and served per PE after; no global snapshot or set is
-       assembled — cross-PE duplicates die on the vertex seed stamp. *)
+       assembled — cross-PE duplicates die on the vertex seed stamp. A
+       stale task is skipped: it would seed its slot's new occupant. *)
     let net_scratch = Array.init num_pes (fun _ -> Vec.create ()) in
     let iter_pe_endpoints pe f =
       if pe = 0 then begin
         Array.iter Vec.clear net_scratch;
-        Network.iter_in_flight_dst t.net (fun ~dst r ->
-            if dst >= 0 && dst < num_pes then
+        Network.iter_in_flight_dst t.net (fun ~dst gen r ->
+            if dst >= 0 && dst < num_pes && not (Task.stale g gen r) then
               Task.iter_reduction_endpoints (fun v -> Vec.push net_scratch.(dst) v) r)
       end;
       Pool.iter_reductions t.pools.(pe) (fun r -> Task.iter_reduction_endpoints f r);
       Vec.iter f net_scratch.(pe);
-      Reducer.iter_parked t.cctl.pred (fun task ->
+      Reducer.iter_parked t.cctl.pred (fun gen task ->
           let home = pe_of t task in
           match task with
-          | Reduction r when home = pe || (home < 0 && pe = 0) ->
+          | Reduction r when (home = pe || (home < 0 && pe = 0)) && not (Task.stale g gen r) ->
             Task.iter_reduction_endpoints f r
           | Reduction _ | Marking _ -> ())
     in
     let reprioritize () =
-      Array.fold_left (fun acc pool -> acc + Pool.reprioritize pool) 0 t.pools
+      let moved = ref 0 in
+      Array.iteri
+        (fun pe pool -> moved := !moved + Pool.reprioritize ~dead:(serial_drop t ~pe) pool)
+        t.pools;
+      !moved
     in
     let env =
       {
         Cycle.spawn_mark = cctl.cemit;
         pes = num_pes;
         iter_pe_endpoints;
-        purge_tasks;
         reprioritize;
         each_home = each_home_run t;
         now = (fun () -> t.now);
@@ -1032,11 +1050,12 @@ let inject t task =
 let inject_root_demand t = inject t (Reducer.initial_task t.cctl.pred)
 
 let pending_tasks t =
-  let pooled =
-    Array.fold_left (fun acc pool -> List.rev_append (Pool.tasks pool) acc) [] t.pools
-  in
-  Reducer.parked t.cctl.pred
-  @ List.rev_append (Network.in_flight t.net) pooled
+  let acc = ref [] in
+  let add gen task = if live t gen task then acc := task :: !acc in
+  Reducer.iter_parked t.cctl.pred add;
+  Network.iter_in_flight t.net add;
+  Array.iter (fun pool -> List.iter (add Task.no_gen) (Pool.tasks pool)) t.pools;
+  List.rev !acc
 
 let locate_task t pred =
   let acc = ref [] in
@@ -1062,20 +1081,6 @@ let quiescent t =
   && Network.size t.net = 0
   && Reducer.parked_count t.cctl.pred = 0
   && match t.cyc with None -> true | Some c -> Cycle.phase c = Cycle.Idle
-
-(* Batch-expunge tasks addressing RC-reclaimed vertices; must run before
-   any allocation can recycle the slots, i.e. before task execution. *)
-let flush_rc_purge t =
-  if not (Vid.Set.is_empty t.rc_freed_batch) then begin
-    let dead = t.rc_freed_batch in
-    t.rc_freed_batch <- Vid.Set.empty;
-    ignore
-      (purge_for_baseline t (fun task ->
-           match task with
-           | Reduction r ->
-             Task.reduction_endpoint_exists (fun v -> Vid.Set.mem v dead) r
-           | Marking _ -> false))
-  end
 
 (* GC work (tracing a vertex, sweeping a slot) is much lighter than
    executing a task; [gc_work_factor] work units fit in one task slot. *)
@@ -1131,16 +1136,21 @@ let under_pressure t =
    chance of supplying them. A re-injection, not a message: the task was
    sent (and accounted) once already, so it goes straight to the network
    with no [Send] event and no jitter draw — the parked block itself,
-   staged from the controller to its destination's PE, in park order. *)
+   staged from the controller to its destination's PE, in park order,
+   with the generation it parked in. A task whose endpoint was released
+   while it waited is stale and dies here instead. *)
 let unpark t =
-  let parked = t.cctl.pred.Reducer.parked in
+  let parked = t.cctl.pred.Reducer.parked and parked_gens = t.cctl.pred.Reducer.parked_gens in
   for i = 0 to Vec.length parked - 1 do
-    let task = Vec.get parked i in
+    let task = Vec.get parked i and gen = Vec.get parked_gens i in
     let pe = pe_of t task in
-    if pe >= 0 then
-      Network.stage_reduction t.net ~src:(-1) ~lin:(-1) ~depth:0 ~arrival:(t.now + 1) ~pe task
+    if not (live t gen task) then serial_drop t ~pe task (-1)
+    else if pe >= 0 then
+      Network.stage_reduction t.net ~src:(-1) ~lin:(-1) ~depth:0 ~gen ~arrival:(t.now + 1) ~pe
+        task
   done;
-  Vec.clear parked
+  Vec.clear parked;
+  Vec.clear parked_gens
 
 let gc_control t =
   match t.gc_mode with
@@ -1157,7 +1167,7 @@ let gc_control t =
       || (under_pressure t && t.now >= t.next_stw_at - (3 * every / 4))
     then begin
       if t.now < t.next_stw_at then obs t (Dgr_obs.Event.Heap_pressure { headroom = Graph.headroom t.g });
-      let report = Stw.collect t.g ~purge_tasks:(purge_for_baseline t) in
+      let report = Stw.collect t.g in
       t.m.Metrics.stw_collections <- t.m.Metrics.stw_collections + 1;
       pause t ~reason:Dgr_obs.Event.Stw_pause report.Stw.work;
       t.next_stw_at <- Int.max t.paused_until t.now + every;
@@ -1239,15 +1249,14 @@ let drain_pairs v f =
   Vec.clear v
 
 (* Refcounting at the barrier: every logged increment in ascending PE
-   order, then every decrement, then one purge. Increments go first so a
-   decrement from one PE cannot free a vertex another PE connected in
-   the same step. Frees — and the slots they hand back to the free lists
-   — happen only here, and the purge expunges every task addressing a
-   freed vertex before anything can allocate again. *)
+   order, then every decrement. Increments go first so a decrement from
+   one PE cannot free a vertex another PE connected in the same step.
+   Frees — and the slots they hand back to the free lists — happen only
+   here; each raises its slot's generation, so a task still addressing a
+   freed vertex is stale and dies where it is next handled. *)
 let apply_rc t rc =
   Array.iter (fun ctx -> drain_pairs ctx.cinc (Refcount.on_connect rc)) t.ctxs;
-  Array.iter (fun ctx -> drain_pairs ctx.cdec (Refcount.on_disconnect rc)) t.ctxs;
-  flush_rc_purge t
+  Array.iter (fun ctx -> drain_pairs ctx.cdec (Refcount.on_disconnect rc)) t.ctxs
 
 (* The step barrier: merge every context back into the shared machine, in
    ascending PE order throughout, so the merged state is a pure function
@@ -1285,9 +1294,13 @@ let merge_shards t =
      are recycled by the seal's opens, in ascending PE order both times,
      so slot allocation stays a pure function of the step's buffers. *)
   for pe = 0 to Array.length ctxs - 1 do
-    let d = ctxs.(pe).cdone in
+    let d = ctxs.(pe).cdone and x = ctxs.(pe).cdrop in
     Dgr_obs.Lineage.close_many t.lin (Vec.unsafe_data d) ~len:(Vec.length d) ~now:t.now;
-    Vec.clear d
+    Vec.clear d;
+    for k = 0 to Vec.length x - 1 do
+      Dgr_obs.Lineage.drop t.lin (Vec.get x k)
+    done;
+    Vec.clear x
   done;
   lap t k_close;
   Network.seal t.net;
@@ -1418,8 +1431,7 @@ let sync_ckpts t =
 (* The crash itself. Caller guarantees [pe] is up, at least one other PE
    is up, and [t.ckpts.(pe)] was synced this step. *)
 let crash_now t ~pe ~down =
-  let lost_pool = Pool.purge t.pools.(pe) (fun _ -> true) in
-  let lost_net = Network.crash_pe t.net ~pe in
+  let lost = Pool.purge t.pools.(pe) + Network.crash_pe t.net ~pe in
   Checkpoint.restore t.ckpts.(pe);
   t.down_since.(pe) <- t.now;
   t.down_until.(pe) <- t.now + down;
@@ -1456,9 +1468,9 @@ let crash_now t ~pe ~down =
   | Some c when Cycle.phase c <> Cycle.Idle -> Cycle.restart_phase c
   | _ -> ());
   t.m.Metrics.crashes <- t.m.Metrics.crashes + 1;
-  t.m.Metrics.crash_lost_tasks <- t.m.Metrics.crash_lost_tasks + lost_pool + lost_net;
+  t.m.Metrics.crash_lost_tasks <- t.m.Metrics.crash_lost_tasks + lost;
   t.m.Metrics.crash_rehomed <- t.m.Metrics.crash_rehomed + !rehomed;
-  obs t (Dgr_obs.Event.Pe_crash { pe; lost = lost_pool + lost_net; down })
+  obs t (Dgr_obs.Event.Pe_crash { pe; lost; down })
 
 (* The per-step crash tick: recover PEs whose downtime elapsed (they
    execute again this very step, empty-handed), then roll the crash dice
@@ -1529,7 +1541,6 @@ let step t =
      that work off the serial path; each pool still receives its marks
      in delivery order. *)
   Network.deliver_serial t.net ~now:t.now ~push:t.push_due;
-  flush_rc_purge t;
   lap t k_transport;
   (* 2. Execute, unless the machine is paused by a collection. Marking
      tasks are lightweight (§6: "bounded amount of time once the required
@@ -1561,7 +1572,6 @@ let step t =
     lap t k_execute
   end;
   (* 3. Memory management. *)
-  flush_rc_purge t;
   gc_control t;
   (* Flood termination heartbeats: while a flood phase is in progress
      every up PE periodically posts its (epoch, sent, executed) credit

@@ -271,8 +271,9 @@ val step : t -> unit
     each frame for its destination; stall dice just before the shards,
     each of which first pushes its PEs' parked marks into their pools (a
     down or stalled PE receives them too, then executes nothing); logged
-    refcount changes at the barrier (increments, then
-    decrements, then one purge of tasks addressing freed vertices).
+    refcount changes at the barrier (increments, then decrements; a
+    freed slot's generation moves on, so tasks still addressing it are
+    stale and are dropped where they pop — see {!Dgr_task.Task.stale}).
     When [Config.domains > 1] the shards run on a pool of OCaml domains
     (spawned lazily on the first parallel step; see {!dispose}) — except
     on a machine with a fault plane, which runs them inline and never
@@ -312,7 +313,9 @@ val quiescent : t -> bool
 (** No tasks pooled or in flight and no marking cycle mid-phase. *)
 
 val pending_tasks : t -> Task.t list
-(** Everything pooled + in flight (reduction and marking). *)
+(** Everything parked, in flight and pooled, in that order (reduction
+    and marking), except stale reductions: those address released
+    vertices and will never run. *)
 
 val pending_reduction_tasks : t -> Task.reduction list
 

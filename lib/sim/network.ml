@@ -30,8 +30,7 @@ open Dgr_task
    deterministic order for a fixed fault seed. Each directed link keeps
    all of that state in one [link] record; queued frames and timers
    carry the record they belong to, and one drop rule ([dead_copy],
-   [dead_timer]) retires them lazily when a purge or a crash has made
-   them dead.
+   [dead_timer]) retires them lazily when a crash has made them dead.
 
    Batching only groups: every task sent is delivered, marks included.
    Two identical marks staged on one link for one step ride as two
@@ -49,10 +48,6 @@ module Lanes = struct
   let get l i =
     if i < 0 || i >= l.n then invalid_arg "Network.Lanes.get: index out of bounds";
     Array.unsafe_get l.a i
-
-  let set l i x =
-    if i < 0 || i >= l.n then invalid_arg "Network.Lanes.set: index out of bounds";
-    Array.unsafe_set l.a i x
 
   (* Room for [k] more lanes. *)
   let reserve l k =
@@ -91,13 +86,12 @@ type batch = {
   mutable b_uid : int;  (* global stage order; ties in in_flight/entries *)
   (* The frame's tasks, in stage order, shared with every queued copy of
      the frame. A mark is three lanes [v; par; meta] (see [Task.sink]); a
-     reduction is the lane triple [0; 0; -1] standing for the next task
-     of [b_reds]. *)
+     reduction is the lane triple [gen; 0; -1] standing for the next
+     task of [b_reds], [gen] the graph generation it was sent in
+     ([Task.stale]). *)
   b_lanes : Lanes.t;
   b_reds : Task.t Vec.t;
-  b_stamps : int Vec.t;
-      (* lineage tickets, parallel to [b_reds] ([-1]: untracked); pruned
-         in lock-step by [purge] so the pairing survives in-flight edits *)
+  b_stamps : int Vec.t;  (* lineage tickets, parallel to [b_reds] ([-1]: untracked) *)
   mutable b_pack : bool;  (* claimed to carry the reverse link's cum ack *)
 }
 
@@ -209,7 +203,6 @@ and pending = {
   mutable p_rto : int;
   mutable p_delivered : bool;  (* receiver got a copy; awaiting ack *)
   mutable p_acked : bool;  (* covered by a cumulative ack *)
-  mutable p_purged : bool;  (* emptied by [purge]: a sequence hole *)
 }
 
 (* A termination credit rides as three ints, [epoch] -1 for none. *)
@@ -224,11 +217,12 @@ type frame =
           dst's termination credit when one is due *)
 
 (* The one drop rule, applied when a frame or timer pops. A frame copy is
-   dead once its send was purged or its link retired by a crash; a timer
-   is dead once its send was acked too. A dead frame applies no pack, no
-   credit and no ack. A live copy of an acked send is a duplicate: the
-   receiver suppresses it and owes its ack again. *)
-let dead_copy p = p.p_purged || p.p_link.retired
+   dead once its link was retired by a crash; a timer is dead once its
+   send was acked too. A dead frame applies no pack, no credit and no
+   ack. A live copy of an acked send is a duplicate: the receiver
+   suppresses it and owes its ack again. A task that goes stale on the
+   way rides its frame and dies as it is delivered: no holes. *)
+let dead_copy p = p.p_link.retired
 let dead_timer p = p.p_acked || dead_copy p
 
 let fresh_link ~src ~dst =
@@ -272,7 +266,7 @@ type t = {
   lineage : Dgr_obs.Lineage.t option;
       (* when present, every reduction task sent gets a latency ticket:
          opened on the main domain (by the send, or by [seal]), marked
-         delivered in [deliver_serial], dropped by [purge] *)
+         delivered in [deliver_serial], dropped by [crash_pe] *)
   faults : Faults.t option;
   batching : bool;  (* false: one task per frame *)
   staged : batch Vec.t;  (* numbered batches forming since the last flush *)
@@ -379,36 +373,30 @@ let acks_piggybacked t = t.acks_piggybacked
 let tasks_sent t = t.tasks_sent
 let unacked t = Array.fold_left (fun n l -> n + Vec.length l.pending) 0 t.links
 
-let emit t kind =
-  match t.recorder with None -> () | Some r -> Dgr_obs.Recorder.emit r kind
-
 let n_tasks b = b.b_lanes.Lanes.n / 3
 
 (* Lane [k] (0: v, 1: par, 2: meta) of the frame's [i]-th task. *)
 let lane b i k = Lanes.get b.b_lanes ((3 * i) + k)
 
-(* The frame's tasks in stage order, marks as views: the in-flight
-   listings' form (built backwards, so the reductions are taken from
-   the end of [b_reds]). *)
-let views b =
-  let r = ref (Vec.length b.b_reds) and acc = ref [] in
-  for i = n_tasks b - 1 downto 0 do
+(* The frame's tasks in stage order, marks as views, each with the
+   generation it was sent in ([Task.no_gen] for a mark): the in-flight
+   listings' form. *)
+let iter_frame b f =
+  let r = ref 0 in
+  for i = 0 to n_tasks b - 1 do
     let meta = lane b i 2 in
-    let task =
-      if meta >= 0 then Task.Marking (Task.mark_of_lanes (lane b i 0) (lane b i 1) meta)
-      else begin
-        decr r;
-        Vec.get b.b_reds !r
-      end
-    in
-    acc := task :: !acc
-  done;
-  !acc
+    if meta >= 0 then
+      f Task.no_gen (Task.Marking (Task.mark_of_lanes (lane b i 0) (lane b i 1) meta))
+    else begin
+      f (lane b i 0) (Vec.get b.b_reds !r);
+      incr r
+    end
+  done
 
 (* Drop/Dup/Retransmit events describe a whole frame via its head task —
-   batches are never empty in the channel (fully-purged batches are
-   removed outright), so the head exists; once delivered, the pair
-   captured at delivery. Built only when a recorder is attached. *)
+   batches are never empty in the channel, so the head exists; once
+   delivered, the pair captured at delivery. Built only when a recorder
+   is attached. *)
 let batch_head b =
   let meta = lane b 0 2 in
   if meta >= 0 then
@@ -466,8 +454,7 @@ let mark_received l fseq =
 let already_received l fseq = fseq < l.rcv_next || Hashtbl.mem l.ooo fseq
 
 (* A cumulative ack for the link: forget every pending send up to [cum],
-   a prefix of [pending]. Idempotent — older acks are no-ops, and a
-   purged send has already left [pending]. *)
+   a prefix of [pending]. Idempotent — older acks are no-ops. *)
 let apply_cum l cum =
   let q = l.pending in
   let n = Vec.length q in
@@ -583,8 +570,7 @@ let flush t f ~now =
     let p =
       { p_link = l; p_batch = b; p_fseq = l.next; p_delay = b.b_delay;
         p_kind = Dgr_obs.Event.Request; p_vid = -1; p_attempts = 1;
-        p_rto = (2 * b.b_delay) + 2; p_delivered = false; p_acked = false;
-        p_purged = false }
+        p_rto = (2 * b.b_delay) + 2; p_delivered = false; p_acked = false }
     in
     l.next <- l.next + 1;
     Vec.push l.pending p;
@@ -727,7 +713,7 @@ let send_mark t ~src ~arrival ~pe v par meta =
 (* Only reduction tasks are ticketed: the latency story the histograms
    tell is about demand propagation, not the mark wave. The store is
    shared, so a shard-phase send leaves its ticket to [seal]. *)
-let stage_reduction t ~src ~lin ~depth ~arrival ~pe task =
+let stage_reduction t ~src ~lin ~depth ~gen ~arrival ~pe task =
   let b = frame_for t ~src ~arrival ~pe in
   let stamp =
     match t.lineage with
@@ -738,15 +724,15 @@ let stage_reduction t ~src ~lin ~depth ~arrival ~pe task =
       -1
     | Some l -> Dgr_obs.Lineage.open_ticket l ~lin ~depth ~sent:t.clock ~arrival
   in
-  Lanes.push3 b.b_lanes 0 0 (-1);
+  Lanes.push3 b.b_lanes gen 0 (-1);
   Vec.push b.b_reds task;
   Vec.push b.b_stamps stamp
 
-let send ?(src = -1) ?(lin = -1) ?(depth = 0) t ~arrival ~pe task =
+let send ?(src = -1) ?(lin = -1) ?(depth = 0) ?(gen = Task.no_gen) t ~arrival ~pe task =
   match task with
   | Task.Marking m ->
     send_mark t ~src ~arrival ~pe (Task.lane_v m) (Task.lane_par m) (Task.lane_meta m)
-  | Task.Reduction _ -> stage_reduction t ~src ~lin ~depth ~arrival ~pe task
+  | Task.Reduction _ -> stage_reduction t ~src ~lin ~depth ~gen ~arrival ~pe task
 
 let shard_phase t = t.sharding <- true
 
@@ -774,7 +760,7 @@ let seal t =
   done;
   t.sharding <- false
 
-(* Sends [seal] has not published would escape a flush, purge or crash. *)
+(* Sends [seal] has not published would escape a flush or crash. *)
 let check_sealed t fn =
   if t.sharding then
     Array.iteri
@@ -787,10 +773,10 @@ let check_sealed t fn =
 
 (* Delivery hands each due reduction task to [push] as its batch pops —
    the engine's pools consume directly, with no intermediate list. [push]
-   also receives the task's lineage stamp ([-1]: untracked), which the
-   pool carries through residence. Pops emit [Deliver] per task in pop
-   order and [push] emits nothing, so interleaving push with pop keeps
-   the trace deterministic. Mark tasks are left in the frame for
+   also receives the task's lineage stamp ([-1]: untracked) and
+   generation. Pops emit [Deliver] per task in pop order, and whatever
+   [push] emits follows its task's, so the trace stays deterministic.
+   Mark tasks are left in the frame for
    [take_mark_lanes]; the result says whether the frame held any. *)
 let deliver_tasks t b ~now ~push n =
   let marked = ref false in
@@ -828,7 +814,7 @@ let deliver_tasks t b ~now ~push n =
         Dgr_obs.Recorder.emit rc
           (Dgr_obs.Event.Deliver
              { kind = Task.obs_kind task; pe = b.b_dst; vid = Task.exec_vid task; lin }));
-      push b.b_dst stamp task
+      push b.b_dst stamp (lane b i 0) task
     end
   done;
   !marked
@@ -993,7 +979,7 @@ let take_marks t ~pe f = take_frames t ~pe f view_frame
 (* The whole tick on one domain: the serial half, then every PE's marks
    in ascending PE order. *)
 let deliver_into t ~now ~push =
-  deliver_serial t ~now ~push;
+  deliver_serial t ~now ~push:(fun pe stamp _gens task -> push pe stamp task);
   for pe = 0 to Array.length t.inbox - 1 do
     take_marks t ~pe (fun task -> push pe (-1) task)
   done
@@ -1020,96 +1006,30 @@ let sorted_batches t =
       match compare a.b_arrival b.b_arrival with 0 -> compare a.b_uid b.b_uid | c -> c)
     !acc
 
-let in_flight t = List.concat_map views (sorted_batches t)
+let iter_in_flight t f = List.iter (fun b -> iter_frame b f) (sorted_batches t)
+
+let in_flight t =
+  let acc = ref [] in
+  iter_in_flight t (fun _ task -> acc := task :: !acc);
+  List.rev !acc
 
 let iter_in_flight_dst t f =
   iter_undelivered t (fun b ->
-      Vec.iter
-        (fun task ->
-          match task with Task.Reduction r -> f ~dst:b.b_dst r | Task.Marking _ -> ())
-        b.b_reds)
+      let r = ref 0 in
+      for i = 0 to n_tasks b - 1 do
+        if lane b i 2 < 0 then begin
+          (match Vec.get b.b_reds !r with
+          | Task.Reduction red -> f ~dst:b.b_dst (lane b i 0) red
+          | Task.Marking _ -> ());
+          incr r
+        end
+      done)
 
 let entries t =
-  List.concat_map
-    (fun b -> List.map (fun task -> (b.b_arrival, task)) (views b))
-    (sorted_batches t)
-
-(* Purge filters tasks *inside* batches. Queued frame copies share the
-   batch's task vector, so pruning a pending batch prunes every copy in
-   the channel at once. A batch emptied before it ever flushed simply
-   disappears; one emptied while in the channel leaves a sequence hole,
-   which the receiver is told to treat as received — cumulative acks
-   then skip over it — and its send is marked purged, so its queued
-   copies and its timer die when they pop: survivors on the link are
-   neither blocked nor double-acked. *)
-let purge t pred =
-  check_sealed t "purge";
-  let per_pe = Array.make (Array.length t.inbox) 0 in
-  let removed = ref 0 in
-  (* Compact the frame's lanes, reductions and stamps in lock-step,
-     keeping survivors in stage order; true when the frame is emptied. *)
-  let prune b =
-    let before = n_tasks b in
-    let j = ref 0 and r = ref 0 and rj = ref 0 in
-    for i = 0 to before - 1 do
-      let meta = lane b i 2 in
-      let doomed =
-        if meta >= 0 then
-          pred (Task.Marking (Task.mark_of_lanes (lane b i 0) (lane b i 1) meta))
-        else begin
-          let task = Vec.get b.b_reds !r and stamp = Vec.get b.b_stamps !r in
-          incr r;
-          if pred task then begin
-            (match t.lineage with
-            | Some l when stamp >= 0 -> Dgr_obs.Lineage.drop l stamp
-            | _ -> ());
-            true
-          end
-          else begin
-            Vec.set b.b_reds !rj task;
-            Vec.set b.b_stamps !rj stamp;
-            incr rj;
-            false
-          end
-        end
-      in
-      if doomed then per_pe.(b.b_dst) <- per_pe.(b.b_dst) + 1
-      else begin
-        if !j <> i then
-          for k = 0 to 2 do
-            Lanes.set b.b_lanes ((3 * !j) + k) (lane b i k)
-          done;
-        incr j
-      end
-    done;
-    b.b_lanes.Lanes.n <- 3 * !j;
-    Vec.truncate b.b_reds !rj;
-    Vec.truncate b.b_stamps !rj;
-    let n = before - !j in
-    removed := !removed + n;
-    t.undelivered <- t.undelivered - n;
-    !j = 0
-  in
-  unindex t;
-  Vec.filter_in_place (fun b -> not (prune b)) t.staged;
-  reindex t;
-  (match t.faults with
-  | None -> Ideal.filter_in_place (fun b -> not (prune b)) t.q
-  | Some _ ->
-    Array.iter
-      (fun l ->
-        Vec.filter_in_place
-          (fun p ->
-            if p.p_delivered || not (prune p.p_batch) then true
-            else begin
-              p.p_purged <- true;
-              mark_received l p.p_fseq;
-              false
-            end)
-          l.pending)
-      t.links);
-  Array.iteri (fun pe n -> if n > 0 then emit t (Dgr_obs.Event.Purge { pe; count = n })) per_pe;
-  !removed
+  let acc = ref [] in
+  List.iter (fun b -> iter_frame b (fun _ task -> acc := (b.b_arrival, task) :: !acc))
+    (sorted_batches t);
+  List.rev !acc
 
 let size t = t.undelivered
 

@@ -52,8 +52,7 @@ val create :
   unit ->
   t
 (** With a recorder, flushes emit a [Batch] event per frame and
-    {!deliver_into} a [Deliver] event per task handed up; {!purge} emits
-    a [Purge] event per destination PE swept. Under faults,
+    {!deliver_into} a [Deliver] event per task handed up. Under faults,
     [Drop]/[Dup]/[Retransmit] events trace the channel per frame and
     [Cum_ack] events trace the acknowledgement watermarks. [batch]
     (default true) controls multi-task frames; [~batch:false] restores one task per frame for A/B runs (the
@@ -63,16 +62,18 @@ val create :
     task (marking tasks travel unticketed: the latency story is about
     demand propagation, not the mark wave),
     {!deliver_into} records the delivery step and hands the ticket to
-    [push], and {!purge} drops tickets of expunged tasks. Tickets are
+    [push], and {!crash_pe} drops tickets of lost tasks. Tickets are
     opened on the main domain only (by the send, or by {!seal}), so
     ticket ids are deterministic at any domain count. *)
 
-val send : ?src:int -> ?lin:int -> ?depth:int -> t -> arrival:int -> pe:int -> Task.t -> unit
+val send :
+  ?src:int -> ?lin:int -> ?depth:int -> ?gen:int -> t -> arrival:int -> pe:int -> Task.t -> unit
 (** Stage a task on link (src, dst = pe) for [arrival]. [src] (default
     [-1], the controller) names the sending PE; it keys the batch and
     the per-link sequence-number space under faults. [lin] (default
     [-1], untracked) and [depth] (default [0]) seed the task's lineage
-    ticket when a lineage store is attached. [arrival] is the
+    ticket when a lineage store is attached. [gen] (default
+    {!Task.no_gen}) rides to the destination pool untouched. [arrival] is the
     fault-free arrival step; the link's base delay is recovered as
     [arrival - now of last deliver]. Tasks staged for the same (src,
     pe, arrival) join one batch, in staging order, whichever phase they
@@ -86,8 +87,10 @@ val send_mark : t -> src:int -> arrival:int -> pe:int -> int -> int -> int -> un
     boxes. Marks are never ticketed. *)
 
 val stage_reduction :
-  t -> src:int -> lin:int -> depth:int -> arrival:int -> pe:int -> Task.t -> unit
-(** [send] of a reduction task, with every argument given. *)
+  t -> src:int -> lin:int -> depth:int -> gen:int -> arrival:int -> pe:int -> Task.t -> unit
+(** [send] of a reduction task, with every argument given. [gen] sits
+    in a spare lane of the task's lane triple; a task that goes stale in
+    flight is delivered like any other, and the push drops it. *)
 
 (** {2 The shard phase}
 
@@ -109,7 +112,7 @@ val seal : t -> unit
     controller first), number and stage its new frames in open order,
     open its tickets in post order and count its tasks — the frames one
     domain sending PE after PE would have staged. Until then
-    {!deliver_serial}, {!purge} and {!crash_pe} raise [Invalid_argument]
+    {!deliver_serial} and {!crash_pe} raise [Invalid_argument]
     naming the sender and its unsealed frame count. *)
 
 (** {2 Termination credits}
@@ -141,11 +144,12 @@ val post_credit : t -> arrival:int -> pe:int -> epoch:int -> sent:int -> execute
     credit sink at [arrival]. Loss-free even under faults: heartbeats
     are the liveness backstop for PEs with no traffic to piggyback on. *)
 
-val deliver_serial : t -> now:int -> push:(int -> int -> Task.t -> unit) -> unit
+val deliver_serial : t -> now:int -> push:(int -> int -> int -> Task.t -> unit) -> unit
 (** The serial half of the network's clock tick: flush the batches
     staged since the last tick into the channel, then hand every
-    reduction task due by [now] to [push pe stamp task] — [stamp] its
-    lineage ticket, [-1] when untracked — in delivery order, without
+    reduction task due by [now] to [push pe stamp gen task] — [stamp]
+    its lineage ticket, [-1] when untracked, and [gen] the generation
+    it was sent in — in delivery order, without
     building a list, emitting a [Deliver] event for every due task,
     marks included. A delivered frame that holds a mark is parked in its
     destination's inbox until {!take_mark_lanes} hands its marks over. Under
@@ -176,28 +180,21 @@ val in_flight : t -> Task.t list
 (** Tasks sent but not yet delivered — staged batches included — ordered
     by fault-free arrival step, then batch stage order, then in-batch
     post order. Delivered-but-unacked frames are excluded: their effect
-    already happened. *)
+    already happened. Stale tasks are listed too. *)
 
-val iter_in_flight_dst : t -> (dst:int -> Task.reduction -> unit) -> unit
-(** Apply [f] to every undelivered reduction task, with its destination
-    PE, without sorting or building views; marks are skipped. The order
+val iter_in_flight : t -> (int -> Task.t -> unit) -> unit
+(** {!in_flight} as [f gen task] ({!Task.no_gen} for a mark). *)
+
+val iter_in_flight_dst : t -> (dst:int -> int -> Task.reduction -> unit) -> unit
+(** Apply [f ~dst gen r] to every undelivered reduction task, with its
+    destination PE and send generation, without sorting or building
+    views; marks are skipped. The order
     is fixed: the channel's frames (by arrival step on the ideal
     channel; under faults link by link, by source then destination, the
     controller first, each link's in sequence order), then the staged
     ones. For M_T seeding: the receiver is the PE whose
     "local knowledge" an in-flight task counts as when the cycle builds
     taskroot from per-PE enumerations. *)
-
-val purge : t -> (Task.t -> bool) -> int
-(** Remove matching undelivered tasks; returns the count. Tasks are
-    filtered inside their batches (queued frame copies share the batch,
-    so every copy is pruned at once); a batch emptied entirely is
-    withdrawn — its retransmission stops, late copies are not delivered,
-    and under faults its sequence number is treated as received so
-    cumulative acks flow past the hole without re-acking survivors;
-    its queued copies are dropped when they pop, counted neither as
-    deliveries nor as duplicates. Emits one [Purge] event per affected
-    destination PE, ascending. *)
 
 val size : t -> int
 (** Undelivered task count, staged batches included. [0] means no task

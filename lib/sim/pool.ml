@@ -19,10 +19,9 @@ type t = {
   policy : policy;
   g : Graph.t;
   pe : int;
-  recorder : Dgr_obs.Recorder.t option;
   lineage : Dgr_obs.Lineage.t option;
-      (* release tickets of purged tasks; pops return the stamp to the
-         engine, which closes it at execution *)
+      (* release the tickets of a crashed pool's tasks; pops return the
+         stamp to the engine, which closes it at execution *)
 }
 
 (* The global class of a vertex: the priority the last completed M_R
@@ -71,18 +70,13 @@ let priority_of policy g task =
     | Dynamic -> (
       match request_class g ~src ~dst ~demand with 3 -> 2 | 2 -> 4 | _ -> 5))
 
-let create ?recorder ?lineage ?(pe = 0) policy g =
-  {
-    marking = Mark_ring.create ();
-    reduction = Pqueue.create ();
-    policy;
-    g;
-    pe;
-    recorder;
-    lineage;
-  }
+let create ?lineage ?(pe = 0) policy g =
+  { marking = Mark_ring.create (); reduction = Pqueue.create (); policy; g; pe; lineage }
 
-let push_stamped t stamp task =
+let is_stale t gen task =
+  match task with Task.Reduction r -> Task.stale t.g gen r | Task.Marking _ -> false
+
+let push_stamped t stamp gen task =
   match task with
   | Task.Marking m ->
     if stamp >= 0 then
@@ -91,9 +85,9 @@ let push_stamped t stamp task =
            stamp);
     Mark_ring.push t.marking (Task.lane_v m) (Task.lane_par m) (Task.lane_meta m)
   | Task.Reduction _ ->
-    Pqueue.add_tagged t.reduction (priority_of t.policy t.g task) ~tag:stamp task
+    Pqueue.add_tagged t.reduction (priority_of t.policy t.g task) ~tag:stamp ~aux:gen task
 
-let push ?(stamp = -1) t task = push_stamped t stamp task
+let push ?(stamp = -1) t task = push_stamped t stamp Task.no_gen task
 
 let marks t = t.marking
 
@@ -101,56 +95,69 @@ let marks t = t.marking
    ring call per budget: [drain_lanes] serves the reduction queue first
    and lends what is left of the budget to marking. Nothing pushes into
    a pool while its budget runs (sends go through the network), so the
-   reduction queue cannot refill once it ran dry. *)
+   reduction queue cannot refill once it ran dry. A stale reduction
+   goes to [dead] without using the budget, so live ones run as if it
+   had never been queued. *)
 let drain_marking t ~budget mark =
   let (_ : int) = Mark_ring.drain t.marking ~budget mark in
   ()
 
-let drain_lanes t ~budget ~red ~mark =
+let drain_lanes t ~budget ~red ~dead ~mark =
+  let q = t.reduction in
   let n = ref 0 in
-  while !n < budget && Pqueue.pop_tagged_with t.reduction red do
-    incr n
+  while !n < budget && not (Pqueue.is_empty q) do
+    let stamp = Pqueue.min_tag q and gen = Pqueue.min_aux q in
+    let task = Pqueue.pop_min q in
+    if is_stale t gen task then dead task stamp
+    else begin
+      red task stamp;
+      incr n
+    end
   done;
   if !n < budget then drain_marking t ~budget:(budget - !n) mark
 
 let drain t ~budget f =
-  drain_lanes t ~budget ~red:f ~mark:(fun v par meta ->
-      f (Task.Marking (Task.mark_of_lanes v par meta)) (-1))
+  drain_lanes t ~budget ~red:f
+    ~dead:(fun _ _ -> ())
+    ~mark:(fun v par meta -> f (Task.Marking (Task.mark_of_lanes v par meta)) (-1))
 
 let length t = Mark_ring.length t.marking + Pqueue.length t.reduction
 
 let is_empty t = Mark_ring.length t.marking = 0 && Pqueue.is_empty t.reduction
 
 let tasks t =
-  List.map (fun m -> Task.Marking m) (Mark_ring.to_list t.marking)
-  @ List.map snd (Pqueue.to_sorted_list t.reduction)
+  let live = ref [] in
+  Pqueue.iter_sorted_aux
+    (fun gen task -> if not (is_stale t gen task) then live := task :: !live)
+    t.reduction;
+  List.map (fun m -> Task.Marking m) (Mark_ring.to_list t.marking) @ List.rev !live
 
 let iter_reductions t f =
   Pqueue.iter
     (fun _ task -> match task with Task.Reduction r -> f r | Task.Marking _ -> ())
     t.reduction
 
-let purge t pred =
-  let before = length t in
-  Mark_ring.filter_in_place (fun m -> not (pred (Task.Marking m))) t.marking;
+let purge t =
+  let n = length t in
   Pqueue.filter_tagged_in_place
-    (fun _prio stamp task ->
-      if pred task then begin
-        (match t.lineage with
-        | Some l when stamp >= 0 -> Dgr_obs.Lineage.drop l stamp
-        | _ -> ());
+    (fun _ stamp _ _ ->
+      (match t.lineage with Some l when stamp >= 0 -> Dgr_obs.Lineage.drop l stamp | _ -> ());
+      false)
+    t.reduction;
+  Mark_ring.clear t.marking;
+  n
+
+(* Run right after restructure's releases: the entries they made stale
+   go to [dead] first, then the live ones take their new priorities. *)
+let reprioritize ?(dead = fun _ _ -> ()) t =
+  Pqueue.filter_tagged_in_place
+    (fun _ stamp gen task ->
+      if is_stale t gen task then begin
+        dead task stamp;
         false
       end
       else true)
     t.reduction;
-  let n = before - length t in
-  (match t.recorder with
-  | Some r when n > 0 ->
-    Dgr_obs.Recorder.emit r (Dgr_obs.Event.Purge { pe = t.pe; count = n })
-  | Some _ | None -> ());
-  n
-
-let reprioritize t =
   let changed = ref 0 in
   Pqueue.map_priorities
     (fun old task ->

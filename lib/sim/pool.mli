@@ -22,40 +22,40 @@ type policy = Flat | By_demand | Dynamic
 
 type t
 
-val create :
-  ?recorder:Dgr_obs.Recorder.t ->
-  ?lineage:Dgr_obs.Lineage.t ->
-  ?pe:int ->
-  policy ->
-  Graph.t ->
-  t
-(** [pe] (default 0) is the owning PE's index, used only to stamp trace
-    events; with a recorder, {!purge} emits a [Purge] event per non-empty
-    sweep. With a [lineage] store, {!purge} releases the tickets of the
-    tasks it expunges (stamps ride queue tags; see {!push}). *)
+val create : ?lineage:Dgr_obs.Lineage.t -> ?pe:int -> policy -> Graph.t -> t
+(** [pe] (default 0) is the owning PE's index, named in error messages.
+    With a [lineage] store, {!purge} releases the tickets of the tasks a
+    crash loses (stamps ride queue tags; see {!push}). *)
 
 val push : ?stamp:int -> t -> Task.t -> unit
 (** [stamp] (default [-1]) is the task's lineage ticket; it rides the
-    queue untouched and comes back out of {!drain_lanes}. Marking tasks
-    are never ticketed: pushing one with [stamp >= 0] raises
-    [Invalid_argument] naming the PE and the stamp. *)
+    queue untouched and comes back out of {!drain_lanes}; the task is
+    never stale ({!Task.no_gen}). Marking tasks are never ticketed:
+    pushing one with [stamp >= 0] raises [Invalid_argument] naming the
+    PE and the stamp. *)
 
-val push_stamped : t -> int -> Task.t -> unit
-(** [push_stamped t stamp task] is [push ~stamp t task] without the
-    optional argument. *)
+val push_stamped : t -> int -> int -> Task.t -> unit
+(** [push_stamped t stamp gen task]: the delivery form; [gen], the
+    generation a reduction was sent in, rides beside the ticket. *)
 
 val marks : t -> Mark_ring.t
 (** The marking queue, as lanes ({!Task.sink}): delivery pushes a whole
     frame's marks into it at once ([Network.take_mark_lanes]). *)
 
 val drain_lanes :
-  t -> budget:int -> red:(Task.t -> int -> unit) -> mark:Task.sink -> unit
+  t ->
+  budget:int ->
+  red:(Task.t -> int -> unit) ->
+  dead:(Task.t -> int -> unit) ->
+  mark:Task.sink ->
+  unit
 (** Pop up to [budget] tasks, handing a reduction to [red task stamp] and
     a mark to [mark v par meta], and stop early when both queues run dry.
     Each pop takes the highest-priority reduction task (FIFO among
     equals), falling back to the oldest mark when no reduction is queued
-    (an idle PE lends its slot to the collector). Allocates nothing —
-    the engine's budget-loop form. *)
+    (an idle PE lends its slot to the collector). A stale reduction
+    ({!Task.stale}) goes to [dead task stamp] instead, without using the
+    budget. Allocates nothing — the engine's budget-loop form. *)
 
 val drain_marking : t -> budget:int -> Task.sink -> unit
 (** {!drain_lanes} over the marking queue only, oldest first — marking
@@ -64,29 +64,34 @@ val drain_marking : t -> budget:int -> Task.sink -> unit
 
 val drain : t -> budget:int -> (Task.t -> int -> unit) -> unit
 (** {!drain_lanes} with marks handed over as views ([Marking], stamp
-    [-1]) — the [Task.t] form for tests and tools. *)
+    [-1]) and stale tasks dropped silently — the [Task.t] form for tests
+    and tools. *)
 
 val length : t -> int
+(** Queued entries, stale ones included until they are dropped. *)
 
 val is_empty : t -> bool
 
 val tasks : t -> Task.t list
-(** Queued marking tasks in FIFO order, then reduction tasks in queue
-    order (ascending priority, FIFO among ties) — deterministic, so
-    external views built from pool contents are stable. *)
+(** Queued marking tasks in FIFO order, then live (not stale) reduction
+    tasks in queue order (ascending priority, FIFO among ties) —
+    deterministic, so external views built from pool contents are
+    stable. *)
 
 val iter_reductions : t -> (Task.reduction -> unit) -> unit
 (** Apply [f] to every pooled reduction task in unspecified order; the
-    marks are skipped without building views (M_T seeding). *)
+    marks are skipped without building views (M_T seeding; a pool holds
+    no stale entry then, see {!reprioritize}). *)
 
-val purge : t -> (Task.t -> bool) -> int
-(** Remove all tasks matching the predicate; returns how many. The
-    survivors keep their pop order. *)
+val purge : t -> int
+(** Drop every queued task (a crash) and return how many. *)
 
-val reprioritize : t -> int
+val reprioritize : ?dead:(Task.t -> int -> unit) -> t -> int
 (** Recompute the reduction tasks' priorities under the current graph
     state ([sched_prior] may have changed after a cycle); returns the
-    number of entries whose priority changed. Marking tasks have none. *)
+    number of entries whose priority changed. Marking tasks have none.
+    Restructure calls it right after its releases: it first drops each
+    entry they made stale, through [dead task stamp]. *)
 
 val priority_of : policy -> Graph.t -> Task.t -> int
 (** Exposed for tests. Marking = 0; cancels = 1. Under [Dynamic], a

@@ -75,14 +75,4 @@ let view r i =
 
 let to_list r = List.init r.len (view r)
 
-(* Compact toward the head: the write position never passes the read
-   position, so no survivor is overwritten before it is read. *)
-let filter_in_place keep r =
-  let j = ref 0 in
-  for i = 0 to r.len - 1 do
-    if keep (view r i) then begin
-      if !j <> i then Array.blit r.buf (slot r i) r.buf (slot r !j) 3;
-      incr j
-    end
-  done;
-  r.len <- !j
+let clear r = r.len <- 0

@@ -36,5 +36,5 @@ val take_with : t -> int -> Task.sink -> unit
 val to_list : t -> Task.mark list
 (** The queued marks as views, oldest first. *)
 
-val filter_in_place : (Task.mark -> bool) -> t -> unit
-(** Keep the marks the predicate accepts, in order. *)
+val clear : t -> unit
+(** Drop every queued mark (a crashed PE's pool). *)

@@ -51,7 +51,7 @@ let reduction_endpoints = function
   | Cancel { src; dst } -> [ src; dst ]
 
 (* Allocation-free variants of [reduction_endpoints] for the hot callers
-   (M_T seeding visits every pending task; RC purges run per step). *)
+   (M_T seeding visits every pending task). *)
 let iter_reduction_endpoints f = function
   | Request { src; dst; _ } ->
     (match src with Some s -> f s | None -> ());
@@ -63,12 +63,22 @@ let iter_reduction_endpoints f = function
     f src;
     f dst
 
-let reduction_endpoint_exists p = function
+let no_gen = -1
+
+let after g gen v = Graph.gen g v > gen
+
+(* Without a release since the send (the common case) no endpoint is
+   read. *)
+let stale g gen r =
+  gen >= 0
+  && gen < Graph.releases g
+  &&
+  match r with
   | Request { src; dst; _ } ->
-    (match src with Some s -> p s | None -> false) || p dst
+    (match src with Some s -> after g gen s | None -> false) || after g gen dst
   | Respond { src; dst; _ } ->
-    p src || (match dst with Some d -> p d | None -> false)
-  | Cancel { src; dst } -> p src || p dst
+    after g gen src || (match dst with Some d -> after g gen d | None -> false)
+  | Cancel { src; dst } -> after g gen src || after g gen dst
 
 (* Mark lanes. A mark travels as three ints: [v] (the target, -1 for a
    return), [par] (the parent vid, -1 for Rootpar) and [meta], which packs

@@ -74,9 +74,16 @@ val iter_reduction_endpoints : (Vid.t -> unit) -> reduction -> unit
 (** [reduction_endpoints] without the list: applies [f] to each endpoint
     (source first). Hot path — M_T seeding visits every pending task. *)
 
-val reduction_endpoint_exists : (Vid.t -> bool) -> reduction -> bool
-(** Does any endpoint satisfy the predicate? Allocation-free; used by
-    per-step task purges. *)
+val stale : Graph.t -> int -> reduction -> bool
+(** A reduction task records the graph's generation ({!Graph.releases})
+    when it is sent. [stale g gen r]: was one of its endpoints released
+    since, i.e. is an endpoint's slot generation ({!Graph.gen}) above
+    [gen]? A stale task addresses a vertex that no longer exists
+    (Property 6's irrelevant tasks, and responses and cancels to and
+    from reclaimed vertices); it is dropped where it is next handled. *)
+
+val no_gen : int
+(** [-1], recorded by tasks sent outside the engine: never stale. *)
 
 val plane_of_mark : mark -> Plane.id
 (** The marking plane a mark task operates on: M_R for [Mark1]/[Mark2],
@@ -105,9 +112,9 @@ val respond : src:Vid.t -> key:Vid.t -> ?demand:Demand.t -> Vertex.requester -> 
     [Rootpar]); and [meta], which packs the kind, the plane, the M_R
     priority (0-3) and the wave. Handlers emit lanes, and frames and
     pools carry them, so sending a mark allocates nothing.
-    {!mark} is the view tests, printers, invariants and purge predicates
-    read; {!mark_of_lanes} and the three [lane_*] functions convert
-    between the two. *)
+    {!mark} is the view tests, printers and invariants read;
+    {!mark_of_lanes} and the three [lane_*] functions convert between
+    the two. *)
 
 type sink = int -> int -> int -> unit
 (** Receives one mark as [v par meta]. *)

@@ -13,12 +13,12 @@ val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val add : 'a t -> int -> 'a -> unit
-(** [add q prio x] inserts [x] with priority [prio] (and tag [-1]). *)
+(** [add q prio x] inserts [x] with priority [prio] (and tags [-1]). *)
 
-val add_tagged : 'a t -> int -> tag:int -> 'a -> unit
-(** [add_tagged q prio ~tag x] additionally attaches an opaque integer
-    [tag] that travels with [x] and comes back out of {!pop_tagged_with}.
-    Task pools use it to carry lineage tickets without boxing. *)
+val add_tagged : 'a t -> int -> tag:int -> aux:int -> 'a -> unit
+(** [add_tagged q prio ~tag ~aux x] additionally attaches two opaque
+    integers that travel with [x] (see {!min_tag}). Task pools use them
+    to carry lineage tickets and send generations without boxing. *)
 
 val pop : 'a t -> (int * 'a) option
 (** Removes and returns the minimum-priority element (FIFO among ties). *)
@@ -34,6 +34,12 @@ val pop_tagged_with : 'a t -> ('a -> int -> unit) -> bool
     of {!pop} for tagged entries. The heap invariant is restored before
     [f] runs, so [f] may re-enter {!add_tagged}. *)
 
+val min_tag : 'a t -> int
+val min_aux : 'a t -> int
+(** The [tag] and [aux] of the entry {!pop_min} takes next ([-1] when
+    empty): read them, then pop, to take an entry with both its tags
+    and allocate nothing. *)
+
 val min_prio : 'a t -> default:int -> int
 (** The minimum priority in the queue, or [default] when empty — the
     allocation-free peek for threshold checks (e.g. "is the
@@ -42,19 +48,20 @@ val min_prio : 'a t -> default:int -> int
 val clear : 'a t -> unit
 
 val iter : (int -> 'a -> unit) -> 'a t -> unit
-(** Iteration order is unspecified. *)
+(** [f prio value]. Iteration order is unspecified. *)
 
 val to_sorted_list : 'a t -> (int * 'a) list
 (** Pop order without popping: ascending priority, FIFO among ties.
     O(n log n) — for deterministic external views (traces, debugging). *)
 
+val iter_sorted_aux : (int -> 'a -> unit) -> 'a t -> unit
+(** [f aux value] for every entry in {!to_sorted_list}'s order. *)
+
 val filter_in_place : (int -> 'a -> bool) -> 'a t -> unit
 (** Keep only entries satisfying the predicate. O(n log n). *)
 
-val filter_tagged_in_place : (int -> int -> 'a -> bool) -> 'a t -> unit
-(** Like {!filter_in_place} but the predicate also sees each entry's
-    tag ([prio tag value]) — so callers can release per-entry resources
-    (lineage tickets) for the entries being discarded. *)
+val filter_tagged_in_place : (int -> int -> int -> 'a -> bool) -> 'a t -> unit
+(** {!filter_in_place} whose predicate sees [prio tag aux value]. *)
 
 val map_priorities : (int -> 'a -> int) -> 'a t -> unit
 (** Recompute every entry's priority (rebuilds the heap; preserves FIFO

@@ -73,36 +73,46 @@ let test_rc_messages_cross_pe_only () =
   Vertex.connect a (Vertex.id c);
   Alcotest.(check int) "cross-PE inc is a message" 1 (Refcount.messages rc)
 
-let test_rc_on_free_callback () =
+(* RC needs no hook into the task plane: a free bumps the slot's
+   generation, so a task recorded before it is stale, and one recorded
+   after it (for the slot's next occupant) is not. *)
+let test_rc_free_makes_tasks_stale () =
   let g = Graph.create () in
   let b = Builder.add g (Label.Int 1) [] in
   let a = Builder.add_root g Label.Ind [ b ] in
   let rc = Refcount.create g in
   Refcount.pin rc a;
-  let freed = ref [] in
-  Refcount.set_on_free rc (fun v -> freed := v :: !freed);
+  let r = Dgr_task.Task.Request { src = Some a; dst = b; demand = Demand.Vital; key = b } in
+  let before = Graph.releases g in
+  Alcotest.(check bool) "fresh before the free" false (Dgr_task.Task.stale g before r);
   Refcount.on_disconnect rc a b;
   Vertex.disconnect (Graph.vertex g a) b;
-  Alcotest.(check (list int)) "callback saw the free" [ b ] !freed
+  Alcotest.(check bool) "freed" true (Vertex.free (Graph.vertex g b));
+  Alcotest.(check int) "count column reads 0" 0 (Refcount.count rc b);
+  Alcotest.(check bool) "stale after the free" true (Dgr_task.Task.stale g before r);
+  Alcotest.(check bool) "a send after the free is not" false
+    (Dgr_task.Task.stale g (Graph.releases g) r)
 
 let test_stw_collects_and_purges () =
   let g = Graph.create () in
   let live = Builder.chain g 4 in
   Graph.set_root g live;
   let junk = Builder.cycle g 5 in
-  let purged = ref 0 in
-  let report =
-    Stw.collect g ~purge_tasks:(fun pred ->
-        (* one irrelevant task addressed into the junk, one live one *)
-        let tasks =
-          [ Dgr_task.Task.request junk Demand.Eager; Dgr_task.Task.request live Demand.Vital ]
-        in
-        purged := List.length (List.filter pred tasks);
-        !purged)
+  (* one irrelevant task addressed into the junk, one live one, both
+     recorded before the sweep *)
+  let red = function Dgr_task.Task.Reduction r -> r | Dgr_task.Task.Marking _ -> assert false in
+  let tasks =
+    List.map
+      (fun task ->
+        let r = red task in
+        (Graph.releases g, r))
+      [ Dgr_task.Task.request junk Demand.Eager; Dgr_task.Task.request live Demand.Vital ]
   in
+  let report = Stw.collect g in
   Alcotest.(check int) "marked" 4 report.Stw.marked;
   Alcotest.(check int) "reclaimed" 5 report.Stw.reclaimed;
-  Alcotest.(check int) "only the junk task purged" 1 !purged;
+  Alcotest.(check int) "only the junk task is stale" 1
+    (List.length (List.filter (fun (gen, r) -> Dgr_task.Task.stale g gen r) tasks));
   Alcotest.(check bool) "junk freed" true (Vertex.free (Graph.vertex g junk));
   Alcotest.(check bool) "live kept" false (Vertex.free (Graph.vertex g live));
   Alcotest.(check (list string)) "graph valid after sweep" [] (Validate.check g)
@@ -112,17 +122,18 @@ let test_stw_cleans_dangling_requesters () =
   let live = Builder.add_root g Label.Bottom [] in
   let junk = Builder.add g Label.If [] in
   Vertex.add_requester (Graph.vertex g live) (Some junk) ~demand:Demand.Eager ~key:live;
-  let (_ : Stw.report) = Stw.collect g ~purge_tasks:(fun _ -> 0) in
+  let (_ : Stw.report) = Stw.collect g in
   Alcotest.(check bool) "junk reclaimed" true (Vertex.free (Graph.vertex g junk));
   Alcotest.(check int) "dangling requester dropped" 0
     (List.length (Vertex.requested (Graph.vertex g live)))
 
 (* A refcounting machine steps its shards like any other machine: each
    PE logs its count changes and the barrier applies them — every
-   increment, then every decrement, then one purge of the tasks that
-   address what was freed. After every step no live vertex may point at
-   a free slot, no pending task may address a freed vertex, and the end
-   state must not depend on how many domains the shards ran on. With no
+   increment, then every decrement; a free bumps the slot's generation,
+   so the tasks that address what was freed go stale. After every step
+   no live vertex may point at a free slot, no live pending task may
+   address a freed vertex, and the end state must not depend on how
+   many domains the shards ran on. With no
    fault plane the shards run on the worker pool, so at 2 and 4 domains
    the logging happens on worker domains. *)
 let rc_machine_digest ~domains source expected =
@@ -144,7 +155,7 @@ let rc_machine_digest ~domains source expected =
     List.iter
       (function
         | Dgr_task.Task.Reduction r as task ->
-          if Dgr_task.Task.reduction_endpoint_exists freed r then
+          if List.exists freed (Dgr_task.Task.reduction_endpoints r) then
             Alcotest.failf "domains %d, step %d: pending %s addresses a freed vertex"
               domains (Engine.now e) (Dgr_task.Task.to_string task)
         | Dgr_task.Task.Marking _ -> ())
@@ -190,7 +201,7 @@ let suite =
     Alcotest.test_case "rc leak census" `Quick test_rc_cycle_leak_exact;
     Alcotest.test_case "rc pin/unpin" `Quick test_rc_pin_unpin;
     Alcotest.test_case "rc message accounting" `Quick test_rc_messages_cross_pe_only;
-    Alcotest.test_case "rc on_free callback" `Quick test_rc_on_free_callback;
+    Alcotest.test_case "rc free makes tasks stale" `Quick test_rc_free_makes_tasks_stale;
     Alcotest.test_case "stw collects and purges" `Quick test_stw_collects_and_purges;
     Alcotest.test_case "stw cleans dangling requesters" `Quick
       test_stw_cleans_dangling_requesters;

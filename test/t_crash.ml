@@ -181,7 +181,7 @@ let crash_events r =
    machine's live set and its last cycle's deadlock verdict match. *)
 let check_oracle ctx ~machine ~replica c =
   let (_ : Dgr_baseline.Stw.report) =
-    Dgr_baseline.Stw.collect replica ~purge_tasks:(fun _ -> 0)
+    Dgr_baseline.Stw.collect replica
   in
   Helpers.check_vid_set (ctx ^ ": live set = fault-free STW live set")
     (Vid.Set.of_list (Graph.live_vids replica))

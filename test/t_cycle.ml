@@ -103,10 +103,10 @@ let test_irrelevant_tasks_purged () =
   let e = engine_for g in
   Engine.inject e (Dgr_task.Task.request junk Demand.Eager);
   let (_ : Cycle.t) = run_cycles e 3 in
-  Alcotest.(check bool) "circulating irrelevant task expunged" true
+  Alcotest.(check bool) "circulating irrelevant task dropped at its pop" true
     ((Engine.metrics e).Metrics.tasks_purged >= 1);
   Alcotest.(check bool) "junk ring collected" true (Vertex.free (Graph.vertex g junk));
-  (* and the machine actually quiesces once the task is gone *)
+  (* and no live reduction task is left: the stale one never runs again *)
   let still_pending =
     List.exists Dgr_task.Task.is_reduction (Engine.pending_tasks e)
   in
@@ -121,7 +121,6 @@ let test_start_cycle_twice_rejected () =
       Cycle.spawn_mark = (fun _ _ _ -> ());
       pes = 1;
       iter_pe_endpoints = (fun _ _ -> ());
-      purge_tasks = (fun _ -> 0);
       reprioritize = (fun () -> 0);
       each_home = (fun f -> f 0);
       now = (fun () -> 0);
@@ -150,7 +149,6 @@ let test_mt_before_mr_order () =
             (Dgr_task.Task.Request
                { src = None; dst = Graph.root g; demand = Demand.Vital;
                  key = Graph.root g }));
-      purge_tasks = (fun _ -> 0);
       reprioritize = (fun () -> 0);
       each_home = (fun f -> f 0);
       now = (fun () -> 0);
@@ -195,8 +193,9 @@ let endpoints = function
 (* Over random graphs with requester rows — dense ones, and partitioned
    ones where a crash re-homed a dead PE's live vertices onto survivors
    — one restructure releases exactly the union of the per-home
-   [collect_home] verdicts, purges exactly the tasks with an endpoint in
-   that union, and leaves no surviving requester row naming it. *)
+   [collect_home] verdicts, leaves stale exactly the tasks (recorded
+   before it) with an endpoint in that union, and leaves no surviving
+   requester row naming it. *)
 let test_gar_oracle () =
   let pes = 4 in
   for seed = 1 to 12 do
@@ -229,14 +228,24 @@ let test_gar_oracle () =
     Alcotest.(check bool) (what "a nonempty verdict") true (not (Vid.Set.is_empty gar));
     let free_before = Vid.Set.of_list (Graph.free_list g) in
     let tasks = List.init 300 (fun _ -> random_task rng (Graph.vertex_count g)) in
-    let purged = ref [] in
-    let purge_tasks pred =
-      purged := List.filter pred tasks;
-      List.length !purged
+    let recorded =
+      List.map
+        (fun t ->
+          match t with
+          | Dgr_task.Task.Reduction _ -> (Graph.releases g, t)
+          | Dgr_task.Task.Marking _ -> (Dgr_task.Task.no_gen, t))
+        tasks
     in
     let report =
-      Restructure.run ~graph:g ~deadlock_checked:false ~purge_tasks
-        ~reprioritize:(fun () -> 0) ()
+      Restructure.run ~graph:g ~deadlock_checked:false ~reprioritize:(fun () -> 0) ()
+    in
+    let stale =
+      List.filter_map
+        (fun (gen, t) ->
+          match t with
+          | Dgr_task.Task.Reduction r when Dgr_task.Task.stale g gen r -> Some t
+          | Dgr_task.Task.Reduction _ | Dgr_task.Task.Marking _ -> None)
+        recorded
     in
     let released = Vid.Set.diff (Vid.Set.of_list (Graph.free_list g)) free_before in
     Helpers.check_vid_set (what "released = union of verdicts") gar released;
@@ -245,9 +254,9 @@ let test_gar_oracle () =
       List.filter (fun t -> List.exists (fun v -> Vid.Set.mem v gar) (endpoints t)) tasks
     in
     Alcotest.(check (list string))
-      (what "purged = tasks touching the union")
+      (what "stale = tasks touching the union")
       (List.map Dgr_task.Task.to_string expected)
-      (List.map Dgr_task.Task.to_string !purged);
+      (List.map Dgr_task.Task.to_string stale);
     Graph.iter_live
       (fun v ->
         List.iter
@@ -260,6 +269,89 @@ let test_gar_oracle () =
           (Vertex.requested v))
       g
   done
+
+(* --- irrelevant tasks die at their pop ------------------------------- *)
+
+(* A root chain plus one garbage vertex, on a machine that has sent a
+   request into the garbage: the request is still in flight when
+   restructure (an M_R wave from the root, then the phase itself)
+   releases the garbage, and the slot is re-born at once — the next
+   allocation on its home pops it. Returns the engine and the re-born
+   vertex, which has the garbage's vid. *)
+let released_and_reborn ~config =
+  let g = Graph.create ~num_pes:2 () in
+  Graph.set_root g (Builder.chain g 3);
+  let junk = Builder.add g (Label.Int 1) [] in
+  let e = Engine.create ~config g empty_registry in
+  Engine.inject e (Dgr_task.Task.request junk Demand.Vital);
+  Engine.step e;
+  ignore (Sync_engine.mark g Run.Priority ~seeds:[ Graph.root g ]);
+  let report = Restructure.run ~graph:g ~deadlock_checked:false ~reprioritize:(fun () -> 0) () in
+  Alcotest.(check int) "the garbage vertex released" 1 report.Restructure.garbage;
+  let reborn = Graph.alloc ~from:(Graph.home_of_vid g junk) g (Label.Int 2) in
+  Alcotest.(check int) "its slot re-born" junk (Vertex.id reborn);
+  (e, reborn)
+
+(* Property 6 at a pool's pop: a request waits in its PE's pool (one
+   task per step, and a vital request ahead of it) when restructure
+   releases its destination, and the slot is re-born before it pops.
+   The request never executes — not on the new occupant either — and is
+   counted as one purge, at every domain count (on 2 and 4 the pop runs
+   on worker domains). *)
+let test_request_into_released_slot_never_runs () =
+  List.iter
+    (fun domains ->
+      let g = Graph.create ~num_pes:4 () in
+      let live = Vertex.id (Graph.alloc ~pe:1 g (Label.Int 5)) in
+      Graph.set_root g live;
+      let junk = Vertex.id (Graph.alloc ~pe:1 g (Label.Int 1)) in
+      let config =
+        Engine.Config.make ~num_pes:4 ~domains ~tasks_per_step:1 ~gc:Engine.No_gc
+          ~heap_size:None ()
+      in
+      let e = Engine.create ~config g empty_registry in
+      Engine.inject e (Dgr_task.Task.request live Demand.Vital);
+      Engine.inject e (Dgr_task.Task.request junk Demand.Eager);
+      while (Engine.metrics e).Metrics.reduction_executed = 0 do
+        Engine.step e
+      done;
+      let what s = Printf.sprintf "%d domains: %s" domains s in
+      Alcotest.(check int) (what "the request waits in the pool") 1
+        (List.length (List.filter Dgr_task.Task.is_reduction (Engine.pending_tasks e)));
+      ignore (Sync_engine.mark g Run.Priority ~seeds:[ live ]);
+      let (_ : Restructure.report) =
+        Restructure.run ~graph:g ~deadlock_checked:false ~reprioritize:(fun () -> 0) ()
+      in
+      let reborn = Graph.alloc ~from:(Graph.home_of_vid g junk) g (Label.Int 2) in
+      Alcotest.(check int) (what "its slot re-born") junk (Vertex.id reborn);
+      let (_ : int) = Engine.run ~max_steps:100 ~stop:(fun _ -> false) e in
+      Engine.dispose e;
+      let m = Engine.metrics e in
+      Alcotest.(check int) (what "only the vital request executed") 1 m.Metrics.reduction_executed;
+      Alcotest.(check int) (what "one purge") 1 m.Metrics.tasks_purged;
+      Alcotest.(check int) (what "the new occupant was not asked") 0
+        (Vertex.requested_count reborn))
+    [ 1; 2; 4 ]
+
+(* M_T seeds taskroot from the pending tasks, and a stale one is not
+   among them: the in-flight request into the released vertex must not
+   seed — and so mark T — the slot's new occupant. *)
+let test_stale_task_does_not_seed () =
+  let config =
+    Engine.Config.make ~num_pes:2 ~latency:8
+      ~gc:(Engine.Concurrent { deadlock_every = 1; idle_gap = 1_000_000 })
+      ~heap_size:None ()
+  in
+  let e, reborn = released_and_reborn ~config in
+  let c = Option.get (Engine.cycle e) in
+  Cycle.start_cycle c;
+  Alcotest.(check bool) "M_T is seeding" true (Cycle.phase c = Cycle.Mark_tasks);
+  Alcotest.(check bool) "the new occupant is no seed" false
+    (Vertex.seed_stamp reborn = Graph.wave (Engine.graph e));
+  let (_ : int) = Engine.run ~max_steps:1_000 ~stop:(fun _ -> Cycle.phase c <> Cycle.Mark_tasks) e in
+  Engine.dispose e;
+  Alcotest.(check bool) "M_T finished" true (Cycle.phase c = Cycle.Mark_root);
+  Alcotest.(check bool) "and never marked it" false (Plane.marked (Vertex.mt reborn))
 
 (* Minor words of the step that finishes the first cycle, on a machine
    holding [live] reachable vertices and a fixed garbage load. *)
@@ -304,4 +396,7 @@ let suite =
       test_gar_oracle;
     Alcotest.test_case "restructure words do not grow with the live set" `Quick
       test_restructure_words_flat_in_live_set;
+    Alcotest.test_case "a request into a released, re-born slot never runs" `Quick
+      test_request_into_released_slot_never_runs;
+    Alcotest.test_case "a stale task does not seed M_T" `Quick test_stale_task_does_not_seed;
   ]

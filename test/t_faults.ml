@@ -73,41 +73,7 @@ let test_heavy_drop_still_delivers () =
   Alcotest.(check bool) "frames were lost" true (f.Faults.drops > 0);
   Alcotest.(check bool) "losses forced retransmits" true (f.Faults.retransmits > 0)
 
-let test_faulted_purge_stops_retransmission () =
-  let f = Faults.create { Faults.none with Faults.drop = 0.3; fault_seed = 5 } in
-  let r = Dgr_obs.Recorder.create ~num_pes:4 () in
-  let net = Network.create ~recorder:r ~faults:f () in
-  Network.send ~src:0 net ~arrival:3 ~pe:2 (Task.request 7 Demand.Vital);
-  Network.send ~src:0 net ~arrival:3 ~pe:3 (Task.request 8 Demand.Vital);
-  Network.send ~src:1 net ~arrival:3 ~pe:3 (Task.request 9 Demand.Vital);
-  let purged =
-    Network.purge net (function
-      | Task.Reduction (Task.Request { dst; _ }) -> dst <> 8
-      | _ -> false)
-  in
-  Alcotest.(check int) "two purged" 2 purged;
-  Alcotest.(check int) "one undelivered left" 1 (Network.size net);
-  let purge_events =
-    List.filter_map
-      (function
-        | { Dgr_obs.Event.kind = Dgr_obs.Event.Purge { pe; count }; _ } -> Some (pe, count)
-        | _ -> None)
-      (Dgr_obs.Recorder.events r)
-  in
-  Alcotest.(check (list (pair int int))) "purge events name the real PEs, ascending"
-    [ (2, 1); (3, 1) ] purge_events;
-  (* The survivor still arrives — purged frames never do, even via
-     late retransmission. *)
-  let delivered = drain net in
-  Alcotest.(check bool) "only vid 8 delivered" true
-    (List.for_all
-       (function
-         | _, Task.Reduction (Task.Request { dst; _ }) -> dst = 8
-         | _ -> false)
-       delivered
-    && delivered <> [])
-
-(* --- batched frames: purge, cumulative acks, sequence guard ----------- *)
+(* --- batched frames: stale tasks, cumulative acks, sequence guard ------ *)
 
 (* Step [deliver] past [drain]'s stopping point until every data frame is
    cumulatively acked: acks can be lost, but every (re)delivery re-owes
@@ -120,41 +86,46 @@ let settle_acks net =
   done;
   Alcotest.(check int) "every data frame cumulatively acked" 0 (Network.unacked net)
 
-(* Purging tasks out of batched frames: survivors in a partially-purged
-   batch still arrive exactly once, a fully-purged batch's queued copies
-   and retransmit timer die with it, and the sequence hole it leaves is
-   skipped by the cumulative acks — nothing is acked twice, nothing
-   blocks behind the hole. *)
-let test_purge_batched_frames () =
-  let f = Faults.create { Faults.none with Faults.drop = 0.3; fault_seed = 21 } in
+(* A frame is never emptied in the channel. On a lossy link, a frame
+   carrying one task that goes stale in flight (its destination is
+   released after the send) and one live task is delivered whole, exactly
+   once: the pool runs the live task once and drops the stale one at its
+   pop, and the link's cumulative ack reaches every frame — there is no
+   hole for it to skip. *)
+let test_stale_task_rides_its_frame () =
+  let g = Graph.create ~num_pes:2 () in
+  let live = Vertex.id (Graph.alloc ~pe:1 g (Label.Int 1)) in
+  let doomed = Vertex.id (Graph.alloc ~pe:1 g (Label.Int 2)) in
+  let f = Faults.create { Faults.none with Faults.drop = 0.3; duplicate = 0.3; fault_seed = 21 } in
   let net = Network.create ~faults:f () in
-  (* one three-task batch on link 0->1, one singleton batch on 0->2 *)
-  Network.send ~src:0 net ~arrival:3 ~pe:1 (Task.request 1 Demand.Vital);
-  Network.send ~src:0 net ~arrival:3 ~pe:1 (Task.request 2 Demand.Vital);
-  Network.send ~src:0 net ~arrival:3 ~pe:1 (Task.request 3 Demand.Vital);
-  Network.send ~src:0 net ~arrival:3 ~pe:2 (Task.request 4 Demand.Vital);
-  (* tick once so the batches flush into the channel as frames *)
-  Alcotest.(check int) "nothing due yet" 0 (List.length (Helpers.deliver net ~now:1));
-  Alcotest.(check int) "two data frames flushed" 2 (Network.frames_sent net);
-  let purged =
-    Network.purge net (function
-      | Task.Reduction (Task.Request { dst; _ }) -> dst = 1 || dst = 3 || dst = 4
-      | _ -> false)
+  let send dst =
+    let task = Task.request dst Demand.Vital in
+    let gen = Graph.releases g in
+    Network.send ~src:0 ~gen net ~arrival:3 ~pe:1 task
   in
-  Alcotest.(check int) "three tasks purged out of the frames" 3 purged;
-  Alcotest.(check int) "one survivor undelivered" 1 (Network.size net);
-  let delivered = drain net in
-  Alcotest.(check bool) "exactly the survivor arrived, once" true
-    (match delivered with
-    | [ (1, Task.Reduction (Task.Request { dst = 2; _ })) ] -> true
-    | _ -> false);
-  (* the emptied 0->2 frame's copy was queued for step 3: dropped when
-     it popped, not suppressed as a duplicate of the hole (checked
-     before [settle_acks] jumps the clock past the survivor's timer,
-     whose retransmission would be a genuine duplicate) *)
-  Alcotest.(check int) "purged frame's copy is no duplicate" 0 f.Faults.dup_suppressed;
-  (* the fully-purged frame left a hole on link 0->2; the watermark must
-     skip it so the link's pending set still empties *)
+  send doomed;
+  send live;
+  Alcotest.(check int) "nothing flushed before the tick" 0 (Network.frames_sent net);
+  let pool = Pool.create ~pe:1 Pool.Flat g in
+  let push _pe stamp gen task = Pool.push_stamped pool stamp gen task in
+  Network.deliver_serial net ~now:1 ~push;
+  Alcotest.(check int) "both tasks rode one frame" 1 (Network.frames_sent net);
+  (* the destination dies while the frame is in the channel *)
+  Graph.release g doomed;
+  let now = ref 1 in
+  while Network.size net > 0 && !now < 100_000 do
+    incr now;
+    Network.deliver_serial net ~now:!now ~push
+  done;
+  Alcotest.(check int) "the frame arrived whole" 2 (Pool.length pool);
+  let ran = ref [] and dropped = ref [] in
+  let dst = function Task.Reduction (Task.Request { dst; _ }) -> dst | _ -> -1 in
+  Pool.drain_lanes pool ~budget:max_int
+    ~red:(fun task _ -> ran := dst task :: !ran)
+    ~dead:(fun task _ -> dropped := dst task :: !dropped)
+    ~mark:(fun _ _ _ -> Alcotest.fail "no mark was sent");
+  Alcotest.(check (list int)) "the live task ran once" [ live ] !ran;
+  Alcotest.(check (list int)) "the stale task was dropped at its pop" [ doomed ] !dropped;
   settle_acks net
 
 (* The cumulative ack piggybacks on the LAST reverse data frame of the
@@ -383,7 +354,7 @@ let run_differential ?(domains = 1) seed =
     (Dgr_core.Cycle.cycles_completed c >= target);
   (* Oracle: halt the fault-free replica and trace it. *)
   let (_ : Dgr_baseline.Stw.report) =
-    Dgr_baseline.Stw.collect gb ~purge_tasks:(fun _ -> 0)
+    Dgr_baseline.Stw.collect gb
   in
   Helpers.check_vid_set (ctx ^ ": live set = fault-free STW live set")
     (Vid.Set.of_list (Graph.live_vids gb))
@@ -495,7 +466,7 @@ let run_crash_differential ?(domains = 1) seed =
   Alcotest.(check bool) (ctx ^ ": cycles keep completing under crashes") true
     (Dgr_core.Cycle.cycles_completed c >= target);
   let (_ : Dgr_baseline.Stw.report) =
-    Dgr_baseline.Stw.collect gb ~purge_tasks:(fun _ -> 0)
+    Dgr_baseline.Stw.collect gb
   in
   Helpers.check_vid_set (ctx ^ ": live set = fault-free STW live set")
     (Vid.Set.of_list (Graph.live_vids gb))
@@ -687,10 +658,8 @@ let suite =
     Alcotest.test_case "dedup: duplicate everything" `Quick test_everything_duplicated;
     Alcotest.test_case "retransmit: 50% drop still delivers" `Quick
       test_heavy_drop_still_delivers;
-    Alcotest.test_case "purge under faults stops retransmission" `Quick
-      test_faulted_purge_stops_retransmission;
-    Alcotest.test_case "purge prunes batched frames without double-acking" `Quick
-      test_purge_batched_frames;
+    Alcotest.test_case "a stale task rides its frame and dies at the pool" `Quick
+      test_stale_task_rides_its_frame;
     Alcotest.test_case "cum ack piggybacks on the last reverse frame" `Quick
       test_piggyback_on_last_reverse_frame;
     Alcotest.test_case "ack loss and reordering still deliver exactly once" `Quick

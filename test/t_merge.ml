@@ -155,8 +155,8 @@ let test_shard_and_serial_sends_join () =
   Alcotest.(check bool) "frame order is staging order" true
     (List.map snd entries = [ mark 1; mark 2; mark 3; mark 4 ])
 
-(* Sends the seal has not published must not escape it: flushing,
-   purging or severing the staged frames refuses, naming the sender and
+(* Sends the seal has not published must not escape it: flushing or
+   severing the staged frames refuses, naming the sender and
    what it holds, and leaves the network as it was. A PE outside the
    reserved ones cannot send in the shard phase either. *)
 let test_unsealed_sends_refused () =
@@ -171,9 +171,7 @@ let test_unsealed_sends_refused () =
     Invalid_argument (Printf.sprintf "Network.%s: src 2 holds 2 unsealed frame(s) (3 tasks)" fn)
   in
   Alcotest.check_raises "deliver_serial" (refused "deliver_serial") (fun () ->
-      Network.deliver_serial net ~now:1 ~push:(fun _ _ _ -> ()));
-  Alcotest.check_raises "purge" (refused "purge") (fun () ->
-      ignore (Network.purge net (fun _ -> true)));
+      Network.deliver_serial net ~now:1 ~push:(fun _ _ _ _ -> ()));
   Alcotest.check_raises "crash_pe" (refused "crash_pe") (fun () ->
       ignore (Network.crash_pe net ~pe:2));
   Alcotest.check_raises "unreserved sender"
@@ -182,7 +180,7 @@ let test_unsealed_sends_refused () =
   Alcotest.(check int) "nothing counted before the seal" 0 (Network.size net);
   Network.seal net;
   Alcotest.(check int) "sealed: every send counted" 3 (Network.size net);
-  Alcotest.(check int) "and purgeable" 3 (Network.purge net (fun _ -> true))
+  Alcotest.(check int) "and lost to a crash" 3 (Network.crash_pe net ~pe:2)
 
 (* --- empty-step fast path ------------------------------------------- *)
 

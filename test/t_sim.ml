@@ -73,19 +73,67 @@ let test_pool_pop_lends_slot_to_marking () =
   | Some (Task.Marking _) -> ()
   | _ -> Alcotest.fail "an idle reduction slot should take marking work"
 
+(* [push_live pool g task]: deliver [task] with the endpoint generations
+   it has now, as the engine's send records them. *)
+let push_live pool g task =
+  match task with
+  | Task.Reduction _ -> Pool.push_stamped pool (-1) (Graph.releases g) task
+  | Task.Marking _ -> Pool.push pool task
+
+let dst_of_request = function Task.Reduction (Task.Request { dst; _ }) -> dst | _ -> -1
+
+(* Drain a whole pool: the destinations of the requests it ran and of
+   the stale ones it dropped at their pop, in pop order. *)
+let drain_split pool =
+  let ran = ref [] and dropped = ref [] in
+  Pool.drain_lanes pool ~budget:max_int
+    ~red:(fun task _ -> ran := dst_of_request task :: !ran)
+    ~dead:(fun task _ -> dropped := dst_of_request task :: !dropped)
+    ~mark:(fun _ _ _ -> ());
+  (List.rev !ran, List.rev !dropped)
+
+(* A request into a released vertex is purged where it pops — without
+   using up the budget — or by the re-sort restructure runs right after
+   its releases, which still reports the live entries it moved. *)
 let test_pool_purge_and_reprioritize () =
   let g, a, b = mk_graph () in
+  let c = Vertex.id (Graph.alloc g (Label.Int 2)) in
+  let d = Vertex.id (Graph.alloc g (Label.Int 3)) in
   let pool = Pool.create Pool.Dynamic g in
-  Pool.push pool (Task.request ~src:a b Demand.Eager);
-  Pool.push pool (Task.request ~src:b a Demand.Eager);
-  let n =
-    Pool.purge pool (function
-      | Task.Reduction (Task.Request { dst; _ }) -> dst = b
-      | _ -> false)
-  in
-  Alcotest.(check int) "purged one" 1 n;
+  (* the doomed request pops first: vital, and pushed first *)
+  push_live pool g (Task.request ~src:a b Demand.Vital);
+  push_live pool g (Task.request ~src:c a Demand.Eager);
+  Graph.release g b;
+  let ran = ref [] and dropped = ref [] in
+  Pool.drain_lanes pool ~budget:1
+    ~red:(fun task _ -> ran := dst_of_request task :: !ran)
+    ~dead:(fun task _ -> dropped := dst_of_request task :: !dropped)
+    ~mark:(fun _ _ _ -> ());
+  Alcotest.(check (list int)) "purged one, at its pop" [ b ] !dropped;
+  Alcotest.(check (list int)) "the budget of one still ran the live task" [ a ] !ran;
+  push_live pool g (Task.request ~src:c d Demand.Eager);
+  push_live pool g (Task.request ~src:c a Demand.Eager);
+  Graph.release g d;
   Vertex.set_sched_prior (Graph.vertex g a) @@ 3;
-  Alcotest.(check int) "reprioritize reports changes" 1 (Pool.reprioritize pool)
+  let dropped = ref [] in
+  Alcotest.(check int) "reprioritize reports changes" 1
+    (Pool.reprioritize pool ~dead:(fun task _ -> dropped := dst_of_request task :: !dropped));
+  Alcotest.(check (list int)) "and purges the stale entry" [ d ] !dropped;
+  Alcotest.(check int) "one left" 1 (Pool.length pool)
+
+(* A stale entry waits in its pool until it is popped (or re-sorted),
+   but the pool no longer lists it among its tasks: it will never run. *)
+let test_pool_lists_live_reductions () =
+  let g, a, b = mk_graph () in
+  let c = Vertex.id (Graph.alloc g (Label.Int 2)) in
+  let pool = Pool.create Pool.Flat g in
+  List.iter
+    (fun dst -> push_live pool g (Task.request ~src:a dst Demand.Vital))
+    [ b; c; b; a ];
+  Graph.release g b;
+  Alcotest.(check int) "the stale entries still queued" 4 (Pool.length pool);
+  Alcotest.(check (list int)) "live requests listed, in pop order" [ c; a ]
+    (List.map dst_of_request (Pool.tasks pool))
 
 (* Full pop orderings, policy by policy, over one mixed push set. *)
 let test_pool_policy_pop_orders () =
@@ -145,17 +193,22 @@ let test_pool_marking_ring () =
   Pool.push pool (mark 12);
   Alcotest.(check (list int)) "growth while wrapped keeps the order"
     [ 4; 5; 6; 7; 8; 9; 10; 11; 12 ] (ids ());
-  Alcotest.(check int) "purge counts" 4 (Pool.purge pool (fun t -> mark_id t mod 2 = 1));
-  Alcotest.(check (list int)) "purge keeps the survivors' order" [ 4; 6; 8; 10; 12 ] (ids ());
+  Alcotest.(check int) "purge drops every mark" 9 (Pool.purge pool);
+  Alcotest.(check (list int)) "nothing left" [] (ids ());
+  for i = 13 to 14 do
+    Pool.push pool (mark i)
+  done;
+  Alcotest.(check (list int)) "the ring refills after a purge" [ 13; 14 ] (ids ());
   take max_int;
-  Alcotest.(check (list int)) "pop order" [ 0; 1; 2; 3; 4; 6; 8; 10; 12 ] (List.rev !popped);
+  Alcotest.(check (list int)) "pop order" [ 0; 1; 2; 3; 13; 14 ] (List.rev !popped);
   Alcotest.(check bool) "empty" true (Pool.is_empty pool);
   Alcotest.check_raises "a stamped mark is refused"
     (Invalid_argument "Pool.push: marking task on PE 0 carries lineage stamp 3") (fun () ->
       Pool.push ~stamp:3 pool (mark 0))
 
-(* Random push / drain / purge against an all-priority-0 [Pqueue], the
-   marking queue's previous representation. *)
+(* Random push / drain / purge (a crash's drop-all) against an
+   all-priority-0 [Pqueue], the marking queue's previous
+   representation. *)
 let test_pool_marking_ring_oracle () =
   let g, _, _ = mk_graph () in
   let pool = Pool.create Pool.Flat g in
@@ -180,12 +233,9 @@ let test_pool_marking_ring_oracle () =
       in
       Alcotest.(check (list int)) (label "drain") want (List.rev !got)
     | 6 ->
-      let m = 2 + Dgr_util.Rng.int rng 4 in
       let before = Dgr_util.Pqueue.length q in
-      Dgr_util.Pqueue.filter_in_place (fun _ v -> v mod m <> 0) q;
-      Alcotest.(check int) (label "purge")
-        (before - Dgr_util.Pqueue.length q)
-        (Pool.purge pool (fun t -> mark_id t mod m = 0))
+      Dgr_util.Pqueue.clear q;
+      Alcotest.(check int) (label "purge") before (Pool.purge pool)
     | _ ->
       Alcotest.(check (list int)) (label "tasks")
         (List.map snd (Dgr_util.Pqueue.to_sorted_list q))
@@ -279,7 +329,7 @@ let test_deliver_split_in_order () =
       let sent = mixed_sends net in
       let want_reds, marks_of = due_in_order net sent in
       let reds = ref [] in
-      Network.deliver_serial net ~now:10 ~push:(fun pe _ task -> reds := (pe, task) :: !reds);
+      Network.deliver_serial net ~now:10 ~push:(fun pe _ _ task -> reds := (pe, task) :: !reds);
       Alcotest.(check bool) (name ^ ": reductions in delivery order") true
         (List.rev !reds = want_reds);
       for pe = 0 to 2 do
@@ -313,50 +363,46 @@ let test_lossy_channel_delivers_marks () =
   Alcotest.(check bool) "channel dropped frames" true (f.Faults.drops > 0);
   Alcotest.(check (list (pair int string))) "every task exactly once" (canon sent) (canon !got)
 
+(* A task whose destination is released in flight still rides the
+   network: it is delivered with the generations it was sent with and
+   purged at the pool's pop. *)
 let test_network_purge () =
+  let g = Graph.create () in
+  let v7 = Vertex.id (Graph.alloc g (Label.Int 7)) in
+  let v8 = Vertex.id (Graph.alloc g (Label.Int 8)) in
   let net = Network.create () in
-  Network.send net ~arrival:1 ~pe:0 (Task.request 7 Demand.Vital);
-  Network.send net ~arrival:1 ~pe:0 (Task.request 8 Demand.Vital);
-  let n =
-    Network.purge net (function
-      | Task.Reduction (Task.Request { dst; _ }) -> dst = 7
-      | _ -> false)
+  let send dst =
+    let task = Task.request dst Demand.Vital in
+    match task with
+    | Task.Reduction _ -> Network.send ~gen:(Graph.releases g) net ~arrival:1 ~pe:0 task
+    | Task.Marking _ -> assert false
   in
-  Alcotest.(check int) "one purged" 1 n;
-  Alcotest.(check int) "one left" 1 (Network.size net)
+  send v7;
+  send v8;
+  Graph.release g v7;
+  let pool = Pool.create Pool.Flat g in
+  Network.deliver_serial net ~now:1 ~push:(fun _ stamp gen task ->
+      Pool.push_stamped pool stamp gen task);
+  Alcotest.(check int) "both delivered" 0 (Network.size net);
+  let ran, dropped = drain_split pool in
+  Alcotest.(check (list int)) "one purged" [ v7 ] dropped;
+  Alcotest.(check (list int)) "one left" [ v8 ] ran
 
-(* A purge that empties the most recently staged frame withdraws it;
-   the next send on the same (src, dst, arrival) must open a fresh
-   frame, not land in the withdrawn one and be lost. *)
-let test_purge_emptied_frame_not_reused () =
-  List.iter
-    (fun (name, faults) ->
-      let net = Network.create ?faults () in
-      Network.send ~src:0 net ~arrival:2 ~pe:1 (Task.request 7 Demand.Vital);
-      Alcotest.(check int) (name ^ ": purged") 1 (Network.purge net (fun _ -> true));
-      Network.send ~src:0 net ~arrival:2 ~pe:1 (Task.request 8 Demand.Vital);
-      let got = Helpers.deliver net ~now:2 in
-      Alcotest.(check bool)
-        (name ^ ": resent task delivered") true
-        (got = [ (1, Task.request 8 Demand.Vital) ]);
-      Alcotest.(check int) (name ^ ": nothing left in flight") 0 (Network.size net))
-    [ ("ideal", None); ("lossy", Some (Faults.create Faults.none)) ]
-
+(* The [Purge] event names the PE each stale task was bound for — it
+   dies as it is delivered there — one event per task, in delivery
+   order. *)
 let test_network_purge_records_destination () =
-  (* The purge trace must name the PE each expunged task was bound for
-     (not a blanket -1), one event per destination, ascending. *)
   let r = Dgr_obs.Recorder.create ~num_pes:4 () in
-  let net = Network.create ~recorder:r () in
-  Network.send net ~arrival:1 ~pe:2 (Task.request 7 Demand.Vital);
-  Network.send net ~arrival:1 ~pe:0 (Task.request 8 Demand.Vital);
-  Network.send net ~arrival:2 ~pe:2 (Task.request 9 Demand.Vital);
-  Network.send net ~arrival:2 ~pe:1 (Task.request 10 Demand.Vital);
-  let n =
-    Network.purge net (function
-      | Task.Reduction (Task.Request { dst; _ }) -> dst <> 10
-      | _ -> false)
-  in
-  Alcotest.(check int) "three purged" 3 n;
+  let g = Graph.create ~num_pes:4 () in
+  let on pe = Vertex.id (Graph.alloc ~pe g (Label.Int pe)) in
+  let v2 = on 2 and v0 = on 0 and v2' = on 2 and v1 = on 1 in
+  let config = Engine.Config.make ~num_pes:4 ~gc:Engine.No_gc ~heap_size:None ~latency:2 () in
+  let e = Engine.create ~recorder:r ~config g (Dgr_reduction.Template.create_registry ()) in
+  List.iter (fun v -> Engine.inject e (Task.request v Demand.Vital)) [ v2; v0; v2'; v1 ];
+  List.iter (Graph.release g) [ v2; v0; v2' ];
+  let (_ : int) = Engine.run ~max_steps:100 e in
+  Engine.dispose e;
+  Alcotest.(check int) "three purged" 3 (Engine.metrics e).Metrics.tasks_purged;
   let purge_events =
     List.filter_map
       (function
@@ -364,8 +410,8 @@ let test_network_purge_records_destination () =
         | _ -> None)
       (Dgr_obs.Recorder.events r)
   in
-  Alcotest.(check (list (pair int int))) "per-PE purge events, real destinations"
-    [ (0, 1); (2, 2) ] purge_events
+  Alcotest.(check (list (pair int int))) "per-task purge events, real destinations"
+    [ (2, 1); (2, 1); (0, 1) ] purge_events
 
 (* One frame interleaving reductions and marks (same link, same
    arrival): [entries] lists it in send order, delivery traces a
@@ -388,7 +434,7 @@ let test_interleaved_frame_order () =
     (Network.entries net = List.map (fun task -> (3, task)) sent);
   Alcotest.(check bool) "in_flight in send order" true (Network.in_flight net = sent);
   let reds = ref [] in
-  Network.deliver_serial net ~now:3 ~push:(fun _ _ task -> reds := task :: !reds);
+  Network.deliver_serial net ~now:3 ~push:(fun _ _ _ task -> reds := task :: !reds);
   Alcotest.(check int) "one frame" 1 (Network.frames_sent net);
   let delivered =
     List.filter_map
@@ -411,27 +457,25 @@ let test_interleaved_frame_order () =
   Alcotest.(check bool) "marks taken in order" true
     (List.rev !marks = List.filter Task.is_marking sent)
 
-(* Purges and crashes count tasks, marks and reductions alike, whatever
-   their place in a frame; survivors keep their order. *)
+(* Crashes count tasks, marks and reductions alike, whatever their
+   place in a frame; the other link's tasks keep their order and the
+   generations they were sent with. *)
 let test_interleaved_purge_and_crash_counts () =
   List.iter
     (fun (name, faults) ->
       let net = Network.create ?faults () in
       let sent = interleaved () in
-      List.iter (fun task -> Network.send ~src:0 net ~arrival:3 ~pe:1 task) sent;
-      List.iter (fun task -> Network.send ~src:2 net ~arrival:4 ~pe:3 task) sent;
-      let doomed task =
-        match Task.exec_vertex task with Some v -> v mod 2 = 0 | None -> false
-      in
-      let n_doomed = List.length (List.filter doomed sent) in
-      Alcotest.(check int) (name ^ ": purge count") (2 * n_doomed) (Network.purge net doomed);
-      let survivors = List.filter (fun task -> not (doomed task)) sent in
-      Alcotest.(check bool) (name ^ ": survivors keep their order") true
-        (Network.in_flight net = survivors @ survivors);
-      Alcotest.(check int) (name ^ ": crash loses the link's tasks") (List.length survivors)
+      let gen task = if Task.is_reduction task then Task.exec_vid task else Task.no_gen in
+      List.iter (fun task -> Network.send ~src:0 ~gen:(gen task) net ~arrival:3 ~pe:1 task) sent;
+      List.iter (fun task -> Network.send ~src:2 ~gen:(gen task) net ~arrival:4 ~pe:3 task) sent;
+      Alcotest.(check int) (name ^ ": crash loses the link's tasks") (List.length sent)
         (Network.crash_pe net ~pe:3);
       Alcotest.(check bool) (name ^ ": the other link survives") true
-        (Network.in_flight net = survivors))
+        (Network.in_flight net = sent);
+      let listed = ref [] in
+      Network.iter_in_flight net (fun g task -> listed := (g, task) :: !listed);
+      Alcotest.(check bool) (name ^ ": and keeps its generations") true
+        (List.rev !listed = List.map (fun task -> (gen task, task)) sent))
     [ ("ideal", None); ("lossy", Some (Faults.create Faults.none)) ]
 
 let test_engine_local_vs_remote_latency () =
@@ -839,7 +883,7 @@ let suite =
       test_interleaved_purge_and_crash_counts;
     Alcotest.test_case "network purge records destination" `Quick
       test_network_purge_records_destination;
-    Alcotest.test_case "purged frame is not reused" `Quick test_purge_emptied_frame_not_reused;
+    Alcotest.test_case "pool lists only live reductions" `Quick test_pool_lists_live_reductions;
     Alcotest.test_case "remote latency accounting" `Quick test_engine_local_vs_remote_latency;
     Alcotest.test_case "quiescence without gc" `Quick test_engine_quiescence_no_gc;
     Alcotest.test_case "inject and locate" `Quick test_engine_inject_and_locate;
