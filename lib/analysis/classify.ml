@@ -33,8 +33,6 @@ let task_kind_to_string = function
   | Irrelevant -> "irrelevant"
   | Unclassified -> "unclassified"
 
-let pp_task_kind fmt k = Format.pp_print_string fmt (task_kind_to_string k)
-
 let destination = function
   | Request { dst; _ } -> Some dst
   | Respond { dst; _ } -> dst
@@ -49,8 +47,6 @@ let classify_task sets task =
     else if Vid.Set.mem d sets.reach.Reach.r_e then Eager
     else if Vid.Set.mem d sets.reach.Reach.r_r then Reserve
     else Unclassified
-
-let classify_tasks sets tasks = List.map (fun t -> (t, classify_task sets t)) tasks
 
 type venn = {
   n_vital : int;
@@ -78,9 +74,3 @@ let venn snap sets =
     n_free = Vid.Set.cardinal sets.free;
     n_live = List.length (Snapshot.live snap);
   }
-
-let pp_venn fmt v =
-  Format.fprintf fmt
-    "@[<v>R_v=%d R_e=%d R_r=%d T\\R=%d GAR=%d GAR∩T=%d DL_v=%d F=%d live=%d@]" v.n_vital
-    v.n_eager v.n_reserve v.n_task_only v.n_garbage v.n_garbage_task v.n_deadlocked v.n_free
-    v.n_live

@@ -20,8 +20,6 @@ type task_kind = Vital | Eager | Reserve | Irrelevant | Unclassified
 
 val task_kind_to_string : task_kind -> string
 
-val pp_task_kind : Format.formatter -> task_kind -> unit
-
 val classify_task : sets -> Task.reduction -> task_kind
 (** Properties 3-6, dispatching on the task's destination [d]:
     - [Vital]: d ∈ R_v;
@@ -31,8 +29,6 @@ val classify_task : sets -> Task.reduction -> task_kind
     - [Unclassified]: anything else (e.g. a response to the external
       requester, or a task into F — transient states not covered by the
       paper's taxonomy). *)
-
-val classify_tasks : sets -> Task.reduction list -> (Task.reduction * task_kind) list
 
 type venn = {
   n_vital : int;  (** |R_v| *)
@@ -48,5 +44,3 @@ type venn = {
 
 val venn : Snapshot.t -> sets -> venn
 (** The region sizes of Fig 3-3. *)
-
-val pp_venn : Format.formatter -> venn -> unit

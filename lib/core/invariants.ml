@@ -32,35 +32,31 @@ let check run ~pending =
   let transient_children_of v =
     Graph.fold_live
       (fun acc c ->
-        let p = Vertex.plane c plane_id in
-        if Plane.transient p && (Plane.par p) = Plane.Parent v then acc + 1 else acc)
+        if Vertex.transient c plane_id && Vertex.par_vid c plane_id = v then acc + 1 else acc)
       0 g
   in
   Graph.iter_live
     (fun vx ->
-      let v = (Vertex.id vx) in
-      let p = Vertex.plane vx plane_id in
-      let children = Trace.children g plane_id v in
-      if Plane.transient p then
-        List.iter
-          (fun c ->
-            let cp = Vertex.plane (Graph.vertex g c) plane_id in
-            if Plane.unmarked cp && not (pending_mark_on c) then
-              err "invariant 1: transient v%d has unmarked child v%d with no pending mark" v c)
-          children;
-      if Plane.marked p then
-        List.iter
-          (fun c ->
-            let cv = Graph.vertex g c in
-            if
-              (not (Vertex.free cv))
-              && Plane.unmarked (Vertex.plane cv plane_id)
-              && not (pending_mark_on c)
-            then err "invariant 2: marked v%d points to unmarked v%d with no pending mark" v c)
-          children;
+      let v = Vertex.id vx in
+      let transient = Vertex.transient vx plane_id and marked = Vertex.marked vx plane_id in
+      for i = 0 to Vertex.child_slots vx plane_id - 1 do
+        let c = Vertex.child_at vx plane_id i in
+        if c >= 0 then begin
+          let cv = Graph.vertex g c in
+          if transient && Vertex.unmarked cv plane_id && not (pending_mark_on c) then
+            err "invariant 1: transient v%d has unmarked child v%d with no pending mark" v c;
+          if
+            marked
+            && (not (Vertex.free cv))
+            && Vertex.unmarked cv plane_id
+            && not (pending_mark_on c)
+          then err "invariant 2: marked v%d points to unmarked v%d with no pending mark" v c
+        end
+      done;
       let expected = credits v + transient_children_of v in
-      if (Plane.cnt p) <> expected then
-        err "invariant 3: v%d has mt-cnt=%d but %d unreturned tasks" v (Plane.cnt p) expected)
+      let cnt = Vertex.cnt vx plane_id in
+      if cnt <> expected then
+        err "invariant 3: v%d has mt-cnt=%d but %d unreturned tasks" v cnt expected)
     g;
   List.rev !errors
 

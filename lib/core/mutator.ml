@@ -59,9 +59,32 @@ let create ?(on_connect = nop2) ?(on_disconnect = nop2) ?recorder ~spawn graph =
   t.stk_sink <- (fun v _ prior -> stk_push t v prior);
   t
 
-(* The flood visit's child metas, when the closure below runs it: each
-   child's priority itself, for [stk_sink] to push. *)
+(* The child metas of the closures' visits: each child's priority
+   itself, for [stk_sink] to push. *)
 let priorities = [| 0; 1; 2; 3 |]
+
+(* The priority a cooperation mark from [parent] onto [child] carries:
+   the parent's own, at least reserve, bounded by the edge's request
+   type (Fig 5-1). *)
+let coop_priority g pid ~parent ~child =
+  let px = Graph.vertex g parent in
+  Vertex.child_priority px (Int.max 1 (Vertex.prior px pid)) child
+
+(* Mark, synchronously, what [visit] ([Vertex.mark_flood] or
+   [Vertex.mark_closure]) reaches from [from] at [prior] through the
+   plane's traced relation, and return how many vertices it marked.
+   Closure-marked vertices owe no returns. *)
+let drain_closure t pid visit ~from ~prior =
+  let g = t.graph in
+  t.stk_n <- 0;
+  stk_push t from prior;
+  let marked_here = ref 0 in
+  while t.stk_n > 0 do
+    t.stk_n <- t.stk_n - 1;
+    let vx = Graph.vertex g t.stk.(2 * t.stk_n) and prior = t.stk.((2 * t.stk_n) + 1) in
+    if visit vx pid ~prior ~metas:priorities ~emit:t.stk_sink >= 0 then incr marked_here
+  done;
+  !marked_here
 
 (* The cooperation events are built only with a recorder attached: an
    event record built to be dropped is a heap block per cooperation. *)
@@ -93,23 +116,11 @@ let set_defer t sink = t.defer <- sink
    the detection wave would never see them balance. The closure adds no
    bookkeeping, so the two-words-per-PE claim stands. *)
 let flood_cooperate_edge t (fl : Flood.t) ~parent ~child =
-  let g = t.graph in
-  let pplane = Vertex.plane (Graph.vertex g parent) fl.Flood.plane in
-  if Plane.marked pplane then begin
-    t.stk_n <- 0;
-    stk_push t child (Trace.child_priority g parent (Int.max 1 (Plane.prior pplane)) child);
-    let marked_here = ref 0 in
-    while t.stk_n > 0 do
-      t.stk_n <- t.stk_n - 1;
-      let v = t.stk.(2 * t.stk_n) and prior = t.stk.((2 * t.stk_n) + 1) in
-      (* the flood visit itself, its children pushed with their priority *)
-      if
-        Vertex.mark_flood (Graph.vertex g v) fl.Flood.plane ~prior ~metas:priorities
-          ~emit:t.stk_sink
-        >= 0
-      then incr marked_here
-    done;
-    obs_closure t ~from:child ~marked:!marked_here
+  let pid = fl.Flood.plane in
+  if Vertex.marked (Graph.vertex t.graph parent) pid then begin
+    let prior = coop_priority t.graph pid ~parent ~child in
+    let marked = drain_closure t pid Vertex.mark_flood ~from:child ~prior in
+    obs_closure t ~from:child ~marked
   end
 
 (* Deferral: while the sharded engine's shards run, cooperation may not
@@ -138,50 +149,31 @@ let rec coop_floods t floods ~mr ~mt ~parent ~child =
 (* Spawn a mark task on [child] charged to the transient [parent]
    (invariant 1 lets a transient vertex carry new outstanding tasks). *)
 let charge_and_spawn t run ~parent ~child ~prior =
-  let plane = Vertex.plane (Graph.vertex t.graph parent) run.Run.plane in
-  Plane.set_cnt plane @@ (Plane.cnt plane) + 1;
+  Vertex.charge (Graph.vertex t.graph parent) run.Run.plane;
   run.Run.coop_spawns <- run.Run.coop_spawns + 1;
   obs_spawn t ~parent ~child;
   t.spawn child parent run.Run.metas.(prior)
 
-(* Synchronously mark the unmarked component reachable from [v] through
-   the run's traced relation. Invariants: only unmarked vertices are
-   touched; they are set directly to Marked with no outstanding counts, so
-   no returns are owed; transient vertices are left to their own marking
-   subtree. Priorities propagate with min(prior, request-type). *)
+(* Synchronously mark the unmarked component reachable from [from]
+   through the run's traced relation. Invariants: only unmarked vertices
+   are touched; they are set directly to Marked with no outstanding
+   counts, so no returns are owed; transient vertices are left to their
+   own marking subtree. Priorities propagate with min(prior,
+   request-type). *)
 let closure t run ~from ~prior =
-  let g = t.graph in
-  t.stk_n <- 0;
-  stk_push t from prior;
-  let marked_here = ref 0 in
-  while t.stk_n > 0 do
-    t.stk_n <- t.stk_n - 1;
-    let v = t.stk.(2 * t.stk_n) and prior = t.stk.((2 * t.stk_n) + 1) in
-    let vx = Graph.vertex g v in
-    let plane = Vertex.plane vx run.Run.plane in
-    if (not (Vertex.free vx)) && Plane.unmarked plane then begin
-      Plane.mark plane;
-      Plane.set_prior plane @@ prior;
-      run.Run.coop_closure <- run.Run.coop_closure + 1;
-      incr marked_here;
-      Trace.iter_children g run.Run.plane v (fun c ->
-          stk_push t c (Trace.child_priority g v prior c))
-    end
-  done;
-  obs_closure t ~from ~marked:!marked_here
+  let marked = drain_closure t run.Run.plane Vertex.mark_closure ~from ~prior in
+  run.Run.coop_closure <- run.Run.coop_closure + marked;
+  obs_closure t ~from ~marked
 
 (* Generic cooperation for a new traced edge parent→child. *)
 let cooperate_edge t run ~parent ~child =
   let g = t.graph in
-  let pplane = Vertex.plane (Graph.vertex g parent) run.Run.plane in
-  if Plane.transient pplane then begin
-    let prior = Trace.child_priority g parent (Int.max 1 (Plane.prior pplane)) child in
-    charge_and_spawn t run ~parent ~child ~prior
-  end
-  else if Plane.marked pplane then begin
-    let prior = Trace.child_priority g parent (Int.max 1 (Plane.prior pplane)) child in
-    closure t run ~from:child ~prior
-  end
+  let pid = run.Run.plane in
+  let px = Graph.vertex g parent in
+  if Vertex.transient px pid then
+    charge_and_spawn t run ~parent ~child ~prior:(coop_priority g pid ~parent ~child)
+  else if Vertex.marked px pid then
+    closure t run ~from:child ~prior:(coop_priority g pid ~parent ~child)
 
 let coop_tree t run ~parent ~child =
   match t.defer with
@@ -221,18 +213,16 @@ let delete_reference t ~a ~b = disconnect t a b
    plain args edges (M_R). [b] witnesses that [c] was already traceable. *)
 let witness_cooperate t run ~a ~b ~c =
   let g = t.graph in
-  let pa = Vertex.plane (Graph.vertex g a) run.Run.plane in
-  let pb = Vertex.plane (Graph.vertex g b) run.Run.plane in
-  if Plane.transient pa && Plane.unmarked pb then begin
-    let prior = Trace.child_priority g a (Int.max 1 (Plane.prior pa)) c in
-    charge_and_spawn t run ~parent:a ~child:c ~prior
-  end
-  else if Plane.marked pa && Plane.transient pb then begin
+  let pid = run.Run.plane in
+  let va = Graph.vertex g a and vb = Graph.vertex g b in
+  if Vertex.transient va pid && Vertex.unmarked vb pid then
+    charge_and_spawn t run ~parent:a ~child:c ~prior:(coop_priority g pid ~parent:a ~child:c)
+  else if Vertex.marked va pid && Vertex.transient vb pid then begin
     (* execute mark(c,b) synchronously, charged to the transient b. *)
-    Plane.set_cnt pb @@ (Plane.cnt pb) + 1;
+    Vertex.charge vb pid;
     run.Run.coop_spawns <- run.Run.coop_spawns + 1;
     obs_spawn t ~parent:b ~child:c;
-    let prior = Trace.child_priority g b (Int.max 1 (Plane.prior pb)) c in
+    let prior = coop_priority g pid ~parent:b ~child:c in
     Marker.execute run ~pe:(t.coop_pe ()) ~emit:t.spawn c b run.Run.metas.(prior)
   end
   (* marked a / marked b: c is at least transient by invariant 2;

@@ -75,7 +75,7 @@ type t = {
   mutable stk_n : int;
   mutable stk_sink : Task.sink;
       (** pushes [(v, prior)] from a mark [v _ prior]: the [emit] of the
-          flood visits the closures run *)
+          closure visits ([Vertex.mark_flood], [Vertex.mark_closure]) *)
 }
 
 val create :

@@ -16,12 +16,11 @@ let collect_home g ~deadlock_checked ~pe =
   let gar = ref [] and dl = ref [] in
   Graph.iter_home g ~pe (fun v ->
       if not (Vertex.free v) then begin
-        let mr = Vertex.mr v in
-        if Plane.unmarked mr then gar := Vertex.id v :: !gar
+        if Vertex.unmarked v Plane.MR then gar := Vertex.id v :: !gar
         else if
-          deadlock_checked && Plane.marked mr
-          && Plane.prior mr = 3
-          && not (Plane.marked (Vertex.mt v))
+          deadlock_checked && Vertex.marked v Plane.MR
+          && Vertex.prior v Plane.MR = 3
+          && not (Vertex.marked v Plane.MT)
         then dl := Vertex.id v :: !dl
       end);
   (!gar, !dl)
@@ -33,7 +32,7 @@ let in_gar g v =
   Graph.mem g v
   &&
   let vx = Graph.vertex g v in
-  (not (Vertex.free vx)) && Plane.unmarked (Vertex.mr vx)
+  (not (Vertex.free vx)) && Vertex.unmarked vx Plane.MR
 
 (* Owner-local bookkeeping on one home's survivors: requester rows and
    scheduling priorities live on the vertex itself, so this pass is also
@@ -42,11 +41,10 @@ let in_gar g v =
 let persist_home g ~pe =
   let keep r = not (in_gar g r) in
   Graph.iter_home g ~pe (fun v ->
-      let mr = Vertex.mr v in
-      if (not (Vertex.free v)) && not (Plane.unmarked mr) then begin
+      if (not (Vertex.free v)) && not (Vertex.unmarked v Plane.MR) then begin
         if Vertex.requested_count v > 0 then Vertex.retain_requesters v keep;
         (* Persist the cycle's priority verdict for pool scheduling. *)
-        if Plane.marked mr then Vertex.set_sched_prior v (Plane.prior mr)
+        if Vertex.marked v Plane.MR then Vertex.set_sched_prior v (Vertex.prior v Plane.MR)
       end)
 
 let serial_each_home g f =
@@ -80,9 +78,3 @@ let run ~graph:g ~deadlock_checked ~reprioritize ?each_home () =
     deadlock_checked;
     reprioritized = moved;
   }
-
-let pp_report fmt r =
-  Format.fprintf fmt "garbage=%d deadlocked=%d%s reprioritized=%d" r.garbage
-    (List.length r.deadlocked)
-    (if r.deadlock_checked then "" else " (unchecked)")
-    r.reprioritized

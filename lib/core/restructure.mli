@@ -61,5 +61,3 @@ val run :
 
 val collect_home : Graph.t -> deadlock_checked:bool -> pe:int -> Vid.t list * Vid.t list
 (** One home's [(garbage, deadlocked)] verdict, read-only (tests). *)
-
-val pp_report : Format.formatter -> report -> unit

@@ -33,7 +33,7 @@ type t = {
   mutable outstanding_seeds : int;
   mutable finished : bool;
   marks_executed : int array;  (** per-PE; read via {!marks_total} *)
-  returns_executed : int array;  (** per-PE; read via {!returns_total} *)
+  returns_executed : int array;  (** per-PE *)
   mutable coop_spawns : int;  (** mark tasks spawned by cooperating mutators *)
   mutable coop_closure : int;  (** vertices marked synchronously by closure cooperation *)
 }
@@ -60,8 +60,6 @@ val prior_in : int array -> int -> int
     and priority, so a handler's own marks need no decoding. *)
 
 val marks_total : t -> int
-
-val returns_total : t -> int
 
 val seed_added : t -> unit
 (** Record that a seed mark task (with parent [Rootpar]) was spawned. *)

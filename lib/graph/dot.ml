@@ -1,7 +1,7 @@
 let vertex_attrs (v : Vertex.t) is_root =
   let shape = if is_root then "doublecircle" else "circle" in
   let fill =
-    match Plane.color (Vertex.mr v) with
+    match Vertex.color v Plane.MR with
     | Plane.Marked -> "gray70"
     | Plane.Transient -> "gray90"
     | Plane.Unmarked -> "white"

@@ -455,7 +455,7 @@ let fold_live f acc t =
   iter_live (fun v -> acc := f !acc v) t;
   !acc
 
-(* Resetting a plane is an O(chunks) epoch bump (see [Plane.reset_cols])
+(* Resetting a plane is an O(chunks) epoch bump (see [Vertex.reset_plane_cols])
    and opens a new wave: the wave counter is shared by both planes, so
    it is globally unique across M_R and M_T — mark tasks, termination
    credits and seed stamps tagged with it can never collide between the

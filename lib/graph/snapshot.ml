@@ -27,9 +27,9 @@ let snap_vertex (v : Vertex.t) =
     requested = (Vertex.requested v);
     free = (Vertex.free v);
     pe = (Vertex.pe v);
-    mr_color = Plane.color (Vertex.mr v);
-    mr_prior = Plane.prior (Vertex.mr v);
-    mt_color = Plane.color (Vertex.mt v);
+    mr_color = Vertex.color v Plane.MR;
+    mr_prior = Vertex.prior v Plane.MR;
+    mt_color = Vertex.color v Plane.MT;
   }
 
 let take g =

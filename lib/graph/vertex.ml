@@ -1,8 +1,10 @@
 (* This unit owns everything one mark touches: the marking planes'
-   columns (module [Plane], re-exported under that name by plane.ml), the
-   vertex rows, the traced-children enumeration and the per-slot marking
-   transitions of both schemes (mark1/mark3, mark2's modify, return1 and
-   the flood visit). The libraries build in dune's default profile, which
+   columns (their types in module [Plane], re-exported under that name by
+   plane.ml), the vertex rows, the traced-children enumeration and every
+   write to a plane: the per-slot marking transitions of both schemes
+   (mark1/mark3, mark2's modify, return1 and the flood visit) and the
+   cooperating mutator's two (a transient parent's charge and the tree
+   closure's visit). The libraries build in dune's default profile, which
    compiles with [-opaque]: a call into another unit is an out-of-line
    call through that unit's module block, never inlined. Inside one unit
    the column accessors inline, so a mark pays one call into here and the
@@ -17,178 +19,9 @@ module Plane = struct
 
   type id = MR | MT
 
-  (* One marking plane's state for a whole storage chunk, as parallel
-     columns: colour packed one byte per slot, the counter/parent/priority
-     words one cell per slot (the parent as a vid, -1 for rootpar, so the
-     marking hot path reads and writes it without boxing). Chunks never
-     move once allocated (see [Graph]), so a handle caches the column
-     arrays directly.
-
-     The [c_epoch] column makes between-cycle resets O(1): a slot's state
-     is valid only while its epoch equals the chunk's current epoch
-     [cur]; a stale slot reads as pristine (unmarked, zero, rootpar) and
-     is lazily re-zeroed the first time the new wave writes it. Bumping
-     [cur] therefore resets the whole chunk without touching a slot —
-     which is what lets cycle N+1's mark wave start while cycle N's
-     restructuring is still draining, instead of a bulk wipe that has to
-     wait for every outstanding reader. Epochs start at 0 with [cur] at 1,
-     so a fresh chunk is wholly stale, i.e. wholly pristine. *)
-  type cols = {
-    c_color : Bytes.t;
-    c_cnt : int array;
-    c_par : int array;
-    c_prior : int array;
-    c_epoch : int array;
-    mutable cur : int;
-  }
-
-  (* A handle onto one slot of a plane column set. Copying the handle is
-     cheap and aliases the same state. *)
-  type t = { off : int; c : cols }
-
-  let make_cols n =
-    {
-      c_color = Bytes.make n '\000';
-      c_cnt = Array.make n 0;
-      c_par = Array.make n (-1);
-      c_prior = Array.make n 0;
-      c_epoch = Array.make n 0;
-      cur = 1;
-    }
-
-  let reset_cols c = c.cur <- c.cur + 1
-
-  let handle c off = { off; c }
-
-  let create () = handle (make_cols 1) 0
-
-  (* The slot operations take the column set and the offset, so the
-     transitions below reach a vertex's plane through the vertex's own
-     chunk columns, without loading the premade handle; the handle API
-     is the same operations on [t.c] and [t.off]. *)
-  let live c off = Array.unsafe_get c.c_epoch off = c.cur
-
-  (* Bring a stale slot into the current epoch, pristine. Every write goes
-     through this first so a slot never mixes bits from two waves. *)
-  let materialize c off =
-    if not (live c off) then begin
-      Array.unsafe_set c.c_epoch off c.cur;
-      Bytes.unsafe_set c.c_color off '\000';
-      Array.unsafe_set c.c_cnt off 0;
-      Array.unsafe_set c.c_par off (-1);
-      Array.unsafe_set c.c_prior off 0
-    end
-
-  let color_at c off =
-    if not (live c off) then Unmarked
-    else
-      match Bytes.unsafe_get c.c_color off with
-      | '\000' -> Unmarked
-      | '\001' -> Transient
-      | _ -> Marked
-
-  let set_color_at c off col =
-    materialize c off;
-    Bytes.unsafe_set c.c_color off
-      (match col with Unmarked -> '\000' | Transient -> '\001' | Marked -> '\002')
-
-  let cnt_at c off = if live c off then Array.unsafe_get c.c_cnt off else 0
-
-  let set_cnt_at c off n =
-    materialize c off;
-    Array.unsafe_set c.c_cnt off n
-
-  let par_vid_at c off = if live c off then Array.unsafe_get c.c_par off else -1
-
-  let set_par_vid_at c off v =
-    materialize c off;
-    Array.unsafe_set c.c_par off v
-
-  let prior_at c off = if live c off then Array.unsafe_get c.c_prior off else 0
-
-  let set_prior_at c off p =
-    materialize c off;
-    Array.unsafe_set c.c_prior off p
-
-  let unmarked_at c off = (not (live c off)) || Bytes.unsafe_get c.c_color off = '\000'
-
-  let transient_at c off = live c off && Bytes.unsafe_get c.c_color off = '\001'
-
-  let marked_at c off = live c off && Bytes.unsafe_get c.c_color off = '\002'
-
-  let color t = color_at t.c t.off
-
-  let set_color t col = set_color_at t.c t.off col
-
-  let cnt t = cnt_at t.c t.off
-
-  let set_cnt t n = set_cnt_at t.c t.off n
-
   let parent_of_vid v = if v < 0 then Rootpar else Parent v
 
   let vid_of_parent = function Rootpar -> -1 | Parent v -> v
-
-  let par_vid t = par_vid_at t.c t.off
-
-  let set_par_vid t v = set_par_vid_at t.c t.off v
-
-  let par t = parent_of_vid (par_vid t)
-
-  let prior t = prior_at t.c t.off
-
-  let set_prior t p = set_prior_at t.c t.off p
-
-  (* Per-slot reset: mark the slot stale, which IS the pristine state. *)
-  let reset t = Array.unsafe_set t.c.c_epoch t.off 0
-
-  let unmarked t = unmarked_at t.c t.off
-
-  let transient t = transient_at t.c t.off
-
-  let marked t = marked_at t.c t.off
-
-  let touch t = set_color t Transient
-
-  let mark t = set_color t Marked
-
-  let unmark t =
-    set_color t Unmarked;
-    set_prior t 0
-
-  let equal_color (a : color) b = a = b
-
-  (* A boxed copy of one slot's plane state (checkpointing). Fields are
-     mutable so an incremental checkpoint can refresh a stale shot in
-     place instead of allocating a new one per sync. *)
-  type shot = {
-    mutable s_color : color;
-    mutable s_cnt : int;
-    mutable s_par : int;
-    mutable s_prior : int;
-  }
-
-  let capture t = { s_color = color t; s_cnt = cnt t; s_par = par_vid t; s_prior = prior t }
-
-  let recapture s t =
-    s.s_color <- color t;
-    s.s_cnt <- cnt t;
-    s.s_par <- par_vid t;
-    s.s_prior <- prior t
-
-  let matches s t =
-    equal_color s.s_color (color t)
-    && s.s_cnt = cnt t && s.s_par = par_vid t && s.s_prior = prior t
-
-  let restore s t =
-    set_color t s.s_color;
-    set_cnt t s.s_cnt;
-    set_par_vid t s.s_par;
-    set_prior t s.s_prior
-
-  let pp_color fmt = function
-    | Unmarked -> Format.pp_print_string fmt "unmarked"
-    | Transient -> Format.pp_print_string fmt "transient"
-    | Marked -> Format.pp_print_string fmt "marked"
 
   let pp_parent fmt = function
     | Rootpar -> Format.pp_print_string fmt "rootpar"
@@ -197,11 +30,93 @@ module Plane = struct
   let pp_id fmt = function
     | MR -> Format.pp_print_string fmt "M_R"
     | MT -> Format.pp_print_string fmt "M_T"
-
-  let pp fmt t =
-    Format.fprintf fmt "{%a cnt=%d par=%a prior=%d}" pp_color (color t) (cnt t) pp_parent
-      (par t) (prior t)
 end
+
+(* One marking plane's state for a whole storage chunk, as parallel
+   columns: colour packed one byte per slot (0 unmarked, 1 transient,
+   2 marked), the counter/parent/priority words one cell per slot (the
+   parent as a vid, -1 for rootpar, so the marking hot path reads and
+   writes it without boxing). Every read and write below takes the
+   column set and the slot offset; nothing outside this unit reaches
+   them.
+
+   The [p_epoch] column makes between-cycle resets O(1): a slot's state
+   is valid only while its epoch equals the chunk's current epoch
+   [cur]; a stale slot reads as pristine (unmarked, zero, rootpar) and
+   is lazily re-zeroed the first time the new wave writes it. Bumping
+   [cur] therefore resets the whole chunk without touching a slot —
+   which is what lets cycle N+1's mark wave start while cycle N's
+   restructuring is still draining, instead of a bulk wipe that has to
+   wait for every outstanding reader. Epochs start at 0 with [cur] at 1,
+   so a fresh chunk is wholly stale, i.e. wholly pristine. *)
+type pcols = {
+  p_color : Bytes.t;
+  p_cnt : int array;
+  p_par : int array;
+  p_prior : int array;
+  p_epoch : int array;
+  mutable cur : int;
+}
+
+let make_pcols n =
+  {
+    p_color = Bytes.make n '\000';
+    p_cnt = Array.make n 0;
+    p_par = Array.make n (-1);
+    p_prior = Array.make n 0;
+    p_epoch = Array.make n 0;
+    cur = 1;
+  }
+
+let live c off = Array.unsafe_get c.p_epoch off = c.cur
+
+(* Bring a stale slot into the current epoch, pristine. Every write goes
+   through this first so a slot never mixes bits from two waves. *)
+let materialize c off =
+  if not (live c off) then begin
+    Array.unsafe_set c.p_epoch off c.cur;
+    Bytes.unsafe_set c.p_color off '\000';
+    Array.unsafe_set c.p_cnt off 0;
+    Array.unsafe_set c.p_par off (-1);
+    Array.unsafe_set c.p_prior off 0
+  end
+
+let color_at c off =
+  if not (live c off) then Plane.Unmarked
+  else
+    match Bytes.unsafe_get c.p_color off with
+    | '\000' -> Plane.Unmarked
+    | '\001' -> Plane.Transient
+    | _ -> Plane.Marked
+
+let set_color_at c off col =
+  materialize c off;
+  Bytes.unsafe_set c.p_color off
+    (match col with Plane.Unmarked -> '\000' | Plane.Transient -> '\001' | Plane.Marked -> '\002')
+
+let unmarked_at c off = (not (live c off)) || Bytes.unsafe_get c.p_color off = '\000'
+
+let transient_at c off = live c off && Bytes.unsafe_get c.p_color off = '\001'
+
+let marked_at c off = live c off && Bytes.unsafe_get c.p_color off = '\002'
+
+let cnt_at c off = if live c off then Array.unsafe_get c.p_cnt off else 0
+
+let set_cnt_at c off n =
+  materialize c off;
+  Array.unsafe_set c.p_cnt off n
+
+let par_vid_at c off = if live c off then Array.unsafe_get c.p_par off else -1
+
+let set_par_vid_at c off v =
+  materialize c off;
+  Array.unsafe_set c.p_par off v
+
+let prior_at c off = if live c off then Array.unsafe_get c.p_prior off else 0
+
+let set_prior_at c off p =
+  materialize c off;
+  Array.unsafe_set c.p_prior off p
 
 type requester = Vid.t option
 
@@ -242,16 +157,14 @@ type cols = {
   stamp : int array;
   gen : int array;  (* release count at the slot's last release; see [Task.stale] *)
   free : Bytes.t;
-  mrc : Plane.cols;
-  mtc : Plane.cols;
+  mrc : pcols;
+  mtc : pcols;
 }
 
 type t = {
   id : Vid.t;
   c : cols;
   off : int;
-  mr : Plane.t;
-  mt : Plane.t;
   (* args: ordered data-dependency children, append order *)
   mutable args_a : int array;
   mutable args_n : int;
@@ -279,15 +192,17 @@ let make_cols n =
     stamp = Array.make n 0;
     gen = Array.make n 0;
     free = Bytes.make n '\000';
-    mrc = Plane.make_cols n;
-    mtc = Plane.make_cols n;
+    mrc = make_pcols n;
+    mtc = make_pcols n;
   }
 
 let empty_cols = make_cols 0
 
-let reset_plane_cols c = function
-  | Plane.MR -> Plane.reset_cols c.mrc
-  | Plane.MT -> Plane.reset_cols c.mtc
+let pcols c = function Plane.MR -> c.mrc | Plane.MT -> c.mtc
+
+let reset_plane_cols c pid =
+  let pc = pcols c pid in
+  pc.cur <- pc.cur + 1
 
 let empty_row = [||]
 
@@ -303,8 +218,6 @@ let attach id ~off c ~pe label =
     id;
     c;
     off;
-    mr = Plane.handle c.mrc off;
-    mt = Plane.handle c.mtc off;
     args_a = empty_row;
     args_n = 0;
     reqv_a = empty_row;
@@ -354,11 +267,24 @@ let gen t = Array.unsafe_get t.c.gen t.off
 
 let set_gen t g = Array.unsafe_set t.c.gen t.off g
 
-let mr t = t.mr
+(* --- plane state ------------------------------------------------------ *)
 
-let mt t = t.mt
+(* The plane's columns for [t]'s chunk; the slot is [t.off]. *)
+let plane_cols t pid = pcols t.c pid
 
-let plane t = function Plane.MR -> t.mr | Plane.MT -> t.mt
+let color t pid = color_at (plane_cols t pid) t.off
+
+let cnt t pid = cnt_at (plane_cols t pid) t.off
+
+let par_vid t pid = par_vid_at (plane_cols t pid) t.off
+
+let prior t pid = prior_at (plane_cols t pid) t.off
+
+let unmarked t pid = unmarked_at (plane_cols t pid) t.off
+
+let transient t pid = transient_at (plane_cols t pid) t.off
+
+let marked t pid = marked_at (plane_cols t pid) t.off
 
 (* --- row plumbing ----------------------------------------------------- *)
 
@@ -665,15 +591,12 @@ let spawn_children t pid pc ~charge ~prior ~par ~metas ~(emit : int -> int -> in
   for i = 0 to child_slots t pid - 1 do
     let c = child_at t pid i in
     if c >= 0 then begin
-      if charge then Plane.set_cnt_at pc off (Plane.cnt_at pc off + 1);
+      if charge then set_cnt_at pc off (cnt_at pc off + 1);
       incr n;
       emit c par metas.(child_priority t prior c)
     end
   done;
   !n
-
-(* The plane's columns for [t]'s chunk; the slot is [t.off]. *)
-let plane_cols t = function Plane.MR -> t.c.mrc | Plane.MT -> t.c.mtc
 
 (* mark1/mark3 (prior 0, Figs 4-1 and 5-3) and mark2 (prior 1-3,
    Fig 5-1). A free target degenerates to an immediate return; so does a
@@ -686,16 +609,16 @@ let plane_cols t = function Plane.MR -> t.c.mrc | Plane.MT -> t.c.mtc
    [par] its return. *)
 let mark_tree t pid ~par ~prior ~metas ~ret ~emit =
   let pc = plane_cols t pid and off = t.off in
-  if free t || ((not (Plane.unmarked_at pc off)) && prior <= Plane.prior_at pc off) then
+  if free t || (not (unmarked_at pc off) && prior <= prior_at pc off) then
     emit (-1) par ret
   else begin
-    if Plane.transient_at pc off then emit (-1) (Plane.par_vid_at pc off) ret;
-    Plane.set_color_at pc off Plane.Transient;
-    Plane.set_par_vid_at pc off par;
-    if prior > 0 then Plane.set_prior_at pc off prior;
+    if transient_at pc off then emit (-1) (par_vid_at pc off) ret;
+    set_color_at pc off Plane.Transient;
+    set_par_vid_at pc off par;
+    if prior > 0 then set_prior_at pc off prior;
     let (_ : int) = spawn_children t pid pc ~charge:true ~prior ~par:t.id ~metas ~emit in
-    if Plane.cnt_at pc off = 0 then begin
-      Plane.set_color_at pc off Plane.Marked;
+    if cnt_at pc off = 0 then begin
+      set_color_at pc off Plane.Marked;
       emit (-1) par ret
     end
   end
@@ -704,13 +627,13 @@ let mark_tree t pid ~par ~prior ~metas ~ret ~emit =
    return marks the vertex and passes a return to its own parent. *)
 let return_tree t pid ~ret ~emit =
   let pc = plane_cols t pid and off = t.off in
-  let n = Plane.cnt_at pc off in
+  let n = cnt_at pc off in
   if n <= 0 then
     invalid_arg (Format.asprintf "Vertex.return_tree: %a has mt-cnt=0" Vid.pp t.id);
-  Plane.set_cnt_at pc off (n - 1);
+  set_cnt_at pc off (n - 1);
   if n = 1 then begin
-    Plane.set_color_at pc off Plane.Marked;
-    emit (-1) (Plane.par_vid_at pc off) ret
+    set_color_at pc off Plane.Marked;
+    emit (-1) (par_vid_at pc off) ret
   end
 
 (* The flood visit (§6): a live vertex not yet marked at [prior] or
@@ -719,10 +642,30 @@ let return_tree t pid ~ret ~emit =
    the visit changed nothing. *)
 let mark_flood t pid ~prior ~metas ~emit =
   let pc = plane_cols t pid and off = t.off in
-  if free t || (Plane.marked_at pc off && prior <= Plane.prior_at pc off) then -1
+  if free t || (marked_at pc off && prior <= prior_at pc off) then -1
   else begin
-    Plane.set_color_at pc off Plane.Marked;
-    if prior > 0 then Plane.set_prior_at pc off prior;
+    set_color_at pc off Plane.Marked;
+    if prior > 0 then set_prior_at pc off prior;
+    spawn_children t pid pc ~charge:false ~prior ~par:(-1) ~metas ~emit
+  end
+
+(* The cooperating mutator's two writes (Fig 4-2, §5.3). [charge]: one
+   more mark task spawned on the transient vertex's behalf (invariant 1).
+   [mark_closure]: one visit of the synchronous closure that marks a
+   marked parent's new unmarked component — an unmarked live vertex is
+   marked at [prior], owing no returns, and spawns a mark on each traced
+   child; a transient vertex is left to its own marking subtree. Returns
+   the number spawned, or -1 when the visit changed nothing. *)
+let charge t pid =
+  let pc = plane_cols t pid and off = t.off in
+  set_cnt_at pc off (cnt_at pc off + 1)
+
+let mark_closure t pid ~prior ~metas ~emit =
+  let pc = plane_cols t pid and off = t.off in
+  if free t || not (unmarked_at pc off) then -1
+  else begin
+    set_color_at pc off Plane.Marked;
+    set_prior_at pc off prior;
     spawn_children t pid pc ~charge:false ~prior ~par:(-1) ~metas ~emit
   end
 
@@ -737,8 +680,9 @@ let reset_for_free t =
   t.recv_n <- 0;
   set_free t true;
   set_sched_prior t 0;
-  Plane.reset t.mr;
-  Plane.reset t.mt
+  (* a stale epoch IS the pristine plane state *)
+  Array.unsafe_set t.c.mrc.p_epoch t.off 0;
+  Array.unsafe_set t.c.mtc.p_epoch t.off 0
 
 (* --- checkpointing ---------------------------------------------------- *)
 
@@ -761,8 +705,14 @@ module Cells = struct
     mutable s_rq : int array;
     mutable s_recv : int array;
     mutable s_recv_v : Label.value array;
-    s_mr : Plane.shot;
-    s_mt : Plane.shot;
+    mutable s_mr_color : Plane.color;
+    mutable s_mr_cnt : int;
+    mutable s_mr_par : int;
+    mutable s_mr_prior : int;
+    mutable s_mt_color : Plane.color;
+    mutable s_mt_cnt : int;
+    mutable s_mt_par : int;
+    mutable s_mt_prior : int;
   }
 
   let capture t =
@@ -779,8 +729,14 @@ module Cells = struct
       s_rq = Array.sub t.rq_a 0 (3 * t.rq_n);
       s_recv = Array.sub t.recv_a 0 t.recv_n;
       s_recv_v = Array.sub t.recv_v 0 t.recv_n;
-      s_mr = Plane.capture t.mr;
-      s_mt = Plane.capture t.mt;
+      s_mr_color = color_at t.c.mrc t.off;
+      s_mr_cnt = cnt_at t.c.mrc t.off;
+      s_mr_par = par_vid_at t.c.mrc t.off;
+      s_mr_prior = prior_at t.c.mrc t.off;
+      s_mt_color = color_at t.c.mtc t.off;
+      s_mt_cnt = cnt_at t.c.mtc t.off;
+      s_mt_par = par_vid_at t.c.mtc t.off;
+      s_mt_prior = prior_at t.c.mtc t.off;
     }
 
   (* Refresh one captured row: reuse the shot's array when the live
@@ -811,8 +767,14 @@ module Cells = struct
           s.s_recv_v
         end
         else Array.sub t.recv_v 0 t.recv_n));
-    Plane.recapture s.s_mr t.mr;
-    Plane.recapture s.s_mt t.mt
+    s.s_mr_color <- color_at t.c.mrc t.off;
+    s.s_mr_cnt <- cnt_at t.c.mrc t.off;
+    s.s_mr_par <- par_vid_at t.c.mrc t.off;
+    s.s_mr_prior <- prior_at t.c.mrc t.off;
+    s.s_mt_color <- color_at t.c.mtc t.off;
+    s.s_mt_cnt <- cnt_at t.c.mtc t.off;
+    s.s_mt_par <- par_vid_at t.c.mtc t.off;
+    s.s_mt_prior <- prior_at t.c.mtc t.off
 
   (* Loop-based row comparisons: [matches] runs for every checkpointed
      slot on every sync, so the scans are plain while-loops (a nested
@@ -828,11 +790,16 @@ module Cells = struct
       !i >= n
     end
 
+  let plane_matches pc off color cnt par prior =
+    color_at pc off = color && cnt_at pc off = cnt && par_vid_at pc off = par
+    && prior_at pc off = prior
+
   let matches s t =
     Label.equal s.s_label (label t)
     && s.s_pe = pe t && s.s_free = free t && s.s_birth = birth t && s.s_gen = gen t
     && s.s_sprior = sched_prior t
-    && Plane.matches s.s_mr t.mr && Plane.matches s.s_mt t.mt
+    && plane_matches t.c.mrc t.off s.s_mr_color s.s_mr_cnt s.s_mr_par s.s_mr_prior
+    && plane_matches t.c.mtc t.off s.s_mt_color s.s_mt_cnt s.s_mt_par s.s_mt_prior
     && row_matches s.s_args t.args_a t.args_n
     && row_matches s.s_reqv t.reqv_a t.reqv_n
     && row_matches s.s_reqe t.reqe_a t.reqe_n
@@ -851,6 +818,12 @@ module Cells = struct
     let dst = if Array.length a >= n then a else Array.make (Int.max 4 n) 0 in
     Array.blit t 0 dst 0 n;
     dst
+
+  let restore_plane pc off color cnt par prior =
+    set_color_at pc off color;
+    set_cnt_at pc off cnt;
+    set_par_vid_at pc off par;
+    set_prior_at pc off prior
 
   let restore s t =
     set_label t s.s_label;
@@ -871,8 +844,8 @@ module Cells = struct
     t.recv_n <- Array.length s.s_recv;
     (if Array.length t.recv_v < t.recv_n then t.recv_v <- Array.make (Int.max 4 t.recv_n) Label.V_nil);
     Array.blit s.s_recv_v 0 t.recv_v 0 t.recv_n;
-    Plane.restore s.s_mr t.mr;
-    Plane.restore s.s_mt t.mt
+    restore_plane t.c.mrc t.off s.s_mr_color s.s_mr_cnt s.s_mr_par s.s_mr_prior;
+    restore_plane t.c.mtc t.off s.s_mt_color s.s_mt_cnt s.s_mt_par s.s_mt_prior
 end
 
 (* --- introspection (tests) -------------------------------------------- *)

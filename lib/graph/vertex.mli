@@ -10,7 +10,7 @@
       for the distinguished initial task [<-,root>]).
 
     It also carries the reduction engine's per-vertex bookkeeping (values
-    received so far) and the two marking planes.
+    received so far) and the two marking planes (see {!Plane}).
 
     {!t} is an opaque handle into a struct-of-arrays store: fixed-width
     state (label, pe, free, birth, gen, sched_prior, planes) lives in parallel
@@ -25,7 +25,7 @@
 
 (** {1 Marking planes} *)
 
-(** Per-vertex marking state for one marking process, re-exported as
+(** The types of the per-vertex marking state, re-exported as
     [Dgr_graph.Plane].
 
     Each vertex carries two independent planes — one for M_R (marking from
@@ -36,15 +36,16 @@
     A plane holds the tri-state colour (unmarked / transient / marked,
     §4.1), the outstanding-mark-task counter [mt-cnt], the marking-tree
     parent [mt-par], and — for M_R only — the priority with which the
-    vertex was traced (3 = vital, 2 = eager, 1 = reserve; §5.1).
-
-    Plane state lives in struct-of-arrays columns owned by the graph's
-    storage chunks; {!t} is a cheap handle (column set + slot offset) and
-    all access goes through the functions below. A chunk's planes reset
-    in O(1) ([Graph.reset_plane]): the chunk carries a per-slot epoch
-    column and a current-epoch counter, a reset bumps the counter, stale
-    slots read as pristine, and a slot is lazily re-zeroed the first time
-    the new wave writes it. *)
+    vertex was traced (3 = vital, 2 = eager, 1 = reserve; §5.1). The
+    state lives in struct-of-arrays columns owned by the graph's storage
+    chunks. It is read through {!color}, {!cnt}, {!par_vid}, {!prior}
+    and the colour tests below, and written only by this unit's marking
+    transitions ({!mark_tree}, {!return_tree}, {!mark_flood}, {!charge},
+    {!mark_closure}), {!reset_for_free} and {!Cells.restore}. A chunk's
+    planes reset in O(1) ([Graph.reset_plane]): the chunk carries a
+    per-slot epoch column and a current-epoch counter, a reset bumps the
+    counter, stale slots read as pristine, and a slot is lazily re-zeroed
+    the first time the new wave writes it. *)
 module Plane : sig
   type color = Unmarked | Transient | Marked
 
@@ -54,63 +55,14 @@ module Plane : sig
 
   type id = MR | MT
 
-  type t
-  (** A handle onto one vertex's slot of a plane's columns. *)
-
-  val create : unit -> t
-  (** A standalone single-slot plane (tests). *)
-
-  val color : t -> color
-
-  val set_color : t -> color -> unit
-
-  val cnt : t -> int
-  (** mt-cnt: spawned-but-unreturned mark tasks. *)
-
-  val set_cnt : t -> int -> unit
-
-  val par : t -> parent
-  (** mt-par: parent in the marking tree. *)
-
-  val par_vid : t -> int
-  (** {!par} as a vid, [-1] for [Rootpar] — the unboxed form the marking
-      transitions read and write. *)
-
-  val set_par_vid : t -> int -> unit
-
   val parent_of_vid : int -> parent
   (** [-1] (any negative) is [Rootpar]. *)
 
   val vid_of_parent : parent -> int
 
-  val prior : t -> int
-  (** 0 when unmarked; 1..3 once traced (M_R). *)
-
-  val set_prior : t -> int -> unit
-
-  val reset : t -> unit
-  (** Return the plane to the pristine unmarked state (between cycles). *)
-
-  val unmarked : t -> bool
-
-  val transient : t -> bool
-
-  val marked : t -> bool
-
-  val touch : t -> unit
-  (** unmarked/marked -> transient (paper's [touch]). *)
-
-  val mark : t -> unit
-  (** -> marked (paper's [mark]). *)
-
-  val unmark : t -> unit
-  (** -> unmarked, clearing priority. *)
-
   val pp_parent : Format.formatter -> parent -> unit
 
   val pp_id : Format.formatter -> id -> unit
-
-  val pp : Format.formatter -> t -> unit
 end
 
 type requester = Vid.t option
@@ -201,11 +153,25 @@ val gen : t -> int
 
 val set_gen : t -> int -> unit
 
-val mr : t -> Plane.t
+(** {1 Plane state} *)
 
-val mt : t -> Plane.t
+val color : t -> Plane.id -> Plane.color
 
-val plane : t -> Plane.id -> Plane.t
+val cnt : t -> Plane.id -> int
+(** mt-cnt: spawned-but-unreturned mark tasks. *)
+
+val par_vid : t -> Plane.id -> int
+(** mt-par, the parent in the marking tree, as a vid: [-1] for
+    [Rootpar] (see {!Plane.parent_of_vid}). *)
+
+val prior : t -> Plane.id -> int
+(** 0 when unmarked; 1..3 once traced (M_R). *)
+
+val unmarked : t -> Plane.id -> bool
+
+val transient : t -> Plane.id -> bool
+
+val marked : t -> Plane.id -> bool
 
 (** {1 args} *)
 
@@ -387,11 +353,25 @@ val mark_flood :
     each traced child. Returns the number spawned, or [-1] when the
     visit changed nothing. *)
 
+val charge : t -> Plane.id -> unit
+(** Count one more outstanding mark task on the vertex's mt-cnt: the
+    cooperating mutator's spawn charged to a transient parent (invariant
+    1, Fig 4-2). *)
+
+val mark_closure :
+  t -> Plane.id -> prior:int -> metas:int array -> emit:(int -> int -> int -> unit) -> int
+(** One visit of the cooperating mutator's synchronous closure (§5.3):
+    an unmarked live vertex is marked at [prior], owing no returns, and
+    spawns a mark, parent lane [-1], on each traced child. Returns the
+    number spawned, or [-1] when the vertex is free or not unmarked (a
+    transient vertex is left to its own marking subtree). *)
+
 (** {1 Lifecycle} *)
 
 val reset_for_free : t -> unit
-(** Wipe every field for return to the free list. Row capacities are
-    retained for the slot's next life. *)
+(** Wipe every field for return to the free list, both planes to the
+    pristine unmarked state. Row capacities are retained for the slot's
+    next life. *)
 
 (** {1 Checkpointing} *)
 

@@ -122,9 +122,9 @@ let e2_task_types () =
   let sets = Classify.compute snap ~tasks:scenario.Scenarios.tasks in
   let decentralized_kind dst =
     let vx = Graph.vertex g dst in
-    if Plane.unmarked (Vertex.mr vx) then "irrelevant"
+    if Vertex.unmarked vx Plane.MR then "irrelevant"
     else
-      match Plane.prior (Vertex.mr vx) with
+      match Vertex.prior vx Plane.MR with
       | 3 -> "vital"
       | 2 -> "eager"
       | 1 -> "reserve"

@@ -37,30 +37,6 @@ open Dgr_util
 
 type result = Table.t list
 
-val e1_deadlock : ?seed:int -> unit -> result
-
-val e2_task_types : unit -> result
-
-val e3_venn : ?seed:int -> unit -> result
-
-val e4_gc_comparison : ?seed:int -> unit -> result
-
-val e5_scaling : ?seed:int -> unit -> result
-
-val e6_cyclic_garbage : ?seed:int -> unit -> result
-
-val e7_irrelevant_tasks : ?seed:int -> unit -> result
-
-val e8_priorities : ?seed:int -> unit -> result
-
-val e9_marking_schemes : ?seed:int -> unit -> result
-
-val e10_heap_sweep : ?seed:int -> unit -> result
-
-val e11_fault_sweep : ?seed:int -> unit -> result
-
-val e12_serial_fraction : unit -> result
-
 type info = {
   title : string;  (** one-line description *)
   paper_ref : string;  (** the figure/section of the paper it regenerates *)

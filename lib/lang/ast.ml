@@ -36,11 +36,6 @@ let rec pp_expr fmt = function
       args
   | Bottom -> Format.pp_print_string fmt "bottom"
 
-let pp_def fmt d =
-  Format.fprintf fmt "@[<hov 2>def %s %a =@ %a@]" d.name
-    (Format.pp_print_list ~pp_sep:Format.pp_print_space Format.pp_print_string)
-    d.params pp_expr d.body
-
 let free_vars expr =
   let seen = ref [] in
   let add x bound =

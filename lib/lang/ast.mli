@@ -27,7 +27,6 @@ type program = def list
 
 val pp_expr : Format.formatter -> expr -> unit
 
-val pp_def : Format.formatter -> def -> unit
 
 val free_vars : expr -> string list
 (** Variables not bound by enclosing [Let]s, in first-occurrence order. *)

@@ -23,7 +23,6 @@ let add_row t cells =
          (Array.length row));
   Vec.push t.rows row
 
-let add_rows t rows = List.iter (add_row t) rows
 
 let pad align width s =
   let n = String.length s in
@@ -67,6 +66,5 @@ let cell_f x = Printf.sprintf "%.2f" x
 
 let cell_i n = string_of_int n
 
-let cell_pct x = Printf.sprintf "%.1f%%" x
 
 let cell_ratio x = Printf.sprintf "%.2fx" x

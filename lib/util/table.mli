@@ -12,8 +12,6 @@ val create : title:string -> columns:(string * align) list -> t
 val add_row : t -> string list -> unit
 (** Raises [Invalid_argument] if the row width does not match the header. *)
 
-val add_rows : t -> string list list -> unit
-
 val render : t -> string
 
 val print : t -> unit
@@ -23,9 +21,6 @@ val cell_f : float -> string
 (** Standard float formatting for table cells ("%.2f"). *)
 
 val cell_i : int -> string
-
-val cell_pct : float -> string
-(** Percentage with one decimal, e.g. "12.5%". *)
 
 val cell_ratio : float -> string
 (** Multiplicative factor, e.g. "3.42x". *)

@@ -71,7 +71,6 @@ let of_list l =
   List.iter (push v) l;
   v
 
-let to_array v = Array.sub v.data 0 v.len
 
 let filter_in_place p v =
   let j = ref 0 in

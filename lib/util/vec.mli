@@ -42,8 +42,6 @@ val to_list : 'a t -> 'a list
 
 val of_list : 'a list -> 'a t
 
-val to_array : 'a t -> 'a array
-
 val filter_in_place : ('a -> bool) -> 'a t -> unit
 (** [filter_in_place p v] keeps only elements satisfying [p], preserving
     order. O(n). *)

@@ -19,13 +19,13 @@ let check_vid_set msg expected actual =
 let marked_set g plane =
   Graph.fold_live
     (fun acc v ->
-      if Plane.marked (Vertex.plane v plane) then Vid.Set.add (Vertex.id v) acc else acc)
+      if Vertex.marked v plane then Vid.Set.add (Vertex.id v) acc else acc)
     Vid.Set.empty g
 
 let marked_with_prior g prior =
   Graph.fold_live
     (fun acc v ->
-      if Plane.marked (Vertex.mr v) && Plane.prior (Vertex.mr v) = prior then
+      if Vertex.marked v Plane.MR && Vertex.prior v Plane.MR = prior then
         Vid.Set.add (Vertex.id v) acc
       else acc)
     Vid.Set.empty g
@@ -34,11 +34,10 @@ let marked_with_prior g prior =
 let check_quiescent g plane =
   Graph.iter_live
     (fun v ->
-      let p = Vertex.plane v plane in
-      if Plane.transient p then
+      if Vertex.transient v plane then
         Alcotest.failf "v%d left transient after marking" (Vertex.id v);
-      if (Plane.cnt p) <> 0 then
-        Alcotest.failf "v%d has residual mt-cnt=%d" (Vertex.id v) (Plane.cnt p))
+      if Vertex.cnt v plane <> 0 then
+        Alcotest.failf "v%d has residual mt-cnt=%d" (Vertex.id v) (Vertex.cnt v plane))
     g
 
 let orders rng =

@@ -35,8 +35,15 @@ let maul g ~pe =
         Vertex.set_args v [];
         List.iter (Vertex.drop_request v) (Vertex.req_v v);
         Vertex.set_sched_prior v @@ (Vertex.sched_prior v) + 7;
-        Plane.set_color (Vertex.mr v) Plane.Transient;
-        Plane.set_cnt (Vertex.mr v) 42
+        (* an unmarked vertex turns marked, a marked one keeps its
+           colour; either way its count is off by 42 *)
+        ignore
+          (Vertex.mark_closure v Plane.MR ~prior:1 ~metas:[| 0; 1; 2; 3 |]
+             ~emit:(fun _ _ _ -> ())
+            : int);
+        for _ = 1 to 42 do
+          Vertex.charge v Plane.MR
+        done
       end)
 
 (* How [Invariants.ownership_guard] answers for every live vertex, under

@@ -89,9 +89,9 @@ let test_sched_prior_persists () =
   Alcotest.(check int) "root classified vital" 3 (Vertex.sched_prior (Graph.vertex g root));
   Alcotest.(check int) "leaf classified eager" 2 (Vertex.sched_prior (Graph.vertex g leaf));
   Alcotest.(check bool) "planes reset between cycles" true
-    (Plane.unmarked (Vertex.mr (Graph.vertex g root))
-    || Plane.transient (Vertex.mr (Graph.vertex g root))
-    || Plane.marked (Vertex.mr (Graph.vertex g root)))
+    (Vertex.unmarked (Graph.vertex g root) Plane.MR
+    || Vertex.transient (Graph.vertex g root) Plane.MR
+    || Vertex.marked (Graph.vertex g root) Plane.MR)
 
 let test_irrelevant_tasks_purged () =
   let g = Graph.create ~num_pes:1 () in
@@ -351,7 +351,7 @@ let test_stale_task_does_not_seed () =
   let (_ : int) = Engine.run ~max_steps:1_000 ~stop:(fun _ -> Cycle.phase c <> Cycle.Mark_tasks) e in
   Engine.dispose e;
   Alcotest.(check bool) "M_T finished" true (Cycle.phase c = Cycle.Mark_root);
-  Alcotest.(check bool) "and never marked it" false (Plane.marked (Vertex.mt reborn))
+  Alcotest.(check bool) "and never marked it" false (Vertex.marked reborn Plane.MT)
 
 (* Minor words of the step that finishes the first cycle, on a machine
    holding [live] reachable vertices and a fixed garbage load. *)

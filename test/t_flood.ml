@@ -56,7 +56,7 @@ let test_flood_marks_reachable () =
   let expected = Dgr_analysis.Reach.reachable_from (Snapshot.take g) [ root ] in
   Helpers.check_vid_set "flood = R" expected marked;
   Alcotest.(check bool) "junk untouched" true
-    (Plane.unmarked (Vertex.mr (Graph.vertex g junk)));
+    (Vertex.unmarked (Graph.vertex g junk) Plane.MR);
   Alcotest.(check int) "2 words per PE" 2 (Flood.bookkeeping_words fl)
 
 let spec_gen =
@@ -87,8 +87,8 @@ let prop_flood_equals_tree_static =
               ok
               &&
               let w = Graph.vertex g2 (Vertex.id v) in
-              Plane.marked (Vertex.mr v) = Plane.marked (Vertex.mr w)
-              && Plane.prior (Vertex.mr v) = Plane.prior (Vertex.mr w))
+              Vertex.marked v Plane.MR = Vertex.marked w Plane.MR
+              && Vertex.prior v Plane.MR = Vertex.prior w Plane.MR)
             true g1)
         (Helpers.orders (Rng.create (seed + 7))))
 
@@ -175,12 +175,12 @@ let prop_flood_safety_liveness_under_mutation =
       let reachable = Dgr_analysis.Reach.reachable_from (Snapshot.take g) [ Graph.root g ] in
       let liveness =
         Vid.Set.for_all
-          (fun v -> Plane.marked (Vertex.mr (Graph.vertex g v)))
+          (fun v -> Vertex.marked (Graph.vertex g v) Plane.MR)
           reachable
       in
       let safety =
         Vid.Set.for_all
-          (fun v -> Plane.unmarked (Vertex.mr (Graph.vertex g v)))
+          (fun v -> Vertex.unmarked (Graph.vertex g v) Plane.MR)
           gar_tb
       in
       liveness && safety && Flood.outstanding fl = 0)

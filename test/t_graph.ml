@@ -196,20 +196,29 @@ let test_snapshot_immutable () =
   Alcotest.(check int) "size" 2 (Snapshot.size snap);
   Alcotest.(check int) "live" 2 (List.length (Snapshot.live snap))
 
+(* A vertex's plane through one marking-tree life: unmarked, transient
+   under its parent with one child charged, marked on the child's
+   return, and pristine again once the slot is freed. *)
 let test_plane_lifecycle () =
-  let p = Plane.create () in
-  Alcotest.(check bool) "starts unmarked" true (Plane.unmarked p);
-  Plane.touch p;
-  Alcotest.(check bool) "transient" true (Plane.transient p);
-  Plane.mark p;
-  Alcotest.(check bool) "marked" true (Plane.marked p);
-  Plane.set_prior p @@ 3;
-  Plane.unmark p;
-  Alcotest.(check bool) "unmark clears priority" true (Plane.unmarked p && (Plane.prior p) = 0);
-  Plane.touch p;
-  Plane.set_cnt p @@ 5;
-  Plane.reset p;
-  Alcotest.(check bool) "reset" true (Plane.unmarked p && (Plane.cnt p) = 0)
+  let v = Vertex.create 0 ~pe:0 Label.If in
+  Vertex.connect v 1;
+  let nop _ _ _ = () in
+  Alcotest.(check bool) "starts unmarked" true
+    (Vertex.unmarked v Plane.MR && Vertex.unmarked v Plane.MT);
+  Vertex.mark_tree v Plane.MR ~par:7 ~prior:3 ~metas:[| 0; 1; 2; 3 |] ~ret:0 ~emit:nop;
+  Alcotest.(check bool) "transient" true (Vertex.transient v Plane.MR);
+  Alcotest.(check (list int)) "cnt, par, prior" [ 1; 7; 3 ]
+    [ Vertex.cnt v Plane.MR; Vertex.par_vid v Plane.MR; Vertex.prior v Plane.MR ];
+  Alcotest.(check bool) "the other plane is untouched" true (Vertex.unmarked v Plane.MT);
+  Vertex.return_tree v Plane.MR ~ret:0 ~emit:nop;
+  Alcotest.(check bool) "marked" true (Vertex.marked v Plane.MR && Vertex.cnt v Plane.MR = 0);
+  Vertex.charge v Plane.MR;
+  Vertex.reset_for_free v;
+  Alcotest.(check bool) "reset clears colour, count and priority" true
+    (Vertex.unmarked v Plane.MR
+    && Vertex.cnt v Plane.MR = 0
+    && Vertex.prior v Plane.MR = 0
+    && Vertex.par_vid v Plane.MR = -1)
 
 let contains ~needle haystack =
   let n = String.length needle and h = String.length haystack in

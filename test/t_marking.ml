@@ -38,7 +38,7 @@ let test_self_loop () =
   Graph.set_root g (Vertex.id v);
   let run = mark_basic g in
   Alcotest.(check bool) "finished" true run.Run.finished;
-  Alcotest.(check bool) "self-loop marked" true (Plane.marked (Vertex.mr v));
+  Alcotest.(check bool) "self-loop marked" true (Vertex.marked v Plane.MR);
   Helpers.check_quiescent g Plane.MR
 
 let test_cycle_ring () =
@@ -57,7 +57,7 @@ let test_garbage_not_marked () =
   let garbage = Builder.cycle g 4 in
   let (_ : Run.t) = mark_basic g in
   Alcotest.(check bool) "garbage unmarked" true
-    (Plane.unmarked (Vertex.mr (Graph.vertex g garbage)))
+    (Vertex.unmarked (Graph.vertex g garbage) Plane.MR)
 
 let test_shared_subexpression () =
   let g = Graph.create () in
@@ -120,7 +120,7 @@ let test_priority_diamond () =
   Vertex.request_arg (Graph.vertex g r) d Demand.Vital;
   let run = Sync_engine.mark g Run.Priority ~seeds:[ root ] in
   Alcotest.(check bool) "finished" true run.Run.finished;
-  let prior v = Plane.prior (Vertex.mr (Graph.vertex g v)) in
+  let prior v = Vertex.prior (Graph.vertex g v) Plane.MR in
   Alcotest.(check int) "root vital" 3 (prior root);
   Alcotest.(check int) "left vital" 3 (prior l);
   Alcotest.(check int) "right eager" 2 (prior r);
@@ -137,7 +137,7 @@ let test_priority_eager_subtree_requests_vitally () =
   Vertex.request_arg (Graph.vertex g root) e Demand.Eager;
   Vertex.request_arg (Graph.vertex g e) w Demand.Vital;
   let (_ : Run.t) = Sync_engine.mark g Run.Priority ~seeds:[ root ] in
-  let prior v = Plane.prior (Vertex.mr (Graph.vertex g v)) in
+  let prior v = Vertex.prior (Graph.vertex g v) Plane.MR in
   Alcotest.(check int) "e eager" 2 (prior e);
   Alcotest.(check int) "w capped at eager" 2 (prior w)
 
@@ -148,7 +148,7 @@ let test_priority_unrequested_is_reserve () =
   ignore root;
   let (_ : Run.t) = Sync_engine.mark g Run.Priority ~seeds:[ Graph.root g ] in
   Alcotest.(check int) "unrequested arg priority 1" 1
-    (Plane.prior (Vertex.mr (Graph.vertex g x)))
+    (Vertex.prior (Graph.vertex g x) Plane.MR)
 
 let test_priority_matches_oracle_random () =
   let rng = Rng.create 99 in
@@ -212,16 +212,16 @@ let test_mark_tasks_skips_req_args () =
   let run = Sync_engine.mark g Run.Tasks ~seeds:[ x ] in
   Alcotest.(check bool) "finished" true run.Run.finished;
   Alcotest.(check bool) "y not task-reachable" true
-    (Plane.unmarked (Vertex.mt (Graph.vertex g y)));
-  Alcotest.(check bool) "x marked" true (Plane.marked (Vertex.mt (Graph.vertex g x)))
+    (Vertex.unmarked (Graph.vertex g y) Plane.MT);
+  Alcotest.(check bool) "x marked" true (Vertex.marked (Graph.vertex g x) Plane.MT)
 
 let test_planes_independent () =
   let g = Graph.create () in
   let head = Builder.chain g 4 in
   Graph.set_root g head;
   let (_ : Run.t) = Sync_engine.mark g Run.Basic ~seeds:[ head ] in
-  Alcotest.(check bool) "MR marked" true (Plane.marked (Vertex.mr (Graph.vertex g head)));
-  Alcotest.(check bool) "MT untouched" true (Plane.unmarked (Vertex.mt (Graph.vertex g head)))
+  Alcotest.(check bool) "MR marked" true (Vertex.marked (Graph.vertex g head) Plane.MR);
+  Alcotest.(check bool) "MT untouched" true (Vertex.unmarked (Graph.vertex g head) Plane.MT)
 
 (* The dequeue schedule itself, pinned: M_T from every requested vertex,
    then M_R from the root, on one engine. The tasks executed and every
@@ -245,12 +245,14 @@ let schedule_fingerprint order seed =
   let (_ : Run.t) = Sync_engine.start e Run.Priority ~seeds:[ Graph.root g ] in
   let n_mr = Sync_engine.drain e in
   let b = Buffer.create 4096 in
-  let plane p = Printf.bprintf b "%d,%d,%b;" (Plane.par_vid p) (Plane.prior p) (Plane.marked p) in
+  let plane v p =
+    Printf.bprintf b "%d,%d,%b;" (Vertex.par_vid v p) (Vertex.prior v p) (Vertex.marked v p)
+  in
   Graph.iter_live
     (fun v ->
       Printf.bprintf b "%d:" (Vertex.id v);
-      plane (Vertex.mt v);
-      plane (Vertex.mr v))
+      plane v Plane.MT;
+      plane v Plane.MR)
     g;
   Printf.sprintf "%d+%d %s" n_mt n_mr (Digest.to_hex (Digest.string (Buffer.contents b)))
 
@@ -394,9 +396,9 @@ let test_invariant_checker_catches_corruption () =
   let run = Sync_engine.start engine Run.Basic ~seeds:[ head ] in
   let (_ : bool) = Sync_engine.step engine in
   (* corrupt the count behind the algorithm's back *)
-  Plane.set_cnt
-    (Vertex.mr (Graph.vertex g head))
-    (Plane.cnt (Vertex.mr (Graph.vertex g head)) + 5);
+  for _ = 1 to 5 do
+    Vertex.charge (Graph.vertex g head) Plane.MR
+  done;
   Alcotest.(check bool) "invariant 3 violation reported" true
     (Invariants.check run ~pending:(Sync_engine.pending engine) <> [])
 

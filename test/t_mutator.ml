@@ -24,7 +24,7 @@ let drain_and_check engine run =
   let reachable = Dgr_analysis.Reach.reachable_from snap [ Graph.root g ] in
   Vid.Set.iter
     (fun v ->
-      if not (Plane.marked (Vertex.mr (Graph.vertex g v))) then
+      if not (Vertex.marked (Graph.vertex g v) Plane.MR) then
         Alcotest.failf "reachable v%d missed by marking" v)
     reachable
 
@@ -39,7 +39,7 @@ let test_paper_race () =
   let engine, run = partial_mark g ~steps:1 in
   (* After one step the root a is transient and a mark task for b is
      pending; c is untouched. *)
-  Alcotest.(check bool) "a transient" true (Plane.transient (Vertex.mr (Graph.vertex g a)));
+  Alcotest.(check bool) "a transient" true (Vertex.transient (Graph.vertex g a) Plane.MR);
   let mut = Sync_engine.mutator engine in
   Mutator.add_reference mut ~a ~b ~c;
   Mutator.delete_reference mut ~a:b ~b:c;
@@ -60,13 +60,13 @@ let test_paper_race_after_marked () =
      chain). *)
   let steps = ref 0 in
   while
-    (not (Plane.marked (Vertex.mr (Graph.vertex g a))))
+    (not (Vertex.marked (Graph.vertex g a) Plane.MR))
     && !steps < 100
     && Sync_engine.step engine
   do
     incr steps
   done;
-  if Plane.marked (Vertex.mr (Graph.vertex g a)) && Plane.transient (Vertex.mr (Graph.vertex g b))
+  if Vertex.marked (Graph.vertex g a) Plane.MR && Vertex.transient (Graph.vertex g b) Plane.MR
   then begin
     let fresh = Builder.add g (Label.Int 9) [] in
     Vertex.connect (Graph.vertex g b) fresh;
@@ -106,9 +106,35 @@ let test_expand_node_marked_parent () =
   let inner = Graph.alloc g (Label.Prim Label.Neg) in
   Mutator.connect_fresh mut ~parent:(Vertex.id inner) ~child:leaf;
   Mutator.expand_node mut ~a ~entry:(Vertex.id inner);
-  Alcotest.(check bool) "subgraph closure-marked" true (Plane.marked (Vertex.mr inner));
+  Alcotest.(check bool) "subgraph closure-marked" true (Vertex.marked inner Plane.MR);
   Alcotest.(check (list int)) "a rewired" [ (Vertex.id inner) ] (Vertex.args (Graph.vertex g a));
   Invariants.check_exn run ~pending:(Sync_engine.pending engine)
+
+(* Tree-closure cooperation allocates nothing per vertex: a new edge
+   from an M_R-marked parent onto a 2,000-vertex unmarked chain marks the
+   chain synchronously, each visit a [Vertex.mark_closure] slot loop with
+   no callback per traced child. The bound, one word per closure-marked
+   vertex, fails on a single heap block per visit. *)
+let test_closure_alloc () =
+  let g = Graph.create () in
+  let a = Builder.add_root g Label.Ind [] in
+  let engine = Sync_engine.create g in
+  let run = Sync_engine.start engine Run.Priority ~seeds:[ a ] in
+  let (_ : int) = Sync_engine.drain engine in
+  Alcotest.(check bool) "parent M_R-marked" true (Vertex.marked (Graph.vertex g a) Plane.MR);
+  let head = Builder.chain g 2_000 in
+  let mut = Sync_engine.mutator engine in
+  Mutator.set_active mut [ run ];
+  let closed0 = run.Run.coop_closure in
+  let w0 = Gc.minor_words () in
+  Mutator.add_edge mut ~a ~c:head;
+  let words = Gc.minor_words () -. w0 in
+  let closed = run.Run.coop_closure - closed0 in
+  Alcotest.(check int) "the whole chain closure-marked" 2_000 closed;
+  let per_vertex = words /. float_of_int closed in
+  if per_vertex > 1.0 then
+    Alcotest.failf "closure cooperation allocates %.2f minor words per marked vertex (bound 1)"
+      per_vertex
 
 let test_expand_node_unmarked_parent () =
   let g = Graph.create () in
@@ -118,7 +144,7 @@ let test_expand_node_unmarked_parent () =
   let inner = Graph.alloc g (Label.Prim Label.Neg) in
   Mutator.connect_fresh mut ~parent:(Vertex.id inner) ~child:leaf;
   Mutator.expand_node mut ~a ~entry:(Vertex.id inner);
-  Alcotest.(check bool) "no marking without active runs" true (Plane.unmarked (Vertex.mr inner))
+  Alcotest.(check bool) "no marking without active runs" true (Vertex.unmarked inner Plane.MR)
 
 let test_record_request_cooperates_once () =
   (* Re-recording the same request entry must not charge the marking tree
@@ -130,16 +156,16 @@ let test_record_request_cooperates_once () =
   let run = Sync_engine.start engine Run.Tasks ~seeds:[ x ] in
   let (_ : bool) = Sync_engine.step engine in
   (* x is now transient on the MT plane *)
-  Alcotest.(check bool) "x transient (MT)" true (Plane.transient (Vertex.mt (Graph.vertex g x)));
+  Alcotest.(check bool) "x transient (MT)" true (Vertex.transient (Graph.vertex g x) Plane.MT);
   let mut = Sync_engine.mutator engine in
-  let cnt_before = Plane.cnt (Vertex.mt (Graph.vertex g x)) in
+  let cnt_before = Vertex.cnt (Graph.vertex g x) Plane.MT in
   Mutator.record_request mut ~at:x ~requester:(Some y) ~demand:Demand.Vital ~key:x;
-  let cnt_after_first = Plane.cnt (Vertex.mt (Graph.vertex g x)) in
+  let cnt_after_first = Vertex.cnt (Graph.vertex g x) Plane.MT in
   Alcotest.(check int) "first recording charges once" (cnt_before + 1) cnt_after_first;
   Mutator.record_request mut ~at:x ~requester:(Some y) ~demand:Demand.Vital ~key:x;
   Alcotest.(check int) "re-recording does not charge"
     cnt_after_first
-    (Plane.cnt (Vertex.mt (Graph.vertex g x)));
+    (Vertex.cnt (Graph.vertex g x) Plane.MT);
   let (_ : int) = Sync_engine.drain engine in
   Alcotest.(check bool) "M_T terminates" true run.Run.finished
 
@@ -154,12 +180,12 @@ let test_drop_request_restores_mt_edge () =
   let run = Sync_engine.start engine Run.Tasks ~seeds:[ x ] in
   let (_ : int) = Sync_engine.drain engine in
   Alcotest.(check bool) "x marked, y skipped (req-arg edge)" true
-    (Plane.marked (Vertex.mt (Graph.vertex g x)) && Plane.unmarked (Vertex.mt (Graph.vertex g y)));
+    (Vertex.marked (Graph.vertex g x) Plane.MT && Vertex.unmarked (Graph.vertex g y) Plane.MT);
   let mut = Sync_engine.mutator engine in
   Mutator.set_active mut [ run ];
   Mutator.drop_request_child mut ~v:x ~c:y;
   Alcotest.(check bool) "y closure-marked on dereference" true
-    (Plane.marked (Vertex.mt (Graph.vertex g y)))
+    (Vertex.marked (Graph.vertex g y) Plane.MT)
 
 let test_hooks_fire () =
   let g = Graph.create () in
@@ -239,7 +265,7 @@ let test_interleaved_random_mutations () =
     let reachable = Dgr_analysis.Reach.reachable_from snap [ Graph.root g ] in
     Vid.Set.iter
       (fun v ->
-        if not (Plane.marked (Vertex.mr (Graph.vertex g v))) then
+        if not (Vertex.marked (Graph.vertex g v) Plane.MR) then
           Alcotest.failf "seed %d: reachable v%d missed" seed v)
       reachable
   done
@@ -252,6 +278,8 @@ let suite =
       test_add_reference_validates_witness;
     Alcotest.test_case "expand-node under a marked parent" `Quick
       test_expand_node_marked_parent;
+    Alcotest.test_case "closure cooperation allocates nothing per vertex" `Quick
+      test_closure_alloc;
     Alcotest.test_case "expand-node with no active runs" `Quick
       test_expand_node_unmarked_parent;
     Alcotest.test_case "record_request charges once" `Quick test_record_request_cooperates_once;

@@ -839,7 +839,7 @@ let test_stall_retry_alloc () =
    each expansion's fresh slots, nothing per retry, primitive or
    rewrite. The marks that share the phase allocate next to nothing. *)
 let test_reduction_alloc_per_task () =
-  let bound = 32.0 in
+  let bound = 29.0 in
   let g, templates =
     Dgr_lang.Compile.load_string ~num_pes:4 (Dgr_lang.Prelude.fib 12)
   in

@@ -286,6 +286,32 @@ let test_row_recycling () =
     (Vertex.requested_count v');
   Alcotest.(check (list int)) "args view is empty" [] (Vertex.args v')
 
+(* A fresh slot's birth allocates its handle and nothing else: 14 fields
+   and a header, its plane state living in the chunk columns. A recycled
+   birth reuses the slot's handle and allocates nothing. 400 births from
+   one home of a partitioned 4-PE graph, the home's first slot born
+   before the count. *)
+let test_birth_alloc () =
+  let g = Graph.create ~num_pes:4 () in
+  Graph.partition g ~pes:4;
+  let births = 400 in
+  let vids = Array.make births 0 in
+  ignore (Graph.alloc_from g ~from:1 Label.If : Vertex.t);
+  let w0 = Gc.minor_words () in
+  for i = 0 to births - 1 do
+    vids.(i) <- Vertex.id (Graph.alloc_from g ~from:1 Label.If)
+  done;
+  let fresh = (Gc.minor_words () -. w0) /. float_of_int births in
+  Array.iter (Graph.release g) vids;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to births do
+    ignore (Graph.alloc_from g ~from:1 Label.If : Vertex.t)
+  done;
+  let recycled = (Gc.minor_words () -. w0) /. float_of_int births in
+  if fresh > 15.0 then
+    Alcotest.failf "a fresh birth allocates %.2f minor words (bound 15)" fresh;
+  Alcotest.(check (float 0.0)) "minor words per recycled birth" 0.0 recycled
+
 let test_homes_do_not_share_free_lists () =
   let g = Graph.create ~num_pes:2 () in
   Graph.partition g ~pes:2;
@@ -362,6 +388,7 @@ let suite =
     qtest prop_store_matches_oracle;
     Alcotest.test_case "free list recycles rows capacity-intact" `Quick
       test_row_recycling;
+    Alcotest.test_case "a birth allocates only its handle" `Quick test_birth_alloc;
     Alcotest.test_case "per-home free lists are disjoint" `Quick
       test_homes_do_not_share_free_lists;
     Alcotest.test_case "arg rows grow geometrically" `Quick test_row_headroom_growth;

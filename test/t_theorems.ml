@@ -108,7 +108,7 @@ let prop_theorem_1 =
         let gar' =
           Graph.fold_live
             (fun acc v ->
-              if Plane.unmarked (Vertex.mr v) then Vid.Set.add (Vertex.id v) acc else acc)
+              if Vertex.unmarked v Plane.MR then Vid.Set.add (Vertex.id v) acc else acc)
             Vid.Set.empty g
         in
         let gar_tc =
@@ -173,9 +173,9 @@ let prop_theorem_2 =
           Graph.fold_live
             (fun acc v ->
               if
-                Plane.marked (Vertex.mr v)
-                && Plane.prior (Vertex.mr v) = 3
-                && not (Plane.marked (Vertex.mt v))
+                Vertex.marked v Plane.MR
+                && Vertex.prior v Plane.MR = 3
+                && not (Vertex.marked v Plane.MT)
               then Vid.Set.add (Vertex.id v) acc
               else acc)
             Vid.Set.empty g
@@ -203,7 +203,7 @@ let prop_mr_safety =
       let (_ : int) = Sync_engine.drain ~interleave:(adversary rng mut g 3) engine in
       run.Run.finished
       && Vid.Set.for_all
-           (fun v -> Plane.unmarked (Vertex.mr (Graph.vertex g v)))
+           (fun v -> Vertex.unmarked (Graph.vertex g v) Plane.MR)
            gar_tb)
 
 (* Invariants hold at every interleaving point of a mutated M_R run. *)
