@@ -37,6 +37,7 @@ type t = {
   mutable last_report : Restructure.report option;
   mutable deadlocked_ever : Vid.Set.t;
   mutable total_garbage : int;
+  verdicts : Restructure.verdicts;  (* reused by every restructure *)
 }
 
 let create ?(deadlock_every = 1) ?(scheme = Tree) ?(detection_window = 8) ?recorder g mut
@@ -64,6 +65,7 @@ let create ?(deadlock_every = 1) ?(scheme = Tree) ?(detection_window = 8) ?recor
     last_report = None;
     deadlocked_ever = Vid.Set.empty;
     total_garbage = 0;
+    verdicts = Restructure.verdicts ();
   }
 
 let obs t kind =
@@ -180,7 +182,7 @@ let finish_cycle t =
   let report =
     Restructure.run ~graph:t.g ~deadlock_checked:t.mt_ran_this_cycle
       ~reprioritize:t.env.reprioritize
-      ~each_home:t.env.each_home ()
+      ~each_home:t.env.each_home ~verdicts:t.verdicts ()
   in
   (match report.Restructure.deadlocked with
   | [] -> ()

@@ -295,18 +295,16 @@ let add_edge ?demand t ~a ~c =
   (* a→c is in M_T's relation only if c is not requested by a. *)
   cooperate t ~mr:true ~mt:(Option.is_none demand) ~parent:a ~child:c
 
-let record_request t ~at ~requester ~demand ~key =
+let record_request t ~at ~who ~demand ~key =
   t.guard at;
   let vx = Graph.vertex t.graph at in
-  let fresh = not (Vertex.has_request_entry vx requester key) in
-  Vertex.add_requester vx requester ~demand ~key;
-  match requester with
-  | None -> ()
-  | Some r ->
-    (* Cooperate only when the traced edge is actually new — re-recording
-       an existing request (e.g. a retried task) must not charge the
-       marking tree again or M_T would never terminate. *)
-    if fresh then cooperate t ~mr:false ~mt:true ~parent:at ~child:r
+  let fresh = not (Vertex.has_who_entry vx who key) in
+  Vertex.add_who vx who ~demand ~key;
+  (* Cooperate only when the traced edge is actually new — re-recording
+     an existing request (e.g. a retried task) must not charge the
+     marking tree again or M_T would never terminate. The external
+     requester ([-1]) is no vertex. *)
+  if who >= 0 && fresh then cooperate t ~mr:false ~mt:true ~parent:at ~child:who
 
 let answer t ~at ~who =
   t.guard at;

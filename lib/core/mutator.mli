@@ -129,10 +129,10 @@ val add_edge : ?demand:Demand.t -> t -> a:Vid.t -> c:Vid.t -> unit
     a vital/eager request by [a]; generic cooperation on all active
     planes. *)
 
-val record_request :
-  t -> at:Vid.t -> requester:Vertex.requester -> demand:Demand.t -> key:Vid.t -> unit
-(** Add a requester to [requested(at)] — a new M_T edge [at→requester];
-    generic cooperation on active M_T runs. *)
+val record_request : t -> at:Vid.t -> who:int -> demand:Demand.t -> key:Vid.t -> unit
+(** Add a requester to [requested(at)] — a new M_T edge [at→who];
+    generic cooperation on active M_T runs. [who] is its row code: the
+    vid, or [-1] for the external requester. *)
 
 val answer : t -> at:Vid.t -> who:int -> unit
 (** Remove a requester from [requested(at)] (edge deletion — no

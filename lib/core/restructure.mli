@@ -34,9 +34,11 @@ open Dgr_graph
     built of the verdict: nothing between the verdict and the releases
     writes a plane or frees a slot (the survivor pass writes only
     [sched_prior] and requester rows), so those reads are race-free at
-    any domain count. The phase therefore allocates per garbage vertex
-    (the per-home verdict lists) and not per live vertex: survivors
-    without requesters are only read. *)
+    any domain count. The verdicts go into per-home vectors the caller
+    keeps ({!verdicts}), so once they have grown the phase allocates
+    neither per garbage vertex nor per live vertex (survivors without
+    requesters are only read): only the report's [deadlocked] list, one
+    cell per DL' vertex. *)
 
 type report = {
   garbage : int;  (** how many vertices this cycle reclaimed *)
@@ -45,19 +47,28 @@ type report = {
   reprioritized : int;  (** pool tasks whose priority changed *)
 }
 
+type verdicts
+(** Per-home vectors of the verdicts' vids, reused by every {!run} given
+    them. *)
+
+val verdicts : unit -> verdicts
+(** Empty: sized at the first {!run}. *)
+
 val run :
   graph:Graph.t ->
   deadlock_checked:bool ->
   reprioritize:(unit -> int) ->
   ?each_home:((int -> unit) -> unit) ->
+  ?verdicts:verdicts ->
   unit ->
   report
 (** [reprioritize ()] re-sorts pool entries by current priorities and
     returns how many moved; the engine's also drops the entries the
     releases just made stale. [each_home f] must call [f pe] exactly once for every home
     PE, with the [f] calls free to run concurrently (each touches only
-    its home's slots plus its own cell of a results array); default is a
-    serial ascending loop. *)
+    its home's slots plus its own vectors of [verdicts]); default is a
+    serial ascending loop. [verdicts] defaults to fresh vectors. *)
 
 val collect_home : Graph.t -> deadlock_checked:bool -> pe:int -> Vid.t list * Vid.t list
-(** One home's [(garbage, deadlocked)] verdict, read-only (tests). *)
+(** One home's [(garbage, deadlocked)] verdict, read-only, each list in
+    descending vid order (tests). *)

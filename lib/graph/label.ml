@@ -56,19 +56,6 @@ let is_whnf = function
   | Int _ | Bool _ | Nil | Cons | Err _ -> true
   | Prim _ | If | Apply _ | Ind | Bottom | Param _ | Freed -> false
 
-let v_true = V_bool true
-
-let v_false = V_bool false
-
-let value_of_whnf ~self = function
-  | Int n -> V_int n
-  | Bool b -> if b then v_true else v_false
-  | Nil -> V_nil
-  | Cons -> V_ref self
-  | Err msg -> V_err msg
-  | Prim _ | If | Apply _ | Ind | Bottom | Param _ | Freed ->
-    invalid_arg "Label.value_of_whnf: not in weak head normal form"
-
 let equal a b =
   match (a, b) with
   | Int x, Int y -> x = y

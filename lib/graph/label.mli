@@ -56,10 +56,6 @@ val is_whnf : t -> bool
 (** True for labels that already denote a value ([Int], [Bool], [Nil],
     [Cons]). *)
 
-val value_of_whnf : self:Vid.t -> t -> value
-(** The value a WHNF-labelled vertex responds with ([V_ref self] for
-    [Cons]). Allocates only an [V_int], [V_ref] or [V_err] block.
-    Raises [Invalid_argument] for non-WHNF labels. *)
 
 val equal : t -> t -> bool
 

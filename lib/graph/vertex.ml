@@ -458,8 +458,7 @@ let requester t i =
   if i < 0 || i >= t.rq_n then invalid_arg "Vertex.requester: index out of bounds";
   Array.unsafe_get t.rq_a (3 * i)
 
-let add_requester t r ~demand ~key =
-  let w = who_code r in
+let add_who t w ~demand ~key =
   let found = ref false in
   for i = 0 to t.rq_n - 1 do
     if t.rq_a.(3 * i) = w && Vid.equal t.rq_a.((3 * i) + 2) key then begin
@@ -475,6 +474,8 @@ let add_requester t r ~demand ~key =
     t.rq_a.((3 * t.rq_n) + 2) <- key;
     t.rq_n <- t.rq_n + 1
   end
+
+let add_requester t r ~demand ~key = add_who t (who_code r) ~demand ~key
 
 (* Keep the rows whose requester code [w] satisfies [keep env w],
    compacting in place. Callers pass a [keep] that closes over nothing
@@ -510,7 +511,9 @@ let rec rq_entry_from a n w key i =
   && ((Array.unsafe_get a (3 * i) = w && Vid.equal (Array.unsafe_get a ((3 * i) + 2)) key)
      || rq_entry_from a n w key (i + 1))
 
-let has_request_entry t r key = rq_entry_from t.rq_a t.rq_n (who_code r) key 0
+let has_who_entry t w key = rq_entry_from t.rq_a t.rq_n w key 0
+
+let has_request_entry t r key = has_who_entry t (who_code r) key
 
 let clear_requesters t = t.rq_n <- 0
 

@@ -257,6 +257,10 @@ val add_requester : t -> requester -> demand:Demand.t -> key:Vid.t -> unit
     same requester may legitimately await [v] through two different args.
     A vital request upgrades an existing eager entry. *)
 
+val add_who : t -> int -> demand:Demand.t -> key:Vid.t -> unit
+(** {!add_requester} of the requester whose row code is given: its vid,
+    or [-1] for the external requester. *)
+
 val remove_who : t -> int -> unit
 (** Remove every entry of the requester whose row code is [w] — its
     vid, or [-1] for the external requester: it dereferenced [v], or was
@@ -274,6 +278,9 @@ val has_requester : t -> requester -> bool
 val has_request_entry : t -> requester -> Vid.t -> bool
 (** Entry-level membership (same [(who, key)] identity as
     [add_requester]). Does not allocate. *)
+
+val has_who_entry : t -> int -> Vid.t -> bool
+(** {!has_request_entry} of a row code. *)
 
 val has_vital_requester : t -> bool
 (** True when some pending entry carries vital demand — the vertex is

@@ -3,8 +3,6 @@ open Dgr_task
 open Task
 module Mutator = Dgr_core.Mutator
 
-type task_vec = Task.t Dgr_util.Vec.t
-
 let src = Logs.Src.create "dgr.reducer" ~doc:"distributed graph reduction"
 
 module Log = (val Logs.src_log src : Logs.LOG)
@@ -13,12 +11,11 @@ type t = {
   graph : Graph.t;
   mut : Mutator.t;
   templates : Template.registry;
-  send : Task.t -> unit;
+  send : Task.red_sink;
   speculate_if : bool;
   speculation_reserve : int;
   recorder : Dgr_obs.Recorder.t option;
-  parked : task_vec;
-  parked_gens : int Dgr_util.Vec.t;
+  parked : int Dgr_util.Vec.t;
   mutable result : Label.value option;
   mutable requests_executed : int;
   mutable responds_executed : int;
@@ -51,7 +48,6 @@ let create ?(speculate_if = true) ?(speculation_reserve = 0) ?recorder ~graph ~m
     speculation_reserve;
     recorder;
     parked = Dgr_util.Vec.create ();
-    parked_gens = Dgr_util.Vec.create ();
     result = None;
     requests_executed = 0;
     responds_executed = 0;
@@ -94,11 +90,21 @@ let add_stuck t v reason =
 let mark_stuck t v reason =
   if add_stuck t v reason then Log.warn (fun m -> m "v%d stuck: %s (behaves as ⊥)" v reason)
 
-let send_request t ~src:s ~dst ~demand ~key =
-  t.send (Reduction (Request { src = s; dst; demand; key }))
+(* Sends, as lanes ([Task.red_sink]): [src] of a request and [dst] of a
+   response are -1 for the external requester. *)
+let send_request t ~src ~dst ~demand ~key =
+  t.send (Task.head ~kind:Task.red_request ~demand ~vtag:0) src dst key 0 ""
 
-let send_respond t ~src:s ~dst ~value ~key ~demand =
-  t.send (Reduction (Respond { src = s; dst; value; key; demand }))
+let cancel_head = Task.head ~kind:Task.red_cancel ~demand:Demand.Vital ~vtag:0
+
+let send_cancel t ~src ~dst = t.send cancel_head src dst (-1) 0 ""
+
+(* Answer [dst] with the value of [v]'s WHNF [label], built from the
+   label without the value. *)
+let respond_label t ~src:v ~dst ~key ~demand label =
+  t.send
+    (Task.head ~kind:Task.red_respond ~demand ~vtag:(Task.label_vtag label))
+    v dst key (Task.label_pay ~self:v label) (Task.label_err label)
 
 (* Demand all strict arguments (first-demand path of Prim). The graph
    records the {e relative} request type (strict args are vitally
@@ -116,7 +122,7 @@ let demand_own_args t v vx ~ctx =
     done;
     if not !dup then begin
       Mutator.request_child t.mut ~v ~c ~demand:Demand.Vital;
-      send_request t ~src:(Some v) ~dst:c ~demand:ctx ~key:c
+      send_request t ~src:v ~dst:c ~demand:ctx ~key:c
     end
   done
 
@@ -134,7 +140,7 @@ let redemand_vital t v vx =
       if Vid.equal (Vertex.req_arg_at vx j) c then dup := true
     done;
     if (not !dup) && not (Vertex.has_value vx c) then
-      send_request t ~src:(Some v) ~dst:c ~demand:Demand.Vital ~key:c
+      send_request t ~src:v ~dst:c ~demand:Demand.Vital ~key:c
   done
 
 let rq_snapshot t vx =
@@ -142,18 +148,17 @@ let rq_snapshot t vx =
   if 3 * n > Array.length t.rq_scratch then t.rq_scratch <- Array.make (6 * (n + 1)) 0;
   Vertex.blit_requests vx t.rq_scratch
 
-(* Answer every requester of [v] with [value] and forget them. The rows
-   are snapshotted into the scratch buffer and walked newest-first,
-   matching the order of the old [requested] list view. *)
-let answer_all t v value =
+(* Answer every requester of [v] with the value of its WHNF [label] and
+   forget them. The rows are snapshotted into the scratch buffer and
+   walked newest-first, matching the order of the old [requested] list
+   view. *)
+let answer_all t v label =
   let vx = Graph.vertex t.graph v in
   let k = rq_snapshot t vx in
   let scratch = t.rq_scratch in
   for i = k - 1 downto 0 do
-    let w = scratch.(3 * i) in
-    let dst = if w < 0 then None else Some w in
     let demand = if scratch.((3 * i) + 1) = 0 then Demand.Eager else Demand.Vital in
-    send_respond t ~src:v ~dst ~value ~key:scratch.((3 * i) + 2) ~demand
+    respond_label t ~src:v ~dst:scratch.(3 * i) ~key:scratch.((3 * i) + 2) ~demand label
   done;
   (* [answer] removes all entries of a requester at once; answer each
      distinct requester exactly once, at its last row — the same order
@@ -181,10 +186,8 @@ let forward_requesters t v target =
   let k = rq_snapshot t vx in
   let scratch = t.rq_scratch in
   for i = k - 1 downto 0 do
-    let w = scratch.(3 * i) in
-    let src = if w < 0 then None else Some w in
     let demand = if scratch.((3 * i) + 1) = 0 then Demand.Eager else Demand.Vital in
-    send_request t ~src ~dst:target ~demand ~key:scratch.((3 * i) + 2)
+    send_request t ~src:scratch.(3 * i) ~dst:target ~demand ~key:scratch.((3 * i) + 2)
   done;
   Vertex.clear_requesters vx
 
@@ -196,7 +199,7 @@ let finish_value t v label =
   let vx = Graph.vertex t.graph v in
   Vertex.set_label vx @@ label;
   t.rewrites <- t.rewrites + 1;
-  answer_all t v (Label.value_of_whnf ~self:v label);
+  answer_all t v label;
   (* [delete_reference] removes the first occurrence, so draining from the
      front deletes the children in the same order the old list walk did. *)
   while Vertex.arg_count vx > 0 do
@@ -263,14 +266,15 @@ let eval_scalar t v p a b =
 
 (* --- task execution -------------------------------------------------- *)
 
-let rec exec_request t task ~src:s ~dst:v ~demand ~key =
+let rec exec_request t ~head ~src:s ~dst:v ~key =
   t.requests_executed <- t.requests_executed + 1;
+  let demand = Task.head_demand head in
   let vx = Graph.vertex t.graph v in
   if (Vertex.free vx) then stale t
   else
     match (Vertex.label vx) with
     | (Label.Int _ | Label.Bool _ | Label.Nil | Label.Cons | Label.Err _) as l ->
-      send_respond t ~src:v ~dst:s ~value:(Label.value_of_whnf ~self:v l) ~key ~demand
+      respond_label t ~src:v ~dst:s ~key ~demand l
     | Label.Ind ->
       if Vertex.arg_count vx > 0 then begin
         let target = Vertex.arg vx 0 in
@@ -281,16 +285,16 @@ let rec exec_request t task ~src:s ~dst:v ~demand ~key =
       end
       else begin
         mark_stuck t v "dangling indirection";
-        Mutator.record_request t.mut ~at:v ~requester:s ~demand ~key
+        Mutator.record_request t.mut ~at:v ~who:s ~demand ~key
       end
-    | Label.Bottom -> Mutator.record_request t.mut ~at:v ~requester:s ~demand ~key
+    | Label.Bottom -> Mutator.record_request t.mut ~at:v ~who:s ~demand ~key
     | Label.Param _ | Label.Freed ->
       mark_stuck t v "request on template parameter or freed vertex";
       stale t
     | Label.Prim p ->
       let first = Vertex.req_count vx = 0 in
       let was_vital = has_vital_requester vx in
-      Mutator.record_request t.mut ~at:v ~requester:s ~demand ~key;
+      Mutator.record_request t.mut ~at:v ~who:s ~demand ~key;
       if first then begin
         if Vertex.arg_count vx <> Label.prim_arity p then
           mark_stuck t v
@@ -301,17 +305,17 @@ let rec exec_request t task ~src:s ~dst:v ~demand ~key =
       else if Demand.equal demand Demand.Vital && not was_vital then redemand_vital t v vx
     | Label.If ->
       let was_vital = has_vital_requester vx in
-      Mutator.record_request t.mut ~at:v ~requester:s ~demand ~key;
+      Mutator.record_request t.mut ~at:v ~who:s ~demand ~key;
       let n = Vertex.arg_count vx in
       if n = 3 && Vertex.req_count vx = 0 then begin
         let p = Vertex.arg vx 0 and th = Vertex.arg vx 1 and el = Vertex.arg vx 2 in
         Mutator.request_child t.mut ~v ~c:p ~demand:Demand.Vital;
-        send_request t ~src:(Some v) ~dst:p ~demand ~key:p;
+        send_request t ~src:v ~dst:p ~demand ~key:p;
         if t.speculate_if then begin
           Mutator.request_child t.mut ~v ~c:th ~demand:Demand.Eager;
-          send_request t ~src:(Some v) ~dst:th ~demand:Demand.Eager ~key:th;
+          send_request t ~src:v ~dst:th ~demand:Demand.Eager ~key:th;
           Mutator.request_child t.mut ~v ~c:el ~demand:Demand.Eager;
-          send_request t ~src:(Some v) ~dst:el ~demand:Demand.Eager ~key:el
+          send_request t ~src:v ~dst:el ~demand:Demand.Eager ~key:el
         end
       end
       else if n = 3 || n = 1 then begin
@@ -320,7 +324,7 @@ let rec exec_request t task ~src:s ~dst:v ~demand ~key =
       end
       else mark_stuck t v "malformed if"
     | Label.Apply f -> (
-      Mutator.record_request t.mut ~at:v ~requester:s ~demand ~key;
+      Mutator.record_request t.mut ~at:v ~who:s ~demand ~key;
       match Template.lookup t.templates f with
       | exception Not_found -> mark_stuck t v (Printf.sprintf "unknown function %s" f)
       | tpl ->
@@ -345,10 +349,9 @@ let rec exec_request t task ~src:s ~dst:v ~demand ~key =
             | Demand.Eager -> (
               match (Vertex.sched_prior vx) with
               | 0 -> (
-                match s with
-                | Some src_v when (Vertex.sched_prior (Graph.vertex t.graph src_v)) > 0 ->
-                  Int.min (Vertex.sched_prior (Graph.vertex t.graph src_v)) 2
-                | Some _ | None -> 2)
+                if s >= 0 && Vertex.sched_prior (Graph.vertex t.graph s) > 0 then
+                  Int.min (Vertex.sched_prior (Graph.vertex t.graph s)) 2
+                else 2)
               | c -> c)
           in
           let need =
@@ -360,10 +363,14 @@ let rec exec_request t task ~src:s ~dst:v ~demand ~key =
           (match t.recorder with
           | None -> ()
           | Some r -> Dgr_obs.Recorder.emit r (Dgr_obs.Event.Alloc_stall { vid = v }));
-          (* The task itself waits: the retry re-sends this very block,
+          (* The task itself waits: the retry re-sends these very lanes,
              as of the generation it parked in (it was live when it ran). *)
-          Dgr_util.Vec.push t.parked task;
-          Dgr_util.Vec.push t.parked_gens (Graph.releases t.graph)
+          let p = t.parked in
+          Dgr_util.Vec.push p head;
+          Dgr_util.Vec.push p s;
+          Dgr_util.Vec.push p v;
+          Dgr_util.Vec.push p key;
+          Dgr_util.Vec.push p (Graph.releases t.graph)
         end
         else begin
           if Array.length t.vids < Template.size tpl then
@@ -379,15 +386,16 @@ let rec exec_request t task ~src:s ~dst:v ~demand ~key =
           Vertex.clear_reduction_state vx
         end)
 
-and exec_respond t ~src:responder ~dst ~value ~key =
+(* The value is decoded only once the response is known to be live. *)
+and exec_respond t ~head ~dst:r ~key ~pay ~err =
   t.responds_executed <- t.responds_executed + 1;
-  match dst with
-  | None -> t.result <- Some value
-  | Some r -> (
+  if r < 0 then t.result <- Some (Task.value_of_lanes (Task.head_vtag head) pay err)
+  else begin
     let vx = Graph.vertex t.graph r in
     if (Vertex.free vx) then stale t
     else if not (Vertex.is_req_arg vx key) then stale t
     else begin
+      let value = Task.value_of_lanes (Task.head_vtag head) pay err in
       Vertex.record_value vx ~from:key value;
       match (Vertex.label vx) with
       | Label.Prim p -> try_reduce_prim t r p
@@ -395,8 +403,8 @@ and exec_respond t ~src:responder ~dst ~value ~key =
       | Label.Int _ | Label.Bool _ | Label.Nil | Label.Cons | Label.Ind | Label.Apply _
       | Label.Bottom | Label.Err _ | Label.Param _ | Label.Freed ->
         stale t
-    end);
-  ignore responder
+    end
+  end
 
 and try_reduce_prim t v p =
   let vx = Graph.vertex t.graph v in
@@ -458,8 +466,8 @@ and progress_if t v ~key ~value =
       | Label.V_err msg ->
         (* an undefined predicate poisons the conditional: cancel both
            branches and propagate the error *)
-        if Vertex.is_req_arg vx th then t.send (Reduction (Cancel { src = v; dst = th }));
-        if Vertex.is_req_arg vx el then t.send (Reduction (Cancel { src = v; dst = el }));
+        if Vertex.is_req_arg vx th then send_cancel t ~src:v ~dst:th;
+        if Vertex.is_req_arg vx el then send_cancel t ~src:v ~dst:el;
         finish_value t v (Label.Err msg)
       | _ ->
         let chosen, other = if truthy value then (th, el) else (el, th) in
@@ -470,7 +478,7 @@ and progress_if t v ~key ~value =
         let other_requested = Vertex.is_req_arg vx other in
         Mutator.delete_reference t.mut ~a:v ~b:other;
         if other_requested && not (Vid.equal other chosen) then
-          t.send (Reduction (Cancel { src = v; dst = other }));
+          send_cancel t ~src:v ~dst:other;
         Mutator.delete_reference t.mut ~a:v ~b:p;
         (match Vertex.recv_index vx chosen with
         | i when i >= 0 -> resolve_if t v chosen (Vertex.recv_value vx i)
@@ -479,7 +487,7 @@ and progress_if t v ~key ~value =
              is vital only if v itself is vitally awaited. *)
           Mutator.request_child t.mut ~v ~c:chosen ~demand:Demand.Vital;
           let ctx = if has_vital_requester vx then Demand.Vital else Demand.Eager in
-          send_request t ~src:(Some v) ~dst:chosen ~demand:ctx ~key:chosen)
+          send_request t ~src:v ~dst:chosen ~demand:ctx ~key:chosen)
     end
     (* else: speculative branch value arrived first; cached *)
   end
@@ -502,29 +510,48 @@ and exec_cancel t ~src:s ~dst:v =
     Mutator.answer t.mut ~at:v ~who:s;
     match (Vertex.label vx) with
     | Label.Ind when Vertex.arg_count vx > 0 ->
-      t.send (Reduction (Cancel { src = s; dst = Vertex.arg vx 0 }))
+      send_cancel t ~src:s ~dst:(Vertex.arg vx 0)
     | _ -> ()
   end
 
-let execute t task =
-  match task with
-  | Marking _ -> invalid_arg "Reducer.execute: a marking task"
-  | Reduction r -> (
-    (* Guarded: the message closure would be a heap block per task. *)
-    (match Logs.Src.level src with
-    | Some Logs.Debug -> Log.debug (fun m -> m "exec %a" Task.pp_reduction r)
-    | _ -> ());
-    match r with
-    | Request { src = s; dst; demand; key } -> exec_request t task ~src:s ~dst ~demand ~key
-    | Respond { src = s; dst; value; key; demand = _ } -> exec_respond t ~src:s ~dst ~value ~key
-    | Cancel { src = s; dst } -> exec_cancel t ~src:s ~dst)
+let execute t head s d key pay err =
+  if head >= 0 then
+    invalid_arg
+      (Printf.sprintf "Reducer.execute: a marking task (meta %d in the head lane, src %d, dst %d)"
+         head s d);
+  (* Guarded: the message closure would be a heap block per task. *)
+  (match Logs.Src.level src with
+  | Some Logs.Debug ->
+    Log.debug (fun m ->
+        m "exec %a" Task.pp_reduction (Task.reduction_of_lanes head s d key pay err))
+  | _ -> ());
+  let kind = Task.head_kind head in
+  if kind = Task.red_request then exec_request t ~head ~src:s ~dst:d ~key
+  else if kind = Task.red_respond then exec_respond t ~head ~dst:d ~key ~pay ~err
+  else exec_cancel t ~src:s ~dst:d
 
-let iter_parked t f =
-  for k = 0 to Dgr_util.Vec.length t.parked - 1 do
-    f (Dgr_util.Vec.get t.parked_gens k) (Dgr_util.Vec.get t.parked k)
+let execute_task t task =
+  match task with
+  | Marking _ ->
+    invalid_arg (Printf.sprintf "Reducer.execute_task: a marking task, %s" (Task.to_string task))
+  | Reduction r ->
+    execute t (Task.red_head r) (Task.red_src r) (Task.red_dst r) (Task.red_key r)
+      (Task.red_pay r) (Task.red_err r)
+
+let park_lanes = 5
+
+let parked_count t = Dgr_util.Vec.length t.parked / park_lanes
+
+let iter_parked_rows t f =
+  let a = Dgr_util.Vec.unsafe_data t.parked in
+  for k = 0 to parked_count t - 1 do
+    let i = park_lanes * k in
+    f a.(i + 4) a.(i) a.(i + 1) a.(i + 2) a.(i + 3)
   done
 
-let parked_count t = Dgr_util.Vec.length t.parked
+let iter_parked t f =
+  iter_parked_rows t (fun gen head s d key ->
+      f gen (Reduction (Task.reduction_of_lanes head s d key 0 "")))
 
 (* Fold a per-PE reducer's step-local effects into [t] and zero them.
    The sharded engine calls this at the barrier in ascending PE order, so
@@ -550,11 +577,9 @@ let absorb_dirty t src =
   (match t.result with None -> t.result <- src.result | Some _ -> ());
   src.result <- None;
   for k = 0 to Dgr_util.Vec.length src.parked - 1 do
-    Dgr_util.Vec.push t.parked (Dgr_util.Vec.get src.parked k);
-    Dgr_util.Vec.push t.parked_gens (Dgr_util.Vec.get src.parked_gens k)
+    Dgr_util.Vec.push t.parked (Dgr_util.Vec.get src.parked k)
   done;
   Dgr_util.Vec.clear src.parked;
-  Dgr_util.Vec.clear src.parked_gens;
   if not (List.is_empty src.stuck) then begin
     List.iter (fun (v, reason) -> ignore (add_stuck t v reason)) (List.rev src.stuck);
     src.stuck <- [];

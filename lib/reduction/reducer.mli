@@ -32,20 +32,19 @@ type t = {
   graph : Graph.t;
   mut : Dgr_core.Mutator.t;
   templates : Template.registry;
-  send : Task.t -> unit;
+  send : Task.red_sink;  (** every task it spawns, as lanes *)
   speculate_if : bool;
   speculation_reserve : int;
   recorder : Dgr_obs.Recorder.t option;
       (** trace sink for allocation stalls and expansions *)
-  parked : Task.t Dgr_util.Vec.t;
+  parked : int Dgr_util.Vec.t;
       (** allocation-stalled expansions awaiting free-list replenishment,
-          each the very task block {!execute} was handed; still part of
-          "the set of all tasks" for M_T. The engine re-sends them by
-          looping over this vector, then clears it and [parked_gens]. *)
-  parked_gens : int Dgr_util.Vec.t;
-      (** parallel to [parked]: the graph generation each task parked
-          in. A task whose endpoint is released while it waits is stale
-          ({!Task.stale}), and the retry drops it. *)
+          {!park_lanes} ints each: the very lanes {!execute} was handed,
+          [head src dst key], then the graph generation the request
+          parked in. They are still part of "the set of all tasks" for
+          M_T. The engine re-sends them with {!iter_parked_rows}, then
+          clears the buffer. A request whose endpoint is released while
+          it waits is stale ({!Task.stale}), and the retry drops it. *)
   mutable result : Label.value option;  (** the root's value, once delivered *)
   mutable requests_executed : int;
   mutable responds_executed : int;
@@ -73,7 +72,7 @@ val create :
   graph:Graph.t ->
   mut:Dgr_core.Mutator.t ->
   templates:Template.registry ->
-  send:(Task.t -> unit) ->
+  send:Task.red_sink ->
   unit ->
   t
 (** [speculate_if] (default true) controls eager evaluation of both [If]
@@ -83,10 +82,17 @@ val create :
     eager/reserve-class expansion must leave free, so speculation cannot
     allocate the vital computation out of memory. *)
 
-val execute : t -> Task.t -> unit
-(** Execute one reduction task. Allocates only the tasks it sends and
-    the fresh slots an expansion draws (DESIGN.md §6); a stalled
-    expansion parks [task] itself. Raises [Invalid_argument] on a
+val execute : t -> int -> int -> int -> int -> int -> string -> unit
+(** [execute t head src dst key pay err]: execute one reduction task,
+    given as its lanes ({!Task.red_sink}). Allocates only the value a
+    live response carries (a [V_int], [V_ref] or [V_err] block) and the
+    fresh slots an expansion draws (DESIGN.md §6); its sends are lanes,
+    and a stalled expansion parks its own lanes. Raises
+    [Invalid_argument], naming the lanes, on a marking task: a [head]
+    lane that holds a mark's meta, which is never negative. *)
+
+val execute_task : t -> Task.t -> unit
+(** {!execute} of a view. Raises [Invalid_argument] naming the task on a
     marking task. *)
 
 val initial_task : t -> Task.t
@@ -95,9 +101,15 @@ val initial_task : t -> Task.t
 val finished : t -> bool
 (** The overall result has been delivered. *)
 
+val park_lanes : int
+(** The ints a parked request takes in [parked]. *)
+
+val iter_parked_rows : t -> (int -> int -> int -> int -> int -> unit) -> unit
+(** Apply [f gen head src dst key] to every parked request, in park
+    order, with no view built (M_T seed assembly, the engine's retry). *)
+
 val iter_parked : t -> (int -> Task.t -> unit) -> unit
-(** Apply [f gen task] to every parked task, in park order, without
-    building a list (M_T seed assembly). *)
+(** {!iter_parked_rows} with each request handed over as a view. *)
 
 val parked_count : t -> int
 

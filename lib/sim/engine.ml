@@ -162,8 +162,8 @@ type pe_ctx = {
   mutable cdepth : int;  (** causal depth its children inherit *)
   cdone : int Vec.t;  (** tickets of executed tasks, closed at the barrier *)
   cdrop : int Vec.t;  (** tickets of stale pops, dropped at the barrier *)
-  mutable cexec : Task.t -> int -> unit;
-  mutable cdead : Task.t -> int -> unit;
+  mutable cexec : Pool.red;
+  mutable cdead : Pool.red;
   mutable cmark : Task.sink;
   mutable cemit : Task.sink;
       (** pre-bound [pe_execute], [pe_drop], [pe_execute_mark] and [send_mark],
@@ -272,7 +272,7 @@ and t = {
   mutable wd_exec_fired : bool;
   mutable wd_retx_last : int;  (** [retransmits] at the last window boundary *)
   mutable wd_retx_at : int;  (** next retransmit-window boundary *)
-  mutable push_due : int -> int -> int -> Task.t -> unit;
+  mutable push_due : int -> int array -> int -> string -> unit;
       (** delivery's push into the destination pool, allocated once *)
   mutable mark_only : bool;
       (** budgets drain marking only — set while the machine is paused
@@ -326,8 +326,6 @@ let obs t kind =
 (* Destination PE of a task's vid, or [-1] for controller-addressed
    tasks. Unboxed (no option) — this runs once per send. *)
 let pe_of_vid t v = if v < 0 then -1 else Graph.pe t.g v
-
-let pe_of t task = pe_of_vid t (Task.exec_vid task)
 
 (* The PE a mutation is charged to for the ownership checker: the
    domain-local executing PE while the shards run (the engine never
@@ -420,7 +418,7 @@ let note_send t ctx r ~kind ~vid ~delay pe =
    computation, or a marking return to the dummy rootpar. *)
 let execute_at_controller t task =
   match task with
-  | Reduction _ -> Reducer.execute t.cctl.pred task
+  | Reduction _ -> Reducer.execute_task t.cctl.pred task
   | Marking m ->
     execute_marking t t.m ~pe:0 ~emit:t.cctl.cemit (Task.lane_v m) (Task.lane_par m)
       (Task.lane_meta m)
@@ -442,25 +440,32 @@ let send_mark t ctx v par meta =
     | Some r -> note_send t ctx r ~kind:(Task.obs_kind_of_meta meta) ~vid ~delay pe);
     Network.send_mark t.net ~src:ctx.cpe ~arrival:(t.now + delay) ~pe v par meta
 
-(* One send for every sender; [ctx.serial] only chooses between running
-   a controller-addressed task now and deferring it to the barrier. A
-   reduction records the graph's generation here. *)
+(* A reduction, as lanes ([Task.red_sink]), staged into the sender's
+   frame with no view built; it records the graph's generation here.
+   [ctx.serial] only chooses between running a controller-addressed
+   task now and deferring it, as a view, to the barrier: one per
+   computation. *)
+let send_red t ctx head src dst key pay err =
+  let pe = pe_of_vid t dst in
+  if pe < 0 then begin
+    if ctx.serial then Reducer.execute t.cctl.pred head src dst key pay err
+    else Vec.push ctx.ctrl (Reduction (Task.reduction_of_lanes head src dst key pay err))
+  end
+  else
+    let delay = count_send t ctx ~base:(reduction_base t) pe in
+    (match ctx.sub with
+    | None -> ()
+    | Some r -> note_send t ctx r ~kind:(Task.obs_kind_of_head head) ~vid:dst ~delay pe);
+    Network.stage_reduction t.net ~src:ctx.cpe ~lin:ctx.clin ~depth:ctx.cdepth
+      ~gen:(Graph.releases t.g) ~arrival:(t.now + delay) ~pe head src dst key pay err
+
+(* One send for every sender, of a view. *)
 let send t ctx task =
   match task with
   | Marking m -> send_mark t ctx (Task.lane_v m) (Task.lane_par m) (Task.lane_meta m)
-  | Reduction _ ->
-    let pe = pe_of t task in
-    if pe < 0 then begin
-      if ctx.serial then execute_at_controller t task else Vec.push ctx.ctrl task
-    end
-    else
-      let delay = count_send t ctx ~base:(reduction_base t) pe in
-      (match ctx.sub with
-      | None -> ()
-      | Some r ->
-        note_send t ctx r ~kind:(Task.obs_kind task) ~vid:(Task.exec_vid task) ~delay pe);
-      Network.stage_reduction t.net ~src:ctx.cpe ~lin:ctx.clin ~depth:ctx.cdepth
-        ~gen:(Graph.releases t.g) ~arrival:(t.now + delay) ~pe task
+  | Reduction r ->
+    send_red t ctx (Task.red_head r) (Task.red_src r) (Task.red_dst r) (Task.red_key r)
+      (Task.red_pay r) (Task.red_err r)
 
 (* Decompose a ticketed task's latency at the moment it executes: network
    transit (send → fault-free arrival), retransmit delay (arrival →
@@ -502,35 +507,27 @@ let pe_execute_mark t ctx v par meta =
    domain-count-free order. Ticket reads are safe off the main domain:
    between barriers the store is never mutated. Marks never come here:
    [Pool.drain_lanes] hands them to [pe_execute_mark] as lanes. *)
-let pe_execute t ctx task stamp =
-  match task with
-  | Marking _ -> assert false
-  | Reduction _ ->
-    if stamp >= 0 then begin
-      note_latency ctx.pm t.lin stamp ~now:t.now;
-      ctx.clin <- Dgr_obs.Lineage.lin_of t.lin stamp;
-      ctx.cdepth <- Dgr_obs.Lineage.depth_of t.lin stamp + 1
-    end
-    else begin
-      ctx.clin <- -1;
-      ctx.cdepth <- 0
-    end;
-    (match ctx.sub with
-    | None -> ()
-    | Some rc ->
-      Dgr_obs.Recorder.emit rc
-        (Dgr_obs.Event.Execute
-           {
-             kind = Task.obs_kind task;
-             pe = ctx.cpe;
-             vid = Task.exec_vid task;
-             lin = ctx.clin;
-           }));
-    ctx.pm.Metrics.reduction_executed <- ctx.pm.Metrics.reduction_executed + 1;
-    Reducer.execute ctx.pred task;
-    if stamp >= 0 then Vec.push ctx.cdone stamp;
+let pe_execute t ctx stamp head src dst key pay err =
+  if stamp >= 0 then begin
+    note_latency ctx.pm t.lin stamp ~now:t.now;
+    ctx.clin <- Dgr_obs.Lineage.lin_of t.lin stamp;
+    ctx.cdepth <- Dgr_obs.Lineage.depth_of t.lin stamp + 1
+  end
+  else begin
     ctx.clin <- -1;
     ctx.cdepth <- 0
+  end;
+  (match ctx.sub with
+  | None -> ()
+  | Some rc ->
+    Dgr_obs.Recorder.emit rc
+      (Dgr_obs.Event.Execute
+         { kind = Task.obs_kind_of_head head; pe = ctx.cpe; vid = dst; lin = ctx.clin }));
+  ctx.pm.Metrics.reduction_executed <- ctx.pm.Metrics.reduction_executed + 1;
+  Reducer.execute ctx.pred head src dst key pay err;
+  if stamp >= 0 then Vec.push ctx.cdone stamp;
+  ctx.clin <- -1;
+  ctx.cdepth <- 0
 
 (* A stale task dies unexecuted (Property 6), counted and traced. *)
 let note_purge m sub ~pe =
@@ -540,22 +537,24 @@ let note_purge m sub ~pe =
   | Some r -> Dgr_obs.Recorder.emit r (Dgr_obs.Event.Purge { pe; count = 1 })
 
 (* A drain's stale pop; the ticket is dropped at the barrier. *)
-let pe_drop ctx _task stamp =
+let pe_drop ctx stamp =
   note_purge ctx.pm ctx.sub ~pe:ctx.cpe;
   if stamp >= 0 then Vec.push ctx.cdrop stamp
 
 (* The same drop on the main domain, for [pe]'s pool. *)
-let serial_drop t ~pe _task stamp =
+let serial_drop t ~pe stamp =
   note_purge t.m t.recorder ~pe;
   if stamp >= 0 then Dgr_obs.Lineage.drop t.lin stamp
 
 let live t gen task =
   match task with Reduction r -> not (Task.stale t.g gen r) | Marking _ -> true
 
-(* Delivery's push: a task that went stale in flight dies here. *)
-let deliver_to_pool t pe stamp gen task =
-  if live t gen task then Pool.push_stamped t.pools.(pe) stamp gen task
-  else serial_drop t ~pe task stamp
+(* Delivery's push of the row at lane [i] of [a] ([Network.deliver_serial]):
+   a task that went stale in flight dies here. *)
+let deliver_to_pool t pe a i err =
+  let gen = a.(i + 5) and stamp = a.(i + 6) in
+  if Task.stale_lanes t.g gen a.(i) a.(i + 1) then serial_drop t ~pe stamp
+  else Pool.push_row t.pools.(pe) ~stamp ~gen a.(i + 2) a.(i) a.(i + 1) a.(i + 3) a.(i + 4) err
 
 (* Each PE's extra per-step budget for marking tasks, which are much
    lighter than reduction tasks (§6). *)
@@ -779,8 +778,10 @@ let create ?recorder ?(config = Config.default) g templates =
     let cell = ref None in
     let pred =
       Reducer.create ~speculate_if ~speculation_reserve ?recorder:sub ~graph:g ~mut ~templates
-        ~send:(fun task ->
-          match (!self, !cell) with Some t, Some ctx -> send t ctx task | _ -> assert false)
+        ~send:(fun head s d key pay err ->
+          match (!self, !cell) with
+          | Some t, Some ctx -> send_red t ctx head s d key pay err
+          | _ -> assert false)
         ()
     in
     let ctx =
@@ -796,8 +797,8 @@ let create ?recorder ?(config = Config.default) g templates =
         cdepth = 0;
         cdone = Vec.create ();
         cdrop = Vec.create ();
-        cexec = (fun _ _ -> ());
-        cdead = (fun _ _ -> ());
+        cexec = (fun _ _ _ _ _ _ _ -> ());
+        cdead = (fun _ _ _ _ _ _ _ -> ());
         cmark = (fun _ _ _ -> ());
         cemit = (fun _ _ _ -> ());
         ccoop = Vec.create ();
@@ -875,13 +876,13 @@ let create ?recorder ?(config = Config.default) g templates =
         make_ctx ~pe ~pm:(Metrics.create ()) ~sub);
   Array.iter
     (fun ctx ->
-      ctx.cexec <- (fun task stamp -> pe_execute t ctx task stamp);
-      ctx.cdead <- (fun task stamp -> pe_drop ctx task stamp);
+      ctx.cexec <- (fun stamp head s d key pay err -> pe_execute t ctx stamp head s d key pay err);
+      ctx.cdead <- (fun stamp _ _ _ _ _ _ -> pe_drop ctx stamp);
       ctx.cmark <- (fun v par meta -> pe_execute_mark t ctx v par meta);
       ctx.cemit <- (fun v par meta -> send_mark t ctx v par meta))
     t.ctxs;
   cctl.cemit <- (fun v par meta -> send_mark t cctl v par meta);
-  t.push_due <- (fun pe stamp gen task -> deliver_to_pool t pe stamp gen task);
+  t.push_due <- (fun pe a i err -> deliver_to_pool t pe a i err);
   mut.Mutator.spawn <- cctl.cemit;
   mut.Mutator.coop_pe <- (fun () -> Int.max 0 cctl.cpe);
   t.coop_sink <-
@@ -923,23 +924,27 @@ let create ?recorder ?(config = Config.default) g templates =
     let iter_pe_endpoints pe f =
       if pe = 0 then begin
         Array.iter Vec.clear net_scratch;
-        Network.iter_in_flight_dst t.net (fun ~dst gen r ->
-            if dst >= 0 && dst < num_pes && not (Task.stale g gen r) then
-              Task.iter_reduction_endpoints (fun v -> Vec.push net_scratch.(dst) v) r)
+        Network.iter_in_flight_rows t.net (fun dst gen s d ->
+            if dst >= 0 && dst < num_pes && not (Task.stale_lanes g gen s d) then begin
+              if s >= 0 then Vec.push net_scratch.(dst) s;
+              if d >= 0 then Vec.push net_scratch.(dst) d
+            end)
       end;
-      Pool.iter_reductions t.pools.(pe) (fun r -> Task.iter_reduction_endpoints f r);
+      Pool.iter_endpoints t.pools.(pe) f;
       Vec.iter f net_scratch.(pe);
-      Reducer.iter_parked t.cctl.pred (fun gen task ->
-          let home = pe_of t task in
-          match task with
-          | Reduction r when (home = pe || (home < 0 && pe = 0)) && not (Task.stale g gen r) ->
-            Task.iter_reduction_endpoints f r
-          | Reduction _ | Marking _ -> ())
+      Reducer.iter_parked_rows t.cctl.pred (fun gen _ s d _ ->
+          let home = pe_of_vid t d in
+          if (home = pe || (home < 0 && pe = 0)) && not (Task.stale_lanes g gen s d) then begin
+            if s >= 0 then f s;
+            if d >= 0 then f d
+          end)
     in
     let reprioritize () =
       let moved = ref 0 in
       Array.iteri
-        (fun pe pool -> moved := !moved + Pool.reprioritize ~dead:(serial_drop t ~pe) pool)
+        (fun pe pool ->
+          let dead stamp _ _ _ _ _ _ = serial_drop t ~pe stamp in
+          moved := !moved + Pool.reprioritize ~dead pool)
         t.pools;
       !moved
     in
@@ -1057,21 +1062,9 @@ let pending_tasks t =
   Array.iter (fun pool -> List.iter (add Task.no_gen) (Pool.tasks pool)) t.pools;
   List.rev !acc
 
-let locate_task t pred =
-  let acc = ref [] in
-  Array.iteri
-    (fun pe pool ->
-      List.iter
-        (fun task ->
-          if pred task then
-            acc := Printf.sprintf "pool[pe=%d] %s" pe (Task.to_string task) :: !acc)
-        (Pool.tasks pool))
-    t.pools;
-  List.iter
-    (fun task ->
-      if pred task then acc := Printf.sprintf "network %s" (Task.to_string task) :: !acc)
-    (Network.in_flight t.net);
-  !acc
+let network t = t.net
+
+let pool t pe = t.pools.(pe)
 
 let pending_reduction_tasks t =
   List.filter_map (function Reduction r -> Some r | Marking _ -> None) (pending_tasks t)
@@ -1135,22 +1128,24 @@ let under_pressure t =
 (* Re-inject allocation-stalled expansions once the free list has a
    chance of supplying them. A re-injection, not a message: the task was
    sent (and accounted) once already, so it goes straight to the network
-   with no [Send] event and no jitter draw — the parked block itself,
-   staged from the controller to its destination's PE, in park order,
-   with the generation it parked in. A task whose endpoint was released
-   while it waited is stale and dies here instead. *)
+   with no [Send] event and no jitter draw — the parked lanes themselves,
+   copied into a frame from the controller to its destination's PE, in
+   park order, with the generation it parked in. A task whose endpoint
+   was released while it waited is stale and dies here instead. *)
 let unpark t =
-  let parked = t.cctl.pred.Reducer.parked and parked_gens = t.cctl.pred.Reducer.parked_gens in
-  for i = 0 to Vec.length parked - 1 do
-    let task = Vec.get parked i and gen = Vec.get parked_gens i in
-    let pe = pe_of t task in
-    if not (live t gen task) then serial_drop t ~pe task (-1)
+  let parked = t.cctl.pred.Reducer.parked in
+  let a = Vec.unsafe_data parked and w = Reducer.park_lanes in
+  for k = 0 to (Vec.length parked / w) - 1 do
+    let i = w * k in
+    let head = a.(i) and s = a.(i + 1) and d = a.(i + 2) and key = a.(i + 3) in
+    let gen = a.(i + 4) in
+    let pe = pe_of_vid t d in
+    if Task.stale_lanes t.g gen s d then serial_drop t ~pe (-1)
     else if pe >= 0 then
       Network.stage_reduction t.net ~src:(-1) ~lin:(-1) ~depth:0 ~gen ~arrival:(t.now + 1) ~pe
-        task
+        head s d key 0 ""
   done;
-  Vec.clear parked;
-  Vec.clear parked_gens
+  Vec.clear parked
 
 let gc_control t =
   match t.gc_mode with
@@ -1507,11 +1502,16 @@ let crash_tick t =
   | _ -> ()
 
 let inject_crash t ~pe ~down =
-  if t.num_pes < 2 then invalid_arg "Engine.inject_crash: need at least 2 PEs";
-  if pe < 0 || pe >= t.num_pes then invalid_arg "Engine.inject_crash: no such PE";
-  if is_down t pe then invalid_arg "Engine.inject_crash: PE already down";
-  if up_count t < 2 then invalid_arg "Engine.inject_crash: would leave no survivor";
-  if down < 1 then invalid_arg "Engine.inject_crash: downtime must be >= 1";
+  let fail what =
+    invalid_arg
+      (Printf.sprintf "Engine.inject_crash: %s (PE %d, num_pes %d, downtime %d, %d PEs up)" what
+         pe t.num_pes down (up_count t))
+  in
+  if t.num_pes < 2 then fail "need at least 2 PEs";
+  if pe < 0 || pe >= t.num_pes then fail "no such PE";
+  if is_down t pe then fail "PE already down";
+  if up_count t < 2 then fail "would leave no survivor";
+  if down < 1 then fail "downtime must be >= 1";
   t.crash_used <- true;
   sync_ckpts t;
   crash_now t ~pe ~down
@@ -1654,5 +1654,3 @@ let run ?(max_steps = 1_000_000) ?stop t =
   t.prof.Profile.minor_gcs <-
     t.prof.Profile.minor_gcs + (Gc.quick_stat ()).Gc.minor_collections - gcs0;
   t.now - start
-
-let network_entries t = Network.entries t.net

@@ -252,7 +252,9 @@ val inject_crash : t -> pe:int -> down:int -> unit
     restarted. The PE executes nothing for [down] steps, then comes back
     up empty-handed. Works on machines with or without a fault plane.
     Raises [Invalid_argument] if [pe] is out of range or already down,
-    if [down < 1], or if the crash would leave fewer than one survivor.
+    if [down < 1], or if the crash would leave fewer than one survivor;
+    the message names the PE, [num_pes], the downtime and how many PEs
+    are up.
     Crashes driven by {!Config}'s [faults.crash] rate follow exactly this
     path, scheduled by seeded dice at the top of each step. *)
 
@@ -319,9 +321,8 @@ val pending_tasks : t -> Task.t list
 
 val pending_reduction_tasks : t -> Task.reduction list
 
-val locate_task : t -> (Task.t -> bool) -> string list
-(** Where matching pending tasks currently sit ("pool[pe=N] …" or
-    "network …"); a debugging aid. *)
+val network : t -> Network.t
+(** The machine's transport, for inspection (tests and tools). *)
 
-val network_entries : t -> (int * Task.t) list
-(** [(arrival, task)] for every in-flight message (debugging aid). *)
+val pool : t -> int -> Pool.t
+(** PE [pe]'s task pool, for inspection (tests and tools). *)

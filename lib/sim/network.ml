@@ -86,12 +86,14 @@ type batch = {
   mutable b_uid : int;  (* global stage order; ties in in_flight/entries *)
   (* The frame's tasks, in stage order, shared with every queued copy of
      the frame. A mark is three lanes [v; par; meta] (see [Task.sink]); a
-     reduction is the lane triple [gen; 0; -1] standing for the next
-     task of [b_reds], [gen] the graph generation it was sent in
-     ([Task.stale]). *)
+     reduction is [Task.red_lanes] lanes [src; dst; head; key; pay; gen;
+     stamp] (see [Task.red_sink]): [gen] the graph generation it was sent
+     in ([Task.stale]), [stamp] its lineage ticket ([-1]: untracked).
+     Lane 2's sign tells the two apart. *)
   b_lanes : Lanes.t;
-  b_reds : Task.t Vec.t;
-  b_stamps : int Vec.t;  (* lineage tickets, parallel to [b_reds] ([-1]: untracked) *)
+  b_errs : string Vec.t;  (* the [V_err] strings of its reductions, by [pay] *)
+  mutable b_count : int;  (* tasks *)
+  mutable b_marks : int;  (* of which marks *)
   mutable b_pack : bool;  (* claimed to carry the reverse link's cum ack *)
 }
 
@@ -245,7 +247,7 @@ type sender = {
          cleared and rebuilt with [staged] *)
   opened : batch Vec.t;  (* frames opened this shard phase, unnumbered *)
   tickets : batch Vec.t;  (* this shard phase's reductions, post order... *)
-  ticket_args : Lanes.t;  (* ...and their [slot; lin; depth], for [seal] *)
+  ticket_args : Lanes.t;  (* ...and their [stamp lane; lin; depth], for [seal] *)
   free : batch Vec.t;  (* delivered frames of this sender, for reuse *)
   mutable tasks : int;  (* tasks staged this shard phase *)
 }
@@ -311,8 +313,9 @@ let dummy_batch () =
     b_delay = 0;
     b_uid = -1;
     b_lanes = Lanes.create ();
-    b_reds = Vec.create ();
-    b_stamps = Vec.create ();
+    b_errs = Vec.create ();
+    b_count = 0;
+    b_marks = 0;
     b_pack = false;
   }
 
@@ -373,24 +376,36 @@ let acks_piggybacked t = t.acks_piggybacked
 let tasks_sent t = t.tasks_sent
 let unacked t = Array.fold_left (fun n l -> n + Vec.length l.pending) 0 t.links
 
-let n_tasks b = b.b_lanes.Lanes.n / 3
+(* The width of the task at lane [i]: a mark's meta is never negative, a
+   reduction's head always is. *)
+let width a i = if Array.unsafe_get a (i + 2) >= 0 then 3 else Task.red_lanes
 
-(* Lane [k] (0: v, 1: par, 2: meta) of the frame's [i]-th task. *)
-let lane b i k = Lanes.get b.b_lanes ((3 * i) + k)
+(* The [V_err] string of the reduction at lane [i], or "". *)
+let err_at b a i =
+  if Task.head_vtag a.(i + 2) = Task.v_err then Vec.get b.b_errs a.(i + 4) else ""
 
-(* The frame's tasks in stage order, marks as views, each with the
-   generation it was sent in ([Task.no_gen] for a mark): the in-flight
-   listings' form. *)
+(* [f a i] for each reduction of the frame, its row at lane [i] of [a],
+   in stage order. *)
+let iter_reds b f =
+  let a = b.b_lanes.Lanes.a and n = b.b_lanes.Lanes.n in
+  let i = ref 0 in
+  while !i < n do
+    let w = width a !i in
+    if w <> 3 then f a !i;
+    i := !i + w
+  done
+
+(* The frame's tasks in stage order as views, each with the generation it
+   was sent in ([Task.no_gen] for a mark): the in-flight listings' form. *)
 let iter_frame b f =
-  let r = ref 0 in
-  for i = 0 to n_tasks b - 1 do
-    let meta = lane b i 2 in
-    if meta >= 0 then
-      f Task.no_gen (Task.Marking (Task.mark_of_lanes (lane b i 0) (lane b i 1) meta))
-    else begin
-      f (lane b i 0) (Vec.get b.b_reds !r);
-      incr r
-    end
+  let a = b.b_lanes.Lanes.a and n = b.b_lanes.Lanes.n in
+  let i = ref 0 in
+  while !i < n do
+    let k = !i in
+    let w = width a k in
+    if w = 3 then f Task.no_gen (Task.Marking (Task.mark_of_lanes a.(k) a.(k + 1) a.(k + 2)))
+    else f a.(k + 5) (Task.Reduction (Task.reduction_of_row a k (err_at b a k)));
+    i := k + w
   done
 
 (* Drop/Dup/Retransmit events describe a whole frame via its head task —
@@ -398,12 +413,10 @@ let iter_frame b f =
    delivered, the pair captured at delivery. Built only when a recorder
    is attached. *)
 let batch_head b =
-  let meta = lane b 0 2 in
-  if meta >= 0 then
-    (Task.obs_kind_of_meta meta, Task.lanes_exec_vid (lane b 0 0) (lane b 0 1) meta)
-  else
-    let task = Vec.get b.b_reds 0 in
-    (Task.obs_kind task, Task.exec_vid task)
+  let a = b.b_lanes.Lanes.a in
+  let meta = Lanes.get b.b_lanes 2 in
+  if meta >= 0 then (Task.obs_kind_of_meta meta, Task.lanes_exec_vid a.(0) a.(1) meta)
+  else (Task.obs_kind_of_head meta, a.(1))
 
 let emit_head t p what =
   match t.recorder with
@@ -537,7 +550,8 @@ let emit_batch t b =
   match t.recorder with
   | None -> ()
   | Some r ->
-    Dgr_obs.Recorder.emit r (Dgr_obs.Event.Batch { src = b.b_src; dst = b.b_dst; count = n_tasks b })
+    Dgr_obs.Recorder.emit r
+      (Dgr_obs.Event.Batch { src = b.b_src; dst = b.b_dst; count = b.b_count })
 
 let emit_cum_ack t ~src ~dst ~upto ~piggyback =
   match t.recorder with
@@ -704,35 +718,54 @@ let frame_for t ~src ~arrival ~pe =
     t.undelivered <- t.undelivered + 1;
     t.tasks_sent <- t.tasks_sent + 1
   end;
+  b.b_count <- b.b_count + 1;
   b
 
 let send_mark t ~src ~arrival ~pe v par meta =
   let b = frame_for t ~src ~arrival ~pe in
+  b.b_marks <- b.b_marks + 1;
   Lanes.push3 b.b_lanes v par meta
 
 (* Only reduction tasks are ticketed: the latency story the histograms
    tell is about demand propagation, not the mark wave. The store is
    shared, so a shard-phase send leaves its ticket to [seal]. *)
-let stage_reduction t ~src ~lin ~depth ~gen ~arrival ~pe task =
+let stage_reduction t ~src ~lin ~depth ~gen ~arrival ~pe head rsrc rdst key pay err =
   let b = frame_for t ~src ~arrival ~pe in
+  let l = b.b_lanes in
   let stamp =
     match t.lineage with
     | None -> -1
     | Some _ when t.sharding ->
       Vec.push t.senders.(src + 1).tickets b;
-      Lanes.push3 t.senders.(src + 1).ticket_args (Vec.length b.b_reds) lin depth;
+      Lanes.push3 t.senders.(src + 1).ticket_args (l.Lanes.n + 6) lin depth;
       -1
-    | Some l -> Dgr_obs.Lineage.open_ticket l ~lin ~depth ~sent:t.clock ~arrival
+    | Some lg -> Dgr_obs.Lineage.open_ticket lg ~lin ~depth ~sent:t.clock ~arrival
   in
-  Lanes.push3 b.b_lanes gen 0 (-1);
-  Vec.push b.b_reds task;
-  Vec.push b.b_stamps stamp
+  let pay =
+    if Task.head_vtag head = Task.v_err then begin
+      Vec.push b.b_errs err;
+      Vec.length b.b_errs - 1
+    end
+    else pay
+  in
+  Lanes.reserve l Task.red_lanes;
+  let a = l.Lanes.a and n = l.Lanes.n in
+  Array.unsafe_set a n rsrc;
+  Array.unsafe_set a (n + 1) rdst;
+  Array.unsafe_set a (n + 2) head;
+  Array.unsafe_set a (n + 3) key;
+  Array.unsafe_set a (n + 4) pay;
+  Array.unsafe_set a (n + 5) gen;
+  Array.unsafe_set a (n + 6) stamp;
+  l.Lanes.n <- n + Task.red_lanes
 
 let send ?(src = -1) ?(lin = -1) ?(depth = 0) ?(gen = Task.no_gen) t ~arrival ~pe task =
   match task with
   | Task.Marking m ->
     send_mark t ~src ~arrival ~pe (Task.lane_v m) (Task.lane_par m) (Task.lane_meta m)
-  | Task.Reduction _ -> stage_reduction t ~src ~lin ~depth ~gen ~arrival ~pe task
+  | Task.Reduction r ->
+    stage_reduction t ~src ~lin ~depth ~gen ~arrival ~pe (Task.red_head r) (Task.red_src r)
+      (Task.red_dst r) (Task.red_key r) (Task.red_pay r) (Task.red_err r)
 
 let shard_phase t = t.sharding <- true
 
@@ -748,9 +781,9 @@ let seal t =
     Vec.clear s.opened;
     for k = 0 to Vec.length s.tickets - 1 do
       let b = Vec.get s.tickets k and a = s.ticket_args.Lanes.a in
-      Vec.set b.b_stamps a.(3 * k)
-        (Dgr_obs.Lineage.open_ticket (Option.get t.lineage) ~lin:a.((3 * k) + 1)
-           ~depth:a.((3 * k) + 2) ~sent:t.clock ~arrival:b.b_arrival)
+      b.b_lanes.Lanes.a.(a.(3 * k)) <-
+        Dgr_obs.Lineage.open_ticket (Option.get t.lineage) ~lin:a.((3 * k) + 1)
+          ~depth:a.((3 * k) + 2) ~sent:t.clock ~arrival:b.b_arrival
     done;
     Vec.clear s.tickets;
     s.ticket_args.Lanes.n <- 0;
@@ -772,20 +805,20 @@ let check_sealed t fn =
       t.senders
 
 (* Delivery hands each due reduction task to [push] as its batch pops —
-   the engine's pools consume directly, with no intermediate list. [push]
-   also receives the task's lineage stamp ([-1]: untracked) and
-   generation. Pops emit [Deliver] per task in pop order, and whatever
-   [push] emits follows its task's, so the trace stays deterministic.
-   Mark tasks are left in the frame for
-   [take_mark_lanes]; the result says whether the frame held any. *)
-let deliver_tasks t b ~now ~push n =
-  let marked = ref false in
-  let r = ref 0 in
-  for i = 0 to n - 1 do
-    let meta = lane b i 2 in
+   the engine's pools consume directly, with no intermediate list: [push
+   pe a i err] reads the row at lane [i] of [a] (see [Task.red_lanes]),
+   its lineage stamp and generation included, and [err] is its [V_err]
+   string. Pops emit [Deliver] per task in pop order, and whatever [push]
+   emits follows its task's, so the trace stays deterministic. Mark tasks
+   are left in the frame for [take_mark_lanes]. *)
+let deliver_tasks t b ~now ~push =
+  let a = b.b_lanes.Lanes.a and n = b.b_lanes.Lanes.n in
+  let i = ref 0 in
+  while !i < n do
+    let k = !i in
+    let meta = a.(k + 2) in
     if meta >= 0 then begin
-      marked := true;
-      match t.recorder with
+      (match t.recorder with
       | None -> ()
       | Some rc ->
         Dgr_obs.Recorder.emit rc
@@ -793,14 +826,13 @@ let deliver_tasks t b ~now ~push n =
              {
                kind = Task.obs_kind_of_meta meta;
                pe = b.b_dst;
-               vid = Task.lanes_exec_vid (lane b i 0) (lane b i 1) meta;
+               vid = Task.lanes_exec_vid a.(k) a.(k + 1) meta;
                lin = -1;
-             })
+             }));
+      i := k + 3
     end
     else begin
-      let task = Vec.get b.b_reds !r in
-      let stamp = Vec.get b.b_stamps !r in
-      incr r;
+      let stamp = a.(k + 6) in
       let lin =
         match t.lineage with
         | Some l when stamp >= 0 ->
@@ -813,21 +845,21 @@ let deliver_tasks t b ~now ~push n =
       | Some rc ->
         Dgr_obs.Recorder.emit rc
           (Dgr_obs.Event.Deliver
-             { kind = Task.obs_kind task; pe = b.b_dst; vid = Task.exec_vid task; lin }));
-      push b.b_dst stamp (lane b i 0) task
+             { kind = Task.obs_kind_of_head meta; pe = b.b_dst; vid = a.(k + 1); lin }));
+      push b.b_dst a k (err_at b a k);
+      i := k + Task.red_lanes
     end
-  done;
-  !marked
+  done
 
+(* Whether the frame holds a mark, to be parked for its destination. An
+   untraced mark-only frame has nothing to hand up here: its marks wait
+   for the destination's shard ([take_mark_lanes]). *)
 let deliver_batch t b ~now ~push =
-  let n = n_tasks b in
-  t.undelivered <- t.undelivered - n;
-  match t.recorder with
-  | None when Vec.length b.b_reds = 0 ->
-    (* An untraced mark-only frame has nothing to hand up here: its
-       marks wait for the destination's shard ([take_mark_lanes]). *)
-    n > 0
-  | None | Some _ -> deliver_tasks t b ~now ~push n
+  t.undelivered <- t.undelivered - b.b_count;
+  (match t.recorder with
+  | None when b.b_count = b.b_marks -> ()
+  | None | Some _ -> deliver_tasks t b ~now ~push);
+  b.b_marks > 0
 
 (* Return a delivered frame to its sender's free list, on the main
    domain. After delivery the batch is referenced nowhere that reads it:
@@ -841,8 +873,9 @@ let recycle_batch t b =
   let fl = t.senders.(b.b_src + 1).free in
   if Vec.length fl < free_batches_cap then begin
     b.b_lanes.Lanes.n <- 0;
-    Vec.clear b.b_reds;
-    Vec.clear b.b_stamps;
+    Vec.clear b.b_errs;
+    b.b_count <- 0;
+    b.b_marks <- 0;
     Vec.push fl b
   end
 
@@ -969,19 +1002,22 @@ let push_frame ring b = Mark_ring.push_marks ring b.b_lanes.Lanes.a b.b_lanes.La
 let take_mark_lanes t ~pe ring = take_frames t ~pe ring push_frame
 
 let view_frame f b =
-  for i = 0 to n_tasks b - 1 do
-    let meta = lane b i 2 in
-    if meta >= 0 then f (Task.Marking (Task.mark_of_lanes (lane b i 0) (lane b i 1) meta))
+  let a = b.b_lanes.Lanes.a and n = b.b_lanes.Lanes.n in
+  let i = ref 0 in
+  while !i < n do
+    let k = !i in
+    let w = width a k in
+    if w = 3 then f (Task.Marking (Task.mark_of_lanes a.(k) a.(k + 1) a.(k + 2)));
+    i := k + w
   done
 
-let take_marks t ~pe f = take_frames t ~pe f view_frame
-
 (* The whole tick on one domain: the serial half, then every PE's marks
-   in ascending PE order. *)
+   in ascending PE order, all as views. *)
 let deliver_into t ~now ~push =
-  deliver_serial t ~now ~push:(fun pe stamp _gens task -> push pe stamp task);
+  deliver_serial t ~now ~push:(fun pe a i err ->
+      push pe a.(i + 6) (Task.Reduction (Task.reduction_of_row a i err)));
   for pe = 0 to Array.length t.inbox - 1 do
-    take_marks t ~pe (fun task -> push pe (-1) task)
+    take_frames t ~pe (fun task -> push pe (-1) task) view_frame
   done
 
 (* Every undelivered batch: the channel's (the ideal channel's by
@@ -1013,17 +1049,8 @@ let in_flight t =
   iter_in_flight t (fun _ task -> acc := task :: !acc);
   List.rev !acc
 
-let iter_in_flight_dst t f =
-  iter_undelivered t (fun b ->
-      let r = ref 0 in
-      for i = 0 to n_tasks b - 1 do
-        if lane b i 2 < 0 then begin
-          (match Vec.get b.b_reds !r with
-          | Task.Reduction red -> f ~dst:b.b_dst (lane b i 0) red
-          | Task.Marking _ -> ());
-          incr r
-        end
-      done)
+let iter_in_flight_rows t f =
+  iter_undelivered t (fun b -> iter_reds b (fun a i -> f b.b_dst a.(i + 5) a.(i) a.(i + 1)))
 
 let entries t =
   let acc = ref [] in
@@ -1053,13 +1080,12 @@ let crash_pe t ~pe =
   let lost = ref 0 in
   let touches b = b.b_src = pe || b.b_dst = pe in
   let forget_batch b =
-    let n = n_tasks b in
-    lost := !lost + n;
-    t.undelivered <- t.undelivered - n;
+    lost := !lost + b.b_count;
+    t.undelivered <- t.undelivered - b.b_count;
     match t.lineage with
     | None -> ()
     | Some l ->
-      Vec.iter (fun stamp -> if stamp >= 0 then Dgr_obs.Lineage.drop l stamp) b.b_stamps
+      iter_reds b (fun a i -> if a.(i + 6) >= 0 then Dgr_obs.Lineage.drop l a.(i + 6))
   in
   let survives b = if touches b then (forget_batch b; false) else true in
   unindex t;

@@ -36,6 +36,14 @@ open Dgr_task
     both arrive and both execute, as in the paper's one-task-per-edge
     model. The transport keeps no marking accounting of its own.
 
+    One frame format carries both planes: a frame is a buffer of int
+    lanes, a mark three of them ([v par meta], {!Task.sink}) and a
+    reduction one row of {!Task.red_lanes} ([src dst head key pay gen
+    stamp], {!Task.red_sink}), in stage order, told apart by lane 2's
+    sign. A [V_err]'s string sits in the frame's own string table, which
+    only its sender writes. Once frames recycle, staging either kind
+    allocates nothing; only the [Task.t] entry points build views.
+
     The cycle controller reads {!in_flight} when seeding M_T — the
     visibility of in-transit tasks the paper defers to [5]. That means
     undelivered sends, staged or in-channel: a dropped frame is still in
@@ -78,8 +86,8 @@ val send :
     [arrival - now of last deliver]. Tasks staged for the same (src,
     pe, arrival) join one batch, in staging order, whichever phase they
     were sent in. A mark is staged as its lanes (see {!send_mark}), a
-    reduction through {!stage_reduction}; [Task.t] is the interface, not
-    the wire form. *)
+    reduction as its row ({!stage_reduction}); [Task.t] is the boxed
+    interface, not the wire form. *)
 
 val send_mark : t -> src:int -> arrival:int -> pe:int -> int -> int -> int -> unit
 (** [send] of a mark given as lanes [v par meta] ({!Task.sink}): staged
@@ -87,10 +95,27 @@ val send_mark : t -> src:int -> arrival:int -> pe:int -> int -> int -> int -> un
     boxes. Marks are never ticketed. *)
 
 val stage_reduction :
-  t -> src:int -> lin:int -> depth:int -> gen:int -> arrival:int -> pe:int -> Task.t -> unit
-(** [send] of a reduction task, with every argument given. [gen] sits
-    in a spare lane of the task's lane triple; a task that goes stale in
-    flight is delivered like any other, and the push drops it. *)
+  t ->
+  src:int ->
+  lin:int ->
+  depth:int ->
+  gen:int ->
+  arrival:int ->
+  pe:int ->
+  int ->
+  int ->
+  int ->
+  int ->
+  int ->
+  string ->
+  unit
+(** [send] of a reduction given as its lanes [head src dst key pay err]
+    ({!Task.red_sink}), with every argument given: staged into its frame
+    as one row of {!Task.red_lanes} ints, [gen] and the lineage stamp
+    included, with no view built. A [V_err]'s string goes to the frame's
+    own string table, which only the sender writes. A task that goes
+    stale in flight is delivered like any other, and the push drops
+    it. *)
 
 (** {2 The shard phase}
 
@@ -144,13 +169,15 @@ val post_credit : t -> arrival:int -> pe:int -> epoch:int -> sent:int -> execute
     credit sink at [arrival]. Loss-free even under faults: heartbeats
     are the liveness backstop for PEs with no traffic to piggyback on. *)
 
-val deliver_serial : t -> now:int -> push:(int -> int -> int -> Task.t -> unit) -> unit
+val deliver_serial : t -> now:int -> push:(int -> int array -> int -> string -> unit) -> unit
 (** The serial half of the network's clock tick: flush the batches
     staged since the last tick into the channel, then hand every
-    reduction task due by [now] to [push pe stamp gen task] — [stamp]
-    its lineage ticket, [-1] when untracked, and [gen] the generation
-    it was sent in — in delivery order, without
-    building a list, emitting a [Deliver] event for every due task,
+    reduction task due by [now] to [push pe a i err]: its row is the
+    {!Task.red_lanes} lanes of [a] from [i] on ([src dst head key pay gen
+    stamp], [stamp] its lineage ticket, [-1] when untracked, and [gen]
+    the generation it was sent in), valid until [push] returns, and
+    [err] its [V_err] string. Delivery order, no list and no view are
+    built, and a [Deliver] event is emitted for every due task,
     marks included. A delivered frame that holds a mark is parked in its
     destination's inbox until {!take_mark_lanes} hands its marks over. Under
     faults this also settles owed cumulative acks (piggybacked or
@@ -165,11 +192,9 @@ val take_mark_lanes : t -> pe:int -> Mark_ring.t -> unit
     touch disjoint state and may run concurrently on different domains;
     each PE's inbox must be emptied before the next tick. *)
 
-val take_marks : t -> pe:int -> (Task.t -> unit) -> unit
-(** {!take_mark_lanes} with each mark handed over as a view. *)
-
 val deliver_into : t -> now:int -> push:(int -> int -> Task.t -> unit) -> unit
-(** The whole tick on one domain: {!deliver_serial}, then {!take_marks}
+(** The whole tick on one domain, as views: {!deliver_serial} with each
+    reduction handed to [push pe stamp task], then {!take_mark_lanes}
     for every PE in ascending order, with each mark handed to
     [push pe (-1) task]. Every due task reaches [push]: first the
     reduction tasks in delivery order, then PE 0's marks in delivery
@@ -185,10 +210,10 @@ val in_flight : t -> Task.t list
 val iter_in_flight : t -> (int -> Task.t -> unit) -> unit
 (** {!in_flight} as [f gen task] ({!Task.no_gen} for a mark). *)
 
-val iter_in_flight_dst : t -> (dst:int -> int -> Task.reduction -> unit) -> unit
-(** Apply [f ~dst gen r] to every undelivered reduction task, with its
-    destination PE and send generation, without sorting or building
-    views; marks are skipped. The order
+val iter_in_flight_rows : t -> (int -> int -> int -> int -> unit) -> unit
+(** Apply [f pe gen src dst] to every undelivered reduction task: its
+    destination PE, send generation and endpoint lanes, without sorting
+    or building views; marks are skipped. The order
     is fixed: the channel's frames (by arrival step on the ideal
     channel; under faults link by link, by source then destination, the
     controller first, each link's in sequence order), then the staged

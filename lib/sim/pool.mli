@@ -7,8 +7,10 @@ open Dgr_task
     lanes ({!Dgr_task.Mark_ring}): they all share one priority and carry
     no lineage ticket, so push and pop are O(1) and allocate nothing;
     the [Task.t] entry points convert to and from views. Reduction tasks
-    wait in a priority queue (FIFO among equals, so execution stays
-    deterministic). The policy decides how much of
+    wait as rows of ints ({!Task.red_sink}) in a table the pool owns,
+    their slots in a priority queue (FIFO among equals, so execution
+    stays deterministic); a queued reduction takes ten words, not
+    counting the two arrays' growth slack. The policy decides how much of
     the paper's §3.2 the reduction scheduler uses:
 
     - [Flat]: no priorities (everything FIFO) — the ablation baseline;
@@ -22,6 +24,10 @@ type policy = Flat | By_demand | Dynamic
 
 type t
 
+type red = int -> int -> int -> int -> int -> int -> string -> unit
+(** Receives one reduction as [stamp head src dst key pay err]: its
+    lineage ticket, then its lanes ({!Task.red_sink}). *)
+
 val create : ?lineage:Dgr_obs.Lineage.t -> ?pe:int -> policy -> Graph.t -> t
 (** [pe] (default 0) is the owning PE's index, named in error messages.
     With a [lineage] store, {!purge} releases the tickets of the tasks a
@@ -34,28 +40,28 @@ val push : ?stamp:int -> t -> Task.t -> unit
     pushing one with [stamp >= 0] raises [Invalid_argument] naming the
     PE and the stamp. *)
 
+val push_row :
+  t -> stamp:int -> gen:int -> int -> int -> int -> int -> int -> string -> unit
+(** [push_row t ~stamp ~gen head src dst key pay err]: queue a reduction
+    given as its lanes, with its lineage ticket and the generation it
+    was sent in — the delivery form. Allocates nothing once the table
+    and the heap have grown. *)
+
 val push_stamped : t -> int -> int -> Task.t -> unit
-(** [push_stamped t stamp gen task]: the delivery form; [gen], the
-    generation a reduction was sent in, rides beside the ticket. *)
+(** [push_stamped t stamp gen task]: {!push_row} of a view. *)
 
 val marks : t -> Mark_ring.t
 (** The marking queue, as lanes ({!Task.sink}): delivery pushes a whole
     frame's marks into it at once ([Network.take_mark_lanes]). *)
 
-val drain_lanes :
-  t ->
-  budget:int ->
-  red:(Task.t -> int -> unit) ->
-  dead:(Task.t -> int -> unit) ->
-  mark:Task.sink ->
-  unit
-(** Pop up to [budget] tasks, handing a reduction to [red task stamp] and
-    a mark to [mark v par meta], and stop early when both queues run dry.
+val drain_lanes : t -> budget:int -> red:red -> dead:red -> mark:Task.sink -> unit
+(** Pop up to [budget] tasks, handing a reduction's lanes to [red] and a
+    mark to [mark v par meta], and stop early when both queues run dry.
     Each pop takes the highest-priority reduction task (FIFO among
     equals), falling back to the oldest mark when no reduction is queued
     (an idle PE lends its slot to the collector). A stale reduction
-    ({!Task.stale}) goes to [dead task stamp] instead, without using the
-    budget. Allocates nothing — the engine's budget-loop form. *)
+    ({!Task.stale}) goes to [dead] instead, without using the budget.
+    Allocates nothing — the engine's budget-loop form. *)
 
 val drain_marking : t -> budget:int -> Task.sink -> unit
 (** {!drain_lanes} over the marking queue only, oldest first — marking
@@ -78,20 +84,21 @@ val tasks : t -> Task.t list
     deterministic, so external views built from pool contents are
     stable. *)
 
-val iter_reductions : t -> (Task.reduction -> unit) -> unit
-(** Apply [f] to every pooled reduction task in unspecified order; the
-    marks are skipped without building views (M_T seeding; a pool holds
-    no stale entry then, see {!reprioritize}). *)
+val iter_endpoints : t -> (Vid.t -> unit) -> unit
+(** Apply [f] to the endpoints of every pooled reduction task, source
+    first, read from the lanes in the heap's array order; the marks are
+    skipped (M_T seeding; a pool holds no stale entry then, see
+    {!reprioritize}). *)
 
 val purge : t -> int
 (** Drop every queued task (a crash) and return how many. *)
 
-val reprioritize : ?dead:(Task.t -> int -> unit) -> t -> int
+val reprioritize : ?dead:red -> t -> int
 (** Recompute the reduction tasks' priorities under the current graph
     state ([sched_prior] may have changed after a cycle); returns the
     number of entries whose priority changed. Marking tasks have none.
     Restructure calls it right after its releases: it first drops each
-    entry they made stale, through [dead task stamp]. *)
+    entry they made stale, through [dead]. *)
 
 val priority_of : policy -> Graph.t -> Task.t -> int
 (** Exposed for tests. Marking = 0; cancels = 1. Under [Dynamic], a

@@ -34,12 +34,18 @@ let push r v par meta =
   Array.unsafe_set r.buf (k + 2) meta;
   r.len <- r.len + 1
 
-(* [push] for each mark among the first [n] lanes of [a], three per
-   task, oldest first; a slot whose meta lane is negative holds no mark. *)
+(* [push] for each mark among the first [n] lanes of [a], oldest first:
+   a mark is three lanes, and a negative lane 2 is a reduction's head
+   ([Task.red_lanes] wide), skipped. *)
 let push_marks r a n =
-  for i = 0 to (n / 3) - 1 do
-    let meta = a.((3 * i) + 2) in
-    if meta >= 0 then push r a.(3 * i) a.((3 * i) + 1) meta
+  let i = ref 0 in
+  while !i < n do
+    let meta = a.(!i + 2) in
+    if meta >= 0 then begin
+      push r a.(!i) a.(!i + 1) meta;
+      i := !i + 3
+    end
+    else i := !i + Task.red_lanes
   done
 
 (* Every take updates the ring before [f] runs, so [f] may push (a push

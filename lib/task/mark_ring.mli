@@ -14,9 +14,9 @@ val push : t -> int -> int -> int -> unit
 
 val push_marks : t -> int array -> int -> unit
 (** [push_marks r a n] queues, oldest first, the marks held in the first
-    [n] lanes of [a], three per task as [v par meta]; a slot whose meta
-    lane is negative holds no mark and is skipped. One call per frame
-    on the delivery path. *)
+    [n] lanes of [a], three per mark as [v par meta]; a reduction, whose
+    lane 2 is its negative head, is skipped whole ({!Task.red_lanes}).
+    One call per frame on the delivery path. *)
 
 val drain : t -> budget:int -> Task.sink -> int
 (** Take up to [budget] marks, oldest first, each into the sink, and

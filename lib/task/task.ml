@@ -50,35 +50,131 @@ let reduction_endpoints = function
   | Respond { src; dst; _ } -> ( match dst with Some d -> [ src; d ] | None -> [ src ])
   | Cancel { src; dst } -> [ src; dst ]
 
-(* Allocation-free variants of [reduction_endpoints] for the hot callers
-   (M_T seeding visits every pending task). *)
-let iter_reduction_endpoints f = function
-  | Request { src; dst; _ } ->
-    (match src with Some s -> f s | None -> ());
-    f dst
-  | Respond { src; dst; _ } -> (
-    f src;
-    match dst with Some d -> f d | None -> ())
-  | Cancel { src; dst } ->
-    f src;
-    f dst
-
 let no_gen = -1
 
-let after g gen v = Graph.gen g v > gen
+let after g gen v = v >= 0 && Graph.gen g v > gen
 
 (* Without a release since the send (the common case) no endpoint is
    read. *)
-let stale g gen r =
-  gen >= 0
-  && gen < Graph.releases g
-  &&
-  match r with
-  | Request { src; dst; _ } ->
-    (match src with Some s -> after g gen s | None -> false) || after g gen dst
-  | Respond { src; dst; _ } ->
-    after g gen src || (match dst with Some d -> after g gen d | None -> false)
-  | Cancel { src; dst } -> after g gen src || after g gen dst
+let stale_lanes g gen src dst =
+  gen >= 0 && gen < Graph.releases g && (after g gen src || after g gen dst)
+
+let who = function Some v -> v | None -> -1
+
+let requester v = if v < 0 then None else Some v
+
+(* The two endpoint lanes of a reduction: -1 where there is none. *)
+let red_src = function
+  | Request { src; _ } -> who src
+  | Respond { src; _ } | Cancel { src; _ } -> src
+
+let red_dst = function
+  | Request { dst; _ } | Cancel { dst; _ } -> dst
+  | Respond { dst; _ } -> who dst
+
+let stale g gen r = stale_lanes g gen (red_src r) (red_dst r)
+
+(* Reduction lanes. The head packs the kind (bits 0-1), the demand (bit
+   2, set for vital) and the value tag (bits 3 and up), complemented so
+   it is always negative. *)
+type red_sink = int -> int -> int -> int -> int -> string -> unit
+
+let red_request = 0
+let red_respond = 1
+let red_cancel = 2
+
+let v_int = 0
+let v_bool = 1
+let v_nil = 2
+let v_ref = 3
+let v_err = 4
+
+let head ~kind ~demand ~vtag =
+  lnot (kind lor (match demand with Demand.Vital -> 4 | Demand.Eager -> 0) lor (vtag lsl 3))
+
+let head_kind h = lnot h land 3
+let head_demand h = if lnot h land 4 <> 0 then Demand.Vital else Demand.Eager
+let head_vtag h = lnot h lsr 3
+
+let red_lanes = 7
+
+let v_true = Label.V_bool true
+let v_false = Label.V_bool false
+
+let value_of_lanes vtag pay err =
+  match vtag with
+  | 0 -> Label.V_int pay
+  | 1 -> if pay <> 0 then v_true else v_false
+  | 2 -> Label.V_nil
+  | 3 -> Label.V_ref pay
+  | _ -> Label.V_err err
+
+let value_vtag = function
+  | Label.V_int _ -> v_int
+  | Label.V_bool _ -> v_bool
+  | Label.V_nil -> v_nil
+  | Label.V_ref _ -> v_ref
+  | Label.V_err _ -> v_err
+
+let value_pay = function
+  | Label.V_int n -> n
+  | Label.V_bool b -> Bool.to_int b
+  | Label.V_ref v -> v
+  | Label.V_nil | Label.V_err _ -> 0
+
+let value_err = function Label.V_err m -> m | _ -> ""
+
+let label_vtag = function
+  | Label.Int _ -> v_int
+  | Label.Bool _ -> v_bool
+  | Label.Nil -> v_nil
+  | Label.Cons -> v_ref
+  | Label.Err _ -> v_err
+  | Label.Prim _ | Label.If | Label.Apply _ | Label.Ind | Label.Bottom | Label.Param _
+  | Label.Freed ->
+    invalid_arg "Task.label_vtag: not in weak head normal form"
+
+let label_pay ~self = function
+  | Label.Int n -> n
+  | Label.Bool b -> Bool.to_int b
+  | Label.Cons -> self
+  | _ -> 0
+
+let label_err = function Label.Err m -> m | _ -> ""
+
+let reduction_of_lanes head src dst key pay err =
+  match head_kind head with
+  | 0 -> Request { src = requester src; dst; demand = head_demand head; key }
+  | 1 ->
+    Respond
+      {
+        src;
+        dst = requester dst;
+        value = value_of_lanes (head_vtag head) pay err;
+        key;
+        demand = head_demand head;
+      }
+  | _ -> Cancel { src; dst }
+
+let red_head = function
+  | Request { demand; _ } -> head ~kind:red_request ~demand ~vtag:0
+  | Respond { value; demand; _ } -> head ~kind:red_respond ~demand ~vtag:(value_vtag value)
+  | Cancel _ -> head ~kind:red_cancel ~demand:Demand.Vital ~vtag:0
+
+let red_key = function Request { key; _ } | Respond { key; _ } -> key | Cancel _ -> -1
+
+let red_pay = function Respond { value; _ } -> value_pay value | Request _ | Cancel _ -> 0
+
+let red_err = function Respond { value; _ } -> value_err value | Request _ | Cancel _ -> ""
+
+let reduction_of_row a i err =
+  reduction_of_lanes a.(i + 2) a.(i) a.(i + 1) a.(i + 3) a.(i + 4) err
+
+let obs_kind_of_head h =
+  match head_kind h with
+  | 0 -> Dgr_obs.Event.Request
+  | 1 -> Dgr_obs.Event.Respond
+  | _ -> Dgr_obs.Event.Cancel
 
 (* Mark lanes. A mark travels as three ints: [v] (the target, -1 for a
    return), [par] (the parent vid, -1 for Rootpar) and [meta], which packs

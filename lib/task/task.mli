@@ -70,10 +70,6 @@ val reduction_endpoints : reduction -> Vid.t list
 (** Source and destination vertices of a reduction task — the seeds
     contributed to [args(taskroot_i)] when M_T starts (§5.2). *)
 
-val iter_reduction_endpoints : (Vid.t -> unit) -> reduction -> unit
-(** [reduction_endpoints] without the list: applies [f] to each endpoint
-    (source first). Hot path — M_T seeding visits every pending task. *)
-
 val stale : Graph.t -> int -> reduction -> bool
 (** A reduction task records the graph's generation ({!Graph.releases})
     when it is sent. [stale g gen r]: was one of its endpoints released
@@ -147,6 +143,76 @@ val mark_of_lanes : int -> int -> int -> mark
 (** The view of [v par meta]; inverse of the three [lane_*] functions. *)
 
 val obs_kind_of_meta : int -> Dgr_obs.Event.task_kind
+
+(** {2 Reduction lanes}
+
+    A reduction is a row of ints from its send to its execution: [head],
+    which packs the kind, the demand and the value's tag and is always
+    negative; [src], the source vertex ([-1] for a request with no
+    requester); [dst], the destination ([-1] for the controller); [key];
+    and [pay], the value's payload (an int, a bool as 0/1, a vid; 0 when
+    there is none). A [V_err]'s string travels beside the row, as the
+    [err] of a {!red_sink} (the empty string otherwise): each store that
+    holds rows keeps its own strings, written by the one shard that owns
+    the store. {!reduction} is the cold boxed view; {!reduction_of_lanes}
+    and the [red_*] getters convert. *)
+
+type red_sink = int -> int -> int -> int -> int -> string -> unit
+(** Receives one reduction as [head src dst key pay err]. *)
+
+val red_request : int
+val red_respond : int
+val red_cancel : int
+
+val v_err : int
+(** The value tag of a [V_err]: its row's [pay] is 0, or, in a store,
+    the index of its string. *)
+
+val head : kind:int -> demand:Demand.t -> vtag:int -> int
+(** Never non-negative, so a lane holding a head is never a mark's meta. *)
+
+val head_kind : int -> int
+val head_demand : int -> Demand.t
+val head_vtag : int -> int
+
+val red_lanes : int
+(** A reduction's width in a frame: [src dst head key pay gen stamp],
+    [gen] its send generation and [stamp] its lineage ticket. The head
+    sits in lane 2, where a mark (three lanes) has its meta, so a frame's
+    reader tells the two apart there. *)
+
+val value_of_lanes : int -> int -> string -> Label.value
+(** [value_of_lanes vtag pay err]. Allocates only a [V_int], [V_ref] or
+    [V_err] block. *)
+
+val label_vtag : Label.t -> int
+val label_pay : self:Vid.t -> Label.t -> int
+val label_err : Label.t -> string
+(** The value lanes of a vertex [self] whose label [l] is in weak head
+    normal form ([V_ref self] for [Cons]), built without the value.
+    [label_vtag] raises [Invalid_argument] for any other label. *)
+
+val reduction_of_lanes : int -> int -> int -> int -> int -> string -> reduction
+(** The view of [head src dst key pay err]. *)
+
+val red_head : reduction -> int
+val red_src : reduction -> int
+val red_dst : reduction -> int
+val red_key : reduction -> int
+val red_pay : reduction -> int
+val red_err : reduction -> string
+(** The lanes of a view; inverse of {!reduction_of_lanes}. A cancel's
+    key lane is [-1]. *)
+
+val reduction_of_row : int array -> int -> string -> reduction
+(** [reduction_of_row a i err]: the view of the frame row at lane [i] of
+    [a] (see {!red_lanes}). *)
+
+val stale_lanes : Graph.t -> int -> int -> int -> bool
+(** [stale_lanes g gen src dst]: {!stale} of a reduction given its two
+    endpoint lanes. *)
+
+val obs_kind_of_head : int -> Dgr_obs.Event.task_kind
 
 val pp : Format.formatter -> t -> unit
 

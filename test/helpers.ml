@@ -192,3 +192,49 @@ let pop_marking pool =
   Dgr_sim.Pool.drain_marking pool ~budget:1 (fun v par meta ->
       got := Some (Dgr_task.Task.Marking (Dgr_task.Task.mark_of_lanes v par meta)));
   !got
+
+(* --- boxed views of the lane paths ---------------------------------- *)
+
+module Task = Dgr_task.Task
+
+(* [Network.deliver_serial] with each reduction handed to [push pe stamp
+   gen task] as a view. *)
+let deliver_views net ~now ~push =
+  Dgr_sim.Network.deliver_serial net ~now ~push:(fun pe a i err ->
+      push pe a.(i + 6) a.(i + 5) (Task.Reduction (Task.reduction_of_row a i err)))
+
+(* [Network.take_mark_lanes] with each mark handed over as a view. *)
+let take_marks net ~pe f =
+  let ring = Dgr_task.Mark_ring.create () in
+  Dgr_sim.Network.take_mark_lanes net ~pe ring;
+  List.iter (fun m -> f (Task.Marking m)) (Dgr_task.Mark_ring.to_list ring)
+
+(* [(arrival, task)] for every message in flight in an engine. *)
+let network_entries e = Dgr_sim.Network.entries (Dgr_sim.Engine.network e)
+
+(* Where an engine's matching pending tasks sit: "pool[pe=N] …" or
+   "network …". *)
+let locate_task e pred =
+  let module E = Dgr_sim.Engine in
+  let acc = ref [] in
+  for pe = 0 to E.Config.num_pes (E.config e) - 1 do
+    List.iter
+      (fun task ->
+        if pred task then acc := Printf.sprintf "pool[pe=%d] %s" pe (Task.to_string task) :: !acc)
+      (Dgr_sim.Pool.tasks (E.pool e pe))
+  done;
+  List.iter
+    (fun task ->
+      if pred task then acc := Printf.sprintf "network %s" (Task.to_string task) :: !acc)
+    (Dgr_sim.Network.in_flight (E.network e));
+  !acc
+
+(* [Pool.drain_lanes] into the lists of the destinations it ran and
+   dropped as stale, in pop order; marks go to [mark]. *)
+let drain_split ?(budget = max_int) ?(mark = fun _ _ _ -> ()) pool =
+  let ran = ref [] and dropped = ref [] in
+  Dgr_sim.Pool.drain_lanes pool ~budget
+    ~red:(fun _ _ _ dst _ _ _ -> ran := dst :: !ran)
+    ~dead:(fun _ _ _ dst _ _ _ -> dropped := dst :: !dropped)
+    ~mark;
+  (List.rev !ran, List.rev !dropped)

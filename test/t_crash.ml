@@ -343,18 +343,22 @@ let test_inject_crash_guards () =
   let config = Engine.Config.make ~num_pes:2 () in
   let e = Engine.create ~config g (registry ()) in
   Alcotest.check_raises "out-of-range PE"
-    (Invalid_argument "Engine.inject_crash: no such PE") (fun () ->
-      Engine.inject_crash e ~pe:2 ~down:4);
+    (Invalid_argument
+       "Engine.inject_crash: no such PE (PE 2, num_pes 2, downtime 4, 2 PEs up)")
+    (fun () -> Engine.inject_crash e ~pe:2 ~down:4);
   Alcotest.check_raises "zero downtime"
-    (Invalid_argument "Engine.inject_crash: downtime must be >= 1") (fun () ->
-      Engine.inject_crash e ~pe:0 ~down:0);
+    (Invalid_argument
+       "Engine.inject_crash: downtime must be >= 1 (PE 0, num_pes 2, downtime 0, 2 PEs up)")
+    (fun () -> Engine.inject_crash e ~pe:0 ~down:0);
   Engine.inject_crash e ~pe:0 ~down:1000;
   Alcotest.check_raises "double crash"
-    (Invalid_argument "Engine.inject_crash: PE already down") (fun () ->
-      Engine.inject_crash e ~pe:0 ~down:4);
+    (Invalid_argument
+       "Engine.inject_crash: PE already down (PE 0, num_pes 2, downtime 4, 1 PEs up)")
+    (fun () -> Engine.inject_crash e ~pe:0 ~down:4);
   Alcotest.check_raises "last survivor is protected"
-    (Invalid_argument "Engine.inject_crash: would leave no survivor") (fun () ->
-      Engine.inject_crash e ~pe:1 ~down:4)
+    (Invalid_argument
+       "Engine.inject_crash: would leave no survivor (PE 1, num_pes 2, downtime 4, 1 PEs up)")
+    (fun () -> Engine.inject_crash e ~pe:1 ~down:4)
 
 (* --- the report after a crash ---------------------------------------- *)
 

@@ -145,10 +145,10 @@ let test_mt_before_mr_order () =
       pes = 1;
       iter_pe_endpoints =
         (fun _pe f ->
-          Dgr_task.Task.iter_reduction_endpoints f
-            (Dgr_task.Task.Request
-               { src = None; dst = Graph.root g; demand = Demand.Vital;
-                 key = Graph.root g }));
+          List.iter f
+            (Dgr_task.Task.reduction_endpoints
+               (Dgr_task.Task.Request
+                  { src = None; dst = Graph.root g; demand = Demand.Vital; key = Graph.root g })));
       reprioritize = (fun () -> 0);
       each_home = (fun f -> f 0);
       now = (fun () -> 0);
@@ -380,6 +380,42 @@ let test_restructure_words_flat_in_live_set () =
        small large per_live)
     true (per_live < 0.5)
 
+(* Minor words of the step that finishes a second cycle over [fresh]
+   unreachable births, after a first cycle reclaimed 12,000 vertices. *)
+let second_finishing_step_words ~fresh =
+  let spec =
+    { Builder.live = 1_000; garbage = 12_000; free_pool = 0; avg_degree = 2.0; cycle_bias = 0.1 }
+  in
+  let g = Builder.random ~num_pes:8 (Dgr_util.Rng.create 5) spec in
+  let e = engine_for ~deadlock_every:0 ~idle_gap:50 g in
+  let c = run_cycles e 1 in
+  Alcotest.(check int) "first cycle" 12_000 (Cycle.total_garbage_collected c);
+  for i = 0 to fresh - 1 do
+    ignore (Graph.alloc ~from:(i mod 8) g (Label.Int i) : Vertex.t)
+  done;
+  let words = ref nan in
+  while Cycle.cycles_completed c = 1 do
+    let w0 = Gc.minor_words () in
+    Engine.step e;
+    words := Gc.minor_words () -. w0
+  done;
+  Alcotest.(check int) "second cycle" fresh (Option.get (Cycle.last_report c)).Restructure.garbage;
+  !words
+
+(* Once the verdict vectors have grown, restructure allocates nothing
+   per garbage vertex: the step that finishes the second cycle costs the
+   same over 2,000 and 8,000 garbage vertices, and under 0.1 minor words
+   per garbage vertex at 8,000. *)
+let test_second_cycle_verdicts_reuse_vectors () =
+  let small = second_finishing_step_words ~fresh:2_000
+  and large = second_finishing_step_words ~fresh:8_000 in
+  let per_extra = (large -. small) /. 6_000.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "finishing step: %.0f words at 2k garbage, %.0f at 8k (%.3f per extra)" small
+       large per_extra)
+    true
+    (per_extra < 0.1 && large /. 8_000.0 < 0.1)
+
 let suite =
   [
     Alcotest.test_case "collects unreachable clusters" `Quick test_collects_unreachable;
@@ -399,4 +435,6 @@ let suite =
     Alcotest.test_case "a request into a released, re-born slot never runs" `Quick
       test_request_into_released_slot_never_runs;
     Alcotest.test_case "a stale task does not seed M_T" `Quick test_stale_task_does_not_seed;
+    Alcotest.test_case "a second cycle's verdicts reuse their vectors" `Quick
+      test_second_cycle_verdicts_reuse_vectors;
   ]

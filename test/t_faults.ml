@@ -108,24 +108,21 @@ let test_stale_task_rides_its_frame () =
   Alcotest.(check int) "nothing flushed before the tick" 0 (Network.frames_sent net);
   let pool = Pool.create ~pe:1 Pool.Flat g in
   let push _pe stamp gen task = Pool.push_stamped pool stamp gen task in
-  Network.deliver_serial net ~now:1 ~push;
+  Helpers.deliver_views net ~now:1 ~push;
   Alcotest.(check int) "both tasks rode one frame" 1 (Network.frames_sent net);
   (* the destination dies while the frame is in the channel *)
   Graph.release g doomed;
   let now = ref 1 in
   while Network.size net > 0 && !now < 100_000 do
     incr now;
-    Network.deliver_serial net ~now:!now ~push
+    Helpers.deliver_views net ~now:!now ~push
   done;
   Alcotest.(check int) "the frame arrived whole" 2 (Pool.length pool);
-  let ran = ref [] and dropped = ref [] in
-  let dst = function Task.Reduction (Task.Request { dst; _ }) -> dst | _ -> -1 in
-  Pool.drain_lanes pool ~budget:max_int
-    ~red:(fun task _ -> ran := dst task :: !ran)
-    ~dead:(fun task _ -> dropped := dst task :: !dropped)
-    ~mark:(fun _ _ _ -> Alcotest.fail "no mark was sent");
-  Alcotest.(check (list int)) "the live task ran once" [ live ] !ran;
-  Alcotest.(check (list int)) "the stale task was dropped at its pop" [ doomed ] !dropped;
+  let ran, dropped =
+    Helpers.drain_split pool ~mark:(fun _ _ _ -> Alcotest.fail "no mark was sent")
+  in
+  Alcotest.(check (list int)) "the live task ran once" [ live ] ran;
+  Alcotest.(check (list int)) "the stale task was dropped at its pop" [ doomed ] dropped;
   settle_acks net
 
 (* The cumulative ack piggybacks on the LAST reverse data frame of the
@@ -278,18 +275,20 @@ let test_retransmit_after_recycle () =
    predecessor was delivered in, so a send, its delivery and its ack
    allocate the pending record and queue entries but never a batch, and
    popping the frame, its ack and its timer boxes nothing. The loop
-   reads 34 words per frame; a fresh batch would add ~60 more, and boxed
-   pops ~30. *)
+   drives the lane entry points the engine uses (the boxed [send] and
+   [deliver_into] build a view per delivery) and reads 23 words per
+   frame; a fresh batch would add ~60 more, and boxed pops ~30. *)
 let test_lossy_loop_reuses_frames () =
   let f = Faults.create { Faults.none with Faults.stall = 0.5; fault_seed = 1 } in
   let net = Network.create ~faults:f () in
-  let task = Task.request 7 Demand.Vital in
-  let push _ _ _ = () in
+  let head = Task.head ~kind:Task.red_request ~demand:Demand.Vital ~vtag:0 in
+  let push _ _ _ _ = () in
   let now = ref 0 in
   let round () =
-    Network.send ~src:0 net ~arrival:(!now + 1) ~pe:1 task;
+    Network.stage_reduction net ~src:0 ~lin:(-1) ~depth:0 ~gen:Task.no_gen ~arrival:(!now + 1)
+      ~pe:1 head (-1) 7 7 0 "";
     incr now;
-    Network.deliver_into net ~now:!now ~push
+    Network.deliver_serial net ~now:!now ~push
   in
   for _ = 1 to 100 do
     round ()
@@ -304,7 +303,7 @@ let test_lossy_loop_reuses_frames () =
   Alcotest.(check int) "one frame per round" frames (Network.frames_sent net - sent0);
   Alcotest.(check bool)
     (Printf.sprintf "%.1f minor words per frame" per_frame)
-    true (per_frame <= 40.);
+    true (per_frame <= 28.);
   settle_acks net
 
 (* --- differential fuzz: faulted concurrent GC vs fault-free STW ------- *)

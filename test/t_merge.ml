@@ -398,7 +398,7 @@ let test_inject_send_accounting () =
   Alcotest.(check int) "remote_messages" 0 m.Metrics.remote_messages;
   Alcotest.(check int) "local_messages" 0 m.Metrics.local_messages;
   Alcotest.(check bool) "staged before any step" true
-    (Engine.network_entries e = [ (4, task) ]);
+    (Helpers.network_entries e = [ (4, task) ]);
   Engine.dispose e
 
 (* Cooperation deferred by a PE's shard is replayed at the barrier as

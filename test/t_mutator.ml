@@ -159,10 +159,10 @@ let test_record_request_cooperates_once () =
   Alcotest.(check bool) "x transient (MT)" true (Vertex.transient (Graph.vertex g x) Plane.MT);
   let mut = Sync_engine.mutator engine in
   let cnt_before = Vertex.cnt (Graph.vertex g x) Plane.MT in
-  Mutator.record_request mut ~at:x ~requester:(Some y) ~demand:Demand.Vital ~key:x;
+  Mutator.record_request mut ~at:x ~who:y ~demand:Demand.Vital ~key:x;
   let cnt_after_first = Vertex.cnt (Graph.vertex g x) Plane.MT in
   Alcotest.(check int) "first recording charges once" (cnt_before + 1) cnt_after_first;
-  Mutator.record_request mut ~at:x ~requester:(Some y) ~demand:Demand.Vital ~key:x;
+  Mutator.record_request mut ~at:x ~who:y ~demand:Demand.Vital ~key:x;
   Alcotest.(check int) "re-recording does not charge"
     cnt_after_first
     (Vertex.cnt (Graph.vertex g x) Plane.MT);

@@ -82,15 +82,6 @@ let push_live pool g task =
 
 let dst_of_request = function Task.Reduction (Task.Request { dst; _ }) -> dst | _ -> -1
 
-(* Drain a whole pool: the destinations of the requests it ran and of
-   the stale ones it dropped at their pop, in pop order. *)
-let drain_split pool =
-  let ran = ref [] and dropped = ref [] in
-  Pool.drain_lanes pool ~budget:max_int
-    ~red:(fun task _ -> ran := dst_of_request task :: !ran)
-    ~dead:(fun task _ -> dropped := dst_of_request task :: !dropped)
-    ~mark:(fun _ _ _ -> ());
-  (List.rev !ran, List.rev !dropped)
 
 (* A request into a released vertex is purged where it pops — without
    using up the budget — or by the re-sort restructure runs right after
@@ -104,20 +95,16 @@ let test_pool_purge_and_reprioritize () =
   push_live pool g (Task.request ~src:a b Demand.Vital);
   push_live pool g (Task.request ~src:c a Demand.Eager);
   Graph.release g b;
-  let ran = ref [] and dropped = ref [] in
-  Pool.drain_lanes pool ~budget:1
-    ~red:(fun task _ -> ran := dst_of_request task :: !ran)
-    ~dead:(fun task _ -> dropped := dst_of_request task :: !dropped)
-    ~mark:(fun _ _ _ -> ());
-  Alcotest.(check (list int)) "purged one, at its pop" [ b ] !dropped;
-  Alcotest.(check (list int)) "the budget of one still ran the live task" [ a ] !ran;
+  let ran, dropped = Helpers.drain_split ~budget:1 pool in
+  Alcotest.(check (list int)) "purged one, at its pop" [ b ] dropped;
+  Alcotest.(check (list int)) "the budget of one still ran the live task" [ a ] ran;
   push_live pool g (Task.request ~src:c d Demand.Eager);
   push_live pool g (Task.request ~src:c a Demand.Eager);
   Graph.release g d;
   Vertex.set_sched_prior (Graph.vertex g a) @@ 3;
   let dropped = ref [] in
   Alcotest.(check int) "reprioritize reports changes" 1
-    (Pool.reprioritize pool ~dead:(fun task _ -> dropped := dst_of_request task :: !dropped));
+    (Pool.reprioritize pool ~dead:(fun _ _ _ dst _ _ _ -> dropped := dst :: !dropped));
   Alcotest.(check (list int)) "and purges the stale entry" [ d ] !dropped;
   Alcotest.(check int) "one left" 1 (Pool.length pool)
 
@@ -329,16 +316,16 @@ let test_deliver_split_in_order () =
       let sent = mixed_sends net in
       let want_reds, marks_of = due_in_order net sent in
       let reds = ref [] in
-      Network.deliver_serial net ~now:10 ~push:(fun pe _ _ task -> reds := (pe, task) :: !reds);
+      Helpers.deliver_views net ~now:10 ~push:(fun pe _ _ task -> reds := (pe, task) :: !reds);
       Alcotest.(check bool) (name ^ ": reductions in delivery order") true
         (List.rev !reds = want_reds);
       for pe = 0 to 2 do
         let marks = ref [] in
-        Network.take_marks net ~pe (fun task -> marks := task :: !marks);
+        Helpers.take_marks net ~pe (fun task -> marks := task :: !marks);
         Alcotest.(check bool) (Printf.sprintf "%s: PE %d's marks in delivery order" name pe) true
           (List.rev !marks = marks_of pe);
         let again = ref 0 in
-        Network.take_marks net ~pe (fun _ -> incr again);
+        Helpers.take_marks net ~pe (fun _ -> incr again);
         Alcotest.(check int) (name ^ ": the inbox is emptied") 0 !again
       done;
       Alcotest.(check int) (name ^ ": drained") 0 (Network.size net))
@@ -381,10 +368,10 @@ let test_network_purge () =
   send v8;
   Graph.release g v7;
   let pool = Pool.create Pool.Flat g in
-  Network.deliver_serial net ~now:1 ~push:(fun _ stamp gen task ->
+  Helpers.deliver_views net ~now:1 ~push:(fun _ stamp gen task ->
       Pool.push_stamped pool stamp gen task);
   Alcotest.(check int) "both delivered" 0 (Network.size net);
-  let ran, dropped = drain_split pool in
+  let ran, dropped = Helpers.drain_split pool in
   Alcotest.(check (list int)) "one purged" [ v7 ] dropped;
   Alcotest.(check (list int)) "one left" [ v8 ] ran
 
@@ -434,7 +421,7 @@ let test_interleaved_frame_order () =
     (Network.entries net = List.map (fun task -> (3, task)) sent);
   Alcotest.(check bool) "in_flight in send order" true (Network.in_flight net = sent);
   let reds = ref [] in
-  Network.deliver_serial net ~now:3 ~push:(fun _ _ _ task -> reds := task :: !reds);
+  Helpers.deliver_views net ~now:3 ~push:(fun _ _ _ task -> reds := task :: !reds);
   Alcotest.(check int) "one frame" 1 (Network.frames_sent net);
   let delivered =
     List.filter_map
@@ -453,7 +440,7 @@ let test_interleaved_frame_order () =
   Alcotest.(check bool) "reductions handed up in order" true
     (List.rev !reds = List.filter Task.is_reduction sent);
   let marks = ref [] in
-  Network.take_marks net ~pe:1 (fun task -> marks := task :: !marks);
+  Helpers.take_marks net ~pe:1 (fun task -> marks := task :: !marks);
   Alcotest.(check bool) "marks taken in order" true
     (List.rev !marks = List.filter Task.is_marking sent)
 
@@ -511,7 +498,7 @@ let test_engine_inject_and_locate () =
   Engine.inject e (Task.request a Demand.Eager);
   Alcotest.(check int) "one pending" 1 (List.length (Engine.pending_tasks e));
   Alcotest.(check int) "locatable" 1
-    (List.length (Engine.locate_task e (fun _ -> true)))
+    (List.length (Helpers.locate_task e (fun _ -> true)))
 
 (* Delivery parks each frame until its destination's shard pushes the
    marks, so the pools must take them on every step: a PE that executes
@@ -539,14 +526,14 @@ let check_marks_conserved ~what config =
       (Task.Marking (Task.Mark1 { v = Vertex.id b; par = Plane.Rootpar; ep = step }));
     Engine.step e;
     let in_pool =
-      List.length (Engine.locate_task e Task.is_marking)
-      - List.length (List.filter (fun (_, t) -> Task.is_marking t) (Engine.network_entries e))
+      List.length (Helpers.locate_task e Task.is_marking)
+      - List.length (List.filter (fun (_, t) -> Task.is_marking t) (Helpers.network_entries e))
     in
     pooled := Int.max !pooled in_pool;
     Alcotest.(check int)
       (Printf.sprintf "%s: step %d conserves marks" what step)
       (step + 1)
-      (List.length (List.filter (fun (_, t) -> Task.is_marking t) (Engine.network_entries e))
+      (List.length (List.filter (fun (_, t) -> Task.is_marking t) (Helpers.network_entries e))
       + in_pool
       + (Engine.metrics e).Metrics.marking_executed)
   done;
@@ -835,11 +822,12 @@ let test_stall_retry_alloc () =
       per_retry
 
 (* Every executed reduction of a concurrent fib 12 run allocates at most
-   [bound] minor words in the execute phase: each send's task block and
-   each expansion's fresh slots, nothing per retry, primitive or
-   rewrite. The marks that share the phase allocate next to nothing. *)
+   [bound] minor words in the execute phase: each live response's value
+   and each expansion's fresh slots, nothing per send (a send is lanes),
+   retry, primitive or rewrite. The marks that share the phase allocate
+   next to nothing. Reads 14.80. *)
 let test_reduction_alloc_per_task () =
-  let bound = 29.0 in
+  let bound = 18.0 in
   let g, templates =
     Dgr_lang.Compile.load_string ~num_pes:4 (Dgr_lang.Prelude.fib 12)
   in
@@ -857,6 +845,35 @@ let test_reduction_alloc_per_task () =
   if per_task > bound then
     Alcotest.failf "%.2f execute-phase minor words per reduction over %d reductions (bound %.0f)"
       per_task reductions bound
+
+(* A reduction travels as lanes from its send to its execution: a
+   request circulating through a self-forwarding [Ind] (perfbench's
+   "black hole") on a collector-less machine allocates nothing per hop —
+   its send, frame, delivery, pool entry and execution. A boxed task per
+   send would cost 9 words. *)
+let test_forwarded_request_alloc_free () =
+  let g = Graph.create ~num_pes:2 () in
+  let hole = Builder.add g Label.Ind [] in
+  Vertex.set_args (Graph.vertex g hole) [ hole ];
+  Graph.set_root g hole;
+  let config = Engine.Config.make ~num_pes:2 ~gc:Engine.No_gc ~heap_size:None ~domains:1 () in
+  let e = Engine.create ~config g (Dgr_reduction.Template.create_registry ()) in
+  Engine.inject e (Task.request hole Demand.Vital);
+  for _ = 1 to 200 do
+    Engine.step e
+  done;
+  let requests () = (Engine.reducer e).Dgr_reduction.Reducer.requests_executed in
+  let r0 = requests () and w0 = Gc.minor_words () in
+  for _ = 1 to 2_000 do
+    Engine.step e
+  done;
+  let words = Gc.minor_words () -. w0 and forwarded = requests () - r0 in
+  Engine.dispose e;
+  Alcotest.(check bool) "the request keeps circulating" true (forwarded >= 1_000);
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "minor words per forwarded request over %d hops" forwarded)
+    0.0
+    (words /. float_of_int forwarded)
 
 let suite =
   [
@@ -909,6 +926,8 @@ let suite =
       test_stall_retry_alloc;
     Alcotest.test_case "a reduction allocates only its sends and births" `Quick
       test_reduction_alloc_per_task;
+    Alcotest.test_case "a forwarded request allocates nothing" `Quick
+      test_forwarded_request_alloc_free;
   ]
 
 (* Delivery jitter: deterministic per seed; results invariant. *)

@@ -96,6 +96,71 @@ let test_lane_roundtrip () =
     (Invalid_argument "Task.meta: prior 4 / wave 0 out of range") (fun () ->
       ignore (meta ~kind:kind_mark2 ~plane:Plane.MR ~prior:4 ~ep:0))
 
+(* Every reduction shape: both demands, a request with no requester, a
+   response to the controller, every [Label.value] (a [V_err]'s string
+   beside the lanes). *)
+let reduction_shapes ~a ~b =
+  let values =
+    Label.[ V_int 0; V_int (-7); V_int max_int; V_int min_int; V_bool true; V_bool false;
+            V_nil; V_ref b; V_err "deadlock"; V_err "" ]
+  in
+  List.concat_map
+    (fun demand ->
+      [ Request { src = Some a; dst = b; demand; key = b };
+        Request { src = None; dst = b; demand; key = a } ]
+      @ List.concat_map
+          (fun value ->
+            [ Respond { src = b; dst = Some a; value; key = b; demand };
+              Respond { src = b; dst = None; value; key = b; demand } ])
+          values)
+    [ Demand.Vital; Demand.Eager ]
+  @ [ Cancel { src = a; dst = b }; Cancel { src = b; dst = a } ]
+
+let lanes r = (red_head r, red_src r, red_dst r, red_key r, red_pay r, red_err r)
+
+let test_reduction_lane_roundtrip () =
+  List.iter
+    (fun r ->
+      let head, src, dst, key, pay, err = lanes r in
+      let name = Format.asprintf "%a" pp_reduction r in
+      Alcotest.(check bool) (name ^ ": round-trips") true
+        (reduction_of_lanes head src dst key pay err = r);
+      Alcotest.(check bool) (name ^ ": the head is negative") true (head < 0);
+      Alcotest.(check int) (name ^ ": exec vid") (exec_vid (Reduction r)) dst;
+      Alcotest.(check bool) (name ^ ": trace kind") true
+        (obs_kind_of_head head = obs_kind (Reduction r));
+      let row = [| src; dst; head; key; pay; 0; -1 |] in
+      Alcotest.(check bool) (name ^ ": frame row") true (reduction_of_row row 0 err = r))
+    (reduction_shapes ~a:3 ~b:8)
+
+(* [stale_lanes] on a reduction's endpoint lanes agrees with [stale] on
+   its view, before and after a release, for a send generation from
+   before it, after it, and [no_gen]. *)
+let test_stale_lanes_agree () =
+  let g = Graph.create () in
+  let a = Vertex.id (Graph.alloc g (Label.Int 1)) in
+  let b = Vertex.id (Graph.alloc g (Label.Int 2)) in
+  let c = Vertex.id (Graph.alloc g (Label.Int 3)) in
+  let before = Graph.releases g in
+  Graph.release g b;
+  let after = Graph.releases g in
+  List.iter
+    (fun (x, y) ->
+      List.iter
+        (fun r ->
+          List.iter
+            (fun gen ->
+              let name = Format.asprintf "%a gen %d" pp_reduction r gen in
+              Alcotest.(check bool) name (stale g gen r)
+                (stale_lanes g gen (red_src r) (red_dst r)))
+            [ no_gen; before; after ])
+        (reduction_shapes ~a:x ~b:y))
+    [ (a, b); (b, a); (a, c) ];
+  Alcotest.(check bool) "a released endpoint is stale" true
+    (stale g before (Cancel { src = a; dst = b }));
+  Alcotest.(check bool) "live endpoints are not" false
+    (stale g before (Cancel { src = a; dst = c }))
+
 (* The swap-remove the synchronous engine's Lifo and Random orders take
    by, across a wrapped ring. *)
 let test_mark_ring_take_with () =
@@ -120,6 +185,8 @@ let suite =
   [
     Alcotest.test_case "mark ring take_with" `Quick test_mark_ring_take_with;
     Alcotest.test_case "mark lanes round-trip" `Quick test_lane_roundtrip;
+    Alcotest.test_case "reduction lanes round-trip" `Quick test_reduction_lane_roundtrip;
+    Alcotest.test_case "stale on lanes agrees with stale" `Quick test_stale_lanes_agree;
     Alcotest.test_case "exec_vertex routing" `Quick test_exec_vertex;
     Alcotest.test_case "reduction endpoints" `Quick test_endpoints;
     Alcotest.test_case "mark planes" `Quick test_planes;

@@ -64,7 +64,7 @@ let adversary ?(monotone_requests = false) rng mut g prob _step =
           let d = if Rng.bool rng then Demand.Vital else Demand.Eager in
           Mutator.request_child mut ~v:a ~c:b ~demand:d;
           if not monotone_requests then
-            Mutator.record_request mut ~at:b ~requester:(Some a) ~demand:d ~key:b)
+            Mutator.record_request mut ~at:b ~who:a ~demand:d ~key:b)
       | _ -> ()
     end
   end
