@@ -559,9 +559,9 @@ let fault_stall_arg =
 let fault_crash_arg =
   Arg.(value & opt float 0.0 & info [ "fault-crash" ] ~docv:"P"
          ~doc:"Per-PE, per-step probability that the PE crashes outright: its task \
-               pool, in-flight frames and graph segment are lost; the segment is \
-               restored from a checkpoint synced in the crash step, its vertices \
-               re-home onto the \
+               pool and in-flight frames are lost; on a step where two or more \
+               PEs crash, each segment is restored from a checkpoint synced \
+               before the first of them; the PE's vertices re-home onto the \
                surviving PEs, and an interrupted marking phase restarts. A crash \
                that would leave no survivor is suppressed.")
 

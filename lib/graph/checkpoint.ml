@@ -41,8 +41,9 @@ let entry_count t = Hashtbl.length t.entries
 let step_of t vid =
   match Hashtbl.find_opt t.entries vid with None -> None | Some e -> Some e.e_step
 
-(* The engine syncs on every step that crashes, which at high crash
-   rates is most of them, so the quiet path must not allocate: entry
+(* The engine syncs on every step on which two or more PEs crash, which
+   at high crash rates is most of them, so the quiet path must not
+   allocate: entry
    lookups use [Hashtbl.find] (no option box), unchanged entries refresh
    in place via [Cells.recapture], and the free list is re-filled into a
    retained vector. *)

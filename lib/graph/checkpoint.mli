@@ -11,9 +11,12 @@
     [sync] is incremental and step-tagged: it scans the slice but
     rewrites only entries whose vertex changed since the previous sync,
     stamping each rewritten entry with the capture step. The engine
-    syncs every PE's checkpoint once on a step that crashes, right
-    before its first crash and before anything in the step has written
-    the graph, so the copy a PE recovers from is never stale. *)
+    syncs every PE's checkpoint only on a step on which two or more PEs
+    crash, right before its first crash and before anything in the step
+    has written the graph, and restores each crashed PE from that copy:
+    the first crash's re-homing writes vertices homed at the later ones,
+    and the restore rewinds them. A lone crash skips both, since a
+    restore right after a sync would rewrite the slice with itself. *)
 
 type t
 

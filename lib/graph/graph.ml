@@ -445,6 +445,26 @@ let iter_all f t =
 
 let iter_live f t = iter_all (fun v -> if not (Vertex.free v) then f v) t
 
+(* [iter_live] with the loops spelled out and the caller's state passed
+   along, so a top-level [f] makes the scan allocation-free. *)
+let visit_live s k x f =
+  let v = Seg.get s k in
+  if not (Vertex.free v) then f x v
+
+let iter_live_with t x f =
+  for k = 0 to Seg.length t.dense - 1 do
+    visit_live t.dense k x f
+  done;
+  match t.part with
+  | None -> ()
+  | Some p ->
+    let maxk = Array.fold_left (fun m s -> Int.max m (Seg.length s)) 0 p.segs in
+    for k = 0 to maxk - 1 do
+      for h = 0 to p.pes - 1 do
+        if k < Seg.length p.segs.(h) then visit_live p.segs.(h) k x f
+      done
+    done
+
 let live_vids t =
   let acc = ref [] in
   iter_live (fun v -> acc := Vertex.id v :: !acc) t;

@@ -160,6 +160,11 @@ val grow_home : t -> pe:int -> Vid.t
 
 val iter_live : (Vertex.t -> unit) -> t -> unit
 
+val iter_live_with : t -> 'a -> ('a -> Vertex.t -> unit) -> unit
+(** [iter_live_with g x f] applies [f x] to every live vertex in
+    {!iter_live}'s order, building no closure when [f] is a top-level
+    function. *)
+
 val iter_all : (Vertex.t -> unit) -> t -> unit
 
 val live_vids : t -> Vid.t list

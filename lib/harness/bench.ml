@@ -569,8 +569,8 @@ let golden_latencies = [| 2; 4; 8 |]
 let golden_policies = [| Pool.Dynamic; Pool.Flat; Pool.By_demand |]
 
 (* Line 20 onwards crash whole PEs: on 4 PEs at this rate some steps
-   crash two or three of them, and each crash after a step's first
-   restores from the checkpoint that step's first crash synced. *)
+   crash two or three of them, and such a step syncs the checkpoints
+   before its first crash and restores each crashed segment from them. *)
 let golden_scenario i =
   let wname, source = golden_workloads.(i mod 5) in
   let gname, gc = golden_gc_modes.(3 * i mod 5) in

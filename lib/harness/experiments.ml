@@ -832,8 +832,9 @@ let e12_serial_fraction () =
 (* ------------------------------------------------------------------ *)
 (* E13: crash sweep — whole-PE crashes with checkpointed re-homing.      *)
 (* The machine survives any crash schedule that leaves a survivor: the   *)
-(* crashed PE's segment is restored from the checkpoint synced in the    *)
-(* crash step and its vertices re-home, but pooled and in-flight tasks   *)
+(* crashed PE's vertices re-home (a step that crashes two or more PEs    *)
+(* first restores each crashed segment from a checkpoint synced before   *)
+(* its first crash), but pooled and in-flight tasks                      *)
 (* die with the PE, so completion is not expected at higher rates — the  *)
 (* table reads recovery latency and re-homing volume against the crash   *)
 (* rate.                                                                 *)

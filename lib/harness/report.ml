@@ -141,7 +141,11 @@ let render ?(deterministic = false) e =
       "  frames=%d tasks=%d tasks/frame=%.2f acks=%d(+%d piggybacked)\n"
       m.Metrics.frames_sent m.Metrics.tasks_sent
       (float_of_int m.Metrics.tasks_sent /. float_of_int m.Metrics.frames_sent)
-      m.Metrics.acks_sent m.Metrics.acks_piggybacked
+      m.Metrics.acks_sent m.Metrics.acks_piggybacked;
+    (* Only a step on which two or more PEs crash syncs the checkpoints. *)
+    if m.Metrics.crash_steps > 0 then
+      Printf.bprintf b "  crash steps=%d checkpoint syncs=%d\n" m.Metrics.crash_steps
+        m.Metrics.ckpt_syncs
   end;
   (* Step phases: wall-clock, so omitted from deterministic reports. *)
   if not deterministic then begin

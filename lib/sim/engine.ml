@@ -250,14 +250,20 @@ and t = {
   mutable next_stw_at : int;
   flt : Faults.t option;
   stall_until : int array;  (** per PE: first step it executes again *)
-  (* Crash plane. [ckpts] is built lazily at the first crash (so
-     machines that never crash allocate nothing); [down_since] is -1
-     for a PE that is up. All of it is serial state, written only by the
-     crash tick at the top of a step (or [inject_crash] between steps);
-     the shards only ever {e read} [down_since]. *)
+  (* Crash plane. [ckpts] is built lazily at the first step on which
+     two or more PEs crash (so machines that never see one allocate
+     nothing); [down_since] is -1 for a PE that is up. All of it is
+     serial state, written only by the crash tick at the top of a step
+     (or [inject_crash] between steps); the shards only ever {e read}
+     [down_since]. *)
   mutable ckpts : Checkpoint.t array;  (** per-PE segment checkpoints *)
   down_until : int array;  (** per PE: first step it may recover *)
   down_since : int array;  (** per PE: step it crashed; -1 = up *)
+  crash_down : int array;
+      (** crash tick scratch, per PE: the downtime this step's dice gave
+          it, 0 for no crash *)
+  survivors : int array;  (** re-home scratch: the up PEs, ascending *)
+  mutable n_survivors : int;
   mutable crash_used : bool;
       (** crashes possible (spec or injection): run the crash tick *)
   mutable ctxs : pe_ctx array;
@@ -845,6 +851,9 @@ let create ?recorder ?(config = Config.default) g templates =
       ckpts = [||];
       down_until = Array.make (Int.max 1 num_pes) 0;
       down_since = Array.make (Int.max 1 num_pes) (-1);
+      crash_down = Array.make (Int.max 1 num_pes) 0;
+      survivors = Array.make (Int.max 1 num_pes) 0;
+      n_survivors = 0;
       crash_used = (Config.faults config).Faults.crash > 0.0;
       ctxs = [||];
       workers = None;
@@ -1395,15 +1404,19 @@ let health_check t ~pooled =
   end
 
 (* ---- PE crashes (fail-stop with checkpointed re-homing) ---------------
-   A crash loses a PE's volatile state wholesale: its task pool, every
-   frame in flight on its links (both directions, including batched
-   frames), and whatever its striped graph segment drifted to since the
-   last checkpoint. The crash tick syncs every PE's checkpoint right
-   before the step's first crash, when nothing in the step has written
-   the graph yet, so the restored segment is exact — no acknowledged
-   state ever rolls back — and re-homing the crashed PE's live vertices
-   onto survivors preserves the reachable graph byte-for-byte. What is honestly lost is in-flight and pooled
-   work ([crash_lost_tasks]); an interrupted marking phase is restarted
+   A crash loses a PE's volatile state wholesale: its task pool and
+   every frame in flight on its links (both directions, including
+   batched frames). Its striped graph segment comes back as it stood at
+   the top of the step. Only a step on which two or more PEs crash syncs
+   the checkpoints, right before its first crash, when nothing in the
+   step has written the graph yet, and restores each crashed PE's
+   segment from that copy, so no acknowledged state ever rolls back. A
+   lone crash needs neither: nothing between that sync and its restore
+   would write the graph (neither [Pool.purge] nor [Network.crash_pe]
+   does), so the restore would rewrite the segment with itself. Re-homing the crashed
+   PE's live vertices onto survivors preserves the reachable graph
+   byte-for-byte. What is honestly lost is in-flight and pooled work
+   ([crash_lost_tasks]); an interrupted marking phase is restarted
    ({!Cycle.restart_phase}) so no partial mark can masquerade as a
    finished wave. All of it runs serially at the top of the step, before
    the shards (which skip down PEs), so verdicts and digests stay
@@ -1421,37 +1434,41 @@ let up_count t =
 let sync_ckpts t =
   if Array.length t.ckpts = 0 then
     t.ckpts <- Array.init t.num_pes (fun pe -> Checkpoint.create t.g ~pe);
-  Array.iter (fun ck -> ignore (Checkpoint.sync ck ~now:t.now)) t.ckpts
+  t.m.Metrics.ckpt_syncs <- t.m.Metrics.ckpt_syncs + 1;
+  for pe = 0 to t.num_pes - 1 do
+    ignore (Checkpoint.sync t.ckpts.(pe) ~now:t.now)
+  done
 
-(* The crash itself. Caller guarantees [pe] is up, at least one other PE
-   is up, and [t.ckpts.(pe)] was synced this step. *)
-let crash_now t ~pe ~down =
+(* A live vertex stranded on a down PE moves to an up one, round-robin
+   by vid over [t.survivors]. Top-level, so the scan builds no closure. *)
+let rehome_vertex t vx =
+  let home = Vertex.pe vx in
+  if home >= 0 && home < t.num_pes && is_down t home then begin
+    let ns = t.n_survivors in
+    Vertex.set_pe vx t.survivors.((((Vertex.id vx) mod ns) + ns) mod ns);
+    t.m.Metrics.crash_rehomed <- t.m.Metrics.crash_rehomed + 1
+  end
+
+(* The crash itself. Caller guarantees [pe] is up and at least one other
+   PE is up; with [restore], [t.ckpts.(pe)] was synced this step. *)
+let crash_now t ~pe ~down ~restore =
   let lost = Pool.purge t.pools.(pe) + Network.crash_pe t.net ~pe in
-  Checkpoint.restore t.ckpts.(pe);
+  if restore then Checkpoint.restore t.ckpts.(pe);
   t.down_since.(pe) <- t.now;
   t.down_until.(pe) <- t.now + down;
   (* Re-home every live vertex stranded on a down PE (the whole-graph
      scan also catches vertices still pointing at an earlier crash's PE,
      e.g. two crashes in one step) onto the up PEs, round-robin by vid —
      deterministic, and balanced regardless of which PE died. *)
-  let survivors = Array.make (up_count t) 0 in
   let k = ref 0 in
   for p = 0 to t.num_pes - 1 do
     if not (is_down t p) then begin
-      survivors.(!k) <- p;
+      t.survivors.(!k) <- p;
       incr k
     end
   done;
-  let ns = Array.length survivors in
-  let rehomed = ref 0 in
-  Graph.iter_live
-    (fun vx ->
-      let home = (Vertex.pe vx) in
-      if home >= 0 && home < t.num_pes && is_down t home then begin
-        Vertex.set_pe vx @@ survivors.((((Vertex.id vx) mod ns) + ns) mod ns);
-        incr rehomed
-      end)
-    t.g;
+  t.n_survivors <- !k;
+  Graph.iter_live_with t.g t rehome_vertex;
   (* A marking wave the crash interrupted can never complete (marks bound
      for the dead PE are gone) and must not be trusted (its partial marks
      include state the restore rewound). Restart the phase on a fresh
@@ -1464,18 +1481,18 @@ let crash_now t ~pe ~down =
   | _ -> ());
   t.m.Metrics.crashes <- t.m.Metrics.crashes + 1;
   t.m.Metrics.crash_lost_tasks <- t.m.Metrics.crash_lost_tasks + lost;
-  t.m.Metrics.crash_rehomed <- t.m.Metrics.crash_rehomed + !rehomed;
   obs t (Dgr_obs.Event.Pe_crash { pe; lost; down })
 
 (* The per-step crash tick: recover PEs whose downtime elapsed (they
    execute again this very step, empty-handed), then roll the crash dice
-   in ascending PE order. A crash that would leave no survivor is
-   suppressed — the fail-stop model assumes a majority of the machine
-   outlives any fault (see {!Faults}). Checkpoints are synced only on a
-   step that crashes, right before its first crash: recovery writes
-   nothing but counters and events, so that copy equals one taken at the
-   top of the step, and a second or third crash in the same step
-   restores from it too. Steps without a crash pay nothing for it. *)
+   in ascending PE order: a die for each up PE, then its downtime on a
+   hit. A crash that would leave no survivor is suppressed — the
+   fail-stop model assumes a majority of the machine outlives any fault
+   (see {!Faults}). The crashes follow, in the same order, once every
+   die is rolled: only a step with two or more crashes syncs the
+   checkpoints first and restores each crashed segment, since a later
+   crash's restore rewinds what an earlier one's re-homing wrote. A step
+   with one crash or none pays nothing for checkpoints. *)
 let crash_tick t =
   for pe = 0 to t.num_pes - 1 do
     if is_down t pe && t.now >= t.down_until.(pe) then begin
@@ -1488,17 +1505,23 @@ let crash_tick t =
   done;
   match t.flt with
   | Some f when f.Faults.spec.Faults.crash > 0.0 ->
-    let synced = ref false in
+    let up = ref (up_count t) and hits = ref 0 in
     for pe = 0 to t.num_pes - 1 do
-      if (not (is_down t pe)) && Faults.crash_begins f ~pe && up_count t >= 2 then begin
-        let down = Faults.down_length f in
-        if not !synced then begin
-          sync_ckpts t;
-          synced := true
-        end;
-        crash_now t ~pe ~down
+      t.crash_down.(pe) <- 0;
+      if (not (is_down t pe)) && Faults.crash_begins f ~pe && !up >= 2 then begin
+        t.crash_down.(pe) <- Faults.down_length f;
+        decr up;
+        incr hits
       end
-    done
+    done;
+    if !hits > 0 then begin
+      t.m.Metrics.crash_steps <- t.m.Metrics.crash_steps + 1;
+      let restore = !hits >= 2 in
+      if restore then sync_ckpts t;
+      for pe = 0 to t.num_pes - 1 do
+        if t.crash_down.(pe) > 0 then crash_now t ~pe ~down:t.crash_down.(pe) ~restore
+      done
+    end
   | _ -> ()
 
 let inject_crash t ~pe ~down =
@@ -1513,8 +1536,8 @@ let inject_crash t ~pe ~down =
   if up_count t < 2 then fail "would leave no survivor";
   if down < 1 then fail "downtime must be >= 1";
   t.crash_used <- true;
-  sync_ckpts t;
-  crash_now t ~pe ~down
+  t.m.Metrics.crash_steps <- t.m.Metrics.crash_steps + 1;
+  crash_now t ~pe ~down ~restore:false
 
 let pe_down t pe = pe >= 0 && pe < t.num_pes && is_down t pe
 
@@ -1527,8 +1550,8 @@ let step t =
      checker exempts same-step births (a PE wires up its own fresh
      template vertices before they are published to anyone). *)
   Graph.bump_epoch t.g;
-  (* 0. The crash plane: recoveries, then crash dice (a crashing step
-     syncs the checkpoints before its first crash) —
+  (* 0. The crash plane: recoveries, then crash dice (a step with two
+     or more crashes syncs the checkpoints before its first crash) —
      before delivery, so frames arriving at a PE that crashes this step
      die with it. Never entered by a machine that cannot crash, keeping
      fault-free runs byte-identical to builds without the plane. *)

@@ -246,17 +246,20 @@ val inject : t -> Task.t -> unit
 val inject_crash : t -> pe:int -> down:int -> unit
 (** Crash [pe] immediately (tests and scenario builders): its pool,
     in-flight frames on both link directions and striped graph segment
-    are lost; the segment is restored from a checkpoint synced at the
-    moment of the call (so the restore is exact), its live vertices are
-    re-homed onto the surviving PEs, and an interrupted marking phase is
+    are lost; the segment recovers as it stands at the moment of the
+    call (a checkpoint synced then would restore it unchanged), its
+    live vertices are re-homed onto the surviving PEs, and an interrupted marking phase is
     restarted. The PE executes nothing for [down] steps, then comes back
     up empty-handed. Works on machines with or without a fault plane.
     Raises [Invalid_argument] if [pe] is out of range or already down,
     if [down < 1], or if the crash would leave fewer than one survivor;
     the message names the PE, [num_pes], the downtime and how many PEs
     are up.
-    Crashes driven by {!Config}'s [faults.crash] rate follow exactly this
-    path, scheduled by seeded dice at the top of each step. *)
+    Crashes driven by {!Config}'s [faults.crash] rate follow this path,
+    scheduled by seeded dice at the top of each step; a step on which
+    two or more PEs crash first syncs every PE's checkpoint and restores
+    each crashed segment from it, since an earlier crash's re-homing
+    writes vertices a later crashed PE homes. *)
 
 val pe_down : t -> int -> bool
 (** Whether a PE is currently crashed (always false out of range). *)

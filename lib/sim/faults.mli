@@ -21,9 +21,10 @@ open Dgr_util
     only rolls the dice and carries the knobs. Crash assumptions: at
     least one PE always survives (a crash that would down the last
     standing PE is suppressed), crashed memory is fail-stop (never
-    corrupt, simply gone), and the checkpoint a PE recovers from is the
-    one synced in the crash step before anything in it wrote the graph,
-    so no acknowledged graph state is ever rolled back.
+    corrupt, simply gone), and a crashed segment recovers as it stood at
+    the top of the crash step (a step on which two or more PEs crash
+    restores each from a checkpoint synced before its first crash), so
+    no acknowledged graph state is ever rolled back.
 
     All randomness comes from [fault_seed], on streams separate from the
     engine's scheduling seed, so a (config, seed, fault-spec) triple

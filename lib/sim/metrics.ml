@@ -28,6 +28,8 @@ type t = {
   mutable recoveries : int;
   mutable crash_rehomed : int;
   mutable crash_lost_tasks : int;
+  mutable crash_steps : int;
+  mutable ckpt_syncs : int;
   mutable frames_sent : int;
   mutable acks_sent : int;
   mutable acks_piggybacked : int;
@@ -76,6 +78,8 @@ let create () =
     recoveries = 0;
     crash_rehomed = 0;
     crash_lost_tasks = 0;
+    crash_steps = 0;
+    ckpt_syncs = 0;
     frames_sent = 0;
     acks_sent = 0;
     acks_piggybacked = 0;

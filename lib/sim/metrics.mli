@@ -32,6 +32,12 @@ type t = {
   mutable crash_rehomed : int;  (** live vertices moved off crashed PEs *)
   mutable crash_lost_tasks : int;
       (** tasks destroyed by crashes (pool + undelivered in-flight) *)
+  mutable crash_steps : int;
+      (** crash ticks that crashed a PE, plus [inject_crash] calls; in
+          [dgr report] only, not in {!to_json} or {!pp} *)
+  mutable ckpt_syncs : int;
+      (** checkpoint syncs, one per step on which two or more PEs crash;
+          in [dgr report] only *)
   mutable frames_sent : int;  (** data frames flushed (initial sends) *)
   mutable acks_sent : int;  (** standalone cumulative-ack frames *)
   mutable acks_piggybacked : int;  (** cum acks riding reverse data frames *)

@@ -16,21 +16,26 @@ open Dgr_task
    the paper's idealized-channel semantics at task granularity: a task's
    arrival step is unchanged, only its grouping into frames is new.
 
-   With a fault plane, batches ride in [Data] frames over an
-   at-most-once channel (Faults may drop, duplicate or delay any
-   physical transmission; a dropped batch is retransmitted as a unit).
+   With a fault plane, batches ride in data frames over an at-most-once
+   channel (Faults may drop, duplicate or delay any physical
+   transmission; a dropped batch is retransmitted as a unit).
    Reliability is re-earned end to end with per-(src, dst) sequence
    numbers and *cumulative* acks: the receiver tracks the highest
    contiguous sequence per link and acks that watermark — piggybacked on
    a reverse-direction data frame when one is already going out this
-   step, as a standalone [Ack] frame otherwise — so the reliable layer
+   step, as a standalone ack frame otherwise — so the reliable layer
    no longer generates one ack frame per data frame. Retransmission on
    timeout with exponential backoff and receiver-side dedup on the
    link's sequence give the layer above every task exactly once, in a
    deterministic order for a fixed fault seed. Each directed link keeps
-   all of that state in one [link] record; queued frames and timers
-   carry the record they belong to, and one drop rule ([dead_copy],
-   [dead_timer]) retires them lazily when a crash has made them dead.
+   all of that state in one [link] record, as int lanes: its unacked
+   sends in a ring of rows, its out-of-order receipts in a ring of
+   flags. A queued frame copy or timer is its link record in a heap,
+   with the fseq (or an ack's cum) in the heap's tag, and a copy's
+   credit, piggybacked ack and delay in a row of the channel's frame
+   table; one drop rule ([dead_copy], [dead_timer]) retires them lazily
+   when a crash has made them dead. So a transmission, a retransmission
+   and an ack allocate nothing once the rings and tables have grown.
 
    Batching only groups: every task sent is delivered, marks included.
    Two identical marks staged on one link for one step ride as two
@@ -57,6 +62,11 @@ module Lanes = struct
       Array.blit l.a 0 a 0 n;
       l.a <- a
     end
+
+  let push l x =
+    reserve l 1;
+    Array.unsafe_set l.a l.n x;
+    l.n <- l.n + 1
 
   let push3 l x y z =
     reserve l 3;
@@ -176,67 +186,80 @@ module Ideal = struct
     done
 end
 
+let dummy_batch () =
+  {
+    b_src = min_int;
+    b_dst = min_int;
+    b_arrival = min_int;
+    b_delay = 0;
+    b_uid = -1;
+    b_lanes = Lanes.create ();
+    b_errs = Vec.create ();
+    b_count = 0;
+    b_marks = 0;
+    b_pack = false;
+  }
+
+(* "No frame": the staging lookup's miss, and the filler of a link's
+   frame ring (an unacked send's slot once its frame was delivered and
+   recycled, and every free slot). Never written. *)
+let no_batch = dummy_batch ()
+
 (* One directed link's reliable-delivery state, sender's and receiver's
    halves together: [links.((src + 1) * pes + dst)], made at the link's
-   first send. A crash retires the record as a unit and empties its
-   slot, so the link restarts at fseq 0 in a fresh record while every
-   frame and timer still holding the old one dies when it pops. *)
+   first send and kept for the machine's life. A crash resets the record
+   in place and bumps its incarnation [inc], so the link restarts at
+   fseq 0 while every queued frame copy and timer, which carry the
+   incarnation they were queued under, dies when it pops.
+
+   The sender's unacked sends are the fseqs in (acked, next): a ring of
+   int rows, [row_w] lanes at [(fseq land (cap - 1)) * row_w] in [rows],
+   beside the frame ring [frames] (its length is [cap], a power of two
+   or 0). A row is [delay] (the frame's base delay: ack travel and
+   retransmit timing), [attempts], [rto], [delivered] (the receiver got a
+   copy; awaiting ack), and the head task's [head] lane and [vid],
+   captured at delivery for a delivered-but-unacked send's trace events:
+   delivery recycles the frame, so its slot in [frames] then holds
+   [no_batch]. *)
 type link = {
   l_src : int;
   l_dst : int;
+  mutable inc : int;  (* incarnation: crashes that severed the link *)
   mutable next : int;  (* sender: next fseq to assign *)
-  pending : pending Vec.t;  (* sender: sends not yet cumulatively acked, fseq order *)
+  mutable acked : int;  (* sender: every fseq up to this one is acked *)
+  mutable rows : int array;  (* sender: the unacked rows' ring *)
+  mutable frames : batch array;  (* sender: the unacked frames' ring *)
   mutable rcv_next : int;  (* receiver: next fseq expected in order; cum = rcv_next - 1 *)
-  ooo : (int, unit) Hashtbl.t;  (* receiver: received out of order, above rcv_next *)
+  mutable ooo : int array;
+      (* receiver: fseqs received out of order, above [rcv_next]: a flag
+         at [fseq land (len - 1)] for each, [len] a power of two or 0 *)
   mutable owe : int;  (* receiver owes a cumulative ack: its base delay; -1 none *)
-  mutable retired : bool;  (* severed by a crash *)
 }
 
-and pending = {
-  p_link : link;
-  p_batch : batch;  (* read only while not [p_delivered]: delivery recycles it *)
-  p_fseq : int;
-  p_delay : int;  (* the frame's base delay: ack travel and retransmit timing *)
-  mutable p_kind : Dgr_obs.Event.task_kind;
-  mutable p_vid : int;
-      (* the head task, captured at delivery when a recorder is attached:
-         a delivered-but-unacked frame's Retransmit/Dup/Drop events *)
-  mutable p_attempts : int;
-  mutable p_rto : int;
-  mutable p_delivered : bool;  (* receiver got a copy; awaiting ack *)
-  mutable p_acked : bool;  (* covered by a cumulative ack *)
-}
+let row_w = 6
+let r_delay = 0
+let r_attempts = 1
+let r_rto = 2
+let r_delivered = 3
+let r_head = 4
+let r_vid = 5
 
-(* A termination credit rides as three ints, [epoch] -1 for none. *)
-type frame =
-  | Data of { pack : int; epoch : int; sent : int; executed : int; p : pending }
-      (** [pack] piggybacks a cumulative ack for the reverse data link
-          (dst, src); [min_int] when none is carried. The credit is the
-          sender's — see {!set_credit_of}. *)
-  | Ack of { link : link; cum : int; epoch : int; sent : int; executed : int }
-      (** cumulative ack for data link [link]: every fseq up to and
-          including [cum] has been received; travels dst→src and carries
-          dst's termination credit when one is due *)
-
-(* The one drop rule, applied when a frame or timer pops. A frame copy is
-   dead once its link was retired by a crash; a timer is dead once its
-   send was acked too. A dead frame applies no pack, no credit and no
-   ack. A live copy of an acked send is a duplicate: the receiver
-   suppresses it and owes its ack again. A task that goes stale on the
-   way rides its frame and dies as it is delivered: no holes. *)
-let dead_copy p = p.p_link.retired
-let dead_timer p = p.p_acked || dead_copy p
+(* A queued frame copy's row in the lossy channel's frame table: [pack;
+   epoch; sent; executed; delay; inc] (see [frame_slot]). *)
+let ft_w = 6
 
 let fresh_link ~src ~dst =
   {
     l_src = src;
     l_dst = dst;
+    inc = 0;
     next = 0;
-    pending = Vec.create ();
+    acked = -1;
+    rows = [||];
+    frames = [||];
     rcv_next = 0;
-    ooo = Hashtbl.create 8;
+    ooo = [||];
     owe = -1;
-    retired = false;
   }
 
 (* A source's staging state, [senders.(src + 1)]: in the shard phase
@@ -254,7 +277,12 @@ type sender = {
 
 type t = {
   q : Ideal.t;  (* ideal channel (faults = None) *)
-  fq : frame Pqueue.t;  (* lossy channel, arrival-keyed *)
+  fq : link Pqueue.t;
+      (* lossy channel, arrival-keyed: each queued copy's link, its fseq
+         (a data frame) or cum (an ack) as the tag, and its [ft] slot as
+         the aux, [lnot slot] for an ack *)
+  ft : Lanes.t;  (* the queued copies' rows, [ft_w] lanes each *)
+  ft_free : Lanes.t;  (* [ft] slots whose copy popped, for reuse *)
   cq : Lanes.t;
       (* standalone termination credits, five lanes each [arrival; pe;
          epoch; sent; executed], oldest from lane [cq_head]: the
@@ -272,7 +300,6 @@ type t = {
   faults : Faults.t option;
   batching : bool;  (* false: one task per frame *)
   staged : batch Vec.t;  (* numbered batches forming since the last flush *)
-  sf_dummy : batch;  (* "no frame": the lookup's miss, never boxed *)
   mutable senders : sender array;  (* [src + 1] -> sender; sized by [reserve] *)
   mutable sharding : bool;  (* between [shard_phase] and [seal] *)
   mutable inbox : batch Vec.t array;
@@ -285,7 +312,7 @@ type t = {
       (* [(src + 1) * pes + dst] -> the link's record, [no_link] until its
          first send; sized by [reserve] under faults, empty otherwise *)
   no_link : link;  (* an empty slot: owes nothing, holds nothing; never written *)
-  timers : pending Pqueue.t;  (* fire step -> unacked send *)
+  timers : link Pqueue.t;  (* fire step -> unacked send: its link, fseq tag, inc aux *)
   owed_order : link Vec.t;  (* links owing an ack, in first-owed order *)
   mutable credit_epoch : int -> int;
   mutable credit_sent : int -> int;
@@ -305,24 +332,12 @@ type t = {
   mutable tasks_sent : int;  (* tasks staged for transmission *)
 }
 
-let dummy_batch () =
-  {
-    b_src = min_int;
-    b_dst = min_int;
-    b_arrival = min_int;
-    b_delay = 0;
-    b_uid = -1;
-    b_lanes = Lanes.create ();
-    b_errs = Vec.create ();
-    b_count = 0;
-    b_marks = 0;
-    b_pack = false;
-  }
-
 let create ?recorder ?lineage ?faults ?(batch = true) () =
   {
     q = Ideal.create ();
     fq = Pqueue.create ();
+    ft = Lanes.create ();
+    ft_free = Lanes.create ();
     cq = Lanes.create ();
     cq_head = 0;
     recorder;
@@ -330,7 +345,6 @@ let create ?recorder ?lineage ?faults ?(batch = true) () =
     faults;
     batching = batch;
     staged = Vec.create ();
-    sf_dummy = dummy_batch ();
     senders = [||];
     sharding = false;
     inbox = [||];
@@ -374,7 +388,7 @@ let frames_sent t = t.frames_sent
 let acks_sent t = t.acks_sent
 let acks_piggybacked t = t.acks_piggybacked
 let tasks_sent t = t.tasks_sent
-let unacked t = Array.fold_left (fun n l -> n + Vec.length l.pending) 0 t.links
+let unacked t = Array.fold_left (fun n l -> n + (l.next - 1 - l.acked)) 0 t.links
 
 (* The width of the task at lane [i]: a mark's meta is never negative, a
    reduction's head always is. *)
@@ -410,25 +424,35 @@ let iter_frame b f =
 
 (* Drop/Dup/Retransmit events describe a whole frame via its head task —
    batches are never empty in the channel, so the head exists; once
-   delivered, the pair captured at delivery. Built only when a recorder
-   is attached. *)
-let batch_head b =
-  let a = b.b_lanes.Lanes.a in
-  let meta = Lanes.get b.b_lanes 2 in
-  if meta >= 0 then (Task.obs_kind_of_meta meta, Task.lanes_exec_vid a.(0) a.(1) meta)
-  else (Task.obs_kind_of_head meta, a.(1))
+   delivered, by the head's lane 2 and vid captured at delivery. *)
+let head_lane b = Lanes.get b.b_lanes 2
 
-let emit_head t p what =
+let head_vid b =
+  let a = b.b_lanes.Lanes.a and h = head_lane b in
+  if h >= 0 then Task.lanes_exec_vid a.(0) a.(1) h else a.(1)
+
+let head_kind h = if h >= 0 then Task.obs_kind_of_meta h else Task.obs_kind_of_head h
+
+(* Unacked send [fseq]'s slot in its link's frame ring, and its row. *)
+let ring_at l fseq = fseq land (Array.length l.frames - 1)
+let row l fseq = ring_at l fseq * row_w
+
+let emit_head t l fseq what =
   match t.recorder with
   | None -> ()
   | Some r ->
-    let kind, vid = if p.p_delivered then (p.p_kind, p.p_vid) else batch_head p.p_batch in
-    let pe = p.p_link.l_dst in
+    let i = row l fseq and rows = l.rows in
+    let b = l.frames.(ring_at l fseq) in
+    let delivered = rows.(i + r_delivered) <> 0 in
+    let kind = head_kind (if delivered then rows.(i + r_head) else head_lane b) in
+    let vid = if delivered then rows.(i + r_vid) else head_vid b in
+    let pe = l.l_dst in
     Dgr_obs.Recorder.emit r
       (match what with
       | `Drop -> Dgr_obs.Event.Drop { kind; pe; vid }
       | `Dup -> Dgr_obs.Event.Dup { kind; pe; vid }
-      | `Retransmit -> Dgr_obs.Event.Retransmit { kind; pe; vid; attempt = p.p_attempts })
+      | `Retransmit ->
+        Dgr_obs.Event.Retransmit { kind; pe; vid; attempt = rows.(i + r_attempts) })
 
 let rto_cap = 1024
 
@@ -451,37 +475,73 @@ let link t ~src ~dst =
     l
   end
 
-(* Record fseq as received on the link, advancing the contiguous
-   watermark through any out-of-order backlog it unlocks. *)
-let mark_received l fseq =
-  if fseq >= l.rcv_next then
-    if fseq = l.rcv_next then begin
-      l.rcv_next <- l.rcv_next + 1;
-      while Hashtbl.mem l.ooo l.rcv_next do
-        Hashtbl.remove l.ooo l.rcv_next;
-        l.rcv_next <- l.rcv_next + 1
-      done
-    end
-    else Hashtbl.replace l.ooo fseq ()
-
-let already_received l fseq = fseq < l.rcv_next || Hashtbl.mem l.ooo fseq
-
-(* A cumulative ack for the link: forget every pending send up to [cum],
-   a prefix of [pending]. Idempotent — older acks are no-ops. *)
-let apply_cum l cum =
-  let q = l.pending in
-  let n = Vec.length q in
-  let k = ref 0 in
-  while !k < n && (Vec.get q !k).p_fseq <= cum do
-    (Vec.get q !k).p_acked <- true;
-    incr k
+(* Room in the out-of-order flags for [fseq]: a ring at least twice as
+   large, each flag re-seated at its fseq's slot. *)
+let grow_ooo l fseq =
+  let o = l.ooo in
+  let len = ref (Int.max 8 (2 * Array.length o)) in
+  while fseq - l.rcv_next >= !len do
+    len := 2 * !len
   done;
-  let k = !k in
-  if k > 0 then begin
-    for i = k to n - 1 do
-      Vec.set q (i - k) (Vec.get q i)
+  let o' = Array.make !len 0 in
+  for f = l.rcv_next to l.rcv_next + Array.length o - 1 do
+    if o.(f land (Array.length o - 1)) <> 0 then o'.(f land (!len - 1)) <- 1
+  done;
+  l.ooo <- o'
+
+(* Record fseq as received on the link, advancing the contiguous
+   watermark through any out-of-order backlog it unlocks. A flag is set
+   only for an fseq less than a ring's length above [rcv_next], and
+   cleared as the watermark passes it, so each slot names one fseq. *)
+let mark_received l fseq =
+  if fseq = l.rcv_next then begin
+    l.rcv_next <- fseq + 1;
+    let o = l.ooo in
+    let m = Array.length o - 1 in
+    while m >= 0 && o.(l.rcv_next land m) <> 0 do
+      o.(l.rcv_next land m) <- 0;
+      l.rcv_next <- l.rcv_next + 1
+    done
+  end
+  else if fseq > l.rcv_next then begin
+    if fseq - l.rcv_next >= Array.length l.ooo then grow_ooo l fseq;
+    l.ooo.(fseq land (Array.length l.ooo - 1)) <- 1
+  end
+
+let already_received l fseq =
+  fseq < l.rcv_next
+  || (fseq - l.rcv_next < Array.length l.ooo && l.ooo.(fseq land (Array.length l.ooo - 1)) <> 0)
+
+(* A cumulative ack for the link: every send up to [cum] is acked.
+   Idempotent — older acks are no-ops — and never past the last send, so
+   an empty slot is never written. *)
+let apply_cum l cum =
+  let cum = Int.min cum (l.next - 1) in
+  if cum > l.acked then l.acked <- cum
+
+(* The one drop rule, applied when a frame or timer pops. A frame copy is
+   dead once a crash reset its link after it was queued; a timer is dead
+   once its send was acked too. A dead frame applies no pack, no credit
+   and no ack. A live copy of an acked send is a duplicate: the receiver
+   suppresses it and owes its ack again. A task that goes stale on the
+   way rides its frame and dies as it is delivered: no holes. *)
+let dead_copy l inc = inc <> l.inc
+let dead_timer l inc fseq = fseq <= l.acked || dead_copy l inc
+
+(* Room in the sender's ring for one more unacked send: a ring twice as
+   large, each row and frame re-seated at its fseq's slot. *)
+let reserve_unacked l =
+  let cap = Array.length l.frames in
+  if l.next - 1 - l.acked >= cap then begin
+    let cap' = Int.max 8 (2 * cap) in
+    let rows = Array.make (cap' * row_w) 0 and frames = Array.make cap' no_batch in
+    for f = l.acked + 1 to l.next - 1 do
+      let o = f land (cap - 1) and n = f land (cap' - 1) in
+      Array.blit l.rows (o * row_w) rows (n * row_w) row_w;
+      frames.(n) <- l.frames.(o)
     done;
-    Vec.truncate q (n - k)
+    l.rows <- rows;
+    l.frames <- frames
   end
 
 (* The receiver owes the sender a cumulative ack: remember the link (and
@@ -492,26 +552,53 @@ let owe_ack t l ~delay =
   if l.owe < 0 then Vec.push t.owed_order l;
   l.owe <- delay
 
-(* One physical transmission of a data frame through the fault plane:
-   roll duplicate (two independent copies on a hit), then every copy
-   rolls drop and extra delay. [arrival] is the fault-free arrival step;
-   [base] the link delay that scales the fault plane's extra delay. *)
-let transmit_data t f ~arrival ~base ~pack p =
-  let pe = p.p_link.l_src in
+(* A queued copy's row in the frame table, reusing a popped copy's slot
+   when there is one: allocation-free once the table has grown. *)
+let frame_slot t ~pack ~epoch ~sent ~executed ~delay ~inc =
+  let fr = t.ft_free in
+  let s =
+    if fr.Lanes.n > 0 then begin
+      fr.Lanes.n <- fr.Lanes.n - 1;
+      fr.Lanes.a.(fr.Lanes.n)
+    end
+    else begin
+      Lanes.reserve t.ft ft_w;
+      t.ft.Lanes.n <- t.ft.Lanes.n + ft_w;
+      (t.ft.Lanes.n / ft_w) - 1
+    end
+  in
+  let a = t.ft.Lanes.a and i = s * ft_w in
+  a.(i) <- pack;
+  a.(i + 1) <- epoch;
+  a.(i + 2) <- sent;
+  a.(i + 3) <- executed;
+  a.(i + 4) <- delay;
+  a.(i + 5) <- inc;
+  s
+
+(* One physical transmission of unacked send [fseq] through the fault
+   plane: roll duplicate (two independent copies on a hit), then every
+   copy rolls drop and extra delay. [arrival] is the fault-free arrival
+   step; [base] the link delay that scales the fault plane's extra
+   delay. *)
+let transmit_data t f ~arrival ~base ~pack l fseq =
+  let pe = l.l_src in
   let epoch = t.credit_epoch pe and sent = t.credit_sent pe and executed = t.credit_executed pe in
   let copies =
     if Faults.duplicates_frame f then begin
-      emit_head t p `Dup;
+      emit_head t l fseq `Dup;
       2
     end
     else 1
   in
   for _ = 1 to copies do
-    if Faults.drops_frame f then emit_head t p `Drop
-    else
-      Pqueue.add t.fq
-        (arrival + Faults.extra_delay f ~latency:base)
-        (Data { pack; epoch; sent; executed; p })
+    if Faults.drops_frame f then emit_head t l fseq `Drop
+    else begin
+      let at = arrival + Faults.extra_delay f ~latency:base in
+      Pqueue.add_tagged t.fq at ~tag:fseq
+        ~aux:(frame_slot t ~pack ~epoch ~sent ~executed ~delay:base ~inc:l.inc)
+        l
+    end
   done
 
 (* Acks roll drop and delay only — duplicating an ack is a no-op, and
@@ -521,10 +608,12 @@ let transmit_data t f ~arrival ~base ~pack p =
 let transmit_ack t f ~arrival ~base l cum =
   let pe = l.l_dst in
   let epoch = t.credit_epoch pe and sent = t.credit_sent pe and executed = t.credit_executed pe in
-  if not (Faults.drops_frame f) then
-    Pqueue.add t.fq
-      (arrival + Faults.extra_delay f ~latency:base)
-      (Ack { link = l; cum; epoch; sent; executed })
+  if not (Faults.drops_frame f) then begin
+    let at = arrival + Faults.extra_delay f ~latency:base in
+    Pqueue.add_tagged t.fq at ~tag:cum
+      ~aux:(lnot (frame_slot t ~pack:min_int ~epoch ~sent ~executed ~delay:base ~inc:l.inc))
+      l
+  end
 
 (* Drop [staged]'s frames from their senders' indexes; call before
    [staged] is cleared or filtered. Only a link with a staged frame can
@@ -581,14 +670,16 @@ let flush t f ~now =
     let l = link t ~src:b.b_src ~dst:b.b_dst in
     if l.next >= seq_guard then
       invalid_arg "Network.send: per-link sequence space exhausted";
-    let p =
-      { p_link = l; p_batch = b; p_fseq = l.next; p_delay = b.b_delay;
-        p_kind = Dgr_obs.Event.Request; p_vid = -1; p_attempts = 1;
-        p_rto = (2 * b.b_delay) + 2; p_delivered = false; p_acked = false }
-    in
-    l.next <- l.next + 1;
-    Vec.push l.pending p;
-    Pqueue.add t.timers (now + p.p_rto) p;
+    reserve_unacked l;
+    let fseq = l.next in
+    let i = row l fseq and r = l.rows and rto = (2 * b.b_delay) + 2 in
+    r.(i + r_delay) <- b.b_delay;
+    r.(i + r_attempts) <- 1;
+    r.(i + r_rto) <- rto;
+    r.(i + r_delivered) <- 0;
+    l.frames.(ring_at l fseq) <- b;
+    l.next <- fseq + 1;
+    Pqueue.add_tagged t.timers (now + rto) ~tag:fseq ~aux:l.inc l;
     emit_batch t b;
     let pack =
       if b.b_pack then begin
@@ -599,14 +690,14 @@ let flush t f ~now =
       end
       else min_int
     in
-    transmit_data t f ~arrival:b.b_arrival ~base:b.b_delay ~pack p
+    transmit_data t f ~arrival:b.b_arrival ~base:b.b_delay ~pack l fseq
   done;
   unindex t;
   Vec.clear t.staged;
   (* Standalone acks for links no reverse data frame covered. *)
   for i = 0 to Vec.length t.owed_order - 1 do
     let l = Vec.get t.owed_order i in
-    if l.owe >= 0 && not l.retired then begin
+    if l.owe >= 0 then begin
       let delay = l.owe and cum = l.rcv_next - 1 in
       l.owe <- -1;
       t.acks_sent <- t.acks_sent + 1;
@@ -697,10 +788,10 @@ let frame_for t ~src ~arrival ~pe =
   let s = t.senders.(src + 1) in
   let bs = s.forming.(pe) in
   let b =
-    if t.batching then scan_forming bs ~arrival (Vec.length bs - 1) t.sf_dummy else t.sf_dummy
+    if t.batching then scan_forming bs ~arrival (Vec.length bs - 1) no_batch else no_batch
   in
   let b =
-    if b != t.sf_dummy then b
+    if b != no_batch then b
     else begin
       let b = batch_for s.free in
       b.b_src <- src;
@@ -863,9 +954,9 @@ let deliver_batch t b ~now ~push =
 
 (* Return a delivered frame to its sender's free list, on the main
    domain. After delivery the batch is referenced nowhere that reads it:
-   the flush emptied [staged] and the index, and a lossy send's
-   [pending] record reads its own [p_delay] and captured head once
-   [p_delivered] is set, never [p_batch]. Each list is capped so a burst
+   the flush emptied [staged] and the index, and a lossy send's row
+   keeps its own delay and captured head, its slot in the link's frame
+   ring [no_batch]. Each list is capped so a burst
    does not pin its high-water mark of vectors forever. *)
 let free_batches_cap = 32
 
@@ -915,6 +1006,31 @@ let drain_credits t ~now =
 let settle t b ~now ~push =
   if deliver_batch t b ~now ~push then Vec.push t.inbox.(b.b_dst) b else recycle_batch t b
 
+(* A live copy of data frame [fseq] on link [l] pops. *)
+let receive t f l fseq ~pack ~epoch ~sent ~executed ~delay ~now ~push =
+  (* a piggybacked cum ack settles the reverse data link *)
+  if pack > min_int then apply_cum (slot t ~src:l.l_dst ~dst:l.l_src) pack;
+  (* credits apply even on duplicate frames — idempotent *)
+  apply_credit t ~pe:l.l_src ~epoch ~sent ~executed;
+  if already_received l fseq then
+    (* redelivery of a frame already seen: suppress — this is the
+       exactly-once edge *)
+    f.Faults.dup_suppressed <- f.Faults.dup_suppressed + 1
+  else begin
+    (* not yet received, so not yet acked: the send is in the ring *)
+    let j = ring_at l fseq in
+    let b = l.frames.(j) and i = j * row_w and r = l.rows in
+    mark_received l fseq;
+    r.(i + r_head) <- head_lane b;
+    r.(i + r_vid) <- head_vid b;
+    r.(i + r_delivered) <- 1;
+    l.frames.(j) <- no_batch;
+    settle t b ~now ~push
+  end;
+  (* always owe an ack, even for duplicates: the previous cumulative ack
+     may have been lost *)
+  owe_ack t l ~delay
+
 let deliver_serial t ~now ~push =
   check_sealed t "deliver_serial";
   reclaim_spent t;
@@ -936,49 +1052,36 @@ let deliver_serial t ~now ~push =
   | Some f ->
     flush t f ~now;
     while Pqueue.min_prio t.fq ~default:max_int <= now do
-      match Pqueue.pop_min t.fq with
-      | Data d when dead_copy d.p -> ()
-      | Data { pack; epoch; sent; executed; p } ->
-        let l = p.p_link in
-        (* a piggybacked cum ack settles the reverse data link *)
-        if pack > min_int then apply_cum (slot t ~src:l.l_dst ~dst:l.l_src) pack;
-        (* credits apply even on duplicate frames — idempotent *)
-        apply_credit t ~pe:l.l_src ~epoch ~sent ~executed;
-        if already_received l p.p_fseq then
-          (* redelivery of a frame already seen: suppress — this is
-             the exactly-once edge *)
-          f.Faults.dup_suppressed <- f.Faults.dup_suppressed + 1
-        else begin
-          let b = p.p_batch in
-          mark_received l p.p_fseq;
-          if Option.is_some t.recorder then begin
-            let kind, vid = batch_head b in
-            p.p_kind <- kind;
-            p.p_vid <- vid
-          end;
-          p.p_delivered <- true;
-          settle t b ~now ~push
-        end;
-        (* always owe an ack, even for duplicates: the previous
-           cumulative ack may have been lost *)
-        owe_ack t l ~delay:p.p_delay
-      | Ack a when a.link.retired -> ()
-      | Ack { link = l; cum; epoch; sent; executed } ->
-        apply_cum l cum;
+      let seq = Pqueue.min_tag t.fq and aux = Pqueue.min_aux t.fq in
+      let l = Pqueue.pop_min t.fq in
+      let s = if aux >= 0 then aux else lnot aux in
+      let a = t.ft.Lanes.a and k = s * ft_w in
+      let pack = a.(k) and epoch = a.(k + 1) and sent = a.(k + 2) and executed = a.(k + 3)
+      and delay = a.(k + 4) and inc = a.(k + 5) in
+      Lanes.push t.ft_free s;
+      if dead_copy l inc then ()
+      else if aux >= 0 then receive t f l seq ~pack ~epoch ~sent ~executed ~delay ~now ~push
+      else begin
+        apply_cum l seq;
         apply_credit t ~pe:l.l_dst ~epoch ~sent ~executed
+      end
     done;
     while Pqueue.min_prio t.timers ~default:max_int <= now do
-      let p = Pqueue.pop_min t.timers in
-      if not (dead_timer p) then begin
-        p.p_attempts <- p.p_attempts + 1;
+      let fseq = Pqueue.min_tag t.timers and inc = Pqueue.min_aux t.timers in
+      let l = Pqueue.pop_min t.timers in
+      if not (dead_timer l inc fseq) then begin
+        let i = row l fseq and r = l.rows in
+        r.(i + r_attempts) <- r.(i + r_attempts) + 1;
         f.Faults.retransmits <- f.Faults.retransmits + 1;
-        emit_head t p `Retransmit;
+        emit_head t l fseq `Retransmit;
         (* the whole batch retransmits as a unit, without a piggybacked
            ack (the ack path has its own redundancy: every receipt
            re-owes the watermark) *)
-        transmit_data t f ~arrival:(now + p.p_delay) ~base:p.p_delay ~pack:min_int p;
-        p.p_rto <- Int.min (p.p_rto * 2) rto_cap;
-        Pqueue.add t.timers (now + p.p_rto) p
+        let delay = r.(i + r_delay) in
+        transmit_data t f ~arrival:(now + delay) ~base:delay ~pack:min_int l fseq;
+        let rto = Int.min (r.(i + r_rto) * 2) rto_cap in
+        r.(i + r_rto) <- rto;
+        Pqueue.add_tagged t.timers (now + rto) ~tag:fseq ~aux:inc l
       end
     done
 
@@ -1020,6 +1123,14 @@ let deliver_into t ~now ~push =
     take_frames t ~pe (fun task -> push pe (-1) task) view_frame
   done
 
+(* [f b] for the frame of each of the link's unacked sends that is not
+   yet delivered, in fseq order. *)
+let iter_in_transit l f =
+  for fseq = l.acked + 1 to l.next - 1 do
+    let j = ring_at l fseq in
+    if l.rows.((j * row_w) + r_delivered) = 0 then f l.frames.(j)
+  done
+
 (* Every undelivered batch: the channel's (the ideal channel's by
    arrival bucket, the lossy channel's link by link in fseq order), then
    the staged ones (sent this step, flushing next tick: between ticks
@@ -1028,8 +1139,7 @@ let deliver_into t ~now ~push =
 let iter_undelivered t f =
   (match t.faults with
   | None -> Ideal.iter f t.q
-  | Some _ ->
-    Array.iter (fun l -> Vec.iter (fun p -> if not p.p_delivered then f p.p_batch) l.pending) t.links);
+  | Some _ -> Array.iter (fun l -> iter_in_transit l f) t.links);
   Vec.iter f t.staged
 
 (* Undelivered batches in fault-free arrival order, stage order among
@@ -1060,19 +1170,23 @@ let entries t =
 
 let size t = t.undelivered
 
-(* Test hook: fast-forward a link's sender sequence to exercise the
-   wraparound guard without billions of sends. *)
+(* Test hook: fast-forward an idle link to exercise the wraparound guard
+   without billions of sends, as if its first [n] sends had been
+   delivered and acked. *)
 let set_link_seq t ~src ~dst n =
   if Int.max src dst >= Array.length t.inbox then reserve t ~pes:(1 + Int.max src dst);
-  (link t ~src ~dst).next <- n
+  let l = link t ~src ~dst in
+  l.next <- n;
+  l.acked <- n - 1;
+  l.rcv_next <- n
 
 (* A PE crash severs every link touching [pe], both directions, all at
-   once: its row and column of link records are retired and their slots
-   emptied, so traffic after recovery restarts at fseq 0 in fresh
-   records. Queued frame copies, acks and timers of a retired link die
-   when they pop, so nothing pre-crash can act on the fresh record.
-   Staged batches (not yet on a link) are discarded here. Returns the
-   number of undelivered tasks lost; their lineage tickets are dropped.
+   once: its row and column of link records are reset in place to a
+   new incarnation, so traffic after recovery restarts at fseq 0 while
+   queued frame copies, acks and timers of the old incarnation die when
+   they pop, and nothing pre-crash can act on the restarted link. Staged
+   batches (not yet on a link) are discarded here. Returns the number of
+   undelivered tasks lost; their lineage tickets are dropped.
    Delivered-but-unacked batches lose only their ack state (the
    receiver already has the tasks). *)
 let crash_pe t ~pe =
@@ -1097,22 +1211,29 @@ let crash_pe t ~pe =
     Ideal.filter_in_place survives t.q
   | Some _ ->
     let pes = Array.length t.inbox in
-    let retire i =
+    let reset i =
       let l = t.links.(i) in
       if l != t.no_link then begin
-        l.retired <- true;
-        Vec.iter (fun p -> if not p.p_delivered then forget_batch p.p_batch) l.pending;
-        t.links.(i) <- t.no_link
+        iter_in_transit l forget_batch;
+        Array.fill l.frames 0 (Array.length l.frames) no_batch;
+        Array.fill l.ooo 0 (Array.length l.ooo) 0;
+        l.inc <- l.inc + 1;
+        l.next <- 0;
+        l.acked <- -1;
+        l.rcv_next <- 0;
+        l.owe <- -1
       end
     in
     if pe < pes then begin
       for dst = 0 to pes - 1 do
-        retire (((pe + 1) * pes) + dst)
+        reset (((pe + 1) * pes) + dst)
       done;
       for src = -1 to pes - 1 do
-        retire (((src + 1) * pes) + pe)
+        reset (((src + 1) * pes) + pe)
       done
-    end);
+    end;
+    (* a severed link owes nothing *)
+    Vec.filter_in_place (fun l -> l.owe >= 0) t.owed_order);
   (* in-flight heartbeat credits from the dead PE die with it *)
   (let q = t.cq in
    let j = ref t.cq_head in

@@ -11,7 +11,7 @@ open Dgr_task
     whichever phase opened it. Batching is a refinement of the paper's one-task-per-message model
     below task granularity — each task keeps its fault-free arrival step
     and per-link FIFO order; only the grouping into physical frames (and
-    hence per-frame bookkeeping: arrival events, pending entries,
+    hence per-frame bookkeeping: arrival events, unacked rows,
     retransmit timers, acks) changes.
 
     Without a fault plane, delivery is the paper's idealized channel:
@@ -256,8 +256,9 @@ val unacked : t -> int
     ack, delivered or not, summed over the links (tests). *)
 
 val set_link_seq : t -> src:int -> dst:int -> int -> unit
-(** Test hook: fast-forward link (src, dst)'s sender sequence number to
-    exercise the wraparound guard. Not for production use. *)
+(** Test hook: fast-forward idle link (src, dst) to sequence number [n],
+    as if its first [n] sends had been delivered and acked, to exercise
+    the wraparound guard. Not for production use. *)
 
 val crash_pe : t -> pe:int -> int
 (** A PE crash, as the network sees it: discard every frame in flight on
@@ -267,8 +268,8 @@ val crash_pe : t -> pe:int -> int
     per-link sequence state on both endpoints of every severed link, so
     traffic after recovery restarts at seq 0. The reset cannot produce
     dedup false-positives: each severed link's state is one record,
-    retired as a unit, and a queued frame, ack or timer of a retired
-    record is dropped when it pops, so nothing sent before the crash
-    acts on the restarted link. Returns the number of undelivered tasks
+    reset as a unit to a new incarnation, and a queued frame, ack or
+    timer of an older incarnation is dropped when it pops, so nothing
+    sent before the crash acts on the restarted link. Returns the number of undelivered tasks
     lost (their lineage tickets are dropped); delivered-but-unacked
     batches lose only their ack bookkeeping. *)

@@ -338,6 +338,46 @@ let test_multi_crash_step () =
   Alcotest.(check string) "same end state at 2 domains" one (run_multi_crash ~domains:2);
   Alcotest.(check string) "same end state at 4 domains" one (run_multi_crash ~domains:4)
 
+(* Words allocated by [f], minor and major heap alike. *)
+let words_of f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* A lone crash needs no checkpoint: nothing between a sync and its
+   restore would write the graph, so the restore would rewrite the
+   segment with itself. Syncing the checkpoints of a 2,000-vertex graph
+   allocates tens of thousands of words; the crash itself (pool purge,
+   severed links, re-home scan, phase restart) a few hundred. *)
+let test_single_crash_no_checkpoint () =
+  let num_pes = 4 in
+  let spec =
+    { Builder.live = 2000; garbage = 200; free_pool = 64; avg_degree = 2.0; cycle_bias = 0.1 }
+  in
+  let g = Builder.random ~num_pes (Rng.create 5) spec in
+  Alcotest.(check bool) "a graph of at least 2,000 vertices" true (Graph.vertex_count g >= 2000);
+  let config =
+    Engine.Config.make ~num_pes ~seed:5
+      ~gc:(Engine.Concurrent { deadlock_every = 1; idle_gap = 8 })
+      ~faults:{ Faults.none with Faults.drop = 0.05; fault_seed = 5 }
+      ()
+  in
+  let e = Engine.create ~config g (registry ()) in
+  for _ = 1 to 40 do
+    Engine.step e
+  done;
+  let words = words_of (fun () -> Engine.inject_crash e ~pe:1 ~down:5) in
+  let m = Engine.metrics e in
+  Alcotest.(check int) "the crash happened" 1 m.Metrics.crashes;
+  Alcotest.(check int) "no checkpoint sync" 0 m.Metrics.ckpt_syncs;
+  Alcotest.(check bool) (Printf.sprintf "%.0f words for one crash" words) true (words <= 256.);
+  for _ = 1 to 40 do
+    Engine.step e
+  done;
+  Alcotest.(check (list string)) "graph valid after recovery" [] (Validate.check g);
+  Engine.dispose e
+
 let test_inject_crash_guards () =
   let g = Builder.random ~num_pes:2 (Rng.create 1) (Helpers.fuzz_spec 1) in
   let config = Engine.Config.make ~num_pes:2 () in
@@ -415,6 +455,8 @@ let suite =
       test_crash_mid_wave_flood;
     Alcotest.test_case "multi-crash step restores from one sync" `Slow
       test_multi_crash_step;
+    Alcotest.test_case "a single crash neither syncs nor restores" `Quick
+      test_single_crash_no_checkpoint;
     Alcotest.test_case "inject_crash guard rails" `Quick test_inject_crash_guards;
     Alcotest.test_case "crashed report is byte-identical at 1/2/4 domains" `Slow
       test_crash_report_byte_identical;

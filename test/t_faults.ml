@@ -272,14 +272,17 @@ let test_retransmit_after_recycle () =
   Alcotest.(check int) "nothing was handed up twice" 1 f.Faults.dup_suppressed
 
 (* Steady state on the lossy channel: each send reuses the frame its
-   predecessor was delivered in, so a send, its delivery and its ack
-   allocate the pending record and queue entries but never a batch, and
-   popping the frame, its ack and its timer boxes nothing. The loop
-   drives the lane entry points the engine uses (the boxed [send] and
-   [deliver_into] build a view per delivery) and reads 23 words per
-   frame; a fresh batch would add ~60 more, and boxed pops ~30. *)
+   predecessor was delivered in, and a send, its delivery, its ack and
+   any retransmission keep their state in int lanes (the link's unacked
+   ring, the frame table, the heaps' tags), so once those have grown the
+   loop allocates nothing. The loop drives the lane entry points the
+   engine uses (the boxed [send] and [deliver_into] build a view per
+   delivery). Drops make it retransmit and receive out of order, and
+   now and then a longer loss run grows a free list or a ring, so it
+   reads 0.21 words per frame, where a pending record and its frame
+   blocks cost 23. *)
 let test_lossy_loop_reuses_frames () =
-  let f = Faults.create { Faults.none with Faults.stall = 0.5; fault_seed = 1 } in
+  let f = Faults.create { Faults.none with Faults.drop = 0.1; fault_seed = 1 } in
   let net = Network.create ~faults:f () in
   let head = Task.head ~kind:Task.red_request ~demand:Demand.Vital ~vtag:0 in
   let push _ _ _ _ = () in
@@ -290,20 +293,24 @@ let test_lossy_loop_reuses_frames () =
     incr now;
     Network.deliver_serial net ~now:!now ~push
   in
-  for _ = 1 to 100 do
+  for _ = 1 to 1000 do
     round ()
   done;
   let frames = 2000 in
-  let sent0 = Network.frames_sent net in
+  let sent0 = Network.frames_sent net
+  and acks0 = Network.acks_sent net
+  and retx0 = f.Faults.retransmits in
   let w0 = Gc.minor_words () in
   for _ = 1 to frames do
     round ()
   done;
   let per_frame = (Gc.minor_words () -. w0) /. float_of_int frames in
   Alcotest.(check int) "one frame per round" frames (Network.frames_sent net - sent0);
+  Alcotest.(check bool) "acks and retransmissions ran" true
+    (Network.acks_sent net > acks0 && f.Faults.retransmits > retx0);
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per frame" per_frame)
-    true (per_frame <= 28.);
+    (Printf.sprintf "%.2f minor words per frame" per_frame)
+    true (per_frame <= 0.5);
   settle_acks net
 
 (* --- differential fuzz: faulted concurrent GC vs fault-free STW ------- *)
