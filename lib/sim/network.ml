@@ -308,6 +308,9 @@ type t = {
   mutable spent : batch Vec.t array;
       (* per destination: frames its shard emptied, recycled at the next
          tick — never onto a free list another domain pops *)
+  mutable parked_at : int array;
+      (* per destination: the last tick that parked a frame for it, -1
+         before any; written and read on the main domain only *)
   mutable links : link array;
       (* [(src + 1) * pes + dst] -> the link's record, [no_link] until its
          first send; sized by [reserve] under faults, empty otherwise *)
@@ -349,6 +352,7 @@ let create ?recorder ?lineage ?faults ?(batch = true) () =
     sharding = false;
     inbox = [||];
     spent = [||];
+    parked_at = [||];
     links = [||];
     no_link = fresh_link ~src:min_int ~dst:min_int;
     timers = Pqueue.create ();
@@ -737,6 +741,7 @@ let reserve t ~pes =
     end;
     t.inbox <- grow t.inbox;
     t.spent <- grow t.spent;
+    t.parked_at <- Array.init pes (fun i -> if i < n then t.parked_at.(i) else -1);
     Array.iter (fun s -> s.forming <- grow s.forming) t.senders;
     let ns = Array.length t.senders in
     t.senders <-
@@ -1004,7 +1009,11 @@ let drain_credits t ~now =
    inbox for [take_mark_lanes]; a mark-free one is recycled at once, on
    either channel. *)
 let settle t b ~now ~push =
-  if deliver_batch t b ~now ~push then Vec.push t.inbox.(b.b_dst) b else recycle_batch t b
+  if deliver_batch t b ~now ~push then begin
+    Vec.push t.inbox.(b.b_dst) b;
+    t.parked_at.(b.b_dst) <- now
+  end
+  else recycle_batch t b
 
 (* A live copy of data frame [fseq] on link [l] pops. *)
 let receive t f l fseq ~pack ~epoch ~sent ~executed ~delay ~now ~push =
@@ -1103,6 +1112,8 @@ let take_frames t ~pe x (f : 'a -> batch -> unit) =
 let push_frame ring b = Mark_ring.push_marks ring b.b_lanes.Lanes.a b.b_lanes.Lanes.n
 
 let take_mark_lanes t ~pe ring = take_frames t ~pe ring push_frame
+
+let last_parked t ~pe = if pe < Array.length t.parked_at then t.parked_at.(pe) else -1
 
 let view_frame f b =
   let a = b.b_lanes.Lanes.a and n = b.b_lanes.Lanes.n in

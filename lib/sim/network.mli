@@ -192,6 +192,11 @@ val take_mark_lanes : t -> pe:int -> Mark_ring.t -> unit
     touch disjoint state and may run concurrently on different domains;
     each PE's inbox must be emptied before the next tick. *)
 
+val last_parked : t -> pe:int -> int
+(** The [now] of the last {!deliver_serial} that parked a frame for
+    [pe], or [-1]. Main-domain state: reading it touches no line a
+    shard writes. *)
+
 val deliver_into : t -> now:int -> push:(int -> int -> Task.t -> unit) -> unit
 (** The whole tick on one domain, as views: {!deliver_serial} with each
     reduction handed to [push pe stamp task], then {!take_mark_lanes}
