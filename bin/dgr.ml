@@ -140,7 +140,6 @@ let execute ~file ~expr ~opts ~max_steps ~out =
   let e = Engine.create ?recorder ~config g templates in
   Engine.inject_root_demand e;
   let (_ : int) = Engine.run ~max_steps e in
-  Engine.dispose e;
   (match Engine.result e with
   | Some v -> Format.printf "result: %a@." Dgr_graph.Label.pp_value v
   | None ->
@@ -421,7 +420,10 @@ let bench_cmd smoke deterministic domains batch out baseline alloc_budget
       | errs -> Error (String.concat "; " errs))
     with
     | Ok () -> 0
-    | Error msg | (exception Sys_error msg) | (exception Failure msg) ->
+    | Error msg
+    | (exception Sys_error msg)
+    | (exception Failure msg)
+    | (exception Invalid_argument msg) ->
       Format.eprintf "dgr: %s@." msg;
       1
 
@@ -454,7 +456,6 @@ let report_run ~file ~expr ~opts ~scenario ~deterministic ~max_steps ~out =
       Ok e
   in
   let text = Dgr_harness.Report.render ~deterministic e in
-  Engine.dispose e;
   try
     (match out with
     | Some path ->
@@ -480,8 +481,8 @@ let pes_arg =
 
 let domains_arg =
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
-         ~doc:"OCaml domains to shard the PEs across (capped at the PE count). \
-               The run is bit-identical at every value.")
+         ~doc:"Shards to split the PEs into, stepped one after another (at least 1, \
+               capped at the PE count). The run is bit-identical at every value.")
 
 let latency_arg =
   Arg.(value & opt int 4 & info [ "latency" ] ~docv:"STEPS" ~doc:"Cross-PE message latency.")
@@ -745,11 +746,10 @@ let bench_det_arg =
 
 let bench_domains_arg =
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
-         ~doc:"Shard each scenario's machine across $(docv) OCaml domains. \
+         ~doc:"Split each scenario's machine into $(docv) shards (at least 1). \
                Simulation fields and digests are identical at every value; with \
-               $(docv) > 1 (and without $(b,--deterministic)) an extra \
-               sequential pass runs and a sequential-vs-parallel speedup table \
-               is printed.")
+               $(docv) > 1 (and without $(b,--deterministic)) an extra 1-shard \
+               pass runs and a table compares the two rates and digests.")
 
 let bench_out_arg =
   Arg.(value & opt string "BENCH.json" & info [ "o"; "output" ] ~docv:"PATH"

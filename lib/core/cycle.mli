@@ -42,7 +42,7 @@ open Dgr_task
     retransmission will eventually deliver it.
 
     {b Restructure} is sharded by home partition (see {!Restructure}):
-    verdict collection and survivor bookkeeping fan out across domains
+    verdict collection and survivor bookkeeping run once per home
     through [env.each_home] and merge in fixed PE order. *)
 
 type env = {
@@ -57,9 +57,9 @@ type env = {
           Stale tasks ({!Dgr_task.Task.stale}) are not visited. *)
   reprioritize : unit -> int;
   each_home : (int -> unit) -> unit;
-      (** run a per-home restructure pass for every home PE, possibly in
-          parallel (the engine's domain fan-out); must call its argument
-          exactly once per PE *)
+      (** run a per-home restructure pass for every home PE (the engine's
+          loop also times the passes); must call its argument exactly
+          once per PE *)
   now : unit -> int;
       (** simulation clock, for flood-scheme termination detection *)
 }

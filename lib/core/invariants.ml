@@ -67,8 +67,8 @@ let check_exn run ~pending =
 
 (* Ownership discipline: a task executing at PE p mutates only vertices
    homed at p — the locality property (§2: PEs interact only by sending
-   tasks) that lets the sharded engine run PEs on different domains
-   without locking the graph. Exempt are the controller (pe < 0, serial
+   tasks) that lets the sharded engine step its PEs in any grouping and
+   still merge the same graph. Exempt are the controller (pe < 0, serial
    by construction) and vertices born in the current allocation epoch:
    a template instantiated this step is wired up by its allocating PE
    before any other PE can learn the fresh vids. *)

@@ -32,8 +32,9 @@ open Dgr_task
     A mutator with no active runs degenerates to plain graph edits.
 
     {b Deferred cooperation} (sharded engine): cooperation closures mark
-    vertices anywhere in the graph, which a worker domain must not do
-    while other shards run. With a defer sink installed
+    vertices anywhere in the graph, so running them inside a PE's budget
+    would let one PE write another's vertices mid-step, and the result
+    would depend on PE order. With a defer sink installed
     ({!set_defer}), the owner-local graph edit proceeds immediately but
     the cooperation body is captured as a {!coop_event} instead of run;
     the engine replays the events serially at the step barrier, in

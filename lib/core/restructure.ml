@@ -16,8 +16,8 @@ type verdicts = { mutable gar : int Vec.t array; mutable dl : int Vec.t array }
 let verdicts () = { gar = [||]; dl = [||] }
 
 (* The verdict pass for one home partition: read-only over the planes,
-   touching only [pe]'s slots and vectors, so every home can run
-   concurrently. Deterministic per home, and the caller walks homes in
+   touching only [pe]'s slots and vectors, so no home's pass depends on
+   another's. Deterministic per home, and the caller walks homes in
    fixed PE order, so the merged verdict is identical at every domain
    count. *)
 let collect_into g ~deadlock_checked ~pe gar dl =

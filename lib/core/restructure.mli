@@ -24,8 +24,8 @@ open Dgr_graph
 
     The phase is {e sharded by home partition}: the verdict collection
     and the survivor-bookkeeping passes each touch only one home PE's
-    slots, so the engine can fan them out across domains ([each_home]),
-    with per-home results merged in fixed PE order — bit-identical at
+    slots, so no home's pass reads what another's wrote ([each_home]),
+    and per-home results merge in fixed PE order — bit-identical at
     every domain count. No pass walks the tasks. Only the free-list
     releases, the pool re-sort and the plane resets remain serial.
 
@@ -33,9 +33,9 @@ open Dgr_graph
     its M_R column, exactly {!collect_home}'s predicate — not from a set
     built of the verdict: nothing between the verdict and the releases
     writes a plane or frees a slot (the survivor pass writes only
-    [sched_prior] and requester rows), so those reads are race-free at
-    any domain count. The verdicts go into per-home vectors the caller
-    keeps ({!verdicts}), so once they have grown the phase allocates
+    [sched_prior] and requester rows), so those reads do not depend on
+    the order of the home passes. The verdicts go into per-home vectors
+    the caller keeps ({!verdicts}), so once they have grown the phase allocates
     neither per garbage vertex nor per live vertex (survivors without
     requesters are only read): only the report's [deadlocked] list, one
     cell per DL' vertex. *)
@@ -65,9 +65,9 @@ val run :
 (** [reprioritize ()] re-sorts pool entries by current priorities and
     returns how many moved; the engine's also drops the entries the
     releases just made stale. [each_home f] must call [f pe] exactly once for every home
-    PE, with the [f] calls free to run concurrently (each touches only
-    its home's slots plus its own vectors of [verdicts]); default is a
-    serial ascending loop. [verdicts] defaults to fresh vectors. *)
+    PE, in any order (each touches only its home's slots plus its own
+    vectors of [verdicts]); default is a serial ascending loop.
+    [verdicts] defaults to fresh vectors. *)
 
 val collect_home : Graph.t -> deadlock_checked:bool -> pe:int -> Vid.t list * Vid.t list
 (** One home's [(garbage, deadlocked)] verdict, read-only, each list in

@@ -11,11 +11,10 @@ open Dgr_graph
     A run is pinned to the wave ([Graph.wave]) that was current when it
     was created; every task it spawns carries that wave, and tasks from
     another wave must never be credited to it (the executor drops them).
-    The execution counters are per-PE cells so that PEs sharded across
-    domains can count their own executions without contention; only the
-    totals are meaningful. The seed count and [finished] flag are still
-    scalar — they are only touched at the step barrier (returns to
-    [Rootpar] are controller tasks). *)
+    The execution counters are per-PE cells, so each PE counts only its
+    own executions; only the totals are meaningful. The seed count and
+    [finished] flag are still scalar — they are only touched at the step
+    barrier (returns to [Rootpar] are controller tasks). *)
 
 type variant = Basic | Priority | Tasks
 (** Which mark task drives this run: [Basic] = mark1 (Fig 4-1),

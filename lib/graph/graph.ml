@@ -4,11 +4,10 @@ exception Out_of_vertices
 
 (* A segment: append-only vertex storage with a fixed chunk directory.
    Chunk [j] holds [base_size * 2^j] slots and, once allocated, never
-   moves — unlike a resizing array, a reader on another domain can never
-   observe a half-copied backing store. The sharded engine's step barrier
-   orders every push before any cross-domain read of the slot (fresh vids
-   only escape their allocating PE via messages, which take a step), so
-   reads of published slots are race-free. Single writer per segment.
+   moves, so a vertex handle, which caches its chunk's columns, stays
+   valid however the segment grows. A fresh vid only escapes its
+   allocating PE via a message, which takes a step, so no other PE reads
+   a slot in the step it was pushed. Single writer per segment.
 
    Each chunk owns a struct-of-arrays column set ([Vertex.cols]) holding
    the fixed-width per-vertex state; the handle directory is parallel to
@@ -99,8 +98,9 @@ end
 (* Partitioned storage, installed by [partition] once the graph stops
    growing densely (i.e. when an engine takes ownership). Each home PE
    gets its own free list, its own segment of fresh slots, and its own
-   slice of the capacity budget, so PEs running on different domains can
-   allocate without sharing any mutable structure. Fresh vids are striped
+   slice of the capacity budget, so one PE's allocations never touch
+   another's structures, and a PE's vids do not depend on what the
+   others allocated in the same step. Fresh vids are striped
    — home [h]'s [k]-th fresh slot is [base + k*pes + h] — which keeps the
    vid space dense and makes vid-order iteration (the digest order)
    independent of which PE allocated what first. *)
@@ -316,8 +316,7 @@ let alloc_at t ~pe ~from label =
       v
     end
   | Some p ->
-    (* Partitioned: every structure touched below belongs to [home], so
-       concurrent allocations from distinct PEs never contend. *)
+    (* Partitioned: every structure touched below belongs to [home]. *)
     let home = if from >= 0 then from mod p.pes else if pe >= 0 then pe mod p.pes else 0 in
     let pe = if pe >= 0 then pe else home in
     let id = pop_free p.frees.(home) in

@@ -40,7 +40,7 @@ val partitioned : t -> bool
 
 val headroom_for : t -> pe:int -> int
 (** Allocatable slots in [pe]'s home partition (= [headroom] before
-    [partition]). Safe to read from [pe]'s own domain. *)
+    [partition]). *)
 
 val epoch : t -> int
 (** Allocation epoch, stamped into [Vertex.birth] by [alloc]. The engine

@@ -126,8 +126,7 @@ type request_entry = { who : requester; demand : Demand.t; key : Vid.t }
    (label, pe, free, birth, sched_prior, and the two marking planes)
    lives in parallel columns, one column set per storage chunk; chunks
    never move once allocated (see [Graph.Seg]), so handles can cache the
-   column arrays directly and a concurrent reader can never observe a
-   half-copied backing store.
+   column arrays directly.
 
    The variable-width state — args, the two req-args sets, the requester
    table and the received-values table — is paged: each slot owns flat

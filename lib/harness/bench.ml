@@ -283,7 +283,6 @@ let run_scenario ?(domains = 1) ?(batch = true) ~deterministic s =
     speedup_vs_seq = 0.0;
   }
   in
-  Engine.dispose e;
   row_result
 
 let steps_per_sec r =
@@ -329,7 +328,7 @@ let run_suite ?(domains = 1) ?(batch = true) ?only ~smoke ~deterministic () =
 
 (* Build, prime and run one named suite scenario, returning the engine
    itself (not a row) so a post-run analyzer can walk its lineage store,
-   histograms and profile. The caller owns the engine: dispose it. *)
+   histograms and profile. *)
 let run_for_report ?(domains = 1) ?(batch = true) name =
   match List.find_opt (fun s -> s.s_name = name) suite with
   | None ->
@@ -624,7 +623,6 @@ let golden_line ?(domains = 1) i =
   let e = Engine.create ~recorder ~config g templates in
   Engine.inject_root_demand e;
   let (_ : int) = Engine.run ~max_steps:40_000 e in
-  Engine.dispose e;
   let m = Engine.metrics e in
   let live =
     String.concat "," (List.map string_of_int (Graph.live_vids (Engine.graph e)))

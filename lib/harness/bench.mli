@@ -24,7 +24,7 @@ val schema_version : int
 type row = {
   name : string;
   seed : int;
-  domains : int;  (** shard count the scenario ran at (see {!Engine.dispose}) *)
+  domains : int;  (** shard count the scenario ran at *)
   steps : int;  (** simulation steps executed *)
   tasks : int;  (** reduction + marking tasks executed *)
   messages : int;  (** remote + local task sends *)
@@ -79,8 +79,8 @@ val run_suite :
   row list
 (** Run the suite (or the [only] subset of it, by name) and return one
     row per scenario. [deterministic] skips the clock and allocation
-    meters. [domains] (default 1) shards each engine across that many
-    OCaml domains — the simulation fields and digest are identical at
+    meters. [domains] (default 1) splits each engine's PEs into that
+    many shards — the simulation fields and digest are identical at
     every value; only the wall-clock fields move. [batch] (default
     [true]) toggles the transport's frame batching ([dgr bench
     --no-batch] measures the one-task-per-frame floor). Raises
@@ -91,8 +91,7 @@ val run_for_report :
 (** Build, prime and run one named suite scenario, returning the engine
     itself so a post-run analyzer ({!Report}, [dgr report --scenario])
     can walk its lineage store, latency histograms and step-phase
-    profile. The caller owns the engine — {!Dgr_sim.Engine.dispose} it.
-    Raises [Invalid_argument] on an unknown name. *)
+    profile. Raises [Invalid_argument] on an unknown name. *)
 
 val steps_per_sec : row -> float
 (** [0.0] for deterministic rows. *)
@@ -103,9 +102,9 @@ val with_speedups : seq:row list -> row list -> row list
     sequential twin pass through unchanged. *)
 
 val speedup_table : seq:row list -> par:row list -> (string * float * float * bool) list
-(** [(name, seq_sps, par_sps, digests_agree)] for every parallel row with
-    a sequential twin — the sequential-vs-parallel comparison [dgr bench
-    --domains N] prints. [digests_agree = false] flags a determinism
+(** [(name, seq_sps, par_sps, digests_agree)] for every N-shard row with
+    a 1-shard ("sequential") twin — the comparison [dgr bench --domains
+    N] prints. [digests_agree = false] flags a determinism
     violation, which is worth more than any speedup. *)
 
 val to_json : ?batch:bool -> mode:string -> deterministic:bool -> row list -> string

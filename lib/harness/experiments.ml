@@ -824,8 +824,7 @@ let e12_serial_fraction () =
           Printf.sprintf "%.1f%%" (100.0 *. share p.Profile.execute_ns);
           Printf.sprintf "%.3f" (Profile.serial_fraction p);
           Printf.sprintf "x%.2f" (Profile.amdahl_speedup p ~domains:8);
-        ];
-      Engine.dispose e)
+        ])
     [ 1; 2; 4; 8 ];
   [ table ]
 

@@ -29,7 +29,7 @@ open Dgr_util
       marking-cycle length with reliable delivery (acks, retransmission,
       dedup) re-earning exactly-once effect over a lossy channel;
     - E12 — the step-phase profiler's measured Amdahl serial fraction vs
-      domain count on a storm workload (the ROADMAP item 1 yardstick).
+      shard count on a storm workload (the ROADMAP item 3 yardstick).
 
     Each run function is deterministic for a given seed — except E12's
     serial-fraction and Amdahl-ceiling columns, which are wall-clock

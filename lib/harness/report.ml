@@ -165,8 +165,8 @@ let render ?(deterministic = false) e =
     Printf.bprintf b "  within execute: marking=%.1f%% reduction=%.1f%%\n"
       (share p.Profile.mark_ns) (share p.Profile.red_ns);
     let steps = float_of_int (Stdlib.max 1 p.Profile.steps) in
-    (* Each shard's budget loops, side by side: a shard slower than its
-       partners shows here, before it shows in the barrier wait. *)
+    (* Each shard's budget loops, side by side: how the execute span
+       splits over the shards. *)
     if Array.length p.Profile.shard_ns > 1 then begin
       Printf.bprintf b "  shard busy us/step:";
       Array.iteri
@@ -188,24 +188,9 @@ let render ?(deterministic = false) e =
       Printf.bprintf b "  gc minor words/cycle: %.0f (cycles=%d)\n"
         (p.Profile.gc_mw /. float_of_int m.Metrics.cycles_completed)
         m.Metrics.cycles_completed;
-    (* In OCaml 5 a minor collection stops every domain: this is the
-       allocation bill's cost at the barrier, machine-wide. *)
     Printf.bprintf b "  minor collections/step: %.4f (%d over the run at domains=%d)\n"
       (float_of_int p.Profile.minor_gcs /. steps)
       p.Profile.minor_gcs domains;
-    (* Many parks per step name a descheduled run, few a slow one. A
-       handoff is a step whose shards ran on the worker pool; the join
-       wait is the main domain's, from the end of its own shard on.
-       Together they name the execute span's time outside the shards'
-       loops. *)
-    Printf.bprintf b
-      "  worker-pool parks/step: main=%.4f workers=%.4f handoffs=%d (%.4f/step) join \
-       wait=%.2fus/step\n"
-      (float_of_int p.Profile.main_parks /. steps)
-      (float_of_int p.Profile.worker_parks /. steps)
-      p.Profile.handoffs
-      (float_of_int p.Profile.handoffs /. steps)
-      (p.Profile.join_wait_ns /. 1e3 /. steps);
     Printf.bprintf b
       "  serial_fraction=%.3f (Amdahl ceiling: x%.2f at 2 domains, x%.2f at \
        4, x%.2f at 8)\n"

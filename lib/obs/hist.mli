@@ -6,8 +6,7 @@
     [add] allocates nothing, so histograms can sit on the simulator
     hot path; [absorb] merges a shard's histogram into another (and
     clears the source), which is associative and order-independent, so
-    per-domain histograms merge to the same totals at any shard
-    count. *)
+    per-PE histograms merge to the same totals at any shard count. *)
 
 type t
 

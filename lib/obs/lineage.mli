@@ -10,9 +10,9 @@
 
     Slots recycle LIFO, so ticket ids are a pure function of the
     open/close order — deterministic per (config, seed) and identical
-    at any domain count. All reads are plain array loads and safe from
-    worker domains; {!open_ticket}, {!close} and {!drop} mutate and
-    must only run on the serial (barrier) side. *)
+    at any domain count. The shards only read tickets; {!open_ticket},
+    {!close} and {!drop} mutate and must only run on the serial
+    (barrier) side, in PE order. *)
 
 type t
 

@@ -151,9 +151,9 @@ let reset_src src =
   src.piggyback_delta <- 0
 
 (* Replay a sub-recorder's buffered events into [dst] and reset it. The
-   sharded engine gives each PE a private sub-recorder (so emitting never
-   contends across domains) and drains them at the step barrier in
-   ascending PE order; re-emitting through [emit] restamps each event
+   sharded engine gives each PE a private sub-recorder (so a PE's events
+   never interleave with another's) and drains them at the step barrier
+   in ascending PE order; re-emitting through [emit] restamps each event
    with [dst]'s clock and sequence, so the merged stream is identical to
    what a serial run would have recorded. Raises if [src] has wrapped —
    sub-recorders are sized for one step's events, drained every step. *)

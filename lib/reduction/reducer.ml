@@ -555,7 +555,7 @@ let iter_parked t f =
 
 (* Fold a per-PE reducer's step-local effects into [t] and zero them.
    The sharded engine calls this at the barrier in ascending PE order, so
-   the merged parked list and stuck set are independent of which domain
+   the merged parked list and stuck set are independent of which shard
    ran which PE. Gated on the shard having done anything at all — the
    counters are non-negative, so one summed branch skips the whole fold
    for a PE that executed no reduction this step. *)

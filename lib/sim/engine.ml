@@ -40,9 +40,9 @@ module Config = struct
 
   type t = { machine : machine; gc : gc; network : network }
 
-  (* A machine with no PE, or a per-step budget of nothing, would fail
-     deep inside [Graph.create] or idle until the step limit: refuse it
-     here, in [make] and the updaters alike. *)
+  (* A machine with no PE, no shard, or a per-step budget of nothing
+     would fail deep inside [Graph.create], step no PE, or idle until the
+     step limit: refuse it here, in [make] and the updaters alike. *)
   let at_least lo field v =
     if v < lo then
       invalid_arg (Printf.sprintf "Engine.Config: %s must be at least %d, got %d" field lo v);
@@ -96,6 +96,7 @@ module Config = struct
     let latency = positive "latency" latency in
     let gc = gc_mode gc in
     let gc_work_factor = positive "gc_work_factor" gc_work_factor in
+    let domains = positive "domains" domains in
     let jitter = probability "jitter" jitter in
     let faults = rates faults in
     {
@@ -136,7 +137,8 @@ module Config = struct
   let with_gc v t = { t with gc = { t.gc with mode = gc_mode v } }
   let with_jitter v t = { t with network = { t.network with jitter = probability "jitter" v } }
   let with_faults v t = { t with network = { t.network with faults = rates v } }
-  let with_domains v t = { t with machine = { t.machine with domains = v } }
+  let with_domains v t =
+    { t with machine = { t.machine with domains = positive "domains" v } }
   let with_batch v t = { t with network = { t.network with batch = v } }
 end
 
@@ -144,9 +146,9 @@ type config = Config.t
 
 (* A sender's execution context. Everything a PE's budget touches during
    a step lives here (or in graph/pool state or a network sender record
-   only its owner mutates), so shards on different domains share no
-   mutable state until the step barrier merges them in ascending PE
-   order. The controller has one too ([t.cctl], [cpe = -1]): its sinks
+   only its owner mutates), so no PE's budget reads what another PE's
+   wrote this step, and the step barrier merges the contexts in
+   ascending PE order: how the PEs are grouped into shards never shows. The controller has one too ([t.cctl], [cpe = -1]): its sinks
    are the machine's own, and it is [serial] — it runs
    controller-addressed tasks at once, where a PE's context defers them
    to the barrier. *)
@@ -177,42 +179,7 @@ type pe_ctx = {
           flat (parent, child) pairs; applied at the barrier *)
 }
 
-(* The worker pool: [domains - 1] long-lived domains driven by a
-   spin-then-park generation handoff. Each generation is one step's
-   shards ([run_shard]). The main domain writes [stop] (on [dispose]
-   only), sets [pending] to the worker count and bumps [gen]; it runs
-   shard 0 itself, then waits for [pending] to reach 0. Publication is
-   atomic: the plain writes before the [gen] bump happen-before any
-   worker's read of the bumped [gen], and each worker's shard writes
-   happen-before its decrement of [pending], which the main domain reads
-   before the merge — so no lock is taken on the hot path.
-
-   Both sides wait by spinning [spin] relaxes, then parking on [mu]: a
-   worker on [wake] (counted in [sleepers]), the main domain on
-   [finished] (flagged by [main_parked]). Each parker announces itself
-   before re-checking its condition under [mu], and each publisher reads
-   the announcement after its own atomic write — atomics are
-   sequentially consistent, so one of the two sees the other and no
-   wake-up is lost. [spin] is 0 on a host with fewer cores than domains,
-   where a spinning domain would only steal the core its partner needs.
-   Workers are spawned lazily on the first parallel step (the OCaml
-   runtime caps total domains), never on a machine whose shards run
-   inline (see [shards_inline]), and joined by [dispose]. *)
-type workers = {
-  mutable doms : unit Domain.t array;
-  mutable stop : bool;
-  gen : int Atomic.t;  (** bumped once per published job, and by [dispose] *)
-  pending : int Atomic.t;  (** workers still running the current job *)
-  sleepers : int Atomic.t;  (** workers parked (or parking) on [wake] *)
-  main_parked : bool Atomic.t;  (** the main domain is parking on [finished] *)
-  parks : int Atomic.t;  (** worker parks not yet folded into the profile *)
-  spin : int;  (** relaxes before parking; 0 parks at once *)
-  mu : Mutex.t;
-  wake : Condition.t;
-  finished : Condition.t;
-}
-
-and t = {
+type t = {
   cfg : config;
   (* Hot knobs, denormalized out of [cfg] so the step loop never chases
      three records per field. *)
@@ -238,20 +205,12 @@ and t = {
       (** per PE: tasks (marks and reductions) its shard has executed,
           summed at the barrier — the load-shape meter *)
   lin : Dgr_obs.Lineage.t;  (** causal lineage tickets, one per pooled reduction *)
-  prof : Profile.t;  (** step and park counts; [profile] adds the sums *)
+  prof : Profile.t;  (** step and minor-collection counts; [profile] adds the sums *)
   ph_ns : float array;  (** per phase: seconds, see [lap] *)
   ph_mw : float array;  (** per phase: minor words *)
   shard_ph : float array;
-      (** per shard, [shard_stride] apart: marking (+0) and reduction (+1)
-          budget seconds, written only by the shard's own domain *)
-  shard_of : int array;  (** per PE: the shard that runs it *)
-  fed : int array;
-      (** per shard: reductions pooled and mark frames parked for its PEs
-          since its last job. Main-domain state only. *)
-  residual : int array;
-      (** per shard, [shard_stride] apart: the entries its PEs' pools
-          held when its last job ended, written by the shard's own
-          domain *)
+      (** per shard [d]: marking ([2d]) and reduction ([2d + 1]) budget
+          seconds *)
   mutable now : int;
   mutable paused_until : int;
   mutable next_cycle_at : int;
@@ -275,7 +234,10 @@ and t = {
   mutable crash_used : bool;
       (** crashes possible (spec or injection): run the crash tick *)
   mutable ctxs : pe_ctx array;
-  mutable workers : workers option;
+  mutable exec_pe : int;
+      (** the PE whose budget is running, -1 outside the shards: the
+          coop sink, the refcount log and the ownership guard charge a
+          mutation to it *)
   (* Health watchdogs: window-based progress monitors, re-armed on any
      progress and fired at most once per stall episode (resp. window). *)
   mutable wd_mark_last : int;  (** [marking_executed] at last mark progress *)
@@ -302,8 +264,7 @@ and t = {
    ns), [ph_mw] in minor words. The step reads the clock once per phase
    boundary: [lap] closes the running phase at the reading and opens the
    next, so the phases partition the step. Slot [k_at] holds the last
-   boundary's readings; [k_wait] sums the main domain's wait at the
-   worker pool's join. *)
+   boundary's readings. *)
 let k_transport = 0
 let k_execute = 1
 let k_drain = 2
@@ -315,13 +276,7 @@ let k_gc = 7
 let k_book = 8
 let k_restr = 9
 let k_total = 10
-let k_wait = 11
-let k_at = 12
-
-(* Floats per shard in [shard_ph], and ints per shard in [residual]: two
-   64-byte lines, so two domains never write the same line, however the
-   array is aligned. *)
-let shard_stride = 16
+let k_at = 11
 
 (* Wall clock in seconds. Both readings in [lap] are unboxed externals,
    so a boundary allocates nothing. *)
@@ -343,11 +298,6 @@ let obs t kind =
 (* Destination PE of a task's vid, or [-1] for controller-addressed
    tasks. Unboxed (no option) — this runs once per send. *)
 let pe_of_vid t v = if v < 0 then -1 else Graph.pe t.g v
-
-(* The PE a mutation is charged to for the ownership checker: the
-   domain-local executing PE while the shards run (the engine never
-   touches the controller's context from a worker), else [t.cctl.cpe]. *)
-let dls_pe : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
 
 (* The handler of the marking phase in progress, if any — for a flood,
    the source of truth for what epoch termination credits should speak.
@@ -387,13 +337,12 @@ let delay_of t ~rng ~src ~base pe =
    here, at dispatch, so stale tasks never touch a plane or credit a
    counter.
 
-   Off the main domain this is safe because everything a mark handler
+   Marking shards exactly like reduction: everything a mark handler
    touches is either owned by the executing PE (the target vertex's
    plane state — marks are delivered to the vertex's home) or a per-PE
-   counter slot (run/flood tallies), so marking shards exactly like
-   reduction. The handler table itself ([Cycle.handler_for_plane]) only
-   changes at serial points, published to workers by the step
-   barrier. *)
+   counter slot (run/flood tallies), so the PEs' budgets commute. The
+   handler table itself ([Cycle.handler_for_plane]) only changes
+   outside the shards. *)
 let execute_marking t m ~pe ~emit v par meta =
   match t.cyc with
   | None -> ()
@@ -416,7 +365,7 @@ let execute_marking t m ~pe ~emit v par meta =
    PE's scheduling randomness is its own splitmix stream derived from the
    config seed, so the jitter draws a PE sees depend only on its own send
    history — not on how the other PEs' sends interleave, and not on how
-   many domains the machine is sharded across. The controller draws from
+   the PEs are grouped into shards. The controller draws from
    stream -1 and never counts a send as remote. *)
 let count_send t ctx ~base pe =
   (if pe <> ctx.cpe && ctx.cpe >= 0 then
@@ -521,8 +470,9 @@ let pe_execute_mark t ctx v par meta =
    private sink (histogram absorption is associative, so the merged
    totals match any execution order); ticket closes are deferred to the
    barrier, where they run in ascending PE order — a fixed,
-   domain-count-free order. Ticket reads are safe off the main domain:
-   between barriers the store is never mutated. Marks never come here:
+   shard-count-free order. Between barriers the ticket store is only
+   read, so every PE reads the tickets as they stood at the top of the
+   step. Marks never come here:
    [Pool.drain_lanes] hands them to [pe_execute_mark] as lanes. *)
 let pe_execute t ctx stamp head src dst key pay err =
   if stamp >= 0 then begin
@@ -558,7 +508,7 @@ let pe_drop ctx stamp =
   note_purge ctx.pm ctx.sub ~pe:ctx.cpe;
   if stamp >= 0 then Vec.push ctx.cdrop stamp
 
-(* The same drop on the main domain, for [pe]'s pool. *)
+(* The same drop outside the shards, for [pe]'s pool. *)
 let serial_drop t ~pe stamp =
   note_purge t.m t.recorder ~pe;
   if stamp >= 0 then Dgr_obs.Lineage.drop t.lin stamp
@@ -567,16 +517,12 @@ let live t gen task =
   match task with Reduction r -> not (Task.stale t.g gen r) | Marking _ -> true
 
 (* Delivery's push of the row at lane [i] of [a] ([Network.deliver_serial]):
-   a task that went stale in flight dies here. A pooled one is work for
-   its PE's shard. *)
+   a task that went stale in flight dies here. *)
 let deliver_to_pool t pe a i err =
   let gen = a.(i + 5) and stamp = a.(i + 6) in
   if Task.stale_lanes t.g gen a.(i) a.(i + 1) then serial_drop t ~pe stamp
-  else begin
-    Pool.push_row t.pools.(pe) ~stamp ~gen a.(i + 2) a.(i) a.(i + 1) a.(i + 3) a.(i + 4) err;
-    let d = t.shard_of.(pe) in
-    t.fed.(d) <- t.fed.(d) + 1
-  end
+  else
+    Pool.push_row t.pools.(pe) ~stamp ~gen a.(i + 2) a.(i) a.(i + 1) a.(i + 3) a.(i + 4) err
 
 (* Each PE's extra per-step budget for marking tasks, which are much
    lighter than reduction tasks (§6). *)
@@ -598,9 +544,7 @@ let executes t pe = t.down_since.(pe) < 0 && t.now >= t.stall_until.(pe)
    pause leaves only marking running — its reduction budget, which lends
    idle slots to marking ([Pool.drain_lanes]). A step's PEs are
    data-disjoint, so this order moves no byte, and each loop is timed
-   once per shard, not once per PE. At more than one domain the shard
-   leaves the entries its pools still hold in its [residual] word, for
-   the next step's fork decision ([fork_for_work]). *)
+   once per shard, not once per PE. *)
 let run_shard t d =
   let lo = shard_lo t d and hi = shard_lo t (d + 1) - 1 in
   for pe = lo to hi do
@@ -609,7 +553,7 @@ let run_shard t d =
   let c0 = clock () in
   for pe = lo to hi do
     if executes t pe then begin
-      Domain.DLS.set dls_pe pe;
+      t.exec_pe <- pe;
       Pool.drain_marking t.pools.(pe) ~budget:marking_per_step t.ctxs.(pe).cmark
     end
   done;
@@ -617,162 +561,20 @@ let run_shard t d =
   if not t.mark_only then
     for pe = lo to hi do
       if executes t pe then begin
-        Domain.DLS.set dls_pe pe;
+        t.exec_pe <- pe;
         let ctx = t.ctxs.(pe) in
         Pool.drain_lanes t.pools.(pe) ~budget:t.tasks_per_step ~red:ctx.cexec ~dead:ctx.cdead
           ~mark:ctx.cmark
       end
     done;
   let c2 = clock () in
-  Domain.DLS.set dls_pe (-1);
-  let s = t.shard_ph and i = d * shard_stride in
-  s.(i) <- s.(i) +. (c1 -. c0);
-  s.(i + 1) <- s.(i + 1) +. (c2 -. c1);
-  if t.domains > 1 then begin
-    let left = ref 0 in
-    for pe = lo to hi do
-      left := !left + Pool.length t.pools.(pe)
-    done;
-    t.residual.(d * shard_stride) <- !left
-  end
+  t.exec_pe <- -1;
+  let s = t.shard_ph in
+  s.(2 * d) <- s.(2 * d) +. (c1 -. c0);
+  s.((2 * d) + 1) <- s.((2 * d) + 1) +. (c2 -. c1)
 
-(* Where the shards run. A machine with a fault plane steps them inline
-   on the main domain: its steps are light (a few PEs, small budgets,
-   serial work on either side of the shards), and handing each one to
-   the worker pool cost fib-lossy a fifth of its 2-domain step rate —
-   and even forking only the steps on which two shards have work cost it
-   22-55% (median 28%, 5 of 5 pairs; DESIGN.md §6). Such a machine never
-   starts a worker pool. The shards are data-disjoint either way, so
-   where they run never shows in the bytes. *)
-let shards_inline t = Option.is_some t.flt
-
-(* Whether a step's shards are worth the worker pool: at least two of
-   them have queued work — reductions pooled or mark frames parked for
-   their PEs since their last job ([fed]), or entries their pools still
-   held when it ended ([residual]). A lone busy shard runs on the main
-   domain, and the idle ones cost a loop over empty pools: a handoff
-   would only move the job's lines to a worker and back. The decision
-   reads main-domain state and the shards' [residual] words, never a
-   pool or inbox line a worker wrote. *)
-let fork_for_work t =
-  let busy = ref 0 in
-  for d = 0 to t.domains - 1 do
-    if t.fed.(d) > 0 || t.residual.(d * shard_stride) > 0 then incr busy
-  done;
-  !busy >= 2
-
-(* Relaxes a waiting domain spins before it parks. 100k took ~2.7 ms on
-   a 2-core Xeon: far longer than the serial part of a step, so a busy
-   engine's workers never park, and short enough that an idle engine
-   stops burning its cores. *)
-let spin_budget = 100_000
-
-let spawn_workers t =
-  let w =
-    {
-      doms = [||];
-      stop = false;
-      gen = Atomic.make 0;
-      pending = Atomic.make 0;
-      sleepers = Atomic.make 0;
-      main_parked = Atomic.make false;
-      parks = Atomic.make 0;
-      spin = (if t.domains <= Domain.recommended_domain_count () then spin_budget else 0);
-      mu = Mutex.create ();
-      wake = Condition.create ();
-      finished = Condition.create ();
-    }
-  in
-  (* [seen] is the last generation this worker ran; the main domain
-     publishes the next one only after every worker finished it. *)
-  let rec worker d seen =
-    let n = ref w.spin in
-    while Atomic.get w.gen = seen && !n > 0 do
-      Domain.cpu_relax ();
-      decr n
-    done;
-    if Atomic.get w.gen = seen then begin
-      Atomic.incr w.parks;
-      Atomic.incr w.sleepers;
-      Mutex.lock w.mu;
-      while Atomic.get w.gen = seen do
-        Condition.wait w.wake w.mu
-      done;
-      Mutex.unlock w.mu;
-      Atomic.decr w.sleepers
-    end;
-    if not w.stop then begin
-      run_shard t d;
-      if Atomic.fetch_and_add w.pending (-1) = 1 && Atomic.get w.main_parked then begin
-        Mutex.lock w.mu;
-        Condition.signal w.finished;
-        Mutex.unlock w.mu
-      end;
-      worker d (seen + 1)
-    end
-  in
-  w.doms <- Array.init (t.domains - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1) 0));
-  w
-
-(* One parallel phase: [run_shard t d] for every shard [d], shard 0 on
-   the calling domain. [run_shard t d] touches only shard [d]'s state.
-   There is at most one fork/join per step: the barrier's seal stays on
-   this domain. Each handoff is counted, and the main domain's wait at
-   the join is clocked. *)
-let run_parallel t =
-  let w =
-    match t.workers with
-    | Some w -> w
-    | None ->
-      let w = spawn_workers t in
-      t.workers <- Some w;
-      w
-  in
-  Atomic.set w.pending (Array.length w.doms);
-  Atomic.incr w.gen;
-  if Atomic.get w.sleepers > 0 then begin
-    Mutex.lock w.mu;
-    Condition.broadcast w.wake;
-    Mutex.unlock w.mu
-  end;
-  t.prof.Profile.handoffs <- t.prof.Profile.handoffs + 1;
-  run_shard t 0;
-  let j0 = clock () in
-  let n = ref w.spin in
-  while Atomic.get w.pending > 0 && !n > 0 do
-    Domain.cpu_relax ();
-    decr n
-  done;
-  if Atomic.get w.pending > 0 then begin
-    t.prof.Profile.main_parks <- t.prof.Profile.main_parks + 1;
-    Atomic.set w.main_parked true;
-    Mutex.lock w.mu;
-    while Atomic.get w.pending > 0 do
-      Condition.wait w.finished w.mu
-    done;
-    Mutex.unlock w.mu;
-    Atomic.set w.main_parked false
-  end;
-  t.ph_ns.(k_wait) <- t.ph_ns.(k_wait) +. (clock () -. j0);
-  if Atomic.get w.parks > 0 then
-    t.prof.Profile.worker_parks <- t.prof.Profile.worker_parks + Atomic.exchange w.parks 0
-
-(* Run the step's shards on the worker pool when [fork_for_work] says it
-   pays, or shard after shard on this domain — always where
-   [shards_inline] says so. The same bytes either way. *)
-let run_shards t =
-  if t.domains > 1 && (not (shards_inline t)) && fork_for_work t then run_parallel t
-  else
-    for d = 0 to t.domains - 1 do
-      run_shard t d
-    done
-
-(* Restructure's per-home passes: run [f] over every home PE in order,
-   on this domain at every domain count, as fault machines run their
-   shards. A whole restructure costs storm-tree-8k about 1% of its step
-   (DESIGN.md §6), less than a handoff's wake and join. The span is
-   attributed to the profiler's restructure bucket, clocked on every
-   pass. *)
+(* Restructure's per-home passes: run [f] over every home PE in order.
+   The span is attributed to the profiler's restructure bucket. *)
 let each_home_run t f =
   let r0 = clock () in
   for pe = 0 to t.num_pes - 1 do
@@ -806,10 +608,10 @@ let create ?recorder ?(config = Config.default) g templates =
     if Faults.active faults then Some (Faults.create faults) else None
   in
   let seed = Config.seed config in
-  (* One ticket store for the whole machine. Tickets are only opened on
-     the main domain (by a serial send, or by [Network.seal] for the
-     shards' sends), so slot allocation is serial and its order a pure
-     function of machine state, independent of [domains]. *)
+  (* One ticket store for the whole machine. Tickets are only opened
+     outside the shards (by a serial send, or by [Network.seal] for the
+     shards' sends), so their slot order is a pure function of machine
+     state, independent of [domains]. *)
   let lineage = Dgr_obs.Lineage.create () in
   let pools =
     Array.init num_pes (fun pe -> Pool.create ~lineage ~pe (Config.pool_policy config) g)
@@ -880,16 +682,7 @@ let create ?recorder ?(config = Config.default) g templates =
       prof = Profile.create ();
       ph_ns = Array.make (k_at + 1) 0.0;
       ph_mw = Array.make (k_at + 1) 0.0;
-      shard_ph = Array.make (shard_stride * domains) 0.0;
-      shard_of =
-        Array.init num_pes (fun pe ->
-            let d = ref 0 in
-            while (!d + 1) * num_pes / domains <= pe do
-              incr d
-            done;
-            !d);
-      fed = Array.make domains 0;
-      residual = Array.make (shard_stride * domains) 0;
+      shard_ph = Array.make (2 * domains) 0.0;
       now = 0;
       paused_until = 0;
       next_cycle_at = 0;
@@ -904,7 +697,7 @@ let create ?recorder ?(config = Config.default) g templates =
       n_survivors = 0;
       crash_used = (Config.faults config).Faults.crash > 0.0;
       ctxs = [||];
-      workers = None;
+      exec_pe = -1;
       wd_mark_last = 0;
       wd_mark_since = 0;
       wd_mark_fired = false;
@@ -944,9 +737,7 @@ let create ?recorder ?(config = Config.default) g templates =
   mut.Mutator.coop_pe <- (fun () -> Int.max 0 cctl.cpe);
   t.coop_sink <-
     Some
-      (fun ev ->
-        let pe = Domain.DLS.get dls_pe in
-        Vec.push t.ctxs.(if pe >= 0 then pe else 0).ccoop ev);
+      (fun ev -> Vec.push t.ctxs.(Int.max 0 t.exec_pe).ccoop ev);
   (match rc with
   | Some rc ->
     (* A PE's shard logs its count changes in its context; the barrier
@@ -959,11 +750,11 @@ let create ?recorder ?(config = Config.default) g templates =
     in
     mut.Mutator.on_connect <-
       (fun a c ->
-        let pe = Domain.DLS.get dls_pe in
+        let pe = t.exec_pe in
         if pe >= 0 then log t.ctxs.(pe).cinc a c else Refcount.on_connect rc a c);
     mut.Mutator.on_disconnect <-
       (fun a c ->
-        let pe = Domain.DLS.get dls_pe in
+        let pe = t.exec_pe in
         if pe >= 0 then log t.ctxs.(pe).cdec a c else Refcount.on_disconnect rc a c);
     if Graph.has_root g then Refcount.pin rc (Graph.root g)
   | None -> ());
@@ -1064,7 +855,7 @@ let executed_per_pe t = Array.copy t.executed_by
 let profile t =
   let ns k = t.ph_ns.(k) *. 1e9 and mw k = t.ph_mw.(k) in
   let merge f = f k_drain +. f k_absorb +. f k_close +. f k_seal +. f k_replay in
-  let shard k d = t.shard_ph.((d * shard_stride) + k) *. 1e9 in
+  let shard k d = t.shard_ph.((2 * d) + k) *. 1e9 in
   let budgets k = Array.fold_left ( +. ) 0.0 (Array.init t.domains (shard k)) in
   {
     t.prof with
@@ -1080,7 +871,6 @@ let profile t =
     gc_ns = ns k_gc;
     book_ns = ns k_book;
     restr_ns = ns k_restr;
-    join_wait_ns = ns k_wait;
     mark_ns = budgets 0;
     red_ns = budgets 1;
     total_mw = mw k_total;
@@ -1097,10 +887,7 @@ let faults t = t.flt
 let now t = t.now
 
 let enable_ownership_checks t =
-  let executing_pe () =
-    let d = Domain.DLS.get dls_pe in
-    if d >= 0 then d else t.cctl.cpe
-  in
+  let executing_pe () = if t.exec_pe >= 0 then t.exec_pe else t.cctl.cpe in
   t.mut.Mutator.guard <- (fun v -> Invariants.ownership_guard t.g ~executing_pe v)
 
 (* Injection mints a fresh lineage id: every task the machine executes on
@@ -1277,19 +1064,8 @@ let roll_stalls t f =
     end
   done
 
-let dispose t =
-  match t.workers with
-  | None -> ()
-  | Some w ->
-    (* a stop generation: published like a job, always broadcast — a
-       worker checks [gen] under [mu] before it waits *)
-    w.stop <- true;
-    Atomic.incr w.gen;
-    Mutex.lock w.mu;
-    Condition.broadcast w.wake;
-    Mutex.unlock w.mu;
-    Array.iter Domain.join w.doms;
-    t.workers <- None
+(* An engine holds nothing but heap memory. *)
+let dispose (_ : t) = ()
 
 (* Apply a context's logged (parent, child) pairs, in log order. *)
 let drain_pairs v f =
@@ -1613,13 +1389,6 @@ let step t =
      that work off the serial path; each pool still receives its marks
      in delivery order. *)
   Network.deliver_serial t.net ~now:t.now ~push:t.push_due;
-  if t.domains > 1 then
-    for pe = 0 to t.num_pes - 1 do
-      if Network.last_parked t.net ~pe = t.now then begin
-        let d = t.shard_of.(pe) in
-        t.fed.(d) <- t.fed.(d) + 1
-      end
-    done;
   lap t k_transport;
   (* 2. Execute, unless the machine is paused by a collection. Marking
      tasks are lightweight (§6: "bounded amount of time once the required
@@ -1632,15 +1401,15 @@ let step t =
   let running = t.now >= t.paused_until in
   if running || match t.cyc with Some c -> Cycle.phase c <> Cycle.Idle | None -> false
   then begin
-    (* Every PE runs against its private context, shard by shard — on
-       the worker pool or inline, the same buffers either way.
+    (* Every PE runs against its private context, shard after shard.
        Cooperation bodies are deferred for the barrier replay. *)
     t.mark_only <- not running;
     (match t.flt with Some f -> roll_stalls t f | None -> ());
     Mutator.set_defer t.mut t.coop_sink;
     Network.shard_phase t.net;
-    run_shards t;
-    Array.fill t.fed 0 t.domains 0;
+    for d = 0 to t.domains - 1 do
+      run_shard t d
+    done;
     lap t k_execute;
     merge_shards t
   end

@@ -48,12 +48,12 @@ module Config : sig
     speculate_if : bool;
     seed : int;  (** seed for all of the machine's scheduling randomness *)
     domains : int;
-        (** OS-level shards: the PEs are split into [domains] contiguous
-            ranges, each stepped on its own OCaml domain between step
-            barriers. Purely an execution knob — live sets, verdicts and
-            digests for a (config, seed) pair are identical at every
-            shard count, and [1] (the default) runs everything on the
-            calling domain. Clamped to [[1, num_pes]]. *)
+        (** Shard count: the PEs are split into [domains] contiguous
+            ranges, stepped one after another on the calling domain
+            between step barriers. Purely a grouping — live sets,
+            verdicts and digests for a (config, seed) pair are identical
+            at every shard count, which the golden and fuzz runs check
+            at 1 to 4. At least 1 (default 1); clamped to [num_pes]. *)
   }
 
   type gc = {
@@ -127,14 +127,14 @@ module Config : sig
       speculation on, concurrent GC with M_T every cycle and idle gap 50,
       [Tree] marking, no jitter, no faults, seed 0, 1 domain, batching
       on. Raises [Invalid_argument], naming the field and the value, when
-      [num_pes], [latency], [tasks_per_step] or [gc_work_factor] is below
-      1, [jitter] is outside [[0, 1]] (NaN included), or [gc] is a
-      [Stop_the_world] period below 1 or a [Concurrent] mode with a
-      negative [deadlock_every] or [idle_gap] ([deadlock_every = 0]
-      disables M_T); so do {!with_num_pes}, {!with_latency},
-      {!with_tasks_per_step}, {!with_gc_work_factor}, {!with_gc} and
-      {!with_jitter}. [make]
-      and {!with_faults} likewise refuse a fault rate ([drop],
+      [num_pes], [domains], [latency], [tasks_per_step] or
+      [gc_work_factor] is below 1, [jitter] is outside [[0, 1]] (NaN
+      included), or [gc] is a [Stop_the_world] period below 1 or a
+      [Concurrent] mode with a negative [deadlock_every] or [idle_gap]
+      ([deadlock_every = 0] disables M_T); so do {!with_num_pes},
+      {!with_domains}, {!with_latency}, {!with_tasks_per_step},
+      {!with_gc_work_factor}, {!with_gc} and {!with_jitter}. [make] and
+      {!with_faults} likewise refuse a fault rate ([drop],
       [duplicate], [delay], [stall], [crash]) outside [[0, 1]], and
       [drop = 1], which loses every retransmit and ack too. *)
 
@@ -279,22 +279,15 @@ val step : t -> unit
     refcount changes at the barrier (increments, then decrements; a
     freed slot's generation moves on, so tasks still addressing it are
     stale and are dropped where they pop — see {!Dgr_task.Task.stale}).
-    When [Config.domains > 1] the shards run on a pool of OCaml domains
-    (spawned lazily on the first parallel step; see {!dispose}) on a
-    step where at least two shards have queued work — pooled tasks or
-    parked mark frames; otherwise the main domain runs them one after
-    another. A machine with a fault plane always runs them inline and
-    never spawns the pool. Because the
-    merge order is fixed, results are bit-identical at every [domains]
-    value. *)
+    The shards ([Config.domains] contiguous PE ranges) run one after
+    another on the calling domain. Because no PE's budget reads what
+    another's wrote this step and the merge order is fixed, results are
+    bit-identical at every [domains] value. *)
 
 val dispose : t -> unit
-(** Stop and join the worker domains, if any were spawned. Idempotent;
-    an engine stays usable after disposal (its next parallel step spawns
-    a fresh pool), but call this before dropping any engine run with
-    [domains > 1] — the runtime caps the number of live domains. Between
-    steps the workers spin for a few milliseconds, then park, so an
-    engine left idle holds no core. *)
+(** Does nothing: an engine holds no thread, domain or other resource
+    beyond its heap memory. Kept for callers that release engines
+    explicitly. *)
 
 val enable_ownership_checks : t -> unit
 (** Install {!Dgr_core.Invariants.ownership_guard} on the mutator: every

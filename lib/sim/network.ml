@@ -295,8 +295,9 @@ type t = {
   recorder : Dgr_obs.Recorder.t option;
   lineage : Dgr_obs.Lineage.t option;
       (* when present, every reduction task sent gets a latency ticket:
-         opened on the main domain (by the send, or by [seal]), marked
-         delivered in [deliver_serial], dropped by [crash_pe] *)
+         opened outside the shard phase (by the send, or by [seal], in
+         PE order), marked delivered in [deliver_serial], dropped by
+         [crash_pe] *)
   faults : Faults.t option;
   batching : bool;  (* false: one task per frame *)
   staged : batch Vec.t;  (* numbered batches forming since the last flush *)
@@ -307,10 +308,7 @@ type t = {
          shard takes their marks (see [take_mark_lanes]) *)
   mutable spent : batch Vec.t array;
       (* per destination: frames its shard emptied, recycled at the next
-         tick — never onto a free list another domain pops *)
-  mutable parked_at : int array;
-      (* per destination: the last tick that parked a frame for it, -1
-         before any; written and read on the main domain only *)
+         tick *)
   mutable links : link array;
       (* [(src + 1) * pes + dst] -> the link's record, [no_link] until its
          first send; sized by [reserve] under faults, empty otherwise *)
@@ -352,7 +350,6 @@ let create ?recorder ?lineage ?faults ?(batch = true) () =
     sharding = false;
     inbox = [||];
     spent = [||];
-    parked_at = [||];
     links = [||];
     no_link = fresh_link ~src:min_int ~dst:min_int;
     timers = Pqueue.create ();
@@ -722,8 +719,8 @@ let flush_ideal t =
   unindex t;
   Vec.clear t.staged
 
-(* Only the main domain grows the per-PE arrays, outside the shard
-   phase, so a shard never sees them move. *)
+(* The per-PE arrays grow only outside the shard phase, so a shard's
+   sends never see them move. *)
 let reserve t ~pes =
   let n = Array.length t.inbox in
   if pes > n then begin
@@ -741,7 +738,6 @@ let reserve t ~pes =
     end;
     t.inbox <- grow t.inbox;
     t.spent <- grow t.spent;
-    t.parked_at <- Array.init pes (fun i -> if i < n then t.parked_at.(i) else -1);
     Array.iter (fun s -> s.forming <- grow s.forming) t.senders;
     let ns = Array.length t.senders in
     t.senders <-
@@ -785,7 +781,7 @@ let number t b =
 
 (* The one staging lookup: the frame forming on link (src, pe) for
    [arrival] (a link has one per pending arrival, so the scan is short),
-   opened on a miss. On the main domain a new frame is numbered and
+   opened on a miss. Outside the shard phase a new frame is numbered and
    staged at once; in the shard phase the frame and the task count wait
    in the sender's record for [seal]. Allocation-free on a hit. *)
 let frame_for t ~src ~arrival ~pe =
@@ -867,7 +863,8 @@ let shard_phase t = t.sharding <- true
 
 (* Every sender in ascending PE order: its new frames numbered and
    staged in open order, its tickets opened in post order, its count
-   folded — what one domain sending PE after PE would have staged. *)
+   folded — what sending PE after PE outside the shard phase would have
+   staged. *)
 let seal t =
   for i = 0 to Array.length t.senders - 1 do
     let s = t.senders.(i) in
@@ -957,8 +954,8 @@ let deliver_batch t b ~now ~push =
   | None | Some _ -> deliver_tasks t b ~now ~push);
   b.b_marks > 0
 
-(* Return a delivered frame to its sender's free list, on the main
-   domain. After delivery the batch is referenced nowhere that reads it:
+(* Return a delivered frame to its sender's free list, outside the shard
+   phase. After delivery the batch is referenced nowhere that reads it:
    the flush emptied [staged] and the index, and a lossy send's row
    keeps its own delay and captured head, its slot in the link's frame
    ring [no_batch]. Each list is capped so a burst
@@ -1009,11 +1006,7 @@ let drain_credits t ~now =
    inbox for [take_mark_lanes]; a mark-free one is recycled at once, on
    either channel. *)
 let settle t b ~now ~push =
-  if deliver_batch t b ~now ~push then begin
-    Vec.push t.inbox.(b.b_dst) b;
-    t.parked_at.(b.b_dst) <- now
-  end
-  else recycle_batch t b
+  if deliver_batch t b ~now ~push then Vec.push t.inbox.(b.b_dst) b else recycle_batch t b
 
 (* A live copy of data frame [fseq] on link [l] pops. *)
 let receive t f l fseq ~pack ~epoch ~sent ~executed ~delay ~now ~push =
@@ -1094,10 +1087,9 @@ let deliver_serial t ~now ~push =
       end
     done
 
-(* Runs on [pe]'s shard, possibly on a worker domain: it touches only
-   [pe]'s inbox and spent list. A parked frame is read nowhere else once
-   its marks are taken, so it is recycled at the next tick, on either
-   channel. *)
+(* Runs on [pe]'s shard: it touches only [pe]'s inbox and spent list. A
+   parked frame is read nowhere else once its marks are taken, so it is
+   recycled at the next tick, on either channel. *)
 let take_frames t ~pe x (f : 'a -> batch -> unit) =
   if pe < Array.length t.inbox then begin
     let ib = t.inbox.(pe) in
@@ -1113,8 +1105,6 @@ let push_frame ring b = Mark_ring.push_marks ring b.b_lanes.Lanes.a b.b_lanes.La
 
 let take_mark_lanes t ~pe ring = take_frames t ~pe ring push_frame
 
-let last_parked t ~pe = if pe < Array.length t.parked_at then t.parked_at.(pe) else -1
-
 let view_frame f b =
   let a = b.b_lanes.Lanes.a and n = b.b_lanes.Lanes.n in
   let i = ref 0 in
@@ -1125,8 +1115,8 @@ let view_frame f b =
     i := k + w
   done
 
-(* The whole tick on one domain: the serial half, then every PE's marks
-   in ascending PE order, all as views. *)
+(* The whole tick at once: the serial half, then every PE's marks in
+   ascending PE order, all as views. *)
 let deliver_into t ~now ~push =
   deliver_serial t ~now ~push:(fun pe a i err ->
       push pe a.(i + 6) (Task.Reduction (Task.reduction_of_row a i err)));

@@ -71,8 +71,8 @@ val create :
     demand propagation, not the mark wave),
     {!deliver_into} records the delivery step and hands the ticket to
     [push], and {!crash_pe} drops tickets of lost tasks. Tickets are
-    opened on the main domain only (by the send, or by {!seal}), so
-    ticket ids are deterministic at any domain count. *)
+    opened outside the shard phase only (by the send, or by {!seal}, in
+    PE order), so ticket ids are deterministic at any domain count. *)
 
 val send :
   ?src:int -> ?lin:int -> ?depth:int -> ?gen:int -> t -> arrival:int -> pe:int -> Task.t -> unit
@@ -122,7 +122,7 @@ val stage_reduction :
     Between {!shard_phase} and {!seal} a send touches only its sender's
     record: its new frame is not numbered or staged, its ticket not
     opened, its task not counted in {!size}. Sends from distinct sources
-    may then run concurrently on different domains. *)
+    then commute: their order never shows after the seal. *)
 
 val reserve : t -> pes:int -> unit
 (** Size the per-PE state for PEs [0 .. pes - 1]. A send outside it
@@ -135,8 +135,8 @@ val shard_phase : t -> unit
 val seal : t -> unit
 (** End the shard phase: for each sender in ascending PE order (the
     controller first), number and stage its new frames in open order,
-    open its tickets in post order and count its tasks — the frames one
-    domain sending PE after PE would have staged. Until then
+    open its tickets in post order and count its tasks — the frames
+    sending PE after PE outside the shard phase would have staged. Until then
     {!deliver_serial} and {!crash_pe} raise [Invalid_argument]
     naming the sender and its unsealed frame count. *)
 
@@ -189,16 +189,11 @@ val take_mark_lanes : t -> pe:int -> Mark_ring.t -> unit
     the last {!deliver_serial} onto [ring] (the PE pool's mark queue), in
     delivery order, one ring call per frame, and empty the inbox. Marks
     are never ticketed, so no stamp is carried. Calls for distinct PEs
-    touch disjoint state and may run concurrently on different domains;
-    each PE's inbox must be emptied before the next tick. *)
-
-val last_parked : t -> pe:int -> int
-(** The [now] of the last {!deliver_serial} that parked a frame for
-    [pe], or [-1]. Main-domain state: reading it touches no line a
-    shard writes. *)
+    touch disjoint state, so their order never shows; each PE's inbox
+    must be emptied before the next tick. *)
 
 val deliver_into : t -> now:int -> push:(int -> int -> Task.t -> unit) -> unit
-(** The whole tick on one domain, as views: {!deliver_serial} with each
+(** The whole tick at once, as views: {!deliver_serial} with each
     reduction handed to [push pe stamp task], then {!take_mark_lanes}
     for every PE in ascending order, with each mark handed to
     [push pe (-1) task]. Every due task reaches [push]: first the

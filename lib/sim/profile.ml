@@ -2,9 +2,9 @@
    time.
 
    Each engine step is bracketed into phases — transport (network flush
-   and delivery), execution (the per-PE budget loops, the only span the
-   sharded engine runs in parallel), barrier merge (sub-recorder drain,
-   metric absorption, lineage closes, seal, controller replay), GC control,
+   and delivery), execution (the per-PE budget loops, run shard after
+   shard against private per-PE contexts), barrier merge (sub-recorder
+   drain, metric absorption, lineage closes, seal, controller replay), GC control,
    and bookkeeping (counter sync, watchdogs, sampling). Within the
    execution span each shard further splits its time into its marking
    and its reduction budget loops ([shard_ns] keeps the per-shard sum).
@@ -13,8 +13,7 @@
    closing one phase and opening the next, so the phases partition the
    step: 10 readings a step (the start, transport, execute, the merge's
    five sub-phases, GC control, bookkeeping), plus 3 per shard (around
-   its two budget loops), 2 around each of restructure's home passes
-   and 2 around the main domain's wait at each worker handoff's join.
+   its two budget loops) and 2 around each of restructure's home passes.
    It sums the spans in flat float arrays of its own; this record is a
    snapshot view, filled from those sums by [Engine.profile].
 
@@ -24,29 +23,28 @@
    budget ([minor_words_per_step] in the bench): when the bench gate
    trips, the per-phase words say which span regressed.
 
-   The measured Amdahl serial fraction falls out directly:
-   everything outside the sharded spans — the execution span and
-   restructure's per-home passes — is serial by construction, so
+   The measured Amdahl serial fraction falls out directly: only the
+   spans that touch per-PE state alone — the execution span and
+   restructure's per-home passes — could ever run on several cores at
+   once; everything else is serial by construction, so
 
      serial_fraction = (total - execute - restructure) / total
 
-   is the ceiling on what domain-sharding can ever win. At [--domains 1] the sharded spans still count
-   as parallelizable: the figure then reads "what fraction of this run
-   a perfectly parallel machine could compress".
+   is the ceiling on what running shards in parallel could win. The
+   engine runs every span on one core, so the figure estimates what a
+   parallel step could compress; it does not record what one did.
 
    Wall-clock readings never feed deterministic artifacts (traces,
    metrics JSON, golden lines); [dgr report --deterministic] and the
    deterministic bench rows zero them. Minor-word readings are exact
-   counts, but the sharded engine's worker domains keep their own
-   counters, so per-phase words are only attributed on the coordinating
-   domain. *)
+   counts. *)
 
 type t = {
   mutable steps : int;
   mutable minor_gcs : int;  (* minor collections over [Engine.run] *)
   mutable total_ns : float;
   mutable transport_ns : float;
-  mutable execute_ns : float;  (* parallel(izable) sharded execution span *)
+  mutable execute_ns : float;  (* parallelizable sharded execution span *)
   mutable sexec_ns : float;  (* always 0: no step executes off the sharded path *)
   mutable merge_ns : float;
   (* Inside merge, where the barrier's time goes — the attack surface of
@@ -54,7 +52,7 @@ type t = {
   mutable drain_ns : float;  (* inside merge: sub-recorder event drain *)
   mutable absorb_ns : float;  (* inside merge: metrics/reducer absorption *)
   mutable close_ns : float;  (* inside merge: batched lineage closes *)
-  mutable pflush_ns : float;  (* always 0: the seal runs on the main domain *)
+  mutable pflush_ns : float;  (* always 0: the seal is one serial pass *)
   mutable flush_ns : float;  (* inside merge: [Network.seal] *)
   mutable replay_ns : float;  (* inside merge: coop + controller replay *)
   mutable gc_ns : float;
@@ -69,10 +67,6 @@ type t = {
   mutable merge_mw : float;
   mutable gc_mw : float;
   mutable book_mw : float;
-  mutable main_parks : int;  (* the main domain parked on the shards' join *)
-  mutable worker_parks : int;  (* a worker parked waiting for a job *)
-  mutable handoffs : int;  (* jobs published to the worker pool *)
-  mutable join_wait_ns : float;  (* the main domain's wait at the join *)
   shard_ns : float array;  (* per shard: mark_ns + red_ns *)
 }
 
@@ -103,10 +97,6 @@ let create () =
     merge_mw = 0.0;
     gc_mw = 0.0;
     book_mw = 0.0;
-    main_parks = 0;
-    worker_parks = 0;
-    handoffs = 0;
-    join_wait_ns = 0.0;
     shard_ns = [||];
   }
 
@@ -116,8 +106,8 @@ let serial_fraction t =
     Float.max 0.0
       ((t.total_ns -. t.execute_ns -. t.restr_ns) /. t.total_ns)
 
-(* Amdahl: the best speedup [domains] workers can extract when only the
-   execution span parallelizes. *)
+(* Amdahl: the best speedup [domains] cores could extract if only the
+   sharded spans ran in parallel. *)
 let amdahl_speedup t ~domains =
   let s = serial_fraction t in
   1.0 /. (s +. ((1.0 -. s) /. float_of_int (Stdlib.max 1 domains)))

@@ -6,18 +6,17 @@
     partition the step, and each shard splits its budget loops into
     marking vs reduction work. The merge span is further split into
     its barrier stages (event drain, metric absorption, lineage closes,
-    the seal, deferred replay). Two spans touch only per-PE state and
-    can run in parallel — execution and restructure's per-home passes
-    (the engine runs the latter on the main domain, see [Engine]) — so
-    the measured Amdahl serial fraction is
-    [(total - execute - restructure) / total], the direct yardstick for
-    how much of a step sharding can reach. The seal is serial: it runs
-    on the main domain at the barrier.
+    the seal, deferred replay). Two spans touch only per-PE state, so a
+    parallel step could run them on several cores — execution and
+    restructure's per-home passes — and the measured Amdahl serial
+    fraction is [(total - execute - restructure) / total], the direct
+    yardstick for how much of a step running shards in parallel could
+    reach. The engine runs every span on the calling domain; the seal
+    is serial by construction.
 
     The same brackets also accumulate [Gc.minor_words] deltas, so the
     bench's [minor_words_per_step] budget can be attributed to a phase
-    when it regresses. On the sharded engine only the coordinating
-    domain's words are attributed (workers count on their own heaps).
+    when it regresses.
 
     Wall-clock readings are non-deterministic; they never feed traces,
     metrics JSON or golden fixtures. Deterministic outputs
@@ -46,9 +45,9 @@ type t = {
   mutable absorb_ns : float;
   mutable close_ns : float;
   mutable pflush_ns : float;
-      (** always 0: the barrier's seal is one serial pass on the main
-          domain ([flush_ns]), with no parallel grouping half. Kept for
-          readers that still name it. *)
+      (** always 0: the barrier's seal is one serial pass ([flush_ns]),
+          with no parallel grouping half. Kept for readers that still
+          name it. *)
   mutable flush_ns : float;  (** the barrier's [Network.seal] *)
   mutable replay_ns : float;
   mutable gc_ns : float;
@@ -63,21 +62,10 @@ type t = {
   mutable merge_mw : float;
   mutable gc_mw : float;
   mutable book_mw : float;
-  mutable main_parks : int;  (** main-domain parks waiting on the shards *)
-  mutable worker_parks : int;
-      (** worker parks waiting for a job. Both count on the park path
-          only: many per step mark a descheduled run, not a busy one. *)
-  mutable handoffs : int;
-      (** jobs published to the worker pool: the steps whose shards ran
-          on more than one domain *)
-  mutable join_wait_ns : float;
-      (** the main domain's wait at the join, from the end of its own
-          shard to the last worker's finish, summed over the handoffs
-          (clocked on every handoff) *)
   shard_ns : float array;
       (** per shard (index = shard): the time its marking and reduction
           budget loops took, so the entries sum to [mark_ns + red_ns].
-          At more than 1 domain a slow shard shows here. Empty from
+          At more than 1 domain an uneven split shows here. Empty from
           {!create}. *)
 }
 
@@ -88,6 +76,6 @@ val create : unit -> t
     step ran. *)
 val serial_fraction : t -> float
 
-(** Best-case speedup at [domains] workers under Amdahl's law with the
+(** Best-case speedup at [domains] cores under Amdahl's law with the
     measured serial fraction. *)
 val amdahl_speedup : t -> domains:int -> float

@@ -18,7 +18,7 @@ val stream : seed:int -> int -> t
     [seed] — a stateless derivation, so stream [i] is a pure function of
     [(seed, i)] and never of any other stream's draws. The engine gives
     each PE its own stream, which is what makes per-PE scheduling
-    randomness independent of how work is sharded across domains. *)
+    randomness independent of how the PEs are grouped into shards. *)
 
 val copy : t -> t
 

@@ -26,6 +26,5 @@ let () =
       ("properties", T_properties.suite);
       ("theorems", T_theorems.suite);
       ("merge", T_merge.suite);
-      ("workers", T_workers.suite);
       ("bench", T_bench.suite);
     ]

@@ -133,9 +133,7 @@ let test_stw_cleans_dangling_requesters () =
    so the tasks that address what was freed go stale. After every step
    no live vertex may point at a free slot, no live pending task may
    address a freed vertex, and the end state must not depend on how
-   many domains the shards ran on. With no
-   fault plane the shards run on the worker pool, so at 2 and 4 domains
-   the logging happens on worker domains. *)
+   the PEs are grouped into shards. *)
 let rc_machine_digest ~domains source expected =
   let module Engine = Dgr_sim.Engine in
   let config =
@@ -174,7 +172,6 @@ let rc_machine_digest ~domains source expected =
             (String.concat "," (List.map Vid.to_string (Graph.live_vids g)))
             (Dgr_sim.Metrics.to_json (Engine.metrics e))))
   in
-  Engine.dispose e;
   digest
 
 let test_rc_machine_safe_at_every_step () =

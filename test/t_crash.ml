@@ -328,7 +328,6 @@ let run_multi_crash ~domains =
   Alcotest.(check bool) (ctx ^ ": PEs crashed again after recovering") true
     (m.Metrics.crashes > 3 && m.Metrics.recoveries > 0);
   check_oracle ctx ~machine:ga ~replica:gb c;
-  Engine.dispose e;
   Printf.sprintf "now=%d crashes=%d recoveries=%d rehomed=%d live=%s" (Engine.now e)
     m.Metrics.crashes m.Metrics.recoveries m.Metrics.crash_rehomed
     (Helpers.live_digest ga)
@@ -375,8 +374,7 @@ let test_single_crash_no_checkpoint () =
   for _ = 1 to 40 do
     Engine.step e
   done;
-  Alcotest.(check (list string)) "graph valid after recovery" [] (Validate.check g);
-  Engine.dispose e
+  Alcotest.(check (list string)) "graph valid after recovery" [] (Validate.check g)
 
 let test_inject_crash_guards () =
   let g = Builder.random ~num_pes:2 (Rng.create 1) (Helpers.fuzz_spec 1) in
@@ -426,7 +424,6 @@ let test_crash_report_byte_identical () =
     let m = Engine.metrics e in
     Alcotest.(check bool) "the run actually crashed" true (m.Metrics.crashes > 0);
     let out = Dgr_harness.Report.render ~deterministic:true e in
-    Engine.dispose e;
     out
   in
   let a = render 1 in

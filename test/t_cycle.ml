@@ -214,8 +214,7 @@ let test_gar_oracle () =
     if crash then begin
       let config = Engine.Config.make ~num_pes:pes ~gc:Engine.No_gc ~heap_size:None () in
       let e = Engine.create ~config g empty_registry in
-      Engine.inject_crash e ~pe:(seed mod pes) ~down:5;
-      Engine.dispose e
+      Engine.inject_crash e ~pe:(seed mod pes) ~down:5
     end;
     ignore (Sync_engine.mark g Run.Priority ~seeds:[ Graph.root g ]);
     let verdict =
@@ -296,8 +295,7 @@ let released_and_reborn ~config =
    task per step, and a vital request ahead of it) when restructure
    releases its destination, and the slot is re-born before it pops.
    The request never executes — not on the new occupant either — and is
-   counted as one purge, at every domain count (on 2 and 4 the pop runs
-   on worker domains). *)
+   counted as one purge, at every domain count. *)
 let test_request_into_released_slot_never_runs () =
   List.iter
     (fun domains ->
@@ -325,7 +323,6 @@ let test_request_into_released_slot_never_runs () =
       let reborn = Graph.alloc ~from:(Graph.home_of_vid g junk) g (Label.Int 2) in
       Alcotest.(check int) (what "its slot re-born") junk (Vertex.id reborn);
       let (_ : int) = Engine.run ~max_steps:100 ~stop:(fun _ -> false) e in
-      Engine.dispose e;
       let m = Engine.metrics e in
       Alcotest.(check int) (what "only the vital request executed") 1 m.Metrics.reduction_executed;
       Alcotest.(check int) (what "one purge") 1 m.Metrics.tasks_purged;
@@ -349,7 +346,6 @@ let test_stale_task_does_not_seed () =
   Alcotest.(check bool) "the new occupant is no seed" false
     (Vertex.seed_stamp reborn = Graph.wave (Engine.graph e));
   let (_ : int) = Engine.run ~max_steps:1_000 ~stop:(fun _ -> Cycle.phase c <> Cycle.Mark_tasks) e in
-  Engine.dispose e;
   Alcotest.(check bool) "M_T finished" true (Cycle.phase c = Cycle.Mark_root);
   Alcotest.(check bool) "and never marked it" false (Vertex.marked reborn Plane.MT)
 

@@ -98,8 +98,7 @@ let test_next_wave_marks_during_drain () =
   (* overlap must not compromise the verdicts: the live tree survives,
      the garbage rings are gone, the graph validates *)
   Alcotest.(check int) "live tree intact" 63 (Graph.live_count g);
-  Alcotest.(check (list string)) "valid" [] (Validate.check g);
-  Engine.dispose e
+  Alcotest.(check (list string)) "valid" [] (Validate.check g)
 
 (* Waves are monotone: every phase the controller opens carries a
    strictly larger epoch than the one before it. *)
@@ -123,8 +122,7 @@ let test_waves_strictly_increase () =
     | a :: (b :: _ as rest) -> a < b && monotone rest
     | _ -> true
   in
-  Alcotest.(check bool) "phase epochs strictly increase" true (monotone waves);
-  Engine.dispose e
+  Alcotest.(check bool) "phase epochs strictly increase" true (monotone waves)
 
 (* A mark carrying a superseded epoch is dropped at dispatch — counted,
    never executed against the current wave's plane. Wave counters start
@@ -153,8 +151,7 @@ let test_stale_epoch_mark_dropped () =
   let done_before = Cycle.cycles_completed c in
   let (_ : Cycle.t) = run_cycles e (done_before + 2) in
   Alcotest.(check int) "live tree intact" 63 (Graph.live_count g);
-  Alcotest.(check (list string)) "valid" [] (Validate.check g);
-  Engine.dispose e
+  Alcotest.(check (list string)) "valid" [] (Validate.check g)
 
 (* A crash mid-wave restarts the phase on a fresh epoch without purging
    the machine: the dead wave's surviving marks are dropped at dispatch
@@ -184,8 +181,7 @@ let test_crash_mid_wave_overlapping_epochs () =
     (m.Metrics.stale_marks_dropped > 0);
   Alcotest.(check int) "crash recorded" 1 m.Metrics.crashes;
   Alcotest.(check int) "live tree intact" 63 (Graph.live_count g);
-  Alcotest.(check (list string)) "valid" [] (Validate.check g);
-  Engine.dispose e
+  Alcotest.(check (list string)) "valid" [] (Validate.check g)
 
 (* The whole overlapping-epoch machine is bit-deterministic across
    domain counts: same clock, same live set, same stale-drop and
@@ -197,7 +193,6 @@ let test_overlap_bit_identical_across_domains () =
     let (_ : Cycle.t) = run_cycles e 5 in
     let m = Engine.metrics e in
     let live = List.sort compare (Graph.live_vids g) in
-    Engine.dispose e;
     ( Engine.now e, live, m.Metrics.marking_executed,
       m.Metrics.stale_marks_dropped, m.Metrics.cycles_completed )
   in

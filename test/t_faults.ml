@@ -392,7 +392,6 @@ let run_differential ?(domains = 1) seed =
       f.Faults.dup_suppressed, f.Faults.stall_steps, m.Metrics.marking_executed,
       m.Metrics.stale_marks_dropped, m.Metrics.cycles_completed )
   in
-  Engine.dispose e;
   fp
 
 let test_differential_block () =
@@ -404,9 +403,7 @@ let test_differential_block () =
     retx := !retx + r;
     supp := !supp + s;
     (* every 5th seed: the same fault schedule must replay bit-identically
-       when the machine is sharded across 2 and 4 OCaml domains (a
-       faulted machine steps every shard job inline and never starts a
-       worker pool, so this checks the shard ranges, not the pool) *)
+       when the machine's PEs are split into 2 and 4 shards *)
     if seed mod 5 = 0 then begin
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: bit-identical at 2 domains" seed)
@@ -491,7 +488,6 @@ let run_crash_differential ?(domains = 1) seed =
       m.Metrics.marking_executed, m.Metrics.stale_marks_dropped,
       m.Metrics.cycles_completed )
   in
-  Engine.dispose e;
   fp
 
 let test_crash_differential_block () =

@@ -97,7 +97,6 @@ let test_report_deterministic () =
   let render () =
     let e = Dgr_harness.Bench.run_for_report ~domains:1 "fib-12-concurrent" in
     let s = Dgr_harness.Report.render ~deterministic:true e in
-    Dgr_sim.Engine.dispose e;
     s
   in
   let s1 = render () and s2 = render () in

@@ -341,7 +341,7 @@ let test_overflowing_trace_domain_invariant () =
   in
   let trace machine domains =
     let r = Recorder.create ~capacity:2_000 ~num_pes:pes () in
-    Engine.dispose (machine ~recorder:r ~domains);
+    ignore (machine ~recorder:r ~domains);
     let evs =
       List.map
         (fun (ev : Event.t) -> (ev.Event.step, ev.Event.seq, Format.asprintf "%a" Event.pp ev))
@@ -398,8 +398,7 @@ let test_inject_send_accounting () =
   Alcotest.(check int) "remote_messages" 0 m.Metrics.remote_messages;
   Alcotest.(check int) "local_messages" 0 m.Metrics.local_messages;
   Alcotest.(check bool) "staged before any step" true
-    (Helpers.network_entries e = [ (4, task) ]);
-  Engine.dispose e
+    (Helpers.network_entries e = [ (4, task) ])
 
 (* Cooperation deferred by a PE's shard is replayed at the barrier as
    that PE: a replayed [Coop_spawn] whose child is homed on the
@@ -414,7 +413,6 @@ let test_replayed_coop_spawn_is_local () =
   let e = Engine.create ~recorder:r ~config g templates in
   Engine.inject_root_demand e;
   ignore (Engine.run ~max_steps:20_000 e);
-  Engine.dispose e;
   Alcotest.(check bool) "finished" true (Engine.finished e);
   Alcotest.(check int) "trace complete" 0 (Recorder.dropped r);
   let evs = Array.of_list (Recorder.events r) in
@@ -457,7 +455,6 @@ let test_replay_joins_shard_frame () =
     let e = Engine.create ~recorder:r ~config g templates in
     Engine.inject_root_demand e;
     ignore (Engine.run ~max_steps:20_000 e);
-    Engine.dispose e;
     Alcotest.(check bool) (Printf.sprintf "domains %d: finished" domains) true (Engine.finished e);
     Alcotest.(check int) "trace complete" 0 (Recorder.dropped r);
     ((Engine.metrics e).Metrics.frames_sent, Array.of_list (Recorder.events r))

@@ -176,13 +176,11 @@ let test_division_by_zero_deadlocks () =
     | Some c -> not (Vid.Set.is_empty (Dgr_core.Cycle.deadlocked_ever c))
     | None -> false)
 
-(* The ownership guard on the sharded step: with 4 domains stepping 8
-   PEs, every edge-set mutation a worker performs must target a vertex
-   homed on the PE it is stepping (vertices born this step are exempt —
-   they cannot be visible to anyone else yet). The heavy-fault
-   invariant runs step their shards inline on the main domain, so this
-   is the test that runs the guard inside worker domains; the run must
-   also agree with the sequential engine field-for-field. *)
+(* The ownership guard on the sharded step: with 8 PEs in 4 shards,
+   every edge-set mutation a PE's budget performs must target a vertex
+   homed on that PE (vertices born this step are exempt — they cannot
+   be visible to anyone else yet); the run must also agree with the
+   1-shard engine field-for-field. *)
 let test_sharded_ownership () =
   let run domains =
     let config =
@@ -202,7 +200,6 @@ let test_sharded_ownership () =
         m.Metrics.reduction_executed,
         m.Metrics.remote_messages )
     in
-    Engine.dispose e;
     signature
   in
   let seq = run 1 and par = run 4 in

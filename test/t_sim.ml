@@ -388,7 +388,6 @@ let test_network_purge_records_destination () =
   List.iter (fun v -> Engine.inject e (Task.request v Demand.Vital)) [ v2; v0; v2'; v1 ];
   List.iter (Graph.release g) [ v2; v0; v2' ];
   let (_ : int) = Engine.run ~max_steps:100 e in
-  Engine.dispose e;
   Alcotest.(check int) "three purged" 3 (Engine.metrics e).Metrics.tasks_purged;
   let purge_events =
     List.filter_map
@@ -537,7 +536,6 @@ let check_marks_conserved ~what config =
       + in_pool
       + (Engine.metrics e).Metrics.marking_executed)
   done;
-  Engine.dispose e;
   (e, !pooled)
 
 let test_stalled_pe_receives_marks () =
@@ -704,7 +702,6 @@ let test_executed_per_pe () =
     let (_ : int) = Engine.run ~max_steps:200_000 e in
     let m = Engine.metrics e in
     let per_pe = Engine.executed_per_pe e in
-    Engine.dispose e;
     (per_pe, m.Metrics.reduction_executed + m.Metrics.marking_executed)
   in
   let one, total = run 1 and two, _ = run 2 in
@@ -712,6 +709,52 @@ let test_executed_per_pe () =
   Alcotest.(check int) "per-PE counts sum to the executed total" total
     (Array.fold_left ( + ) 0 one);
   Alcotest.(check (array int)) "same at 1 and 2 domains" one two
+
+(* A fib's expansions allocate on the PE that expands them, so its
+   reductions stay on its root's PE and one shard. [fib(n) + fib(n)]
+   starts its two calls on PEs of different shards at 8 PEs and 2 or 4
+   domains, so reductions run on two shards on most steps. Its end
+   state — clock, result, live set, every counter and histogram — must
+   not depend on how the PEs are grouped into shards. *)
+let test_two_shard_reductions () =
+  let prog =
+    "def fib n = if n < 2 then n else fib(n - 1) + fib(n - 2);\ndef main = fib(11) + fib(11);"
+  in
+  let run domains =
+    let config =
+      Engine.Config.make ~num_pes:8 ~domains
+        ~gc:(Engine.Concurrent { deadlock_every = 1; idle_gap = 20 })
+        ~jitter:0.1 ~seed:5 ()
+    in
+    let g, templates = Dgr_lang.Compile.load_string ~num_pes:8 prog in
+    let e = Engine.create ~config g templates in
+    Engine.inject_root_demand e;
+    let (_ : int) = Engine.run ~max_steps:200_000 e in
+    Alcotest.(check bool) (Printf.sprintf "%d domains: run finished" domains) true
+      (Engine.finished e);
+    let result =
+      match Engine.result e with Some v -> Format.asprintf "%a" Label.pp_value v | None -> "-"
+    in
+    let state =
+      Printf.sprintf "%d|%s|%s|%s" (Engine.now e) result
+        (String.concat "," (List.map Vid.to_string (Graph.live_vids (Engine.graph e))))
+        (Metrics.to_json (Engine.metrics e))
+    in
+    (Digest.to_hex (Digest.string state), Engine.executed_per_pe e)
+  in
+  let one, per_pe = run 1 in
+  let half lo = Array.fold_left ( + ) 0 (Array.sub per_pe lo 4) in
+  Alcotest.(check bool)
+    (Printf.sprintf "work on both halves (%d tasks on PEs 0-3, %d on 4-7)" (half 0) (half 4))
+    true
+    (10 * half 0 > half 4 && 10 * half 4 > half 0);
+  List.iter
+    (fun domains ->
+      Alcotest.(check string)
+        (Printf.sprintf "%d domains = 1 domain" domains)
+        one
+        (fst (run domains)))
+    [ 2; 4 ]
 
 (* The profiler reads the clock once per phase boundary, each reading
    closing one phase and opening the next, so the phases partition the
@@ -728,14 +771,12 @@ let test_phases_partition () =
     (fun (name, domains) ->
       let e = Dgr_harness.Bench.run_for_report ~domains name in
       let p = Engine.profile e in
-      Engine.dispose e;
       let what s = Printf.sprintf "%s at %d domains: %s" name domains s in
       Alcotest.(check bool) (what "steps ran") true (p.Profile.steps > 0 && p.Profile.total_ns > 0.0);
       Alcotest.(check bool) (what "the split was clocked") true
         (p.Profile.transport_ns > 0.0 && p.Profile.execute_ns > 0.0);
-      if domains = 1 then
-        Alcotest.(check bool) (what "budget loops within execute") true
-          (p.Profile.mark_ns +. p.Profile.red_ns <= p.Profile.execute_ns);
+      Alcotest.(check bool) (what "budget loops within execute") true
+        (p.Profile.mark_ns +. p.Profile.red_ns <= p.Profile.execute_ns);
       Alcotest.(check (float 0.0))
         (what "phase words sum to total_mw")
         p.Profile.total_mw
@@ -761,8 +802,8 @@ let test_phases_partition () =
     ]
 
 (* A step on which a cycle ends — its restructure passes walk every
-   slot, on the main domain — shows its restructure time inside its GC
-   time, and GC and bookkeeping inside the step's. *)
+   slot — shows its restructure time inside its GC time, and GC and
+   bookkeeping inside the step's. *)
 let test_gc_exact_cycle_end () =
   let config =
     Engine.Config.make ~num_pes:4 ~gc:(Engine.Concurrent { deadlock_every = 1; idle_gap = 5 }) ()
@@ -853,7 +894,6 @@ let test_stall_retry_alloc () =
   done;
   let words = Gc.minor_words () -. w0 in
   let retries = red.Dgr_reduction.Reducer.alloc_stalls - stalls0 in
-  Engine.dispose e;
   Alcotest.(check int) "one retry per 64 steps" 100 retries;
   Alcotest.(check bool) "still parked" true (Dgr_reduction.Reducer.parked_count red = 1);
   let per_retry = words /. float_of_int retries in
@@ -880,7 +920,6 @@ let test_reduction_alloc_per_task () =
   Alcotest.(check (option int)) "fib 12"
     (Some (Dgr_lang.Prelude.fib_expected 12))
     (match Engine.result e with Some (Label.V_int n) -> Some n | _ -> None);
-  Engine.dispose e;
   let per_task = p.Profile.execute_mw /. float_of_int reductions in
   if per_task > bound then
     Alcotest.failf "%.2f execute-phase minor words per reduction over %d reductions (bound %.0f)"
@@ -908,7 +947,6 @@ let test_forwarded_request_alloc_free () =
     Engine.step e
   done;
   let words = Gc.minor_words () -. w0 and forwarded = requests () - r0 in
-  Engine.dispose e;
   Alcotest.(check bool) "the request keeps circulating" true (forwarded >= 1_000);
   Alcotest.(check (float 0.0))
     (Printf.sprintf "minor words per forwarded request over %d hops" forwarded)
@@ -970,6 +1008,12 @@ let suite =
       test_reduction_alloc_per_task;
     Alcotest.test_case "a forwarded request allocates nothing" `Quick
       test_forwarded_request_alloc_free;
+    Alcotest.test_case "config rejects domains < 1" `Quick
+      (config_rejects "domains"
+         ~make:(fun v -> Engine.Config.make ~domains:v ())
+         ~update:Engine.Config.with_domains ~get:Engine.Config.domains);
+    Alcotest.test_case "reductions on two shards: bytes at 1, 2 and 4 domains" `Quick
+      test_two_shard_reductions;
   ]
 
 (* Delivery jitter: deterministic per seed; results invariant. *)
