@@ -5,9 +5,10 @@ open Dgr_task
 
     Executes marking tasks from a single queue until quiescence — no PEs,
     no network. This is the harness for unit tests, property tests (which
-    interleave adversarial mutations between task executions), and the
-    algorithmic micro-benchmarks; the full distributed execution lives in
-    [Dgr_sim]. It drives both bookkeeping schemes — marking-tree runs
+    interleave adversarial mutations between task executions), the
+    algorithmic micro-benchmarks, and the simulator's stop-the-world
+    collector, which runs M_R here while the machine is halted; the full
+    distributed execution lives in [Dgr_sim]. It drives both bookkeeping schemes — marking-tree runs
     ({!start}) and §6 floods ({!start_flood}), one per plane — on the
     machine's mark path: marks queue as lanes on a {!Mark_ring} and go
     straight to [Marker.execute] / [Flood.execute].

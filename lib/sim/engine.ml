@@ -9,8 +9,8 @@ module Run = Dgr_core.Run
 module Flood = Dgr_core.Flood
 module Invariants = Dgr_core.Invariants
 module Reducer = Dgr_reduction.Reducer
+module Restructure = Dgr_core.Restructure
 module Refcount = Dgr_baseline.Refcount
-module Stw = Dgr_baseline.Stw
 
 type gc_mode =
   | No_gc
@@ -96,7 +96,7 @@ module Config = struct
     let latency = positive "latency" latency in
     let gc = gc_mode gc in
     let gc_work_factor = positive "gc_work_factor" gc_work_factor in
-    let domains = positive "domains" domains in
+    let domains = Int.min (positive "domains" domains) num_pes in
     let jitter = probability "jitter" jitter in
     let faults = rates faults in
     {
@@ -124,8 +124,11 @@ module Config = struct
   let domains t = t.machine.domains
   let batch t = t.network.batch
 
+  (* A shard holds at least one PE: [domains] is clamped to [num_pes]
+     here, so every reader sees the count the machine runs. *)
   let with_num_pes v t =
-    { t with machine = { t.machine with num_pes = positive "num_pes" v } }
+    let num_pes = positive "num_pes" v in
+    { t with machine = { t.machine with num_pes; domains = Int.min t.machine.domains num_pes } }
 
   let with_latency v t = { t with network = { t.network with latency = positive "latency" v } }
 
@@ -138,7 +141,8 @@ module Config = struct
   let with_jitter v t = { t with network = { t.network with jitter = probability "jitter" v } }
   let with_faults v t = { t with network = { t.network with faults = rates v } }
   let with_domains v t =
-    { t with machine = { t.machine with domains = positive "domains" v } }
+    let domains = Int.min (positive "domains" v) t.machine.num_pes in
+    { t with machine = { t.machine with domains } }
   let with_batch v t = { t with network = { t.network with batch = v } }
 end
 
@@ -215,6 +219,8 @@ type t = {
   mutable paused_until : int;
   mutable next_cycle_at : int;
   mutable next_stw_at : int;
+  stw_verdicts : Restructure.verdicts;
+      (** stop-the-world's restructure vectors, reused by every collection *)
   flt : Faults.t option;
   stall_until : int array;  (** per PE: first step it executes again *)
   (* Crash plane. [ckpts] is built lazily at the first step on which
@@ -582,6 +588,18 @@ let each_home_run t f =
   done;
   t.ph_ns.(k_restr) <- t.ph_ns.(k_restr) +. (clock () -. r0)
 
+(* Restructure's pool pass, after its releases: every pool drops the
+   entries the releases made stale and re-sorts the rest by the
+   priorities just persisted. Returns how many entries moved. *)
+let reprioritize t =
+  let moved = ref 0 in
+  Array.iteri
+    (fun pe pool ->
+      let dead stamp _ _ _ _ _ _ = serial_drop t ~pe stamp in
+      moved := !moved + Pool.reprioritize ~dead pool)
+    t.pools;
+  !moved
+
 let create ?recorder ?(config = Config.default) g templates =
   (match config.Config.gc.Config.heap_size with
   | Some c -> Graph.set_capacity g (Some (Int.max c (Graph.vertex_count g)))
@@ -657,7 +675,7 @@ let create ?recorder ?(config = Config.default) g templates =
     ctx
   in
   let cctl = make_ctx ~pe:(-1) ~pm:(Metrics.create ()) ~sub:recorder in
-  let domains = Int.max 1 (Int.min (Config.domains config) num_pes) in
+  let domains = Config.domains config in
   let t =
     {
       cfg = config;
@@ -687,6 +705,7 @@ let create ?recorder ?(config = Config.default) g templates =
       paused_until = 0;
       next_cycle_at = 0;
       next_stw_at = (match Config.gc config with Stop_the_world { every } -> every | _ -> 0);
+      stw_verdicts = Restructure.verdicts ();
       flt;
       stall_until = Array.make (Int.max 1 num_pes) 0;
       ckpts = [||];
@@ -787,21 +806,12 @@ let create ?recorder ?(config = Config.default) g templates =
             if d >= 0 then f d
           end)
     in
-    let reprioritize () =
-      let moved = ref 0 in
-      Array.iteri
-        (fun pe pool ->
-          let dead stamp _ _ _ _ _ _ = serial_drop t ~pe stamp in
-          moved := !moved + Pool.reprioritize ~dead pool)
-        t.pools;
-      !moved
-    in
     let env =
       {
         Cycle.spawn_mark = cctl.cemit;
         pes = num_pes;
         iter_pe_endpoints;
-        reprioritize;
+        reprioritize = (fun () -> reprioritize t);
         each_home = each_home_run t;
         now = (fun () -> t.now);
       }
@@ -961,7 +971,7 @@ let recover_deadlocks t report =
         List.iter (fun c -> Mutator.delete_reference t.mut ~a:v ~b:c) (Vertex.args vx);
         Vertex.clear_reduction_state vx
       end)
-    report.Dgr_core.Restructure.deadlocked
+    report.Restructure.deadlocked
 
 (* Memory pressure: collect early when the allocatable reserve runs low
    (an eighth of the heap, at least 64 slots). *)
@@ -1007,9 +1017,19 @@ let gc_control t =
       || (under_pressure t && t.now >= t.next_stw_at - (3 * every / 4))
     then begin
       if t.now < t.next_stw_at then obs t (Dgr_obs.Event.Heap_pressure { headroom = Graph.headroom t.g });
-      let report = Stw.collect t.g in
+      (* §4's conventional collector: the paper's M_R, run to completion
+         as mark1 (no task priorities) while the machine is halted, then
+         restructure's releases. The pause charges the survivors traced
+         plus the table swept. *)
+      if Graph.has_root t.g then
+        ignore (Dgr_core.Sync_engine.mark t.g Run.Basic ~seeds:[ Graph.root t.g ] : Run.t);
+      ignore
+        (Restructure.run ~graph:t.g ~deadlock_checked:false
+           ~reprioritize:(fun () -> reprioritize t)
+           ~each_home:(each_home_run t) ~verdicts:t.stw_verdicts ()
+          : Restructure.report);
       t.m.Metrics.stw_collections <- t.m.Metrics.stw_collections + 1;
-      pause t ~reason:Dgr_obs.Event.Stw_pause report.Stw.work;
+      pause t ~reason:Dgr_obs.Event.Stw_pause (Graph.live_count t.g + Graph.vertex_count t.g);
       t.next_stw_at <- Int.max t.paused_until t.now + every;
       unpark t
     end
@@ -1024,7 +1044,7 @@ let gc_control t =
         (* Restructure is the concurrent scheme's only stop: a sweep over
            the live vertices plus the slots being reclaimed. *)
         pause t ~reason:Dgr_obs.Event.Restructure_pause
-          (Graph.live_count t.g + report.Dgr_core.Restructure.garbage);
+          (Graph.live_count t.g + report.Restructure.garbage);
         if Config.recover_deadlock t.cfg then recover_deadlocks t report;
         (* Decentralized initiation: the next cycle's mark wave may open
            while this cycle's restructure pause is still draining — the

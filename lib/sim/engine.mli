@@ -14,7 +14,9 @@ open Dgr_task
     - [Concurrent _]: the paper's system — endless M_T/M_R cycles running
       {e while reduction mutates the graph}, restructure charged as the
       only pause;
-    - [Stop_the_world _]: halt everything and trace (§4's strawman);
+    - [Stop_the_world _]: halt everything, run M_R (as mark1 from the
+      root) to completion and restructure (§4's strawman: the paper's
+      own marking, but with the computation halted);
     - [Refcount]: distributed reference counting (§4's other strawman).
 
     Pauses are modeled by converting synchronous work (STW trace+sweep,
@@ -53,7 +55,9 @@ module Config : sig
             between step barriers. Purely a grouping — live sets,
             verdicts and digests for a (config, seed) pair are identical
             at every shard count, which the golden and fuzz runs check
-            at 1 to 4. At least 1 (default 1); clamped to [num_pes]. *)
+            at 1 to 4. At least 1 (default 1). {!make},
+            {!with_domains} and {!with_num_pes} clamp it to [num_pes],
+            so every reader sees the count the machine runs. *)
   }
 
   type gc = {
@@ -102,7 +106,9 @@ module Config : sig
             same arrival step and per-link order, either way. *)
   }
 
-  type t = { machine : machine; gc : gc; network : network }
+  type t = private { machine : machine; gc : gc; network : network }
+  (** Built only by {!make} and the updaters, which keep [domains] at
+      most [num_pes]. *)
 
   val make :
     ?num_pes:int ->

@@ -306,9 +306,6 @@ type t = {
   mutable inbox : batch Vec.t array;
       (* delivered frames parked per destination until the destination's
          shard takes their marks (see [take_mark_lanes]) *)
-  mutable spent : batch Vec.t array;
-      (* per destination: frames its shard emptied, recycled at the next
-         tick *)
   mutable links : link array;
       (* [(src + 1) * pes + dst] -> the link's record, [no_link] until its
          first send; sized by [reserve] under faults, empty otherwise *)
@@ -349,7 +346,6 @@ let create ?recorder ?lineage ?faults ?(batch = true) () =
     senders = [||];
     sharding = false;
     inbox = [||];
-    spent = [||];
     links = [||];
     no_link = fresh_link ~src:min_int ~dst:min_int;
     timers = Pqueue.create ();
@@ -737,7 +733,6 @@ let reserve t ~pes =
         old
     end;
     t.inbox <- grow t.inbox;
-    t.spent <- grow t.spent;
     Array.iter (fun s -> s.forming <- grow s.forming) t.senders;
     let ns = Array.length t.senders in
     t.senders <-
@@ -954,12 +949,13 @@ let deliver_batch t b ~now ~push =
   | None | Some _ -> deliver_tasks t b ~now ~push);
   b.b_marks > 0
 
-(* Return a delivered frame to its sender's free list, outside the shard
-   phase. After delivery the batch is referenced nowhere that reads it:
-   the flush emptied [staged] and the index, and a lossy send's row
-   keeps its own delay and captured head, its slot in the link's frame
-   ring [no_batch]. Each list is capped so a burst
-   does not pin its high-water mark of vectors forever. *)
+(* Return a delivered frame to its sender's free list: at delivery, or
+   from its destination's shard once its marks are taken. After delivery
+   the batch is referenced nowhere that reads it: the flush emptied
+   [staged] and the index, and a lossy send's row keeps its own delay
+   and captured head, its slot in the link's frame ring [no_batch]. Each
+   list is capped so a burst does not pin its high-water mark of vectors
+   forever. *)
 let free_batches_cap = 32
 
 let recycle_batch t b =
@@ -971,15 +967,6 @@ let recycle_batch t b =
     b.b_marks <- 0;
     Vec.push fl b
   end
-
-let reclaim_spent t =
-  for pe = 0 to Array.length t.spent - 1 do
-    let sp = t.spent.(pe) in
-    for k = 0 to Vec.length sp - 1 do
-      recycle_batch t (Vec.get sp k)
-    done;
-    Vec.clear sp
-  done
 
 (* Standalone credits drain in arrival order (FIFO among equals) in both
    regimes; [learn] is idempotent and order-insensitive anyway, so this
@@ -1035,7 +1022,6 @@ let receive t f l fseq ~pack ~epoch ~sent ~executed ~delay ~now ~push =
 
 let deliver_serial t ~now ~push =
   check_sealed t "deliver_serial";
-  reclaim_spent t;
   t.clock <- now;
   drain_credits t ~now;
   match t.faults with
@@ -1087,16 +1073,16 @@ let deliver_serial t ~now ~push =
       end
     done
 
-(* Runs on [pe]'s shard: it touches only [pe]'s inbox and spent list. A
-   parked frame is read nowhere else once its marks are taken, so it is
-   recycled at the next tick, on either channel. *)
+(* Runs on [pe]'s shard. A parked frame is read nowhere else once its
+   marks are taken, so it goes back to its sender's free list at once, on
+   either channel. *)
 let take_frames t ~pe x (f : 'a -> batch -> unit) =
   if pe < Array.length t.inbox then begin
     let ib = t.inbox.(pe) in
     for k = 0 to Vec.length ib - 1 do
       let b = Vec.get ib k in
       f x b;
-      Vec.push t.spent.(pe) b
+      recycle_batch t b
     done;
     Vec.clear ib
   end

@@ -187,10 +187,12 @@ val deliver_serial : t -> now:int -> push:(int -> int array -> int -> string -> 
 val take_mark_lanes : t -> pe:int -> Mark_ring.t -> unit
 (** The shard half of the tick: push every mark parked for [pe] since
     the last {!deliver_serial} onto [ring] (the PE pool's mark queue), in
-    delivery order, one ring call per frame, and empty the inbox. Marks
+    delivery order, one ring call per frame, and empty the inbox; each
+    emptied frame goes back to its sender's free list at once. Marks
     are never ticketed, so no stamp is carried. Calls for distinct PEs
-    touch disjoint state, so their order never shows; each PE's inbox
-    must be emptied before the next tick. *)
+    differ only in which free record a later send reuses, so their
+    order never shows; each PE's inbox must be emptied before the next
+    tick. *)
 
 val deliver_into : t -> now:int -> push:(int -> int -> Task.t -> unit) -> unit
 (** The whole tick at once, as views: {!deliver_serial} with each

@@ -238,3 +238,35 @@ let drain_split ?(budget = max_int) ?(mark = fun _ _ _ -> ()) pool =
     ~dead:(fun _ _ _ dst _ _ _ -> dropped := dst :: !dropped)
     ~mark;
   (List.rev !ran, List.rev !dropped)
+
+(* --- the stop-the-world oracle ----------------------------------------- *)
+
+(* A whole-graph mark & sweep over a snapshot: BFS from the root through
+   [args], release the rest, drop dangling requester entries. It shares
+   no code with the engine's collectors, so the fuzz compares a
+   machine's live set against it. [work] is the engine's stop-the-world
+   pause formula: vertices traced plus the table swept. *)
+module Stw = struct
+  type report = { marked : int; reclaimed : int; work : int }
+
+  let collect g =
+    let snap = Snapshot.take g in
+    let reachable =
+      if Graph.has_root g then Dgr_analysis.Reach.reachable_from snap [ Graph.root g ]
+      else Vid.Set.empty
+    in
+    let garbage =
+      Graph.fold_live
+        (fun acc v -> if Vid.Set.mem (Vertex.id v) reachable then acc else Vertex.id v :: acc)
+        [] g
+    in
+    let gar_set = Vid.Set.of_list garbage in
+    Graph.iter_live
+      (fun v ->
+        if Vid.Set.mem (Vertex.id v) reachable then
+          Vertex.retain_requesters v (fun r -> not (Vid.Set.mem r gar_set)))
+      g;
+    List.iter (Graph.release g) garbage;
+    let marked = Vid.Set.cardinal reachable in
+    { marked; reclaimed = List.length garbage; work = marked + Graph.vertex_count g }
+end

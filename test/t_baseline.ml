@@ -93,6 +93,25 @@ let test_rc_free_makes_tasks_stale () =
   Alcotest.(check bool) "a send after the free is not" false
     (Dgr_task.Task.stale g (Graph.releases g) r)
 
+(* Stop-the-world is the engine's own arm: mark1 from the root on a mark
+   ring, then restructure's release path. [stw_machine g] wraps [g] in a
+   machine that collects every [every] steps (default 1); [collect_once
+   e] steps it through its next collection. *)
+let stw_machine ?(num_pes = 4) ?(tasks_per_step = 2) ?(every = 1) g =
+  let module Engine = Dgr_sim.Engine in
+  let config =
+    Engine.Config.make ~num_pes ~tasks_per_step ~gc:(Engine.Stop_the_world { every }) ()
+  in
+  Engine.create ~config g (Dgr_reduction.Template.create_registry ())
+
+let stw_collections e = (Dgr_sim.Engine.metrics e).Dgr_sim.Metrics.stw_collections
+
+let collect_once e =
+  let n = stw_collections e in
+  while stw_collections e = n do
+    Dgr_sim.Engine.step e
+  done
+
 let test_stw_collects_and_purges () =
   let g = Graph.create () in
   let live = Builder.chain g 4 in
@@ -108,9 +127,11 @@ let test_stw_collects_and_purges () =
         (Graph.releases g, r))
       [ Dgr_task.Task.request junk Demand.Eager; Dgr_task.Task.request live Demand.Vital ]
   in
-  let report = Stw.collect g in
-  Alcotest.(check int) "marked" 4 report.Stw.marked;
-  Alcotest.(check int) "reclaimed" 5 report.Stw.reclaimed;
+  let e = stw_machine g in
+  let before = Graph.live_count g in
+  collect_once e;
+  Alcotest.(check int) "marked" 4 (Graph.live_count g);
+  Alcotest.(check int) "reclaimed" 5 (before - Graph.live_count g);
   Alcotest.(check int) "only the junk task is stale" 1
     (List.length (List.filter (fun (gen, r) -> Dgr_task.Task.stale g gen r) tasks));
   Alcotest.(check bool) "junk freed" true (Vertex.free (Graph.vertex g junk));
@@ -122,10 +143,68 @@ let test_stw_cleans_dangling_requesters () =
   let live = Builder.add_root g Label.Bottom [] in
   let junk = Builder.add g Label.If [] in
   Vertex.add_requester (Graph.vertex g live) (Some junk) ~demand:Demand.Eager ~key:live;
-  let (_ : Stw.report) = Stw.collect g in
+  collect_once (stw_machine g);
   Alcotest.(check bool) "junk reclaimed" true (Vertex.free (Graph.vertex g junk));
   Alcotest.(check int) "dangling requester dropped" 0
     (List.length (Vertex.requested (Graph.vertex g live)))
+
+(* The engine's collection against the Reach oracle on two copies of
+   one random graph (requester rows included): the same survivors, the
+   same requester rows on them, a valid graph, and the oracle's pause
+   work charged. *)
+let test_stw_matches_reach_oracle () =
+  let module Metrics = Dgr_sim.Metrics in
+  for seed = 0 to 19 do
+    let num_pes = 1 + (seed mod 4) in
+    let build () =
+      Builder.random_with_requests ~num_pes (Dgr_util.Rng.create seed) (Helpers.fuzz_spec seed)
+    in
+    let ga = build () and gb = build () in
+    let e = stw_machine ~num_pes ga in
+    let before = Graph.live_count ga in
+    collect_once e;
+    let oracle = Helpers.Stw.collect gb in
+    let what s = Printf.sprintf "seed %d: %s" seed s in
+    Helpers.check_vid_set (what "live set = oracle's")
+      (Vid.Set.of_list (Graph.live_vids gb))
+      (Vid.Set.of_list (Graph.live_vids ga));
+    Alcotest.(check int) (what "reclaimed = oracle's") oracle.Helpers.Stw.reclaimed
+      (before - Graph.live_count ga);
+    List.iter
+      (fun v ->
+        let whos g = List.map (fun r -> r.Vertex.who) (Vertex.requested (Graph.vertex g v)) in
+        Alcotest.(check (list (option int))) (what "requester rows = oracle's") (whos gb) (whos ga))
+      (Graph.live_vids gb);
+    Alcotest.(check (list string)) (what "graph validates") [] (Validate.check ga);
+    let c = Dgr_sim.Engine.config e in
+    let per_step = Dgr_sim.Engine.Config.(num_pes c * tasks_per_step c * gc_work_factor c) in
+    Alcotest.(check int) (what "pause = the oracle's work")
+      ((oracle.Helpers.Stw.work + per_step - 1) / per_step)
+      (Dgr_sim.Engine.metrics e).Metrics.total_pause_steps
+  done
+
+(* A reduction pooled behind another when a collection releases its
+   destination is dropped at that collection, not when it is next
+   popped. *)
+let test_stw_drops_stale_pooled () =
+  let module Engine = Dgr_sim.Engine in
+  let g = Graph.create () in
+  let live = Builder.add_root g (Label.Int 1) [] in
+  let junk = Builder.cycle g 3 in
+  (* The injected requests arrive after the controller's latency, on
+     the step the first collection runs. *)
+  let every = Engine.Config.latency Engine.Config.default in
+  let e = stw_machine ~num_pes:1 ~tasks_per_step:1 ~every g in
+  (* the vital request pops first and fills the step's budget *)
+  Engine.inject e (Dgr_task.Task.request live Demand.Vital);
+  Engine.inject e (Dgr_task.Task.request junk Demand.Eager);
+  collect_once e;
+  Alcotest.(check int) "the vital request ran" 1
+    (Engine.metrics e).Dgr_sim.Metrics.reduction_executed;
+  Alcotest.(check int) "nothing in flight" 0 (Dgr_sim.Network.size (Engine.network e));
+  Alcotest.(check bool) "junk released" true (Vertex.free (Graph.vertex g junk));
+  Alcotest.(check int) "the pool holds nothing" 0 (Dgr_sim.Pool.length (Engine.pool e 0));
+  Alcotest.(check int) "one task dropped" 1 (Engine.metrics e).Dgr_sim.Metrics.tasks_purged
 
 (* A refcounting machine steps its shards like any other machine: each
    PE logs its count changes and the barrier applies them — every
@@ -202,6 +281,9 @@ let suite =
     Alcotest.test_case "stw collects and purges" `Quick test_stw_collects_and_purges;
     Alcotest.test_case "stw cleans dangling requesters" `Quick
       test_stw_cleans_dangling_requesters;
+    Alcotest.test_case "stw releases the Reach oracle's garbage" `Quick
+      test_stw_matches_reach_oracle;
+    Alcotest.test_case "stw drops a pooled task it made stale" `Quick test_stw_drops_stale_pooled;
     Alcotest.test_case "rc machine: no dangling slot or task, same bytes at 1/2/4 domains"
       `Quick test_rc_machine_safe_at_every_step;
   ]

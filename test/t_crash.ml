@@ -180,9 +180,7 @@ let crash_events r =
    same mutations, never crashed) stop-the-world, and demand the
    machine's live set and its last cycle's deadlock verdict match. *)
 let check_oracle ctx ~machine ~replica c =
-  let (_ : Dgr_baseline.Stw.report) =
-    Dgr_baseline.Stw.collect replica
-  in
+  let (_ : Helpers.Stw.report) = Helpers.Stw.collect replica in
   Helpers.check_vid_set (ctx ^ ": live set = fault-free STW live set")
     (Vid.Set.of_list (Graph.live_vids replica))
     (Vid.Set.of_list (Graph.live_vids machine));

@@ -359,9 +359,7 @@ let run_differential ?(domains = 1) seed =
   Alcotest.(check bool) (ctx ^ ": cycles keep completing under faults") true
     (Dgr_core.Cycle.cycles_completed c >= target);
   (* Oracle: halt the fault-free replica and trace it. *)
-  let (_ : Dgr_baseline.Stw.report) =
-    Dgr_baseline.Stw.collect gb
-  in
+  let (_ : Helpers.Stw.report) = Helpers.Stw.collect gb in
   Helpers.check_vid_set (ctx ^ ": live set = fault-free STW live set")
     (Vid.Set.of_list (Graph.live_vids gb))
     (Vid.Set.of_list (Graph.live_vids ga));
@@ -468,9 +466,7 @@ let run_crash_differential ?(domains = 1) seed =
   done;
   Alcotest.(check bool) (ctx ^ ": cycles keep completing under crashes") true
     (Dgr_core.Cycle.cycles_completed c >= target);
-  let (_ : Dgr_baseline.Stw.report) =
-    Dgr_baseline.Stw.collect gb
-  in
+  let (_ : Helpers.Stw.report) = Helpers.Stw.collect gb in
   Helpers.check_vid_set (ctx ^ ": live set = fault-free STW live set")
     (Vid.Set.of_list (Graph.live_vids gb))
     (Vid.Set.of_list (Graph.live_vids ga));

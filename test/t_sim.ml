@@ -568,6 +568,24 @@ let config_rejects field ~make ~update ~get () =
       ignore (update 0 Engine.Config.default));
   Alcotest.(check int) (field ^ ": 1 accepted") 1 (get (update 1 (make 1)))
 
+(* A shard holds at least one PE. The config clamps the shard count to
+   the PE count, so the engine, its reports and a BENCH row all read the
+   count the machine runs, whichever of [make] and the updaters set it. *)
+let test_config_clamps_domains () =
+  let module C = Engine.Config in
+  Alcotest.(check int) "make" 4 (C.domains (C.make ~num_pes:4 ~domains:16 ()));
+  Alcotest.(check int) "with_domains" 4 (C.domains (C.with_domains 16 (C.make ~num_pes:4 ())));
+  Alcotest.(check int) "with_num_pes" 2
+    (C.domains (C.with_num_pes 2 (C.make ~num_pes:8 ~domains:4 ())));
+  Alcotest.(check int) "a count within range is kept" 3
+    (C.domains (C.make ~num_pes:8 ~domains:3 ()));
+  match
+    Dgr_harness.Bench.run_suite ~domains:16 ~only:[ "fib-12-concurrent" ] ~smoke:true
+      ~deterministic:true ()
+  with
+  | [ row ] -> Alcotest.(check int) "a BENCH row" 4 row.Dgr_harness.Bench.domains
+  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
+
 (* Fault rates are probabilities, and a channel that drops everything
    delivers nothing: both are refused by [make] and [with_faults]. *)
 let test_config_rejects_fault_rates () =
@@ -1012,6 +1030,7 @@ let suite =
       (config_rejects "domains"
          ~make:(fun v -> Engine.Config.make ~domains:v ())
          ~update:Engine.Config.with_domains ~get:Engine.Config.domains);
+    Alcotest.test_case "config clamps domains to num_pes" `Quick test_config_clamps_domains;
     Alcotest.test_case "reductions on two shards: bytes at 1, 2 and 4 domains" `Quick
       test_two_shard_reductions;
   ]
