@@ -225,8 +225,16 @@ let witness_cooperate t run ~a ~b ~c =
     let prior = coop_priority g pid ~parent:b ~child:c in
     Marker.execute run ~pe:(t.coop_pe ()) ~emit:t.spawn c b run.Run.metas.(prior)
   end
-  (* marked a / marked b: c is at least transient by invariant 2;
-     unmarked a, or transient a with non-unmarked b: covered by b. *)
+  else if Vertex.marked va pid && Vertex.unmarked vb pid then
+    (* A marked [a] may point to an unmarked [b] whose mark task is still
+       pending (the refined invariant 2, see [Invariants]); [c] may then
+       be unmarked with no task of its own, and [b] does not cover the
+       new edge until its task runs. Cooperate as for any new edge below
+       a marked parent: mark [c]'s unmarked component. *)
+    closure t run ~from:c ~prior:(coop_priority g pid ~parent:a ~child:c)
+  (* marked a / marked b: c is marked, transient or has a pending task
+     by invariant 2; unmarked a, or transient a with non-unmarked b:
+     covered by b. *)
 
 let coop_witness t run ~a ~b ~c =
   match t.defer with

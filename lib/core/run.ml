@@ -27,7 +27,7 @@ let metas_of variant ~wave =
       | Priority -> meta ~kind:kind_mark2 ~plane:Plane.MR ~prior ~ep:wave
       | Tasks -> meta ~kind:kind_mark3 ~plane:Plane.MT ~prior:0 ~ep:wave)
 
-let prior_in metas meta =
+let prior_in (metas : int array) (meta : int) =
   if meta = metas.(0) then 0
   else if meta = metas.(1) then 1
   else if meta = metas.(2) then 2

@@ -2,69 +2,68 @@ open Dgr_util
 
 exception Out_of_vertices
 
-(* A segment: append-only vertex storage with a fixed chunk directory.
-   Chunk [j] holds [base_size * 2^j] slots and, once allocated, never
-   moves, so a vertex handle, which caches its chunk's columns, stays
-   valid however the segment grows. A fresh vid only escapes its
+(* A segment: append-only vertex storage in fixed chunks of [size]
+   slots. Slot [i] lives at offset [i land mask] of chunk [i lsr bits], so
+   a lookup is two array reads. A chunk, once allocated, never moves, so
+   a vertex handle, which caches its chunk's columns, stays valid however
+   the segment grows; only the chunk directory grows, by doubling, and
+   nothing caches the directory. Single writer per segment, and every
+   reader runs on the writer's domain (shards run inline), so a
+   directory swap is never seen half-made. A fresh vid only escapes its
    allocating PE via a message, which takes a step, so no other PE reads
-   a slot in the step it was pushed. Single writer per segment.
+   a slot in the step it was pushed.
 
    Each chunk owns a struct-of-arrays column set ([Vertex.cols]) holding
    the fixed-width per-vertex state; the handle directory is parallel to
    it. Columns obey the same no-move discipline as the handles. *)
 module Seg = struct
   type t = {
-    chunks : Vertex.t array array;
-    cols : Vertex.cols array;
+    mutable chunks : Vertex.t array array;
+    mutable cols : Vertex.cols array;
+    mutable pes : int array array;  (* each chunk's PE column *)
     mutable len : int;
   }
 
-  let n_chunks = 40
+  let bits = 9
 
-  let base_size = 512
+  let size = 1 lsl bits
 
-  let create () =
-    {
-      chunks = Array.make n_chunks [||];
-      cols = Array.make n_chunks Vertex.empty_cols;
-      len = 0;
-    }
+  let mask = size - 1
 
-  (* Chunk [j] starts at slot [base_size * (2^j - 1)]; slot [i] lives in
-     the chunk [chunk_of i], at offset [i - chunk_start j]. Two scalar
-     functions rather than one returning a pair: every vertex lookup goes
-     through here, and the pair would be a heap block per lookup. *)
-  let chunk_start j = base_size * ((1 lsl j) - 1)
-
-  let chunk_of i =
-    let j = ref 0 in
-    while i >= chunk_start (!j + 1) do
-      incr j
-    done;
-    !j
+  let create () = { chunks = [||]; cols = [||]; pes = [||]; len = 0 }
 
   let length t = t.len
 
-  let get t i =
-    let j = chunk_of i in
-    Array.unsafe_get (Array.unsafe_get t.chunks j) (i - chunk_start j)
+  let get t i = Array.unsafe_get (Array.unsafe_get t.chunks (i lsr bits)) (i land mask)
 
   (* The slot's PE, read from the chunk's column: the handle itself is
      never loaded. *)
-  let pe t i =
-    let j = chunk_of i in
-    Vertex.pe_at (Array.unsafe_get t.cols j) (i - chunk_start j)
+  let pe t i = Array.unsafe_get (Array.unsafe_get t.pes (i lsr bits)) (i land mask)
 
   let dummy = lazy (Vertex.create (-1) ~pe:(-1) Label.Freed)
 
-  (* Append a fresh slot, materializing the chunk (handles + columns) on
-     first touch, and return its handle. *)
+  (* Append a fresh slot, materializing its chunk (handles + columns) on
+     first touch and doubling the directory when it is full, and return
+     its handle. *)
   let alloc t id ~pe label =
-    let j = chunk_of t.len in
-    let off = t.len - chunk_start j in
-    if Array.length t.chunks.(j) = 0 then begin
-      t.cols.(j) <- Vertex.make_cols (base_size lsl j);
-      t.chunks.(j) <- Array.make (base_size lsl j) (Lazy.force dummy)
+    let j = t.len lsr bits and off = t.len land mask in
+    if off = 0 then begin
+      let n = Array.length t.chunks in
+      if j = n then begin
+        let n' = Int.max 4 (2 * n) in
+        let chunks = Array.make n' [||] and cols = Array.make n' Vertex.empty_cols in
+        let pes = Array.make n' [||] in
+        Array.blit t.chunks 0 chunks 0 n;
+        Array.blit t.cols 0 cols 0 n;
+        Array.blit t.pes 0 pes 0 n;
+        t.chunks <- chunks;
+        t.cols <- cols;
+        t.pes <- pes
+      end;
+      let c = Vertex.make_cols size in
+      t.cols.(j) <- c;
+      t.pes.(j) <- Vertex.pe_column c;
+      t.chunks.(j) <- Array.make size (Lazy.force dummy)
     end;
     let v = Vertex.attach id ~off t.cols.(j) ~pe label in
     t.chunks.(j).(off) <- v;
@@ -72,26 +71,16 @@ module Seg = struct
     v
 
   let iter f t =
-    let remaining = ref t.len and j = ref 0 in
-    while !remaining > 0 do
-      let chunk = t.chunks.(!j) in
-      let n = Int.min !remaining (Array.length chunk) in
-      for off = 0 to n - 1 do
-        f (Array.unsafe_get chunk off)
-      done;
-      remaining := !remaining - n;
-      incr j
+    for i = 0 to t.len - 1 do
+      f (get t i)
     done
 
   (* Bulk plane reset, one column fill per materialized chunk. Slots past
      [len] are pristine already, so whole-chunk fills are equivalent to
      per-slot resets. *)
   let reset_plane t plane =
-    let remaining = ref t.len and j = ref 0 in
-    while !remaining > 0 do
-      Vertex.reset_plane_cols t.cols.(!j) plane;
-      remaining := !remaining - Int.min !remaining (Array.length t.chunks.(!j));
-      incr j
+    for j = 0 to ((t.len + mask) lsr bits) - 1 do
+      Vertex.reset_plane_cols t.cols.(j) plane
     done
 end
 
@@ -238,29 +227,37 @@ let has_root t = t.root <> None
 
 let set_root t r = t.root <- Some r
 
+let unknown v = invalid_arg (Printf.sprintf "Graph.vertex: unknown vertex v%d" v)
+
+(* A partitioned vid [v >= base] is slot [k] of home [h]'s segment, with
+   [v - base = k * pes + h]: one division, no [mod]. *)
 let mem t v =
   v >= 0
   &&
-  if v < Seg.length t.dense then true
+  if v < t.dense.Seg.len then true
   else
     match t.part with
     | None -> false
     | Some p ->
       let off = v - p.base in
-      off >= 0 && off / p.pes < Seg.length p.segs.(off mod p.pes)
+      off >= 0
+      &&
+      let k = off / p.pes in
+      k < p.segs.(off - (k * p.pes)).Seg.len
 
-(* [get seg i] on the segment and index holding vid [v]. *)
-let[@inline] at t v (get : Seg.t -> int -> 'a) =
-  if v >= 0 && v < Seg.length t.dense then get t.dense v
+(* The segment [vertex] and [pe] read, spelled out in each so that the
+   slot read is a direct array access, not a call through a function
+   argument. *)
+let vertex t v =
+  if v >= 0 && v < t.dense.Seg.len then Seg.get t.dense v
   else
     match t.part with
-    | Some p when v >= p.base && (v - p.base) / p.pes < Seg.length p.segs.((v - p.base) mod p.pes)
-      ->
-      get p.segs.((v - p.base) mod p.pes) ((v - p.base) / p.pes)
-    | Some _ | None ->
-      invalid_arg (Printf.sprintf "Graph.vertex: unknown vertex v%d" v)
-
-let vertex t v = at t v Seg.get
+    | Some p when v >= p.base ->
+      let off = v - p.base in
+      let k = off / p.pes in
+      let s = p.segs.(off - (k * p.pes)) in
+      if k < s.Seg.len then Seg.get s k else unknown v
+    | Some _ | None -> unknown v
 
 (* Vid-keyed scalar accessors: one slot lookup, no allocation. *)
 let label t v = Vertex.label (vertex t v)
@@ -269,7 +266,16 @@ let is_free t v = Vertex.free (vertex t v)
 
 let sched_prior t v = Vertex.sched_prior (vertex t v)
 
-let pe t v = at t v Seg.pe
+let pe t v =
+  if v >= 0 && v < t.dense.Seg.len then Seg.pe t.dense v
+  else
+    match t.part with
+    | Some p when v >= p.base ->
+      let off = v - p.base in
+      let k = off / p.pes in
+      let s = p.segs.(off - (k * p.pes)) in
+      if k < s.Seg.len then Seg.pe s k else unknown v
+    | Some _ | None -> unknown v
 
 let gen t v = if mem t v then Vertex.gen (vertex t v) else 0
 

@@ -124,7 +124,8 @@ type request_entry = { who : requester; demand : Demand.t; key : Vid.t }
 
 (* Struct-of-arrays vertex storage. The fixed-width per-vertex state
    (label, pe, free, birth, sched_prior, and the two marking planes)
-   lives in parallel columns, one column set per storage chunk; chunks
+   lives in parallel columns, one column set per fixed-size storage
+   chunk. Only a segment's chunk directory grows; a chunk and its columns
    never move once allocated (see [Graph.Seg]), so handles can cache the
    column arrays directly.
 
@@ -240,9 +241,9 @@ let label t = Array.unsafe_get t.c.label t.off
 
 let set_label t l = Array.unsafe_set t.c.label t.off l
 
-let pe_at c off = Array.unsafe_get c.pe off
+let pe_column c = c.pe
 
-let pe t = pe_at t.c t.off
+let pe t = Array.unsafe_get t.c.pe t.off
 
 let set_pe t p = Array.unsafe_set t.c.pe t.off p
 
@@ -500,7 +501,7 @@ let retain_requesters t keep = rq_filter t (fun keep w -> w < 0 || keep w) keep
 (* The row scans below are top-level with every argument passed, like
    [row_mem_from]: a local [scan] closing over the row would be a heap
    closure per call, and the reducer asks once or twice per task. *)
-let rec rq_who_from a n w i =
+let rec rq_who_from a n (w : int) i =
   i < n && (Array.unsafe_get a (3 * i) = w || rq_who_from a n w (i + 1))
 
 let has_requester t r = rq_who_from t.rq_a t.rq_n (who_code r) 0
@@ -781,7 +782,7 @@ module Cells = struct
   (* Loop-based row comparisons: [matches] runs for every checkpointed
      slot on every sync, so the scans are plain while-loops (a nested
      [let rec] would allocate its closure per row per call). *)
-  let row_matches s a n =
+  let row_matches (s : int array) a n =
     Array.length s = n
     &&
     begin

@@ -102,9 +102,10 @@ val attach : Vid.t -> off:int -> cols -> pe:int -> Label.t -> t
 val create : Vid.t -> pe:int -> Label.t -> t
 (** A standalone vertex backed by its own single-slot chunk (tests). *)
 
-val pe_at : cols -> int -> int
-(** [pe_at c off] is {!pe} of the vertex in slot [off] of chunk [c],
-    read without its handle ([Graph.pe]'s per-send lookup). *)
+val pe_column : cols -> int array
+(** The chunk's PE column: slot [off]'s {!pe} is at [off]. [Graph] caches
+    it beside the chunk, so its per-send lookup ([Graph.pe]) is an array
+    read. Read-only outside this unit; it never moves. *)
 
 (** {1 Scalar state} *)
 

@@ -325,7 +325,7 @@ let mark_base t = Int.max 1 (t.latency / 4)
 
 let reduction_base t = Int.max 1 t.latency
 
-let delay_of t ~rng ~src ~base pe =
+let delay_of t ~rng ~(src : int) ~base pe =
   if pe = src then 1
   else if
     (* Seeded delivery jitter: occasionally a message takes longer,

@@ -87,7 +87,7 @@ end
 (* Scalar fields are mutable so delivered frames can be recycled through
    a free list, on both channels (see [recycle_batch]): a storm step
    stages tens of frames, and re-initializing a dead record beats
-   allocating record + lanes + two vectors. *)
+   allocating record + lanes + error table. *)
 type batch = {
   mutable b_src : int;
   mutable b_dst : int;
@@ -101,51 +101,94 @@ type batch = {
      in ([Task.stale]), [stamp] its lineage ticket ([-1]: untracked).
      Lane 2's sign tells the two apart. *)
   b_lanes : Lanes.t;
-  b_errs : string Vec.t;  (* the [V_err] strings of its reductions, by [pay] *)
+  mutable b_errs : string array;  (* the [V_err] strings of its reductions, by [pay]... *)
+  mutable b_nerrs : int;  (* ...of which the first [b_nerrs] are this frame's *)
   mutable b_count : int;  (* tasks *)
   mutable b_marks : int;  (* of which marks *)
   mutable b_pack : bool;  (* claimed to carry the reverse link's cum ack *)
 }
 
+(* A growable stack of frames: the per-frame path's only container. Local
+   to this module, like [Lanes], so a push or read is a direct array
+   access on a known pointer type, not a call through a polymorphic
+   vector. [clear] keeps the slots' references, as a vector does: a
+   recycled frame is pinned by at most the stacks it passed through. *)
+module Frames = struct
+  type t = { mutable a : batch array; mutable n : int }
+
+  let create () = { a = [||]; n = 0 }
+
+  let push s b =
+    let n = s.n in
+    if n = Array.length s.a then begin
+      let a = Array.make (Int.max 8 (2 * n)) b in
+      Array.blit s.a 0 a 0 n;
+      s.a <- a
+    end;
+    Array.unsafe_set s.a n b;
+    s.n <- n + 1
+
+  (* The top frame, removed; [s] must not be empty. *)
+  let pop s =
+    let n = s.n - 1 in
+    s.n <- n;
+    Array.unsafe_get s.a n
+
+  let clear s = s.n <- 0
+
+  let iter f s =
+    for i = 0 to s.n - 1 do
+      f (Array.unsafe_get s.a i)
+    done
+
+  let filter_in_place keep s =
+    let j = ref 0 in
+    for i = 0 to s.n - 1 do
+      let b = Array.unsafe_get s.a i in
+      if keep b then begin
+        Array.unsafe_set s.a !j b;
+        incr j
+      end
+    done;
+    s.n <- !j
+end
+
 (* The idealized channel: flushed frames bucketed by fault-free arrival
    step, buckets in ascending arrival order and each bucket in flush
    order — exactly the order an arrival-keyed heap with FIFO ties pops,
    without a heap sift per frame (on a storm that sift is a visible part
-   of the serial delivery pass, which runs once per step). Distinct pending arrivals are few (at
-   most the largest link delay), so [add] finds its bucket by a short
-   scan from the newest end. *)
+   of the serial delivery pass, which runs once per step). Distinct
+   pending arrivals are few (at most the largest link delay), so [add]
+   finds its bucket by a short scan from the newest end. *)
 module Ideal = struct
   type t = {
     mutable at : int array;  (* bucket arrival steps, ascending *)
-    mutable frames : batch Vec.t array;  (* parallel to [at] *)
+    mutable frames : Frames.t array;
+        (* parallel to [at] below [n]; from [n] on, spare buckets for
+           reuse, emptied as they are reopened *)
     mutable n : int;
-    spare : batch Vec.t Vec.t;  (* drained bucket vectors, for reuse *)
   }
 
-  let create () = { at = [||]; frames = [||]; n = 0; spare = Vec.create () }
+  let create () = { at = [||]; frames = [||]; n = 0 }
 
   (* Open an empty bucket for [arrival] at position [i]. *)
   let insert q i arrival =
-    if q.n = Array.length q.at then begin
-      let cap = Int.max 8 (2 * q.n) in
-      let at = Array.make cap 0 and frames = Array.make cap (Vec.create ()) in
-      Array.blit q.at 0 at 0 q.n;
-      Array.blit q.frames 0 frames 0 q.n;
+    let n = q.n in
+    if n = Array.length q.at then begin
+      let cap = Int.max 8 (2 * n) in
+      let at = Array.make cap 0
+      and frames = Array.init cap (fun k -> if k < n then q.frames.(k) else Frames.create ()) in
+      Array.blit q.at 0 at 0 n;
       q.at <- at;
       q.frames <- frames
     end;
-    Array.blit q.at i q.at (i + 1) (q.n - i);
-    Array.blit q.frames i q.frames (i + 1) (q.n - i);
+    let v = q.frames.(n) in
+    Frames.clear v;
+    Array.blit q.at i q.at (i + 1) (n - i);
+    Array.blit q.frames i q.frames (i + 1) (n - i);
     q.at.(i) <- arrival;
-    let ns = Vec.length q.spare in
-    q.frames.(i) <-
-      (if ns = 0 then Vec.create ()
-       else begin
-         let v = Vec.get q.spare (ns - 1) in
-         Vec.truncate q.spare (ns - 1);
-         v
-       end);
-    q.n <- q.n + 1
+    q.frames.(i) <- v;
+    q.n <- n + 1
 
   let add q b =
     let a = b.b_arrival in
@@ -157,32 +200,31 @@ module Ideal = struct
       incr i;
       insert q !i a
     end;
-    Vec.push q.frames.(!i) b
+    Frames.push q.frames.(!i) b
 
   (* Is the oldest bucket due by [now]? Delivery pops buckets while it
-     is, hands each frame on in flush order, and gives the emptied
-     vector back with [spare]: a loop at the caller, so no closure. *)
+     is and hands each frame on in flush order: a loop at the caller, so
+     no closure. *)
   let due q ~now = q.n > 0 && q.at.(0) <= now
 
+  (* The oldest bucket, which becomes the first spare: it stays readable
+     until the next [add] opens a bucket. *)
   let pop_bucket q =
     let v = q.frames.(0) in
     q.n <- q.n - 1;
     Array.blit q.at 1 q.at 0 q.n;
     Array.blit q.frames 1 q.frames 0 q.n;
+    q.frames.(q.n) <- v;
     v
-
-  let spare q v =
-    Vec.clear v;
-    Vec.push q.spare v
 
   let iter f q =
     for i = 0 to q.n - 1 do
-      Vec.iter f q.frames.(i)
+      Frames.iter f q.frames.(i)
     done
 
   let filter_in_place keep q =
     for i = 0 to q.n - 1 do
-      Vec.filter_in_place keep q.frames.(i)
+      Frames.filter_in_place keep q.frames.(i)
     done
 end
 
@@ -194,7 +236,8 @@ let dummy_batch () =
     b_delay = 0;
     b_uid = -1;
     b_lanes = Lanes.create ();
-    b_errs = Vec.create ();
+    b_errs = [||];
+    b_nerrs = 0;
     b_count = 0;
     b_marks = 0;
     b_pack = false;
@@ -265,13 +308,13 @@ let fresh_link ~src ~dst =
 (* A source's staging state, [senders.(src + 1)]: in the shard phase
    only its own shard writes it. *)
 type sender = {
-  mutable forming : batch Vec.t array;
+  mutable forming : Frames.t array;
       (* per destination: the link's forming frames, one per arrival;
          cleared and rebuilt with [staged] *)
-  opened : batch Vec.t;  (* frames opened this shard phase, unnumbered *)
-  tickets : batch Vec.t;  (* this shard phase's reductions, post order... *)
+  opened : Frames.t;  (* frames opened this shard phase, unnumbered *)
+  tickets : Frames.t;  (* this shard phase's reductions, post order... *)
   ticket_args : Lanes.t;  (* ...and their [stamp lane; lin; depth], for [seal] *)
-  free : batch Vec.t;  (* delivered frames of this sender, for reuse *)
+  free : Frames.t;  (* delivered frames of this sender, for reuse *)
   mutable tasks : int;  (* tasks staged this shard phase *)
 }
 
@@ -300,10 +343,10 @@ type t = {
          [crash_pe] *)
   faults : Faults.t option;
   batching : bool;  (* false: one task per frame *)
-  staged : batch Vec.t;  (* numbered batches forming since the last flush *)
+  staged : Frames.t;  (* numbered batches forming since the last flush *)
   mutable senders : sender array;  (* [src + 1] -> sender; sized by [reserve] *)
   mutable sharding : bool;  (* between [shard_phase] and [seal] *)
-  mutable inbox : batch Vec.t array;
+  mutable inbox : Frames.t array;
       (* delivered frames parked per destination until the destination's
          shard takes their marks (see [take_mark_lanes]) *)
   mutable links : link array;
@@ -311,7 +354,8 @@ type t = {
          first send; sized by [reserve] under faults, empty otherwise *)
   no_link : link;  (* an empty slot: owes nothing, holds nothing; never written *)
   timers : link Pqueue.t;  (* fire step -> unacked send: its link, fseq tag, inc aux *)
-  owed_order : link Vec.t;  (* links owing an ack, in first-owed order *)
+  mutable owed : link array;  (* links owing an ack, in first-owed order... *)
+  mutable n_owed : int;  (* ...the first [n_owed] of them *)
   mutable credit_epoch : int -> int;
   mutable credit_sent : int -> int;
   mutable credit_executed : int -> int;
@@ -342,14 +386,15 @@ let create ?recorder ?lineage ?faults ?(batch = true) () =
     lineage;
     faults;
     batching = batch;
-    staged = Vec.create ();
+    staged = Frames.create ();
     senders = [||];
     sharding = false;
     inbox = [||];
     links = [||];
     no_link = fresh_link ~src:min_int ~dst:min_int;
     timers = Pqueue.create ();
-    owed_order = Vec.create ();
+    owed = [||];
+    n_owed = 0;
     credit_epoch = (fun _ -> -1);
     credit_sent = (fun _ -> 0);
     credit_executed = (fun _ -> 0);
@@ -393,7 +438,7 @@ let width a i = if Array.unsafe_get a (i + 2) >= 0 then 3 else Task.red_lanes
 
 (* The [V_err] string of the reduction at lane [i], or "". *)
 let err_at b a i =
-  if Task.head_vtag a.(i + 2) = Task.v_err then Vec.get b.b_errs a.(i + 4) else ""
+  if Task.head_vtag a.(i + 2) = Task.v_err then b.b_errs.(a.(i + 4)) else ""
 
 (* [f a i] for each reduction of the frame, its row at lane [i] of [a],
    in stage order. *)
@@ -544,9 +589,18 @@ let reserve_unacked l =
 (* The receiver owes the sender a cumulative ack: remember the link (and
    the triggering frame's base delay, for the ack's travel time). Every
    owed link is settled at the next flush — piggybacked or standalone —
-   so [owed_order] never carries across more than one step. *)
+   so [owed] never carries across more than one step. *)
 let owe_ack t l ~delay =
-  if l.owe < 0 then Vec.push t.owed_order l;
+  if l.owe < 0 then begin
+    let n = t.n_owed in
+    if n = Array.length t.owed then begin
+      let a = Array.make (Int.max 8 (2 * n)) l in
+      Array.blit t.owed 0 a 0 n;
+      t.owed <- a
+    end;
+    Array.unsafe_set t.owed n l;
+    t.n_owed <- n + 1
+  end;
   l.owe <- delay
 
 (* A queued copy's row in the frame table, reusing a popped copy's slot
@@ -617,17 +671,15 @@ let transmit_ack t f ~arrival ~base l cum =
    have a non-empty index entry, so this costs the staged count, not the
    machine size. *)
 let unindex t =
-  for i = 0 to Vec.length t.staged - 1 do
-    let b = Vec.get t.staged i in
-    Vec.clear t.senders.(b.b_src + 1).forming.(b.b_dst)
+  let st = t.staged in
+  for i = 0 to st.Frames.n - 1 do
+    let b = Array.unsafe_get st.Frames.a i in
+    Frames.clear t.senders.(b.b_src + 1).forming.(b.b_dst)
   done
 
 (* Rebuild the indexes after [staged] was filtered, in stage order. *)
 let reindex t =
-  for i = 0 to Vec.length t.staged - 1 do
-    let b = Vec.get t.staged i in
-    Vec.push t.senders.(b.b_src + 1).forming.(b.b_dst) b
-  done
+  Frames.iter (fun b -> Frames.push t.senders.(b.b_src + 1).forming.(b.b_dst) b) t.staged
 
 (* A flushed frame is counted and traced; the event records are built
    only when a recorder is attached. *)
@@ -652,8 +704,9 @@ let flush t f ~now =
      frame of the step carries the ack, so it covers everything the
      receiver saw before this flush. Claiming removes the debt, which
      also stops earlier batches on the same link from claiming it. *)
-  for i = Vec.length t.staged - 1 downto 0 do
-    let b = Vec.get t.staged i in
+  let st = t.staged in
+  for i = st.Frames.n - 1 downto 0 do
+    let b = Array.unsafe_get st.Frames.a i in
     if b.b_src >= 0 then begin
       let r = slot t ~src:b.b_dst ~dst:b.b_src in
       if r.owe >= 0 then begin
@@ -662,8 +715,8 @@ let flush t f ~now =
       end
     end
   done;
-  for i = 0 to Vec.length t.staged - 1 do
-    let b = Vec.get t.staged i in
+  for i = 0 to st.Frames.n - 1 do
+    let b = Array.unsafe_get st.Frames.a i in
     let l = link t ~src:b.b_src ~dst:b.b_dst in
     if l.next >= seq_guard then
       invalid_arg "Network.send: per-link sequence space exhausted";
@@ -690,10 +743,10 @@ let flush t f ~now =
     transmit_data t f ~arrival:b.b_arrival ~base:b.b_delay ~pack l fseq
   done;
   unindex t;
-  Vec.clear t.staged;
+  Frames.clear st;
   (* Standalone acks for links no reverse data frame covered. *)
-  for i = 0 to Vec.length t.owed_order - 1 do
-    let l = Vec.get t.owed_order i in
+  for i = 0 to t.n_owed - 1 do
+    let l = Array.unsafe_get t.owed i in
     if l.owe >= 0 then begin
       let delay = l.owe and cum = l.rcv_next - 1 in
       l.owe <- -1;
@@ -702,18 +755,19 @@ let flush t f ~now =
       transmit_ack t f ~arrival:(now + delay) ~base:delay l cum
     end
   done;
-  Vec.clear t.owed_order
+  t.n_owed <- 0
 
 (* Fault-free flush: batches go straight into the ideal channel's
    arrival buckets, in stage order, so delivery order is deterministic. *)
 let flush_ideal t =
-  for i = 0 to Vec.length t.staged - 1 do
-    let b = Vec.get t.staged i in
+  let st = t.staged in
+  for i = 0 to st.Frames.n - 1 do
+    let b = Array.unsafe_get st.Frames.a i in
     emit_batch t b;
     Ideal.add t.q b
   done;
   unindex t;
-  Vec.clear t.staged
+  Frames.clear st
 
 (* The per-PE arrays grow only outside the shard phase, so a shard's
    sends never see them move. *)
@@ -724,7 +778,7 @@ let reserve t ~pes =
       invalid_arg
         (Printf.sprintf "Network: PE %d is outside the %d reserved before the shard phase"
            (pes - 1) n);
-    let grow a = Array.init pes (fun i -> if i < n then a.(i) else Vec.create ()) in
+    let grow a = Array.init pes (fun i -> if i < n then a.(i) else Frames.create ()) in
     if Option.is_some t.faults then begin
       let old = t.links in
       t.links <- Array.make ((pes + 1) * pes) t.no_link;
@@ -740,25 +794,18 @@ let reserve t ~pes =
           if i < ns then t.senders.(i)
           else
             {
-              forming = Array.init pes (fun _ -> Vec.create ());
-              opened = Vec.create ();
-              tickets = Vec.create ();
+              forming = Array.init pes (fun _ -> Frames.create ());
+              opened = Frames.create ();
+              tickets = Frames.create ();
               ticket_args = Lanes.create ();
-              free = Vec.create ();
+              free = Frames.create ();
               tasks = 0;
             })
   end
 
 (* Pop a recycled frame from [fl], or allocate one. The caller fills the
-   scalar header; the emptied vectors keep their storage. *)
-let batch_for fl =
-  let n_free = Vec.length fl in
-  if n_free > 0 then begin
-    let b = Vec.get fl (n_free - 1) in
-    Vec.truncate fl (n_free - 1);
-    b
-  end
-  else dummy_batch ()
+   scalar header; the emptied lanes keep their storage. *)
+let batch_for fl = if fl.Frames.n > 0 then Frames.pop fl else dummy_batch ()
 
 (* The forming frame for [arrival] among [bs], newest first, or [dummy].
    Top-level with every argument passed, so a miss allocates no
@@ -766,13 +813,13 @@ let batch_for fl =
 let rec scan_forming bs ~arrival i dummy =
   if i < 0 then dummy
   else
-    let b = Vec.get bs i in
+    let b = Array.unsafe_get bs.Frames.a i in
     if b.b_arrival = arrival then b else scan_forming bs ~arrival (i - 1) dummy
 
 let number t b =
   b.b_uid <- t.next_uid;
   t.next_uid <- t.next_uid + 1;
-  Vec.push t.staged b
+  Frames.push t.staged b
 
 (* The one staging lookup: the frame forming on link (src, pe) for
    [arrival] (a link has one per pending arrival, so the scan is short),
@@ -784,7 +831,7 @@ let frame_for t ~src ~arrival ~pe =
   let s = t.senders.(src + 1) in
   let bs = s.forming.(pe) in
   let b =
-    if t.batching then scan_forming bs ~arrival (Vec.length bs - 1) no_batch else no_batch
+    if t.batching then scan_forming bs ~arrival (bs.Frames.n - 1) no_batch else no_batch
   in
   let b =
     if b != no_batch then b
@@ -795,8 +842,8 @@ let frame_for t ~src ~arrival ~pe =
       b.b_arrival <- arrival;
       b.b_delay <- Int.max 1 (arrival - t.clock);
       b.b_pack <- false;
-      Vec.push bs b;
-      if t.sharding then Vec.push s.opened b else number t b;
+      Frames.push bs b;
+      if t.sharding then Frames.push s.opened b else number t b;
       b
     end
   in
@@ -823,15 +870,22 @@ let stage_reduction t ~src ~lin ~depth ~gen ~arrival ~pe head rsrc rdst key pay 
     match t.lineage with
     | None -> -1
     | Some _ when t.sharding ->
-      Vec.push t.senders.(src + 1).tickets b;
+      Frames.push t.senders.(src + 1).tickets b;
       Lanes.push3 t.senders.(src + 1).ticket_args (l.Lanes.n + 6) lin depth;
       -1
     | Some lg -> Dgr_obs.Lineage.open_ticket lg ~lin ~depth ~sent:t.clock ~arrival
   in
   let pay =
     if Task.head_vtag head = Task.v_err then begin
-      Vec.push b.b_errs err;
-      Vec.length b.b_errs - 1
+      let k = b.b_nerrs in
+      if k = Array.length b.b_errs then begin
+        let errs = Array.make (Int.max 4 (2 * k)) "" in
+        Array.blit b.b_errs 0 errs 0 k;
+        b.b_errs <- errs
+      end;
+      b.b_errs.(k) <- err;
+      b.b_nerrs <- k + 1;
+      k
     end
     else pay
   in
@@ -863,17 +917,18 @@ let shard_phase t = t.sharding <- true
 let seal t =
   for i = 0 to Array.length t.senders - 1 do
     let s = t.senders.(i) in
-    for k = 0 to Vec.length s.opened - 1 do
-      number t (Vec.get s.opened k)
+    let op = s.opened in
+    for k = 0 to op.Frames.n - 1 do
+      number t (Array.unsafe_get op.Frames.a k)
     done;
-    Vec.clear s.opened;
-    for k = 0 to Vec.length s.tickets - 1 do
-      let b = Vec.get s.tickets k and a = s.ticket_args.Lanes.a in
+    Frames.clear op;
+    for k = 0 to s.tickets.Frames.n - 1 do
+      let b = Array.unsafe_get s.tickets.Frames.a k and a = s.ticket_args.Lanes.a in
       b.b_lanes.Lanes.a.(a.(3 * k)) <-
         Dgr_obs.Lineage.open_ticket (Option.get t.lineage) ~lin:a.((3 * k) + 1)
           ~depth:a.((3 * k) + 2) ~sent:t.clock ~arrival:b.b_arrival
     done;
-    Vec.clear s.tickets;
+    Frames.clear s.tickets;
     s.ticket_args.Lanes.n <- 0;
     t.undelivered <- t.undelivered + s.tasks;
     t.tasks_sent <- t.tasks_sent + s.tasks;
@@ -889,7 +944,7 @@ let check_sealed t fn =
         if s.tasks > 0 then
           invalid_arg
             (Printf.sprintf "Network.%s: src %d holds %d unsealed frame(s) (%d tasks)" fn
-               (i - 1) (Vec.length s.opened) s.tasks))
+               (i - 1) s.opened.Frames.n s.tasks))
       t.senders
 
 (* Delivery hands each due reduction task to [push] as its batch pops —
@@ -954,18 +1009,18 @@ let deliver_batch t b ~now ~push =
    the batch is referenced nowhere that reads it: the flush emptied
    [staged] and the index, and a lossy send's row keeps its own delay
    and captured head, its slot in the link's frame ring [no_batch]. Each
-   list is capped so a burst does not pin its high-water mark of vectors
+   list is capped so a burst does not pin its high-water mark of frames
    forever. *)
 let free_batches_cap = 32
 
 let recycle_batch t b =
   let fl = t.senders.(b.b_src + 1).free in
-  if Vec.length fl < free_batches_cap then begin
+  if fl.Frames.n < free_batches_cap then begin
     b.b_lanes.Lanes.n <- 0;
-    Vec.clear b.b_errs;
+    b.b_nerrs <- 0;
     b.b_count <- 0;
     b.b_marks <- 0;
-    Vec.push fl b
+    Frames.push fl b
   end
 
 (* Standalone credits drain in arrival order (FIFO among equals) in both
@@ -993,7 +1048,7 @@ let drain_credits t ~now =
    inbox for [take_mark_lanes]; a mark-free one is recycled at once, on
    either channel. *)
 let settle t b ~now ~push =
-  if deliver_batch t b ~now ~push then Vec.push t.inbox.(b.b_dst) b else recycle_batch t b
+  if deliver_batch t b ~now ~push then Frames.push t.inbox.(b.b_dst) b else recycle_batch t b
 
 (* A live copy of data frame [fseq] on link [l] pops. *)
 let receive t f l fseq ~pack ~epoch ~sent ~executed ~delay ~now ~push =
@@ -1032,10 +1087,9 @@ let deliver_serial t ~now ~push =
        constructed when a recorder is attached. *)
     while Ideal.due t.q ~now do
       let v = Ideal.pop_bucket t.q in
-      for k = 0 to Vec.length v - 1 do
-        settle t (Vec.get v k) ~now ~push
-      done;
-      Ideal.spare t.q v
+      for k = 0 to v.Frames.n - 1 do
+        settle t (Array.unsafe_get v.Frames.a k) ~now ~push
+      done
     done
   | Some f ->
     flush t f ~now;
@@ -1079,12 +1133,12 @@ let deliver_serial t ~now ~push =
 let take_frames t ~pe x (f : 'a -> batch -> unit) =
   if pe < Array.length t.inbox then begin
     let ib = t.inbox.(pe) in
-    for k = 0 to Vec.length ib - 1 do
-      let b = Vec.get ib k in
+    for k = 0 to ib.Frames.n - 1 do
+      let b = Array.unsafe_get ib.Frames.a k in
       f x b;
       recycle_batch t b
     done;
-    Vec.clear ib
+    Frames.clear ib
   end
 
 let push_frame ring b = Mark_ring.push_marks ring b.b_lanes.Lanes.a b.b_lanes.Lanes.n
@@ -1127,7 +1181,7 @@ let iter_undelivered t f =
   (match t.faults with
   | None -> Ideal.iter f t.q
   | Some _ -> Array.iter (fun l -> iter_in_transit l f) t.links);
-  Vec.iter f t.staged
+  Frames.iter f t.staged
 
 (* Undelivered batches in fault-free arrival order, stage order among
    equals. *)
@@ -1190,7 +1244,7 @@ let crash_pe t ~pe =
   in
   let survives b = if touches b then (forget_batch b; false) else true in
   unindex t;
-  Vec.filter_in_place survives t.staged;
+  Frames.filter_in_place survives t.staged;
   reindex t;
   (match t.faults with
   | None ->
@@ -1220,7 +1274,15 @@ let crash_pe t ~pe =
       done
     end;
     (* a severed link owes nothing *)
-    Vec.filter_in_place (fun l -> l.owe >= 0) t.owed_order);
+    let j = ref 0 in
+    for i = 0 to t.n_owed - 1 do
+      let l = t.owed.(i) in
+      if l.owe >= 0 then begin
+        t.owed.(!j) <- l;
+        incr j
+      end
+    done;
+    t.n_owed <- !j);
   (* in-flight heartbeat credits from the dead PE die with it *)
   (let q = t.cq in
    let j = ref t.cq_head in

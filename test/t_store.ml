@@ -325,6 +325,109 @@ let test_homes_do_not_share_free_lists () =
   let d = Graph.alloc ~from:0 g Label.Ind in
   Alcotest.(check int) "own home recycles it" (Vertex.id a) (Vertex.id d)
 
+(* ---------------------------------------------------------------- *)
+(* Fixed 512-slot chunks: slot [i] of a segment lives in chunk [i lsr 9].
+   The dense prefix and a partitioned home's segment must resolve vids
+   on both sides of every chunk boundary, and a home segment that grows
+   past four chunks reallocates its chunk directory. *)
+
+let boundary_slots = [ 0; 510; 511; 512; 513; 1022; 1023; 1024; 1025 ]
+
+(* 1100 dense slots on 3 PEs, then a 4-PE partition whose home 2 grows
+   2100 slots (five chunks): vid [base + 4k + 2] is its slot [k]. *)
+let dense_n = 1100
+let home_n = 2100
+let home_vid k = dense_n + (4 * k) + 2
+
+let chunked_graph () =
+  let g = Graph.create ~num_pes:3 () in
+  for i = 0 to dense_n - 1 do
+    ignore (Graph.alloc ~pe:(i mod 3) g (Label.Int i) : Vertex.t)
+  done;
+  g
+
+let check_slot g v ~pe ~label =
+  Alcotest.(check bool) (Printf.sprintf "mem v%d" v) true (Graph.mem g v);
+  Alcotest.(check int) (Printf.sprintf "vertex v%d" v) v (Vertex.id (Graph.vertex g v));
+  Alcotest.(check int) (Printf.sprintf "pe v%d" v) pe (Graph.pe g v);
+  Alcotest.(check bool) (Printf.sprintf "label v%d" v) true
+    (Label.equal (Graph.label g v) (Label.Int label))
+
+let home_ids g ~pe =
+  let acc = ref [] in
+  Graph.iter_home g ~pe (fun v -> acc := Vertex.id v :: !acc);
+  List.rev !acc
+
+let test_chunk_boundaries () =
+  let g = chunked_graph () in
+  List.iter (fun v -> check_slot g v ~pe:(v mod 3) ~label:v) (boundary_slots @ [ dense_n - 1 ]);
+  Alcotest.(check bool) "past the dense end" false (Graph.mem g dense_n);
+  Alcotest.(check bool) "negative vid" false (Graph.mem g (-1));
+  Alcotest.(check (list int)) "dense iter_home"
+    (List.filter (fun v -> v mod 3 = 1) (List.init dense_n Fun.id))
+    (home_ids g ~pe:1);
+  Graph.partition g ~pes:4;
+  for k = 0 to home_n - 1 do
+    ignore (Graph.alloc ~pe:(k mod 5) ~from:2 g (Label.Int k) : Vertex.t)
+  done;
+  List.iter
+    (fun k -> check_slot g (home_vid k) ~pe:(k mod 5) ~label:k)
+    (boundary_slots @ [ 1535; 1536; 2047; 2048; 2049; home_n - 1 ]);
+  Alcotest.(check bool) "past the home's end" false (Graph.mem g (home_vid home_n));
+  Alcotest.(check bool) "an empty home's first slot" false (Graph.mem g (dense_n + 1));
+  Alcotest.check_raises "an empty home's slot is unknown"
+    (Invalid_argument (Printf.sprintf "Graph.vertex: unknown vertex v%d" (dense_n + 1)))
+    (fun () -> ignore (Graph.vertex g (dense_n + 1)));
+  Alcotest.(check (list int)) "partitioned iter_home"
+    (List.filter (fun v -> v mod 4 = 2) (List.init dense_n Fun.id)
+    @ List.init home_n home_vid)
+    (home_ids g ~pe:2)
+
+(* A handle caches its chunk's columns: one taken before its segment's
+   directory grows still reads and writes its own slot afterwards. *)
+let test_handle_survives_growth () =
+  let g = Graph.create ~num_pes:2 () in
+  Graph.partition g ~pes:2;
+  let first = Graph.alloc ~from:1 g (Label.Int 0) in
+  for k = 1 to 1600 do
+    ignore (Graph.alloc ~from:1 g (Label.Int k) : Vertex.t)
+  done;
+  let late = Graph.vertex g (Vertex.id first + (2 * 1600)) in
+  for k = 1601 to home_n do
+    ignore (Graph.alloc ~from:1 g (Label.Int k) : Vertex.t)
+  done;
+  List.iter
+    (fun (h, n) ->
+      Vertex.set_label h (Label.Int (-n));
+      Alcotest.(check bool) "a write through the old handle is read by vid" true
+        (Label.equal (Graph.label g (Vertex.id h)) (Label.Int (-n)));
+      Vertex.set_pe (Graph.vertex g (Vertex.id h)) 7;
+      Alcotest.(check int) "a write by vid is read through the old handle" 7 (Vertex.pe h))
+    [ (first, 1); (late, 2) ]
+
+(* Lookups across chunk boundaries, dense and partitioned, are two array
+   reads each: no allocation. *)
+let test_boundary_lookup_alloc () =
+  let g = chunked_graph () in
+  Graph.partition g ~pes:4;
+  for k = 0 to home_n - 1 do
+    ignore (Graph.alloc ~from:2 g (Label.Int k) : Vertex.t)
+  done;
+  let vids =
+    Array.of_list (boundary_slots @ List.map home_vid (boundary_slots @ [ 2047; 2048 ]))
+  in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    for i = 0 to Array.length vids - 1 do
+      let v = vids.(i) in
+      acc := !acc + Vertex.id (Graph.vertex g v) + Graph.pe g v + Bool.to_int (Graph.mem g v)
+    done
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "lookups ran" true (!acc > 0);
+  Alcotest.(check (float 0.0)) "minor words across 6,300 lookups" 0.0 words
+
 let test_row_headroom_growth () =
   let v = Vertex.create 0 ~pe:0 Label.If in
   let prev = ref (Vertex.args_capacity v) in
@@ -391,6 +494,10 @@ let suite =
     Alcotest.test_case "a birth allocates only its handle" `Quick test_birth_alloc;
     Alcotest.test_case "per-home free lists are disjoint" `Quick
       test_homes_do_not_share_free_lists;
+    Alcotest.test_case "vids resolve across chunk boundaries" `Quick test_chunk_boundaries;
+    Alcotest.test_case "a handle survives directory growth" `Quick
+      test_handle_survives_growth;
+    Alcotest.test_case "boundary lookups allocate nothing" `Quick test_boundary_lookup_alloc;
     Alcotest.test_case "arg rows grow geometrically" `Quick test_row_headroom_growth;
     Alcotest.test_case "args are a normalized prefix with hard bounds" `Quick
       test_args_bounds_and_normalization;

@@ -79,7 +79,14 @@ let spec_gen =
           seed ))
       (int_bound 60) (int_bound 30) (int_bound 100_000))
 
-let arb_spec = QCheck.make spec_gen
+(* A failing case prints as the [(spec, seed)] pair it ran, ready to
+   replay as a plain case. *)
+let print_spec ((s : Builder.random_spec), seed) =
+  Printf.sprintf
+    "({ live = %d; garbage = %d; free_pool = %d; avg_degree = %g; cycle_bias = %g }, %d)"
+    s.Builder.live s.garbage s.free_pool s.avg_degree s.cycle_bias seed
+
+let arb_spec = QCheck.make ~print:print_spec spec_gen
 
 (* Theorem 1: GAR(t_b) ⊆ GAR'(t) ⊆ GAR(t).
    All garbage existing when M_R starts is identified, and nothing
@@ -206,22 +213,49 @@ let prop_mr_safety =
            (fun v -> Vertex.unmarked (Graph.vertex g v) Plane.MR)
            gar_tb)
 
-(* Invariants hold at every interleaving point of a mutated M_R run. *)
+(* Invariants hold at every interleaving point of a mutated M_R run.
+   [invariant_run] is the property's body for one case: the violations
+   of the first step that had any ([[]]: none), and whether the run
+   finished. *)
+let invariant_run (spec, seed) =
+  let rng = Rng.create (seed + 41) in
+  let g = Builder.random (Rng.create seed) spec in
+  let engine = Sync_engine.create ~order:(Sync_engine.Random (Rng.split rng)) g in
+  let run = Sync_engine.start engine Run.Priority ~seeds:[ Graph.root g ] in
+  let mut = Sync_engine.mutator engine in
+  let first = ref [] in
+  let interleave step =
+    adversary rng mut g 3 step;
+    if !first = [] then first := Invariants.check run ~pending:(Sync_engine.pending engine)
+  in
+  let (_ : int) = Sync_engine.drain ~interleave engine in
+  (!first, run.Run.finished)
+
 let prop_invariants_always_hold =
   QCheck.Test.make ~name:"marking invariants hold at every step" ~count:30 arb_spec
-    (fun (spec, seed) ->
-      let rng = Rng.create (seed + 41) in
-      let g = Builder.random (Rng.create seed) spec in
-      let engine = Sync_engine.create ~order:(Sync_engine.Random (Rng.split rng)) g in
-      let run = Sync_engine.start engine Run.Priority ~seeds:[ Graph.root g ] in
-      let mut = Sync_engine.mutator engine in
-      let ok = ref true in
-      let interleave step =
-        adversary rng mut g 3 step;
-        if Invariants.check run ~pending:(Sync_engine.pending engine) <> [] then ok := false
-      in
-      let (_ : int) = Sync_engine.drain ~interleave engine in
-      !ok && run.Run.finished)
+    (fun case ->
+      match invariant_run case with
+      | [], finished -> finished
+      | violations, _ ->
+        QCheck.Test.fail_reportf "%s" (String.concat "; " violations))
+
+(* Two cases the property drew (under QCHECK_SEED 100328 and 100395),
+   replayed as plain deterministic runs. *)
+let invariant_replays =
+  [
+    ( { Builder.live = 64; garbage = 34; free_pool = 40; avg_degree = 2.7; cycle_bias = 0.5 },
+      42366 );
+    ( { Builder.live = 67; garbage = 11; free_pool = 40; avg_degree = 1.7; cycle_bias = 0.5 },
+      71506 );
+  ]
+
+let test_invariant_replays () =
+  List.iter
+    (fun case ->
+      let violations, finished = invariant_run case in
+      Alcotest.(check (list string)) (print_spec case) [] violations;
+      Alcotest.(check bool) "run finished" true finished)
+    invariant_replays
 
 (* End-to-end safety on real programs: whatever interleaving the full
    machine produces, a cycle never reclaims a vertex that the oracle
@@ -260,5 +294,6 @@ let suite =
     qtest prop_theorem_2;
     qtest prop_mr_safety;
     qtest prop_invariants_always_hold;
+    Alcotest.test_case "invariant replays of drawn cases" `Quick test_invariant_replays;
     qtest prop_cycle_never_collects_live;
   ]
