@@ -113,6 +113,13 @@ type t = {
   mutable part : part option;
   mutable epoch : int;
   mutable wave : int;
+  (* Running counts, so [live_count] and [headroom] cost O(1) where a
+     fold over the homes would cost O(pes) on every step: *)
+  mutable n_slots : int;  (* |V|: every slot of every segment *)
+  mutable n_free : int;  (* |F|: every free list's length *)
+  mutable slack : int;
+      (* partitioned and bounded: the homes' unused budget,
+         [sum over h of max 0 (share h - used h)] *)
 }
 
 let create ?(num_pes = 1) () =
@@ -128,15 +135,34 @@ let create ?(num_pes = 1) () =
     part = None;
     epoch = 0;
     wave = 0;
+    n_slots = 0;
+    n_free = 0;
+    slack = 0;
   }
 
-let vertex_count t =
-  Seg.length t.dense
-  + match t.part with
-    | None -> 0
-    | Some p -> Array.fold_left (fun acc s -> acc + Seg.length s) 0 p.segs
+let vertex_count t = t.n_slots
 
 let share_of cap pes h = (cap / pes) + if h < cap mod pes then 1 else 0
+
+let used_of p h = p.dense_counts.(h) + Seg.length p.segs.(h)
+
+let unused p h = if p.shares.(h) = max_int then 0 else Int.max 0 (p.shares.(h) - used_of p h)
+
+(* Recount [slack] from the shares: only when they change. *)
+let recount_slack t =
+  match t.part with
+  | None -> ()
+  | Some p ->
+    t.slack <- 0;
+    for h = 0 to p.pes - 1 do
+      t.slack <- t.slack + unused p h
+    done
+
+(* Append a fresh slot to home [h]'s segment, keeping the counts. *)
+let seg_alloc t p h id ~pe label =
+  if unused p h > 0 then t.slack <- t.slack - 1;
+  t.n_slots <- t.n_slots + 1;
+  Seg.alloc p.segs.(h) id ~pe label
 
 let set_capacity t cap =
   (match cap with
@@ -151,7 +177,8 @@ let set_capacity t cap =
       (fun h _ ->
         p.shares.(h) <-
           (match cap with None -> max_int | Some c -> share_of c p.pes h))
-      p.shares
+      p.shares;
+    recount_slack t
 
 let capacity t = t.capacity
 
@@ -180,11 +207,10 @@ let partition t ~pes =
         frees;
         shares;
         dense_counts;
-      }
+      };
+  recount_slack t
 
 let home_of p v = if v < p.base then v mod p.pes else (v - p.base) mod p.pes
-
-let used_of p h = p.dense_counts.(h) + Seg.length p.segs.(h)
 
 let headroom_for t ~pe =
   match t.part with
@@ -197,20 +223,15 @@ let headroom_for t ~pe =
     if p.shares.(h) = max_int then max_int
     else Vec.length p.frees.(h) + Int.max 0 (p.shares.(h) - used_of p h)
 
+(* Every home's [headroom_for], summed: the free slots plus the homes'
+   unused budget, both kept as running counts. *)
 let headroom t =
   match t.part with
   | None -> (
     match t.capacity with
     | None -> max_int
     | Some c -> Vec.length t.free + (c - Seg.length t.dense))
-  | Some p ->
-    if t.capacity = None then max_int
-    else
-      let acc = ref 0 in
-      for h = 0 to p.pes - 1 do
-        acc := !acc + headroom_for t ~pe:h
-      done;
-      !acc
+  | Some _ -> if t.capacity = None then max_int else t.n_free + t.slack
 
 let num_pes t = t.num_pes
 
@@ -284,7 +305,9 @@ let next_pe t =
   t.next_pe <- (t.next_pe + 1) mod t.num_pes;
   pe
 
-let fresh t ~pe label = Seg.alloc t.dense (Seg.length t.dense) ~pe label
+let fresh t ~pe label =
+  t.n_slots <- t.n_slots + 1;
+  Seg.alloc t.dense (Seg.length t.dense) ~pe label
 
 let reuse t v ~pe label =
   let vx = vertex t v in
@@ -296,12 +319,13 @@ let reuse t v ~pe label =
 
 (* The last free vid, or -1 with the list empty: [Vec.pop]'s option
    would be a heap block per allocation. *)
-let pop_free free =
+let pop_free t free =
   let n = Vec.length free in
   if n = 0 then -1
   else begin
     let id = Vec.get free (n - 1) in
     Vec.truncate free (n - 1);
+    t.n_free <- t.n_free - 1;
     id
   end
 
@@ -311,7 +335,7 @@ let alloc_at t ~pe ~from label =
   match t.part with
   | None ->
     let pe = if pe >= 0 then pe else next_pe t in
-    let id = pop_free t.free in
+    let id = pop_free t t.free in
     if id >= 0 then reuse t id ~pe label
     else begin
       (match t.capacity with
@@ -325,14 +349,14 @@ let alloc_at t ~pe ~from label =
     (* Partitioned: every structure touched below belongs to [home]. *)
     let home = if from >= 0 then from mod p.pes else if pe >= 0 then pe mod p.pes else 0 in
     let pe = if pe >= 0 then pe else home in
-    let id = pop_free p.frees.(home) in
+    let id = pop_free t p.frees.(home) in
     if id >= 0 then reuse t id ~pe label
     else begin
       if p.shares.(home) <> max_int && used_of p home >= p.shares.(home) then
         raise Out_of_vertices;
       let k = Seg.length p.segs.(home) in
       let id = p.base + (k * p.pes) + home in
-      let v = Seg.alloc p.segs.(home) id ~pe label in
+      let v = seg_alloc t p home id ~pe label in
       Vertex.set_birth v t.epoch;
       v
     end
@@ -347,6 +371,7 @@ let release t id =
   t.releases <- t.releases + 1;
   Vertex.reset_for_free v;
   Vertex.set_gen v t.releases;
+  t.n_free <- t.n_free + 1;
   match t.part with
   | None -> Vec.push t.free id
   | Some p -> Vec.push p.frees.(home_of p id) id
@@ -356,20 +381,17 @@ let preallocate t n =
   for _ = 1 to n do
     let v = fresh t ~pe:(next_pe t) Label.Freed in
     Vertex.set_free v true;
-    Vec.push t.free (Vertex.id v)
+    Vec.push t.free (Vertex.id v);
+    t.n_free <- t.n_free + 1
   done
 
 let children t v = Vertex.args (vertex t v)
 
 let iter_children t v f = Vertex.iter_args (vertex t v) f
 
-let free_count t =
-  Vec.length t.free
-  + match t.part with
-    | None -> 0
-    | Some p -> Array.fold_left (fun acc f -> acc + Vec.length f) 0 p.frees
+let free_count t = t.n_free
 
-let live_count t = vertex_count t - free_count t
+let live_count t = t.n_slots - t.n_free
 
 let free_list t =
   Vec.to_list t.free
@@ -423,8 +445,10 @@ let set_home_free_list t ~pe ids =
   | Some p ->
     let h = ((pe mod p.pes) + p.pes) mod p.pes in
     let fl = p.frees.(h) in
+    t.n_free <- t.n_free - Vec.length fl;
     Vec.clear fl;
-    List.iter (fun id -> Vec.push fl id) ids
+    List.iter (fun id -> Vec.push fl id) ids;
+    t.n_free <- t.n_free + Vec.length fl
 
 let grow_home t ~pe =
   match t.part with
@@ -433,7 +457,7 @@ let grow_home t ~pe =
     let h = ((pe mod p.pes) + p.pes) mod p.pes in
     let k = Seg.length p.segs.(h) in
     let id = p.base + (k * p.pes) + h in
-    let v = Seg.alloc p.segs.(h) id ~pe:h Label.Freed in
+    let v = seg_alloc t p h id ~pe:h Label.Freed in
     Vertex.set_free v true;
     Vertex.set_birth v t.epoch;
     id

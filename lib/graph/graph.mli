@@ -24,7 +24,8 @@ val capacity : t -> int option
 val headroom : t -> int
 (** Vertices allocatable before [Out_of_vertices]: |F| plus remaining
     table growth. [max_int] when unbounded. On a partitioned graph this
-    sums every home's headroom and is only meaningful serially. *)
+    is every home's {!headroom_for} summed, read from running counts in
+    O(1), and is only meaningful serially. *)
 
 val partition : t -> pes:int -> unit
 (** Switch the graph to partitioned storage: each of the [pes] home PEs
@@ -122,12 +123,13 @@ val iter_children : t -> Vid.t -> (Vid.t -> unit) -> unit
 (** Visit [args] of the vertex in order. Does not allocate. *)
 
 val vertex_count : t -> int
-(** Total table size |V| (live + free). *)
+(** Total table size |V| (live + free). O(1): a running count. *)
 
 val free_count : t -> int
-(** |F|. *)
+(** |F|, every free list's length. O(1): a running count. *)
 
 val live_count : t -> int
+(** [vertex_count - free_count]. O(1). *)
 
 val free_list : t -> Vid.t list
 

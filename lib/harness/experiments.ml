@@ -379,6 +379,7 @@ let e5_scaling ?seed:(_ = 1) () =
           ("marking tasks", Table.Right);
           ("avg cycle span", Table.Right);
           ("remote msgs", Table.Right);
+          ("PE visits/step", Table.Right);
         ]
   in
   let base = ref None in
@@ -408,8 +409,9 @@ let e5_scaling ?seed:(_ = 1) () =
           Table.cell_i m.Metrics.marking_executed;
           span;
           Table.cell_i m.Metrics.remote_messages;
+          Table.cell_f (float_of_int (Engine.pe_visits e) /. float_of_int (Int.max 1 (Engine.now e)));
         ])
-    [ 1; 2; 4; 8; 16; 32 ];
+    [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ];
   [ table ]
 
 (* ------------------------------------------------------------------ *)

@@ -123,7 +123,14 @@ let render ?(deterministic = false) e =
       (String.concat "" (Array.to_list (Array.map (Printf.sprintf " %d") per_pe)));
     let remote = m.Metrics.remote_messages in
     Printf.bprintf b "  remote messages: %d of %d (%.1f%%)\n" remote msgs
-      (if msgs = 0 then 0.0 else 100.0 *. float_of_int remote /. float_of_int msgs)
+      (if msgs = 0 then 0.0 else 100.0 *. float_of_int remote /. float_of_int msgs);
+    (* A step visits only its busy PEs: this follows the work, not the
+       machine size. *)
+    let visits = Engine.pe_visits e in
+    Printf.bprintf b "  PE visits: %d over %d steps (%.2f/step of %d PEs)\n" visits
+      m.Metrics.steps
+      (if m.Metrics.steps = 0 then 0.0 else float_of_int visits /. float_of_int m.Metrics.steps)
+      (Array.length per_pe)
   end;
   (* Expansion churn: an expansion the free list cannot supply parks and
      is retried, so stalls per expansion counts the futile attempts. *)

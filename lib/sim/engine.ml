@@ -71,7 +71,8 @@ module Config = struct
 
   (* A channel that drops every frame loses its retransmits and acks
      too, so nothing is ever delivered: [drop] must stay below 1. The
-     other rates may reach 1. *)
+     other rates may reach 1. A stall or a downtime is drawn from
+     [1, max], so a max below 1 names no length at all. *)
   let rates (f : Faults.spec) =
     List.iter
       (fun (field, p) -> ignore (probability ("faults." ^ field) p))
@@ -84,6 +85,8 @@ module Config = struct
       ];
     if f.drop >= 1.0 then
       invalid_arg (Printf.sprintf "Engine.Config: faults.drop must be below 1, got %g" f.drop);
+    ignore (positive "faults.stall_max" f.stall_max);
+    ignore (positive "faults.crash_down_max" f.crash_down_max);
     f
 
   let make ?(num_pes = 4) ?(latency = 4) ?(tasks_per_step = 2) ?(gc_work_factor = 8)
@@ -196,6 +199,20 @@ type t = {
   domains : int;  (** shard count, clamped to [1, num_pes] *)
   g : Graph.t;
   pools : Pool.t array;
+  busy : Bitset.t;
+      (** the PEs with work: a pooled task, a parked mark frame, or a
+          stall that began this step. A PE outside it has an empty pool
+          and an empty inbox. *)
+  visit : int array;
+  mutable n_visit : int;
+      (** the step's busy PEs, ascending, in [visit.(0 .. n_visit - 1)]:
+          [gather] copies them out of [busy] once the step's work has
+          arrived, and every per-PE pass of the step walks them and
+          nothing else *)
+  depths : int array;
+      (** per PE: its pool depth at the last bookkeeping, 0 outside
+          [busy] — the recorder's per-PE column, kept rather than built *)
+  mutable visits : int;  (** PE turns the step loops have taken, summed over steps *)
   net : Network.t;
   mut : Mutator.t;
   cctl : pe_ctx;
@@ -527,8 +544,18 @@ let live t gen task =
 let deliver_to_pool t pe a i err =
   let gen = a.(i + 5) and stamp = a.(i + 6) in
   if Task.stale_lanes t.g gen a.(i) a.(i + 1) then serial_drop t ~pe stamp
-  else
-    Pool.push_row t.pools.(pe) ~stamp ~gen a.(i + 2) a.(i) a.(i + 1) a.(i + 3) a.(i + 4) err
+  else begin
+    Pool.push_row t.pools.(pe) ~stamp ~gen a.(i + 2) a.(i) a.(i + 1) a.(i + 3) a.(i + 4) err;
+    Bitset.add t.busy pe
+  end
+
+(* The step's visit list: the busy PEs, ascending, each one PE visit.
+   Called once per step, after delivery and the stall dice, the last
+   points where a PE joins the set; it stays valid to bookkeeping. *)
+let gather t =
+  let n = Bitset.fill t.busy t.visit in
+  t.n_visit <- n;
+  t.visits <- t.visits + n
 
 (* Each PE's extra per-step budget for marking tasks, which are much
    lighter than reduction tasks (§6). *)
@@ -544,40 +571,54 @@ let shard_lo t d = d * t.num_pes / t.domains
    [roll_stalls] wrote before the shards started. *)
 let executes t pe = t.down_since.(pe) < 0 && t.now >= t.stall_until.(pe)
 
-(* Each PE first takes the marks delivery parked for it, down or
-   stalled or not (its pool receives them either way). Then every
-   executing PE drains its marking budget, then — unless a restructure
-   pause leaves only marking running — its reduction budget, which lends
-   idle slots to marking ([Pool.drain_lanes]). A step's PEs are
-   data-disjoint, so this order moves no byte, and each loop is timed
-   once per shard, not once per PE. *)
-let run_shard t d =
-  let lo = shard_lo t d and hi = shard_lo t (d + 1) - 1 in
-  for pe = lo to hi do
-    Network.take_mark_lanes t.net ~pe (Pool.marks t.pools.(pe))
+(* Shard [d] runs the visit list's entries from [k0] on that fall in
+   its PE range, and returns where the next shard's start: an idle PE
+   has no mark to take and nothing to drain, so it is not visited. Each
+   busy PE first takes the marks delivery parked for it, down or stalled
+   or not (its pool receives them either way). Then every executing PE
+   drains its marking budget, then — unless a restructure pause leaves
+   only marking running — its reduction budget, which lends idle slots
+   to marking ([Pool.drain_lanes]). A step's PEs are data-disjoint, so
+   this order moves no byte, and each loop is timed once per shard, not
+   once per PE; a shard with no busy PE reads no clock. *)
+let run_shard t d k0 =
+  let hi = shard_lo t (d + 1) and v = t.visit in
+  let k1 = ref k0 in
+  while !k1 < t.n_visit && v.(!k1) < hi do
+    incr k1
   done;
-  let c0 = clock () in
-  for pe = lo to hi do
-    if executes t pe then begin
-      t.exec_pe <- pe;
-      Pool.drain_marking t.pools.(pe) ~budget:marking_per_step t.ctxs.(pe).cmark
-    end
-  done;
-  let c1 = clock () in
-  if not t.mark_only then
-    for pe = lo to hi do
+  let k1 = !k1 - 1 in
+  if k1 >= k0 then begin
+    for k = k0 to k1 do
+      let pe = v.(k) in
+      Network.take_mark_lanes t.net ~pe (Pool.marks t.pools.(pe))
+    done;
+    let c0 = clock () in
+    for k = k0 to k1 do
+      let pe = v.(k) in
       if executes t pe then begin
         t.exec_pe <- pe;
-        let ctx = t.ctxs.(pe) in
-        Pool.drain_lanes t.pools.(pe) ~budget:t.tasks_per_step ~red:ctx.cexec ~dead:ctx.cdead
-          ~mark:ctx.cmark
+        Pool.drain_marking t.pools.(pe) ~budget:marking_per_step t.ctxs.(pe).cmark
       end
     done;
-  let c2 = clock () in
-  t.exec_pe <- -1;
-  let s = t.shard_ph in
-  s.(2 * d) <- s.(2 * d) +. (c1 -. c0);
-  s.((2 * d) + 1) <- s.((2 * d) + 1) +. (c2 -. c1)
+    let c1 = clock () in
+    if not t.mark_only then
+      for k = k0 to k1 do
+        let pe = v.(k) in
+        if executes t pe then begin
+          t.exec_pe <- pe;
+          let ctx = t.ctxs.(pe) in
+          Pool.drain_lanes t.pools.(pe) ~budget:t.tasks_per_step ~red:ctx.cexec ~dead:ctx.cdead
+            ~mark:ctx.cmark
+        end
+      done;
+    let c2 = clock () in
+    t.exec_pe <- -1;
+    let s = t.shard_ph in
+    s.(2 * d) <- s.(2 * d) +. (c1 -. c0);
+    s.((2 * d) + 1) <- s.((2 * d) + 1) +. (c2 -. c1)
+  end;
+  k1 + 1
 
 (* Restructure's per-home passes: run [f] over every home PE in order.
    The span is attributed to the profiler's restructure bucket. *)
@@ -588,16 +629,19 @@ let each_home_run t f =
   done;
   t.ph_ns.(k_restr) <- t.ph_ns.(k_restr) +. (clock () -. r0)
 
-(* Restructure's pool pass, after its releases: every pool drops the
-   entries the releases made stale and re-sorts the rest by the
-   priorities just persisted. Returns how many entries moved. *)
+(* Restructure's pool pass, after its releases: every busy PE's pool
+   (the others are empty) drops the entries the releases made stale and
+   re-sorts the rest by the priorities just persisted. Returns how many
+   entries moved. *)
 let reprioritize t =
   let moved = ref 0 in
-  Array.iteri
-    (fun pe pool ->
-      let dead stamp _ _ _ _ _ _ = serial_drop t ~pe stamp in
-      moved := !moved + Pool.reprioritize ~dead pool)
-    t.pools;
+  let pe = ref (Bitset.next t.busy 0) in
+  while !pe >= 0 do
+    let p = !pe in
+    let dead stamp _ _ _ _ _ _ = serial_drop t ~pe:p stamp in
+    moved := !moved + Pool.reprioritize ~dead t.pools.(p);
+    pe := Bitset.next t.busy (p + 1)
+  done;
   !moved
 
 let create ?recorder ?(config = Config.default) g templates =
@@ -688,6 +732,11 @@ let create ?recorder ?(config = Config.default) g templates =
       domains;
       g;
       pools;
+      busy = Bitset.create num_pes;
+      visit = Array.make num_pes 0;
+      n_visit = 0;
+      depths = Array.make num_pes 0;
+      visits = 0;
       net = Network.create ?recorder ~lineage ?faults:flt ~batch:(Config.batch config) ();
       mut;
       cctl;
@@ -752,6 +801,7 @@ let create ?recorder ?(config = Config.default) g templates =
     t.ctxs;
   cctl.cemit <- (fun v par meta -> send_mark t cctl v par meta);
   t.push_due <- (fun pe a i err -> deliver_to_pool t pe a i err);
+  Network.set_on_park t.net (fun pe -> Bitset.add t.busy pe);
   mut.Mutator.spawn <- cctl.cemit;
   mut.Mutator.coop_pe <- (fun () -> Int.max 0 cctl.cpe);
   t.coop_sink <-
@@ -862,6 +912,10 @@ let lineage t = t.lin
 
 let executed_per_pe t = Array.copy t.executed_by
 
+let pe_visits t = t.visits
+
+let busy_pes t = Bitset.elements t.busy
+
 let profile t =
   let ns k = t.ph_ns.(k) *. 1e9 and mw k = t.ph_mw.(k) in
   let merge f = f k_drain +. f k_absorb +. f k_close +. f k_seal +. f k_replay in
@@ -924,8 +978,12 @@ let pool t pe = t.pools.(pe)
 let pending_reduction_tasks t =
   List.filter_map (function Reduction r -> Some r | Marking _ -> None) (pending_tasks t)
 
+(* The pools outside the busy set are empty. *)
+let rec pools_empty t pe =
+  pe < 0 || (Pool.is_empty t.pools.(pe) && pools_empty t (Bitset.next t.busy (pe + 1)))
+
 let quiescent t =
-  Array.for_all Pool.is_empty t.pools
+  pools_empty t (Bitset.next t.busy 0)
   && Network.size t.net = 0
   && Reducer.parked_count t.cctl.pred = 0
   && match t.cyc with None -> true | Some c -> Cycle.phase c = Cycle.Idle
@@ -1077,6 +1135,10 @@ let roll_stalls t f =
         f.Faults.stalls <- f.Faults.stalls + 1;
         f.Faults.stall_steps <- f.Faults.stall_steps + 1;
         t.stall_until.(pe) <- t.now + steps;
+        (* Its [Stall] event waits in its context: joining the busy set
+           puts the PE on this step's visit list, which the merge
+           drains. *)
+        Bitset.add t.busy pe;
         match t.ctxs.(pe).sub with
         | Some r -> Dgr_obs.Recorder.emit r (Dgr_obs.Event.Stall { pe; steps })
         | None -> ()
@@ -1104,12 +1166,19 @@ let drain_pairs v f =
    here; each raises its slot's generation, so a task still addressing a
    freed vertex is stale and dies where it is next handled. *)
 let apply_rc t rc =
-  Array.iter (fun ctx -> drain_pairs ctx.cinc (Refcount.on_connect rc)) t.ctxs;
-  Array.iter (fun ctx -> drain_pairs ctx.cdec (Refcount.on_disconnect rc)) t.ctxs
+  for k = 0 to t.n_visit - 1 do
+    drain_pairs t.ctxs.(t.visit.(k)).cinc (Refcount.on_connect rc)
+  done;
+  for k = 0 to t.n_visit - 1 do
+    drain_pairs t.ctxs.(t.visit.(k)).cdec (Refcount.on_disconnect rc)
+  done
 
-(* The step barrier: merge every context back into the shared machine, in
-   ascending PE order throughout, so the merged state is a pure function
-   of the per-PE buffers — independent of domain count and scheduling.
+(* The step barrier: merge every busy PE's context back into the shared
+   machine, in ascending PE order throughout, so the merged state is a
+   pure function of the per-PE buffers — independent of domain count and
+   scheduling. Only a PE that took a turn this step can hold anything to
+   merge, and the visit list is exactly those PEs, so every pass walks
+   the list and the merge costs the busy PEs, not the machine size.
    Order within the merge: events first (so traces read
    execute-then-control), then counters, then the seal of the shards'
    frames (PE-ordered numbering reproduces what a serial PE-ordered
@@ -1121,17 +1190,18 @@ let apply_rc t rc =
    order). *)
 let merge_shards t =
   Mutator.set_defer t.mut None;
-  let ctxs = t.ctxs in
+  let ctxs = t.ctxs and v = t.visit and n = t.n_visit in
   (match t.recorder with
   | None -> ()
   | Some r ->
-    for pe = 0 to Array.length ctxs - 1 do
-      match ctxs.(pe).sub with
+    for k = 0 to n - 1 do
+      match ctxs.(v.(k)).sub with
       | Some s -> Dgr_obs.Recorder.drain_into ~src:s ~dst:r
       | None -> ()
     done);
   lap t k_drain;
-  for pe = 0 to Array.length ctxs - 1 do
+  for k = 0 to n - 1 do
+    let pe = v.(k) in
     let ctx = ctxs.(pe) in
     Reducer.absorb t.cctl.pred ctx.pred;
     t.executed_by.(pe) <-
@@ -1142,8 +1212,8 @@ let merge_shards t =
   (* Close the executed tasks' tickets before the seal: the freed slots
      are recycled by the seal's opens, in ascending PE order both times,
      so slot allocation stays a pure function of the step's buffers. *)
-  for pe = 0 to Array.length ctxs - 1 do
-    let d = ctxs.(pe).cdone and x = ctxs.(pe).cdrop in
+  for k = 0 to n - 1 do
+    let d = ctxs.(v.(k)).cdone and x = ctxs.(v.(k)).cdrop in
     Dgr_obs.Lineage.close_many t.lin (Vec.unsafe_data d) ~len:(Vec.length d) ~now:t.now;
     Vec.clear d;
     for k = 0 to Vec.length x - 1 do
@@ -1156,8 +1226,8 @@ let merge_shards t =
   lap t k_seal;
   (match t.rc with Some rc -> apply_rc t rc | None -> ());
   let cpe = t.cctl.cpe and crng = t.cctl.crng in
-  for pe = 0 to Array.length ctxs - 1 do
-    let ctx = ctxs.(pe) in
+  for k = 0 to n - 1 do
+    let ctx = ctxs.(v.(k)) in
     let evs = ctx.ccoop in
     if Vec.length evs > 0 then begin
       t.cctl.cpe <- ctx.cpe;
@@ -1170,8 +1240,8 @@ let merge_shards t =
   done;
   t.cctl.cpe <- cpe;
   t.cctl.crng <- crng;
-  for pe = 0 to Array.length ctxs - 1 do
-    let q = ctxs.(pe).ctrl in
+  for k = 0 to n - 1 do
+    let q = ctxs.(v.(k)).ctrl in
     for k = 0 to Vec.length q - 1 do
       execute_at_controller t (Vec.get q k)
     done;
@@ -1386,6 +1456,8 @@ let inject_crash t ~pe ~down =
 
 let pe_down t pe = pe >= 0 && pe < t.num_pes && is_down t pe
 
+let pe_stalled t pe = pe >= 0 && pe < t.num_pes && t.now < t.stall_until.(pe)
+
 let step t =
   let p0 = clock () and w0 = Gc.minor_words () in
   t.ph_ns.(k_at) <- p0;
@@ -1407,7 +1479,8 @@ let step t =
      destination's shard, which pushes the marks into its own pool in
      step 2. A mark push reads no graph state, so the shards can take
      that work off the serial path; each pool still receives its marks
-     in delivery order. *)
+     in delivery order. Either way the destination joins the busy set:
+     from here to bookkeeping the step visits only those PEs. *)
   Network.deliver_serial t.net ~now:t.now ~push:t.push_due;
   lap t k_transport;
   (* 2. Execute, unless the machine is paused by a collection. Marking
@@ -1421,21 +1494,25 @@ let step t =
   let running = t.now >= t.paused_until in
   if running || match t.cyc with Some c -> Cycle.phase c <> Cycle.Idle | None -> false
   then begin
-    (* Every PE runs against its private context, shard after shard.
-       Cooperation bodies are deferred for the barrier replay. *)
+    (* Every busy PE runs against its private context, shard after
+       shard. Cooperation bodies are deferred for the barrier replay. *)
     t.mark_only <- not running;
     (match t.flt with Some f -> roll_stalls t f | None -> ());
+    gather t;
     Mutator.set_defer t.mut t.coop_sink;
     Network.shard_phase t.net;
+    let k = ref 0 in
     for d = 0 to t.domains - 1 do
-      run_shard t d
+      k := run_shard t d !k
     done;
     lap t k_execute;
     merge_shards t
   end
   else begin
-    (* No shard runs: the pools take their parked marks here. *)
-    for pe = 0 to t.num_pes - 1 do
+    (* No shard runs: the busy pools take their parked marks here. *)
+    gather t;
+    for k = 0 to t.n_visit - 1 do
+      let pe = t.visit.(k) in
       Network.take_mark_lanes t.net ~pe (Pool.marks t.pools.(pe))
     done;
     lap t k_execute
@@ -1458,15 +1535,22 @@ let step t =
       done
   | Some (Cycle.Tree_run _) | None -> ());
   lap t k_gc;
-  (* 4. Bookkeeping. *)
+  (* 4. Bookkeeping, whose only per-PE pass is the busy set's. *)
   (match (Reducer.finished t.cctl.pred, t.m.Metrics.completion_step) with
   | true, None ->
     t.m.Metrics.completion_step <- Some t.now;
     obs t Dgr_obs.Event.Finished
   | _ -> ());
+  (* The pool-depth sum over the visit list, the only PEs with a pool;
+     a PE whose turn left its pool empty (its turn emptied its inbox)
+     leaves the busy set. *)
   let depth = ref 0 in
-  for pe = 0 to t.num_pes - 1 do
-    depth := !depth + Pool.length t.pools.(pe)
+  for k = 0 to t.n_visit - 1 do
+    let pe = t.visit.(k) in
+    let d = Pool.length t.pools.(pe) in
+    t.depths.(pe) <- d;
+    depth := !depth + d;
+    if d = 0 then Bitset.remove t.busy pe
   done;
   Dgr_util.Stats.add t.m.Metrics.pool_depth !depth;
   t.m.Metrics.peak_live <- Int.max t.m.Metrics.peak_live (Graph.live_count t.g);
@@ -1490,7 +1574,7 @@ let step t =
   | Some r ->
     Dgr_obs.Recorder.tick r ~live:(Graph.live_count t.g) ~in_flight:(Network.size t.net)
       ~headroom:(match Graph.capacity t.g with None -> -1 | Some _ -> Graph.headroom t.g)
-      ~pool_depth:(Array.map Pool.length t.pools));
+      ~pool_depth:t.depths);
   t.now <- t.now + 1;
   t.m.Metrics.steps <- t.m.Metrics.steps + 1;
   lap t k_book;

@@ -220,6 +220,16 @@ val executed_per_pe : t -> int array
 (** Tasks each PE has executed so far (marks and reductions; index =
     PE), a fresh copy. Deterministic: the same at every domain count. *)
 
+val pe_visits : t -> int
+(** PE turns the steps have taken so far. A step visits only its busy
+    PEs — those with a pooled task, a parked mark frame or a stall that
+    began this step — so this grows with the work, not with [num_pes].
+    Deterministic: the same at every domain count. *)
+
+val busy_pes : t -> int list
+(** The busy PEs, ascending: after a step, every other PE has an empty
+    pool and no parked mark frame (tests). *)
+
 val lineage : t -> Dgr_obs.Lineage.t
 (** The machine's causal-lineage ticket store. {!inject} mints a fresh
     lineage id; every reduction task the machine pools on behalf of that
@@ -269,6 +279,11 @@ val inject_crash : t -> pe:int -> down:int -> unit
 
 val pe_down : t -> int -> bool
 (** Whether a PE is currently crashed (always false out of range). *)
+
+val pe_stalled : t -> int -> bool
+(** Whether PE [pe] is in a transient stall that lasts into the next
+    step: it keeps its pool and its busy-set membership but executes
+    nothing. [false] for an index outside the machine. *)
 
 val step : t -> unit
 (** One discrete step, always executed the same way: each PE's budget
@@ -329,4 +344,6 @@ val network : t -> Network.t
 (** The machine's transport, for inspection (tests and tools). *)
 
 val pool : t -> int -> Pool.t
-(** PE [pe]'s task pool, for inspection (tests and tools). *)
+(** PE [pe]'s task pool, for inspection (tests and tools). The engine
+    fills it by delivery only; a task pushed here from outside is not
+    seen by a PE outside {!busy_pes}. *)

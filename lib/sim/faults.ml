@@ -82,8 +82,8 @@ let extra_delay t ~latency =
 
 let stall_begins t ~pe:_ = roll t.stall_rng t.spec.stall
 
-let stall_length t = 1 + Rng.int t.stall_rng (Int.max 1 t.spec.stall_max)
+let stall_length t = 1 + Rng.int t.stall_rng t.spec.stall_max
 
 let crash_begins t ~pe:_ = roll t.crash_rng t.spec.crash
 
-let down_length t = 1 + Rng.int t.crash_rng (Int.max 1 t.spec.crash_down_max)
+let down_length t = 1 + Rng.int t.crash_rng t.spec.crash_down_max

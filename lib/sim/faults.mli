@@ -36,9 +36,11 @@ type spec = {
   duplicate : float;  (** P(a frame is delivered twice) *)
   delay : float;  (** P(a frame takes extra, seeded delay — reordering) *)
   stall : float;  (** per-PE, per-step P(a transient stall begins) *)
-  stall_max : int;  (** longest stall, in steps (min 1) *)
+  stall_max : int;  (** longest stall, in steps; at least 1 ({!Engine.Config} refuses less) *)
   crash : float;  (** per-PE, per-step P(a whole-PE crash begins) *)
-  crash_down_max : int;  (** longest downtime after a crash, in steps (min 1) *)
+  crash_down_max : int;
+      (** longest downtime after a crash, in steps; at least 1 ({!Engine.Config}
+          refuses less) *)
   fault_seed : int;
 }
 

@@ -346,9 +346,13 @@ type t = {
   staged : Frames.t;  (* numbered batches forming since the last flush *)
   mutable senders : sender array;  (* [src + 1] -> sender; sized by [reserve] *)
   mutable sharding : bool;  (* between [shard_phase] and [seal] *)
+  mutable sent_in_phase : Bitset.t;
+      (* [src + 1] of each sender with a send since [shard_phase]: the
+         senders [seal] visits, in ascending order *)
   mutable inbox : Frames.t array;
       (* delivered frames parked per destination until the destination's
          shard takes their marks (see [take_mark_lanes]) *)
+  mutable on_park : int -> unit;  (* told [pe] when its inbox stops being empty *)
   mutable links : link array;
       (* [(src + 1) * pes + dst] -> the link's record, [no_link] until its
          first send; sized by [reserve] under faults, empty otherwise *)
@@ -389,7 +393,9 @@ let create ?recorder ?lineage ?faults ?(batch = true) () =
     staged = Frames.create ();
     senders = [||];
     sharding = false;
+    sent_in_phase = Bitset.create 0;
     inbox = [||];
+    on_park = ignore;
     links = [||];
     no_link = fresh_link ~src:min_int ~dst:min_int;
     timers = Pqueue.create ();
@@ -413,6 +419,7 @@ let set_credit_of t ~epoch ~sent ~executed =
   t.credit_sent <- sent;
   t.credit_executed <- executed
 let set_on_credit t f = t.on_credit <- f
+let set_on_park t f = t.on_park <- f
 
 let post_credit t ~arrival ~pe ~epoch ~sent ~executed =
   let q = t.cq in
@@ -787,6 +794,7 @@ let reserve t ~pes =
         old
     end;
     t.inbox <- grow t.inbox;
+    t.sent_in_phase <- Bitset.create (pes + 1);
     Array.iter (fun s -> s.forming <- grow s.forming) t.senders;
     let ns = Array.length t.senders in
     t.senders <-
@@ -847,7 +855,10 @@ let frame_for t ~src ~arrival ~pe =
       b
     end
   in
-  if t.sharding then s.tasks <- s.tasks + 1
+  if t.sharding then begin
+    if s.tasks = 0 then Bitset.add t.sent_in_phase (src + 1);
+    s.tasks <- s.tasks + 1
+  end
   else begin
     t.undelivered <- t.undelivered + 1;
     t.tasks_sent <- t.tasks_sent + 1
@@ -910,13 +921,16 @@ let send ?(src = -1) ?(lin = -1) ?(depth = 0) ?(gen = Task.no_gen) t ~arrival ~p
 
 let shard_phase t = t.sharding <- true
 
-(* Every sender in ascending PE order: its new frames numbered and
-   staged in open order, its tickets opened in post order, its count
-   folded — what sending PE after PE outside the shard phase would have
-   staged. *)
+(* Every sender that sent in the shard phase, in ascending PE order:
+   its new frames numbered and staged in open order, its tickets opened
+   in post order, its count folded — what sending PE after PE outside
+   the shard phase would have staged. A sender that sent nothing has
+   nothing to seal, so the pass costs the senders that sent, not the
+   machine size. *)
 let seal t =
-  for i = 0 to Array.length t.senders - 1 do
-    let s = t.senders.(i) in
+  let i = ref (Bitset.next t.sent_in_phase 0) in
+  while !i >= 0 do
+    let s = t.senders.(!i) in
     let op = s.opened in
     for k = 0 to op.Frames.n - 1 do
       number t (Array.unsafe_get op.Frames.a k)
@@ -932,8 +946,10 @@ let seal t =
     s.ticket_args.Lanes.n <- 0;
     t.undelivered <- t.undelivered + s.tasks;
     t.tasks_sent <- t.tasks_sent + s.tasks;
-    s.tasks <- 0
+    s.tasks <- 0;
+    i := Bitset.next t.sent_in_phase (!i + 1)
   done;
+  Bitset.clear t.sent_in_phase;
   t.sharding <- false
 
 (* Sends [seal] has not published would escape a flush or crash. *)
@@ -1046,9 +1062,14 @@ let drain_credits t ~now =
 
 (* A delivered frame that holds a mark is parked in its destination's
    inbox for [take_mark_lanes]; a mark-free one is recycled at once, on
-   either channel. *)
+   either channel. This is the only place a frame parks. *)
 let settle t b ~now ~push =
-  if deliver_batch t b ~now ~push then Frames.push t.inbox.(b.b_dst) b else recycle_batch t b
+  if deliver_batch t b ~now ~push then begin
+    let ib = t.inbox.(b.b_dst) in
+    if ib.Frames.n = 0 then t.on_park b.b_dst;
+    Frames.push ib b
+  end
+  else recycle_batch t b
 
 (* A live copy of data frame [fseq] on link [l] pops. *)
 let receive t f l fseq ~pack ~epoch ~sent ~executed ~delay ~now ~push =
@@ -1144,6 +1165,8 @@ let take_frames t ~pe x (f : 'a -> batch -> unit) =
 let push_frame ring b = Mark_ring.push_marks ring b.b_lanes.Lanes.a b.b_lanes.Lanes.n
 
 let take_mark_lanes t ~pe ring = take_frames t ~pe ring push_frame
+
+let parked_frames t ~pe = if pe < Array.length t.inbox then t.inbox.(pe).Frames.n else 0
 
 let view_frame f b =
   let a = b.b_lanes.Lanes.a and n = b.b_lanes.Lanes.n in

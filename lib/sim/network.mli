@@ -133,10 +133,11 @@ val shard_phase : t -> unit
 (** Begin the shard phase. *)
 
 val seal : t -> unit
-(** End the shard phase: for each sender in ascending PE order (the
-    controller first), number and stage its new frames in open order,
-    open its tickets in post order and count its tasks — the frames
-    sending PE after PE outside the shard phase would have staged. Until then
+(** End the shard phase: for each sender that sent in it, in ascending
+    PE order (the controller first), number and stage its new frames in
+    open order, open its tickets in post order and count its tasks — the
+    frames sending PE after PE outside the shard phase would have
+    staged. The pass visits only those senders. Until then
     {!deliver_serial} and {!crash_pe} raise [Invalid_argument]
     naming the sender and its unsealed frame count. *)
 
@@ -183,6 +184,14 @@ val deliver_serial : t -> now:int -> push:(int -> int array -> int -> string -> 
     faults this also settles owed cumulative acks (piggybacked or
     standalone), suppresses duplicate frames, and fires expired
     retransmission timers. Call once per step. *)
+
+val set_on_park : t -> (int -> unit) -> unit
+(** Install the park hook: [f pe] runs when {!deliver_serial} parks a
+    frame in [pe]'s empty inbox, so the engine learns which PEs have
+    marks to take without scanning every inbox. Default: ignore. *)
+
+val parked_frames : t -> pe:int -> int
+(** Frames parked for [pe] and not yet taken (tests). *)
 
 val take_mark_lanes : t -> pe:int -> Mark_ring.t -> unit
 (** The shard half of the tick: push every mark parked for [pe] since

@@ -586,8 +586,9 @@ let test_config_clamps_domains () =
   | [ row ] -> Alcotest.(check int) "a BENCH row" 4 row.Dgr_harness.Bench.domains
   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
-(* Fault rates are probabilities, and a channel that drops everything
-   delivers nothing: both are refused by [make] and [with_faults]. *)
+(* Fault rates are probabilities, a channel that drops everything
+   delivers nothing, and a stall or downtime needs a length: all are
+   refused by [make] and [with_faults]. *)
 let test_config_rejects_fault_rates () =
   let rates =
     [
@@ -612,6 +613,19 @@ let test_config_rejects_fault_rates () =
       refused (field ^ " > 1") (field ^ " must be in [0, 1], got 1.5") (rate 1.5))
     rates;
   refused "drop = 1" "drop must be below 1, got 1" (with_rate "drop" 1.0);
+  (* A stall or a downtime is drawn from [1, max]: a max below 1 names
+     no length, and is refused rather than read as 1. *)
+  refused "stall_max = 0" "stall_max must be at least 1, got 0"
+    { Faults.none with Faults.stall = 0.1; stall_max = 0 };
+  refused "crash_down_max = 0" "crash_down_max must be at least 1, got 0"
+    { Faults.none with Faults.crash = 0.05; crash_down_max = 0 };
+  refused "crash_down_max < 0" "crash_down_max must be at least 1, got -3"
+    { Faults.none with Faults.crash_down_max = -3 };
+  List.iter
+    (fun faults ->
+      Alcotest.(check bool) "a max of 1 accepted" true
+        (Engine.Config.faults (Engine.Config.make ~faults ()) = faults))
+    [ { Faults.none with Faults.stall_max = 1 }; { Faults.none with Faults.crash_down_max = 1 } ];
   List.iter
     (fun (field, p) ->
       let faults = with_rate field p in
@@ -971,6 +985,250 @@ let test_forwarded_request_alloc_free () =
     0.0
     (words /. float_of_int forwarded)
 
+(* ---- The busy set ----------------------------------------------------
+   A step visits only its busy PEs. What makes that safe: after every
+   step, a PE outside the set has an empty pool and no parked mark
+   frame, so skipping it skips nothing. *)
+
+let fib_machine ?(heap_size = Some 50_000) ?(faults = Faults.none) ?(domains = 1)
+    ?(gc = Engine.Concurrent { deadlock_every = 1; idle_gap = 50 }) ~num_pes n =
+  let config = Engine.Config.make ~num_pes ~domains ~heap_size ~faults ~gc () in
+  let g, templates = Dgr_lang.Compile.load_string ~num_pes (Dgr_lang.Prelude.fib n) in
+  let e = Engine.create ~config g templates in
+  Engine.inject_root_demand e;
+  e
+
+let check_idle_pes_empty what e =
+  let busy = Engine.busy_pes e in
+  for pe = 0 to Engine.Config.num_pes (Engine.config e) - 1 do
+    if not (List.mem pe busy) then begin
+      let pooled = Pool.length (Engine.pool e pe)
+      and parked = Network.parked_frames (Engine.network e) ~pe in
+      if pooled + parked > 0 then
+        Alcotest.failf "%s, after step %d: PE %d is outside the busy set [%s] with %d pooled \
+                        task(s) and %d parked frame(s)"
+          what (Engine.now e - 1) pe
+          (String.concat " " (List.map string_of_int busy))
+          pooled parked
+    end
+  done
+
+let pools_reduction e pe = List.exists (fun t -> not (Task.is_marking t)) (Pool.tasks (Engine.pool e pe))
+
+(* A faulty, crashing, stalling fib 12 on 6 PEs, checked after every
+   step at 1, 2 and 4 shards (4 is uneven). The runs must also agree on
+   the set, step by step. Each case the set has to get right is seen at
+   least once: a PE whose first task arrives mid-run, a PE that drains
+   empty and is fed again, a stalled PE holding reductions, and a crash
+   that re-homes vertices onto a PE that had been idle. *)
+let test_busy_set_invariant () =
+  let faults =
+    {
+      Faults.drop = 0.05;
+      duplicate = 0.05;
+      delay = 0.1;
+      stall = 0.05;
+      stall_max = 6;
+      crash = 0.004;
+      crash_down_max = 30;
+      fault_seed = 3;
+    }
+  in
+  let num_pes = 6 and steps = 6_000 in
+  let run domains =
+    let e = fib_machine ~faults ~domains ~num_pes 12 in
+    let what = Printf.sprintf "domains=%d" domains in
+    let first = Array.make num_pes (-1) and left = Array.make num_pes false in
+    let refed = ref false and stalled_work = ref false and rehomed_idle = ref false in
+    let trail = ref [] in
+    for _ = 1 to steps do
+      let crashes = (Engine.metrics e).Metrics.crashes in
+      let ever = Array.map (fun s -> s >= 0) first in
+      Engine.step e;
+      check_idle_pes_empty what e;
+      let busy = Engine.busy_pes e in
+      trail := busy :: !trail;
+      for pe = 0 to num_pes - 1 do
+        let inside = List.mem pe busy in
+        if inside && first.(pe) < 0 then first.(pe) <- Engine.now e;
+        if inside && left.(pe) then refed := true;
+        if (not inside) && first.(pe) >= 0 then left.(pe) <- true;
+        if inside && Engine.pe_stalled e pe && pools_reduction e pe then stalled_work := true;
+        if (Engine.metrics e).Metrics.crashes > crashes && inside && not ever.(pe) then
+          rehomed_idle := true
+      done
+    done;
+    (e, first, !refed, !stalled_work, !rehomed_idle, List.rev !trail)
+  in
+  let e, first, refed, stalled_work, _, trail = run 1 in
+  let m = Engine.metrics e in
+  Alcotest.(check bool) "the run crashed" true (m.Metrics.crashes > 0);
+  Alcotest.(check bool) "the run stalled" true (m.Metrics.stalls > 0);
+  Alcotest.(check bool) "a PE's first task arrives mid-run" true
+    (Array.exists (fun s -> s >= 100) first);
+  Alcotest.(check bool) "a PE drains empty and is fed again" true refed;
+  Alcotest.(check bool) "a stalled PE holds pooled reductions" true stalled_work;
+  List.iter
+    (fun d ->
+      let _, _, _, _, _, trail' = run d in
+      Alcotest.(check bool) (Printf.sprintf "the busy set at %d domains" d) true (trail = trail'))
+    [ 2; 4 ]
+
+(* A crash re-homes the busy PE's vertices round-robin onto PEs that
+   never had work: a mark wave over them makes those PEs busy, and the
+   set stays exact throughout. *)
+let test_busy_set_rehome_onto_idle () =
+  let num_pes = 4 in
+  let e = fib_machine ~num_pes ~heap_size:None 12 in
+  for _ = 1 to 300 do
+    Engine.step e;
+    check_idle_pes_empty "before the crash" e
+  done;
+  let executed = Engine.executed_per_pe e in
+  let worker = ref 0 in
+  Array.iteri (fun pe n -> if n > executed.(!worker) then worker := pe) executed;
+  let idle = List.filter (fun pe -> executed.(pe) = 0) (List.init num_pes Fun.id) in
+  Alcotest.(check bool) "some PE has had no work" true (idle <> []);
+  Engine.inject_crash e ~pe:!worker ~down:50;
+  let joined = ref false in
+  for _ = 1 to 600 do
+    Engine.step e;
+    check_idle_pes_empty "after the crash" e;
+    if List.exists (fun pe -> List.mem pe (Engine.busy_pes e)) idle then joined := true
+  done;
+  Alcotest.(check bool) "a PE idle before the crash joins the busy set" true !joined
+
+(* A down PE executes nothing, but the marks delivery parks for it still
+   reach its pool: the park makes it busy, its turn takes them, and it
+   stays busy while they wait. *)
+let test_busy_set_down_pe_takes_marks () =
+  let g = Graph.create ~num_pes:2 () in
+  let b = Graph.alloc ~pe:1 g (Label.Int 7) in
+  let top = Graph.alloc ~pe:0 g Label.Ind in
+  Vertex.connect top (Vertex.id b);
+  Graph.set_root g (Vertex.id top);
+  let config = Engine.Config.make ~num_pes:2 ~gc:Engine.No_gc () in
+  let e = Engine.create ~config g (Dgr_reduction.Template.create_registry ()) in
+  Engine.inject_crash e ~pe:1 ~down:100;
+  (* The crash re-homed [b]; a vertex still homed on the down PE is
+     what a mark would address there. *)
+  Vertex.set_pe (Graph.vertex g (Vertex.id b)) 1;
+  for step = 0 to 19 do
+    Engine.inject e
+      (Task.Marking (Task.Mark1 { v = Vertex.id b; par = Plane.Rootpar; ep = step }));
+    Engine.step e;
+    check_idle_pes_empty "down PE" e
+  done;
+  Alcotest.(check bool) "PE 1 is down" true (Engine.pe_down e 1);
+  Alcotest.(check bool) "PE 1 is busy" true (List.mem 1 (Engine.busy_pes e));
+  Alcotest.(check bool) "its pool holds the marks" true (Pool.length (Engine.pool e 1) >= 15);
+  Alcotest.(check int) "nothing executed" 0 (Engine.metrics e).Metrics.marking_executed
+
+(* PE visits follow the work: fib 12 keeps its work on one PE, so the
+   visits per step at 64 and 256 PEs stay within 10% of the 8-PE
+   figure. A step that visited every PE would read num_pes per step. *)
+let test_visits_follow_work () =
+  let per_step pes =
+    let e = fib_machine ~num_pes:pes ~heap_size:None 12 in
+    ignore (Engine.run ~max_steps:200_000 e : int);
+    Alcotest.(check bool) (Printf.sprintf "fib 12 finishes on %d PEs" pes) true (Engine.finished e);
+    float_of_int (Engine.pe_visits e) /. float_of_int (Engine.now e)
+  in
+  let base = per_step 8 in
+  Alcotest.(check bool) (Printf.sprintf "8 PEs: %.2f visits/step, well under 8" base) true
+    (base < 4.0);
+  List.iter
+    (fun pes ->
+      let v = per_step pes in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d PEs: %.3f visits/step within 10%% of %.3f" pes v base)
+        true
+        (Float.abs (v -. base) <= 0.1 *. base))
+    [ 64; 256 ]
+
+(* ---- O(1) graph counts ----------------------------------------------
+   [Graph.live_count] and [Graph.headroom] read running counts. The
+   folds they replaced are the oracle: every slot counted, every home's
+   free list measured, every home's [headroom_for] summed. *)
+
+let fold_vertex_count g =
+  let n = ref 0 in
+  Graph.iter_all (fun _ -> incr n) g;
+  !n
+
+let fold_free_count g =
+  if not (Graph.partitioned g) then List.length (Graph.free_list g)
+  else
+    List.fold_left
+      (fun acc pe -> acc + List.length (Graph.home_free_list g ~pe))
+      0
+      (List.init (Graph.num_pes g) Fun.id)
+
+let fold_headroom g =
+  match Graph.capacity g with
+  | None -> max_int
+  | Some _ when not (Graph.partitioned g) -> Graph.headroom_for g ~pe:0
+  | Some _ ->
+    List.fold_left
+      (fun acc pe -> acc + Graph.headroom_for g ~pe)
+      0
+      (List.init (Graph.num_pes g) Fun.id)
+
+let check_counts what g =
+  let vc = fold_vertex_count g and fc = fold_free_count g in
+  Alcotest.(check int) (what ^ ": vertex_count") vc (Graph.vertex_count g);
+  Alcotest.(check int) (what ^ ": free_count") fc (Graph.free_count g);
+  Alcotest.(check int) (what ^ ": live_count") (vc - fc) (Graph.live_count g);
+  Alcotest.(check int) (what ^ ": headroom") (fold_headroom g) (Graph.headroom g)
+
+(* Random births, releases, capacity changes and crash restores (in
+   place, and into a fresh graph, which regrows the segments), on 1 to
+   5 homes, checked against the folds after every operation. *)
+let test_graph_counts_match_folds () =
+  let module Rng = Dgr_util.Rng in
+  for seed = 0 to 19 do
+    let rng = Rng.create seed in
+    let pes = 1 + (seed mod 5) in
+    let g = Graph.create ~num_pes:pes () in
+    for _ = 1 to Rng.int rng 30 do
+      ignore (Graph.alloc g (Label.Int 0) : Vertex.t)
+    done;
+    Graph.preallocate g (Rng.int rng 10);
+    if seed mod 3 = 0 then Graph.set_capacity g (Some (Graph.vertex_count g + 40));
+    check_counts (Printf.sprintf "seed %d, dense" seed) g;
+    let base = Graph.vertex_count g in
+    Graph.partition g ~pes;
+    let cks = Array.init pes (fun pe -> Checkpoint.create g ~pe) in
+    Array.iter (fun c -> ignore (Checkpoint.sync c ~now:0 : int)) cks;
+    for op = 1 to 400 do
+      let what = Printf.sprintf "seed %d, op %d" seed op in
+      (match Rng.int rng 10 with
+      | 0 | 1 | 2 | 3 -> (
+        try ignore (Graph.alloc_from g ~from:(Rng.int rng pes) (Label.Int op) : Vertex.t)
+        with Graph.Out_of_vertices -> ())
+      | 4 | 5 | 6 -> (
+        match Graph.live_vids g with
+        | [] -> ()
+        | live -> Graph.release g (List.nth live (Rng.int rng (List.length live))))
+      | 7 ->
+        Graph.set_capacity g
+          (if Rng.int rng 3 = 0 then None
+           else Some (Graph.vertex_count g + Rng.int rng (8 * pes)))
+      | 8 ->
+        let c = cks.(Rng.int rng pes) in
+        if Rng.int rng 2 = 0 then ignore (Checkpoint.sync c ~now:op : int)
+        else Checkpoint.restore c
+      | _ ->
+        (* the same dense prefix, then segments regrown by the restore *)
+        let fresh = Graph.create ~num_pes:pes () in
+        Graph.preallocate fresh base;
+        Graph.partition fresh ~pes;
+        Array.iter (fun c -> Checkpoint.restore ~into:fresh c) cks;
+        check_counts (what ^ ", restored into a fresh graph") fresh);
+      check_counts what g
+    done
+  done
+
 let suite =
   [
     Alcotest.test_case "pool priority bands" `Quick test_pool_policy_bands;
@@ -1033,6 +1291,16 @@ let suite =
     Alcotest.test_case "config clamps domains to num_pes" `Quick test_config_clamps_domains;
     Alcotest.test_case "reductions on two shards: bytes at 1, 2 and 4 domains" `Quick
       test_two_shard_reductions;
+    Alcotest.test_case "busy set: idle PEs hold nothing, at 1, 2 and 4 shards" `Quick
+      test_busy_set_invariant;
+    Alcotest.test_case "busy set: a crash re-homes onto an idle PE" `Quick
+      test_busy_set_rehome_onto_idle;
+    Alcotest.test_case "busy set: a down PE takes its parked marks" `Quick
+      test_busy_set_down_pe_takes_marks;
+    Alcotest.test_case "PE visits per step follow the work, not the PE count" `Quick
+      test_visits_follow_work;
+    Alcotest.test_case "O(1) live and headroom counts equal the folds" `Quick
+      test_graph_counts_match_folds;
   ]
 
 (* Delivery jitter: deterministic per seed; results invariant. *)

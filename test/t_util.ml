@@ -286,6 +286,46 @@ let test_table_render () =
     (Invalid_argument "Table.add_row: expected 2 cells, got 1") (fun () ->
       Table.add_row t [ "only-one" ])
 
+(* The bitset against a bool-array oracle: random adds and removes over
+   sizes around the word boundaries, [next] from every index, and
+   [elements] and [fill] ascending; a walk may remove the member it is
+   on. *)
+let test_bitset_oracle () =
+  List.iter
+    (fun n ->
+      let rng = Rng.create n in
+      let s = Bitset.create n and o = Array.make n false in
+      let next_oracle i =
+        let rec go j = if j >= n then -1 else if o.(j) then j else go (j + 1) in
+        go (Int.max 0 i)
+      in
+      for _ = 1 to 4 * n do
+        let i = Rng.int rng n in
+        if Rng.int rng 3 = 0 then (Bitset.remove s i; o.(i) <- false)
+        else (Bitset.add s i; o.(i) <- true);
+        let probe = Rng.int rng (n + 2) - 1 in
+        Alcotest.(check int) (Printf.sprintf "n=%d: next %d" n probe) (next_oracle probe)
+          (Bitset.next s probe)
+      done;
+      let expected = List.filter (fun i -> o.(i)) (List.init n Fun.id) in
+      Alcotest.(check (list int)) (Printf.sprintf "n=%d: elements" n) expected (Bitset.elements s);
+      let dst = Array.make n (-1) in
+      let k = Bitset.fill s dst in
+      Alcotest.(check (list int)) (Printf.sprintf "n=%d: fill" n) expected
+        (Array.to_list (Array.sub dst 0 k));
+      let i = ref (Bitset.next s 0) and seen = ref [] in
+      while !i >= 0 do
+        seen := !i :: !seen;
+        Bitset.remove s !i;
+        i := Bitset.next s (!i + 1)
+      done;
+      Alcotest.(check (list int)) (Printf.sprintf "n=%d: removing walk" n) expected
+        (List.rev !seen);
+      Alcotest.(check (list int)) (Printf.sprintf "n=%d: emptied" n) [] (Bitset.elements s))
+    [ 1; 61; 62; 63; 124; 125; 200; 257 ];
+  Alcotest.check_raises "outside the set"
+    (Invalid_argument "Bitset.add: 8 outside [0, 8)") (fun () -> Bitset.add (Bitset.create 8) 8)
+
 let suite =
   [
     Alcotest.test_case "vec push/get/pop" `Quick test_vec_push_get;
@@ -309,4 +349,5 @@ let suite =
     Alcotest.test_case "rng stream pinned across representations" `Quick
       test_rng_stream_pinned;
     Alcotest.test_case "rng and fault dice allocate nothing" `Quick test_rng_rolls_unboxed;
+    Alcotest.test_case "bitset = bool-array oracle" `Quick test_bitset_oracle;
   ]
