@@ -232,15 +232,17 @@ let prime e s =
       (Graph.live_vids (Engine.graph e))
   | Program _ -> ()
 
+(* Run a built, primed scenario to its end; the steps it took. *)
+let run_primed e s =
+  if s.s_endless then Engine.run ~max_steps:s.s_max_steps ~stop:(fun _ -> false) e
+  else Engine.run ~max_steps:s.s_max_steps e
+
 let run_scenario ?(domains = 1) ?(batch = true) ~deterministic s =
   let e = build_engine ~domains ~batch s in
   prime e s;
   let mw0 = if deterministic then 0.0 else Gc.minor_words () in
   let t0 = if deterministic then 0.0 else Unix.gettimeofday () in
-  let steps =
-    if s.s_endless then Engine.run ~max_steps:s.s_max_steps ~stop:(fun _ -> false) e
-    else Engine.run ~max_steps:s.s_max_steps e
-  in
+  let steps = run_primed e s in
   let wall_ns =
     if deterministic then 0L
     else Int64.of_float ((Unix.gettimeofday () -. t0) *. 1e9)
@@ -329,7 +331,7 @@ let run_suite ?(domains = 1) ?(batch = true) ?only ~smoke ~deterministic () =
 (* Build, prime and run one named suite scenario, returning the engine
    itself (not a row) so a post-run analyzer can walk its lineage store,
    histograms and profile. *)
-let run_for_report ?(domains = 1) ?(batch = true) name =
+let timed_run_for_report ?(domains = 1) ?(batch = true) name =
   match List.find_opt (fun s -> s.s_name = name) suite with
   | None ->
     invalid_arg
@@ -338,11 +340,11 @@ let run_for_report ?(domains = 1) ?(batch = true) name =
   | Some s ->
     let e = build_engine ~domains ~batch s in
     prime e s;
-    let (_ : int) =
-      if s.s_endless then Engine.run ~max_steps:s.s_max_steps ~stop:(fun _ -> false) e
-      else Engine.run ~max_steps:s.s_max_steps e
-    in
-    e
+    let t0 = Unix.gettimeofday () in
+    let (_ : int) = run_primed e s in
+    (e, Unix.gettimeofday () -. t0)
+
+let run_for_report ?domains ?batch name = fst (timed_run_for_report ?domains ?batch name)
 
 (* ------------------------------------------------------------------ *)
 (* BENCH.json.                                                         *)

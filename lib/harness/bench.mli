@@ -93,6 +93,13 @@ val run_for_report :
     can walk its lineage store, latency histograms and step-phase
     profile. Raises [Invalid_argument] on an unknown name. *)
 
+val timed_run_for_report :
+  ?domains:int -> ?batch:bool -> string -> Dgr_sim.Engine.t * float
+(** {!run_for_report}, and the wall-clock seconds its run took, timed
+    around [Engine.run] as a row's [wall_ns] is: the profile's
+    [total_ns] is an estimate from the clocked steps, so a rate is
+    divided by this instead. *)
+
 val steps_per_sec : row -> float
 (** [0.0] for deterministic rows. *)
 

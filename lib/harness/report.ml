@@ -154,7 +154,9 @@ let render ?(deterministic = false) e =
       Printf.bprintf b "  crash steps=%d checkpoint syncs=%d\n" m.Metrics.crash_steps
         m.Metrics.ckpt_syncs
   end;
-  (* Step phases: wall-clock, so omitted from deterministic reports. *)
+  (* Step phases: wall-clock, so omitted from deterministic reports. The
+     time shares are estimates from the clocked steps, whose basis the
+     section names; the minor words are exact. *)
   if not deterministic then begin
     let p = Engine.profile e in
     let domains = Engine.Config.domains (Engine.config e) in
@@ -165,6 +167,9 @@ let render ?(deterministic = false) e =
     Printf.bprintf b "\n-- step phases (wall clock) --\n";
     Printf.bprintf b "  total=%.1fms over %d steps at domains=%d\n"
       (p.Profile.total_ns /. 1e6) p.Profile.steps domains;
+    Printf.bprintf b
+      "  clocked %d of %d steps (1 in %d); restructure and stop-the-world marks always\n"
+      p.Profile.clocked p.Profile.steps Profile.stride;
     Printf.bprintf b
       "  transport=%.1f%% execute=%.1f%% merge=%.1f%% gc=%.1f%% bookkeeping=%.1f%%\n"
       (share p.Profile.transport_ns) (share p.Profile.execute_ns) (share p.Profile.merge_ns)

@@ -42,7 +42,10 @@ module Config = struct
 
   (* A machine with no PE, no shard, or a per-step budget of nothing
      would fail deep inside [Graph.create], step no PE, or idle until the
-     step limit: refuse it here, in [make] and the updaters alike. *)
+     step limit: refuse it here, in [make] and the updaters alike. So is
+     a heap bound with no slot ([None] is the unbounded heap): [create]
+     would raise it to the initial vertex count, where every expansion
+     stalls. *)
   let at_least lo field v =
     if v < lo then
       invalid_arg (Printf.sprintf "Engine.Config: %s must be at least %d, got %d" field lo v);
@@ -99,6 +102,7 @@ module Config = struct
     let latency = positive "latency" latency in
     let gc = gc_mode gc in
     let gc_work_factor = positive "gc_work_factor" gc_work_factor in
+    let heap_size = Option.map (positive "heap_size") heap_size in
     let domains = Int.min (positive "domains" domains) num_pes in
     let jitter = probability "jitter" jitter in
     let faults = rates faults in
@@ -226,12 +230,13 @@ type t = {
       (** per PE: tasks (marks and reductions) its shard has executed,
           summed at the barrier — the load-shape meter *)
   lin : Dgr_obs.Lineage.t;  (** causal lineage tickets, one per pooled reduction *)
-  prof : Profile.t;  (** step and minor-collection counts; [profile] adds the sums *)
-  ph_ns : float array;  (** per phase: seconds, see [lap] *)
-  ph_mw : float array;  (** per phase: minor words *)
-  shard_ph : float array;
+  prof : Profile.t;  (** step, clocked-step and minor-collection counts; [profile] adds the sums *)
+  ph_ns : int array;  (** per phase: ns over the clocked steps, see [lap] *)
+  ph_mw : float array;  (** per phase: minor words over every step *)
+  shard_ph : int array;
       (** per shard [d]: marking ([2d]) and reduction ([2d + 1]) budget
-          seconds *)
+          ns over the clocked steps *)
+  mutable clocked : bool;  (** this step reads the clock: see [read] *)
   mutable now : int;
   mutable paused_until : int;
   mutable next_cycle_at : int;
@@ -282,12 +287,14 @@ type t = {
           boxed once at [create] so installing it allocates nothing *)
 }
 
-(* The profiler's sums, per phase, in two flat float arrays, so adding
-   to a sum boxes nothing: [ph_ns] in seconds ([profile] scales them to
-   ns), [ph_mw] in minor words. The step reads the clock once per phase
-   boundary: [lap] closes the running phase at the reading and opens the
-   next, so the phases partition the step. Slot [k_at] holds the last
-   boundary's readings. *)
+(* The profiler's sums, per phase, in two flat arrays, so adding to a
+   sum boxes nothing: [ph_ns] in integer ns, [ph_mw] in minor words. At
+   each phase boundary [lap] closes the running phase and opens the
+   next, so the phases partition the step. Minor words are read at every
+   boundary of every step; the clock only on a clocked step, one in
+   [Profile.stride] (see [read]). Slot [k_at] holds the last boundary's
+   readings. Integer ns make every sum exact: the laps telescope, and a
+   profile difference across a step is exactly what the step added. *)
 let k_transport = 0
 let k_execute = 1
 let k_drain = 2
@@ -298,17 +305,28 @@ let k_replay = 6
 let k_gc = 7
 let k_book = 8
 let k_restr = 9
-let k_total = 10
-let k_at = 11
+let k_stw = 10
+let k_total = 11
+let k_at = 12
 
-(* Wall clock in seconds. Both readings in [lap] are unboxed externals,
-   so a boundary allocates nothing. *)
-let clock () = Unix.gettimeofday ()
+(* Wall clock in ns since the program started. [Unix.gettimeofday] and
+   [Gc.minor_words] are unboxed externals, so a boundary allocates
+   nothing; the difference from [epoch] is exact, so readings never go
+   backwards across the conversion. *)
+let epoch = Unix.gettimeofday ()
+
+let clock () = Float.to_int ((Unix.gettimeofday () -. epoch) *. 1e9)
+
+(* A clock reading (~50 ns) is a large share of a light step, so only a
+   clocked step reads the clock: the first of every [Profile.stride],
+   keyed on [now]. An unclocked step reads 0 at every boundary, and its
+   laps add 0. *)
+let read t = if t.clocked then clock () else 0
 
 let lap t k =
-  let c = clock () and w = Gc.minor_words () in
+  let c = read t and w = Gc.minor_words () in
   let ns = t.ph_ns and mw = t.ph_mw in
-  ns.(k) <- ns.(k) +. (c -. ns.(k_at));
+  ns.(k) <- ns.(k) + (c - ns.(k_at));
   ns.(k_at) <- c;
   mw.(k) <- mw.(k) +. (w -. mw.(k_at));
   mw.(k_at) <- w
@@ -593,7 +611,7 @@ let run_shard t d k0 =
       let pe = v.(k) in
       Network.take_mark_lanes t.net ~pe (Pool.marks t.pools.(pe))
     done;
-    let c0 = clock () in
+    let c0 = read t in
     for k = k0 to k1 do
       let pe = v.(k) in
       if executes t pe then begin
@@ -601,7 +619,7 @@ let run_shard t d k0 =
         Pool.drain_marking t.pools.(pe) ~budget:marking_per_step t.ctxs.(pe).cmark
       end
     done;
-    let c1 = clock () in
+    let c1 = read t in
     if not t.mark_only then
       for k = k0 to k1 do
         let pe = v.(k) in
@@ -612,22 +630,33 @@ let run_shard t d k0 =
             ~mark:ctx.cmark
         end
       done;
-    let c2 = clock () in
+    let c2 = read t in
     t.exec_pe <- -1;
     let s = t.shard_ph in
-    s.(2 * d) <- s.(2 * d) +. (c1 -. c0);
-    s.((2 * d) + 1) <- s.((2 * d) + 1) +. (c2 -. c1)
+    s.(2 * d) <- s.(2 * d) + (c1 - c0);
+    s.((2 * d) + 1) <- s.((2 * d) + 1) + (c2 - c1)
   end;
   k1 + 1
 
-(* Restructure's per-home passes: run [f] over every home PE in order.
-   The span is attributed to the profiler's restructure bucket. *)
+(* A rare, large span — restructure's home passes, a stop-the-world
+   mark — would be noise in a 1-in-[Profile.stride] sample: it is
+   clocked every time it runs, from [r0] to now, and summed exactly into
+   slot [k]. On a clocked step it is cut out of the running phase's
+   sample (the phase's reading moves past it), so the weighted sample
+   never counts it again. *)
+let exact_span t k r0 =
+  let span = clock () - r0 and ns = t.ph_ns in
+  ns.(k) <- ns.(k) + span;
+  if t.clocked then ns.(k_at) <- ns.(k_at) + span
+
+(* Restructure's per-home passes: run [f] over every home PE in order,
+   timed exactly. *)
 let each_home_run t f =
   let r0 = clock () in
   for pe = 0 to t.num_pes - 1 do
     f pe
   done;
-  t.ph_ns.(k_restr) <- t.ph_ns.(k_restr) +. (clock () -. r0)
+  exact_span t k_restr r0
 
 (* Restructure's pool pass, after its releases: every busy PE's pool
    (the others are empty) drops the entries the releases made stale and
@@ -747,9 +776,10 @@ let create ?recorder ?(config = Config.default) g templates =
       executed_by = Array.make num_pes 0;
       lin = lineage;
       prof = Profile.create ();
-      ph_ns = Array.make (k_at + 1) 0.0;
+      ph_ns = Array.make (k_at + 1) 0;
       ph_mw = Array.make (k_at + 1) 0.0;
-      shard_ph = Array.make (2 * domains) 0.0;
+      shard_ph = Array.make (2 * domains) 0;
+      clocked = false;
       now = 0;
       paused_until = 0;
       next_cycle_at = 0;
@@ -916,31 +946,39 @@ let pe_visits t = t.visits
 
 let busy_pes t = Bitset.elements t.busy
 
+(* The whole-run estimate: each clocked step stands for [Profile.stride]
+   steps, and the exact spans (restructure, stop-the-world marks) add
+   their time to GC and to the total. The weight is fixed, so the
+   estimate only ever grows, and in integer ns the step's phases add up
+   to its total exactly. *)
 let profile t =
-  let ns k = t.ph_ns.(k) *. 1e9 and mw k = t.ph_mw.(k) in
-  let merge f = f k_drain +. f k_absorb +. f k_close +. f k_seal +. f k_replay in
-  let shard k d = t.shard_ph.((2 * d) + k) *. 1e9 in
+  let w k = Profile.stride * t.ph_ns.(k) and restr = t.ph_ns.(k_restr) in
+  let merge_w = w k_drain + w k_absorb + w k_close + w k_seal + w k_replay in
+  let gc_w = w k_gc + restr + t.ph_ns.(k_stw) in
+  let total = w k_transport + w k_execute + merge_w + gc_w + w k_book in
+  let ns k = float_of_int (w k) and mw k = t.ph_mw.(k) in
+  let shard k d = float_of_int (Profile.stride * t.shard_ph.((2 * d) + k)) in
   let budgets k = Array.fold_left ( +. ) 0.0 (Array.init t.domains (shard k)) in
   {
     t.prof with
-    total_ns = ns k_total;
+    total_ns = float_of_int total;
     transport_ns = ns k_transport;
     execute_ns = ns k_execute;
-    merge_ns = merge ns;
+    merge_ns = float_of_int merge_w;
     drain_ns = ns k_drain;
     absorb_ns = ns k_absorb;
     close_ns = ns k_close;
     flush_ns = ns k_seal;
     replay_ns = ns k_replay;
-    gc_ns = ns k_gc;
+    gc_ns = float_of_int gc_w;
     book_ns = ns k_book;
-    restr_ns = ns k_restr;
+    restr_ns = float_of_int restr;
     mark_ns = budgets 0;
     red_ns = budgets 1;
     total_mw = mw k_total;
     transport_mw = mw k_transport;
     execute_mw = mw k_execute;
-    merge_mw = merge mw;
+    merge_mw = mw k_drain +. mw k_absorb +. mw k_close +. mw k_seal +. mw k_replay;
     gc_mw = mw k_gc;
     book_mw = mw k_book;
     shard_ns = Array.init t.domains (fun d -> shard 0 d +. shard 1 d);
@@ -1079,8 +1117,10 @@ let gc_control t =
          as mark1 (no task priorities) while the machine is halted, then
          restructure's releases. The pause charges the survivors traced
          plus the table swept. *)
+      let r0 = clock () in
       if Graph.has_root t.g then
         ignore (Dgr_core.Sync_engine.mark t.g Run.Basic ~seeds:[ Graph.root t.g ] : Run.t);
+      exact_span t k_stw r0;
       ignore
         (Restructure.run ~graph:t.g ~deadlock_checked:false
            ~reprioritize:(fun () -> reprioritize t)
@@ -1459,8 +1499,10 @@ let pe_down t pe = pe >= 0 && pe < t.num_pes && is_down t pe
 let pe_stalled t pe = pe >= 0 && pe < t.num_pes && t.now < t.stall_until.(pe)
 
 let step t =
-  let p0 = clock () and w0 = Gc.minor_words () in
-  t.ph_ns.(k_at) <- p0;
+  t.clocked <- t.now mod Profile.stride = 0;
+  if t.clocked then t.prof.Profile.clocked <- t.prof.Profile.clocked + 1;
+  let w0 = Gc.minor_words () in
+  t.ph_ns.(k_at) <- read t;
   t.ph_mw.(k_at) <- w0;
   (match t.recorder with Some r -> Dgr_obs.Recorder.set_now r t.now | None -> ());
   (* Every vertex allocated from here on is this step's: the ownership
@@ -1578,7 +1620,6 @@ let step t =
   t.now <- t.now + 1;
   t.m.Metrics.steps <- t.m.Metrics.steps + 1;
   lap t k_book;
-  t.ph_ns.(k_total) <- t.ph_ns.(k_total) +. (t.ph_ns.(k_at) -. p0);
   t.ph_mw.(k_total) <- t.ph_mw.(k_total) +. (t.ph_mw.(k_at) -. w0);
   t.prof.Profile.steps <- t.prof.Profile.steps + 1
 

@@ -67,7 +67,7 @@ module Config : sig
             expansion stalls when the free list cannot supply it, which
             is what makes eager evaluation "resources permitting" (§3.2);
             collections are additionally triggered by memory pressure.
-            [None] = unbounded. *)
+            [None] = unbounded; [Some n] needs [n >= 1]. *)
     gc_work_factor : int;
         (** GC work units (trace/sweep one vertex) per task slot, used
             when converting synchronous collection work into pause
@@ -142,7 +142,9 @@ module Config : sig
       {!with_gc_work_factor}, {!with_gc} and {!with_jitter}. [make] and
       {!with_faults} likewise refuse a fault rate ([drop],
       [duplicate], [delay], [stall], [crash]) outside [[0, 1]], and
-      [drop = 1], which loses every retransmit and ack too. *)
+      [drop = 1], which loses every retransmit and ack too. [make]
+      refuses a [heap_size] of [Some n] with [n] below 1; [None] is the
+      unbounded heap. *)
 
   val default : t
   (** [make ()]. *)
@@ -242,9 +244,13 @@ val lineage : t -> Dgr_obs.Lineage.t
 val profile : t -> Profile.t
 (** Wall-clock step-phase attribution (transport / execute / merge / GC /
     bookkeeping, per-shard budget time) and the measured Amdahl serial
-    fraction, as a fresh snapshot. Always on — one [gettimeofday] per
-    phase boundary plus three per shard — but never part of
-    deterministic artifacts. *)
+    fraction, as a fresh snapshot. Always on, but never part of
+    deterministic artifacts: one step in {!Profile.stride} reads the
+    clock at each phase boundary and three times per shard, the others
+    read none, and restructure and stop-the-world marks are clocked
+    every time they run. The [_ns]
+    sums are whole-run estimates (see {!Profile}); the minor-word sums
+    are exact. *)
 
 val faults : t -> Faults.t option
 (** The live fault plane, when [config.faults] is active: its counters

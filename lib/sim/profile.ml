@@ -9,18 +9,27 @@
    execution span each shard further splits its time into its marking
    and its reduction budget loops ([shard_ns] keeps the per-shard sum).
 
-   The engine reads the clock once per phase boundary, each reading
-   closing one phase and opening the next, so the phases partition the
-   step: 10 readings a step (the start, transport, execute, the merge's
-   five sub-phases, GC control, bookkeeping), plus 3 per shard (around
-   its two budget loops) and 2 around each of restructure's home passes.
-   It sums the spans in flat float arrays of its own; this record is a
-   snapshot view, filled from those sums by [Engine.profile].
+   At each phase boundary the engine closes one phase and opens the
+   next, so the phases partition the step: 10 boundaries a step (the
+   start, transport, execute, the merge's five sub-phases, GC control,
+   bookkeeping), plus 3 per shard (around its two budget loops). A clock
+   reading (~50 ns) is a large share of a light step, so the engine
+   clocks one step in [stride] (the first, and every [stride]-th after
+   it) and reads no clock on the others. Each clocked step stands for
+   [stride] steps, so every ns sum is an estimate of the whole run's;
+   [clocked] counts the steps behind it. The exceptions are rare and
+   large spans, which a sample would turn into noise: restructure's
+   home passes (2 readings around each) are clocked on every cycle and
+   their exact span enters [restr_ns], [gc_ns] and [total_ns]
+   unweighted; so is a stop-the-world collection's mark, in [gc_ns] and
+   [total_ns]. The engine sums integer ns in
+   flat arrays of its own; this record is a snapshot view, filled from
+   those sums by [Engine.profile].
 
    Alongside each wall-clock span the same brackets accumulate
-   [Gc.minor_words] deltas, attributing the engine's minor-heap traffic
-   to phases — the working measure for the allocation-free inner-loop
-   budget ([minor_words_per_step] in the bench): when the bench gate
+   [Gc.minor_words] deltas on every step, clocked or not, attributing
+   the engine's minor-heap traffic to phases — exact, not estimated:
+   the working measure for the allocation-free inner-loop budget ([minor_words_per_step] in the bench): when the bench gate
    trips, the per-phase words say which span regressed.
 
    The measured Amdahl serial fraction falls out directly: only the
@@ -39,8 +48,14 @@
    deterministic bench rows zero them. Minor-word readings are exact
    counts. *)
 
+(* 7 is coprime with the engine's 64-step [unpark] poll, so the steps
+   after a poll are clocked in proportion; a stride of 8 would never
+   clock them. *)
+let stride = 7
+
 type t = {
   mutable steps : int;
+  mutable clocked : int;  (* steps that read the clock: the ns sums' basis *)
   mutable minor_gcs : int;  (* minor collections over [Engine.run] *)
   mutable total_ns : float;
   mutable transport_ns : float;
@@ -73,6 +88,7 @@ type t = {
 let create () =
   {
     steps = 0;
+    clocked = 0;
     minor_gcs = 0;
     total_ns = 0.0;
     transport_ns = 0.0;

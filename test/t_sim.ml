@@ -586,6 +586,22 @@ let test_config_clamps_domains () =
   | [ row ] -> Alcotest.(check int) "a BENCH row" 4 row.Dgr_harness.Bench.domains
   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
+(* A heap bound with no slot is refused where the config is built:
+   [Engine.create] would raise it to the initial vertex count, where
+   every expansion stalls. [None] stays the unbounded heap. *)
+let test_config_rejects_empty_heap () =
+  let module C = Engine.Config in
+  List.iter
+    (fun n ->
+      Alcotest.check_raises
+        (Printf.sprintf "heap_size %d" n)
+        (Invalid_argument (Printf.sprintf "Engine.Config: heap_size must be at least 1, got %d" n))
+        (fun () -> ignore (C.make ~heap_size:(Some n) ())))
+    [ 0; -5 ];
+  Alcotest.(check (option int)) "one slot accepted" (Some 1)
+    (C.heap_size (C.make ~heap_size:(Some 1) ()));
+  Alcotest.(check (option int)) "unbounded accepted" None (C.heap_size (C.make ~heap_size:None ()))
+
 (* Fault rates are probabilities, a channel that drops everything
    delivers nothing, and a stall or downtime needs a length: all are
    refused by [make] and [with_faults]. *)
@@ -867,6 +883,82 @@ let test_gc_exact_cycle_end () =
     end
   done;
   Alcotest.(check bool) "a cycle ended" true !found
+
+(* A collection can end on a step that reads no clock. Its rare, large
+   spans are timed every time all the same, and they are all such a step
+   adds to the profile's time: nothing to the sampled phases, the same
+   span to GC and the step's total. Under the concurrent collector that
+   span is restructure's; a stop-the-world collection adds its mark. *)
+let test_unclocked_collection () =
+  let check_machine name gc collections ~mark =
+    let config = Engine.Config.make ~num_pes:4 ~gc () in
+    let g, templates =
+      Dgr_lang.Compile.load_string ~num_pes:4 (Dgr_lang.Prelude.sum_range 400)
+    in
+    let e = Engine.create ~config g templates in
+    Engine.inject_root_demand e;
+    let found = ref false and steps = ref 0 in
+    while (not !found) && !steps < 100_000 do
+      let n = Engine.now e and c = collections e and p0 = Engine.profile e in
+      Engine.step e;
+      incr steps;
+      if collections e > c && n mod Profile.stride <> 0 then begin
+        found := true;
+        let p = Engine.profile e in
+        let d f = f p -. f p0 in
+        let what s = Printf.sprintf "%s, step %d: %s" name n s in
+        Alcotest.(check int) (what "not clocked") p0.Profile.clocked p.Profile.clocked;
+        List.iter
+          (fun (phase, f) -> Alcotest.(check (float 0.0)) (what (phase ^ " ns")) 0.0 (d f))
+          [
+            ("transport", fun p -> p.Profile.transport_ns);
+            ("execute", fun p -> p.Profile.execute_ns);
+            ("merge", fun p -> p.Profile.merge_ns);
+            ("bookkeeping", fun p -> p.Profile.book_ns);
+          ];
+        let restr = d (fun p -> p.Profile.restr_ns) and gc = d (fun p -> p.Profile.gc_ns) in
+        Alcotest.(check bool) (what "restructure timed") true (restr > 0.0);
+        Alcotest.(check (float 0.0)) (what "total ns") gc (d (fun p -> p.Profile.total_ns));
+        if mark then Alcotest.(check bool) (what "the mark timed") true (gc > restr)
+        else Alcotest.(check (float 0.0)) (what "gc ns") restr gc
+      end
+    done;
+    Alcotest.(check bool) (name ^ ": a collection ended on an unclocked step") true !found
+  in
+  check_machine "concurrent"
+    (Engine.Concurrent { deadlock_every = 1; idle_gap = 5 })
+    (fun e -> (Engine.metrics e).Metrics.cycles_completed)
+    ~mark:false;
+  check_machine "stop-the-world"
+    (Engine.Stop_the_world { every = 50 })
+    (fun e -> (Engine.metrics e).Metrics.stw_collections)
+    ~mark:true
+
+(* The first step of every machine is clocked, then one in
+   [Profile.stride]: after n steps, ceil(n / stride) of them, idle or
+   busy. The stride is odd and above 1, so it is coprime with the
+   engine's 64-step stall poll and the steps after a poll are clocked
+   in proportion. *)
+let test_clocked_stride () =
+  let stride = Profile.stride in
+  Alcotest.(check bool) "odd stride above 1" true (stride > 1 && stride land 1 = 1);
+  let expect n = (n + stride - 1) / stride in
+  let g = Graph.create ~num_pes:2 () in
+  let config = Engine.Config.make ~num_pes:2 ~gc:Engine.No_gc ~domains:1 () in
+  let e = Engine.create ~config g (Dgr_reduction.Template.create_registry ()) in
+  for n = 1 to 100 do
+    Engine.step e;
+    let p = Engine.profile e in
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "steps, clocked after %d idle steps" n)
+      (n, expect n)
+      (p.Profile.steps, p.Profile.clocked)
+  done;
+  let e = Dgr_harness.Bench.run_for_report ~domains:2 "fib-12-concurrent" in
+  let p = Engine.profile e in
+  Alcotest.(check int)
+    (Printf.sprintf "clocked of fib-12-concurrent's %d steps" (Engine.now e))
+    (expect (Engine.now e)) p.Profile.clocked
 
 (* A machine with nothing to do pays nothing to step: no collector, no
    task, 8 PEs on one domain, 1,000 steps, not one minor word. The
@@ -1273,10 +1365,15 @@ let suite =
       test_config_rejects_fault_rates;
     Alcotest.test_case "config rejects latency < 1 and jitter outside [0, 1]" `Quick
       test_config_rejects_latency_and_jitter;
+    Alcotest.test_case "config rejects a heap with no slots" `Quick
+      test_config_rejects_empty_heap;
     Alcotest.test_case "executed tasks per PE" `Quick test_executed_per_pe;
     Alcotest.test_case "the phases partition the step" `Quick test_phases_partition;
     Alcotest.test_case "gc and restructure time on a cycle's last step" `Quick
       test_gc_exact_cycle_end;
+    Alcotest.test_case "an unclocked collection adds only its exact spans" `Quick
+      test_unclocked_collection;
+    Alcotest.test_case "one step in Profile.stride is clocked" `Quick test_clocked_stride;
     Alcotest.test_case "an idle step allocates nothing" `Quick test_idle_step_alloc_free;
     Alcotest.test_case "a stalled expansion retries without allocating" `Quick
       test_stall_retry_alloc;
